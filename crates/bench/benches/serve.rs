@@ -1,10 +1,10 @@
 //! Benchmarks of the continuous-batching serving simulator: trace
 //! generation alone, end-to-end simulations at moderate load (the memo
 //! tables absorb repeated iteration shapes), a million-request trace on
-//! the streaming/sealed-table path, and a 16-point load sweep.
-//! `scripts/bench-serve.sh` snapshots these numbers into
-//! `BENCH_serve.json` so successive PRs can track simulated-requests-per-
-//! second throughput.
+//! the streaming/sealed-table path, and a 16-point load sweep. These are
+//! quick local microbenches; the serving benchmark of record is
+//! `bash perfbench/run.sh --workload serve-fleet|serve-paged` (see
+//! `perfbench/README.md`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use optimus::prelude::*;

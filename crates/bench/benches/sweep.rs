@@ -1,9 +1,8 @@
 //! Benchmarks of the strategy-sweep engine: enumeration/pruning alone,
 //! end-to-end parallel sweeps (memoized two-phase pipeline), the naive
-//! per-point baseline it replaced, and frontier extraction. Future PRs can
-//! watch sweep throughput (strategies evaluated per second) here;
-//! `scripts/bench-sweep.sh` snapshots these numbers into
-//! `BENCH_sweep.json`.
+//! per-point baseline it replaced, and frontier extraction. These are
+//! quick local microbenches; the sweep benchmark of record is
+//! `bash perfbench/run.sh --workload sweep` (see `perfbench/README.md`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use optimus::prelude::*;

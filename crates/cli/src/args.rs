@@ -1,8 +1,9 @@
 //! Minimal dependency-free argument parsing.
 //!
 //! The grammar is flat `--key value` pairs plus boolean `--flag`s, which
-//! keeps the CLI self-contained (no new dependencies beyond the workspace
-//! policy in DESIGN.md).
+//! keeps the CLI self-contained: it needs no argument-parsing crate, and
+//! the workspace's only external crates are the offline stand-ins under
+//! `vendor/` (see the README's workspace map).
 
 use std::collections::BTreeMap;
 

@@ -1919,7 +1919,11 @@ mod tests {
             "{err}"
         );
         let err = serve(&args("serve --mtbf 5 --failure-process racks:2:5000")).unwrap_err();
-        assert!(err.to_string().contains("--domains"), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "invalid fault options: rack-correlated outages are expressed with failure \
+             domains here; use --domains instead"
+        );
         for bad in [
             "serve --mtbf 5 --failure-process weibull:0",
             "serve --mtbf 5 --failure-process weibull:x",

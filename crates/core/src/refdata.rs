@@ -4,10 +4,10 @@
 //! carries the case-study configurations; the Fig. 5 series holds the
 //! approximate normalized bar heights implied by the paper's §5.2 text
 //! (4× for H100-NDR over A100-HDR, 2× more for NVS, …, ~35× total for
-//! B200-NVS-L). These constants are the *measurement substitute* discussed
-//! in `DESIGN.md`: the original experiments ran on hardware we cannot
-//! execute, so the published results themselves serve as the reference
-//! series that our predictions are scored against.
+//! B200-NVS-L). These constants are a *measurement substitute*: the
+//! original experiments ran on hardware we cannot execute, so the
+//! published results themselves serve as the reference series that our
+//! predictions are scored against.
 
 use optimus_memory::RecomputeMode;
 use optimus_parallel::Parallelism;

@@ -1,6 +1,6 @@
-//! Ablation studies over the design choices DESIGN.md calls out:
-//! attention implementation, collective algorithm, pipeline schedule, and
-//! the DRAM-utilization model.
+//! Ablation studies over four modeling choices: attention implementation,
+//! collective algorithm, pipeline schedule, and the DRAM-utilization
+//! model.
 
 use crate::util::model_by_name;
 use optimus::collective::{Collective, CommModel};

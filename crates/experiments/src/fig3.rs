@@ -1,8 +1,10 @@
 //! Fig. 3: GEMV validation on a single A100 — predicted time vs. measured
 //! GPU time, with varied (size-dependent) vs. constant DRAM utilization.
 //!
-//! The original figure correlates predictions against profiled A100 runs.
-//! Per DESIGN.md's substitution rule, the "measured" series here comes from
+//! The original figure correlates predictions against profiled A100 runs,
+//! which cannot be re-run without the hardware. Where a paper result rests
+//! on measurements we cannot repeat, a deterministic substitute stands in
+//! for them: here the "measured" series comes from
 //! a *surrogate measurement model*: the same roofline physics with the
 //! varied-utilization curve, an extra software-overhead term, and
 //! deterministic shape-dependent jitter (±6%) standing in for run-to-run

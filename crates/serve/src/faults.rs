@@ -48,7 +48,7 @@
 //!   compute does not. A TP-1 replica (no collectives) barely notices a
 //!   link-mode degradation that would cost a flat-mode fleet dearly.
 //!
-//! The degenerate [`FaultSpec::none`] (infinite MTBF, no domains, no
+//! The degenerate [`FaultSpec::none`] (zero MTBF, no domains, no
 //! stragglers, no degradation) is guaranteed — and pinned by
 //! `chaos_props.rs` — to leave the fleet path bit-identical to a
 //! fault-free simulation.
@@ -58,7 +58,7 @@ use optimus_hw::{ClusterSpec, FailureProcess};
 use rand::distributions::{Distribution, Exp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Distinguishes the per-replica random streams drawn from one fault
 /// seed.
@@ -84,7 +84,7 @@ pub struct FaultDomain {
     /// The member replica indices (distinct; any order).
     pub replicas: Vec<usize>,
     /// Mean seconds of domain uptime between outages (exponential).
-    /// `0` or `+∞` disables the domain.
+    /// `0` disables the domain.
     pub mtbf_s: f64,
     /// Mean seconds to repair one domain outage (exponential). Must be
     /// positive and finite when the domain is active.
@@ -105,7 +105,7 @@ impl FaultDomain {
     /// Whether the domain's outage process is enabled and covers anyone.
     #[must_use]
     pub fn is_active(&self) -> bool {
-        self.mtbf_s.is_finite() && self.mtbf_s > 0.0 && !self.replicas.is_empty()
+        self.mtbf_s > 0.0 && !self.replicas.is_empty()
     }
 }
 
@@ -127,17 +127,19 @@ pub enum DegradeMode {
 /// The seeded failure environment of a replica fleet.
 ///
 /// The scalar axes are plain numbers; `domains` adds shared failure
-/// groups. The spec is `Clone`, comparable, and serializable; the
-/// degenerate [`FaultSpec::none`] encodes "no faults" (and the fleet path
-/// treats it as exactly the fault-free simulation).
-#[derive(Debug, Clone, PartialEq)]
+/// groups. The spec is `Clone`, comparable, and serializable (`process`
+/// is omitted when exponential, so fleet reports stay byte-identical to
+/// those from before Weibull uptimes existed); the degenerate
+/// [`FaultSpec::none`] encodes "no faults" (and the fleet path treats it
+/// as exactly the fault-free simulation).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultSpec {
     /// Seed of every fault process. Independent of the trace and router
     /// seeds; per-replica streams are derived from `(seed, replica)` and
     /// per-domain streams from `(seed, domain index)`.
     pub seed: u64,
     /// Mean seconds of uptime between crashes, per replica (exponential).
-    /// `0` or `+∞` disables the crash process entirely.
+    /// `0` disables the crash process entirely.
     pub mtbf_s: f64,
     /// Mean seconds to repair one crash (exponential). Must be positive
     /// and finite when the crash process is enabled.
@@ -160,18 +162,25 @@ pub struct FaultSpec {
     /// infant mortality; `k = 1` routes through the exponential sampler
     /// bit-exactly. Rack-style correlation is expressed with `domains`,
     /// so [`FailureProcess::RackCorrelated`] is rejected here.
+    #[serde(default, skip_serializing_if = "is_default")]
     pub process: FailureProcess,
 }
 
+/// Whether a field still holds its inert default (and is therefore left
+/// out of the serialized spec).
+fn is_default<T: Default + PartialEq>(value: &T) -> bool {
+    *value == T::default()
+}
+
 impl FaultSpec {
-    /// The degenerate no-fault spec: infinite MTBF, no domains, no
+    /// The degenerate no-fault spec: zero MTBF, no domains, no
     /// stragglers, no degradation. Fleet reports under this spec are
     /// bit-identical to the fault-free path.
     #[must_use]
     pub fn none() -> Self {
         Self {
             seed: 0,
-            mtbf_s: f64::INFINITY,
+            mtbf_s: 0.0,
             mttr_s: 0.0,
             straggler_frac: 0.0,
             straggler_mult: 1.0,
@@ -241,7 +250,7 @@ impl FaultSpec {
     /// Whether the per-replica crash/recover process is active.
     #[must_use]
     pub fn has_crashes(&self) -> bool {
-        self.mtbf_s.is_finite() && self.mtbf_s > 0.0
+        self.mtbf_s > 0.0
     }
 
     /// Whether any shared failure domain is active.
@@ -279,12 +288,15 @@ impl FaultSpec {
     /// # Errors
     ///
     /// Returns a human-readable reason when a field is out of range
-    /// (negative/NaN MTBF, non-positive MTTR with crashes enabled,
-    /// straggler fraction outside `[0, 1]`, multipliers below 1, a domain
-    /// with duplicate members or a degenerate outage process).
+    /// (negative or non-finite MTBF, non-positive MTTR with crashes
+    /// enabled, straggler fraction outside `[0, 1]`, multipliers below 1,
+    /// a domain with duplicate members or a degenerate outage process).
     pub fn validate(&self) -> Result<(), String> {
-        if self.mtbf_s.is_nan() || self.mtbf_s < 0.0 {
-            return Err(format!("MTBF must be non-negative, got {}", self.mtbf_s));
+        if !(self.mtbf_s.is_finite() && self.mtbf_s >= 0.0) {
+            return Err(format!(
+                "MTBF must be non-negative and finite (0 disables crashes), got {}",
+                self.mtbf_s
+            ));
         }
         if self.has_crashes() && !(self.mttr_s.is_finite() && self.mttr_s > 0.0) {
             return Err(format!(
@@ -311,16 +323,14 @@ impl FaultSpec {
             ));
         }
         for (index, domain) in self.domains.iter().enumerate() {
-            if domain.mtbf_s.is_nan() || domain.mtbf_s < 0.0 {
+            if !(domain.mtbf_s.is_finite() && domain.mtbf_s >= 0.0) {
                 return Err(format!(
-                    "domain {index}: MTBF must be non-negative, got {}",
+                    "domain {index}: MTBF must be non-negative and finite (0 disables the \
+                     domain), got {}",
                     domain.mtbf_s
                 ));
             }
-            if domain.mtbf_s.is_finite()
-                && domain.mtbf_s > 0.0
-                && !(domain.mttr_s.is_finite() && domain.mttr_s > 0.0)
-            {
+            if domain.mtbf_s > 0.0 && !(domain.mttr_s.is_finite() && domain.mttr_s > 0.0) {
                 return Err(format!(
                     "domain {index}: MTTR must be positive and finite when the domain is enabled, got {}",
                     domain.mttr_s
@@ -338,30 +348,12 @@ impl FaultSpec {
         self.process.validate()?;
         if matches!(self.process, FailureProcess::RackCorrelated { .. }) {
             return Err(
-                "rack-correlated outages are expressed with failure domains here;                  use --domains instead"
+                "rack-correlated outages are expressed with failure domains here; \
+                 use --domains instead"
                     .to_owned(),
             );
         }
         Ok(())
-    }
-
-    /// A copy safe to embed in JSON reports: a disabled crash process —
-    /// per replica or per domain — is normalized to `mtbf_s = 0` (JSON
-    /// cannot carry `∞`; `0` and `∞` both mean "never crashes").
-    #[must_use]
-    pub fn json_safe(mut self) -> Self {
-        if !self.has_crashes() {
-            self.mtbf_s = 0.0;
-            self.mttr_s = 0.0;
-        }
-        for domain in &mut self.domains {
-            if !(domain.mtbf_s.is_finite() && domain.mtbf_s > 0.0) {
-                domain.mtbf_s = 0.0;
-                domain.mttr_s = 0.0;
-            }
-        }
-        self.process = self.process.json_safe();
-        self
     }
 
     /// The constant iteration-duration multiplier of `replica`: the
@@ -478,48 +470,6 @@ fn clipped_stats(windows: &[(f64, f64)], horizon_s: f64) -> (usize, f64) {
     (windows.len(), downtime)
 }
 
-impl Serialize for FaultSpec {
-    fn to_value(&self) -> Value {
-        // The eight pre-Weibull fields always serialize in their
-        // original order; `process` is omitted when exponential so
-        // existing fleet reports stay byte-identical.
-        let mut fields = vec![
-            ("seed".to_owned(), self.seed.to_value()),
-            ("mtbf_s".to_owned(), self.mtbf_s.to_value()),
-            ("mttr_s".to_owned(), self.mttr_s.to_value()),
-            ("straggler_frac".to_owned(), self.straggler_frac.to_value()),
-            ("straggler_mult".to_owned(), self.straggler_mult.to_value()),
-            ("degrade_mult".to_owned(), self.degrade_mult.to_value()),
-            ("degrade_mode".to_owned(), self.degrade_mode.to_value()),
-            ("domains".to_owned(), self.domains.to_value()),
-        ];
-        if self.process != FailureProcess::Exponential {
-            fields.push(("process".to_owned(), self.process.to_value()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for FaultSpec {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let mut spec = Self {
-            seed: u64::from_value(v.field_or_null("seed"))?,
-            mtbf_s: f64::from_value(v.field_or_null("mtbf_s"))?,
-            mttr_s: f64::from_value(v.field_or_null("mttr_s"))?,
-            straggler_frac: f64::from_value(v.field_or_null("straggler_frac"))?,
-            straggler_mult: f64::from_value(v.field_or_null("straggler_mult"))?,
-            degrade_mult: f64::from_value(v.field_or_null("degrade_mult"))?,
-            degrade_mode: DegradeMode::from_value(v.field_or_null("degrade_mode"))?,
-            domains: Vec::<FaultDomain>::from_value(v.field_or_null("domains"))?,
-            process: FailureProcess::Exponential,
-        };
-        if let Some(process) = v.get("process") {
-            spec.process = FailureProcess::from_value(process)?;
-        }
-        Ok(spec)
-    }
-}
-
 /// The splitmix64 finalizer: decorrelates the per-replica streams drawn
 /// from one user-facing seed.
 fn splitmix(mut x: u64) -> u64 {
@@ -587,7 +537,7 @@ impl FaultTimeline {
         let domain = &spec.domains[index];
         // Domains model correlated infrastructure (racks, switches) whose
         // outage statistics are their own; they stay exponential.
-        (domain.mtbf_s.is_finite() && domain.mtbf_s > 0.0).then(|| Self {
+        (domain.mtbf_s > 0.0).then(|| Self {
             rng: stream_rng(spec.seed, index, DOMAIN_STREAM),
             mtbf_s: domain.mtbf_s,
             mttr_s: domain.mttr_s,
@@ -874,6 +824,9 @@ mod tests {
     #[test]
     fn validation_rejects_degenerate_specs() {
         assert!(FaultSpec::crashes(0, -1.0, 1.0).validate().is_err());
+        assert!(FaultSpec::crashes(0, f64::INFINITY, 1.0)
+            .validate()
+            .is_err());
         assert!(FaultSpec::crashes(0, 10.0, 0.0).validate().is_err());
         assert!(FaultSpec::crashes(0, 10.0, f64::INFINITY)
             .validate()
@@ -898,6 +851,9 @@ mod tests {
     fn validation_rejects_degenerate_domains() {
         let bad_mtbf = FaultSpec::none().with_domain(FaultDomain::new(vec![0, 1], -5.0, 1.0));
         assert!(bad_mtbf.validate().is_err());
+        let infinite =
+            FaultSpec::none().with_domain(FaultDomain::new(vec![0, 1], f64::INFINITY, 1.0));
+        assert!(infinite.validate().is_err());
         let bad_mttr = FaultSpec::none().with_domain(FaultDomain::new(vec![0, 1], 60.0, 0.0));
         assert!(bad_mttr.validate().is_err());
         let dup = FaultSpec::none().with_domain(FaultDomain::new(vec![0, 1, 0], 60.0, 5.0));
@@ -1000,19 +956,5 @@ mod tests {
         let inert = FaultSpec::none().with_degrade_mode(DegradeMode::Link);
         assert!(inert.is_none());
         assert!(inert.degraded_cluster(&cluster).is_none());
-    }
-
-    #[test]
-    fn json_safe_normalizes_the_infinite_mtbf() {
-        let spec = FaultSpec::none().with_degradation(1.5).json_safe();
-        assert_eq!(spec.mtbf_s, 0.0);
-        let active = FaultSpec::crashes(2, 60.0, 5.0).json_safe();
-        assert_eq!(active.mtbf_s, 60.0);
-        let domained = FaultSpec::none()
-            .with_domain(FaultDomain::new(vec![0], f64::INFINITY, 0.0))
-            .with_domain(FaultDomain::new(vec![1, 2], 45.0, 5.0))
-            .json_safe();
-        assert_eq!(domained.domains[0].mtbf_s, 0.0);
-        assert_eq!(domained.domains[1].mtbf_s, 45.0);
     }
 }

@@ -36,7 +36,7 @@ use optimus_model::ModelConfig;
 use optimus_units::Time;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// How the fleet's front door assigns each arriving request to a replica.
@@ -144,11 +144,10 @@ impl FleetConfig {
 /// The complete outcome of one fleet simulation: fleet-level aggregates
 /// plus the per-replica [`ServeReport`]s they were derived from.
 ///
-/// `Serialize` is hand-written (not derived) so the trailing
-/// paged-KV field is *omitted* — not `null` — in the legacy reserved
-/// regime, keeping reserved-mode fleet JSON byte-identical to reports
-/// emitted before paging existed.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+/// The trailing paged-KV field is *omitted* — not `null` — in the legacy
+/// reserved regime, keeping reserved-mode fleet JSON byte-identical to
+/// reports emitted before paging existed.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetReport {
     /// Model name.
     pub model: String,
@@ -208,52 +207,8 @@ pub struct FleetReport {
     /// Paged-KV accounting merged across replicas (peak occupancy is the
     /// worst replica's, counters are fleet sums). `None` in the legacy
     /// reserved regime.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub paging: Option<PagingReport>,
-}
-
-impl Serialize for FleetReport {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("model".to_owned(), self.model.to_value()),
-            ("cluster".to_owned(), self.cluster.to_value()),
-            ("tp".to_owned(), self.tp.to_value()),
-            ("precision".to_owned(), self.precision.to_value()),
-            ("replicas".to_owned(), self.replicas.to_value()),
-            ("gpus".to_owned(), self.gpus.to_value()),
-            ("router".to_owned(), self.router.to_value()),
-            ("requests".to_owned(), self.requests.to_value()),
-            ("completed".to_owned(), self.completed.to_value()),
-            ("rejected".to_owned(), self.rejected.to_value()),
-            ("rejected_ids".to_owned(), self.rejected_ids.to_value()),
-            ("makespan".to_owned(), self.makespan.to_value()),
-            (
-                "generated_tokens".to_owned(),
-                self.generated_tokens.to_value(),
-            ),
-            ("tokens_per_s".to_owned(), self.tokens_per_s.to_value()),
-            ("requests_per_s".to_owned(), self.requests_per_s.to_value()),
-            (
-                "mean_decode_batch".to_owned(),
-                self.mean_decode_batch.to_value(),
-            ),
-            ("ttft".to_owned(), self.ttft.to_value()),
-            ("tpot".to_owned(), self.tpot.to_value()),
-            ("e2e".to_owned(), self.e2e.to_value()),
-            (
-                "kv_peak_utilization".to_owned(),
-                self.kv_peak_utilization.to_value(),
-            ),
-            ("slo".to_owned(), self.slo.to_value()),
-            ("routed".to_owned(), self.routed.to_value()),
-            ("per_replica".to_owned(), self.per_replica.to_value()),
-            ("faults".to_owned(), self.faults.to_value()),
-            ("availability".to_owned(), self.availability.to_value()),
-        ];
-        if let Some(paging) = &self.paging {
-            fields.push(("paging".to_owned(), paging.to_value()));
-        }
-        Value::Object(fields)
-    }
 }
 
 impl core::fmt::Display for FleetReport {
@@ -824,7 +779,7 @@ pub(crate) fn run_fleet(
         },
         routed,
         per_replica,
-        faults: faulty.then(|| faults.clone().json_safe()),
+        faults: faulty.then(|| faults.clone()),
         availability,
         paging,
     })

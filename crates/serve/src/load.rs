@@ -335,7 +335,7 @@ pub fn load_sweep(
             curves: Vec::new(),
             frontier: Vec::new(),
             infeasible,
-            faults: spec.faults.clone().map(FaultSpec::json_safe),
+            faults: spec.faults.clone(),
         };
     }
 
@@ -422,7 +422,7 @@ pub fn load_sweep(
         curves,
         frontier,
         infeasible,
-        faults: spec.faults.clone().map(FaultSpec::json_safe),
+        faults: spec.faults.clone(),
     }
 }
 

@@ -59,7 +59,7 @@
 //!   arrive after [`CheckpointSpec::repair_s`]. The report carries both
 //!   goodputs ([`ElasticReport`]); the cheaper strategy wins.
 //!
-//! The degenerate [`CheckpointSpec::none`] (infinite MTBF) adds nothing:
+//! The degenerate [`CheckpointSpec::none`] (zero MTBF) adds nothing:
 //! the report's resilience section stays absent and the serialized
 //! [`crate::TrainingReport`] is byte-identical to a spec-free estimate.
 //! Likewise, a spec that uses none of the stack extensions (exponential
@@ -74,15 +74,14 @@ use optimus_parallel::Parallelism;
 use optimus_units::{Bytes, Time};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Default fraction of the sharded optimizer state captured by a
 /// [`TierKind::PersistentDelta`] checkpoint.
 pub const DELTA_FRACTION_DEFAULT: f64 = 0.25;
 
-/// Stream constant mixed into the spec seed for the Weibull rework
-/// renewal simulation (same splitmix64 discipline as the serving fault
-/// streams).
+/// Stream constant seeding the Weibull rework renewal simulation (mixed
+/// through splitmix64, the same discipline as the serving fault streams).
 const REWORK_STREAM: u64 = 0x8C5F_4A3B_2E1D_0F97;
 
 /// Uptime draws per Weibull rework estimate. All `(τ, δ)` pairs of one
@@ -161,12 +160,17 @@ impl CheckpointTier {
 /// failure process shape, the checkpoint tier stack, the recovery
 /// strategy (restart vs elastic), and the power profile of overhead
 /// time.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Serialization note: the stack fields after `restart_s` are omitted at
+/// their defaults (and restored from them when absent), so a base
+/// `--mtbf`/`--restart` spec serializes exactly as before the stack
+/// existed.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CheckpointSpec {
     /// Mean seconds of uptime between failures of **one GPU**. The
     /// cluster-level MTBF follows from [`Self::process`]
-    /// (`mtbf_s / gpus` for exponential). `0` or `+∞` disables
-    /// resilience modeling entirely.
+    /// (`mtbf_s / gpus` for exponential). `0` disables resilience
+    /// modeling entirely.
     pub mtbf_s: f64,
     /// Seconds of useful work between *persistent full* checkpoints.
     /// `None` selects the Young–Daly optimum `√(2 δ M)` per strategy.
@@ -175,39 +179,68 @@ pub struct CheckpointSpec {
     /// re-spawn, checkpoint reload), on top of the lost half-interval.
     pub restart_s: f64,
     /// The failure arrival process (default exponential).
+    #[serde(default, skip_serializing_if = "is_default")]
     pub process: FailureProcess,
     /// Extra checkpoint tiers in front of the persistent full base tier.
+    #[serde(default, skip_serializing_if = "is_default")]
     pub tiers: Vec<CheckpointTier>,
     /// Whether the job may shrink its DP group by the blast radius and
     /// keep training instead of restarting.
+    #[serde(default, skip_serializing_if = "is_default")]
     pub elastic: bool,
     /// Seconds to re-shard and re-warm the shrunken job after an elastic
     /// recovery (in place of the full `restart_s`).
+    #[serde(default, skip_serializing_if = "is_default")]
     pub rewarm_s: f64,
     /// Mean seconds until failed resources return to the job. A
     /// restarting job waits this long stopped; an elastic job trains
     /// degraded through it.
+    #[serde(default, skip_serializing_if = "is_default")]
     pub repair_s: f64,
     /// Fraction of the sharded optimizer state a delta checkpoint
     /// captures.
+    #[serde(
+        default = "default_delta_fraction",
+        skip_serializing_if = "is_default_delta_fraction"
+    )]
     pub delta_fraction: f64,
     /// Utilization of the dynamic power budget during checkpoint /
     /// rework / restart overhead time (`1.0` = full burn, the classic
     /// pessimistic assumption; lower values let the energy model price
     /// overhead seconds at idle-ish power).
+    #[serde(default = "full_util", skip_serializing_if = "is_full_util")]
     pub overhead_util: f64,
-    /// Base seed for the seeded rework simulation of non-exponential
-    /// processes.
-    pub seed: u64,
+}
+
+/// Whether a stack field still holds its inert default (and is therefore
+/// left out of the serialized spec).
+fn is_default<T: Default + PartialEq>(value: &T) -> bool {
+    *value == T::default()
+}
+
+fn default_delta_fraction() -> f64 {
+    DELTA_FRACTION_DEFAULT
+}
+
+fn is_default_delta_fraction(fraction: &f64) -> bool {
+    *fraction == DELTA_FRACTION_DEFAULT
+}
+
+fn full_util() -> f64 {
+    1.0
+}
+
+fn is_full_util(util: &f64) -> bool {
+    *util == 1.0
 }
 
 impl CheckpointSpec {
-    /// The degenerate no-failure spec: infinite MTBF. Reports estimated
+    /// The degenerate no-failure spec: zero MTBF. Reports estimated
     /// under it are byte-identical to reports with no spec at all.
     #[must_use]
     pub fn none() -> Self {
         Self {
-            mtbf_s: f64::INFINITY,
+            mtbf_s: 0.0,
             interval_s: None,
             restart_s: 0.0,
             process: FailureProcess::Exponential,
@@ -217,7 +250,6 @@ impl CheckpointSpec {
             repair_s: 0.0,
             delta_fraction: DELTA_FRACTION_DEFAULT,
             overhead_util: 1.0,
-            seed: 0,
         }
     }
 
@@ -302,17 +334,10 @@ impl CheckpointSpec {
         self
     }
 
-    /// Sets the seed of the rework simulation streams.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Whether the failure process is active (finite positive MTBF).
+    /// Whether the failure process is active (positive MTBF).
     #[must_use]
     pub fn has_failures(&self) -> bool {
-        self.mtbf_s.is_finite() && self.mtbf_s > 0.0
+        self.mtbf_s > 0.0
     }
 
     /// Whether the spec models no failures at all — the estimator then
@@ -339,12 +364,15 @@ impl CheckpointSpec {
     /// # Errors
     ///
     /// Returns a human-readable reason when a field is out of range
-    /// (negative/NaN MTBF, non-positive or non-finite interval,
+    /// (negative or non-finite MTBF, non-positive or non-finite interval,
     /// negative/non-finite restart cost, degenerate process shape,
     /// duplicate or base-kind extra tiers, out-of-range fractions).
     pub fn validate(&self) -> Result<(), String> {
-        if self.mtbf_s.is_nan() || self.mtbf_s < 0.0 {
-            return Err(format!("MTBF must be non-negative, got {}", self.mtbf_s));
+        if !(self.mtbf_s.is_finite() && self.mtbf_s >= 0.0) {
+            return Err(format!(
+                "MTBF must be non-negative and finite (0 disables failures), got {}",
+                self.mtbf_s
+            ));
         }
         if let Some(interval) = self.interval_s {
             if !(interval.is_finite() && interval > 0.0) {
@@ -408,38 +436,6 @@ impl CheckpointSpec {
             ));
         }
         Ok(())
-    }
-
-    /// A copy safe to embed in JSON reports: a disabled failure process is
-    /// normalized to `mtbf_s = 0` (JSON cannot carry `∞`; `0` and `∞`
-    /// both mean "never fails"), and any non-finite stack parameter is
-    /// normalized to its inert default so the vendored serde never emits
-    /// `null` for them.
-    #[must_use]
-    pub fn json_safe(mut self) -> Self {
-        if !self.has_failures() {
-            self.mtbf_s = 0.0;
-            self.restart_s = 0.0;
-        }
-        self.process = self.process.json_safe();
-        if !self.rewarm_s.is_finite() {
-            self.rewarm_s = 0.0;
-        }
-        if !self.repair_s.is_finite() {
-            self.repair_s = 0.0;
-        }
-        if !self.delta_fraction.is_finite() {
-            self.delta_fraction = DELTA_FRACTION_DEFAULT;
-        }
-        if !self.overhead_util.is_finite() {
-            self.overhead_util = 1.0;
-        }
-        for tier in &mut self.tiers {
-            if tier.interval_s.is_some_and(|s| !s.is_finite()) {
-                tier.interval_s = None;
-            }
-        }
-        self
     }
 
     /// Prices this spec for one evaluated strategy: `memory` is the
@@ -521,7 +517,7 @@ impl CheckpointSpec {
         // every (τ, δ) pair so tier comparisons use common random numbers.
         let draws = match self.process {
             FailureProcess::Weibull { shape } if shape != 1.0 => {
-                Some(draw_weibull_uptimes(shape, cluster_mtbf, self.seed))
+                Some(draw_weibull_uptimes(shape, cluster_mtbf))
             }
             _ => None,
         };
@@ -693,7 +689,7 @@ impl CheckpointSpec {
         };
 
         Some(ResilienceReport {
-            spec: self.clone().json_safe(),
+            spec: self.clone(),
             checkpoint_bytes,
             checkpoint_write,
             interval: Time::from_secs(interval),
@@ -707,7 +703,7 @@ impl CheckpointSpec {
             process: if self.process.is_exponential() {
                 None
             } else {
-                Some(self.process.json_safe())
+                Some(self.process)
             },
             tiers,
             repair_frac: if self.repair_s == 0.0 {
@@ -809,80 +805,6 @@ fn memory_delta_bytes(memory: &TrainingMemoryReport, fraction: f64) -> f64 {
     memory.optimizer.bytes() * fraction
 }
 
-impl Serialize for CheckpointSpec {
-    fn to_value(&self) -> Value {
-        // The three base fields always serialize (in the original order);
-        // stack extensions are omitted at their defaults so base specs
-        // stay byte-identical to the pre-stack format.
-        let mut fields = vec![
-            ("mtbf_s".to_owned(), self.mtbf_s.to_value()),
-            ("interval_s".to_owned(), self.interval_s.to_value()),
-            ("restart_s".to_owned(), self.restart_s.to_value()),
-        ];
-        if self.process != FailureProcess::Exponential {
-            fields.push(("process".to_owned(), self.process.to_value()));
-        }
-        if !self.tiers.is_empty() {
-            fields.push(("tiers".to_owned(), self.tiers.to_value()));
-        }
-        if self.elastic {
-            fields.push(("elastic".to_owned(), self.elastic.to_value()));
-        }
-        if self.rewarm_s != 0.0 {
-            fields.push(("rewarm_s".to_owned(), self.rewarm_s.to_value()));
-        }
-        if self.repair_s != 0.0 {
-            fields.push(("repair_s".to_owned(), self.repair_s.to_value()));
-        }
-        if self.delta_fraction != DELTA_FRACTION_DEFAULT {
-            fields.push(("delta_fraction".to_owned(), self.delta_fraction.to_value()));
-        }
-        if self.overhead_util != 1.0 {
-            fields.push(("overhead_util".to_owned(), self.overhead_util.to_value()));
-        }
-        if self.seed != 0 {
-            fields.push(("seed".to_owned(), self.seed.to_value()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for CheckpointSpec {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let mut spec = Self {
-            mtbf_s: f64::from_value(v.field_or_null("mtbf_s"))?,
-            interval_s: Option::<f64>::from_value(v.field_or_null("interval_s"))?,
-            restart_s: f64::from_value(v.field_or_null("restart_s"))?,
-            ..Self::none()
-        };
-        if let Some(p) = v.get("process") {
-            spec.process = FailureProcess::from_value(p)?;
-        }
-        if let Some(t) = v.get("tiers") {
-            spec.tiers = Vec::<CheckpointTier>::from_value(t)?;
-        }
-        if let Some(e) = v.get("elastic") {
-            spec.elastic = bool::from_value(e)?;
-        }
-        if let Some(x) = v.get("rewarm_s") {
-            spec.rewarm_s = f64::from_value(x)?;
-        }
-        if let Some(x) = v.get("repair_s") {
-            spec.repair_s = f64::from_value(x)?;
-        }
-        if let Some(x) = v.get("delta_fraction") {
-            spec.delta_fraction = f64::from_value(x)?;
-        }
-        if let Some(x) = v.get("overhead_util") {
-            spec.overhead_util = f64::from_value(x)?;
-        }
-        if let Some(x) = v.get("seed") {
-            spec.seed = u64::from_value(x)?;
-        }
-        Ok(spec)
-    }
-}
-
 /// Everything [`CheckpointSpec::evaluate_stack`] needs to know about the
 /// strategy being priced.
 #[derive(Debug, Clone, Copy)]
@@ -941,9 +863,9 @@ struct Candidate {
 
 /// `REWORK_SAMPLES` cluster uptime draws from a Weibull process with the
 /// given shape and mean, deterministically seeded.
-fn draw_weibull_uptimes(shape: f64, mean_s: f64, seed: u64) -> Vec<f64> {
+fn draw_weibull_uptimes(shape: f64, mean_s: f64) -> Vec<f64> {
     let scale = weibull_scale(mean_s, shape);
-    let mut rng = StdRng::seed_from_u64(splitmix64(seed ^ REWORK_STREAM));
+    let mut rng = StdRng::seed_from_u64(splitmix64(REWORK_STREAM));
     let inv_shape = 1.0 / shape;
     (0..REWORK_SAMPLES)
         .map(|_| {
@@ -1033,9 +955,12 @@ pub struct ElasticReport {
 
 /// The resilience section of a [`crate::TrainingReport`]: how one
 /// strategy's failure-free batch time inflates under a [`CheckpointSpec`].
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+///
+/// Stack extensions are omitted (not `null`) when absent so base reports
+/// stay byte-identical to the pre-stack format.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ResilienceReport {
-    /// The spec priced into this report (JSON-safe copy).
+    /// The spec priced into this report.
     pub spec: CheckpointSpec,
     /// Per-device model state written per checkpoint (parameters +
     /// optimizer moments).
@@ -1065,58 +990,17 @@ pub struct ResilienceReport {
     /// Failure-expected time per batch: `time_per_batch / goodput`.
     pub expected_time_per_batch: Time,
     /// The non-exponential failure process, when one is in effect.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub process: Option<FailureProcess>,
     /// Extra checkpoint tier pricing, when tiers are configured.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub tiers: Option<Vec<TierReport>>,
     /// Repair-wait time per useful second, when `repair_s > 0`.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub repair_frac: Option<f64>,
     /// The elastic-vs-restart comparison, when elasticity is enabled.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub elastic: Option<ElasticReport>,
-}
-
-impl Serialize for ResilienceReport {
-    fn to_value(&self) -> Value {
-        // Stack extensions are omitted (not null) when absent so base
-        // reports stay byte-identical to the pre-stack format.
-        let mut fields = vec![
-            ("spec".to_owned(), self.spec.to_value()),
-            (
-                "checkpoint_bytes".to_owned(),
-                self.checkpoint_bytes.to_value(),
-            ),
-            (
-                "checkpoint_write".to_owned(),
-                self.checkpoint_write.to_value(),
-            ),
-            ("interval".to_owned(), self.interval.to_value()),
-            ("auto_interval".to_owned(), self.auto_interval.to_value()),
-            ("cluster_mtbf".to_owned(), self.cluster_mtbf.to_value()),
-            (
-                "checkpoint_overhead_frac".to_owned(),
-                self.checkpoint_overhead_frac.to_value(),
-            ),
-            ("rework_frac".to_owned(), self.rework_frac.to_value()),
-            ("restart_frac".to_owned(), self.restart_frac.to_value()),
-            ("goodput".to_owned(), self.goodput.to_value()),
-            (
-                "expected_time_per_batch".to_owned(),
-                self.expected_time_per_batch.to_value(),
-            ),
-        ];
-        if let Some(process) = &self.process {
-            fields.push(("process".to_owned(), process.to_value()));
-        }
-        if let Some(tiers) = &self.tiers {
-            fields.push(("tiers".to_owned(), tiers.to_value()));
-        }
-        if let Some(repair_frac) = &self.repair_frac {
-            fields.push(("repair_frac".to_owned(), repair_frac.to_value()));
-        }
-        if let Some(elastic) = &self.elastic {
-            fields.push(("elastic".to_owned(), elastic.to_value()));
-        }
-        Value::Object(fields)
-    }
 }
 
 impl ResilienceReport {
@@ -1233,6 +1117,7 @@ mod tests {
     fn validation_rejects_degenerate_specs() {
         assert!(CheckpointSpec::with_mtbf(-1.0).validate().is_err());
         assert!(CheckpointSpec::with_mtbf(f64::NAN).validate().is_err());
+        assert!(CheckpointSpec::with_mtbf(f64::INFINITY).validate().is_err());
         assert!(CheckpointSpec::with_mtbf(1e5)
             .with_interval(0.0)
             .validate()
@@ -1476,19 +1361,17 @@ mod tests {
     #[test]
     fn spec_serialization_omits_stack_defaults_and_round_trips() {
         let base = CheckpointSpec::with_mtbf(5e7).with_restart(300.0);
-        let v = base.to_value();
-        for key in [
-            "process",
-            "tiers",
-            "elastic",
-            "rewarm_s",
-            "repair_s",
-            "delta_fraction",
-            "overhead_util",
-            "seed",
-        ] {
-            assert!(v.get(key).is_none(), "base spec must omit '{key}'");
-        }
+        let text = serde_json::to_string(&base).unwrap();
+        assert_eq!(
+            text, r#"{"mtbf_s":50000000,"interval_s":null,"restart_s":300}"#,
+            "base spec must omit every stack key"
+        );
+        // The omitted keys come back from their defaults, including the
+        // `default = "path"` ones (delta fraction 0.25, full utilization).
+        let round: CheckpointSpec = serde_json::from_str(&text).unwrap();
+        assert_eq!(round.delta_fraction, DELTA_FRACTION_DEFAULT);
+        assert_eq!(round.overhead_util, 1.0);
+        assert_eq!(round, base);
         let full = base
             .with_process(FailureProcess::Weibull { shape: 0.7 })
             .with_tier(CheckpointTier::peer())
@@ -1497,14 +1380,19 @@ mod tests {
             .with_rewarm(45.0)
             .with_repair(1200.0)
             .with_delta_fraction(0.5)
-            .with_overhead_util(0.3)
-            .with_seed(9);
-        let round = CheckpointSpec::from_value(&full.to_value()).unwrap();
-        assert_eq!(round, full);
-        let text = serde_json::to_string(&full.clone().json_safe().to_value()).unwrap();
-        assert!(
-            !text.contains("null") || full.interval_s.is_none(),
-            "stack fields must never serialize as null: {text}"
+            .with_overhead_util(0.3);
+        let text = serde_json::to_string(&full).unwrap();
+        assert_eq!(serde_json::from_str::<CheckpointSpec>(&text).unwrap(), full);
+        assert_eq!(
+            text.matches("null").count(),
+            2,
+            "only the two auto intervals may be null: {text}"
         );
+        // `weibull:1` prices like the exponential process but is still
+        // the process the user asked for, so it keeps its key.
+        let unit_weibull = CheckpointSpec::with_mtbf(5e7)
+            .with_process(FailureProcess::Weibull { shape: 1.0 })
+            .to_value();
+        assert!(unit_weibull.get("process").is_some());
     }
 }

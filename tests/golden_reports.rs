@@ -8,11 +8,11 @@
 //! landed. The pre-existing regimes — `KvSpec::reserved()` + FIFO on
 //! the serving side, a plain `--mtbf`/`--restart` exponential spec on
 //! the training side — must keep emitting byte-identical reports: the
-//! new sections are *omitted* (not `null`) when absent, which requires
-//! the hand-written `Serialize` impls in `optimus-serve` and
-//! `optimus-train` to stay in sync with their structs. Each test
-//! replays the exact CLI invocation that produced its fixture
-//! in-process and compares the pretty JSON byte-for-byte.
+//! new sections are *omitted* (not `null`) when absent, through the
+//! `skip_serializing_if` attributes on the derived report serializers of
+//! `optimus-serve` and `optimus-train`. Each test replays the exact CLI
+//! invocation that produced its fixture in-process and compares the
+//! pretty JSON byte-for-byte.
 
 use optimus::hw::presets;
 use optimus::memory::RecomputeMode;
