@@ -1612,6 +1612,32 @@ mod tests {
         assert!(goodput >= restart, "goodput {goodput} < restart {restart}");
     }
 
+    /// The expected rework is continuous in the Weibull shape across
+    /// `k = 1`, where the exponential closed form takes over.
+    #[test]
+    fn train_rework_is_continuous_across_weibull_shape_one() {
+        let rework = |shape: &str| {
+            let out = train(&args(&format!(
+                "train --model llama2-13b --tp 8 --dp 8 --batch 64 --mtbf 10000 \
+                 --restart 900 --failure-process weibull:{shape} --json"
+            )))
+            .unwrap();
+            let v: serde_json::Value = serde_json::from_str(&out).unwrap();
+            v.get("resilience")
+                .and_then(|r| r.get("rework_frac"))
+                .and_then(serde_json::Value::as_f64)
+                .unwrap()
+        };
+        let at_one = rework("1");
+        for shape in ["0.9999", "1.0001"] {
+            let near = rework(shape);
+            assert!(
+                (near / at_one - 1.0).abs() < 1e-3,
+                "weibull:{shape} rework_frac {near} vs weibull:1 {at_one}"
+            );
+        }
+    }
+
     #[test]
     fn infer_command_produces_report() {
         let out = infer(&args("infer --model llama2-7b --tp 2")).unwrap();

@@ -28,6 +28,13 @@
 //!   `gpus / racks` devices down together — the training-side analogue of
 //!   the serving fleet's `FaultDomain` machinery, with the same
 //!   "blast radius" consequences for elastic recovery.
+//!
+//! The module also carries the special functions Weibull pricing needs:
+//! [`ln_gamma`] and [`weibull_scale`] convert a mean into a scale, and
+//! [`regularized_gamma_p`] gives the Weibull partial mean
+//! `∫₀^τ S(u) du`, the first period of `optimus-train`'s exact expected
+//! checkpoint rework. Nothing here draws random numbers; the serving
+//! fault streams seed their own generators in `optimus-serve`.
 
 use serde::{Deserialize, Serialize};
 
@@ -143,19 +150,6 @@ impl core::fmt::Display for FailureProcess {
     }
 }
 
-/// The splitmix64 finalizer: a cheap, high-quality 64-bit mixer used to
-/// derive independent RNG streams from a base seed. Every seeded
-/// simulation in the workspace (serving fault streams, training rework
-/// sampling) mixes its stream constants through this same function so
-/// streams stay decorrelated and reproducible across crates.
-#[must_use]
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// `ln Γ(x)` for `x > 0` via the Lanczos approximation (g = 7, n = 9
 /// coefficients — ~15 significant digits over the range the failure
 /// models use). Needed to convert a Weibull *mean* into its *scale*:
@@ -186,6 +180,68 @@ pub fn ln_gamma(x: f64) -> f64 {
     }
     let t = x + G + 0.5;
     0.5 * (2.0 * core::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + acc.ln()
+}
+
+/// The regularized lower incomplete gamma function
+/// `P(a, x) = γ(a, x) / Γ(a)` for `a > 0`, `x ≥ 0` (`0` for `x ≤ 0`,
+/// `1` for `x = ∞`).
+/// Needed for the Weibull partial mean: the first `τ` seconds of a
+/// Weibull(`k`, `λ`) survival curve integrate to
+/// `mean · P(1/k, (τ/λ)^k)`.
+///
+/// Power series below `x = a + 1`, Lentz's continued fraction for the
+/// complement above (Numerical Recipes §6.2); both converge to a few ulps
+/// of their result.
+#[must_use]
+pub fn regularized_gamma_p(a: f64, x: f64) -> f64 {
+    // Iteration cap: the series needs O(√a) terms past x ≈ a and the
+    // fraction converges in O(√x); neither comes near this for any `a`
+    // the failure models produce.
+    const MAX_ITER: usize = 100_000;
+    if x <= 0.0 {
+        return 0.0;
+    }
+    if x == f64::INFINITY {
+        return 1.0;
+    }
+    let prefactor = (a * x.ln() - x - ln_gamma(a)).exp();
+    if x < a + 1.0 {
+        let mut term = 1.0 / a;
+        let mut sum = term;
+        for n in 1..MAX_ITER {
+            term *= x / (a + n as f64);
+            sum += term;
+            if term < sum * f64::EPSILON {
+                break;
+            }
+        }
+        (prefactor * sum).min(1.0)
+    } else {
+        const TINY: f64 = 1e-300;
+        let mut b = x + 1.0 - a;
+        let mut c = 1.0 / TINY;
+        let mut d = 1.0 / b;
+        let mut h = d;
+        for n in 1..MAX_ITER {
+            let an = -(n as f64) * (n as f64 - a);
+            b += 2.0;
+            d = an * d + b;
+            if d.abs() < TINY {
+                d = TINY;
+            }
+            c = b + an / c;
+            if c.abs() < TINY {
+                c = TINY;
+            }
+            d = 1.0 / d;
+            let step = d * c;
+            h *= step;
+            if (step - 1.0).abs() < f64::EPSILON {
+                break;
+            }
+        }
+        (1.0 - prefactor * h).max(0.0)
+    }
 }
 
 /// The scale parameter of a Weibull distribution with the given mean and
@@ -279,5 +335,29 @@ mod tests {
         let scale = weibull_scale(100.0, 2.0);
         assert!((scale * core::f64::consts::PI.sqrt() / 2.0 - 100.0).abs() < 1e-9);
         assert_eq!(weibull_scale(123.0, 1.0), 123.0);
+    }
+
+    #[test]
+    fn incomplete_gamma_hits_closed_forms_on_both_branches() {
+        // P(1, x) = 1 − e^{−x}; P(2, x) = 1 − (1 + x)e^{−x};
+        // P(1/2, x) = erf(√x), checked at x = 1 (erf 1 = 0.8427007929497149).
+        for x in [1e-8, 0.3, 1.0, 2.5, 7.0, 40.0] {
+            let p1 = regularized_gamma_p(1.0, x);
+            assert!(
+                (p1 / -(-x).exp_m1() - 1.0).abs() < 1e-14,
+                "P(1, {x}) = {p1}"
+            );
+            let p2 = regularized_gamma_p(2.0, x);
+            let expect = 1.0 - (1.0 + x) * (-x).exp();
+            assert!((p2 - expect).abs() < 1e-14, "P(2, {x}) = {p2} vs {expect}");
+        }
+        assert!((regularized_gamma_p(0.5, 1.0) - 0.842_700_792_949_714_9).abs() < 1e-14);
+        assert_eq!(regularized_gamma_p(3.0, 0.0), 0.0);
+        assert_eq!(regularized_gamma_p(0.7, 1e3), 1.0);
+        assert_eq!(regularized_gamma_p(0.005, f64::INFINITY), 1.0);
+        // Small x: P(a, x) ≈ x^a / Γ(a + 1), relative accuracy intact.
+        let (a, x): (f64, f64) = (1.0 / 0.7, 1e-6);
+        let lead = (a * x.ln() - ln_gamma(a + 1.0)).exp();
+        assert!((regularized_gamma_p(a, x) / lead - 1.0).abs() < 1e-5);
     }
 }

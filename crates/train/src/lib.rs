@@ -24,6 +24,7 @@ pub use estimator::{TrainError, TrainingEstimator};
 pub use prepared::PreparedTrainingEstimator;
 pub use report::{GemmBoundSplit, TrainingBreakdown, TrainingReport};
 pub use resilience::{
-    waste_fraction, young_daly_interval, CheckpointSpec, CheckpointTier, ElasticReport,
-    ResilienceReport, StackContext, TierKind, TierReport, DELTA_FRACTION_DEFAULT,
+    expected_rework, waste_fraction, young_daly_interval, CheckpointSpec, CheckpointTier,
+    ElasticReport, ResilienceReport, StackContext, TierKind, TierReport, Uptime,
+    DELTA_FRACTION_DEFAULT,
 };

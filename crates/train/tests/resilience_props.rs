@@ -1,14 +1,18 @@
 //! Property tests of the Young–Daly checkpoint/restart model:
 //!
 //! * **optimality** — the auto-selected interval `τ* = √(2δM)` is a
-//!   minimum of the waste fraction over a multiplicative grid around it
-//!   (the first-order model makes `τ*` the exact global minimizer, so
-//!   every grid point loses);
+//!   minimum of the first-order waste fraction over a multiplicative grid
+//!   around it (the first-order model makes `τ*` the exact global
+//!   minimizer, so every grid point loses);
 //! * **monotonicity** — effective goodput never decreases when the
 //!   per-GPU MTBF improves, and never increases when the restart cost
 //!   grows;
-//! * **auto beats fixed** — pinning any checkpoint interval can only
-//!   match or lose to the Young–Daly choice;
+//! * **auto is near-optimal** — reports price the rework exactly, not as
+//!   the first-order `τ/2`, so the exact waste's minimizer sits within
+//!   `O(τ/M)` of `τ*`: pinning any checkpoint interval gains at most
+//!   [`AUTO_INTERVAL_SLACK`] goodput over the Young–Daly choice (the
+//!   largest gain, 7.1e-7, is at the sampled range's low end of a 1e5 s
+//!   per-GPU MTBF);
 //! * **byte-identity** — estimating under [`CheckpointSpec::none`]
 //!   serializes to exactly the JSON of a spec-free estimate: reports
 //!   without a failure axis look as they did before resilience modeling
@@ -23,6 +27,9 @@ use optimus_train::{
 };
 use optimus_units::Time;
 use proptest::prelude::*;
+
+/// The most goodput a pinned interval may gain over the auto interval.
+const AUTO_INTERVAL_SLACK: f64 = 1e-6;
 
 /// The per-device footprint of the worked strategy (llama2-13b, DP8 ×
 /// TP8 + SP on 64 GPUs) — a fixed, feasible anchor for the evaluate()
@@ -95,7 +102,8 @@ proptest! {
         );
     }
 
-    /// Fixing the interval anywhere can only match or lose to Young–Daly.
+    /// Fixing the interval anywhere gains at most the slack over
+    /// Young–Daly.
     #[test]
     fn auto_interval_dominates_any_fixed_interval(
         mtbf in 1e5f64..1e9,
@@ -113,7 +121,7 @@ proptest! {
             .unwrap();
         prop_assert!(auto.auto_interval && !fixed.auto_interval);
         prop_assert!(
-            auto.goodput >= fixed.goodput - 1e-12,
+            auto.goodput >= fixed.goodput - AUTO_INTERVAL_SLACK,
             "auto {} < fixed {} at interval {}",
             auto.goodput,
             fixed.goodput,

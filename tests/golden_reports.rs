@@ -5,7 +5,9 @@
 //! prefix caching, and pluggable schedulers landed; the training and
 //! sweep fixtures at the commit *before* the composable resilience
 //! stack (tiered checkpoints, failure processes, elastic training)
-//! landed. The pre-existing regimes — `KvSpec::reserved()` + FIFO on
+//! landed, and re-pinned once when the expected checkpoint rework became
+//! exact instead of the first-order half interval (only the rework,
+//! goodput and failure-expected figures moved). The pre-existing regimes — `KvSpec::reserved()` + FIFO on
 //! the serving side, a plain `--mtbf`/`--restart` exponential spec on
 //! the training side — must keep emitting byte-identical reports: the
 //! new sections are *omitted* (not `null`) when absent, through the
