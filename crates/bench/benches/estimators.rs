@@ -1,14 +1,18 @@
 //! Micro-benchmarks of the analytical engines themselves: roofline kernel
-//! costing, collective costing, memory models, and the end-to-end
-//! training/inference estimators. These quantify the "early design space
-//! exploration" speed the analytical approach buys.
+//! costing, collective costing, memory models, the end-to-end
+//! training/inference estimators, and the serving simulator's decode
+//! pricing (sealing a decode-cost table, filling the exact memo). These
+//! quantify the "early design space exploration" speed the analytical
+//! approach buys.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use optimus::collective::{Collective, CommModel};
+use optimus::infer::PreparedInferenceEstimator;
 use optimus::memory::{training_memory, RecomputeMode, TrainingMemorySpec};
 use optimus::prelude::*;
-use optimus::roofline::{GemmShape, RooflineModel};
+use optimus::roofline::{EltwiseKind, EltwiseOp, GemmShape, RooflineModel};
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_roofline(c: &mut Criterion) {
     let a100 = hw::presets::a100_sxm_80gb();
@@ -30,6 +34,11 @@ fn bench_roofline(c: &mut Criterion) {
                     .unwrap(),
             )
         })
+    });
+    // The attention softmax of one llama2-13b decode step at context 2048.
+    let softmax = EltwiseOp::new(EltwiseKind::Softmax, 40.0 * 2048.0, 2.0);
+    c.bench_function("roofline/decode_softmax", |b| {
+        b.iter(|| black_box(model.eltwise(black_box(softmax))))
     });
 }
 
@@ -87,6 +96,41 @@ fn bench_inference_estimator(c: &mut Criterion) {
     });
 }
 
+fn bench_decode_pricing(c: &mut Criterion) {
+    let cluster = hw::presets::dgx_a100_hdr_cluster();
+    let model = Arc::new(model::presets::llama2_13b());
+    // The grid the 4-replica llama2-13b TP2 fleet of the serving benchmark
+    // seals: batches up to its KV-budget ceiling, contexts up to the
+    // longest prompt plus output.
+    c.bench_function("infer/seal_llama13b_tp2_2819x464", |b| {
+        b.iter(|| {
+            let serving = PreparedInferenceEstimator::for_serving(&cluster, Arc::clone(&model));
+            black_box(
+                serving
+                    .seal_decode_costs(2819, 464, 2, Precision::Fp16)
+                    .unwrap(),
+            )
+        })
+    });
+    // A cold exact fill: 16 batch widths × 16 contexts, the shapes an
+    // exact-pricing run meets, on fresh memo tables.
+    let shapes: Vec<(usize, usize)> = (1..=16)
+        .flat_map(|batch| (0..16).map(move |i| (batch, 300 + 60 * i)))
+        .collect();
+    c.bench_function("infer/decode_fill_llama13b_tp2_256", |b| {
+        b.iter(|| {
+            let serving = PreparedInferenceEstimator::for_serving(&cluster, Arc::clone(&model));
+            for &(batch, kv) in &shapes {
+                black_box(
+                    serving
+                        .decode_iteration(batch, kv, 2, Precision::Fp16)
+                        .unwrap(),
+                );
+            }
+        })
+    });
+}
+
 criterion_group!(
     name = estimators;
     config = Criterion::default().sample_size(20);
@@ -94,6 +138,7 @@ criterion_group!(
         bench_collectives,
         bench_memory,
         bench_training_estimator,
-        bench_inference_estimator
+        bench_inference_estimator,
+        bench_decode_pricing
 );
 criterion_main!(estimators);

@@ -53,7 +53,7 @@ pub fn flash_attention() -> Vec<FlashRow> {
                         OpKind::Gemm(g) => roofline.batched_gemm(g, Precision::Fp16).unwrap(),
                         OpKind::Eltwise(e) => roofline.eltwise(e),
                         OpKind::Flash(fa) => roofline
-                            .custom_kernel("flash", fa.flops(), &fa.traffic(), Precision::Fp16)
+                            .custom_kernel(fa.flops(), &fa.traffic(), Precision::Fp16)
                             .unwrap(),
                     };
                     times[i] += cost.total().millis();

@@ -6,9 +6,22 @@
 //! costs depend only on `(seq, kv_len, tp, precision)` — and the
 //! embedding/LM-head stage does not even see `kv_len`, so all decode steps
 //! of a point share one entry. [`PreparedInferenceEstimator`] holds the
-//! roofline and two concurrent memo tables over those keys; per-point
+//! roofline and concurrent memo tables over those keys; per-point
 //! evaluation reduces to lookups plus the communication and assembly
 //! arithmetic.
+//!
+//! Decode-iteration pricing for the serving simulator is **context
+//! factored**. Of a decode layer's ops only the attention core (scores,
+//! softmax, attention dropout, context gather) reads the KV context; every
+//! other op, the embedding/LM-head stage and the TP all-reduce depend on
+//! the batch alone. So a decode *row* per batch holds those kernel costs,
+//! with holes at the attention-core slots, and one function costs the
+//! holes for a context and accumulates every op in `layer_forward_ops`
+//! order. [`PreparedInferenceEstimator::decode_iteration`] memoizes rows
+//! per `(batch, tp, precision)` and totals per `(batch, kv_len, tp,
+//! precision)`; [`PreparedInferenceEstimator::seal_decode_costs`] builds
+//! its rows locally. Both run the same code, so a sealed entry and the
+//! memoized price are bit-identical by construction.
 //!
 //! Memo values are pure functions of their keys, so concurrent fill order
 //! cannot change any result: a memoized sweep is byte-identical to naive
@@ -23,6 +36,7 @@ use optimus_parallel::{CommPlan, Parallelism};
 use optimus_roofline::{KernelCost, RooflineModel};
 use optimus_units::{Bytes, FlopCount, Time};
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::{Arc, RwLock};
 
 /// Cost of one operator list: bound-type time breakdown, the
@@ -49,6 +63,27 @@ type LayerKey = (usize, usize, usize, usize, Precision);
 /// precision)` — these ops never read the attention context, which is what
 /// collapses the whole decode loop's head work onto a single entry.
 type ExtraKey = (usize, usize, usize, Precision);
+
+/// Memo key of one decode row: `(batch, tp, precision)`.
+type RowKey = (usize, usize, Precision);
+
+/// Memo key of one decode-iteration price: `(batch, kv_len, tp,
+/// precision)`.
+type DecodeKey = (usize, usize, usize, Precision);
+
+/// The part of a decode iteration at one batch width that never reads the
+/// KV context.
+#[derive(Debug)]
+struct DecodeRow {
+    /// The costs of one decode layer's ops in `layer_forward_ops` order,
+    /// `None` at the attention-core slots (`OpRole::is_selective_recompute`),
+    /// whose shapes are the only ones that read `kv_len`.
+    layer: Vec<Option<KernelCost>>,
+    /// The embedding + LM-head stage.
+    head: Time,
+    /// One layer's TP all-reduces.
+    comm: Time,
+}
 
 /// Phase-1 state of the two-phase inference estimator: the roofline and
 /// the per-step kernel-cost memo tables, fixed to one (model, cluster,
@@ -80,6 +115,8 @@ pub struct PreparedInferenceEstimator<'a> {
     comm: CommModel,
     layer_cache: RwLock<HashMap<LayerKey, Result<Arc<StepCost>, HwError>>>,
     extra_cache: RwLock<HashMap<ExtraKey, Result<Arc<StepCost>, HwError>>>,
+    decode_rows: RwLock<HashMap<RowKey, Result<Arc<DecodeRow>, HwError>>>,
+    decode_totals: RwLock<HashMap<DecodeKey, Result<Time, HwError>>>,
 }
 
 impl<'a> PreparedInferenceEstimator<'a> {
@@ -112,6 +149,8 @@ impl<'a> PreparedInferenceEstimator<'a> {
             comm: CommModel::Auto,
             layer_cache: RwLock::new(HashMap::new()),
             extra_cache: RwLock::new(HashMap::new()),
+            decode_rows: RwLock::new(HashMap::new()),
+            decode_totals: RwLock::new(HashMap::new()),
         }
     }
 
@@ -146,11 +185,18 @@ impl<'a> PreparedInferenceEstimator<'a> {
         self
     }
 
-    /// Number of distinct per-step kernel keys materialized so far.
+    /// Number of distinct memo keys materialized so far: per-step layer
+    /// and embedding/LM-head kernels, decode rows and decode-iteration
+    /// prices.
     #[must_use]
     pub fn cached_keys(&self) -> usize {
-        self.layer_cache.read().expect("layer cache poisoned").len()
-            + self.extra_cache.read().expect("extra cache poisoned").len()
+        fn len<K, V>(table: &RwLock<HashMap<K, V>>) -> usize {
+            table.read().expect("memo table poisoned").len()
+        }
+        len(&self.layer_cache)
+            + len(&self.extra_cache)
+            + len(&self.decode_rows)
+            + len(&self.decode_totals)
     }
 
     /// Phase-2 evaluation of one (TP, precision) point, computing the
@@ -310,7 +356,9 @@ impl<'a> PreparedInferenceEstimator<'a> {
     /// cached entries (a mixed batch is priced at its aggregate context —
     /// see `optimus-serve`), through every layer plus the per-layer TP
     /// all-reduces and the LM-head stage. Memoized on
-    /// `(batch, kv_len, tp, precision)`.
+    /// `(batch, kv_len, tp, precision)`, so a warm call takes one lock and
+    /// one hash; a cold call costs only the attention core at `kv_len` on
+    /// top of the batch's memoized decode row.
     ///
     /// For `batch = 1` this is exactly the per-step term of
     /// [`Self::estimate`]'s decode loop, which is what lets a serving
@@ -335,13 +383,12 @@ impl<'a> PreparedInferenceEstimator<'a> {
             batch > 0 && kv_len > 0 && tp > 0,
             "degenerate decode iteration"
         );
-        let gp = GraphParams::decode(batch, kv_len, tp, precision);
-        let layer = self.layer_cost(&gp)?;
-        let extra = self.extra_cost(&gp)?;
-        let layers = self.model.layers as f64;
-        let plan = CommPlan::new(self.cluster, Parallelism::tensor_parallel(tp), self.comm);
-        let volume = Bytes::new((batch * self.model.hidden) as f64 * precision.bytes());
-        Ok(layer.bd.total() * layers + plan.tp_layer_inference(volume) * layers + extra.bd.total())
+        memoized(&self.decode_totals, (batch, kv_len, tp, precision), || {
+            let row = memoized(&self.decode_rows, (batch, tp, precision), || {
+                self.decode_row(batch, tp, precision).map(Arc::new)
+            })?;
+            self.decode_total(&row, &GraphParams::decode(batch, kv_len, tp, precision))
+        })
     }
 
     /// Seals decode-iteration costs for one `(tp, precision)` strategy
@@ -352,12 +399,13 @@ impl<'a> PreparedInferenceEstimator<'a> {
     /// [`crate::sealed::BUCKETS_PER_OCTAVE`] log-scale buckets per
     /// doubling).
     ///
-    /// Each entry is computed through the same operator-costing path as
-    /// [`Self::decode_iteration`], with the same floating-point evaluation
-    /// order, so grid points are **bit-identical** to the memoized path —
-    /// but the fill bypasses the memo tables entirely: sealing neither
-    /// takes the locks per entry nor grows the maps, and lookups against
-    /// the sealed table do zero locking and zero hashing.
+    /// The fill is context factored: one decode row per batch value, then
+    /// only the attention core per `(batch, kv)` entry. Entries come from
+    /// the same row and fill functions as [`Self::decode_iteration`], so
+    /// grid points are **bit-identical** to the memoized path — but the
+    /// rows are built locally: sealing neither takes the memo locks nor
+    /// grows the maps, and lookups against the sealed table do zero
+    /// locking and zero hashing.
     ///
     /// # Errors
     ///
@@ -380,32 +428,12 @@ impl<'a> PreparedInferenceEstimator<'a> {
         );
         let batch_grid = LogGrid::new(BATCH_EXACT, BUCKETS_PER_OCTAVE, max_batch);
         let kv_grid = LogGrid::new(KV_EXACT, BUCKETS_PER_OCTAVE, max_kv);
-        let layers = self.model.layers as f64;
-        let plan = CommPlan::new(self.cluster, Parallelism::tensor_parallel(tp), self.comm);
         let mut costs = Vec::with_capacity(batch_grid.len() * kv_grid.len());
         for &batch in batch_grid.values() {
-            // The embedding/LM-head stage and the per-layer all-reduce
-            // volume never see the context (pinned by
-            // `extra_ops_are_context_independent`) — one evaluation per
-            // batch row, built at any representative context.
-            let head_gp = GraphParams::decode(batch, 1, tp, precision);
-            let extra_ops: Vec<Op> = graph::embedding_ops(&self.model, &head_gp)
-                .into_iter()
-                .chain(graph::head_ops(&self.model, &head_gp))
-                .collect();
-            let extra = self.ops_cost(&extra_ops, precision)?;
-            let volume = Bytes::new((batch * self.model.hidden) as f64 * precision.bytes());
+            let row = self.decode_row(batch, tp, precision)?;
             for &kv_len in kv_grid.values() {
                 let gp = GraphParams::decode(batch, kv_len, tp, precision);
-                let layer =
-                    self.ops_cost(&graph::layer_forward_ops(&self.model, &gp), precision)?;
-                // Identical expression (and f64 evaluation order) to
-                // `decode_iteration`, so exact-grid entries match it
-                // bit-for-bit.
-                let total = layer.bd.total() * layers
-                    + plan.tp_layer_inference(volume) * layers
-                    + extra.bd.total();
-                costs.push(total.secs());
+                costs.push(self.decode_total(&row, &gp)?.secs());
             }
         }
         Ok(crate::DecodeCostTable {
@@ -415,53 +443,91 @@ impl<'a> PreparedInferenceEstimator<'a> {
         })
     }
 
+    /// Costs everything a decode iteration at `batch` prices without the
+    /// KV context. The row is built at context 1: no op outside the
+    /// attention core, nor the head stage or the all-reduce volume, reads
+    /// `kv_len` (pinned by `decode_ops_differ_only_in_the_attention_core`
+    /// and `extra_ops_are_context_independent`).
+    fn decode_row(
+        &self,
+        batch: usize,
+        tp: usize,
+        precision: Precision,
+    ) -> Result<DecodeRow, HwError> {
+        let gp = GraphParams::decode(batch, 1, tp, precision);
+        let layer = graph::layer_forward_ops(&self.model, &gp)
+            .iter()
+            .map(|op| {
+                if op.role.is_selective_recompute() {
+                    Ok(None)
+                } else {
+                    self.op_cost(op, precision).map(Some)
+                }
+            })
+            .collect::<Result<_, _>>()?;
+        let head = self.ops_cost(&self.extra_ops(&gp), precision)?.bd.total();
+        let plan = CommPlan::new(self.cluster, Parallelism::tensor_parallel(tp), self.comm);
+        let volume = Bytes::new((batch * self.model.hidden) as f64 * precision.bytes());
+        Ok(DecodeRow {
+            layer,
+            head,
+            comm: plan.tp_layer_inference(volume),
+        })
+    }
+
+    /// One decode iteration at `gp.kv_len` from its batch's row: costs the
+    /// attention core into the row's holes and accumulates every layer op
+    /// in `layer_forward_ops` order — the f64 sums of costing the whole
+    /// layer op by op.
+    fn decode_total(&self, row: &DecodeRow, gp: &GraphParams) -> Result<Time, HwError> {
+        let mut core = graph::attention_core_ops(&self.model, gp).into_iter();
+        let mut bd = InferenceBreakdown::default();
+        for slot in &row.layer {
+            match slot {
+                Some(cost) => accumulate(&mut bd, cost),
+                None => {
+                    let op = core.next().expect("one attention-core op per hole");
+                    accumulate(&mut bd, &self.op_cost(&op, gp.precision)?);
+                }
+            }
+        }
+        debug_assert!(
+            core.next().is_none(),
+            "every attention-core op fills a hole"
+        );
+        let layers = self.model.layers as f64;
+        Ok(bd.total() * layers + row.comm * layers + row.head)
+    }
+
     /// One transformer layer's kernels for the pass described by `gp`,
     /// memoized on `(batch, seq, kv_len, tp, precision)`.
     fn layer_cost(&self, gp: &GraphParams) -> Result<Arc<StepCost>, HwError> {
         let key = (gp.batch, gp.seq, gp.kv_len, gp.tp, gp.precision);
-        if let Some(hit) = self
-            .layer_cache
-            .read()
-            .expect("layer cache poisoned")
-            .get(&key)
-        {
-            return hit.clone();
-        }
-        let computed = self
-            .ops_cost(&graph::layer_forward_ops(&self.model, gp), gp.precision)
-            .map(Arc::new);
-        self.layer_cache
-            .write()
-            .expect("layer cache poisoned")
-            .entry(key)
-            .or_insert_with(|| computed.clone());
-        computed
+        memoized(&self.layer_cache, key, || {
+            self.ops_cost(&graph::layer_forward_ops(&self.model, gp), gp.precision)
+                .map(Arc::new)
+        })
     }
 
     /// The embedding + LM-head stage for the pass described by `gp`,
     /// memoized on `(batch, seq, tp, precision)` — `kv_len` never reaches
     /// these ops, so every decode step shares one entry.
     fn extra_cost(&self, gp: &GraphParams) -> Result<Arc<StepCost>, HwError> {
-        let key = (gp.batch, gp.seq, gp.tp, gp.precision);
-        if let Some(hit) = self
-            .extra_cache
-            .read()
-            .expect("extra cache poisoned")
-            .get(&key)
-        {
-            return hit.clone();
-        }
-        let ops: Vec<Op> = graph::embedding_ops(&self.model, gp)
-            .into_iter()
-            .chain(graph::head_ops(&self.model, gp))
-            .collect();
-        let computed = self.ops_cost(&ops, gp.precision).map(Arc::new);
-        self.extra_cache
-            .write()
-            .expect("extra cache poisoned")
-            .entry(key)
-            .or_insert_with(|| computed.clone());
-        computed
+        memoized(
+            &self.extra_cache,
+            (gp.batch, gp.seq, gp.tp, gp.precision),
+            || {
+                self.ops_cost(&self.extra_ops(gp), gp.precision)
+                    .map(Arc::new)
+            },
+        )
+    }
+
+    /// The embedding + LM-head stage's ops.
+    fn extra_ops(&self, gp: &GraphParams) -> Vec<Op> {
+        let mut ops = graph::embedding_ops(&self.model, gp);
+        ops.extend(graph::head_ops(&self.model, gp));
+        ops
     }
 
     /// Costs an operator list, accumulating each kernel's time into the
@@ -488,12 +554,31 @@ impl<'a> PreparedInferenceEstimator<'a> {
         match op.kind {
             OpKind::Gemm(g) => self.roofline.batched_gemm(g, precision),
             OpKind::Eltwise(e) => Ok(self.roofline.eltwise(e)),
-            OpKind::Flash(fa) => {
-                self.roofline
-                    .custom_kernel("flash-attention", fa.flops(), &fa.traffic(), precision)
-            }
+            OpKind::Flash(fa) => self
+                .roofline
+                .custom_kernel(fa.flops(), &fa.traffic(), precision),
         }
     }
+}
+
+/// Looks `key` up in `table`, computing and inserting the value on a miss.
+/// Values are pure functions of their keys, so when two threads race on
+/// one key the first insert wins and both return equal values.
+fn memoized<K: Eq + Hash, V: Clone>(
+    table: &RwLock<HashMap<K, Result<V, HwError>>>,
+    key: K,
+    compute: impl FnOnce() -> Result<V, HwError>,
+) -> Result<V, HwError> {
+    if let Some(hit) = table.read().expect("memo table poisoned").get(&key) {
+        return hit.clone();
+    }
+    let computed = compute();
+    table
+        .write()
+        .expect("memo table poisoned")
+        .entry(key)
+        .or_insert_with(|| computed.clone());
+    computed
 }
 
 /// Adds `scale` copies of `src` kernel categories into `dst`
@@ -561,6 +646,46 @@ mod tests {
                 graph::head_ops(&model, &long),
                 "head ops must not depend on kv_len (tp={tp})"
             );
+        }
+    }
+
+    /// The load-bearing assumption behind [`DecodeRow`]: across contexts a
+    /// decode layer keeps the same roles at the same positions, every op
+    /// outside the attention core (`OpRole::is_selective_recompute`)
+    /// equals its kv = 1 counterpart, and the attention-core ops are
+    /// exactly `graph::attention_core_ops` — so a row built at context 1
+    /// prices any context once its holes are filled. MHA, GQA and a GPT
+    /// layer (LayerNorm, GELU, dropout, learned positions) cover every op
+    /// the graph emits.
+    #[test]
+    fn decode_ops_differ_only_in_the_attention_core() {
+        for model in [
+            models::llama2_13b(),
+            models::llama2_70b(),
+            models::gpt_175b(),
+        ] {
+            for tp in [1, 2, 8] {
+                for batch in [1, 3, 64, 1000] {
+                    let at = |kv| GraphParams::decode(batch, kv, tp, Precision::Fp16);
+                    let base = graph::layer_forward_ops(&model, &at(1));
+                    for kv in [2, 257, 4096] {
+                        let ops = graph::layer_forward_ops(&model, &at(kv));
+                        let case = format!("{} tp={tp} batch={batch} kv={kv}", model.name);
+                        assert_eq!(ops.len(), base.len(), "{case}");
+                        for (op, first) in ops.iter().zip(&base) {
+                            assert_eq!(op.role, first.role, "{case}");
+                            if !op.role.is_selective_recompute() {
+                                assert_eq!(op, first, "{case}");
+                            }
+                        }
+                        let core: Vec<Op> = ops
+                            .into_iter()
+                            .filter(|op| op.role.is_selective_recompute())
+                            .collect();
+                        assert_eq!(core, graph::attention_core_ops(&model, &at(kv)), "{case}");
+                    }
+                }
+            }
         }
     }
 
@@ -686,6 +811,48 @@ mod tests {
             "table blew up: {} entries",
             table.entries()
         );
+    }
+
+    /// An unsupported precision (Ampere has no FP8) is an error cold and
+    /// from the memo: the failed row and price are cached like any value,
+    /// so a repeat neither recosts nor grows the tables, and a second
+    /// context at the same batch fails through the cached row.
+    #[test]
+    fn unsupported_precision_errors_cold_and_from_the_memo() {
+        let cluster = presets::dgx_a100_hdr_cluster();
+        let serving =
+            PreparedInferenceEstimator::for_serving(&cluster, Arc::new(models::llama2_13b()));
+        let unsupported = |r: Result<Time, HwError>| {
+            matches!(
+                r,
+                Err(HwError::UnsupportedPrecision {
+                    precision: Precision::Fp8,
+                    ..
+                })
+            )
+        };
+        assert!(unsupported(serving.decode_iteration(
+            4,
+            100,
+            2,
+            Precision::Fp8
+        )));
+        assert_eq!(serving.cached_keys(), 2, "the failed row and price");
+        assert!(unsupported(serving.decode_iteration(
+            4,
+            100,
+            2,
+            Precision::Fp8
+        )));
+        assert_eq!(serving.cached_keys(), 2, "a repeat is a cache hit");
+        assert!(unsupported(serving.decode_iteration(
+            4,
+            7,
+            2,
+            Precision::Fp8
+        )));
+        assert_eq!(serving.cached_keys(), 3, "the failed row is shared");
+        assert!(serving.seal_decode_costs(8, 8, 2, Precision::Fp8).is_err());
     }
 
     /// All decode steps of one point share a single embedding/head entry,

@@ -1,13 +1,15 @@
 //! The sealed, immutable decode-cost table.
 //!
-//! The memoized [`crate::PreparedInferenceEstimator`] prices a decode
-//! iteration with two `RwLock<HashMap>` lookups plus a fresh
-//! communication plan per call — fine for a strategy sweep's thousands of
-//! evaluations, hostile to a serving simulator's millions. A
-//! [`DecodeCostTable`] trades a one-time fill for a zero-locking,
-//! zero-hashing inner loop: decode iteration costs are precomputed for
-//! one `(tp, precision)` pair over a quantized `(batch, kv-context)`
-//! grid, and a lookup is two array indexations.
+//! The memoized [`crate::PreparedInferenceEstimator`] prices a warm
+//! decode iteration with one `RwLock<HashMap>` lookup per call — fine for
+//! a strategy sweep's thousands of evaluations, hostile to a serving
+//! simulator's millions. A [`DecodeCostTable`] trades a one-time fill for
+//! a zero-locking, zero-hashing inner loop: decode iteration costs are
+//! precomputed for one `(tp, precision)` pair over a quantized
+//! `(batch, kv-context)` grid, and a lookup is two array indexations.
+//! The fill is context factored — the batch-only kernel costs once per
+//! batch row, only the attention core per entry — through the same
+//! functions as the memoized path.
 //!
 //! The grid is **exact** for small coordinates (every batch up to
 //! [`LogGrid::exact`], every context up to the same bound for its axis)

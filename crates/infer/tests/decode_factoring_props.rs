@@ -1,0 +1,148 @@
+//! Property tests of context-factored decode pricing.
+//!
+//! `PreparedInferenceEstimator` prices a decode iteration from a per-batch
+//! row of context-free kernel costs plus the attention core costed at the
+//! iteration's context. The reference here prices it the naive way: it
+//! costs every op of `layer_forward_ops` and of the embedding/LM-head
+//! stage through the public `RooflineModel`, files each kernel by bound
+//! type in op order, and adds the TP all-reduces. Over random batches,
+//! contexts and TP degrees, three model shapes (MHA, GQA, and a GPT layer
+//! with LayerNorm, GELU, dropout and learned positions) and two devices
+//! (Fp16 on A100, Fp8 on H100):
+//!
+//! * `decode_iteration` equals the reference **to the bit**, cold and
+//!   warm, a warm repeat adds no memo key, and a second context at the
+//!   same batch adds only its price (the row is shared);
+//! * every entry of a `seal_decode_costs` grid equals the reference at
+//!   its representative to the bit, and sealing adds no memo key.
+
+use optimus_collective::CommModel;
+use optimus_hw::{presets, ClusterSpec, Precision};
+use optimus_infer::{InferenceBreakdown, PreparedInferenceEstimator};
+use optimus_model::{graph, presets as models, GraphParams, ModelConfig, Op, OpKind};
+use optimus_parallel::{CommPlan, Parallelism};
+use optimus_roofline::RooflineModel;
+use optimus_units::{Bytes, Time};
+use proptest::prelude::*;
+use std::sync::Arc;
+
+/// MHA, GQA, and the GPT layer.
+fn model(index: usize) -> Arc<ModelConfig> {
+    Arc::new(match index {
+        0 => models::llama2_13b(),
+        1 => models::llama2_70b(),
+        _ => models::gpt_175b(),
+    })
+}
+
+/// Fp16 on A100 or Fp8 on H100.
+fn device(index: usize) -> (ClusterSpec, Precision) {
+    match index {
+        0 => (presets::dgx_a100_hdr_cluster(), Precision::Fp16),
+        _ => (presets::dgx_h100_ndr_cluster(), Precision::Fp8),
+    }
+}
+
+/// `ops` costed one by one, each kernel's roofline time filed under its
+/// bound type and its overhead under `overhead`, summed in op order.
+fn op_by_op(roofline: &RooflineModel<'_>, ops: &[Op], precision: Precision) -> Time {
+    let mut bd = InferenceBreakdown::default();
+    for op in ops {
+        let cost = match op.kind {
+            OpKind::Gemm(g) => roofline.batched_gemm(g, precision).unwrap(),
+            OpKind::Eltwise(e) => roofline.eltwise(e),
+            OpKind::Flash(fa) => roofline
+                .custom_kernel(fa.flops(), &fa.traffic(), precision)
+                .unwrap(),
+        };
+        if cost.bound().is_compute() {
+            bd.compute += cost.roofline_time();
+        } else {
+            bd.memory += cost.roofline_time();
+        }
+        bd.overhead += cost.overhead;
+    }
+    bd.total()
+}
+
+/// One decode iteration priced without any factoring or memo.
+fn reference(
+    cluster: &ClusterSpec,
+    model: &ModelConfig,
+    (batch, kv_len, tp): (usize, usize, usize),
+    precision: Precision,
+) -> Time {
+    let roofline = RooflineModel::new(cluster.accelerator());
+    let gp = GraphParams::decode(batch, kv_len, tp, precision);
+    let layer = op_by_op(&roofline, &graph::layer_forward_ops(model, &gp), precision);
+    let mut head_ops = graph::embedding_ops(model, &gp);
+    head_ops.extend(graph::head_ops(model, &gp));
+    let head = op_by_op(&roofline, &head_ops, precision);
+    let plan = CommPlan::new(cluster, Parallelism::tensor_parallel(tp), CommModel::Auto);
+    let volume = Bytes::new((batch * model.hidden) as f64 * precision.bytes());
+    let layers = model.layers as f64;
+    layer * layers + plan.tp_layer_inference(volume) * layers + head
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn decode_iteration_matches_op_by_op_costing_to_the_bit(
+        batch in 1usize..=4096,
+        kv in 1usize..=8192,
+        other_kv in 1usize..=8192,
+        tp_log2 in 0u32..4,
+        (m, d) in (0usize..3, 0usize..2),
+    ) {
+        let tp = 1usize << tp_log2;
+        let (cluster, precision) = device(d);
+        let model = model(m);
+        let serving = PreparedInferenceEstimator::for_serving(&cluster, Arc::clone(&model));
+        let expected = reference(&cluster, &model, (batch, kv, tp), precision).secs().to_bits();
+
+        let cold = serving.decode_iteration(batch, kv, tp, precision).unwrap();
+        prop_assert_eq!(cold.secs().to_bits(), expected, "cold, tp={} {}", tp, precision);
+        let keys = serving.cached_keys();
+        let warm = serving.decode_iteration(batch, kv, tp, precision).unwrap();
+        prop_assert_eq!(warm.secs().to_bits(), expected, "warm, tp={} {}", tp, precision);
+        prop_assert_eq!(serving.cached_keys(), keys, "a warm repeat adds no key");
+
+        if other_kv != kv {
+            let other = serving.decode_iteration(batch, other_kv, tp, precision).unwrap();
+            let expected = reference(&cluster, &model, (batch, other_kv, tp), precision);
+            prop_assert_eq!(other.secs().to_bits(), expected.secs().to_bits());
+            prop_assert_eq!(serving.cached_keys(), keys + 1, "the batch row is shared");
+        }
+    }
+}
+
+proptest! {
+    // A grid holds up to ~54k entries, each priced naively here.
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn every_sealed_entry_matches_op_by_op_costing_to_the_bit(
+        max_batch in 1usize..=4096,
+        max_kv in 1usize..=8192,
+        tp_log2 in 0u32..4,
+        (m, d) in (0usize..3, 0usize..2),
+    ) {
+        let tp = 1usize << tp_log2;
+        let (cluster, precision) = device(d);
+        let model = model(m);
+        let serving = PreparedInferenceEstimator::for_serving(&cluster, Arc::clone(&model));
+        let table = serving.seal_decode_costs(max_batch, max_kv, tp, precision).unwrap();
+        prop_assert_eq!(serving.cached_keys(), 0, "sealing adds no memo key");
+        for &batch in table.batch_grid().values() {
+            for &kv in table.kv_grid().values() {
+                let expected = reference(&cluster, &model, (batch, kv, tp), precision);
+                prop_assert_eq!(
+                    table.decode_iteration(batch, kv).secs().to_bits(),
+                    expected.secs().to_bits(),
+                    "batch={} kv={} tp={} {}", batch, kv, tp, precision
+                );
+            }
+        }
+    }
+}

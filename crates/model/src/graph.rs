@@ -117,9 +117,6 @@ pub fn layer_forward_ops(model: &ModelConfig, p: &GraphParams) -> Vec<Op> {
         "degenerate graph params"
     );
     let h = model.hidden;
-    let hd = model.head_dim();
-    let a = model.heads;
-    let g = model.kv_heads();
     let t = p.tp;
     let bytes = p.precision.bytes();
     let tokens = p.tokens();
@@ -149,42 +146,19 @@ pub fn layer_forward_ops(model: &ModelConfig, p: &GraphParams) -> Vec<Op> {
         ops.push(stream(OpRole::Rope, EltwiseKind::Rope, rope_elems));
     }
 
-    // Attention core, sharded by head. With GQA the K/V of one group are
-    // shared by a/g query heads, so the natural kernel is one GEMM per
-    // (sample, kv-group): m = (a/g)·seq query rows against n = kv_len keys.
-    let groups_per_rank = div_ceil(g, t);
-    let q_rows_per_group = (a / g) * p.seq;
-    let attn_batch = p.batch * groups_per_rank;
+    // Attention core: one fused kernel where FlashAttention applies (the
+    // s x s intermediates never reach DRAM), the unfused ops otherwise.
     if p.flash && p.seq > 1 {
-        // Fused kernel: the s x s intermediates never reach DRAM.
+        let (attn_batch, q_rows) = attention_batching(model, p);
         ops.push(Op::flash(FlashAttentionOp::forward(
             attn_batch,
-            q_rows_per_group,
+            q_rows,
             p.kv_len,
-            hd,
+            model.head_dim(),
             bytes,
         )));
     } else {
-        ops.push(Op::gemm(
-            OpRole::AttnScores,
-            attn_batch,
-            q_rows_per_group,
-            p.kv_len,
-            hd,
-        ));
-
-        let probs = (p.batch * div_ceil(a, t) * p.seq * p.kv_len) as f64;
-        ops.push(stream(OpRole::Softmax, EltwiseKind::Softmax, probs));
-        if model.dropout {
-            ops.push(stream(OpRole::AttnDropout, EltwiseKind::Dropout, probs));
-        }
-        ops.push(Op::gemm(
-            OpRole::AttnOverValues,
-            attn_batch,
-            q_rows_per_group,
-            hd,
-            p.kv_len,
-        ));
+        ops.extend(attention_core_ops(model, p));
     }
 
     // Output projection, row-parallel: k = h/t.
@@ -224,6 +198,50 @@ pub fn layer_forward_ops(model: &ModelConfig, p: &GraphParams) -> Vec<Op> {
     }
     ops.push(stream(OpRole::ResidualAdd2, EltwiseKind::Add, norm_elems));
 
+    ops
+}
+
+/// The per-device batching of the attention-core GEMMs, `(batch, query
+/// rows)`. Heads shard over TP; with GQA the K/V of one group are shared
+/// by `a/g` query heads, so the natural kernel is one GEMM per (sample,
+/// kv-group): `m = (a/g)·seq` query rows against `n = kv_len` keys.
+fn attention_batching(model: &ModelConfig, p: &GraphParams) -> (usize, usize) {
+    let g = model.kv_heads();
+    (p.batch * div_ceil(g, p.tp), (model.heads / g) * p.seq)
+}
+
+/// The unfused attention core of one layer on one device: scores, softmax,
+/// attention dropout (dropout models only) and the context gather, in
+/// execution order. They are the only layer ops that read the KV context
+/// and the ones selective recomputation replays; [`layer_forward_ops`]
+/// emits exactly these wherever FlashAttention does not fuse them.
+#[must_use]
+pub fn attention_core_ops(model: &ModelConfig, p: &GraphParams) -> Vec<Op> {
+    let (attn_batch, q_rows) = attention_batching(model, p);
+    let hd = model.head_dim();
+    let bytes = p.precision.bytes();
+    let probs = (p.batch * div_ceil(model.heads, p.tp) * p.seq * p.kv_len) as f64;
+    let probs_op =
+        |role: OpRole, kind: EltwiseKind| Op::eltwise(role, EltwiseOp::new(kind, probs, bytes));
+    let mut ops = Vec::with_capacity(4);
+    ops.push(Op::gemm(
+        OpRole::AttnScores,
+        attn_batch,
+        q_rows,
+        p.kv_len,
+        hd,
+    ));
+    ops.push(probs_op(OpRole::Softmax, EltwiseKind::Softmax));
+    if model.dropout {
+        ops.push(probs_op(OpRole::AttnDropout, EltwiseKind::Dropout));
+    }
+    ops.push(Op::gemm(
+        OpRole::AttnOverValues,
+        attn_batch,
+        q_rows,
+        hd,
+        p.kv_len,
+    ));
     ops
 }
 

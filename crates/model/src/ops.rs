@@ -191,7 +191,7 @@ impl core::fmt::Display for Op {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self.kind {
             OpKind::Gemm(g) => write!(f, "{} [{}]", self.role, g),
-            OpKind::Eltwise(e) => write!(f, "{} [{} x{:.0}]", self.role, e.kind, e.elements),
+            OpKind::Eltwise(e) => write!(f, "{} [{e}]", self.role),
             OpKind::Flash(op) => write!(f, "{op}"),
         }
     }

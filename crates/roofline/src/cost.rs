@@ -46,10 +46,13 @@ impl core::fmt::Display for BoundType {
 }
 
 /// The cost breakdown of one kernel as predicted by the roofline model.
+///
+/// A cost carries no label: the estimators cost kernels in hot loops and
+/// know which op each cost belongs to, and [`crate::BatchedGemm`],
+/// [`crate::EltwiseOp`] and the model crate's operators implement
+/// `Display` for anyone who wants one.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelCost {
-    /// Optional kernel label (e.g. `"QKV projection"`).
-    pub name: String,
     /// Total floating-point work.
     pub flops: FlopCount,
     /// Pure arithmetic time at the derated peak.
@@ -63,9 +66,8 @@ pub struct KernelCost {
 impl KernelCost {
     /// A zero-cost kernel (useful as an additive identity).
     #[must_use]
-    pub fn free(name: impl Into<String>) -> Self {
+    pub fn free() -> Self {
         Self {
-            name: name.into(),
             flops: FlopCount::ZERO,
             compute_time: Time::ZERO,
             level_times: Vec::new(),
@@ -144,35 +146,12 @@ impl KernelCost {
     }
 }
 
-/// The `bound` field shown in reports; kept as a method-produced value, but
-/// re-exported as a serializable snapshot for tables.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct KernelSummary {
-    /// Kernel label.
-    pub name: String,
-    /// Predicted total time.
-    pub time: Time,
-    /// Bound classification.
-    pub bound: BoundType,
-}
-
-impl From<&KernelCost> for KernelSummary {
-    fn from(cost: &KernelCost) -> Self {
-        Self {
-            name: cost.name.clone(),
-            time: cost.total(),
-            bound: cost.bound(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn cost(compute_ms: f64, dram_ms: f64, overhead_ms: f64) -> KernelCost {
         KernelCost {
-            name: "test".into(),
             flops: FlopCount::from_giga(1.0),
             compute_time: Time::from_millis(compute_ms),
             level_times: vec![(

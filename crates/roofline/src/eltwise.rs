@@ -142,6 +142,12 @@ impl EltwiseOp {
     }
 }
 
+impl core::fmt::Display for EltwiseOp {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(f, "{} x{:.0}", self.kind, self.elements)
+    }
+}
+
 impl RooflineModel<'_> {
     /// Costs a streaming kernel: DRAM traffic over derated DRAM bandwidth,
     /// plus the calibrated kernel overhead. Always memory- (or overhead-)
@@ -158,7 +164,6 @@ impl RooflineModel<'_> {
             Time::ZERO
         };
         KernelCost {
-            name: format!("{} x{:.0}", op.kind, op.elements),
             flops: op.flops(),
             compute_time: Time::ZERO,
             level_times: vec![(MemoryLevelKind::Dram, traffic, time)],
@@ -172,7 +177,7 @@ impl RooflineModel<'_> {
     #[must_use]
     pub fn fused_eltwise(&self, ops: &[EltwiseOp]) -> KernelCost {
         let Some(first) = ops.first() else {
-            return KernelCost::free("fused (empty)");
+            return KernelCost::free();
         };
         let stream = Bytes::new(first.elements * first.bytes_per_elem * 2.0);
         let extra = Bytes::new(ops.iter().map(|o| o.extra_bytes).sum::<f64>());
@@ -186,7 +191,6 @@ impl RooflineModel<'_> {
             Time::ZERO
         };
         KernelCost {
-            name: format!("fused x{}", ops.len()),
             flops: FlopCount::new(ops.iter().map(|o| o.flops().get()).sum()),
             compute_time: Time::ZERO,
             level_times: vec![(MemoryLevelKind::Dram, traffic, time)],

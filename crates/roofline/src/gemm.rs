@@ -147,7 +147,6 @@ impl<'a> RooflineModel<'a> {
         }
 
         Ok(KernelCost {
-            name: format!("gemm {gemm}"),
             flops,
             compute_time,
             level_times,
@@ -171,7 +170,6 @@ impl<'a> RooflineModel<'a> {
     /// throughput entry for `precision`.
     pub fn custom_kernel(
         &self,
-        name: impl Into<String>,
         flops: optimus_units::FlopCount,
         traffic: &[(MemoryLevelKind, Bytes)],
         precision: Precision,
@@ -202,7 +200,6 @@ impl<'a> RooflineModel<'a> {
             level_times.push((kind, volume, time));
         }
         Ok(KernelCost {
-            name: name.into(),
             flops,
             compute_time,
             level_times,

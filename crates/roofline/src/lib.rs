@@ -41,7 +41,7 @@ mod gemm;
 mod shape;
 mod tiling;
 
-pub use cost::{BoundType, KernelCost, KernelSummary};
+pub use cost::{BoundType, KernelCost};
 pub use eltwise::{EltwiseKind, EltwiseOp};
 pub use gemm::{RooflineConfig, RooflineModel};
 pub use shape::{BatchedGemm, GemmShape};

@@ -330,13 +330,10 @@ impl<'a> FleetInstance<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Estimator`] when the device lacks the
-    /// serving precision.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trace` is not sorted by arrival time or contains a
-    /// zero-length prompt or output.
+    /// Returns [`ServeError::InvalidTrace`] if `trace` is not sorted by
+    /// arrival time or contains a zero-length prompt or output, and
+    /// [`ServeError::Estimator`] when the device lacks the serving
+    /// precision.
     pub fn simulate(&self, trace: &[Request]) -> Result<FleetReport, ServeError> {
         run_fleet(
             &self.instance,
@@ -528,7 +525,7 @@ pub(crate) fn run_fleet(
     faults: &FaultSpec,
     trace: &[Request],
 ) -> Result<FleetReport, ServeError> {
-    ServeInstance::validate_trace(trace);
+    ServeInstance::validate_trace(trace)?;
     if let Err(reason) = faults.validate() {
         return Err(ServeError::InvalidConfig(format!("fault spec: {reason}")));
     }
@@ -815,12 +812,8 @@ pub fn simulate_fleet(
 ///
 /// Returns [`ServeError`] for configurations that cannot serve (weights
 /// overflow the device, `tp` beyond a node, zero replicas, an invalid
-/// fault spec).
-///
-/// # Panics
-///
-/// Panics if `trace` is not sorted by arrival time or contains a
-/// zero-length prompt or output.
+/// fault spec), and [`ServeError::InvalidTrace`] if `trace` is not sorted
+/// by arrival time or contains a zero-length prompt or output.
 pub fn simulate_fleet_trace(
     cluster: &ClusterSpec,
     model: Arc<ModelConfig>,
@@ -1015,6 +1008,27 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, ServeError::InvalidConfig(_)), "{err}");
+    }
+
+    /// Regression: an unsorted trace or a zero-length prompt or output
+    /// used to panic in both fleet entry points; it is now a typed error.
+    #[test]
+    fn invalid_traces_are_typed_errors() {
+        let cluster = presets::dgx_a100_hdr_cluster();
+        let model = Arc::new(models::llama2_7b());
+        let config = FleetConfig::new(2, 1);
+        let fleet = FleetInstance::new(&cluster, Arc::clone(&model), config.clone()).unwrap();
+        let unsorted = [Request::new(0, 1.0, 10, 4), Request::new(1, 0.5, 10, 4)];
+        let no_prompt = [Request::new(0, 0.0, 0, 4)];
+        let no_output = [Request::new(0, 0.0, 10, 4), Request::new(1, 0.5, 10, 0)];
+        for trace in [&unsorted[..], &no_prompt[..], &no_output[..]] {
+            for err in [
+                fleet.simulate(trace).unwrap_err(),
+                simulate_fleet_trace(&cluster, Arc::clone(&model), &config, trace).unwrap_err(),
+            ] {
+                assert!(matches!(err, ServeError::InvalidTrace(_)), "{err}");
+            }
+        }
     }
 
     #[test]

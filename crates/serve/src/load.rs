@@ -378,7 +378,7 @@ pub fn load_sweep(
                 &faults,
                 &traces[ri],
             )
-            .expect("strategy feasibility was probed in phase 1");
+            .expect("feasibility was probed in phase 1 and generated traces are valid");
             LoadPoint::from_fleet(*strategy, spec.rates[ri], &report)
         })
         .collect();
@@ -593,6 +593,40 @@ mod tests {
         assert_eq!(report.infeasible.len(), 1);
         assert_eq!(report.infeasible[0].tp, 64);
         assert!(report.infeasible[0].reason.contains("exceeds"));
+    }
+
+    /// A precision the device lacks (Ampere has no FP8) fails the
+    /// instance probe with an estimator error, and the sweep lists the
+    /// strategy as infeasible while the others still run.
+    #[test]
+    fn unsupported_precision_is_an_infeasible_strategy() {
+        let cluster = presets::dgx_a100_hdr_cluster();
+        let model = Arc::new(models::llama2_7b());
+        let instance = ServeInstance::new(
+            &cluster,
+            Arc::clone(&model),
+            ServeConfig::new(1).with_precision(Precision::Fp8),
+        )
+        .unwrap();
+        assert!(matches!(
+            instance.probe(),
+            Err(crate::ServeError::Estimator(_))
+        ));
+
+        let mut spec = small_spec();
+        spec.strategies
+            .push(LoadStrategy::single(1, Precision::Fp8));
+        let report = load_sweep(&cluster, &model, &spec);
+        assert_eq!(report.curves.len(), 2);
+        assert_eq!(report.infeasible.len(), 1);
+        assert_eq!(report.infeasible[0].precision, Precision::Fp8);
+        assert!(
+            report.infeasible[0]
+                .reason
+                .contains("no peak throughput for FP8"),
+            "{}",
+            report.infeasible[0].reason
+        );
     }
 
     /// The replicas axis: a TP1×2 strategy occupies 2 GPUs like TP2, and

@@ -175,13 +175,18 @@ pub enum ServeError {
     /// The estimator rejected the configuration (e.g. unsupported
     /// precision).
     Estimator(String),
+    /// The trace is not sorted by arrival time, or a request has a
+    /// zero-length prompt or output.
+    InvalidTrace(String),
 }
 
 impl core::fmt::Display for ServeError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             Self::WeightsDontFit { detail } => write!(f, "{detail}"),
-            Self::InvalidConfig(msg) | Self::Estimator(msg) => write!(f, "{msg}"),
+            Self::InvalidConfig(msg) | Self::Estimator(msg) | Self::InvalidTrace(msg) => {
+                write!(f, "{msg}")
+            }
         }
     }
 }
@@ -406,31 +411,33 @@ impl<'a> ServeInstance<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Estimator`] when the device lacks the
-    /// serving precision.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trace` is not sorted by arrival time or contains a
-    /// zero-length prompt or output.
+    /// Returns [`ServeError::InvalidTrace`] if `trace` is not sorted by
+    /// arrival time or contains a zero-length prompt or output, and
+    /// [`ServeError::Estimator`] when the device lacks the serving
+    /// precision.
     pub fn simulate(&self, trace: &[Request]) -> Result<ServeReport, ServeError> {
-        Self::validate_trace(trace);
+        Self::validate_trace(trace)?;
         let bounds = TraceBounds::scan(self, trace);
         let table = self.pricing_table(trace.len(), &bounds)?;
         self.run(trace, &bounds, table)
     }
 
-    /// Panics on an unordered trace or zero-length prompts/outputs — the
+    /// Rejects an unordered trace or zero-length prompts/outputs — the
     /// shared precondition of the single-replica and fleet entry points.
-    pub(crate) fn validate_trace(trace: &[Request]) {
-        assert!(
-            trace.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s),
-            "trace must be sorted by arrival time"
-        );
-        assert!(
-            trace.iter().all(|r| r.prompt > 0 && r.output > 0),
-            "every request needs at least one prompt and one output token"
-        );
+    pub(crate) fn validate_trace(trace: &[Request]) -> Result<(), ServeError> {
+        if !trace.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s) {
+            return Err(ServeError::InvalidTrace(
+                "trace must be sorted by arrival time".to_owned(),
+            ));
+        }
+        if let Some(r) = trace.iter().find(|r| r.prompt == 0 || r.output == 0) {
+            return Err(ServeError::InvalidTrace(format!(
+                "every request needs at least one prompt and one output token \
+                 (request {} has prompt {}, output {})",
+                r.id, r.prompt, r.output
+            )));
+        }
+        Ok(())
     }
 
     /// Whether this run collects per-request records, given the trace
@@ -547,12 +554,8 @@ pub fn simulate(
 /// # Errors
 ///
 /// Returns [`ServeError`] for configurations that cannot serve (see
-/// [`simulate`]).
-///
-/// # Panics
-///
-/// Panics if `trace` is not sorted by arrival time or contains a
-/// zero-length prompt or output.
+/// [`simulate`]), and [`ServeError::InvalidTrace`] if `trace` is not
+/// sorted by arrival time or contains a zero-length prompt or output.
 pub fn simulate_trace(
     cluster: &ClusterSpec,
     model: Arc<ModelConfig>,
@@ -1025,6 +1028,33 @@ mod tests {
             "exactly one of two simultaneous arrivals waits for the prefill slot"
         );
         assert!(report.queue.mean_waiting > 0.0);
+    }
+
+    /// Regression: an unsorted trace or a zero-length prompt or output
+    /// used to panic in both single-replica entry points; it is now a
+    /// typed error.
+    #[test]
+    fn invalid_traces_are_typed_errors() {
+        let cluster = presets::dgx_a100_hdr_cluster();
+        let model = Arc::new(models::llama2_7b());
+        let config = ServeConfig::new(1);
+        let instance = ServeInstance::new(&cluster, Arc::clone(&model), config).unwrap();
+        let unsorted = [Request::new(0, 1.0, 10, 4), Request::new(1, 0.5, 10, 4)];
+        let no_prompt = [Request::new(0, 0.0, 0, 4)];
+        let no_output = [Request::new(0, 0.0, 10, 4), Request::new(1, 0.5, 10, 0)];
+        for (trace, what) in [
+            (&unsorted[..], "sorted by arrival time"),
+            (&no_prompt[..], "request 0 has prompt 0"),
+            (&no_output[..], "request 1 has prompt 10, output 0"),
+        ] {
+            for err in [
+                instance.simulate(trace).unwrap_err(),
+                simulate_trace(&cluster, Arc::clone(&model), &config, trace).unwrap_err(),
+            ] {
+                assert!(matches!(err, ServeError::InvalidTrace(_)), "{err}");
+                assert!(err.to_string().contains(what), "{err}");
+            }
+        }
     }
 
     /// The down-sampled queue series always ends at the trace end, even

@@ -74,9 +74,7 @@ pub(crate) fn ops_cost(
         let cost = match op.kind {
             OpKind::Gemm(g) => roofline.batched_gemm(g, precision)?,
             OpKind::Eltwise(e) => roofline.eltwise(e),
-            OpKind::Flash(fa) => {
-                roofline.custom_kernel("flash-attention", fa.flops(), &fa.traffic(), precision)?
-            }
+            OpKind::Flash(fa) => roofline.custom_kernel(fa.flops(), &fa.traffic(), precision)?,
         };
         total.time += cost.total();
         total.flops += cost.flops;
