@@ -1,6 +1,6 @@
 //! Subcommand implementations.
 
-use crate::args::{ArgError, Args};
+use crate::args::{synopses, ArgError, Args, Command};
 use optimus::memory::{training_memory, RecomputeMode, TrainingMemorySpec};
 use optimus::prelude::*;
 use optimus_sweep::{render_frontier, render_table, SweepEngine, SweepSpace, Workload};
@@ -78,14 +78,14 @@ fn recompute_of(name: &str) -> Result<RecomputeMode, ArgError> {
     })
 }
 
-fn parallelism_of(args: &Args) -> Result<Parallelism, ArgError> {
-    Ok(Parallelism::new(
-        args.get_usize("dp", 1)?,
-        args.get_usize("tp", 1)?,
-        args.get_usize("pp", 1)?,
+fn parallelism_of(args: &Args) -> Parallelism {
+    Parallelism::new(
+        args.get_usize("dp", 1),
+        args.get_usize("tp", 1),
+        args.get_usize("pp", 1),
     )
-    .with_sp(args.flag("sp"))
-    .with_microbatch(args.get_usize("microbatch", 1)?))
+    .with_sp(args.has("sp"))
+    .with_microbatch(args.get_usize("microbatch", 1))
 }
 
 /// Parses a `--failure-process` value: `exp`/`exponential`,
@@ -125,65 +125,26 @@ fn failure_process_of(value: &str) -> Result<FailureProcess, ArgError> {
 /// (`peer`, `delta`) layered under the always-present persistent full
 /// checkpoint.
 fn checkpoint_tiers_of(value: &str) -> Result<Vec<CheckpointTier>, ArgError> {
-    value
-        .split(',')
-        .map(|name| match name.trim().to_lowercase().as_str() {
-            "peer" => Ok(CheckpointTier::peer()),
-            "delta" => Ok(CheckpointTier::delta()),
-            other => Err(ArgError(format!(
-                "unknown checkpoint tier `{other}`; expected `peer` or `delta`"
-            ))),
-        })
-        .collect()
+    list_of(value, |name| match name.to_lowercase().as_str() {
+        "peer" => Ok(CheckpointTier::peer()),
+        "delta" => Ok(CheckpointTier::delta()),
+        other => Err(ArgError(format!(
+            "unknown checkpoint tier `{other}`; expected `peer` or `delta`"
+        ))),
+    })
 }
 
-/// Parses the resilience options shared by `train` and `sweep`:
-/// `--mtbf S` (per-GPU MTBF, seconds) plus the optional
-/// `--checkpoint-interval S` (Young–Daly auto when absent),
-/// `--restart S`, `--failure-process exp|weibull:K|racks:N:MTBF`,
-/// `--checkpoint-tiers peer,delta`, `--elastic` (+ `--rewarm S`,
-/// `--repair S`), `--delta-frac F`, and `--checkpoint-util F`. Returns
-/// [`CheckpointSpec::none`] when no resilience axis is requested at all.
+/// Parses the resilience options of `train` and `sweep`: without `--mtbf`
+/// (per-GPU, seconds), [`CheckpointSpec::none`].
 fn checkpoint_of(args: &Args) -> Result<CheckpointSpec, ArgError> {
-    if args.get("mtbf").is_none() {
-        for key in [
-            "checkpoint-interval",
-            "restart",
-            "failure-process",
-            "checkpoint-tiers",
-            "rewarm",
-            "repair",
-            "delta-frac",
-            "checkpoint-util",
-        ] {
-            if args.get(key).is_some() {
-                return Err(ArgError(format!("--{key} only applies with --mtbf")));
-            }
-        }
-        if args.flag("elastic") {
-            return Err(ArgError("--elastic only applies with --mtbf".to_owned()));
-        }
+    if !args.has("mtbf") {
         return Ok(CheckpointSpec::none());
     }
-    let mtbf_s = args.get_f64("mtbf", 0.0)?;
-    if mtbf_s <= 0.0 {
-        return Err(ArgError(
-            "--mtbf must be positive seconds of per-GPU uptime".to_owned(),
-        ));
+    let mut spec = CheckpointSpec::with_mtbf(args.get_f64("mtbf", 0.0));
+    if args.has("checkpoint-interval") {
+        spec = spec.with_interval(args.get_f64("checkpoint-interval", 0.0));
     }
-    let elastic = args.flag("elastic");
-    if !elastic {
-        for key in ["rewarm", "repair"] {
-            if args.get(key).is_some() {
-                return Err(ArgError(format!("--{key} only applies with --elastic")));
-            }
-        }
-    }
-    let mut spec = CheckpointSpec::with_mtbf(mtbf_s);
-    if args.get("checkpoint-interval").is_some() {
-        spec = spec.with_interval(args.get_f64("checkpoint-interval", 0.0)?);
-    }
-    spec = spec.with_restart(args.get_f64("restart", 0.0)?);
+    spec = spec.with_restart(args.get_f64("restart", 0.0));
     if let Some(value) = args.get("failure-process") {
         spec = spec.with_process(failure_process_of(value)?);
     }
@@ -191,23 +152,23 @@ fn checkpoint_of(args: &Args) -> Result<CheckpointSpec, ArgError> {
         Some(value) => checkpoint_tiers_of(value)?,
         None => Vec::new(),
     };
-    if args.get("delta-frac").is_some() {
+    if args.has("delta-frac") {
         if !tiers.iter().any(|t| t.kind == TierKind::PersistentDelta) {
             return Err(ArgError(
                 "--delta-frac only applies with a `delta` entry in --checkpoint-tiers".to_owned(),
             ));
         }
-        spec = spec.with_delta_fraction(args.get_f64("delta-frac", 0.0)?);
+        spec = spec.with_delta_fraction(args.get_f64("delta-frac", 0.0));
     }
     spec = spec.with_tiers(tiers);
-    if elastic {
+    if args.has("elastic") {
         spec = spec
             .with_elastic(true)
-            .with_rewarm(args.get_f64("rewarm", 0.0)?)
-            .with_repair(args.get_f64("repair", 0.0)?);
+            .with_rewarm(args.get_f64("rewarm", 0.0))
+            .with_repair(args.get_f64("repair", 0.0));
     }
-    if args.get("checkpoint-util").is_some() {
-        spec = spec.with_overhead_util(args.get_f64("checkpoint-util", 1.0)?);
+    if args.has("checkpoint-util") {
+        spec = spec.with_overhead_util(args.get_f64("checkpoint-util", 1.0));
     }
     spec.validate()
         .map_err(|reason| ArgError(format!("invalid resilience options: {reason}")))?;
@@ -215,29 +176,25 @@ fn checkpoint_of(args: &Args) -> Result<CheckpointSpec, ArgError> {
 }
 
 /// `optimus-cli train …` — training-time estimate.
-///
-/// # Errors
-///
-/// Returns [`ArgError`] for bad options or infeasible configurations.
-pub fn train(args: &Args) -> Result<String, ArgError> {
+fn train(args: &Args) -> Result<String, ArgError> {
     let model = model_preset(args.get_or("model", "gpt-175b"))?;
     let cluster = cluster_preset(args.get_or("cluster", "a100-hdr"))?;
     let cfg = TrainingConfig::new(
         model,
-        args.get_usize("batch", 64)?,
-        args.get_usize("seq", 2048)?,
-        parallelism_of(args)?,
+        args.get_usize("batch", 64),
+        args.get_usize("seq", 2048),
+        parallelism_of(args),
     )
     .with_precision(precision_of(args.get_or("precision", "fp16"))?)
     .with_recompute(recompute_of(args.get_or("recompute", "selective"))?)
-    .with_flash(args.flag("flash"));
+    .with_flash(args.has("flash"));
 
     let report = TrainingEstimator::new(&cluster)
         .with_checkpoint(checkpoint_of(args)?)
         .estimate(&cfg)
         .map_err(|e| ArgError(e.to_string()))?;
 
-    if args.flag("json") {
+    if args.has("json") {
         return serde_json::to_string_pretty(&report).map_err(|e| ArgError(e.to_string()));
     }
     let mut out = String::new();
@@ -251,19 +208,15 @@ pub fn train(args: &Args) -> Result<String, ArgError> {
 }
 
 /// `optimus-cli infer …` — serving-latency estimate.
-///
-/// # Errors
-///
-/// Returns [`ArgError`] for bad options.
-pub fn infer(args: &Args) -> Result<String, ArgError> {
+fn infer(args: &Args) -> Result<String, ArgError> {
     let model = model_preset(args.get_or("model", "llama2-13b"))?;
     let cluster = cluster_preset(args.get_or("cluster", "a100-hdr"))?;
     let cfg = InferenceConfig::new(
         model,
-        args.get_usize("batch", 1)?,
-        args.get_usize("prefill", 200)?,
-        args.get_usize("generate", 200)?,
-        args.get_usize("tp", 1)?,
+        args.get_usize("batch", 1),
+        args.get_usize("prefill", 200),
+        args.get_usize("generate", 200),
+        args.get_usize("tp", 1),
     )
     .with_precision(precision_of(args.get_or("precision", "fp16"))?);
 
@@ -271,7 +224,7 @@ pub fn infer(args: &Args) -> Result<String, ArgError> {
         .estimate(&cfg)
         .map_err(|e| ArgError(e.to_string()))?;
 
-    if args.flag("json") {
+    if args.has("json") {
         return serde_json::to_string_pretty(&report).map_err(|e| ArgError(e.to_string()));
     }
     let mut out = format!("config: {cfg}\ncluster: {cluster}\n\n{report}\n");
@@ -323,7 +276,7 @@ fn length_dist_of(key: &str, value: &str) -> Result<optimus_serve::LengthDist, A
 fn router_of(args: &Args) -> Result<optimus_serve::RouterPolicy, ArgError> {
     use optimus_serve::RouterPolicy;
     let name = args.get_or("router", "round-robin");
-    if args.get("router-seed").is_some() && name != "random" {
+    if args.has("router-seed") && name != "random" {
         return Err(ArgError(
             "--router-seed only applies with --router random".to_owned(),
         ));
@@ -331,7 +284,7 @@ fn router_of(args: &Args) -> Result<optimus_serve::RouterPolicy, ArgError> {
     Ok(match name {
         "round-robin" => RouterPolicy::RoundRobin,
         "random" => RouterPolicy::Random {
-            seed: args.get_usize("router-seed", 0)? as u64,
+            seed: args.get_usize("router-seed", 0) as u64,
         },
         "least-outstanding" => RouterPolicy::LeastOutstanding,
         "shortest-queue" | "join-shortest-queue" => RouterPolicy::JoinShortestQueue,
@@ -344,59 +297,27 @@ fn router_of(args: &Args) -> Result<optimus_serve::RouterPolicy, ArgError> {
     })
 }
 
-/// Parses the fault-injection options shared by `serve` and
-/// `load-sweep`: `--mtbf S` (+ `--mttr S`, `--fault-seed N`,
-/// `--failure-process exp|weibull:K` for the uptime law),
-/// `--stragglers FRAC:MULT`, `--domains N` (+ `--domain-mtbf S`,
-/// `--domain-mttr S` — `fleet_replicas` split into N contiguous groups
-/// that fail together), and `--degrade MULT` (+ `--degrade-mode
-/// flat|link`). `fleet_replicas` is the largest fleet the spec will run
-/// against. Returns `None` when no fault axis is requested at all.
+/// Parses the fault-injection options of `serve` and `load-sweep`, with
+/// `--domains N` splitting `fleet_replicas` (the largest fleet the spec
+/// will run against) into N contiguous groups that fail together. `None`
+/// when no fault axis is requested at all.
 fn faults_of(
     args: &Args,
     fleet_replicas: usize,
 ) -> Result<Option<optimus_serve::FaultSpec>, ArgError> {
     use optimus_serve::{DegradeMode, FaultDomain, FaultSpec};
-    let crashes = args.get("mtbf").is_some();
+    let crashes = args.has("mtbf");
     let stragglers = args.get("stragglers");
-    let domains = args.get("domains").is_some();
-    let degrade = args.get("degrade").is_some();
-    if !crashes && args.get("mttr").is_some() {
-        return Err(ArgError("--mttr only applies with --mtbf".to_owned()));
-    }
-    if !crashes && args.get("failure-process").is_some() {
-        return Err(ArgError(
-            "--failure-process only applies with --mtbf".to_owned(),
-        ));
-    }
-    if !domains {
-        for key in ["domain-mtbf", "domain-mttr"] {
-            if args.get(key).is_some() {
-                return Err(ArgError(format!("--{key} only applies with --domains")));
-            }
-        }
-    }
-    if !degrade && args.get("degrade-mode").is_some() {
-        return Err(ArgError(
-            "--degrade-mode only applies with --degrade".to_owned(),
-        ));
-    }
+    let domains = args.has("domains");
+    let degrade = args.has("degrade");
     if !crashes && stragglers.is_none() && !domains && !degrade {
-        if args.get("fault-seed").is_some() {
-            return Err(ArgError(
-                "--fault-seed only applies with --mtbf, --stragglers, or --domains".to_owned(),
-            ));
-        }
         return Ok(None);
     }
     let mut spec = FaultSpec::none();
-    spec.seed = args.get_usize("fault-seed", 0)? as u64;
+    spec.seed = args.get_usize("fault-seed", 0) as u64;
     if crashes {
-        spec.mtbf_s = args.get_f64("mtbf", 0.0)?;
-        if !(spec.mtbf_s.is_finite() && spec.mtbf_s > 0.0) {
-            return Err(ArgError("--mtbf must be positive seconds".to_owned()));
-        }
-        spec.mttr_s = args.get_f64("mttr", 30.0)?;
+        spec.mtbf_s = args.get_f64("mtbf", 0.0);
+        spec.mttr_s = args.get_f64("mttr", 30.0);
         if let Some(value) = args.get("failure-process") {
             spec = spec.with_process(failure_process_of(value)?);
         }
@@ -420,24 +341,14 @@ fn faults_of(
                     .to_owned(),
             ));
         }
-        let count = args.get_usize("domains", 0)?;
-        if count == 0 || count > fleet_replicas {
+        let count = args.get_usize("domains", 0);
+        if count > fleet_replicas {
             return Err(ArgError(format!(
                 "--domains must lie in 1..={fleet_replicas} (the fleet size), got {count}"
             )));
         }
-        if args.get("domain-mtbf").is_none() {
-            return Err(ArgError(
-                "--domains requires --domain-mtbf (mean seconds between domain outages)".to_owned(),
-            ));
-        }
-        let mtbf_s = args.get_f64("domain-mtbf", 0.0)?;
-        if mtbf_s <= 0.0 {
-            return Err(ArgError(
-                "--domain-mtbf must be positive seconds".to_owned(),
-            ));
-        }
-        let mttr_s = args.get_f64("domain-mttr", 30.0)?;
+        let mtbf_s = args.get_f64("domain-mtbf", 0.0);
+        let mttr_s = args.get_f64("domain-mttr", 30.0);
         // Split the fleet into `count` contiguous near-even groups — the
         // shape of racks filled in replica order. The front groups take
         // the remainder.
@@ -455,13 +366,7 @@ fn faults_of(
         );
     }
     if degrade {
-        let mult = args.get_f64("degrade", 1.0)?;
-        if mult < 1.0 {
-            return Err(ArgError(
-                "--degrade must be a slowdown multiplier of at least 1".to_owned(),
-            ));
-        }
-        spec = spec.with_degradation(mult);
+        spec = spec.with_degradation(args.get_f64("degrade", 1.0));
         spec = spec.with_degrade_mode(match args.get_or("degrade-mode", "flat") {
             "flat" => DegradeMode::Flat,
             "link" => DegradeMode::Link,
@@ -477,38 +382,38 @@ fn faults_of(
     Ok(Some(spec))
 }
 
-/// Parses the paged-KV options shared by `serve` and `load-sweep`:
-/// `--kv-block N` tokens per block (0 or absent = legacy whole-lifetime
-/// reservations) and `--preempt recompute|swap` for decode-time OOM.
+/// Parses `--kv-block N` tokens per block (0 or absent = legacy
+/// whole-lifetime reservations) and `--preempt recompute|swap` for
+/// decode-time OOM.
 fn kv_of(args: &Args) -> Result<optimus_serve::KvSpec, ArgError> {
-    use optimus_serve::{KvSpec, PreemptPolicy};
-    let block = args.get_usize("kv-block", 0)?;
-    let policy = match args.get("preempt") {
-        None => PreemptPolicy::Recompute,
-        Some(_) if block == 0 => {
+    let block = args.get_usize("kv-block", 0);
+    if block == 0 {
+        if args.has("preempt") {
             return Err(ArgError(
                 "--preempt only applies to paged KV; add --kv-block N".to_owned(),
-            ))
+            ));
         }
-        Some("recompute") => PreemptPolicy::Recompute,
-        Some("swap") => PreemptPolicy::Swap,
-        Some(other) => {
-            return Err(ArgError(format!(
-                "unknown preemption policy `{other}`; expected `recompute` or `swap`"
-            )))
-        }
-    };
-    Ok(if block == 0 {
-        KvSpec::reserved()
-    } else {
-        KvSpec::paged(block).with_policy(policy)
-    })
+        return Ok(optimus_serve::KvSpec::reserved());
+    }
+    Ok(optimus_serve::KvSpec::paged(block).with_policy(preempt_of(args)?))
 }
 
-/// Parses `--scheduler fifo|priority|sjf|priority-preempt`.
-fn scheduler_of(args: &Args) -> Result<optimus_serve::Scheduler, ArgError> {
+/// Parses `--preempt recompute|swap`, shared by `serve` and `load-sweep`.
+fn preempt_of(args: &Args) -> Result<optimus_serve::PreemptPolicy, ArgError> {
+    use optimus_serve::PreemptPolicy;
+    match args.get_or("preempt", "recompute") {
+        "recompute" => Ok(PreemptPolicy::Recompute),
+        "swap" => Ok(PreemptPolicy::Swap),
+        other => Err(ArgError(format!(
+            "unknown preemption policy `{other}`; expected `recompute` or `swap`"
+        ))),
+    }
+}
+
+/// Parses a scheduler name: `fifo|priority|sjf|priority-preempt`.
+fn scheduler_of(name: &str) -> Result<optimus_serve::Scheduler, ArgError> {
     use optimus_serve::Scheduler;
-    match args.get_or("scheduler", "fifo") {
+    match name {
         "fifo" => Ok(Scheduler::Fifo),
         "priority" => Ok(Scheduler::Priority),
         "sjf" => Ok(Scheduler::Sjf),
@@ -520,24 +425,35 @@ fn scheduler_of(args: &Args) -> Result<optimus_serve::Scheduler, ArgError> {
     }
 }
 
+/// Parses a comma list entry by entry.
+fn list_of<T>(value: &str, item: impl Fn(&str) -> Result<T, ArgError>) -> Result<Vec<T>, ArgError> {
+    value.split(',').map(|t| item(t.trim())).collect()
+}
+
+/// The `--precisions P,P` list, or the singular `--precision` spelling
+/// (the option table admits at most one of the two); `None` when neither
+/// is given.
+fn precisions_of(args: &Args) -> Option<Result<Vec<Precision>, ArgError>> {
+    let list = args.get("precisions").or_else(|| args.get("precision"))?;
+    Some(list_of(list, precision_of))
+}
+
 /// Parses the shared-prefix trace options: `--prefix-tokens N` activates
 /// a pool of `--prefix-pool` prefixes hit with probability
 /// `--prefix-rate`.
 fn prefixes_of(args: &Args) -> Result<Option<optimus_serve::PrefixSpec>, ArgError> {
-    let tokens = args.get_usize("prefix-tokens", 0)?;
+    let tokens = args.get_usize("prefix-tokens", 0);
     if tokens == 0 {
-        for key in ["prefix-pool", "prefix-rate"] {
-            if args.get(key).is_some() {
-                return Err(ArgError(format!("--{key} requires --prefix-tokens N")));
-            }
+        if args.has("prefix-pool") || args.has("prefix-rate") {
+            return Err(ArgError(
+                "--prefix-pool and --prefix-rate only apply with a non-zero --prefix-tokens"
+                    .to_owned(),
+            ));
         }
         return Ok(None);
     }
-    let pool = args.get_usize("prefix-pool", 8)?;
-    if pool == 0 {
-        return Err(ArgError("--prefix-pool must be at least 1".to_owned()));
-    }
-    let rate = args.get_f64("prefix-rate", 0.5)?;
+    let pool = args.get_usize("prefix-pool", 8);
+    let rate = args.get_f64("prefix-rate", 0.5);
     if !(0.0..=1.0).contains(&rate) {
         return Err(ArgError("--prefix-rate must lie in [0, 1]".to_owned()));
     }
@@ -546,74 +462,44 @@ fn prefixes_of(args: &Args) -> Result<Option<optimus_serve::PrefixSpec>, ArgErro
 
 /// Parses `--priority-classes N` (1 = every request at priority 0).
 fn priority_classes_of(args: &Args) -> Result<u8, ArgError> {
-    let classes = args.get_usize("priority-classes", 1)?;
-    if classes == 0 || classes > usize::from(u8::MAX) {
-        return Err(ArgError(
-            "--priority-classes must lie in 1..=255".to_owned(),
-        ));
-    }
-    Ok(classes as u8)
+    u8::try_from(args.get_usize("priority-classes", 1))
+        .map_err(|_| ArgError("--priority-classes must lie in 1..=255".to_owned()))
 }
 
 /// Parses the SLO options shared by `serve` and `load-sweep`.
-fn slo_of(args: &Args) -> Result<optimus_serve::SloSpec, ArgError> {
-    let ttft_slo = args.get_f64("ttft-slo", 2000.0)?;
-    let tpot_slo = args.get_f64("tpot-slo", 100.0)?;
-    if ttft_slo <= 0.0 || tpot_slo <= 0.0 {
-        return Err(ArgError("SLO targets must be positive".to_owned()));
+fn slo_of(args: &Args) -> optimus_serve::SloSpec {
+    optimus_serve::SloSpec {
+        ttft: optimus::units::Time::from_millis(args.get_f64("ttft-slo", 2000.0)),
+        tpot: optimus::units::Time::from_millis(args.get_f64("tpot-slo", 100.0)),
     }
-    Ok(optimus_serve::SloSpec {
-        ttft: optimus::units::Time::from_millis(ttft_slo),
-        tpot: optimus::units::Time::from_millis(tpot_slo),
-    })
 }
 
 /// `optimus-cli serve …` — continuous-batching serving simulation with
 /// SLO metrics, over one replica or (with `--replicas N`) a routed
 /// fleet.
-///
-/// # Errors
-///
-/// Returns [`ArgError`] for bad options or configurations that cannot
-/// serve (weights overflow the device, TP beyond a node).
-pub fn serve(args: &Args) -> Result<String, ArgError> {
+fn serve(args: &Args) -> Result<String, ArgError> {
     use optimus_serve::{
         simulate, simulate_fleet, ArrivalProcess, FleetConfig, RecordMode, ServeConfig, TraceSpec,
     };
     let model = model_preset(args.get_or("model", "llama2-13b"))?;
     let cluster = cluster_preset(args.get_or("cluster", "a100-hdr"))?;
-    let tp = args.get_usize("tp", 1)?;
-    if tp == 0 {
-        return Err(ArgError("--tp must be at least 1".to_owned()));
-    }
+    let tp = args.get_usize("tp", 1);
     let precision = precision_of(args.get_or("precision", "fp16"))?;
 
-    let arrival = match (args.get("rate"), args.get("interval")) {
-        (Some(_), Some(_)) => {
-            return Err(ArgError(
-                "--rate (Poisson) and --interval (fixed spacing) are mutually exclusive".to_owned(),
-            ))
+    let arrival = if args.has("interval") {
+        ArrivalProcess::Fixed {
+            interval_s: args.get_f64("interval", 1.0),
         }
-        (_, None) => {
-            let rate_per_s = args.get_f64("rate", 2.0)?;
-            if rate_per_s <= 0.0 {
-                return Err(ArgError("--rate must be positive".to_owned()));
-            }
-            ArrivalProcess::Poisson { rate_per_s }
-        }
-        (None, Some(_)) => {
-            let interval_s = args.get_f64("interval", 1.0)?;
-            if interval_s <= 0.0 {
-                return Err(ArgError("--interval must be positive".to_owned()));
-            }
-            ArrivalProcess::Fixed { interval_s }
+    } else {
+        ArrivalProcess::Poisson {
+            rate_per_s: args.get_f64("rate", 2.0),
         }
     };
-    let requests = args.get_usize("requests", 100)?;
-    let slo = slo_of(args)?;
+    let requests = args.get_usize("requests", 100);
+    let slo = slo_of(args);
 
     let spec = TraceSpec {
-        seed: args.get_usize("seed", 42)? as u64,
+        seed: args.get_usize("seed", 42) as u64,
         requests,
         arrival,
         prompt: length_dist_of("prompt", args.get_or("prompt", "200"))?,
@@ -628,8 +514,8 @@ pub fn serve(args: &Args) -> Result<String, ArgError> {
         .with_precision(precision)
         .with_slo(slo)
         .with_kv(kv_of(args)?)
-        .with_scheduler(scheduler_of(args)?);
-    if args.flag("records") {
+        .with_scheduler(scheduler_of(args.get_or("scheduler", "fifo"))?);
+    if args.has("records") {
         config = config.with_records(RecordMode::On);
     }
 
@@ -638,10 +524,7 @@ pub fn serve(args: &Args) -> Result<String, ArgError> {
         ArrivalProcess::Fixed { interval_s } => format!("fixed every {interval_s} s"),
     };
 
-    let replicas = args.get_usize("replicas", 1)?;
-    if replicas == 0 {
-        return Err(ArgError("--replicas must be at least 1".to_owned()));
-    }
+    let replicas = args.get_usize("replicas", 1);
     let faults = faults_of(args, replicas)?;
     if replicas > 1 || faults.is_some() {
         // Fleet path: route the trace online across identical replicas.
@@ -655,7 +538,7 @@ pub fn serve(args: &Args) -> Result<String, ArgError> {
         };
         let report = simulate_fleet(&cluster, std::sync::Arc::new(model), &fleet_config, &spec)
             .map_err(|e| ArgError(e.to_string()))?;
-        if args.flag("json") {
+        if args.has("json") {
             return serde_json::to_string_pretty(&report).map_err(|e| ArgError(e.to_string()));
         }
         let mut out = format!(
@@ -708,18 +591,16 @@ pub fn serve(args: &Args) -> Result<String, ArgError> {
         }
         return Ok(out);
     }
-    for key in ["router", "router-seed"] {
-        if args.get(key).is_some() {
-            return Err(ArgError(format!(
-                "--{key} does not apply without --replicas 2 or more"
-            )));
-        }
+    if args.has("router") {
+        return Err(ArgError(
+            "--router does not apply without --replicas 2 or more".to_owned(),
+        ));
     }
 
     let report = simulate(&cluster, std::sync::Arc::new(model), &config, &spec)
         .map_err(|e| ArgError(e.to_string()))?;
 
-    if args.flag("json") {
+    if args.has("json") {
         return serde_json::to_string_pretty(&report).map_err(|e| ArgError(e.to_string()));
     }
     let mut out = format!(
@@ -737,12 +618,7 @@ pub fn serve(args: &Args) -> Result<String, ArgError> {
 /// `optimus-cli load-sweep …` — saturation curves and the SLO-goodput
 /// frontier over an (arrival-rate × strategy) grid of serving
 /// simulations.
-///
-/// # Errors
-///
-/// Returns [`ArgError`] for bad options or a grid with no feasible
-/// strategy.
-pub fn load_sweep(args: &Args) -> Result<String, ArgError> {
+fn load_sweep(args: &Args) -> Result<String, ArgError> {
     use optimus_serve::{load_sweep, LoadStrategy, LoadSweepSpec};
 
     let model = model_preset(args.get_or("model", "llama2-13b"))?;
@@ -751,75 +627,31 @@ pub fn load_sweep(args: &Args) -> Result<String, ArgError> {
     // Strategy axis: a TP list crossed with a precision list and a
     // replica-count list — `gpus = tp × replicas`, so the frontier trades
     // TP-up against replicate-out at equal device counts.
-    let positive_list = |key: &str, default: &str| -> Result<Vec<usize>, ArgError> {
-        args.get_or(key, default)
-            .split(',')
-            .map(|t| {
-                t.trim()
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| {
-                        ArgError(format!("--{key} expects positive integers, got `{t}`"))
-                    })
-            })
-            .collect()
-    };
-    let tps = positive_list("tp-list", "1,2,4,8")?;
-    let replicas_list = positive_list("replicas-list", "1")?;
-    if args.get("router").is_some() && replicas_list.iter().all(|&r| r == 1) {
+    let tps: Vec<usize> = args.get_list("tp-list", "1,2,4,8");
+    let replicas_list: Vec<usize> = args.get_list("replicas-list", "1");
+    if args.has("router") && replicas_list.iter().all(|&r| r == 1) {
         return Err(ArgError(
             "--router does not apply without a --replicas-list entry of 2 or more".to_owned(),
         ));
     }
     let router = router_of(args)?;
-    let precisions = args
-        .get_or("precisions", "fp16")
-        .split(',')
-        .map(precision_of)
-        .collect::<Result<Vec<_>, _>>()?;
+    let precisions = precisions_of(args).unwrap_or(Ok(vec![Precision::Fp16]))?;
     // KV axis: block sizes in tokens, 0 = the legacy reserved regime.
-    let kv_blocks: Vec<usize> = args
-        .get_or("kv-block-list", "0")
-        .split(',')
-        .map(|t| {
-            t.trim().parse::<usize>().map_err(|_| {
-                ArgError(format!(
-                    "--kv-block-list expects non-negative integers, got `{t}`"
-                ))
-            })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    if args.get("preempt").is_some() && kv_blocks.iter().all(|&b| b == 0) {
+    let kv_blocks: Vec<usize> = args.get_list("kv-block-list", "0");
+    if args.has("preempt") && kv_blocks.iter().all(|&b| b == 0) {
         return Err(ArgError(
             "--preempt only applies to paged KV; add a non-zero --kv-block-list entry".to_owned(),
         ));
     }
-    let preempt = match args.get("preempt") {
-        None | Some("recompute") => optimus_serve::PreemptPolicy::Recompute,
-        Some("swap") => optimus_serve::PreemptPolicy::Swap,
-        Some(other) => {
-            return Err(ArgError(format!(
-                "unknown preemption policy `{other}`; expected `recompute` or `swap`"
-            )))
-        }
-    };
+    let preempt = preempt_of(args)?;
     // Scheduler axis. Priority-preempt entries require a paged KV entry
     // to pair with; reserved cells of that scheduler are infeasible.
-    let schedulers: Vec<optimus_serve::Scheduler> = args
-        .get_or("scheduler-list", args.get_or("scheduler", "fifo"))
-        .split(',')
-        .map(|t| match t.trim() {
-            "fifo" => Ok(optimus_serve::Scheduler::Fifo),
-            "priority" => Ok(optimus_serve::Scheduler::Priority),
-            "sjf" => Ok(optimus_serve::Scheduler::Sjf),
-            "priority-preempt" => Ok(optimus_serve::Scheduler::PriorityPreempt),
-            other => Err(ArgError(format!(
-                "unknown scheduler `{other}`; expected `fifo`, `priority`, `sjf`, \
-                 or `priority-preempt`"
-            ))),
-        })
-        .collect::<Result<Vec<_>, _>>()?;
+    let schedulers = list_of(
+        args.get("scheduler-list")
+            .or_else(|| args.get("scheduler"))
+            .unwrap_or("fifo"),
+        scheduler_of,
+    )?;
     let mut strategies: Vec<LoadStrategy> = Vec::new();
     for &tp in &tps {
         for &precision in &precisions {
@@ -845,60 +677,45 @@ pub fn load_sweep(args: &Args) -> Result<String, ArgError> {
 
     // Rate axis: an explicit list, or a geometric grid over
     // [--min-rate, --max-rate] with --points entries.
-    let rates: Vec<f64> = if let Some(list) = args.get("rates") {
-        for key in ["min-rate", "max-rate", "points"] {
-            if args.get(key).is_some() {
-                return Err(ArgError(format!(
-                    "--{key} does not apply with an explicit --rates list"
-                )));
-            }
-        }
-        list.split(',')
-            .map(|r| {
-                r.trim()
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|x| x.is_finite() && *x > 0.0)
-                    .ok_or_else(|| ArgError(format!("--rates expects positive numbers, got `{r}`")))
-            })
-            .collect::<Result<Vec<_>, _>>()?
+    let rates: Vec<f64> = if args.has("rates") {
+        args.get_list("rates", "")
     } else {
-        let lo = args.get_f64("min-rate", 0.5)?;
-        let hi = args.get_f64("max-rate", 128.0)?;
-        let points = args.get_usize("points", 16)?;
-        if !(lo > 0.0 && hi >= lo) {
+        let lo = args.get_f64("min-rate", 0.5);
+        let hi = args.get_f64("max-rate", 128.0);
+        let points = args.get_usize("points", 16);
+        if hi < lo {
             return Err(ArgError(
-                "--min-rate must be positive and --max-rate at least --min-rate".to_owned(),
+                "--max-rate must be at least --min-rate".to_owned(),
             ));
         }
-        if points == 0 {
-            return Err(ArgError("--points must be at least 1".to_owned()));
-        }
-        if points == 1 {
+        let grid: Vec<f64> = if points == 1 {
             vec![lo]
         } else {
             (0..points)
                 .map(|i| lo * (hi / lo).powf(i as f64 / (points - 1) as f64))
                 .collect()
+        };
+        if grid.iter().any(|r| !r.is_finite()) {
+            return Err(ArgError(
+                "--max-rate / --min-rate overflows the geometric rate grid".to_owned(),
+            ));
         }
+        grid
     };
 
     let spec = LoadSweepSpec {
-        seed: args.get_usize("seed", 42)? as u64,
-        requests: args.get_usize("requests", 1000)?,
+        seed: args.get_usize("seed", 42) as u64,
+        requests: args.get_usize("requests", 1000),
         prompt: length_dist_of("prompt", args.get_or("prompt", "200"))?,
         output: length_dist_of("output", args.get_or("output", "64"))?,
         rates,
         strategies,
-        slo: slo_of(args)?,
+        slo: slo_of(args),
         router,
         faults: faults_of(args, replicas_list.iter().copied().max().unwrap_or(1))?,
         prefixes: prefixes_of(args)?,
         priority_classes: priority_classes_of(args)?,
     };
-    if spec.requests == 0 {
-        return Err(ArgError("--requests must be at least 1".to_owned()));
-    }
 
     let report = load_sweep(&cluster, &std::sync::Arc::new(model), &spec);
     if report.curves.is_empty() {
@@ -913,7 +730,7 @@ pub fn load_sweep(args: &Args) -> Result<String, ArgError> {
         )));
     }
 
-    if args.flag("json") {
+    if args.has("json") {
         return serde_json::to_string_pretty(&report).map_err(|e| ArgError(e.to_string()));
     }
 
@@ -1022,22 +839,18 @@ pub fn load_sweep(args: &Args) -> Result<String, ArgError> {
 }
 
 /// `optimus-cli memory …` — training memory dissection.
-///
-/// # Errors
-///
-/// Returns [`ArgError`] for bad options or indivisible configurations.
-pub fn memory(args: &Args) -> Result<String, ArgError> {
+fn memory(args: &Args) -> Result<String, ArgError> {
     let model = model_preset(args.get_or("model", "gpt-175b"))?;
     let spec = TrainingMemorySpec {
-        batch: args.get_usize("batch", 64)?,
-        seq: args.get_usize("seq", 2048)?,
-        parallelism: parallelism_of(args)?,
+        batch: args.get_usize("batch", 64),
+        seq: args.get_usize("seq", 2048),
+        parallelism: parallelism_of(args),
         schedule: PipelineSchedule::OneFOneB,
         precision: precision_of(args.get_or("precision", "fp16"))?,
         recompute: recompute_of(args.get_or("recompute", "selective"))?,
     };
     let report = training_memory(&model, &spec).map_err(|e| ArgError(e.to_string()))?;
-    if args.flag("json") {
+    if args.has("json") {
         return serde_json::to_string_pretty(&report).map_err(|e| ArgError(e.to_string()));
     }
     Ok(format!("{report}\n"))
@@ -1045,101 +858,30 @@ pub fn memory(args: &Args) -> Result<String, ArgError> {
 
 /// `optimus-cli sweep …` — exhaustive parallelization-strategy search
 /// with a (latency, cost) Pareto frontier.
-///
-/// # Errors
-///
-/// Returns [`ArgError`] for bad options or an empty strategy space.
-pub fn sweep(args: &Args) -> Result<String, ArgError> {
-    /// A numeric option that the library layer requires to be ≥ 1.
-    fn positive(args: &Args, key: &str, default: usize) -> Result<usize, ArgError> {
-        let value = args.get_usize(key, default)?;
-        if value == 0 {
-            return Err(ArgError(format!("--{key} must be at least 1")));
-        }
-        Ok(value)
-    }
-    /// Rejects options that have no effect on the selected workload, so a
-    /// sweep never silently answers a different question than asked.
-    fn reject_inapplicable(args: &Args, workload: &str, keys: &[&str]) -> Result<(), ArgError> {
-        for key in keys {
-            if args.get(key).is_some() {
-                return Err(ArgError(format!(
-                    "--{key} does not apply to --workload {workload}"
-                )));
-            }
-        }
-        Ok(())
-    }
-
+fn sweep(args: &Args) -> Result<String, ArgError> {
     let model = model_preset(args.get_or("model", "llama2-13b"))?;
     let cluster = cluster_preset(args.get_or("cluster", "a100-hdr"))?;
-    let max_gpus = positive(args, "max-gpus", 64)?;
-    if args.flag("frontier-only") && args.get("top").is_some() {
-        return Err(ArgError(
-            "--top does not apply with --frontier-only".to_owned(),
-        ));
-    }
-    if args.flag("full") && (args.flag("frontier-only") || args.get("top").is_some()) {
-        return Err(ArgError(
-            "--full does not apply with --frontier-only or --top".to_owned(),
-        ));
-    }
-
-    let workload = match args.get_or("workload", "train") {
-        "train" | "training" => {
-            reject_inapplicable(args, "train", &["prefill", "generate"])?;
-            Workload::Training {
-                batch: positive(args, "batch", 64)?,
-                seq: positive(args, "seq", 2048)?,
-                recompute: recompute_of(args.get_or("recompute", "selective"))?,
-                schedule: PipelineSchedule::OneFOneB,
-            }
-        }
-        "infer" | "inference" => {
-            reject_inapplicable(
-                args,
-                "infer",
-                &[
-                    "seq",
-                    "recompute",
-                    "mtbf",
-                    "checkpoint-interval",
-                    "restart",
-                    "failure-process",
-                    "checkpoint-tiers",
-                    "rewarm",
-                    "repair",
-                    "delta-frac",
-                    "checkpoint-util",
-                ],
-            )?;
-            if args.flag("elastic") {
-                return Err(ArgError(
-                    "--elastic does not apply to --workload infer".to_owned(),
-                ));
-            }
-            Workload::inference(
-                positive(args, "batch", 1)?,
-                positive(args, "prefill", 200)?,
-                positive(args, "generate", 200)?,
-            )
-        }
-        other => {
-            return Err(ArgError(format!(
-                "unknown workload `{other}`; expected `train` or `infer`"
-            )))
+    let max_gpus = args.get_usize("max-gpus", 64);
+    let workload = if args.command == Command::SweepInfer {
+        Workload::inference(
+            args.get_usize("batch", 1),
+            args.get_usize("prefill", 200),
+            args.get_usize("generate", 200),
+        )
+    } else {
+        Workload::Training {
+            batch: args.get_usize("batch", 64),
+            seq: args.get_usize("seq", 2048),
+            recompute: recompute_of(args.get_or("recompute", "selective"))?,
+            schedule: PipelineSchedule::OneFOneB,
         }
     };
 
     let mut space = SweepSpace::power_of_two(max_gpus);
     // Accept the singular `--precision` the other subcommands use as an
     // alias, so familiarity with `train`/`infer` carries over.
-    if let Some(list) = args.get("precisions").or_else(|| args.get("precision")) {
-        let precisions = list
-            .split(',')
-            .map(precision_of)
-            .collect::<Result<Vec<_>, _>>()?;
-        space = space.with_precisions(precisions);
+    if let Some(precisions) = precisions_of(args) {
+        space = space.with_precisions(precisions?);
     }
 
     let checkpoint = checkpoint_of(args)?;
@@ -1153,18 +895,18 @@ pub fn sweep(args: &Args) -> Result<String, ArgError> {
         )));
     }
 
-    if args.flag("json") {
+    if args.has("json") {
         // JSON honors the same shaping flags as the text output:
         // `--frontier-only` emits just the frontier array, `--top N` caps
         // `evaluated` at the N lowest-latency strategies (0 = no cap, rows
         // sorted by latency), and the default — spellable explicitly as
         // `--full` — dumps the complete report in stable strategy order.
-        if args.flag("frontier-only") {
+        if args.has("frontier-only") {
             return serde_json::to_string_pretty(&report.frontier)
                 .map_err(|e| ArgError(e.to_string()));
         }
-        if args.get("top").is_some() {
-            let top = args.get_usize("top", 20)?;
+        if args.has("top") {
+            let top = args.get_usize("top", 20);
             report.evaluated.sort_by_key(|r| r.latency);
             if top > 0 {
                 report.evaluated.truncate(top);
@@ -1209,12 +951,12 @@ pub fn sweep(args: &Args) -> Result<String, ArgError> {
         ));
     }
     out.push_str(&render_frontier(&report));
-    if !args.flag("frontier-only") {
+    if !args.has("frontier-only") {
         // `--full` is the explicit spelling of an uncapped table (= --top 0).
-        let top = if args.flag("full") {
+        let top = if args.has("full") {
             0
         } else {
-            args.get_usize("top", 20)?
+            args.get_usize("top", 20)
         };
         if top == 0 {
             // `render_table` treats 0 as "no cap": label it accordingly.
@@ -1251,65 +993,39 @@ pub fn list() -> String {
     out
 }
 
-/// Top-level usage text.
+/// Parses `argv[1..]` and runs the subcommand it names: the one entry
+/// point of the binary and the tests.
+///
+/// # Errors
+///
+/// Returns [`ArgError`] for a command line the option table rejects, bad
+/// option values, or configurations the estimators reject.
+pub fn run<I: IntoIterator<Item = String>>(argv: I) -> Result<String, ArgError> {
+    let args = Args::parse(argv)?;
+    match args.command {
+        Command::Train => train(&args),
+        Command::Infer => infer(&args),
+        Command::Serve => serve(&args),
+        Command::LoadSweep => load_sweep(&args),
+        Command::Memory => memory(&args),
+        Command::SweepTrain | Command::SweepInfer => sweep(&args),
+        Command::List => Ok(list()),
+        Command::Help => Ok(usage()),
+    }
+}
+
+/// Top-level usage text: the synopses the option table generates, then
+/// what the options mean.
 #[must_use]
 pub fn usage() -> String {
-    "optimus-cli — analytical LLM performance modeling (IISWC 2024 reproduction)
+    format!(
+        "optimus-cli — analytical LLM performance modeling (IISWC 2024 reproduction)\n\n\
+         USAGE:\n{}\n{HELP}",
+        synopses()
+    )
+}
 
-USAGE:
-  optimus-cli train  [--model M] [--cluster C] [--batch N] [--seq N]
-                     [--dp N] [--tp N] [--pp N] [--sp] [--microbatch N]
-                     [--precision P] [--recompute none|selective|full]
-                     [--mtbf S] [--checkpoint-interval S] [--restart S]
-                     [--failure-process exp|weibull:K|racks:N:MTBF]
-                     [--checkpoint-tiers peer,delta] [--delta-frac F]
-                     [--elastic] [--rewarm S] [--repair S]
-                     [--checkpoint-util F]
-                     [--flash] [--json]
-  optimus-cli infer  [--model M] [--cluster C] [--batch N] [--prefill N]
-                     [--generate N] [--tp N] [--precision P] [--json]
-  optimus-cli serve  [--model M] [--cluster C] [--tp N] [--precision P]
-                     [--replicas N] [--router POLICY] [--router-seed N]
-                     [--kv-block N] [--preempt recompute|swap]
-                     [--scheduler S] [--priority-classes N]
-                     [--prefix-tokens N] [--prefix-pool N] [--prefix-rate F]
-                     [--mtbf S] [--mttr S] [--fault-seed N]
-                     [--failure-process exp|weibull:K]
-                     [--domains N] [--domain-mtbf S] [--domain-mttr S]
-                     [--stragglers F:M] [--degrade M]
-                     [--degrade-mode flat|link]
-                     [--requests N] [--seed N]
-                     [--rate R | --interval S]
-                     [--prompt N|LO:HI] [--output N|LO:HI]
-                     [--ttft-slo MS] [--tpot-slo MS] [--records] [--json]
-  optimus-cli load-sweep
-                     [--model M] [--cluster C] [--tp-list N,N,..]
-                     [--replicas-list N,N,..] [--router POLICY]
-                     [--kv-block-list N,N,..] [--scheduler-list S,S,..]
-                     [--preempt recompute|swap] [--priority-classes N]
-                     [--prefix-tokens N] [--prefix-pool N] [--prefix-rate F]
-                     [--mtbf S] [--mttr S] [--fault-seed N]
-                     [--failure-process exp|weibull:K]
-                     [--domains N] [--domain-mtbf S] [--domain-mttr S]
-                     [--stragglers F:M] [--degrade M]
-                     [--degrade-mode flat|link]
-                     [--precisions P,P] [--requests N] [--seed N]
-                     [--rates R,R,.. | --min-rate R --max-rate R --points N]
-                     [--prompt N|LO:HI] [--output N|LO:HI]
-                     [--ttft-slo MS] [--tpot-slo MS] [--json]
-  optimus-cli memory [--model M] [--batch N] [--seq N] [--dp N] [--tp N]
-                     [--pp N] [--sp] [--recompute MODE] [--json]
-  optimus-cli sweep  [--model M] [--cluster C] [--workload train|infer]
-                     [--max-gpus N] [--batch N] [--seq N] [--prefill N]
-                     [--generate N] [--recompute MODE] [--precisions P,P]
-                     [--mtbf S] [--checkpoint-interval S] [--restart S]
-                     [--failure-process exp|weibull:K|racks:N:MTBF]
-                     [--checkpoint-tiers peer,delta] [--delta-frac F]
-                     [--elastic] [--rewarm S] [--repair S]
-                     [--checkpoint-util F]
-                     [--top N] [--frontier-only] [--full] [--json]
-  optimus-cli list
-
+const HELP: &str = "\
 FLEET OPTIONS (serve with --replicas ≥ 2, load-sweep with --replicas-list):
   --replicas N      identical replicas behind one router; the fleet
                     occupies tp × N GPUs (serve default 1)
@@ -1357,14 +1073,14 @@ TRAINING RESILIENCE (train and sweep; Young–Daly checkpoint model):
                     seconds of useful work between checkpoints (default:
                     the Young–Daly optimum √(2δM) per strategy)
   --restart S       seconds to restart after a failure, on top of the
-                    lost half-interval of rework (default 0)
+                    expected rework since the last checkpoint (default 0)
   --failure-process exp|weibull:K|racks:N:MTBF
                     the failure law: `exp` (default), `weibull:K`
                     (shape K — K < 1 infant mortality shortens the
-                    effective cluster MTBF; rework priced by seeded
-                    simulation), or `racks:N:MTBF` (N racks each failing
-                    wholesale every MTBF seconds, superposed on the
-                    per-GPU process)
+                    effective cluster MTBF; rework is priced exactly,
+                    with no sampling), or `racks:N:MTBF` (N racks each
+                    failing wholesale every MTBF seconds, superposed on
+                    the per-GPU process)
   --checkpoint-tiers peer,delta
                     extra checkpoint tiers under the always-present
                     persistent full tier: `peer` snapshots into DP-peer
@@ -1450,31 +1166,28 @@ EXAMPLES:
   optimus-cli infer --model llama2-70b --cluster h100-ndr --tp 8
   optimus-cli sweep --model llama2-13b --cluster a100-hdr --workload train \\
       --batch 64 --max-gpus 64
-"
-    .to_owned()
-}
+";
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn args(s: &str) -> Args {
-        Args::parse(s.split_whitespace().map(str::to_owned)).unwrap()
+    /// Runs one command line through [`run`], the binary's entry point.
+    fn cli(line: &str) -> Result<String, ArgError> {
+        run(line.split_whitespace().map(str::to_owned))
     }
 
     #[test]
     fn train_command_produces_report() {
-        let out = train(&args(
-            "train --model gpt-22b --cluster a100-hdr --batch 4 --tp 8 --recompute full",
-        ))
-        .unwrap();
+        let out = cli("train --model gpt-22b --cluster a100-hdr --batch 4 --tp 8 --recompute full")
+            .unwrap();
         assert!(out.contains("time/batch"), "{out}");
         assert!(out.contains("fits"));
     }
 
     #[test]
     fn train_json_is_valid() {
-        let out = train(&args("train --model gpt-22b --batch 4 --tp 8 --json")).unwrap();
+        let out = cli("train --model gpt-22b --batch 4 --tp 8 --json").unwrap();
         let v: serde_json::Value = serde_json::from_str(&out).unwrap();
         assert!(v.get("time_per_batch").is_some());
     }
@@ -1483,11 +1196,11 @@ mod tests {
     fn train_with_mtbf_reports_resilience() {
         let base = "train --model llama2-13b --batch 64 --dp 8 --tp 8 --sp \
                     --mtbf 100000000 --restart 300";
-        let out = train(&args(base)).unwrap();
+        let out = cli(base).unwrap();
         assert!(out.contains("resilience"), "{out}");
         assert!(out.contains("goodput"), "{out}");
         let v: serde_json::Value =
-            serde_json::from_str(&train(&args(&format!("{base} --json"))).unwrap()).unwrap();
+            serde_json::from_str(&cli(&format!("{base} --json")).unwrap()).unwrap();
         let resilience = v.get("resilience").expect("resilience section");
         let goodput = resilience
             .get("goodput")
@@ -1503,7 +1216,7 @@ mod tests {
         );
         // A fixed interval switches the auto flag off.
         let fixed: serde_json::Value = serde_json::from_str(
-            &train(&args(&format!("{base} --checkpoint-interval 600 --json"))).unwrap(),
+            &cli(&format!("{base} --checkpoint-interval 600 --json")).unwrap(),
         )
         .unwrap();
         assert_eq!(
@@ -1518,7 +1231,7 @@ mod tests {
 
     #[test]
     fn train_without_mtbf_has_no_resilience_section() {
-        let out = train(&args("train --model gpt-22b --batch 4 --tp 8 --json")).unwrap();
+        let out = cli("train --model gpt-22b --batch 4 --tp 8 --json").unwrap();
         assert!(!out.contains("resilience"), "{out}");
     }
 
@@ -1532,7 +1245,7 @@ mod tests {
             "train --mtbf 1e8 --checkpoint-interval 0",
             "train --mtbf 1e8 --restart -1",
         ] {
-            assert!(train(&args(bad)).is_err(), "{bad} should be rejected");
+            assert!(cli(bad).is_err(), "{bad} should be rejected");
         }
     }
 
@@ -1555,7 +1268,7 @@ mod tests {
                 "--checkpoint-tiers",
             ),
         ] {
-            let err = train(&args(bad)).unwrap_err();
+            let err = cli(bad).unwrap_err();
             assert!(
                 err.to_string().contains("only applies with") && err.to_string().contains(needs),
                 "{bad}: {err}"
@@ -1581,7 +1294,7 @@ mod tests {
             "train --mtbf 1e8 --elastic --rewarm -1",
             "train --mtbf 1e8 --elastic --repair -1",
         ] {
-            assert!(train(&args(bad)).is_err(), "{bad} should be rejected");
+            assert!(cli(bad).is_err(), "{bad} should be rejected");
         }
     }
 
@@ -1590,10 +1303,10 @@ mod tests {
         let base = "train --model llama2-13b --batch 64 --dp 8 --tp 8 --sp \
                     --mtbf 40000 --restart 900 --failure-process weibull:0.7 \
                     --checkpoint-tiers peer,delta --elastic --rewarm 60 --repair 1800";
-        let out = train(&args(base)).unwrap();
+        let out = cli(base).unwrap();
         assert!(out.contains("weibull"), "{out}");
         let v: serde_json::Value =
-            serde_json::from_str(&train(&args(&format!("{base} --json"))).unwrap()).unwrap();
+            serde_json::from_str(&cli(&format!("{base} --json")).unwrap()).unwrap();
         let resilience = v.get("resilience").expect("resilience section");
         assert!(resilience.get("process").is_some(), "{resilience:?}");
         let tiers = resilience.get("tiers").unwrap().as_array().unwrap();
@@ -1617,10 +1330,10 @@ mod tests {
     #[test]
     fn train_rework_is_continuous_across_weibull_shape_one() {
         let rework = |shape: &str| {
-            let out = train(&args(&format!(
+            let out = cli(&format!(
                 "train --model llama2-13b --tp 8 --dp 8 --batch 64 --mtbf 10000 \
                  --restart 900 --failure-process weibull:{shape} --json"
-            )))
+            ))
             .unwrap();
             let v: serde_json::Value = serde_json::from_str(&out).unwrap();
             v.get("resilience")
@@ -1640,17 +1353,16 @@ mod tests {
 
     #[test]
     fn infer_command_produces_report() {
-        let out = infer(&args("infer --model llama2-7b --tp 2")).unwrap();
+        let out = cli("infer --model llama2-7b --tp 2").unwrap();
         assert!(out.contains("latency"));
         assert!(out.contains("kv-cache"));
     }
 
     #[test]
     fn serve_command_produces_report() {
-        let out = serve(&args(
-            "serve --model llama2-7b --tp 1 --requests 12 --rate 4 --prompt 100 --output 8",
-        ))
-        .unwrap();
+        let out =
+            cli("serve --model llama2-7b --tp 1 --requests 12 --rate 4 --prompt 100 --output 8")
+                .unwrap();
         assert!(out.contains("served 12/12"), "{out}");
         assert!(out.contains("ttft"), "{out}");
         assert!(out.contains("goodput"), "{out}");
@@ -1658,10 +1370,9 @@ mod tests {
 
     #[test]
     fn serve_json_is_valid() {
-        let out = serve(&args(
-            "serve --model llama2-7b --requests 8 --interval 5 --prompt 100 --output 4 --json",
-        ))
-        .unwrap();
+        let out =
+            cli("serve --model llama2-7b --requests 8 --interval 5 --prompt 100 --output 4 --json")
+                .unwrap();
         let v: serde_json::Value = serde_json::from_str(&out).unwrap();
         assert!(v.get("ttft").is_some());
         assert!(v.get("slo").is_some());
@@ -1673,10 +1384,8 @@ mod tests {
 
     #[test]
     fn serve_accepts_length_ranges() {
-        let out = serve(&args(
-            "serve --model llama2-7b --requests 6 --rate 8 --prompt 50:150 --output 1:8",
-        ))
-        .unwrap();
+        let out = cli("serve --model llama2-7b --requests 6 --rate 8 --prompt 50:150 --output 1:8")
+            .unwrap();
         assert!(out.contains("served 6/6"), "{out}");
     }
 
@@ -1692,16 +1401,16 @@ mod tests {
             "serve --tp 0",
             "serve --ttft-slo 0",
         ] {
-            assert!(serve(&args(bad)).is_err(), "{bad} should be rejected");
+            assert!(cli(bad).is_err(), "{bad} should be rejected");
         }
     }
 
     #[test]
     fn serve_surfaces_infeasible_configs_cleanly() {
         // 175B weights cannot fit one 80 GB device at FP16.
-        let err = serve(&args("serve --model gpt-175b --requests 1")).unwrap_err();
+        let err = cli("serve --model gpt-175b --requests 1").unwrap_err();
         assert!(err.to_string().contains("overflow"), "{err}");
-        let err = serve(&args("serve --model llama2-7b --tp 16 --requests 1")).unwrap_err();
+        let err = cli("serve --model llama2-7b --tp 16 --requests 1").unwrap_err();
         assert!(err.to_string().contains("exceeds"), "{err}");
     }
 
@@ -1720,18 +1429,18 @@ mod tests {
                 .unwrap()
                 .len()
         };
-        let without = serve(&args(&format!("{base} --json"))).unwrap();
+        let without = cli(&format!("{base} --json")).unwrap();
         assert_eq!(per_request_len(without), 0, "records default off past 10k");
-        let with = serve(&args(&format!("{base} --json --records"))).unwrap();
+        let with = cli(&format!("{base} --json --records")).unwrap();
         assert_eq!(per_request_len(with), 10001);
     }
 
     #[test]
     fn serve_replicas_runs_a_fleet() {
-        let out = serve(&args(
+        let out = cli(
             "serve --model llama2-7b --tp 1 --replicas 3 --router least-outstanding \
              --requests 30 --rate 12 --prompt 100 --output 8",
-        ))
+        )
         .unwrap();
         assert!(out.contains("3 × TP1"), "{out}");
         assert!(out.contains("3 GPUs"), "{out}");
@@ -1742,10 +1451,10 @@ mod tests {
 
     #[test]
     fn serve_fleet_json_is_valid() {
-        let out = serve(&args(
+        let out = cli(
             "serve --model llama2-7b --replicas 2 --router random --router-seed 7 \
              --requests 16 --rate 8 --prompt 100 --output 4 --json",
-        ))
+        )
         .unwrap();
         let v: serde_json::Value = serde_json::from_str(&out).unwrap();
         assert_eq!(
@@ -1770,23 +1479,23 @@ mod tests {
             "serve --replicas 1 --router round-robin",
             "serve --replicas 2 --router round-robin --router-seed 3",
         ] {
-            assert!(serve(&args(bad)).is_err(), "{bad} should be rejected");
+            assert!(cli(bad).is_err(), "{bad} should be rejected");
         }
     }
 
     #[test]
     fn serve_with_faults_reports_availability() {
-        let out = serve(&args(
+        let out = cli(
             "serve --model llama2-7b --replicas 3 --requests 120 --rate 30 \
              --prompt 100:200 --output 4:16 --mtbf 5 --mttr 2 --fault-seed 7",
-        ))
+        )
         .unwrap();
         assert!(out.contains("churn"), "{out}");
         assert!(out.contains("downtime per replica"), "{out}");
-        let json = serve(&args(
+        let json = cli(
             "serve --model llama2-7b --replicas 3 --requests 120 --rate 30 \
              --prompt 100:200 --output 4:16 --mtbf 5 --mttr 2 --fault-seed 7 --json",
-        ))
+        )
         .unwrap();
         let v: serde_json::Value = serde_json::from_str(&json).unwrap();
         let availability = v.get("availability").unwrap();
@@ -1806,10 +1515,10 @@ mod tests {
 
     #[test]
     fn serve_single_replica_with_faults_takes_the_fleet_path() {
-        let out = serve(&args(
+        let out = cli(
             "serve --model llama2-7b --requests 60 --rate 20 --prompt 100 --output 8 \
              --mtbf 4 --mttr 1 --json",
-        ))
+        )
         .unwrap();
         let v: serde_json::Value = serde_json::from_str(&out).unwrap();
         assert_eq!(
@@ -1834,7 +1543,7 @@ mod tests {
             "serve --replicas 2 --stragglers 1.5:2",
             "serve --replicas 2 --stragglers 0.5:0.5",
         ] {
-            assert!(serve(&args(bad)).is_err(), "{bad} should be rejected");
+            assert!(cli(bad).is_err(), "{bad} should be rejected");
         }
     }
 
@@ -1842,11 +1551,11 @@ mod tests {
     fn serve_with_domains_reports_shared_outages() {
         let base = "serve --model llama2-7b --replicas 4 --requests 160 --rate 40 \
                     --prompt 100 --output 8 --domains 2 --domain-mtbf 8 --domain-mttr 2";
-        let out = serve(&args(base)).unwrap();
+        let out = cli(base).unwrap();
         assert!(out.contains("churn"), "{out}");
         assert!(out.contains("domains: [0, 1]"), "{out}");
         let v: serde_json::Value =
-            serde_json::from_str(&serve(&args(&format!("{base} --json"))).unwrap()).unwrap();
+            serde_json::from_str(&cli(&format!("{base} --json")).unwrap()).unwrap();
         let availability = v.get("availability").unwrap();
         assert_eq!(
             availability
@@ -1888,10 +1597,10 @@ mod tests {
 
     #[test]
     fn serve_degrade_modes_run_through_the_fleet_path() {
-        let flat = serve(&args(
+        let flat = cli(
             "serve --model llama2-7b --tp 2 --replicas 2 --requests 40 --rate 10 \
              --prompt 100 --output 8 --degrade 2 --json",
-        ))
+        )
         .unwrap();
         let v: serde_json::Value = serde_json::from_str(&flat).unwrap();
         let faults = v.get("faults").unwrap();
@@ -1901,10 +1610,10 @@ mod tests {
                 .and_then(serde_json::Value::as_f64),
             Some(2.0)
         );
-        let link = serve(&args(
+        let link = cli(
             "serve --model llama2-7b --tp 2 --replicas 2 --requests 40 --rate 10 \
              --prompt 100 --output 8 --degrade 2 --degrade-mode link --json",
-        ))
+        )
         .unwrap();
         let v: serde_json::Value = serde_json::from_str(&link).unwrap();
         assert_eq!(
@@ -1933,18 +1642,18 @@ mod tests {
             "serve --degrade-mode link",
             "serve --replicas 2 --degrade 2 --degrade-mode sideways",
         ] {
-            assert!(serve(&args(bad)).is_err(), "{bad} should be rejected");
+            assert!(cli(bad).is_err(), "{bad} should be rejected");
         }
     }
 
     #[test]
     fn serve_rejects_bad_failure_process_options() {
-        let err = serve(&args("serve --failure-process weibull:0.7")).unwrap_err();
+        let err = cli("serve --failure-process weibull:0.7").unwrap_err();
         assert!(
             err.to_string().contains("only applies with --mtbf"),
             "{err}"
         );
-        let err = serve(&args("serve --mtbf 5 --failure-process racks:2:5000")).unwrap_err();
+        let err = cli("serve --mtbf 5 --failure-process racks:2:5000").unwrap_err();
         assert_eq!(
             err.to_string(),
             "invalid fault options: rack-correlated outages are expressed with failure \
@@ -1955,7 +1664,7 @@ mod tests {
             "serve --mtbf 5 --failure-process weibull:x",
             "serve --mtbf 5 --failure-process bogus",
         ] {
-            assert!(serve(&args(bad)).is_err(), "{bad} should be rejected");
+            assert!(cli(bad).is_err(), "{bad} should be rejected");
         }
     }
 
@@ -1963,14 +1672,11 @@ mod tests {
     fn serve_weibull_uptimes_change_the_outage_pattern() {
         let base = "serve --model llama2-7b --tp 1 --requests 60 --rate 10 \
                     --prompt 100 --output 8 --mtbf 8 --mttr 2";
-        let exp = serve(&args(&format!("{base} --json"))).unwrap();
+        let exp = cli(&format!("{base} --json")).unwrap();
         // Spelling the default law explicitly is byte-identical.
-        let explicit = serve(&args(&format!("{base} --failure-process exp --json"))).unwrap();
+        let explicit = cli(&format!("{base} --failure-process exp --json")).unwrap();
         assert_eq!(exp, explicit);
-        let weibull = serve(&args(&format!(
-            "{base} --failure-process weibull:0.7 --json"
-        )))
-        .unwrap();
+        let weibull = cli(&format!("{base} --failure-process weibull:0.7 --json")).unwrap();
         assert_ne!(exp, weibull, "shape 0.7 must reshuffle the outages");
         let v: serde_json::Value = serde_json::from_str(&weibull).unwrap();
         let process = v.get("faults").unwrap().get("process").unwrap();
@@ -1985,11 +1691,11 @@ mod tests {
 
     #[test]
     fn load_sweep_with_domains_labels_the_report() {
-        let out = load_sweep(&args(
+        let out = cli(
             "load-sweep --model llama2-7b --tp-list 1 --replicas-list 2 \
              --rates 20 --requests 80 --prompt 100 --output 8 \
              --domains 2 --domain-mtbf 6 --domain-mttr 2",
-        ))
+        )
         .unwrap();
         assert!(out.contains("2 failure domain(s)"), "{out}");
         assert!(out.contains("availability-aware"), "{out}");
@@ -1997,11 +1703,11 @@ mod tests {
 
     #[test]
     fn load_sweep_with_faults_runs_and_labels_the_report() {
-        let out = load_sweep(&args(
+        let out = cli(
             "load-sweep --model llama2-7b --tp-list 1 --replicas-list 2 \
              --rates 20 --requests 120 --prompt 100 --output 8 \
              --mtbf 5 --mttr 2 --fault-seed 3",
-        ))
+        )
         .unwrap();
         assert!(out.contains("faults: mtbf 5 s"), "{out}");
         assert!(out.contains("availability-aware"), "{out}");
@@ -2009,10 +1715,10 @@ mod tests {
 
     #[test]
     fn load_sweep_command_produces_curves_and_frontier() {
-        let out = load_sweep(&args(
+        let out = cli(
             "load-sweep --model llama2-7b --tp-list 1,2 --rates 1,8 --requests 24 \
              --prompt 100 --output 8",
-        ))
+        )
         .unwrap();
         assert!(out.contains("2 rates × 2 strategies"), "{out}");
         assert!(out.contains("TP1"), "{out}");
@@ -2024,8 +1730,8 @@ mod tests {
     fn load_sweep_json_is_valid_and_deterministic() {
         let cmd = "load-sweep --model llama2-7b --tp-list 1,2 --rates 2,16 --requests 16 \
                    --prompt 50:150 --output 4:12 --json";
-        let a = load_sweep(&args(cmd)).unwrap();
-        let b = load_sweep(&args(cmd)).unwrap();
+        let a = cli(cmd).unwrap();
+        let b = cli(cmd).unwrap();
         assert_eq!(a, b);
         let v: serde_json::Value = serde_json::from_str(&a).unwrap();
         assert_eq!(v.get("curves").unwrap().as_array().unwrap().len(), 2);
@@ -2035,20 +1741,20 @@ mod tests {
 
     #[test]
     fn load_sweep_geometric_grid_and_defaults() {
-        let out = load_sweep(&args(
+        let out = cli(
             "load-sweep --model llama2-7b --tp-list 1 --min-rate 1 --max-rate 4 --points 3 \
              --requests 8 --prompt 100 --output 4",
-        ))
+        )
         .unwrap();
         assert!(out.contains("3 rates × 1 strategies"), "{out}");
     }
 
     #[test]
     fn load_sweep_replicas_list_adds_fleet_strategies() {
-        let out = load_sweep(&args(
+        let out = cli(
             "load-sweep --model llama2-7b --tp-list 1 --replicas-list 1,2 \
              --router shortest-queue --rates 2,24 --requests 24 --prompt 100 --output 8",
-        ))
+        )
         .unwrap();
         assert!(out.contains("2 rates × 2 strategies"), "{out}");
         assert!(out.contains("TP1 FP16 (1 GPU)"), "{out}");
@@ -2060,11 +1766,11 @@ mod tests {
         // The acceptance shape: llama2-7b on the A100 preset with
         // --replicas-list 1,2,4 must place at least one multi-replica
         // point on the SLO-goodput frontier, with gpus = tp × replicas.
-        let out = load_sweep(&args(
+        let out = cli(
             "load-sweep --model llama2-7b --cluster a100-hdr --tp-list 1,2 \
              --replicas-list 1,2,4 --rates 4,64 --requests 64 --prompt 50:200 \
              --output 4:24 --json",
-        ))
+        )
         .unwrap();
         let v: serde_json::Value = serde_json::from_str(&out).unwrap();
         let frontier = v.get("frontier").unwrap().as_array().unwrap();
@@ -2088,16 +1794,16 @@ mod tests {
             "load-sweep --router least-outstanding",
             "load-sweep --replicas-list 1 --router round-robin",
         ] {
-            assert!(load_sweep(&args(bad)).is_err(), "{bad} should be rejected");
+            assert!(cli(bad).is_err(), "{bad} should be rejected");
         }
     }
 
     #[test]
     fn load_sweep_reports_infeasible_strategies() {
-        let out = load_sweep(&args(
+        let out = cli(
             "load-sweep --model llama2-7b --tp-list 1,16 --rates 4 --requests 8 \
              --prompt 100 --output 4",
-        ))
+        )
         .unwrap();
         assert!(out.contains("infeasible: TP16"), "{out}");
     }
@@ -2116,44 +1822,42 @@ mod tests {
             "load-sweep --requests 0",
             "load-sweep --ttft-slo 0",
         ] {
-            assert!(load_sweep(&args(bad)).is_err(), "{bad} should be rejected");
+            assert!(cli(bad).is_err(), "{bad} should be rejected");
         }
     }
 
     #[test]
     fn load_sweep_with_no_feasible_strategy_is_an_error() {
-        let err = load_sweep(&args(
-            "load-sweep --model gpt-175b --tp-list 1 --rates 4 --requests 4",
-        ))
-        .unwrap_err();
+        let err =
+            cli("load-sweep --model gpt-175b --tp-list 1 --rates 4 --requests 4").unwrap_err();
         assert!(err.to_string().contains("no feasible strategy"), "{err}");
     }
 
     #[test]
     fn memory_command_produces_breakdown() {
-        let out = memory(&args("memory --model gpt-175b --batch 64 --tp 8 --pp 8")).unwrap();
+        let out = cli("memory --model gpt-175b --batch 64 --tp 8 --pp 8").unwrap();
         assert!(out.contains("optimizer"));
     }
 
     #[test]
     fn unknown_model_is_helpful() {
-        let err = train(&args("train --model gpt5")).unwrap_err();
+        let err = cli("train --model gpt5").unwrap_err();
         assert!(err.to_string().contains("llama2-13b"));
     }
 
     #[test]
     fn infeasible_config_is_an_error_not_a_panic() {
         // TP 16 exceeds the node size.
-        let err = train(&args("train --model gpt-22b --tp 16 --batch 4")).unwrap_err();
+        let err = cli("train --model gpt-22b --tp 16 --batch 4").unwrap_err();
         assert!(err.to_string().contains("exceeds"));
     }
 
     #[test]
     fn sweep_command_produces_frontier() {
-        let out = sweep(&args(
+        let out = cli(
             "sweep --model llama2-13b --cluster a100-hdr --workload train --batch 16 \
              --max-gpus 16 --top 5",
-        ))
+        )
         .unwrap();
         assert!(out.contains("strategies valid"), "{out}");
         assert!(out.contains("pareto frontier"), "{out}");
@@ -2162,10 +1866,9 @@ mod tests {
 
     #[test]
     fn sweep_json_is_valid_and_complete() {
-        let out = sweep(&args(
-            "sweep --model llama2-13b --workload infer --generate 16 --max-gpus 8 --json",
-        ))
-        .unwrap();
+        let out =
+            cli("sweep --model llama2-13b --workload infer --generate 16 --max-gpus 8 --json")
+                .unwrap();
         let v: serde_json::Value = serde_json::from_str(&out).unwrap();
         assert!(v.get("evaluated").is_some());
         assert!(v.get("frontier").is_some());
@@ -2174,11 +1877,10 @@ mod tests {
     #[test]
     fn sweep_with_mtbf_prices_failure_expected_figures() {
         let base = "sweep --model llama2-13b --workload train --batch 16 --max-gpus 16";
-        let out = sweep(&args(&format!("{base} --mtbf 1e8 --restart 300"))).unwrap();
+        let out = cli(&format!("{base} --mtbf 1e8 --restart 300")).unwrap();
         assert!(out.contains("resilience: per-GPU mtbf"), "{out}");
         let with: serde_json::Value =
-            serde_json::from_str(&sweep(&args(&format!("{base} --mtbf 1e8 --json"))).unwrap())
-                .unwrap();
+            serde_json::from_str(&cli(&format!("{base} --mtbf 1e8 --json")).unwrap()).unwrap();
         let rows = with.get("evaluated").unwrap().as_array().unwrap();
         assert!(rows.iter().all(|r| {
             r.get("goodput")
@@ -2187,7 +1889,7 @@ mod tests {
         }));
         // Without a failure axis the goodput column stays null.
         let without: serde_json::Value =
-            serde_json::from_str(&sweep(&args(&format!("{base} --json"))).unwrap()).unwrap();
+            serde_json::from_str(&cli(&format!("{base} --json")).unwrap()).unwrap();
         assert!(without
             .get("evaluated")
             .unwrap()
@@ -2207,7 +1909,7 @@ mod tests {
             "sweep --restart 60",
             "sweep --mtbf 0",
         ] {
-            assert!(sweep(&args(bad)).is_err(), "{bad} should be rejected");
+            assert!(cli(bad).is_err(), "{bad} should be rejected");
         }
     }
 
@@ -2222,7 +1924,7 @@ mod tests {
             "sweep --workload infer --checkpoint-util 0.5",
             "sweep --workload infer --elastic",
         ] {
-            let err = sweep(&args(bad)).unwrap_err();
+            let err = cli(bad).unwrap_err();
             assert!(
                 err.to_string()
                     .contains("does not apply to --workload infer"),
@@ -2233,11 +1935,11 @@ mod tests {
 
     #[test]
     fn sweep_with_stack_labels_the_resilience_line() {
-        let out = sweep(&args(
+        let out = cli(
             "sweep --model llama2-13b --workload train --batch 16 --max-gpus 16 \
              --mtbf 40000 --restart 900 --failure-process weibull:0.7 \
              --checkpoint-tiers peer,delta --elastic --frontier-only",
-        ))
+        )
         .unwrap();
         assert!(out.contains("weibull(k=0.7) failures"), "{out}");
         assert!(out.contains("extra tiers: peer+delta"), "{out}");
@@ -2246,7 +1948,7 @@ mod tests {
 
     #[test]
     fn sweep_rejects_unknown_workload() {
-        let err = sweep(&args("sweep --workload tuning")).unwrap_err();
+        let err = cli("sweep --workload tuning").unwrap_err();
         assert!(err.to_string().contains("train"));
     }
 
@@ -2258,47 +1960,108 @@ mod tests {
             "sweep --workload infer --batch 0",
             "sweep --workload infer --generate 0",
         ] {
-            let err = sweep(&args(bad)).unwrap_err();
+            let err = cli(bad).unwrap_err();
             assert!(err.to_string().contains("at least 1"), "{bad}: {err}");
         }
     }
 
     #[test]
     fn sweep_rejects_inapplicable_options() {
-        let err = sweep(&args("sweep --workload infer --seq 8192")).unwrap_err();
+        let err = cli("sweep --workload infer --seq 8192").unwrap_err();
         assert!(err.to_string().contains("does not apply"), "{err}");
-        let err = sweep(&args("sweep --workload train --generate 100")).unwrap_err();
+        let err = cli("sweep --workload train --generate 100").unwrap_err();
         assert!(err.to_string().contains("does not apply"), "{err}");
+    }
+
+    /// Every option a subcommand does not take, every malformed value and
+    /// every missing or conflicting partner is an `ArgError` that names the
+    /// flag. The zero counts used to panic in the `TrainingConfig`,
+    /// `InferenceConfig` and `Parallelism` constructors, the grid overflow
+    /// inside `load_sweep`, and the rest ran with the option ignored.
+    #[test]
+    fn rejected_command_lines_name_the_offending_flag() {
+        for (line, flag) in [
+            ("train --batch 0", "--batch"),
+            ("train --seq 0", "--seq"),
+            ("train --dp 0", "--dp"),
+            ("train --tp 0", "--tp"),
+            ("train --pp 0", "--pp"),
+            ("train --microbatch 0", "--microbatch"),
+            ("infer --batch 0", "--batch"),
+            ("infer --prefill 0", "--prefill"),
+            ("infer --generate 0", "--generate"),
+            ("infer --tp 0", "--tp"),
+            ("memory --tp 0", "--tp"),
+            ("memory --pp 0", "--pp"),
+            ("memory --seq 0", "--seq"),
+            ("serve --requets 5", "--requets"),
+            ("infer --json true", "--json"),
+            ("infer --tp --batch 2", "--tp"),
+            ("infer --tp 2 --tp 4", "--tp"),
+            ("memory --cluster h100", "--cluster"),
+            ("train --replicas 4", "--replicas"),
+            ("sweep --workload infer --flash", "--flash"),
+            ("list --model x", "--model"),
+            ("sweep --precision fp16 --precisions bf16", "--precision"),
+            (
+                "load-sweep --precision fp8 --precisions bf16",
+                "--precision",
+            ),
+            (
+                "load-sweep --scheduler sjf --scheduler-list fifo",
+                "--scheduler",
+            ),
+            (
+                "serve --replicas 2 --degrade 2 --fault-seed 9",
+                "--fault-seed",
+            ),
+            (
+                "load-sweep --min-rate 1e-300 --max-rate 1e300 --points 3",
+                "--max-rate",
+            ),
+        ] {
+            let err = cli(line).expect_err(line);
+            assert!(err.to_string().contains(flag), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn load_sweep_honors_the_singular_precision() {
+        let base = "load-sweep --model llama2-7b --tp-list 1 --rates 4 --requests 8 \
+                    --prompt 100 --output 4";
+        let list = cli(&format!("{base} --precisions bf16")).unwrap();
+        assert!(list.contains("TP1 BF16"), "{list}");
+        assert_eq!(cli(&format!("{base} --precision bf16")).unwrap(), list);
     }
 
     #[test]
     fn sweep_honors_precision_list() {
-        let out = sweep(&args(
+        let out = cli(
             "sweep --model llama2-7b --workload infer --generate 8 --max-gpus 8 \
              --precisions fp16 --frontier-only",
-        ))
+        )
         .unwrap();
         assert!(out.contains("FP16"));
         assert!(!out.contains("BF16"));
         // The singular spelling the other subcommands use works too.
-        let aliased = sweep(&args(
+        let aliased = cli(
             "sweep --model llama2-7b --workload infer --generate 8 --max-gpus 8 \
              --precision fp16 --frontier-only",
-        ))
+        )
         .unwrap();
         assert_eq!(aliased, out);
     }
 
     #[test]
     fn sweep_rejects_top_with_frontier_only() {
-        let err = sweep(&args("sweep --frontier-only --top 5")).unwrap_err();
+        let err = cli("sweep --frontier-only --top 5").unwrap_err();
         assert!(err.to_string().contains("does not apply"), "{err}");
     }
 
     #[test]
     fn sweep_rejects_full_with_shaping_flags() {
         for bad in ["sweep --full --top 5", "sweep --full --frontier-only"] {
-            let err = sweep(&args(bad)).unwrap_err();
+            let err = cli(bad).unwrap_err();
             assert!(err.to_string().contains("does not apply"), "{bad}: {err}");
         }
     }
@@ -2307,11 +2070,10 @@ mod tests {
     fn sweep_json_respects_frontier_only() {
         let base = "sweep --model llama2-13b --workload infer --generate 16 --max-gpus 8";
         let full: serde_json::Value =
-            serde_json::from_str(&sweep(&args(&format!("{base} --json"))).unwrap()).unwrap();
+            serde_json::from_str(&cli(&format!("{base} --json")).unwrap()).unwrap();
         let frontier_len = full.get("frontier").unwrap().as_array().unwrap().len();
         let only: serde_json::Value =
-            serde_json::from_str(&sweep(&args(&format!("{base} --json --frontier-only"))).unwrap())
-                .unwrap();
+            serde_json::from_str(&cli(&format!("{base} --json --frontier-only")).unwrap()).unwrap();
         let rows = only
             .as_array()
             .expect("--frontier-only emits the frontier array");
@@ -2323,8 +2085,7 @@ mod tests {
     fn sweep_json_respects_top() {
         let base = "sweep --model llama2-13b --workload train --batch 16 --max-gpus 16";
         let top: serde_json::Value =
-            serde_json::from_str(&sweep(&args(&format!("{base} --json --top 3"))).unwrap())
-                .unwrap();
+            serde_json::from_str(&cli(&format!("{base} --json --top 3")).unwrap()).unwrap();
         let rows = top.get("evaluated").unwrap().as_array().unwrap();
         assert_eq!(rows.len(), 3, "--top must cap the JSON rows");
         // Rows come out latency-sorted: the cap keeps the fastest ones.
@@ -2345,8 +2106,8 @@ mod tests {
     #[test]
     fn sweep_json_full_matches_default() {
         let base = "sweep --model llama2-7b --workload infer --generate 8 --max-gpus 8";
-        let default = sweep(&args(&format!("{base} --json"))).unwrap();
-        let full = sweep(&args(&format!("{base} --json --full"))).unwrap();
+        let default = cli(&format!("{base} --json")).unwrap();
+        let full = cli(&format!("{base} --json --full")).unwrap();
         assert_eq!(
             default, full,
             "--full is the explicit spelling of the default"
@@ -2355,10 +2116,8 @@ mod tests {
 
     #[test]
     fn sweep_full_text_is_uncapped() {
-        let out = sweep(&args(
-            "sweep --model llama2-13b --workload train --batch 16 --max-gpus 16 --full",
-        ))
-        .unwrap();
+        let out = cli("sweep --model llama2-13b --workload train --batch 16 --max-gpus 16 --full")
+            .unwrap();
         assert!(out.contains("all "), "{out}");
         assert!(out.contains("strategies by latency"), "{out}");
     }
@@ -2375,14 +2134,13 @@ mod tests {
     fn serve_paged_json_has_a_paging_section_and_reserved_omits_it() {
         let base = "serve --model llama2-7b --requests 30 --rate 8 --prompt 50:200 \
                     --output 2:24 --seed 7 --json";
-        let reserved: serde_json::Value =
-            serde_json::from_str(&serve(&args(base)).unwrap()).unwrap();
+        let reserved: serde_json::Value = serde_json::from_str(&cli(base).unwrap()).unwrap();
         assert!(
             reserved.get("paging").is_none(),
             "the reserved regime must omit the paging section entirely"
         );
         let paged: serde_json::Value =
-            serde_json::from_str(&serve(&args(&format!("{base} --kv-block 16"))).unwrap()).unwrap();
+            serde_json::from_str(&cli(&format!("{base} --kv-block 16")).unwrap()).unwrap();
         let paging = paged.get("paging").expect("paged runs report paging");
         assert_eq!(
             paging
@@ -2400,10 +2158,10 @@ mod tests {
 
     #[test]
     fn serve_prefix_flags_produce_cache_hits() {
-        let out = serve(&args(
+        let out = cli(
             "serve --model llama2-7b --requests 60 --rate 20 --prompt 100:300 --output 2:16 \
              --seed 5 --kv-block 16 --prefix-tokens 64 --prefix-pool 4 --prefix-rate 0.7 --json",
-        ))
+        )
         .unwrap();
         let v: serde_json::Value = serde_json::from_str(&out).unwrap();
         let paging = v.get("paging").expect("paging section");
@@ -2418,10 +2176,10 @@ mod tests {
 
     #[test]
     fn serve_scheduler_flag_threads_through_to_the_report() {
-        let out = serve(&args(
+        let out = cli(
             "serve --model llama2-7b --requests 20 --rate 8 --prompt 50:200 --output 2:24 \
              --kv-block 16 --scheduler sjf --priority-classes 3 --json",
-        ))
+        )
         .unwrap();
         let v: serde_json::Value = serde_json::from_str(&out).unwrap();
         assert_eq!(
@@ -2441,18 +2199,19 @@ mod tests {
             "serve --prefix-rate 0.5",                    // --prefix-rate needs --prefix-tokens
             "serve --prefix-tokens 64 --prefix-rate 1.5", // rate beyond [0,1]
             "serve --prefix-tokens 64 --prefix-pool 0",   // empty pool
+            "serve --prefix-tokens 0 --prefix-pool 4",    // a pool of empty prefixes
         ] {
-            assert!(serve(&args(bad)).is_err(), "{bad} should be rejected");
+            assert!(cli(bad).is_err(), "{bad} should be rejected");
         }
     }
 
     #[test]
     fn load_sweep_kv_and_scheduler_lists_cross_the_grid() {
-        let out = load_sweep(&args(
+        let out = cli(
             "load-sweep --model llama2-7b --tp-list 1 --kv-block-list 0,16 \
              --scheduler-list fifo,sjf --rates 2,16 --requests 24 --prompt 50:150 \
              --output 4:12 --json",
-        ))
+        )
         .unwrap();
         let v: serde_json::Value = serde_json::from_str(&out).unwrap();
         let curves = v.get("curves").unwrap().as_array().unwrap();
@@ -2486,10 +2245,10 @@ mod tests {
 
     #[test]
     fn load_sweep_rejects_preempt_without_paged_cells() {
-        assert!(load_sweep(&args(
+        assert!(cli(
             "load-sweep --model llama2-7b --tp-list 1 --rates 2 --requests 8 \
              --prompt 100 --output 4 --preempt swap"
-        ))
+        )
         .is_err());
     }
 }

@@ -13,29 +13,8 @@
 mod args;
 mod commands;
 
-use args::Args;
-
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match Args::parse(argv) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{}", commands::usage());
-            std::process::exit(2);
-        }
-    };
-    let result = match parsed.command.as_str() {
-        "train" => commands::train(&parsed),
-        "infer" => commands::infer(&parsed),
-        "serve" => commands::serve(&parsed),
-        "load-sweep" => commands::load_sweep(&parsed),
-        "memory" => commands::memory(&parsed),
-        "sweep" => commands::sweep(&parsed),
-        "list" => Ok(commands::list()),
-        "" | "help" | "-h" => Ok(commands::usage()),
-        other => Err(args::ArgError(format!("unknown subcommand `{other}`"))),
-    };
-    match result {
+    match commands::run(std::env::args().skip(1)) {
         Ok(out) => print!("{out}"),
         Err(e) => {
             eprintln!("error: {e}\n\n{}", commands::usage());

@@ -1021,7 +1021,8 @@ mod tests {
         let unsorted = [Request::new(0, 1.0, 10, 4), Request::new(1, 0.5, 10, 4)];
         let no_prompt = [Request::new(0, 0.0, 0, 4)];
         let no_output = [Request::new(0, 0.0, 10, 4), Request::new(1, 0.5, 10, 0)];
-        for trace in [&unsorted[..], &no_prompt[..], &no_output[..]] {
+        let overflow = [Request::new(0, 0.0, 4, usize::MAX)];
+        for trace in [&unsorted[..], &no_prompt[..], &no_output[..], &overflow[..]] {
             for err in [
                 fleet.simulate(trace).unwrap_err(),
                 simulate_fleet_trace(&cluster, Arc::clone(&model), &config, trace).unwrap_err(),

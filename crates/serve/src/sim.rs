@@ -422,20 +422,29 @@ impl<'a> ServeInstance<'a> {
         self.run(trace, &bounds, table)
     }
 
-    /// Rejects an unordered trace or zero-length prompts/outputs — the
-    /// shared precondition of the single-replica and fleet entry points.
+    /// Rejects an unordered trace, zero-length prompts/outputs, or a
+    /// request whose `prompt + output` overflows — the shared
+    /// precondition of the single-replica and fleet entry points.
     pub(crate) fn validate_trace(trace: &[Request]) -> Result<(), ServeError> {
         if !trace.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s) {
             return Err(ServeError::InvalidTrace(
                 "trace must be sorted by arrival time".to_owned(),
             ));
         }
-        if let Some(r) = trace.iter().find(|r| r.prompt == 0 || r.output == 0) {
-            return Err(ServeError::InvalidTrace(format!(
-                "every request needs at least one prompt and one output token \
-                 (request {} has prompt {}, output {})",
-                r.id, r.prompt, r.output
-            )));
+        for r in trace {
+            if r.prompt == 0 || r.output == 0 {
+                return Err(ServeError::InvalidTrace(format!(
+                    "every request needs at least one prompt and one output token \
+                     (request {} has prompt {}, output {})",
+                    r.id, r.prompt, r.output
+                )));
+            }
+            if r.prompt.checked_add(r.output).is_none() {
+                return Err(ServeError::InvalidTrace(format!(
+                    "request {}'s prompt {} + output {} tokens overflow",
+                    r.id, r.prompt, r.output
+                )));
+            }
         }
         Ok(())
     }
@@ -1042,10 +1051,12 @@ mod tests {
         let unsorted = [Request::new(0, 1.0, 10, 4), Request::new(1, 0.5, 10, 4)];
         let no_prompt = [Request::new(0, 0.0, 0, 4)];
         let no_output = [Request::new(0, 0.0, 10, 4), Request::new(1, 0.5, 10, 0)];
+        let overflow = [Request::new(0, 0.0, usize::MAX, 4)];
         for (trace, what) in [
             (&unsorted[..], "sorted by arrival time"),
             (&no_prompt[..], "request 0 has prompt 0"),
             (&no_output[..], "request 1 has prompt 10, output 0"),
+            (&overflow[..], "output 4 tokens overflow"),
         ] {
             for err in [
                 instance.simulate(trace).unwrap_err(),
