@@ -53,9 +53,9 @@ fn bench_simulate_long_decode(c: &mut Criterion) {
 
 /// The paged-KV path under prefix sharing: 10k requests carrying a hot
 /// four-entry 256-token prefix pool on 16-token blocks — block-table
-/// bookkeeping, refcounted prefix hits, and the generalized admission
-/// queue all on the hot path (versus the reserved cursor admission the
-/// other serve benches time).
+/// bookkeeping, refcounted prefix hits, and paged admission all on the
+/// hot path (versus the reserved admission the other serve benches
+/// time).
 fn bench_simulate_paged_prefix(c: &mut Criterion) {
     let cluster = hw::presets::dgx_a100_hdr_cluster();
     let model = Arc::new(model::presets::llama2_7b());

@@ -460,6 +460,37 @@ fn prefixes_of(args: &Args) -> Result<Option<optimus_serve::PrefixSpec>, ArgErro
     Ok(Some(optimus_serve::PrefixSpec { pool, tokens, rate }))
 }
 
+/// Parses `--requests N`, which one trace caps at
+/// [`optimus_serve::MAX_TRACE_REQUESTS`].
+fn requests_of(args: &Args, default: usize) -> Result<usize, ArgError> {
+    let requests = args.get_usize("requests", default);
+    if requests > optimus_serve::MAX_TRACE_REQUESTS {
+        return Err(ArgError(format!(
+            "--requests must be at most {}, got {requests}",
+            optimus_serve::MAX_TRACE_REQUESTS
+        )));
+    }
+    Ok(requests)
+}
+
+/// Rejects `--prompt`, `--output` and `--prefix-tokens` lengths whose
+/// largest context overflows a token count.
+fn check_max_context(
+    prompt: &optimus_serve::LengthDist,
+    output: &optimus_serve::LengthDist,
+    prefixes: Option<&optimus_serve::PrefixSpec>,
+) -> Result<(), ArgError> {
+    optimus_serve::max_context(prompt, output, prefixes)
+        .map(|_| ())
+        .ok_or_else(|| {
+            ArgError(
+                "--prompt, --output and --prefix-tokens overflow: the largest context \
+                 exceeds the token count limit"
+                    .to_owned(),
+            )
+        })
+}
+
 /// Parses `--priority-classes N` (1 = every request at priority 0).
 fn priority_classes_of(args: &Args) -> Result<u8, ArgError> {
     u8::try_from(args.get_usize("priority-classes", 1))
@@ -495,7 +526,7 @@ fn serve(args: &Args) -> Result<String, ArgError> {
             rate_per_s: args.get_f64("rate", 2.0),
         }
     };
-    let requests = args.get_usize("requests", 100);
+    let requests = requests_of(args, 100)?;
     let slo = slo_of(args);
 
     let spec = TraceSpec {
@@ -507,6 +538,7 @@ fn serve(args: &Args) -> Result<String, ArgError> {
         prefixes: prefixes_of(args)?,
         priority_classes: priority_classes_of(args)?,
     };
+    check_max_context(&spec.prompt, &spec.output, spec.prefixes.as_ref())?;
     // Per-request records default off beyond the exact-mode limit (a
     // million-request trace would otherwise carry a million records);
     // `--records` forces them on at any scale.
@@ -705,7 +737,7 @@ fn load_sweep(args: &Args) -> Result<String, ArgError> {
 
     let spec = LoadSweepSpec {
         seed: args.get_usize("seed", 42) as u64,
-        requests: args.get_usize("requests", 1000),
+        requests: requests_of(args, 1000)?,
         prompt: length_dist_of("prompt", args.get_or("prompt", "200"))?,
         output: length_dist_of("output", args.get_or("output", "64"))?,
         rates,
@@ -716,6 +748,7 @@ fn load_sweep(args: &Args) -> Result<String, ArgError> {
         prefixes: prefixes_of(args)?,
         priority_classes: priority_classes_of(args)?,
     };
+    check_max_context(&spec.prompt, &spec.output, spec.prefixes.as_ref())?;
 
     let report = load_sweep(&cluster, &std::sync::Arc::new(model), &spec);
     if report.curves.is_empty() {
@@ -2018,6 +2051,13 @@ mod tests {
             (
                 "load-sweep --min-rate 1e-300 --max-rate 1e300 --points 3",
                 "--max-rate",
+            ),
+            ("serve --requests 18446744073709551615", "--requests"),
+            ("load-sweep --requests 18446744073709551615", "--requests"),
+            ("load-sweep --prompt 18446744073709551615", "--prompt"),
+            (
+                "serve --prefix-tokens 8 --prompt 18446744073709551610 --output 1",
+                "--prompt",
             ),
         ] {
             let err = cli(line).expect_err(line);

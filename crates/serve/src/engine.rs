@@ -1,20 +1,20 @@
 //! The resumable per-replica event loop.
 //!
 //! [`ReplicaEngine`] is the continuous-batching scheduler of **one**
-//! serving replica, factored out of the monolithic `ServeInstance::run`
-//! so it can be driven two ways:
-//!
-//! * **batch** — push an entire trace, [`ReplicaEngine::finish`], read
-//!   the report (the single-replica [`crate::ServeInstance::simulate`]
-//!   path);
-//! * **stepped** — interleave [`ReplicaEngine::push`] with
-//!   [`ReplicaEngine::advance_to`] so an online router can observe live
-//!   queue depth and outstanding work *at each arrival instant* before
-//!   deciding which replica receives the request (the
-//!   [`crate::FleetInstance`] path). State-aware routing policies are
-//!   exactly why the engine is steppable rather than trace-split: the
-//!   decision for request *n* depends on simulated state that requests
-//!   `0..n` produced.
+//! serving replica. It borrows the caller's trace and holds only `u32`
+//! indices into it: in the list of requests routed to it, in its slots,
+//! and in the work a crash hands back. The router in [`crate::fleet`]
+//! drives every engine, the lone replica behind
+//! [`crate::ServeInstance::simulate`] included, by interleaving
+//! [`ReplicaEngine::push`] with [`ReplicaEngine::advance_to`], so a
+//! state-aware policy observes live queue depth and outstanding work *at
+//! each arrival instant* before deciding which replica receives the
+//! request. That is exactly why the engine is steppable rather than
+//! trace-split: the decision for request *n* depends on simulated state
+//! that requests `0..n` produced. With nothing to observe (one replica,
+//! or a stateless policy on a fault-free fleet) the router pushes every
+//! request first and runs each engine out in one
+//! [`ReplicaEngine::finish`].
 //!
 //! Stepping semantics: an iteration is indivisible and starts whenever
 //! the previous one ends — a real server cannot consult future arrivals —
@@ -32,17 +32,19 @@ use crate::{
 };
 use optimus_infer::DecodeCostTable;
 use optimus_units::{Bytes, Time};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// An admitted request's in-flight state (slot-arena entry, recycled at
 /// completion).
 struct Slot {
-    request: Request,
+    /// Trace index of the admitted request.
+    req: u32,
     admitted_s: f64,
     prefill_dur_s: f64,
     first_token_s: f64,
     reserved: Bytes,
-    // Paged-mode state (all zero on the legacy reserved path).
+    // Paged-mode state (all zero under reserved KV).
     /// Prompt tokens the next prefill actually prices (the full prompt,
     /// minus any resident shared-prefix blocks skipped on a cache hit).
     prefill_tokens: usize,
@@ -89,9 +91,9 @@ impl CompletionSink {
         }
     }
 
-    /// Folds one completed request into the aggregates.
-    fn complete(&mut self, slot: &Slot, completed_s: f64) {
-        let r = &slot.request;
+    /// Folds one completed request, admitted into `slot`, into the
+    /// aggregates.
+    fn complete(&mut self, r: &Request, slot: &Slot, completed_s: f64) {
         let first = slot.first_token_s;
         let ttft = first - r.arrival_s;
         let e2e = completed_s - r.arrival_s;
@@ -130,7 +132,6 @@ impl CompletionSink {
 /// Everything one engine hands to report assembly.
 pub(crate) struct ReportInputs {
     pub(crate) sink: CompletionSink,
-    pub(crate) rejected_ids: Vec<usize>,
     pub(crate) makespan_s: f64,
     pub(crate) kv_peak: Bytes,
     pub(crate) prefill_iterations: usize,
@@ -158,10 +159,55 @@ struct PrefixEntry {
     last_use: usize,
 }
 
-/// One replica's resumable scheduler state. See the module docs for the
-/// batch/stepped driving modes.
+/// A ranked scheduler's key for one request: lower admits first, and
+/// ties go to the earlier-queued request.
+fn rank(scheduler: Scheduler, request: &Request) -> usize {
+    match scheduler {
+        Scheduler::Fifo => 0,
+        Scheduler::Priority | Scheduler::PriorityPreempt => usize::from(request.priority),
+        Scheduler::Sjf => request.prompt + request.output,
+    }
+}
+
+/// The ranked schedulers' admission queue: positions in the engine's
+/// assignment list, min-keyed by (rank, position). The minimum is the
+/// best-ranked request and, among equal ranks, the earliest-queued one —
+/// the pick of a linear `min_by_key` scan over the queue in arrival
+/// order, at O(log n) per admission instead of O(n).
+#[derive(Default)]
+struct RankedQueue(BinaryHeap<Reverse<(usize, usize)>>);
+
+impl RankedQueue {
+    fn insert(&mut self, rank: usize, pos: usize) {
+        self.0.push(Reverse((rank, pos)));
+    }
+
+    /// The next pick's position, left queued (it may not fit yet).
+    fn peek(&self) -> Option<usize> {
+        self.0.peek().map(|&Reverse((_, pos))| pos)
+    }
+
+    fn pop(&mut self) -> Option<usize> {
+        self.0.pop().map(|Reverse((_, pos))| pos)
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Empties the queue, returning its positions in queue order.
+    fn drain(&mut self) -> Vec<usize> {
+        let mut positions: Vec<usize> = self.0.drain().map(|Reverse((_, pos))| pos).collect();
+        positions.sort_unstable();
+        positions
+    }
+}
+
+/// One replica's resumable scheduler state. See the module docs for how
+/// the router drives it.
 pub(crate) struct ReplicaEngine<'i, 'a> {
     instance: &'i ServeInstance<'a>,
+    trace: &'i [Request],
     table: Option<&'i DecodeCostTable>,
     budget: Bytes,
 
@@ -174,17 +220,19 @@ pub(crate) struct ReplicaEngine<'i, 'a> {
     calendar: Vec<Vec<u32>>,
     decode_epoch: usize,
 
-    // The engine's trace: in batch mode the whole input, in stepped mode
-    // whatever the router has assigned so far. `eff` runs parallel to it
-    // with the *effective* (engine-observed, nondecreasing) arrival time:
-    // the original arrival for first-routed requests, the requeue instant
-    // for requests re-assigned after a crash. Metrics always use the
-    // request's own `arrival_s`.
-    trace: Vec<Request>,
+    // The trace indices the router has assigned here, in push order.
+    // `eff` runs parallel to `order` with the *effective*
+    // (engine-observed, nondecreasing) arrival time: the original arrival
+    // for first-routed requests, the requeue instant for requests
+    // re-assigned after a crash. Metrics always use the request's own
+    // `arrival_s`.
+    order: Vec<u32>,
     eff: Vec<f64>,
-    arrived: usize,      // trace[..arrived] have arrived (eff ≤ clock)
-    admit_cursor: usize, // trace[admit_cursor..arrived] queue for admission
-    assigned: usize,     // total assignments ever (requeues drop `trace`)
+    arrived: usize,      // order[..arrived] have arrived (eff ≤ clock)
+    admit_cursor: usize, // order[admit_cursor..arrived] queue for FIFO admission
+    assigned: usize,     // total assignments ever (a crash truncates `order`)
+    // Ranked schedulers move every arrival past the cursor into here.
+    ranked: RankedQueue,
 
     clock: f64,
     slots: Vec<Slot>,
@@ -193,7 +241,6 @@ pub(crate) struct ReplicaEngine<'i, 'a> {
     pending_first: Vec<u32>,
     decoding_count: usize,
     ctx_sum: usize, // Σ (prompt + generated) over decoding
-    rejected_ids: Vec<usize>,
     sink: CompletionSink,
 
     reserved: Bytes,
@@ -216,13 +263,10 @@ pub(crate) struct ReplicaEngine<'i, 'a> {
     // requests lost to crashes since the driver last collected them.
     faults: Option<EngineFaults>,
     slow_mult: f64,
-    requeued: Vec<(Request, f64)>,
+    requeued: Vec<(u32, f64)>,
 
-    // --- paged-KV / scheduler state -------------------------------------
-    // `legacy` is the reserved-KV + FIFO fast path: it runs the original
-    // cursor admission and plain decode verbatim (bitwise identity with
-    // pre-paging builds) and never touches anything below.
-    legacy: bool,
+    // --- scheduler and paged-KV state -----------------------------------
+    // Everything from `policy` on stays empty or zero under reserved KV.
     paged: bool,
     scheduler: Scheduler,
     policy: PreemptPolicy,
@@ -230,9 +274,6 @@ pub(crate) struct ReplicaEngine<'i, 'a> {
     total_blocks: usize,
     used_blocks: usize,
     peak_blocks: usize,
-    // Arrived-but-unadmitted requests, reordered by the scheduler pick
-    // (the generalized replacement for the legacy admission cursor).
-    pending: VecDeque<Request>,
     // Recompute-preempted slots waiting to re-prefill, FIFO.
     preempted: VecDeque<u32>,
     // Swap-preempted slots parked on the host, FIFO.
@@ -254,16 +295,17 @@ pub(crate) struct ReplicaEngine<'i, 'a> {
 }
 
 impl<'i, 'a> ReplicaEngine<'i, 'a> {
-    /// A fresh engine over `instance`, sized by `bounds` (which must cover
-    /// every request this engine will ever be pushed). `expected` sizes
-    /// the latency accumulators' exact/streaming regime choice — fleet
-    /// drivers pass the *whole* trace length so every replica picks the
-    /// same regime and their populations merge loss-free.
+    /// A fresh engine over `instance` that will be pushed indices into
+    /// `trace`, sized by `bounds` (which must cover every admissible
+    /// request of `trace`). The latency accumulators pick their
+    /// exact/streaming regime from the *whole* trace length, so every
+    /// replica of a fleet picks the same regime and their populations
+    /// merge loss-free.
     pub(crate) fn new(
         instance: &'i ServeInstance<'a>,
+        trace: &'i [Request],
         table: Option<&'i DecodeCostTable>,
         bounds: &TraceBounds,
-        expected: usize,
         records_on: bool,
         faults: Option<EngineFaults>,
     ) -> Self {
@@ -272,7 +314,6 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         let config = instance.config();
         let paged = !config.kv.is_reserved();
         Self {
-            legacy: !paged && config.scheduler == Scheduler::Fifo,
             paged,
             scheduler: config.scheduler,
             policy: config.kv.policy,
@@ -280,7 +321,6 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             total_blocks: if paged { instance.total_blocks() } else { 0 },
             used_blocks: 0,
             peak_blocks: 0,
-            pending: VecDeque::new(),
             preempted: VecDeque::new(),
             swapped: VecDeque::new(),
             awaiting_swapin: VecDeque::new(),
@@ -295,16 +335,18 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             prefix_evictions: 0,
             cached_tokens_saved: 0,
             instance,
+            trace,
             table,
             budget: instance.kv_budget(),
             prefill_cache: vec![f64::NAN; bounds.max_prompt + 1],
             calendar: vec![Vec::new(); ring_len],
             decode_epoch: 0,
-            trace: Vec::new(),
+            order: Vec::new(),
             eff: Vec::new(),
             arrived: 0,
             admit_cursor: 0,
             assigned: 0,
+            ranked: RankedQueue::default(),
             clock: 0.0,
             slots: Vec::new(),
             free_slots: Vec::new(),
@@ -312,8 +354,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             pending_first: Vec::new(),
             decoding_count: 0,
             ctx_sum: 0,
-            rejected_ids: Vec::new(),
-            sink: CompletionSink::new(instance.config().slo, expected, records_on),
+            sink: CompletionSink::new(config.slo, trace.len(), records_on),
             reserved: Bytes::ZERO,
             kv_peak: Bytes::ZERO,
             prefill_iterations: 0,
@@ -331,29 +372,15 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         }
     }
 
-    /// Assigns one request to this replica. Requests must be pushed in
-    /// arrival order.
-    pub(crate) fn push(&mut self, request: Request) {
-        debug_assert!(
-            self.trace
-                .last()
-                .is_none_or(|prev| prev.arrival_s <= request.arrival_s),
-            "requests must be pushed in arrival order"
-        );
-        self.eff.push(request.arrival_s);
-        self.trace.push(request);
-        self.assigned += 1;
-    }
-
-    /// Assigns one request at router-observed time `at_s` — the churn
-    /// path. The request keeps its own `arrival_s` for every metric; the
-    /// engine first sees it at `at_s` (clamped so effective arrivals stay
-    /// nondecreasing), which is how a requeued request re-enters a queue
-    /// later than it originally arrived.
-    pub(crate) fn push_at(&mut self, request: Request, at_s: f64) {
+    /// Assigns trace request `req` to this replica at router-observed
+    /// time `at_s`: its arrival when first routed, the instant a crash
+    /// dropped it when requeued. The request keeps its own `arrival_s`
+    /// for every metric; the engine first sees it at `at_s`, clamped so
+    /// effective arrivals stay nondecreasing.
+    pub(crate) fn push(&mut self, req: u32, at_s: f64) {
         let eff = self.eff.last().map_or(at_s, |&prev| prev.max(at_s));
         self.eff.push(eff);
-        self.trace.push(request);
+        self.order.push(req);
         self.assigned += 1;
     }
 
@@ -370,31 +397,31 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         self.faults.as_mut().map_or(t, |f| f.query.next_up(t))
     }
 
-    /// Takes the requests crashes have drained since the last call, each
-    /// paired with the instant its replica dropped it.
-    pub(crate) fn take_requeued(&mut self) -> Vec<(Request, f64)> {
+    /// Takes the trace indices crashes have drained since the last call,
+    /// each paired with the instant its replica dropped it.
+    pub(crate) fn take_requeued(&mut self) -> Vec<(u32, f64)> {
         core::mem::take(&mut self.requeued)
     }
 
     /// Requests with **no compute yet**: routed but unadmitted (queued for
     /// KV space) plus admitted but still awaiting their prefill iteration.
-    /// On the generalized path, preempted and swapped-out victims count
-    /// too — they hold no device compute until re-admitted. After
-    /// `advance_to(t)`, this is exactly the waiting population a
-    /// join-shortest-queue router should see at time `t`.
+    /// Under paged KV, preempted and swapped-out victims count too — they
+    /// hold no device compute until re-admitted. After `advance_to(t)`,
+    /// this is exactly the waiting population a join-shortest-queue router
+    /// should see at time `t`.
     pub(crate) fn waiting(&self) -> usize {
-        (self.trace.len() - self.admit_cursor)
+        (self.order.len() - self.admit_cursor)
             + self.queued_backlog()
             + self.awaiting_prefill.len()
             + self.awaiting_swapin.len()
     }
 
-    /// The generalized path's queued-but-unserved population beyond the
-    /// admission cursor: scheduler-queued requests plus preemption
-    /// victims awaiting re-admission. Zero on the legacy path, whose
-    /// backlog lives entirely behind `admit_cursor`.
+    /// The queued-but-unserved population beyond the admission cursor:
+    /// the ranked schedulers' queue plus preemption victims awaiting
+    /// re-admission. Zero under reserved FIFO, whose backlog lives
+    /// entirely behind `admit_cursor`.
     fn queued_backlog(&self) -> usize {
-        self.pending.len() + self.preempted.len() + self.swapped.len()
+        self.ranked.len() + self.preempted.len() + self.swapped.len()
     }
 
     /// Requests routed to this replica and not yet completed — waiting or
@@ -416,45 +443,8 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             if self.faults.is_some() {
                 self.process_outages();
             }
-            while self.arrived < self.trace.len() && self.eff[self.arrived] <= self.clock {
-                self.arrived += 1;
-            }
-            if self.legacy {
-                while self.admit_cursor < self.arrived {
-                    let front = &self.trace[self.admit_cursor];
-                    let need = self.instance.reservation(front);
-                    if need > self.budget {
-                        // Could never be admitted, not even alone: drop it
-                        // rather than block every request behind it forever.
-                        self.rejected_ids.push(front.id);
-                        self.admit_cursor += 1;
-                        continue;
-                    }
-                    if self.reserved + need <= self.budget {
-                        self.reserved += need;
-                        self.kv_peak = self.kv_peak.max(self.reserved);
-                        let slot = Slot {
-                            request: *front,
-                            admitted_s: self.clock,
-                            prefill_dur_s: 0.0,
-                            first_token_s: 0.0,
-                            reserved: need,
-                            prefill_tokens: front.prompt,
-                            blocks: 0,
-                            shared_blocks: 0,
-                            generated: 0,
-                            due_ring: 0,
-                        };
-                        let idx = self.alloc_slot(slot);
-                        self.awaiting_prefill.push_back(idx);
-                        self.admit_cursor += 1;
-                    } else {
-                        break;
-                    }
-                }
-            } else {
-                self.admit_generalized();
-            }
+            self.catch_up_arrivals();
+            self.admit();
             let pending_len = (self.arrived - self.admit_cursor) + self.queued_backlog();
 
             if self.awaiting_prefill.is_empty()
@@ -465,7 +455,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
                     pending_len == 0,
                     "an idle instance always admits the queue head"
                 );
-                if self.arrived >= self.trace.len() {
+                if self.arrived >= self.order.len() {
                     return Ok(()); // idle, nothing queued: wait for pushes
                 }
                 let next = self.eff[self.arrived];
@@ -505,9 +495,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
                 // must count every request that arrived while the
                 // iteration ran — advance the arrival cursor to the new
                 // clock before reading the waiting depth.
-                while self.arrived < self.trace.len() && self.eff[self.arrived] <= self.clock {
-                    self.arrived += 1;
-                }
+                self.catch_up_arrivals();
                 self.raw_samples.push(QueueSample {
                     at: Time::from_secs(self.clock),
                     waiting: (self.arrived - self.admit_cursor)
@@ -529,6 +517,20 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         }
     }
 
+    /// Advances the arrival cursor over every assignment the clock has
+    /// reached.
+    fn catch_up_arrivals(&mut self) {
+        while self.arrived < self.order.len() && self.eff[self.arrived] <= self.clock {
+            self.arrived += 1;
+        }
+    }
+
+    /// The request admitted into `slot`.
+    fn request(&self, slot: u32) -> &'i Request {
+        let trace = self.trace;
+        &trace[self.slots[slot as usize].req as usize]
+    }
+
     /// Stores a slot in the arena (recycling a freed index when one
     /// exists) and returns its index.
     fn alloc_slot(&mut self, slot: Slot) -> u32 {
@@ -541,104 +543,89 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         }
     }
 
-    // --- generalized admission (paged KV and/or non-FIFO schedulers) ----
+    // --- admission --------------------------------------------------------
 
-    /// The generalized admission round: ingest arrivals into the
-    /// scheduler queue, then hand free memory to (in order) swapped-out
-    /// victims, recompute victims, and finally fresh requests picked by
-    /// the scheduler. Each stage is head-of-line blocked on its own
-    /// queue, and victims outrank fresh admissions (the vLLM order,
-    /// which keeps a victim's starvation bounded: it gets first claim on
-    /// every block the batch that evicted it releases).
-    fn admit_generalized(&mut self) {
-        while self.admit_cursor < self.arrived {
-            self.pending.push_back(self.trace[self.admit_cursor]);
-            self.admit_cursor += 1;
+    /// The admission round, one path for every scheduler and KV regime:
+    /// free memory goes to (in order) swapped-out victims, recompute
+    /// victims, and finally fresh requests in scheduler order — FIFO
+    /// straight off the cursor range `order[admit_cursor..arrived]`, the
+    /// ranked schedulers off their queue. Each stage is head-of-line
+    /// blocked on its own queue, and victims outrank fresh admissions (the
+    /// vLLM order, which keeps a victim's starvation bounded: it gets
+    /// first claim on every block the batch that evicted it releases).
+    fn admit(&mut self) {
+        if self.paged {
+            while let Some(&slot) = self.swapped.front() {
+                if !self.stage_swap_in(slot) {
+                    break;
+                }
+                self.swapped.pop_front();
+            }
+            while let Some(&slot) = self.preempted.front() {
+                if !self.readmit_preempted(slot) {
+                    break;
+                }
+                self.preempted.pop_front();
+            }
         }
-        while let Some(&idx) = self.swapped.front() {
-            if !self.stage_swap_in(idx) {
-                break;
+        if self.scheduler == Scheduler::Fifo {
+            while self.admit_cursor < self.arrived {
+                if !self.try_admit(self.order[self.admit_cursor]) {
+                    break; // head-of-line: the cursor's request waits for memory
+                }
+                self.admit_cursor += 1;
             }
-            self.swapped.pop_front();
+            return;
         }
-        while let Some(&idx) = self.preempted.front() {
-            if !self.readmit_preempted(idx) {
-                break;
-            }
-            self.preempted.pop_front();
+        let trace = self.trace;
+        for pos in self.admit_cursor..self.arrived {
+            let request = &trace[self.order[pos] as usize];
+            self.ranked.insert(rank(self.scheduler, request), pos);
         }
-        while let Some(pos) = self.pick_pending() {
-            let request = self.pending[pos];
-            if !self.instance.admissible(&request) {
-                // Could never run, not even alone: drop it rather than
-                // block the queue forever (the legacy head rejection).
-                self.rejected_ids.push(request.id);
-                self.pending.remove(pos);
-                continue;
+        self.admit_cursor = self.arrived;
+        while let Some(pos) = self.ranked.peek() {
+            if !self.try_admit(self.order[pos]) {
+                break; // head-of-line: the pick waits for memory
             }
-            if !self.try_admit(&request) {
-                break; // head-of-line: the picked request waits
-            }
-            self.pending.remove(pos);
+            self.ranked.pop();
         }
     }
 
-    /// The scheduler's pick: which queued request admits next. Ties
-    /// always break to the earliest-queued position, so FIFO through
-    /// this path reproduces the legacy cursor order exactly.
-    fn pick_pending(&self) -> Option<usize> {
-        match self.scheduler {
-            Scheduler::Fifo => (!self.pending.is_empty()).then_some(0),
-            Scheduler::Priority | Scheduler::PriorityPreempt => {
-                (0..self.pending.len()).min_by_key(|&i| self.pending[i].priority)
-            }
-            Scheduler::Sjf => (0..self.pending.len())
-                .min_by_key(|&i| self.pending[i].prompt + self.pending[i].output),
-        }
-    }
-
-    /// Tries to admit one fresh request, allocating its KV (full
+    /// Tries to admit trace request `req`, allocating its KV (full
     /// reservation or prompt blocks, per the regime). `false` = the
-    /// memory is not there yet.
-    fn try_admit(&mut self, request: &Request) -> bool {
-        if !self.paged {
+    /// memory is not there yet. The router routes only requests that fit
+    /// an idle replica, so an idle engine always admits its pick.
+    fn try_admit(&mut self, req: u32) -> bool {
+        let trace = self.trace;
+        let request = &trace[req as usize];
+        let (reserved, prefill_tokens, blocks, shared_blocks) = if self.paged {
+            let Some((blocks, shared)) = self.alloc_prompt_blocks(request) else {
+                return false;
+            };
+            let tokens = request.prompt - shared * self.block_tokens;
+            (Bytes::ZERO, tokens, blocks, shared)
+        } else {
             let need = self.instance.reservation(request);
             if self.reserved + need > self.budget {
                 return false;
             }
             self.reserved += need;
             self.kv_peak = self.kv_peak.max(self.reserved);
-            let idx = self.alloc_slot(Slot {
-                request: *request,
-                admitted_s: self.clock,
-                prefill_dur_s: 0.0,
-                first_token_s: 0.0,
-                reserved: need,
-                prefill_tokens: request.prompt,
-                blocks: 0,
-                shared_blocks: 0,
-                generated: 0,
-                due_ring: 0,
-            });
-            self.awaiting_prefill.push_back(idx);
-            return true;
-        }
-        let Some((blocks, shared)) = self.alloc_prompt_blocks(request) else {
-            return false;
+            (need, request.prompt, 0, 0)
         };
-        let idx = self.alloc_slot(Slot {
-            request: *request,
+        let slot = self.alloc_slot(Slot {
+            req,
             admitted_s: self.clock,
             prefill_dur_s: 0.0,
             first_token_s: 0.0,
-            reserved: Bytes::ZERO,
-            prefill_tokens: request.prompt - shared * self.block_tokens,
+            reserved,
+            prefill_tokens,
             blocks,
-            shared_blocks: shared,
+            shared_blocks,
             generated: 0,
             due_ring: 0,
         });
-        self.awaiting_prefill.push_back(idx);
+        self.awaiting_prefill.push_back(slot);
         true
     }
 
@@ -647,8 +634,8 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
     /// re-prefill queued. The slot — and with it the request's original
     /// admission instant and any already-emitted first token — survives.
     fn readmit_preempted(&mut self, idx: u32) -> bool {
-        let request = self.slots[idx as usize].request;
-        let Some((blocks, shared)) = self.alloc_prompt_blocks(&request) else {
+        let request = self.request(idx);
+        let Some((blocks, shared)) = self.alloc_prompt_blocks(request) else {
             return false;
         };
         let s = &mut self.slots[idx as usize];
@@ -715,14 +702,12 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
     /// blocks for its full context (prompt + progress so far) and queue
     /// its swap-in iteration.
     fn stage_swap_in(&mut self, idx: u32) -> bool {
-        let (request, ctx) = {
-            let s = &self.slots[idx as usize];
-            (s.request, s.request.prompt + s.generated)
-        };
-        let shared = self.borrow_prefix(&request);
+        let request = self.request(idx);
+        let ctx = request.prompt + self.slots[idx as usize].generated;
+        let shared = self.borrow_prefix(request);
         let need = self.instance.blocks_for(ctx) - shared;
         if !self.ensure_free(need) {
-            self.unborrow_prefix(&request, shared);
+            self.unborrow_prefix(request, shared);
             return false;
         }
         self.alloc_blocks(need);
@@ -749,10 +734,10 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
     /// remaining output fills.
     fn rejoin_decode(&mut self, idx: u32) {
         let (ctx, remaining, first_pending) = {
-            let s = &self.slots[idx as usize];
+            let (r, s) = (self.request(idx), &self.slots[idx as usize]);
             (
-                s.request.prompt + s.generated,
-                s.request.output - s.generated,
+                r.prompt + s.generated,
+                r.output - s.generated,
                 s.first_token_s == 0.0,
             )
         };
@@ -834,33 +819,31 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
     /// discarded. Completed history and cumulative counters survive; only
     /// in-flight state resets.
     fn drain_for_requeue(&mut self) {
-        let mut lost: Vec<Request> = Vec::new();
+        let mut lost: Vec<u32> = Vec::new();
         for &idx in &self.awaiting_prefill {
-            lost.push(self.slots[idx as usize].request);
+            lost.push(self.slots[idx as usize].req);
         }
         for due in &mut self.calendar {
             for idx in due.drain(..) {
-                lost.push(self.slots[idx as usize].request);
+                lost.push(self.slots[idx as usize].req);
             }
         }
-        // Generalized-path backlog: staged/parked preemption victims and
-        // the scheduler queue go back to the router too (all empty on the
-        // legacy path).
+        // Staged and parked preemption victims (paged KV only) and the
+        // ranked queue go back to the router too.
         for &idx in self
             .awaiting_swapin
             .iter()
             .chain(self.preempted.iter())
             .chain(self.swapped.iter())
         {
-            lost.push(self.slots[idx as usize].request);
+            lost.push(self.slots[idx as usize].req);
         }
-        lost.extend(self.pending.iter().copied());
-        lost.extend_from_slice(&self.trace[self.admit_cursor..]);
+        lost.extend(self.ranked.drain().into_iter().map(|pos| self.order[pos]));
+        lost.extend_from_slice(&self.order[self.admit_cursor..]);
         self.awaiting_prefill.clear();
         self.awaiting_swapin.clear();
         self.preempted.clear();
         self.swapped.clear();
-        self.pending.clear();
         self.active.clear();
         self.pending_first.clear();
         self.slots.clear();
@@ -874,15 +857,16 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         for e in &mut self.prefix_cache {
             *e = PrefixEntry::default();
         }
-        self.trace.truncate(self.admit_cursor);
+        self.order.truncate(self.admit_cursor);
         self.eff.truncate(self.admit_cursor);
         self.arrived = self.admit_cursor;
         if lost.is_empty() {
             return;
         }
-        lost.sort_by_key(|r| r.id);
+        let trace = self.trace;
+        lost.sort_by_key(|&req| trace[req as usize].id);
         let at = self.clock;
-        self.requeued.extend(lost.into_iter().map(|r| (r, at)));
+        self.requeued.extend(lost.into_iter().map(|req| (req, at)));
     }
 
     /// One prefill iteration of slot `idx`; returns its duration. Prices
@@ -928,7 +912,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
     fn donate_prefix(&mut self, idx: u32) {
         let (prefix, had_shared, private) = {
             let s = &self.slots[idx as usize];
-            (s.request.prefix, s.shared_blocks > 0, s.blocks)
+            (self.request(idx).prefix, s.shared_blocks > 0, s.blocks)
         };
         let Some(p) = prefix else { return };
         if had_shared {
@@ -1000,10 +984,10 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             self.active.retain(|x| !done.contains(x));
         }
         for idx in done {
-            let slot = &self.slots[idx as usize];
-            self.sink.complete(slot, end);
+            let (r, slot) = (self.request(idx), &self.slots[idx as usize]);
+            self.sink.complete(r, slot, end);
             self.reserved = self.reserved - slot.reserved;
-            self.ctx_sum -= slot.request.prompt + slot.request.output;
+            self.ctx_sum -= r.prompt + r.output;
             self.decoding_count -= 1;
             self.free_slots.push(idx);
             if self.paged {
@@ -1028,7 +1012,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
                 let s = &self.slots[idx as usize];
                 (
                     s.blocks + s.shared_blocks,
-                    s.request.prompt + s.generated + 1,
+                    self.request(idx).prompt + s.generated + 1,
                 )
             };
             if self.instance.blocks_for(ctx_next) <= held {
@@ -1050,7 +1034,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             // terminates with at least one survivor.
             let victim = if self.scheduler == Scheduler::PriorityPreempt {
                 (0..self.active.len())
-                    .max_by_key(|&j| (self.slots[self.active[j] as usize].request.priority, j))
+                    .max_by_key(|&j| (self.request(self.active[j]).priority, j))
                     .expect("the growing member is active")
             } else {
                 self.active.len() - 1
@@ -1074,14 +1058,15 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
     /// re-admission queue. Returns the swap-out seconds charged.
     fn preempt(&mut self, pos: usize) -> f64 {
         let idx = self.active.remove(pos);
+        let request = self.request(idx);
         let (blocks, shared, ctx, due, prefix) = {
             let s = &mut self.slots[idx as usize];
             let out = (
                 s.blocks,
                 s.shared_blocks,
-                s.request.prompt + s.generated,
+                request.prompt + s.generated,
                 s.due_ring,
-                s.request.prefix,
+                request.prefix,
             );
             s.blocks = 0;
             s.shared_blocks = 0;
@@ -1120,9 +1105,10 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
     /// prefix reference. The prefix entry stays resident — that is the
     /// cache; it leaves only by eviction or a crash.
     fn release_completed(&mut self, idx: u32) {
-        let (blocks, shared, prefix) = {
+        let prefix = self.request(idx).prefix;
+        let (blocks, shared) = {
             let s = &mut self.slots[idx as usize];
-            let out = (s.blocks, s.shared_blocks, s.request.prefix);
+            let out = (s.blocks, s.shared_blocks);
             s.blocks = 0;
             s.shared_blocks = 0;
             out
@@ -1194,7 +1180,6 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             self.assigned,
             ReportInputs {
                 sink: self.sink,
-                rejected_ids: self.rejected_ids,
                 makespan_s: self.clock,
                 kv_peak,
                 prefill_iterations: self.prefill_iterations,
@@ -1207,5 +1192,85 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
                 paging,
             },
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The linear scan the ranked queue replaced, kept as the reference:
+    /// the first (earliest-queued) minimum of the scheduler's key over
+    /// the queue in arrival order.
+    fn scan_pick(scheduler: Scheduler, pending: &VecDeque<Request>) -> Option<usize> {
+        match scheduler {
+            Scheduler::Fifo => (!pending.is_empty()).then_some(0),
+            Scheduler::Priority | Scheduler::PriorityPreempt => {
+                (0..pending.len()).min_by_key(|&i| pending[i].priority)
+            }
+            Scheduler::Sjf => {
+                (0..pending.len()).min_by_key(|&i| pending[i].prompt + pending[i].output)
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random interleavings of arrivals, admission rounds that end in
+        /// a head-of-line block (the pick's memory is not there yet) and
+        /// crash drains: every pick of the ranked queue is the scan's
+        /// pick, a blocked pick stays queued, and a drain hands back the
+        /// queue in queue order. Keys come from tiny ranges, so `priority`
+        /// and `sjf` both see many rank ties.
+        #[test]
+        fn ranked_queue_picks_what_the_scan_picked(
+            events in proptest::collection::vec((0u8..8, 0u8..3, 1usize..4, 1usize..4), 0..240),
+        ) {
+            for scheduler in [Scheduler::Priority, Scheduler::Sjf, Scheduler::PriorityPreempt] {
+                let mut queue = RankedQueue::default();
+                let mut pending: VecDeque<Request> = VecDeque::new();
+                // Queue positions only grow, across drains too, as the
+                // engine's assignment list does; a request's id is its
+                // position.
+                let mut next_pos = 0;
+                for &(event, priority, prompt, output) in &events {
+                    match event {
+                        0..=2 => {
+                            let r = Request::new(next_pos, 0.0, prompt, output)
+                                .with_priority(priority);
+                            queue.insert(rank(scheduler, &r), next_pos);
+                            pending.push_back(r);
+                            next_pos += 1;
+                        }
+                        3..=6 => {
+                            // `event - 3` admissions, then the block: the
+                            // last pick stays queued.
+                            let admits = usize::from(event - 3);
+                            for admit in 0..=admits {
+                                let expected = scan_pick(scheduler, &pending);
+                                prop_assert_eq!(
+                                    queue.peek(),
+                                    expected.map(|i| pending[i].id),
+                                    "{scheduler}"
+                                );
+                                let Some(i) = expected else { break };
+                                if admit < admits {
+                                    prop_assert_eq!(queue.pop(), Some(pending[i].id));
+                                    pending.remove(i);
+                                }
+                            }
+                        }
+                        _ => {
+                            let drained: Vec<usize> = pending.drain(..).map(|r| r.id).collect();
+                            prop_assert_eq!(queue.drain(), drained, "{scheduler}");
+                            prop_assert_eq!(queue.len(), 0);
+                        }
+                    }
+                    prop_assert_eq!(queue.len(), pending.len());
+                }
+            }
+        }
     }
 }

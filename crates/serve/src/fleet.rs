@@ -25,7 +25,7 @@
 
 use crate::engine::ReplicaEngine;
 use crate::faults::{EngineFaults, FaultSpec, FleetAvailability};
-use crate::sim::TraceBounds;
+use crate::sim::{check_trace_len, TraceBounds};
 use crate::stats::LatencyAccumulator;
 use crate::{
     LatencyStats, PagingReport, Request, ServeConfig, ServeError, ServeInstance, ServeReport,
@@ -331,7 +331,8 @@ impl<'a> FleetInstance<'a> {
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidTrace`] if `trace` is not sorted by
-    /// arrival time or contains a zero-length prompt or output, and
+    /// arrival time, holds more than [`crate::MAX_TRACE_REQUESTS`]
+    /// requests, or contains a zero-length prompt or output, and
     /// [`ServeError::Estimator`] when the device lacks the serving
     /// precision.
     pub fn simulate(&self, trace: &[Request]) -> Result<FleetReport, ServeError> {
@@ -365,99 +366,56 @@ impl RouterState {
         }
     }
 
-    /// Picks the replica for one arrival. `min_by_key` returns the first
+    /// Picks the replica for one arrival among those `up` reports
+    /// available — `|_| true` on a fault-free fleet, which compiles the
+    /// availability checks away. The caller guarantees at least one up
+    /// replica. Round-robin takes the first up replica at or after its
+    /// cursor; random draws a uniform index among the up replicas (the
+    /// same draw while all are up); `min_by_key` returns the first
     /// minimum, so state-aware ties break to the lowest replica index —
     /// deterministically.
-    fn pick(&mut self, engines: &[ReplicaEngine<'_, '_>]) -> usize {
+    fn pick(&mut self, engines: &[ReplicaEngine<'_, '_>], up: impl Fn(usize) -> bool) -> usize {
+        let n = engines.len();
+        debug_assert!((0..n).any(&up), "route_at waits for a live replica");
         match self {
             Self::RoundRobin { next } => {
-                let choice = *next;
-                *next = (*next + 1) % engines.len();
-                choice
-            }
-            Self::Random { rng } => rng.gen_range(0..engines.len()),
-            Self::LeastOutstanding => {
-                engines
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| e.outstanding())
-                    .expect("a fleet has at least one replica")
-                    .0
-            }
-            Self::JoinShortestQueue => {
-                engines
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| e.waiting())
-                    .expect("a fleet has at least one replica")
-                    .0
-            }
-        }
-    }
-
-    /// [`RouterState::pick`] restricted to the replicas `up` marks
-    /// available — the churn path. The caller guarantees at least one up
-    /// replica. Round-robin keeps its cursor discipline (first up replica
-    /// at or after the cursor); random draws a uniform index among the up
-    /// replicas (identical draws to [`RouterState::pick`] while all are
-    /// up); state-aware ties still break to the lowest replica index.
-    fn pick_up(&mut self, engines: &[ReplicaEngine<'_, '_>], up: &[bool]) -> usize {
-        debug_assert!(up.iter().any(|&u| u), "route_at waits for a live replica");
-        match self {
-            Self::RoundRobin { next } => {
-                let n = engines.len();
                 let mut choice = *next % n;
-                while !up[choice] {
+                while !up(choice) {
                     choice = (choice + 1) % n;
                 }
                 *next = (choice + 1) % n;
                 choice
             }
             Self::Random { rng } => {
-                let alive = up.iter().filter(|&&u| u).count();
-                let mut draw = rng.gen_range(0..alive);
-                for (i, &u) in up.iter().enumerate() {
-                    if u {
-                        if draw == 0 {
-                            return i;
-                        }
-                        draw -= 1;
-                    }
-                }
-                unreachable!("draw < alive ⇒ an up replica matches")
+                let alive = (0..n).filter(|&i| up(i)).count();
+                let draw = rng.gen_range(0..alive);
+                (0..n)
+                    .filter(|&i| up(i))
+                    .nth(draw)
+                    .expect("draw < alive ⇒ an up replica matches")
             }
-            Self::LeastOutstanding => {
-                engines
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| up[*i])
-                    .min_by_key(|(_, e)| e.outstanding())
-                    .expect("at least one up replica")
-                    .0
-            }
-            Self::JoinShortestQueue => {
-                engines
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| up[*i])
-                    .min_by_key(|(_, e)| e.waiting())
-                    .expect("at least one up replica")
-                    .0
-            }
+            Self::LeastOutstanding => (0..n)
+                .filter(|&i| up(i))
+                .min_by_key(|&i| engines[i].outstanding())
+                .expect("at least one up replica"),
+            Self::JoinShortestQueue => (0..n)
+                .filter(|&i| up(i))
+                .min_by_key(|&i| engines[i].waiting())
+                .expect("at least one up replica"),
         }
     }
 }
 
-/// Routes one request at the router's monotone clock, skipping down
-/// replicas. When the whole fleet is down the FIFO front door blocks —
-/// `router_now` jumps to the earliest scheduled recovery — before the
+/// Routes trace request `req` at the router's monotone clock, skipping
+/// down replicas. When the whole fleet is down the FIFO front door blocks
+/// — `router_now` jumps to the earliest scheduled recovery — before the
 /// request (and everything behind it) is assigned.
 fn route_at(
     engines: &mut [ReplicaEngine<'_, '_>],
     state: &mut RouterState,
     router_now: &mut f64,
     up: &mut Vec<bool>,
-    request: Request,
+    req: u32,
 ) {
     loop {
         up.clear();
@@ -475,41 +433,47 @@ fn route_at(
         debug_assert!(wake > *router_now, "a down replica recovers strictly later");
         *router_now = wake;
     }
-    let choice = state.pick_up(engines, up);
-    engines[choice].push_at(request, *router_now);
+    let choice = state.pick(engines, |i| up[i]);
+    engines[choice].push(req, *router_now);
 }
 
 /// Collects every request the replicas' crashes have drained and
 /// re-routes each at the instant it was dropped — in deterministic
-/// (drop time, then id) order — bumping the requeue counters.
+/// (drop time, then id) order — counting the requeue and marking the
+/// request's trace index in `requeued`.
 fn reroute_drained(
+    trace: &[Request],
     engines: &mut [ReplicaEngine<'_, '_>],
     state: &mut RouterState,
     router_now: &mut f64,
     up: &mut Vec<bool>,
     requeues: &mut usize,
-    requeued_ids: &mut Vec<usize>,
+    requeued: &mut [bool],
 ) {
-    let mut batch: Vec<(Request, f64)> = Vec::new();
+    let mut batch: Vec<(u32, f64)> = Vec::new();
     for engine in engines.iter_mut() {
         batch.extend(engine.take_requeued());
     }
     if batch.is_empty() {
         return;
     }
-    batch.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.id.cmp(&b.0.id)));
-    for (request, dropped_at) in batch {
+    let id = |req: u32| trace[req as usize].id;
+    batch.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| id(a.0).cmp(&id(b.0))));
+    for (req, dropped_at) in batch {
         *router_now = router_now.max(dropped_at);
         *requeues += 1;
-        requeued_ids.push(request.id);
-        route_at(engines, state, router_now, up, request);
+        requeued[req as usize] = true;
+        route_at(engines, state, router_now, up, req);
     }
 }
 
-/// The fleet event loop: route every request online, drain the replicas,
-/// merge their populations. Shared by [`FleetInstance::simulate`] and the
-/// load-sweep engine (which routes over instances it already prepared and
-/// sealed).
+/// The fleet event loop behind every serving entry point: route every
+/// request online, drain the replicas, merge their populations. Shared by
+/// [`FleetInstance::simulate`], the load-sweep engine (which routes over
+/// instances it already prepared and sealed) and
+/// [`ServeInstance::simulate`] (one fault-free replica). The router is
+/// the one place an inadmissible request is rejected: on arrival, before
+/// it reaches any queue.
 ///
 /// Online-knowledge caveat: a replica's queue-depth sample is taken at
 /// the end of each iteration from the requests routed to it *by then*. A
@@ -546,19 +510,22 @@ pub(crate) fn run_fleet(
     let mut engines: Vec<ReplicaEngine<'_, '_>> = (0..replicas)
         .map(|i| {
             let wiring = faulty.then(|| EngineFaults::for_replica(faults, i));
-            ReplicaEngine::new(instance, table, &bounds, trace.len(), records_on, wiring)
+            ReplicaEngine::new(instance, trace, table, &bounds, records_on, wiring)
         })
         .collect();
 
     let mut state = RouterState::new(router);
     let mut rejected_ids = Vec::new();
     let mut requeues = 0usize;
-    let mut requeued_ids: Vec<usize> = Vec::new();
+    // One mark per trace index, set when a crash requeues the request.
+    let mut requeued = vec![false; if faulty { trace.len() } else { 0 }];
     // The router's own clock: monotone across requeues and all-down
     // stalls, so the availability cursors never run backwards.
     let mut router_now = 0.0_f64;
     let mut up: Vec<bool> = Vec::with_capacity(replicas);
-    for r in trace {
+    // `validate_trace` caps the trace at `MAX_TRACE_REQUESTS`, so every
+    // index fits a `u32`.
+    for (r, req) in trace.iter().zip(0u32..) {
         // No replica could ever admit this request (replicas are
         // identical), so the front door rejects it outright instead of
         // letting it occupy a queue. Admissibility is regime-aware: a
@@ -578,19 +545,20 @@ pub(crate) fn run_fleet(
             }
             router_now = router_now.max(r.arrival_s);
             reroute_drained(
+                trace,
                 &mut engines,
                 &mut state,
                 &mut router_now,
                 &mut up,
                 &mut requeues,
-                &mut requeued_ids,
+                &mut requeued,
             );
-            route_at(&mut engines, &mut state, &mut router_now, &mut up, *r);
+            route_at(&mut engines, &mut state, &mut router_now, &mut up, req);
         } else {
             // A single replica needs no observation — every choice is 0 —
-            // so skip the stepping and let the lone engine run in batch
-            // mode (which also keeps a 1-replica fleet bit-identical to
-            // the single-instance path for every policy).
+            // so skip the stepping and run the lone engine out in one
+            // `finish` (which is also what keeps a 1-replica fleet
+            // bit-identical to `ServeInstance::simulate` for every policy).
             if replicas > 1 && router.is_state_aware() {
                 // Step every replica to the arrival instant so the router
                 // observes live queue depth / outstanding work, not stale
@@ -599,8 +567,8 @@ pub(crate) fn run_fleet(
                     engine.advance_to(r.arrival_s)?;
                 }
             }
-            let choice = state.pick(&engines);
-            engines[choice].push(*r);
+            let choice = state.pick(&engines, |_| true);
+            engines[choice].push(req, r.arrival_s);
         }
     }
     // Drain. Crashes during the tail can still requeue work after the
@@ -617,12 +585,13 @@ pub(crate) fn run_fleet(
         }
         let before = requeues;
         reroute_drained(
+            trace,
             &mut engines,
             &mut state,
             &mut router_now,
             &mut up,
             &mut requeues,
-            &mut requeued_ids,
+            &mut requeued,
         );
         if requeues == before {
             break;
@@ -665,10 +634,6 @@ pub(crate) fn run_fleet(
         decode_iterations += inputs.decode_iterations;
         decode_batch_sum += inputs.decode_batch_sum;
         makespan_s = makespan_s.max(inputs.makespan_s);
-        debug_assert!(
-            inputs.rejected_ids.is_empty(),
-            "the router pre-rejects unservable requests"
-        );
     }
     let per_s = |count: f64| {
         if makespan_s > 0.0 {
@@ -715,8 +680,12 @@ pub(crate) fn run_fleet(
     } else {
         1.0
     };
-    requeued_ids.sort_unstable();
-    let mut distinct_requeued = requeued_ids;
+    let mut distinct_requeued: Vec<usize> = trace
+        .iter()
+        .zip(&requeued)
+        .filter_map(|(r, &marked)| marked.then_some(r.id))
+        .collect();
+    distinct_requeued.sort_unstable();
     distinct_requeued.dedup();
     let goodput_tokens_per_s = per_s(met_tokens as f64);
     let up_replicas = replicas as f64 * availability_frac;
@@ -788,13 +757,16 @@ pub(crate) fn run_fleet(
 /// # Errors
 ///
 /// Returns [`ServeError`] when the replica strategy cannot serve at all
-/// (see [`FleetInstance::new`]).
+/// (see [`FleetInstance::new`]), and [`ServeError::InvalidTrace`] when
+/// `spec.requests` exceeds [`crate::MAX_TRACE_REQUESTS`] (checked before
+/// any request is generated).
 pub fn simulate_fleet(
     cluster: &ClusterSpec,
     model: Arc<ModelConfig>,
     config: &FleetConfig,
     spec: &TraceSpec,
 ) -> Result<FleetReport, ServeError> {
+    check_trace_len(spec.requests)?;
     simulate_fleet_trace(cluster, model, config, &spec.generate())
 }
 
@@ -813,7 +785,8 @@ pub fn simulate_fleet(
 /// Returns [`ServeError`] for configurations that cannot serve (weights
 /// overflow the device, `tp` beyond a node, zero replicas, an invalid
 /// fault spec), and [`ServeError::InvalidTrace`] if `trace` is not sorted
-/// by arrival time or contains a zero-length prompt or output.
+/// by arrival time, holds more than [`crate::MAX_TRACE_REQUESTS`]
+/// requests, or contains a zero-length prompt or output.
 pub fn simulate_fleet_trace(
     cluster: &ClusterSpec,
     model: Arc<ModelConfig>,
@@ -914,10 +887,13 @@ mod tests {
     }
 
     /// A single-replica fleet is exactly the single-instance simulation
-    /// for every policy: the per-replica report must equal
-    /// `ServeInstance::simulate`'s output field for field — the
-    /// refactor's ground truth, and what lets the load-sweep run all its
-    /// cells through `run_fleet`.
+    /// for every policy: the per-replica report, with `requests`,
+    /// `rejected` and `rejected_ids` taken from the router, must equal
+    /// `ServeInstance::simulate`'s output field for field — the ground
+    /// truth that lets the load-sweep run all its cells through
+    /// `run_fleet`. It holds with inadmissible requests mid-backlog and
+    /// after the last completion, under every KV regime and scheduler,
+    /// because the router is the one place that rejects them.
     #[test]
     fn one_replica_fleet_equals_single_instance() {
         let cluster = presets::dgx_a100_hdr_cluster();
@@ -943,6 +919,34 @@ mod tests {
             assert_eq!(fleet.ttft, single.ttft, "{policy}");
             assert_eq!(fleet.e2e, single.e2e, "{policy}");
             assert_eq!(fleet.makespan, single.makespan, "{policy}");
+        }
+
+        let trace = crate::sim::tests::trace_with_rejects();
+        for replica in crate::sim::tests::regimes() {
+            let single =
+                crate::simulate_trace(&cluster, Arc::clone(&model), &replica, &trace).unwrap();
+            for policy in policies() {
+                let label = format!("{} {:?} {policy}", replica.kv, replica.scheduler);
+                let fleet = simulate_fleet_trace(
+                    &cluster,
+                    Arc::clone(&model),
+                    &FleetConfig::new(1, 1)
+                        .with_router(policy)
+                        .with_replica(replica),
+                    &trace,
+                )
+                .unwrap();
+                assert_eq!(fleet.rejected_ids, crate::sim::tests::REJECTED, "{label}");
+                assert_eq!(fleet.routed, vec![trace.len() - 2], "{label}");
+                let replica_report = ServeReport {
+                    requests: fleet.requests,
+                    rejected: fleet.rejected,
+                    rejected_ids: fleet.rejected_ids.clone(),
+                    ..fleet.per_replica[0].clone()
+                };
+                assert_eq!(replica_report, single, "{label}");
+                assert_eq!(fleet.makespan, single.makespan, "{label}");
+            }
         }
     }
 

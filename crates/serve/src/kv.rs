@@ -8,9 +8,9 @@
 //! a victim — recomputing its discarded progress later, or swapping its
 //! blocks out over the node-egress link and back. [`KvSpec`] selects the
 //! regime per [`crate::ServeConfig`]; the degenerate
-//! [`KvSpec::reserved`] keeps the legacy full-reservation path
-//! bit-identical to a build without paging at all (the same pinning
-//! discipline as [`crate::FaultSpec::none`]).
+//! [`KvSpec::reserved`] keeps the legacy full-reservation regime's
+//! reports byte-identical to a build without paging at all (the same
+//! pinning discipline as [`crate::FaultSpec::none`]).
 //!
 //! Paging is what makes shared-prefix traces interesting: full blocks of
 //! a cached prefix are held once and reference-counted across every
@@ -124,9 +124,10 @@ impl core::fmt::Display for KvSpec {
 ///
 /// Every scheduler keeps head-of-line blocking: the *picked* request
 /// either admits or the queue waits — a lower-ranked request never
-/// admits past a blocked pick (which is what makes FIFO under this
-/// generalized queue identical to the legacy cursor admission,
-/// float-for-float).
+/// admits past a blocked pick. FIFO picks straight off the arrival
+/// order; the ranked schedulers pick from a heap keyed by (rank, queue
+/// position), so ties go to the earliest-queued request at O(log n) per
+/// admission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default, Serialize, Deserialize)]
 pub enum Scheduler {
     /// Earliest arrival first — the legacy (and vLLM default) order.

@@ -81,7 +81,7 @@ pub use report::{
 };
 pub use sim::{
     simulate, simulate_trace, PricingMode, RecordMode, ServeConfig, ServeError, ServeInstance,
-    EXACT_MODE_LIMIT, MAX_QUEUE_SAMPLES,
+    EXACT_MODE_LIMIT, MAX_QUEUE_SAMPLES, MAX_TRACE_REQUESTS,
 };
 pub use stats::{LatencyAccumulator, LogHistogram};
-pub use trace::{ArrivalProcess, LengthDist, Prefix, PrefixSpec, Request, TraceSpec};
+pub use trace::{max_context, ArrivalProcess, LengthDist, Prefix, PrefixSpec, Request, TraceSpec};

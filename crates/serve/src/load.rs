@@ -284,7 +284,10 @@ pub struct LoadSweepReport {
 /// # Panics
 ///
 /// Panics on a degenerate spec: no rates, no strategies, zero requests,
-/// or a non-positive/non-finite rate.
+/// a non-positive/non-finite rate, prompt, output and prefix lengths
+/// whose largest context overflows `usize`, or an invalid fault spec;
+/// and, once some strategy is feasible, on more requests per cell than
+/// [`crate::MAX_TRACE_REQUESTS`].
 #[must_use]
 pub fn load_sweep(
     cluster: &ClusterSpec,
@@ -292,6 +295,10 @@ pub fn load_sweep(
     spec: &LoadSweepSpec,
 ) -> LoadSweepReport {
     assert!(spec.requests > 0, "a load sweep needs requests");
+    assert!(
+        crate::max_context(&spec.prompt, &spec.output, spec.prefixes.as_ref()).is_some(),
+        "the largest prompt + output + prefix context overflows"
+    );
     assert!(!spec.rates.is_empty(), "a load sweep needs arrival rates");
     assert!(!spec.strategies.is_empty(), "a load sweep needs strategies");
     assert!(
@@ -340,6 +347,11 @@ pub fn load_sweep(
     }
 
     // --- phase 2: the grid, cells in parallel ---------------------------
+    assert!(
+        spec.requests <= crate::MAX_TRACE_REQUESTS,
+        "a load sweep cell holds at most {} requests",
+        crate::MAX_TRACE_REQUESTS
+    );
     // Traces depend on the rate alone, not the strategy: generate each
     // once and share it by reference across the row of cells (a sweep
     // therefore holds rates × requests requests in memory — ~32 B each).
@@ -378,7 +390,7 @@ pub fn load_sweep(
                 &faults,
                 &traces[ri],
             )
-            .expect("feasibility was probed in phase 1 and generated traces are valid");
+            .expect("feasibility was probed in phase 1 and the spec asserts keep traces valid");
             LoadPoint::from_fleet(*strategy, spec.rates[ri], &report)
         })
         .collect();
@@ -458,9 +470,8 @@ fn prepare_strategy<'a>(
         .map_err(|e| infeasible(e.to_string()))?;
     // A cache-hit prompt is the drawn suffix plus the shared prefix, so
     // the per-request context ceiling grows by the prefix length.
-    let max_kv = spec.prompt.max_tokens()
-        + spec.output.max_tokens()
-        + spec.prefixes.as_ref().map_or(0, |p| p.tokens);
+    let max_kv = crate::max_context(&spec.prompt, &spec.output, spec.prefixes.as_ref())
+        .expect("load_sweep asserts the largest context fits");
     if spec.requests > EXACT_MODE_LIMIT {
         // The same batch-ceiling computation the per-trace bound scan
         // uses, fed the distributions' minimum reservation — so these
@@ -751,6 +762,18 @@ mod tests {
         let model = Arc::new(models::llama2_7b());
         let mut spec = small_spec();
         spec.rates = vec![0.0];
+        let _ = load_sweep(&cluster, &model, &spec);
+    }
+
+    /// Regression: a prompt length whose context overflows used to reach
+    /// the cells and panic there, in a trace-validity `expect`.
+    #[test]
+    #[should_panic(expected = "context overflows")]
+    fn overflowing_context_is_rejected_up_front() {
+        let cluster = presets::dgx_a100_hdr_cluster();
+        let model = Arc::new(models::llama2_7b());
+        let mut spec = small_spec();
+        spec.prompt = LengthDist::Fixed { tokens: usize::MAX };
         let _ = load_sweep(&cluster, &model, &spec);
     }
 

@@ -14,8 +14,10 @@
 //!    advances one token in a **decode** iteration priced at the batch's
 //!    aggregate context.
 //!
-//! The event loop is streaming: the admission queue is a cursor into the
-//! arrival-ordered trace, in-flight state lives in a recycled slot arena,
+//! The event loop is streaming: each replica engine borrows the trace and
+//! holds `u32` indices into it, FIFO admission is a cursor over those
+//! indices (ranked schedulers keep a heap), in-flight state lives in a
+//! recycled slot arena,
 //! decode completions are scheduled on an epoch ring (every request costs
 //! O(1) bookkeeping per iteration it participates in, with no per-member
 //! scans), and per-request records plus exact percentile buffers are kept
@@ -26,10 +28,11 @@
 //! single-threaded and all randomness lives in the seeded trace, so
 //! reports are byte-identical across runs and thread counts.
 
-use crate::engine::{ReplicaEngine, ReportInputs};
+use crate::engine::ReportInputs;
+use crate::fleet::run_fleet;
 use crate::{
-    KvSpec, KvUsage, QueueSample, QueueStats, Request, Scheduler, ServeReport, SloReport, SloSpec,
-    TraceSpec,
+    FaultSpec, KvSpec, KvUsage, QueueSample, QueueStats, Request, RouterPolicy, Scheduler,
+    ServeReport, SloReport, SloSpec, TraceSpec,
 };
 use optimus_hw::{ClusterSpec, Precision};
 use optimus_infer::{DecodeCostTable, PreparedInferenceEstimator};
@@ -49,6 +52,10 @@ pub const MAX_QUEUE_SAMPLES: usize = 128;
 /// sealed-table pricing, log-histogram percentiles, records off — sized
 /// for million-request traces.
 pub const EXACT_MODE_LIMIT: usize = 10_000;
+
+/// The most requests one simulated trace may hold: replica engines index
+/// the trace with `u32`s. A longer trace is [`ServeError::InvalidTrace`].
+pub const MAX_TRACE_REQUESTS: usize = u32::MAX as usize;
 
 /// How decode iterations are priced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -175,8 +182,9 @@ pub enum ServeError {
     /// The estimator rejected the configuration (e.g. unsupported
     /// precision).
     Estimator(String),
-    /// The trace is not sorted by arrival time, or a request has a
-    /// zero-length prompt or output.
+    /// The trace is not sorted by arrival time, holds more than
+    /// [`MAX_TRACE_REQUESTS`] requests, or a request has a zero-length
+    /// prompt or output.
     InvalidTrace(String),
 }
 
@@ -324,9 +332,9 @@ impl<'a> ServeInstance<'a> {
 
     /// Whether this instance can ever run `request` alone: its full
     /// reservation fits the budget (reserved regime), or its peak block
-    /// need fits the pool (paged regime). The admission front doors — the
-    /// engine's head-of-queue rejection and the fleet router's — both
-    /// test exactly this, which is what makes the paged engine
+    /// need fits the pool (paged regime). The router rejects every other
+    /// request on arrival — the one rejection point, for a lone instance
+    /// and a fleet alike — which is what makes the paged engine
     /// deadlock-free: an admissible head always admits on an idle
     /// replica.
     #[must_use]
@@ -407,25 +415,36 @@ impl<'a> ServeInstance<'a> {
             .map_err(|e| ServeError::Estimator(e.to_string()))
     }
 
-    /// Simulates serving `trace` on this instance.
+    /// Simulates serving `trace` on this instance: the fleet event loop
+    /// over one fault-free replica, whose report takes `requests`,
+    /// `rejected` and `rejected_ids` from the router. The router rejects
+    /// a request no idle instance could run on arrival, so it never
+    /// counts as waiting.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidTrace`] if `trace` is not sorted by
-    /// arrival time or contains a zero-length prompt or output, and
+    /// arrival time, holds more than [`MAX_TRACE_REQUESTS`] requests, or
+    /// contains a zero-length prompt or output, and
     /// [`ServeError::Estimator`] when the device lacks the serving
     /// precision.
     pub fn simulate(&self, trace: &[Request]) -> Result<ServeReport, ServeError> {
-        Self::validate_trace(trace)?;
-        let bounds = TraceBounds::scan(self, trace);
-        let table = self.pricing_table(trace.len(), &bounds)?;
-        self.run(trace, &bounds, table)
+        let fleet = run_fleet(self, 1, RouterPolicy::RoundRobin, &FaultSpec::none(), trace)?;
+        let replica = fleet.per_replica.into_iter().next().expect("one replica");
+        Ok(ServeReport {
+            requests: fleet.requests,
+            rejected: fleet.rejected,
+            rejected_ids: fleet.rejected_ids,
+            ..replica
+        })
     }
 
-    /// Rejects an unordered trace, zero-length prompts/outputs, or a
-    /// request whose `prompt + output` overflows — the shared
-    /// precondition of the single-replica and fleet entry points.
+    /// Rejects an unordered or over-long trace, zero-length
+    /// prompts/outputs, or a request whose `prompt + output` overflows —
+    /// the shared precondition of the single-replica and fleet entry
+    /// points.
     pub(crate) fn validate_trace(trace: &[Request]) -> Result<(), ServeError> {
+        check_trace_len(trace.len())?;
         if !trace.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s) {
             return Err(ServeError::InvalidTrace(
                 "trace must be sorted by arrival time".to_owned(),
@@ -541,6 +560,17 @@ impl TraceBounds {
     }
 }
 
+/// Rejects a trace length past [`MAX_TRACE_REQUESTS`] — before a spec of
+/// that size is generated at all.
+pub(crate) fn check_trace_len(len: usize) -> Result<(), ServeError> {
+    if len > MAX_TRACE_REQUESTS {
+        return Err(ServeError::InvalidTrace(format!(
+            "a trace holds at most {MAX_TRACE_REQUESTS} requests, got {len}"
+        )));
+    }
+    Ok(())
+}
+
 /// Generates the trace from `spec` and simulates serving it on one
 /// `tp`-way instance of `model` over `cluster`.
 ///
@@ -548,13 +578,16 @@ impl TraceBounds {
 ///
 /// Returns [`ServeError`] when the configuration cannot serve at all: the
 /// sharded weights overflow the device, `tp` does not fit a node, or the
-/// device lacks the precision.
+/// device lacks the precision; and [`ServeError::InvalidTrace`] when
+/// `spec.requests` exceeds [`MAX_TRACE_REQUESTS`] (checked before any
+/// request is generated).
 pub fn simulate(
     cluster: &ClusterSpec,
     model: Arc<ModelConfig>,
     config: &ServeConfig,
     spec: &TraceSpec,
 ) -> Result<ServeReport, ServeError> {
+    check_trace_len(spec.requests)?;
     simulate_trace(cluster, model, config, &spec.generate())
 }
 
@@ -564,7 +597,8 @@ pub fn simulate(
 ///
 /// Returns [`ServeError`] for configurations that cannot serve (see
 /// [`simulate`]), and [`ServeError::InvalidTrace`] if `trace` is not
-/// sorted by arrival time or contains a zero-length prompt or output.
+/// sorted by arrival time, holds more than [`MAX_TRACE_REQUESTS`]
+/// requests, or contains a zero-length prompt or output.
 pub fn simulate_trace(
     cluster: &ClusterSpec,
     model: Arc<ModelConfig>,
@@ -575,32 +609,9 @@ pub fn simulate_trace(
 }
 
 impl<'a> ServeInstance<'a> {
-    /// The single-replica event loop: one [`ReplicaEngine`] driven in
-    /// batch mode over the whole trace.
-    fn run(
-        &self,
-        trace: &[Request],
-        bounds: &TraceBounds,
-        table: Option<&DecodeCostTable>,
-    ) -> Result<ServeReport, ServeError> {
-        let mut engine = ReplicaEngine::new(
-            self,
-            table,
-            bounds,
-            trace.len(),
-            self.records_on(trace.len()),
-            None, // fault injection is a fleet concern
-        );
-        for r in trace {
-            engine.push(*r);
-        }
-        engine.finish()?;
-        let (routed, inputs) = engine.into_parts();
-        Ok(self.assemble_report(routed, inputs))
-    }
-
-    /// Shapes one engine's raw outputs into a [`ServeReport`] (also the
-    /// per-replica assembly step of a fleet simulation).
+    /// Shapes one replica engine's raw outputs into a [`ServeReport`] of
+    /// the `requests` routed to it. The router's rejections belong to the
+    /// fleet report, so none are listed here.
     pub(crate) fn assemble_report(&self, requests: usize, inputs: ReportInputs) -> ServeReport {
         let config = &self.config;
         let mut sink = inputs.sink;
@@ -647,8 +658,8 @@ impl<'a> ServeInstance<'a> {
             precision: config.precision,
             requests,
             completed,
-            rejected: inputs.rejected_ids.len(),
-            rejected_ids: inputs.rejected_ids,
+            rejected: 0,
+            rejected_ids: Vec::new(),
             makespan: Time::from_secs(makespan),
             generated_tokens: sink.generated_tokens,
             tokens_per_s: per_s(sink.generated_tokens as f64),
@@ -693,11 +704,48 @@ impl<'a> ServeInstance<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{ArrivalProcess, LengthDist};
     use optimus_hw::presets;
     use optimus_model::presets as models;
+
+    /// Ids of the inadmissible requests in [`trace_with_rejects`].
+    pub(crate) const REJECTED: [usize; 2] = [6, 13];
+
+    /// A llama2-13b TP1 burst whose 20k-token prompts fit the KV budget
+    /// only a few at a time, so admission backs up, plus two requests no
+    /// device could ever hold (~500k tokens of KV): one queued behind the
+    /// blocked head in the middle of the backlog — least urgent, so no
+    /// scheduler picks it early — and one arriving long after the last
+    /// completion.
+    pub(crate) fn trace_with_rejects() -> Vec<Request> {
+        (0..14)
+            .map(|i| match i {
+                6 => Request::new(i, 0.1, 500_000, 4).with_priority(2),
+                13 => Request::new(i, 1_000.0, 500_000, 4).with_priority(2),
+                _ => Request::new(i, 0.1, 20_000 - 500 * i, 2 + i % 5).with_priority((i % 2) as u8),
+            })
+            .collect()
+    }
+
+    /// A TP1 replica under every KV regime × scheduler pairing
+    /// (`priority-preempt` is paged only).
+    pub(crate) fn regimes() -> Vec<ServeConfig> {
+        let paged = KvSpec::paged(16);
+        [
+            (KvSpec::reserved(), Scheduler::Fifo),
+            (KvSpec::reserved(), Scheduler::Priority),
+            (KvSpec::reserved(), Scheduler::Sjf),
+            (paged, Scheduler::Fifo),
+            (paged, Scheduler::Priority),
+            (paged, Scheduler::Sjf),
+            (paged, Scheduler::PriorityPreempt),
+        ]
+        .into_iter()
+        .map(|(kv, scheduler)| ServeConfig::new(1).with_kv(kv).with_scheduler(scheduler))
+        .collect()
+    }
 
     fn spec(seed: u64, requests: usize, rate: f64) -> TraceSpec {
         TraceSpec {
@@ -773,6 +821,58 @@ mod tests {
         assert_eq!(report.rejected_ids, vec![0]);
         assert_eq!(report.completed, 1);
         assert_eq!(report.per_request[0].id, 1);
+
+        // The router rejects on arrival, so a rejected request never
+        // waits: queued behind a blocked head it adds nothing to the
+        // waiting peak, mean or samples, and arriving after the last
+        // completion it does not stretch the makespan. The run equals the
+        // run without it, apart from the trace's own counts.
+        let trace = trace_with_rejects();
+        let served: Vec<Request> = trace
+            .iter()
+            .filter(|r| !REJECTED.contains(&r.id))
+            .copied()
+            .collect();
+        for config in regimes() {
+            let model = Arc::new(models::llama2_13b());
+            let report = simulate_trace(&cluster, Arc::clone(&model), &config, &trace).unwrap();
+            let clean = simulate_trace(&cluster, model, &config, &served).unwrap();
+            let label = format!("{} {:?}", config.kv, config.scheduler);
+            assert_eq!(report.rejected_ids, REJECTED, "{label}: trace order");
+            assert_eq!(report.requests, trace.len(), "{label}");
+            assert_eq!(report.completed, served.len(), "{label}");
+            assert!(clean.queue.peak_waiting > 1, "{label}: admission backs up");
+            assert_eq!(
+                report.queue.peak_waiting, clean.queue.peak_waiting,
+                "{label}"
+            );
+            assert_eq!(
+                report.queue.mean_waiting, clean.queue.mean_waiting,
+                "{label}"
+            );
+            assert_eq!(report.queue.samples, clean.queue.samples, "{label}");
+            let last_completion = report
+                .per_request
+                .iter()
+                .map(|m| (m.arrival + m.e2e).secs())
+                .fold(0.0, f64::max);
+            assert!(
+                (report.makespan.secs() - last_completion).abs() < 1e-9,
+                "{label}: makespan {} ends at the last completion {last_completion}",
+                report.makespan
+            );
+            assert!(report.makespan.secs() < trace[13].arrival_s, "{label}");
+            assert_eq!(
+                ServeReport {
+                    requests: clean.requests,
+                    rejected: 0,
+                    rejected_ids: Vec::new(),
+                    ..report
+                },
+                clean,
+                "{label}"
+            );
+        }
     }
 
     #[test]
@@ -909,9 +1009,11 @@ mod tests {
             assert_eq!(report.completed, 0);
             assert_eq!(report.rejected, trace.len());
             assert_eq!(report.generated_tokens, 0);
-            // The clock still walks the arrival sequence; it must stay
-            // finite rather than inherit the infinite `min_reservation`.
-            assert!(report.makespan.secs().is_finite());
+            // The router rejects every request on arrival, so no engine
+            // clock ever starts: nothing inherits the infinite
+            // `min_reservation`.
+            assert_eq!(report.makespan, Time::ZERO);
+            assert_eq!(report.queue.peak_waiting, 0);
         }
     }
 

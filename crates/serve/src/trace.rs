@@ -201,6 +201,22 @@ impl PrefixSpec {
     }
 }
 
+/// The largest context a request drawn from these lengths can carry: the
+/// longest prompt plus the longest output, plus the shared prefix when a
+/// pool is active (a prefixed prompt is the prefix plus a drawn suffix).
+/// `None` when that overflows `usize`.
+#[must_use]
+pub fn max_context(
+    prompt: &LengthDist,
+    output: &LengthDist,
+    prefixes: Option<&PrefixSpec>,
+) -> Option<usize> {
+    prompt
+        .max_tokens()
+        .checked_add(output.max_tokens())?
+        .checked_add(prefixes.map_or(0, |p| p.tokens))
+}
+
 /// A seeded synthetic workload: arrival process plus prompt/output length
 /// distributions.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
