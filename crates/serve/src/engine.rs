@@ -203,6 +203,15 @@ impl RankedQueue {
     }
 }
 
+/// The work one crash hands back to the router: the drain instant and
+/// every request the replica lost there.
+pub(crate) struct Dropped {
+    /// The replica's clock when the crash took effect.
+    pub(crate) at_s: f64,
+    /// The lost trace indices, ascending.
+    pub(crate) lost: Vec<u32>,
+}
+
 /// One replica's resumable scheduler state. See the module docs for how
 /// the router drives it.
 pub(crate) struct ReplicaEngine<'i, 'a> {
@@ -260,10 +269,11 @@ pub(crate) struct ReplicaEngine<'i, 'a> {
 
     // Fault wiring (`None` on the fault-free path): the outage windows
     // the clock drains through, the router's availability cursor, and the
-    // requests lost to crashes since the driver last collected them.
+    // drops crashes have made since the router last collected them, one
+    // per crash in drain order.
     faults: Option<EngineFaults>,
     slow_mult: f64,
-    requeued: Vec<(u32, f64)>,
+    requeued: Vec<Dropped>,
 
     // --- scheduler and paged-KV state -----------------------------------
     // Everything from `policy` on stays empty or zero under reserved KV.
@@ -373,8 +383,9 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
     }
 
     /// Assigns trace request `req` to this replica at router-observed
-    /// time `at_s`: its arrival when first routed, the instant a crash
-    /// dropped it when requeued. The request keeps its own `arrival_s`
+    /// time `at_s`: its arrival when first routed; when requeued, the
+    /// router's clock at the requeue — the drop instant, or later if the
+    /// router had moved past it. The request keeps its own `arrival_s`
     /// for every metric; the engine first sees it at `at_s`, clamped so
     /// effective arrivals stay nondecreasing.
     pub(crate) fn push(&mut self, req: u32, at_s: f64) {
@@ -382,6 +393,17 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         self.eff.push(eff);
         self.order.push(req);
         self.assigned += 1;
+    }
+
+    /// The (trace index, effective arrival) of every request assigned
+    /// here and not drained since, in push order.
+    #[cfg(test)]
+    pub(crate) fn assignments(&self) -> Vec<(u32, f64)> {
+        self.order
+            .iter()
+            .copied()
+            .zip(self.eff.iter().copied())
+            .collect()
     }
 
     /// Whether the replica's outage schedule has it up at `t` — the
@@ -397,9 +419,10 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         self.faults.as_mut().map_or(t, |f| f.query.next_up(t))
     }
 
-    /// Takes the trace indices crashes have drained since the last call,
-    /// each paired with the instant its replica dropped it.
-    pub(crate) fn take_requeued(&mut self) -> Vec<(u32, f64)> {
+    /// Takes the drops crashes have made since the last call, in drain
+    /// order: each is one drain instant with its lost trace indices in
+    /// ascending order.
+    pub(crate) fn take_requeued(&mut self) -> Vec<Dropped> {
         core::mem::take(&mut self.requeued)
     }
 
@@ -816,8 +839,9 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
     /// Crash: every incomplete request — queued for admission, awaiting
     /// prefill, or mid-decode — is pulled back for the router to requeue
     /// with its original arrival time intact; partial decode progress is
-    /// discarded. Completed history and cumulative counters survive; only
-    /// in-flight state resets.
+    /// discarded. The lost requests leave as one [`Dropped`] at the
+    /// current clock, in trace order. Completed history and cumulative
+    /// counters survive; only in-flight state resets.
     fn drain_for_requeue(&mut self) {
         let mut lost: Vec<u32> = Vec::new();
         for &idx in &self.awaiting_prefill {
@@ -863,10 +887,13 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         if lost.is_empty() {
             return;
         }
-        let trace = self.trace;
-        lost.sort_by_key(|&req| trace[req as usize].id);
-        let at = self.clock;
-        self.requeued.extend(lost.into_iter().map(|req| (req, at)));
+        // The bulk of `lost` is the backlog `order[admit_cursor..]`: a few
+        // ascending runs in push order, which the stable sort merges.
+        lost.sort();
+        self.requeued.push(Dropped {
+            at_s: self.clock,
+            lost,
+        });
     }
 
     /// One prefill iteration of slot `idx`; returns its duration. Prices

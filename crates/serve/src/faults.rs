@@ -27,6 +27,11 @@
 //!   request on the replica — queued, admitted, or mid-decode — is
 //!   drained back to the router with its **original arrival time**;
 //!   partial decode progress is discarded.
+//! * Drained requests re-enter the router at the **drop instant**, in
+//!   trace order: requests dropped at the same instant — by one replica,
+//!   or by every member of a failure domain at once — are routed in
+//!   ascending trace index, and earlier instants go first. A request's
+//!   `id` is a label that never affects the simulation.
 //! * While a replica is inside a scheduled outage window the router skips
 //!   it; if every replica is down — which a wide domain outage can cause
 //!   all at once — the FIFO front door blocks until the earliest

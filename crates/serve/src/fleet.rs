@@ -23,7 +23,7 @@
 //! throughput, and SLO goodput. Everything is single-threaded and seeded,
 //! so fleet reports are byte-identical across runs and thread counts.
 
-use crate::engine::ReplicaEngine;
+use crate::engine::{Dropped, ReplicaEngine};
 use crate::faults::{EngineFaults, FaultSpec, FleetAvailability};
 use crate::sim::{check_trace_len, TraceBounds};
 use crate::stats::LatencyAccumulator;
@@ -346,12 +346,13 @@ impl<'a> FleetInstance<'a> {
     }
 }
 
-/// The router's mutable decision state.
+/// The router's mutable decision state. Least-outstanding and
+/// join-shortest-queue share `LeastLoaded`: they differ only in the
+/// [`load`] they balance.
 enum RouterState {
     RoundRobin { next: usize },
     Random { rng: StdRng },
-    LeastOutstanding,
-    JoinShortestQueue,
+    LeastLoaded,
 }
 
 impl RouterState {
@@ -361,22 +362,27 @@ impl RouterState {
             RouterPolicy::Random { seed } => Self::Random {
                 rng: StdRng::seed_from_u64(seed),
             },
-            RouterPolicy::LeastOutstanding => Self::LeastOutstanding,
-            RouterPolicy::JoinShortestQueue => Self::JoinShortestQueue,
+            RouterPolicy::LeastOutstanding | RouterPolicy::JoinShortestQueue => Self::LeastLoaded,
         }
     }
 
-    /// Picks the replica for one arrival among those `up` reports
-    /// available — `|_| true` on a fault-free fleet, which compiles the
-    /// availability checks away. The caller guarantees at least one up
-    /// replica. Round-robin takes the first up replica at or after its
-    /// cursor; random draws a uniform index among the up replicas (the
-    /// same draw while all are up); `min_by_key` returns the first
-    /// minimum, so state-aware ties break to the lowest replica index —
-    /// deterministically.
-    fn pick(&mut self, engines: &[ReplicaEngine<'_, '_>], up: impl Fn(usize) -> bool) -> usize {
-        let n = engines.len();
-        debug_assert!((0..n).any(&up), "route_at waits for a live replica");
+    /// Picks one of `n` replicas among those `up` reports available —
+    /// `|_| true` on a fault-free fleet, which compiles the availability
+    /// checks away. The caller guarantees at least one up replica.
+    /// Round-robin takes the first up replica at or after its cursor;
+    /// random draws a uniform index among the up replicas (the same draw
+    /// while all are up); the state-aware policies take the up replica of
+    /// least `load` — the policy's [`load`] of each replica, read live or
+    /// from a snapshot kept in step with the pushes — and `min_by_key`
+    /// returns the first minimum, so ties break to the lowest replica
+    /// index, deterministically.
+    fn pick(
+        &mut self,
+        n: usize,
+        up: impl Fn(usize) -> bool,
+        load: impl Fn(usize) -> usize,
+    ) -> usize {
+        debug_assert!((0..n).any(&up), "the router waits for a live replica");
         match self {
             Self::RoundRobin { next } => {
                 let mut choice = *next % n;
@@ -394,76 +400,141 @@ impl RouterState {
                     .nth(draw)
                     .expect("draw < alive ⇒ an up replica matches")
             }
-            Self::LeastOutstanding => (0..n)
+            Self::LeastLoaded => (0..n)
                 .filter(|&i| up(i))
-                .min_by_key(|&i| engines[i].outstanding())
-                .expect("at least one up replica"),
-            Self::JoinShortestQueue => (0..n)
-                .filter(|&i| up(i))
-                .min_by_key(|&i| engines[i].waiting())
+                .min_by_key(|&i| load(i))
                 .expect("at least one up replica"),
         }
     }
 }
 
-/// Routes trace request `req` at the router's monotone clock, skipping
-/// down replicas. When the whole fleet is down the FIFO front door blocks
-/// — `router_now` jumps to the earliest scheduled recovery — before the
-/// request (and everything behind it) is assigned.
-fn route_at(
-    engines: &mut [ReplicaEngine<'_, '_>],
-    state: &mut RouterState,
-    router_now: &mut f64,
-    up: &mut Vec<bool>,
-    req: u32,
-) {
-    loop {
-        up.clear();
+/// The load `policy` balances at `engine`: outstanding requests under
+/// least-outstanding, waiting requests under join-shortest-queue; the
+/// stateless policies read none. A `push` raises both by exactly one.
+fn load(policy: RouterPolicy, engine: &ReplicaEngine<'_, '_>) -> usize {
+    match policy {
+        RouterPolicy::LeastOutstanding => engine.outstanding(),
+        RouterPolicy::JoinShortestQueue => engine.waiting(),
+        RouterPolicy::RoundRobin | RouterPolicy::Random { .. } => 0,
+    }
+}
+
+/// The fleet's front door: the policy's decision state, the router's own
+/// clock, and the requeue ledger.
+struct Router {
+    policy: RouterPolicy,
+    state: RouterState,
+    /// The router's clock: monotone across requeues and all-down stalls,
+    /// so the availability cursors never run backwards.
+    now: f64,
+    /// Which replicas were up at `now` at the last availability scan.
+    up: Vec<bool>,
+    /// The load snapshot one requeue instant water-fills.
+    loads: Vec<usize>,
+    /// Requeue events: every crash-drain of a request counts once.
+    requeues: usize,
+    /// One mark per trace index, set when a crash requeues the request
+    /// (empty on a fault-free fleet).
+    requeued: Vec<bool>,
+}
+
+impl Router {
+    fn new(policy: RouterPolicy, marks: usize) -> Self {
+        Self {
+            policy,
+            state: RouterState::new(policy),
+            now: 0.0,
+            up: Vec::new(),
+            loads: Vec::new(),
+            requeues: 0,
+            requeued: vec![false; marks],
+        }
+    }
+
+    /// Scans which replicas are up at the router's clock. When the whole
+    /// fleet is down the FIFO front door blocks — the clock jumps to the
+    /// earliest scheduled recovery — and scans again.
+    fn await_live(&mut self, engines: &mut [ReplicaEngine<'_, '_>]) {
+        loop {
+            self.up.clear();
+            for engine in engines.iter_mut() {
+                self.up.push(engine.available(self.now));
+            }
+            if self.up.contains(&true) {
+                return;
+            }
+            let wake = engines
+                .iter_mut()
+                .map(|e| e.next_up(self.now))
+                .fold(f64::INFINITY, f64::min);
+            debug_assert!(wake > self.now, "a down replica recovers strictly later");
+            self.now = wake;
+        }
+    }
+
+    /// Routes trace request `req` at the router's clock, skipping down
+    /// replicas (and waiting out an all-down fleet) and reading live
+    /// loads.
+    fn route_at(&mut self, engines: &mut [ReplicaEngine<'_, '_>], req: u32) {
+        self.await_live(engines);
+        let choice = self.state.pick(
+            engines.len(),
+            |i| self.up[i],
+            |i| load(self.policy, &engines[i]),
+        );
+        engines[choice].push(req, self.now);
+    }
+
+    /// Collects the drops every replica's crashes have made since the
+    /// last call and re-routes their requests (see [`Router::requeue`]).
+    fn reroute_drained(&mut self, engines: &mut [ReplicaEngine<'_, '_>]) {
+        let mut drops = Vec::new();
         for engine in engines.iter_mut() {
-            let live = engine.available(*router_now);
-            up.push(live);
+            drops.extend(engine.take_requeued());
         }
-        if up.iter().any(|&u| u) {
-            break;
-        }
-        let wake = engines
-            .iter_mut()
-            .map(|e| e.next_up(*router_now))
-            .fold(f64::INFINITY, f64::min);
-        debug_assert!(wake > *router_now, "a down replica recovers strictly later");
-        *router_now = wake;
+        self.requeue(engines, drops);
     }
-    let choice = state.pick(engines, |i| up[i]);
-    engines[choice].push(req, *router_now);
-}
 
-/// Collects every request the replicas' crashes have drained and
-/// re-routes each at the instant it was dropped — in deterministic
-/// (drop time, then id) order — counting the requeue and marking the
-/// request's trace index in `requeued`.
-fn reroute_drained(
-    trace: &[Request],
-    engines: &mut [ReplicaEngine<'_, '_>],
-    state: &mut RouterState,
-    router_now: &mut f64,
-    up: &mut Vec<bool>,
-    requeues: &mut usize,
-    requeued: &mut [bool],
-) {
-    let mut batch: Vec<(u32, f64)> = Vec::new();
-    for engine in engines.iter_mut() {
-        batch.extend(engine.take_requeued());
+    /// Re-routes every dropped request at the instant it was dropped:
+    /// instants in time order, and within one instant in trace order —
+    /// drops that share an instant (the members of one failure domain)
+    /// merge by index. Each instant is routed in one pass.
+    fn requeue(&mut self, engines: &mut [ReplicaEngine<'_, '_>], mut drops: Vec<Dropped>) {
+        drops.sort_by(|a, b| a.at_s.total_cmp(&b.at_s));
+        for group in drops.chunk_by_mut(|a, b| a.at_s.total_cmp(&b.at_s).is_eq()) {
+            let (drop, shared) = group.split_first_mut().expect("chunks are non-empty");
+            if !shared.is_empty() {
+                for other in shared {
+                    drop.lost.append(&mut other.lost);
+                }
+                // One ascending run per drop: the stable sort merges them.
+                drop.lost.sort();
+            }
+            self.route_instant(engines, drop.at_s, &drop.lost);
+        }
     }
-    if batch.is_empty() {
-        return;
-    }
-    let id = |req: u32| trace[req as usize].id;
-    batch.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| id(a.0).cmp(&id(b.0))));
-    for (req, dropped_at) in batch {
-        *router_now = router_now.max(dropped_at);
-        *requeues += 1;
-        requeued[req as usize] = true;
-        route_at(engines, state, router_now, up, req);
+
+    /// Routes `lost`, dropped at `at_s`, in one pass: one availability
+    /// scan (and at most one all-down stall), then one pick per request.
+    /// The state-aware policies water-fill a load snapshot taken once:
+    /// each push raises exactly the chosen replica's load by one and no
+    /// engine advances inside the pass, so the snapshot stays equal to
+    /// the live loads.
+    fn route_instant(&mut self, engines: &mut [ReplicaEngine<'_, '_>], at_s: f64, lost: &[u32]) {
+        self.now = self.now.max(at_s);
+        self.await_live(engines);
+        self.loads.clear();
+        self.loads
+            .extend(engines.iter().map(|engine| load(self.policy, engine)));
+        self.requeues += lost.len();
+        for &req in lost {
+            self.requeued[req as usize] = true;
+            let choice = self
+                .state
+                .pick(engines.len(), |i| self.up[i], |i| self.loads[i]);
+            self.loads[choice] += 1;
+            engines[choice].push(req, self.now);
+        }
     }
 }
 
@@ -514,15 +585,8 @@ pub(crate) fn run_fleet(
         })
         .collect();
 
-    let mut state = RouterState::new(router);
+    let mut front = Router::new(router, if faulty { trace.len() } else { 0 });
     let mut rejected_ids = Vec::new();
-    let mut requeues = 0usize;
-    // One mark per trace index, set when a crash requeues the request.
-    let mut requeued = vec![false; if faulty { trace.len() } else { 0 }];
-    // The router's own clock: monotone across requeues and all-down
-    // stalls, so the availability cursors never run backwards.
-    let mut router_now = 0.0_f64;
-    let mut up: Vec<bool> = Vec::with_capacity(replicas);
     // `validate_trace` caps the trace at `MAX_TRACE_REQUESTS`, so every
     // index fits a `u32`.
     for (r, req) in trace.iter().zip(0u32..) {
@@ -543,17 +607,9 @@ pub(crate) fn run_fleet(
             for engine in &mut engines {
                 engine.advance_to(r.arrival_s)?;
             }
-            router_now = router_now.max(r.arrival_s);
-            reroute_drained(
-                trace,
-                &mut engines,
-                &mut state,
-                &mut router_now,
-                &mut up,
-                &mut requeues,
-                &mut requeued,
-            );
-            route_at(&mut engines, &mut state, &mut router_now, &mut up, req);
+            front.now = front.now.max(r.arrival_s);
+            front.reroute_drained(&mut engines);
+            front.route_at(&mut engines, req);
         } else {
             // A single replica needs no observation — every choice is 0 —
             // so skip the stepping and run the lone engine out in one
@@ -567,7 +623,9 @@ pub(crate) fn run_fleet(
                     engine.advance_to(r.arrival_s)?;
                 }
             }
-            let choice = state.pick(&engines, |_| true);
+            let choice = front
+                .state
+                .pick(replicas, |_| true, |i| load(router, &engines[i]));
             engines[choice].push(req, r.arrival_s);
         }
     }
@@ -583,17 +641,9 @@ pub(crate) fn run_fleet(
         if !faulty {
             break;
         }
-        let before = requeues;
-        reroute_drained(
-            trace,
-            &mut engines,
-            &mut state,
-            &mut router_now,
-            &mut up,
-            &mut requeues,
-            &mut requeued,
-        );
-        if requeues == before {
+        let before = front.requeues;
+        front.reroute_drained(&mut engines);
+        if front.requeues == before {
             break;
         }
         drain_rounds += 1;
@@ -682,7 +732,7 @@ pub(crate) fn run_fleet(
     };
     let mut distinct_requeued: Vec<usize> = trace
         .iter()
-        .zip(&requeued)
+        .zip(&front.requeued)
         .filter_map(|(r, &marked)| marked.then_some(r.id))
         .collect();
     distinct_requeued.sort_unstable();
@@ -693,7 +743,7 @@ pub(crate) fn run_fleet(
         crashes: crash_total,
         downtime: Time::from_secs(downtime_total),
         availability: availability_frac,
-        requeues,
+        requeues: front.requeues,
         requeued_requests: distinct_requeued.len(),
         requeued_ids: distinct_requeued,
         per_replica_downtime,
@@ -816,9 +866,10 @@ pub fn simulate_fleet_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ArrivalProcess, LengthDist};
+    use crate::{ArrivalProcess, FaultDomain, LengthDist};
     use optimus_hw::presets;
     use optimus_model::presets as models;
+    use proptest::prelude::*;
 
     fn spec(seed: u64, requests: usize, rate: f64) -> TraceSpec {
         TraceSpec {
@@ -1348,5 +1399,205 @@ mod tests {
         assert!(reserved.paging.is_none());
         assert!(reserved.per_replica.iter().all(|r| r.paging.is_none()));
         assert!(!serde_json::to_string(&reserved).unwrap().contains("paging"));
+    }
+
+    /// The per-request pick the bulk requeue replaced, kept as the
+    /// reference: round-robin and random as in [`RouterState::pick`], and
+    /// the first minimum of `policy`'s *live* engine load over the up
+    /// replicas.
+    fn scan_pick(
+        policy: RouterPolicy,
+        state: &mut RouterState,
+        engines: &[ReplicaEngine<'_, '_>],
+        up: &[bool],
+    ) -> usize {
+        let n = engines.len();
+        let live = || (0..n).filter(|&i| up[i]);
+        match (state, policy) {
+            (RouterState::RoundRobin { next }, _) => {
+                let mut choice = *next % n;
+                while !up[choice] {
+                    choice = (choice + 1) % n;
+                }
+                *next = (choice + 1) % n;
+                choice
+            }
+            (RouterState::Random { rng }, _) => {
+                let draw = rng.gen_range(0..live().count());
+                live().nth(draw).unwrap()
+            }
+            (_, RouterPolicy::LeastOutstanding) => {
+                live().min_by_key(|&i| engines[i].outstanding()).unwrap()
+            }
+            _ => live().min_by_key(|&i| engines[i].waiting()).unwrap(),
+        }
+    }
+
+    /// The per-request requeue loop the bulk requeue replaced, kept as
+    /// the reference: every dropped request in (drop instant, trace
+    /// index) order, each with its own availability scan, all-down stall
+    /// and [`scan_pick`]. Returns the requeue count.
+    fn requeue_one_by_one(
+        policy: RouterPolicy,
+        engines: &mut [ReplicaEngine<'_, '_>],
+        state: &mut RouterState,
+        router_now: &mut f64,
+        drops: &[Dropped],
+    ) -> usize {
+        let mut batch: Vec<(u32, f64)> = drops
+            .iter()
+            .flat_map(|d| d.lost.iter().map(move |&req| (req, d.at_s)))
+            .collect();
+        batch.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        let mut up = Vec::new();
+        for &(req, dropped_at) in &batch {
+            *router_now = router_now.max(dropped_at);
+            loop {
+                up.clear();
+                for engine in engines.iter_mut() {
+                    up.push(engine.available(*router_now));
+                }
+                if up.contains(&true) {
+                    break;
+                }
+                *router_now = engines
+                    .iter_mut()
+                    .map(|e| e.next_up(*router_now))
+                    .fold(f64::INFINITY, f64::min);
+            }
+            let choice = scan_pick(policy, state, engines, &up);
+            engines[choice].push(req, *router_now);
+        }
+        batch.len()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random crash drops at 1–4 instants — some shared by two
+        /// replicas, some inside a replica's outage window, one possibly
+        /// inside a fleet-wide domain outage so the router stalls
+        /// mid-batch — over random preexisting loads: the bulk requeue
+        /// hands every engine the (trace index, effective arrival)
+        /// sequence the per-request loop did, and leaves the router clock,
+        /// the requeue count, the requeue marks and the next pick where
+        /// the loop left them, for all four policies.
+        #[test]
+        fn bulk_requeue_routes_what_the_per_request_loop_routed(
+            fault_seed in 0u64..1000,
+            router_seed in 0u64..1000,
+            preloads in proptest::collection::vec(0u32..6, 4..5),
+            warmup_s in 0.0f64..0.4,
+            instants in proptest::collection::vec((0u8..2, 0.0f64..1.0, 0u8..2), 1..5),
+            stall_at in 0usize..6,
+            owners in proptest::collection::vec(0usize..12, 48..49),
+        ) {
+            const REPLICAS: usize = 4;
+            const HORIZON_S: f64 = 40.0;
+            let cluster = presets::dgx_a100_hdr_cluster();
+            let instance =
+                ServeInstance::new(&cluster, Arc::new(models::llama2_7b()), ServeConfig::new(1))
+                    .unwrap();
+            // Everything arrives at once, so the preloads are pushed at
+            // their arrival and reach decode within the warm-up.
+            let trace: Vec<Request> = spec(fault_seed, owners.len(), 40.0)
+                .generate()
+                .into_iter()
+                .map(|r| Request { arrival_s: 0.0, ..r })
+                .collect();
+            let bounds = TraceBounds::scan(&instance, &trace);
+            let table = instance.pricing_table(trace.len(), &bounds).unwrap();
+            let faults = FaultSpec::crashes(fault_seed, 6.0, 1.5)
+                .with_domain(FaultDomain::new((0..REPLICAS).collect(), 10.0, 2.0));
+            let own: Vec<Vec<(f64, f64)>> =
+                (0..REPLICAS).map(|i| faults.outage_windows(i, HORIZON_S)).collect();
+            let shared = faults.domain_outage_windows(0, HORIZON_S);
+            // A point `u` of the way through the windows, laid end to end.
+            let inside = |windows: &[(f64, f64)], u: f64| {
+                let at = u * windows.len() as f64;
+                let (crash, recover) = windows[at as usize];
+                crash + at.fract() * (recover - crash)
+            };
+            let mut drops: Vec<Dropped> = Vec::new();
+            for (k, &(kind, u, pair)) in instants.iter().enumerate() {
+                let at_s = if k == stall_at {
+                    let at_s = inside(&shared, u);
+                    let down = |w: &Vec<(f64, f64)>| w.iter().any(|&(c, r)| c <= at_s && at_s < r);
+                    prop_assert!(own.iter().all(down), "the whole fleet is down at {}", at_s);
+                    at_s
+                } else if kind == 0 {
+                    u * HORIZON_S
+                } else {
+                    inside(&own[k % REPLICAS], u)
+                };
+                for _ in 0..=pair {
+                    drops.push(Dropped { at_s, lost: Vec::new() });
+                }
+            }
+            let mut marked = vec![false; trace.len()];
+            for (req, &owner) in (0u32..).zip(&owners) {
+                if let Some(drop) = drops.get_mut(owner) {
+                    drop.lost.push(req);
+                    marked[req as usize] = true;
+                }
+            }
+            let records_on = instance.records_on(trace.len());
+            let engines = || {
+                let mut engines: Vec<ReplicaEngine<'_, '_>> = (0..REPLICAS)
+                    .map(|i| {
+                        let wiring = Some(EngineFaults::for_replica(&faults, i));
+                        ReplicaEngine::new(&instance, &trace, table, &bounds, records_on, wiring)
+                    })
+                    .collect();
+                for ((engine, &preload), first) in engines.iter_mut().zip(&preloads).zip(0u32..) {
+                    for req in 8 * first..8 * first + preload {
+                        engine.push(req, 0.0);
+                    }
+                    // Part of the preload reaches decode, so outstanding
+                    // and waiting differ; a crash on the way is discarded.
+                    engine.advance_to(warmup_s).unwrap();
+                    engine.take_requeued();
+                }
+                engines
+            };
+            let start = |policy| {
+                let mut state = RouterState::new(policy);
+                if let RouterState::RoundRobin { next } = &mut state {
+                    *next = router_seed as usize;
+                }
+                state
+            };
+            let policies = policies().map(|policy| match policy {
+                RouterPolicy::Random { .. } => RouterPolicy::Random { seed: router_seed },
+                other => other,
+            });
+            for policy in policies {
+                let mut reference = engines();
+                let mut state = start(policy);
+                let mut router_now = 0.0;
+                let requeues =
+                    requeue_one_by_one(policy, &mut reference, &mut state, &mut router_now, &drops);
+
+                let mut bulk = engines();
+                let mut front = Router {
+                    state: start(policy),
+                    ..Router::new(policy, trace.len())
+                };
+                let copy = drops.iter().map(|d| Dropped { at_s: d.at_s, lost: d.lost.clone() });
+                front.requeue(&mut bulk, copy.collect());
+
+                for (i, (a, b)) in reference.iter().zip(&bulk).enumerate() {
+                    prop_assert_eq!(a.assignments(), b.assignments(), "{policy}, replica {i}");
+                }
+                prop_assert_eq!(front.now, router_now, "{policy}");
+                prop_assert_eq!(front.requeues, requeues, "{policy}");
+                prop_assert_eq!(&front.requeued, &marked, "{policy}");
+                prop_assert_eq!(
+                    front.state.pick(REPLICAS, |_| true, |i| load(policy, &bulk[i])),
+                    scan_pick(policy, &mut state, &reference, &[true; REPLICAS]),
+                    "{policy}: next pick"
+                );
+            }
+        }
     }
 }

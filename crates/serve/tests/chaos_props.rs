@@ -15,13 +15,16 @@
 //! * monotonicity sanity: SLO attainment under churn never exceeds the
 //!   fault-free attainment at the same offered rate, and requeued
 //!   requests keep their original arrival and never report a first token
-//!   before it.
+//!   before it;
+//! * label independence: relabelling a trace's request ids changes the
+//!   faulted report only in those ids, for every policy.
 
 use optimus_hw::presets;
 use optimus_model::presets as models;
 use optimus_serve::{
-    simulate_fleet, ArrivalProcess, DegradeMode, FaultDomain, FaultSpec, FleetConfig,
-    FleetInstance, FleetReport, LengthDist, RouterPolicy, ServeConfig, TraceSpec,
+    simulate_fleet, simulate_fleet_trace, ArrivalProcess, DegradeMode, FaultDomain, FaultSpec,
+    FleetConfig, FleetInstance, FleetReport, LengthDist, Request, RouterPolicy, ServeConfig,
+    TraceSpec,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -476,5 +479,62 @@ fn requeued_requests_keep_their_arrival_and_ttft_ordering() {
         assert!(m.ttft.secs() > 0.0, "request {id}");
         assert!(m.queue_wait <= m.ttft, "request {id}");
         assert!(m.ttft <= m.e2e, "request {id}");
+    }
+}
+
+/// Regression: a request's `id` is a label and never steers the
+/// simulation. Crashes used to requeue their backlog in id order, so
+/// reversing the ids of this trace re-routed every drained request
+/// (round-robin e2e p50 37.5 s → 22.0 s, routed [3782, 4824, 4704, 2899]
+/// → [3714, 4788, 4653, 2862], and every other policy moved too).
+/// Requeues now go in trace order: mapping each id of the relabelled
+/// report back (and re-sorting what the report lists by id) gives the
+/// original report, field for field.
+#[test]
+fn requeue_order_ignores_request_labels() {
+    let cluster = presets::dgx_a100_hdr_cluster();
+    let model = Arc::new(models::llama2_7b());
+    let original = trace(3, 5_000, 120.0).generate();
+    let n = original.len();
+    let relabel = |id: usize| n - 1 - id;
+    let relabelled: Vec<Request> = original
+        .iter()
+        .map(|r| Request {
+            id: relabel(r.id),
+            ..*r
+        })
+        .collect();
+    for policy in policies() {
+        let config = FleetConfig::new(4, 1)
+            .with_router(policy)
+            .with_faults(FaultSpec::crashes(7, 8.0, 2.0));
+        let run = |trace: &[Request]| {
+            simulate_fleet_trace(&cluster, Arc::clone(&model), &config, trace).unwrap()
+        };
+        let expected = run(&original);
+        assert!(
+            expected.availability.requeues > 0,
+            "{policy}: the crashes must requeue work"
+        );
+        let mut report = run(&relabelled);
+        for id in &mut report.rejected_ids {
+            *id = relabel(*id);
+        }
+        let requeued = &mut report.availability.requeued_ids;
+        for id in requeued.iter_mut() {
+            *id = relabel(*id);
+        }
+        requeued.sort_unstable();
+        for replica in &mut report.per_replica {
+            for id in &mut replica.rejected_ids {
+                *id = relabel(*id);
+            }
+            for record in &mut replica.per_request {
+                record.id = relabel(record.id);
+            }
+            // Reports list their records by id.
+            replica.per_request.sort_by_key(|record| record.id);
+        }
+        assert_eq!(report, expected, "{policy}");
     }
 }

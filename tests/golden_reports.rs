@@ -2,8 +2,9 @@
 //! golden JSON fixtures.
 //!
 //! The serving fixtures were captured at the commit *before* paged KV,
-//! prefix caching, and pluggable schedulers landed; the training and
-//! sweep fixtures at the commit *before* the composable resilience
+//! prefix caching, and pluggable schedulers landed (`fleet_requeue.json`
+//! at the commit before crash requeues were routed in bulk); the training
+//! and sweep fixtures at the commit *before* the composable resilience
 //! stack (tiered checkpoints, failure processes, elastic training)
 //! landed, and re-pinned once when the expected checkpoint rework became
 //! exact instead of the first-order half interval (only the rework,
@@ -121,6 +122,41 @@ fn faulted_fleet_report_is_byte_identical_to_the_pre_paging_fixture() {
         serde_json::to_string_pretty(&report).unwrap(),
         include_str!("golden/fleet_faulted.json"),
         "faulted FleetReport JSON drifted from the pre-paging fixture"
+    );
+}
+
+/// `serve --model llama2-7b --tp 1 --replicas 3 --router
+/// least-outstanding --requests 120 --rate 120 --prompt 500:1500
+/// --output 100:300 --seed 29 --mtbf 5 --mttr 2 --fault-seed 3 --json`
+///
+/// The requeue-path pin: 14 crashes requeue 434 times, so every drained
+/// backlog's routing order shows in the report. Captured at the commit
+/// before crash requeues were routed in bulk.
+#[test]
+fn requeued_fleet_report_is_byte_identical_to_the_pre_bulk_requeue_fixture() {
+    let mut faults = FaultSpec::none();
+    faults.seed = 3;
+    faults.mtbf_s = 5.0;
+    faults.mttr_s = 2.0;
+    let config = FleetConfig {
+        replicas: 3,
+        router: RouterPolicy::LeastOutstanding,
+        replica: ServeConfig::new(1),
+        faults,
+    };
+    let report = simulate_fleet(
+        &presets::dgx_a100_hdr_cluster(),
+        Arc::new(models::llama2_7b()),
+        &config,
+        &trace(29, 120, 120.0, (500, 1500), (100, 300)),
+    )
+    .unwrap();
+    assert_eq!(report.availability.crashes, 14);
+    assert_eq!(report.availability.requeues, 434);
+    assert_eq!(
+        serde_json::to_string_pretty(&report).unwrap(),
+        include_str!("golden/fleet_requeue.json"),
+        "requeued FleetReport JSON drifted from the pre-bulk-requeue fixture"
     );
 }
 
