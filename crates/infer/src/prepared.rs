@@ -19,9 +19,11 @@
 //! holes for a context and accumulates every op in `layer_forward_ops`
 //! order. [`PreparedInferenceEstimator::decode_iteration`] memoizes rows
 //! per `(batch, tp, precision)` and totals per `(batch, kv_len, tp,
-//! precision)`; [`PreparedInferenceEstimator::seal_decode_costs`] builds
-//! its rows locally. Both run the same code, so a sealed entry and the
-//! memoized price are bit-identical by construction.
+//! precision)`; a [`crate::DecodeCostTable`] from
+//! [`PreparedInferenceEstimator::seal_decode_costs`] keeps its rows and
+//! cells itself and prices each cell on first read. Both run the same
+//! code, so a sealed cell and the memoized price are bit-identical by
+//! construction.
 //!
 //! Memo values are pure functions of their keys, so concurrent fill order
 //! cannot change any result: a memoized sweep is byte-identical to naive
@@ -73,8 +75,8 @@ type DecodeKey = (usize, usize, usize, Precision);
 
 /// The part of a decode iteration at one batch width that never reads the
 /// KV context.
-#[derive(Debug)]
-struct DecodeRow {
+#[derive(Debug, Clone)]
+pub(crate) struct DecodeRow {
     /// The costs of one decode layer's ops in `layer_forward_ops` order,
     /// `None` at the attention-core slots (`OpRole::is_selective_recompute`),
     /// whose shapes are the only ones that read `kv_len`.
@@ -391,21 +393,24 @@ impl<'a> PreparedInferenceEstimator<'a> {
         })
     }
 
-    /// Seals decode-iteration costs for one `(tp, precision)` strategy
-    /// into an immutable [`crate::DecodeCostTable`] covering batches up to
+    /// Seals decode-iteration pricing for one `(tp, precision)` strategy
+    /// into a [`crate::DecodeCostTable`] covering batches up to
     /// `max_batch` and aggregate contexts up to `max_kv` on the default
     /// quantization grids (exact to [`crate::sealed::BATCH_EXACT`] /
     /// [`crate::sealed::KV_EXACT`], then
     /// [`crate::sealed::BUCKETS_PER_OCTAVE`] log-scale buckets per
     /// doubling).
     ///
-    /// The fill is context factored: one decode row per batch value, then
-    /// only the attention core per `(batch, kv)` entry. Entries come from
-    /// the same row and fill functions as [`Self::decode_iteration`], so
-    /// grid points are **bit-identical** to the memoized path — but the
-    /// rows are built locally: sealing neither takes the memo locks nor
-    /// grows the maps, and lookups against the sealed table do zero
-    /// locking and zero hashing.
+    /// Sealing fixes the two grids and prices one cell, batch 1 at
+    /// context 1, so a strategy the device cannot serve fails here and not
+    /// at its first iteration. Every other cell is priced the first time
+    /// [`crate::DecodeCostTable::decode_iteration`] reads it, context
+    /// factored: one decode row per batch representative, then only the
+    /// attention core per cell. Rows and cells come from the same
+    /// functions as [`Self::decode_iteration`], so every cell is
+    /// **bit-identical** to the memoized price at its representative. The
+    /// table keeps its rows and cells itself: neither sealing nor a fill
+    /// takes the memo locks or grows the maps.
     ///
     /// # Errors
     ///
@@ -426,21 +431,14 @@ impl<'a> PreparedInferenceEstimator<'a> {
             max_batch > 0 && max_kv > 0 && tp > 0,
             "degenerate decode-table bounds"
         );
-        let batch_grid = LogGrid::new(BATCH_EXACT, BUCKETS_PER_OCTAVE, max_batch);
-        let kv_grid = LogGrid::new(KV_EXACT, BUCKETS_PER_OCTAVE, max_kv);
-        let mut costs = Vec::with_capacity(batch_grid.len() * kv_grid.len());
-        for &batch in batch_grid.values() {
-            let row = self.decode_row(batch, tp, precision)?;
-            for &kv_len in kv_grid.values() {
-                let gp = GraphParams::decode(batch, kv_len, tp, precision);
-                costs.push(self.decode_total(&row, &gp)?.secs());
-            }
-        }
-        Ok(crate::DecodeCostTable {
-            batch_grid,
-            kv_grid,
-            costs,
-        })
+        let table = crate::DecodeCostTable::new(
+            LogGrid::new(BATCH_EXACT, BUCKETS_PER_OCTAVE, max_batch),
+            LogGrid::new(KV_EXACT, BUCKETS_PER_OCTAVE, max_kv),
+            tp,
+            precision,
+        );
+        table.decode_iteration(self, 1, 1)?;
+        Ok(table)
     }
 
     /// Costs everything a decode iteration at `batch` prices without the
@@ -448,7 +446,7 @@ impl<'a> PreparedInferenceEstimator<'a> {
     /// attention core, nor the head stage or the all-reduce volume, reads
     /// `kv_len` (pinned by `decode_ops_differ_only_in_the_attention_core`
     /// and `extra_ops_are_context_independent`).
-    fn decode_row(
+    pub(crate) fn decode_row(
         &self,
         batch: usize,
         tp: usize,
@@ -479,7 +477,7 @@ impl<'a> PreparedInferenceEstimator<'a> {
     /// attention core into the row's holes and accumulates every layer op
     /// in `layer_forward_ops` order — the f64 sums of costing the whole
     /// layer op by op.
-    fn decode_total(&self, row: &DecodeRow, gp: &GraphParams) -> Result<Time, HwError> {
+    pub(crate) fn decode_total(&self, row: &DecodeRow, gp: &GraphParams) -> Result<Time, HwError> {
         let mut core = graph::attention_core_ops(&self.model, gp).into_iter();
         let mut bd = InferenceBreakdown::default();
         for slot in &row.layer {
@@ -759,7 +757,7 @@ mod tests {
             // memoized path bit-for-bit.
             for batch in [1usize, 2, 17, 64] {
                 for kv in [1usize, 3, 100, 256] {
-                    let sealed = table.decode_iteration(batch, kv);
+                    let sealed = table.decode_iteration(&serving, batch, kv).unwrap();
                     let memoized = serving
                         .decode_iteration(batch, kv, tp, Precision::Fp16)
                         .unwrap();
@@ -775,7 +773,7 @@ mod tests {
             for (batch, kv) in [(100usize, 300usize), (199, 999)] {
                 let rep_b = table.batch_grid().round_up(batch);
                 let rep_k = table.kv_grid().round_up(kv);
-                let sealed = table.decode_iteration(batch, kv);
+                let sealed = table.decode_iteration(&serving, batch, kv).unwrap();
                 let at_rep = serving
                     .decode_iteration(rep_b, rep_k, tp, Precision::Fp16)
                     .unwrap();
@@ -789,7 +787,7 @@ mod tests {
     }
 
     /// Sealing must not grow the memo tables: the whole point is a
-    /// bounded, immutable structure next to (not inside) the caches.
+    /// bounded structure next to (not inside) the caches.
     #[test]
     fn sealing_bypasses_the_memo_tables() {
         let cluster = presets::dgx_a100_hdr_cluster();

@@ -1,15 +1,20 @@
-//! The sealed, immutable decode-cost table.
+//! The sealed decode-cost table.
 //!
 //! The memoized [`crate::PreparedInferenceEstimator`] prices a warm
 //! decode iteration with one `RwLock<HashMap>` lookup per call — fine for
 //! a strategy sweep's thousands of evaluations, hostile to a serving
-//! simulator's millions. A [`DecodeCostTable`] trades a one-time fill for
-//! a zero-locking, zero-hashing inner loop: decode iteration costs are
-//! precomputed for one `(tp, precision)` pair over a quantized
-//! `(batch, kv-context)` grid, and a lookup is two array indexations.
-//! The fill is context factored — the batch-only kernel costs once per
-//! batch row, only the attention core per entry — through the same
-//! functions as the memoized path.
+//! simulator's millions. A [`DecodeCostTable`] fixes one `(tp, precision)`
+//! pair and a quantized `(batch, kv-context)` grid, and holds one
+//! write-once cell per grid point: a lookup is two grid indexations and
+//! one atomic load, with no lock and no hash.
+//!
+//! A cell is priced the first time an iteration reads it, context
+//! factored through the same functions as the memoized path: the
+//! batch-only kernel costs once per batch row (itself write-once), then
+//! only the attention core per cell. A serving run reads a few hundred of
+//! the tens of thousands of cells, and the rest are never priced. A cell
+//! is a pure function of its key, so racing first touches store the same
+//! bits and fill order cannot change a price.
 //!
 //! The grid is **exact** for small coordinates (every batch up to
 //! [`LogGrid::exact`], every context up to the same bound for its axis)
@@ -20,7 +25,12 @@
 //! bucketed region it overstates the cost by at most one bucket ratio
 //! (`2^(1/per_octave)`, ≈4.4% at the default 16 buckets per octave).
 
+use crate::prepared::DecodeRow;
+use crate::PreparedInferenceEstimator;
+use optimus_hw::{HwError, Precision};
+use optimus_model::GraphParams;
 use optimus_units::Time;
+use std::sync::OnceLock;
 
 /// Exact coverage of the default decode-table batch axis.
 pub const BATCH_EXACT: usize = 64;
@@ -137,38 +147,116 @@ impl LogGrid {
 }
 
 /// A sealed decode-iteration cost table for one `(tp, precision)` serving
-/// strategy: `cost[batch][kv]` over the quantized grids, immutable after
-/// construction, safe to share across threads by reference with zero
-/// synchronization. Built by
+/// strategy: `cost[batch][kv]` over the quantized grids. The grids are
+/// fixed at construction; each cell, and each batch row the cells are
+/// priced from, is written once on first read and never changes after.
+/// Shared across threads by reference. Built by
 /// [`crate::PreparedInferenceEstimator::seal_decode_costs`].
 #[derive(Debug, Clone)]
 pub struct DecodeCostTable {
-    pub(crate) batch_grid: LogGrid,
-    pub(crate) kv_grid: LogGrid,
-    /// Seconds, batch-major: `costs[bi * kv_grid.len() + ki]`.
-    pub(crate) costs: Vec<f64>,
+    batch_grid: LogGrid,
+    kv_grid: LogGrid,
+    tp: usize,
+    precision: Precision,
+    /// The context-free part of each batch representative's iterations.
+    rows: Vec<OnceLock<DecodeRow>>,
+    /// Seconds, batch-major: `cells[bi * kv_grid.len() + ki]`.
+    cells: Vec<OnceLock<f64>>,
 }
 
 impl DecodeCostTable {
+    /// A table over the two grids with no cell priced.
+    pub(crate) fn new(
+        batch_grid: LogGrid,
+        kv_grid: LogGrid,
+        tp: usize,
+        precision: Precision,
+    ) -> Self {
+        let cells = batch_grid.len() * kv_grid.len();
+        Self {
+            rows: (0..batch_grid.len()).map(|_| OnceLock::new()).collect(),
+            cells: (0..cells).map(|_| OnceLock::new()).collect(),
+            batch_grid,
+            kv_grid,
+            tp,
+            precision,
+        }
+    }
+
     /// Wall-clock time of one decode iteration of `batch` requests at
     /// aggregate context `kv_len`, both rounded up to their bucket
-    /// representatives (and clamped to the table's ceilings). Lock-free
-    /// and hash-free: two grid indexations and one array read.
+    /// representatives (and clamped to the table's ceilings). A priced
+    /// cell costs two grid indexations and one atomic load, with no lock
+    /// and no hash.
+    ///
+    /// The first read of a cell prices it through `estimator`, which must
+    /// be the estimator that sealed the table: the batch row once, then
+    /// the attention core at the representative context — the memoized
+    /// [`PreparedInferenceEstimator::decode_iteration`] price at the
+    /// representative, to the bit, without touching its memo tables.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HwError`] when the device lacks the serving precision
+    /// (sealing prices one cell, so a sealed table does not fail here).
     ///
     /// # Panics
     ///
     /// Panics if `batch` or `kv_len` is zero.
-    #[must_use]
-    pub fn decode_iteration(&self, batch: usize, kv_len: usize) -> Time {
+    pub fn decode_iteration(
+        &self,
+        estimator: &PreparedInferenceEstimator<'_>,
+        batch: usize,
+        kv_len: usize,
+    ) -> Result<Time, HwError> {
         let bi = self.batch_grid.index_of(batch);
         let ki = self.kv_grid.index_of(kv_len);
-        Time::from_secs(self.costs[bi * self.kv_grid.len() + ki])
+        let cell = &self.cells[bi * self.kv_grid.len() + ki];
+        let secs = match cell.get() {
+            Some(&secs) => secs,
+            None => {
+                let priced = self.price(estimator, bi, ki)?;
+                *cell.get_or_init(|| priced)
+            }
+        };
+        Ok(Time::from_secs(secs))
     }
 
-    /// Number of precomputed entries.
+    /// Prices cell `(bi, ki)` in seconds from its batch row, building the
+    /// row on its first use.
+    fn price(
+        &self,
+        estimator: &PreparedInferenceEstimator<'_>,
+        bi: usize,
+        ki: usize,
+    ) -> Result<f64, HwError> {
+        let batch = self.batch_grid.values()[bi];
+        let row = match self.rows[bi].get() {
+            Some(row) => row,
+            None => {
+                let row = estimator.decode_row(batch, self.tp, self.precision)?;
+                self.rows[bi].get_or_init(|| row)
+            }
+        };
+        let kv_len = self.kv_grid.values()[ki];
+        let gp = GraphParams::decode(batch, kv_len, self.tp, self.precision);
+        Ok(estimator.decode_total(row, &gp)?.secs())
+    }
+
+    /// Number of grid cells.
     #[must_use]
     pub fn entries(&self) -> usize {
-        self.costs.len()
+        self.cells.len()
+    }
+
+    /// Number of cells priced so far: one after sealing, plus one per
+    /// further distinct cell a lookup has read.
+    #[must_use]
+    pub fn priced(&self) -> usize {
+        self.cells
+            .iter()
+            .filter(|cell| cell.get().is_some())
+            .count()
     }
 
     /// The batch-axis grid.

@@ -13,8 +13,10 @@
 //! * `decode_iteration` equals the reference **to the bit**, cold and
 //!   warm, a warm repeat adds no memo key, and a second context at the
 //!   same batch adds only its price (the row is shared);
-//! * every entry of a `seal_decode_costs` grid equals the reference at
-//!   its representative to the bit, and sealing adds no memo key.
+//! * every cell of a `seal_decode_costs` grid equals the reference at
+//!   its representative to the bit, whether one thread fills the table
+//!   in a random order or eight threads race on every first touch, and
+//!   neither sealing nor any fill adds a memo key.
 
 use optimus_collective::CommModel;
 use optimus_hw::{presets, ClusterSpec, Precision};
@@ -24,7 +26,8 @@ use optimus_parallel::{CommPlan, Parallelism};
 use optimus_roofline::RooflineModel;
 use optimus_units::{Bytes, Time};
 use proptest::prelude::*;
-use std::sync::Arc;
+use rayon::prelude::*;
+use std::sync::{Arc, Barrier};
 
 /// MHA, GQA, and the GPT layer.
 fn model(index: usize) -> Arc<ModelConfig> {
@@ -63,6 +66,22 @@ fn op_by_op(roofline: &RooflineModel<'_>, ops: &[Op], precision: Precision) -> T
         bd.overhead += cost.overhead;
     }
     bd.total()
+}
+
+/// `items` in a seeded random order (Fisher–Yates over splitmix64).
+fn shuffled<T: Copy>(items: &[T], mut seed: u64) -> Vec<T> {
+    let mut next = || {
+        seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let mut out = items.to_vec();
+    for i in (1..out.len()).rev() {
+        out.swap(i, (next() % (i as u64 + 1)) as usize);
+    }
+    out
 }
 
 /// One decode iteration priced without any factoring or memo.
@@ -118,7 +137,7 @@ proptest! {
 }
 
 proptest! {
-    // A grid holds up to ~54k entries, each priced naively here.
+    // A grid holds up to ~54k cells, each priced naively here.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
@@ -127,18 +146,62 @@ proptest! {
         max_kv in 1usize..=8192,
         tp_log2 in 0u32..4,
         (m, d) in (0usize..3, 0usize..2),
+        seed in 0u64..u64::MAX,
     ) {
         let tp = 1usize << tp_log2;
         let (cluster, precision) = device(d);
         let model = model(m);
         let serving = PreparedInferenceEstimator::for_serving(&cluster, Arc::clone(&model));
-        let table = serving.seal_decode_costs(max_batch, max_kv, tp, precision).unwrap();
+        let permuted = serving.seal_decode_costs(max_batch, max_kv, tp, precision).unwrap();
+        let raced = serving.seal_decode_costs(max_batch, max_kv, tp, precision).unwrap();
         prop_assert_eq!(serving.cached_keys(), 0, "sealing adds no memo key");
-        for &batch in table.batch_grid().values() {
-            for &kv in table.kv_grid().values() {
-                let expected = reference(&cluster, &model, (batch, kv, tp), precision);
+        for table in [&permuted, &raced] {
+            prop_assert_eq!(table.priced(), 1, "sealing prices one cell");
+        }
+        let cells: Vec<(usize, usize)> = permuted
+            .batch_grid()
+            .values()
+            .iter()
+            .flat_map(|&batch| permuted.kv_grid().values().iter().map(move |&kv| (batch, kv)))
+            .collect();
+        let order = shuffled(&cells, seed);
+
+        // One table fills cell by cell in a random order.
+        for &(batch, kv) in &order {
+            permuted.decode_iteration(&serving, batch, kv).unwrap();
+            prop_assert_eq!(serving.cached_keys(), 0, "a fill adds no memo key");
+        }
+        // The other fills from an eight-thread pool, one walker per
+        // thread. A barrier starts all eight together and each walks every
+        // cell in the same order, so first touches race.
+        const WALKERS: usize = 8;
+        let start = Barrier::new(WALKERS);
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(WALKERS)
+            .build()
+            .unwrap()
+            .install(|| {
+                (0..WALKERS)
+                    .collect::<Vec<usize>>()
+                    .into_par_iter()
+                    .map(|_| {
+                        start.wait();
+                        for &(batch, kv) in &order {
+                            raced.decode_iteration(&serving, batch, kv).unwrap();
+                        }
+                    })
+                    .collect::<Vec<()>>()
+            });
+        prop_assert_eq!(serving.cached_keys(), 0, "a racing fill adds no memo key");
+
+        for table in [&permuted, &raced] {
+            prop_assert_eq!(table.priced(), table.entries(), "every cell is priced");
+        }
+        for &(batch, kv) in &cells {
+            let expected = reference(&cluster, &model, (batch, kv, tp), precision);
+            for table in [&permuted, &raced] {
                 prop_assert_eq!(
-                    table.decode_iteration(batch, kv).secs().to_bits(),
+                    table.decode_iteration(&serving, batch, kv).unwrap().secs().to_bits(),
                     expected.secs().to_bits(),
                     "batch={} kv={} tp={} {}", batch, kv, tp, precision
                 );

@@ -982,17 +982,16 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         // is linear in total KV entries read, so batch × ⌈mean⌉ preserves
         // it while the GEMM terms see the true batch width.
         let kv_len = self.ctx_sum.div_ceil(batch);
+        let estimator = self.instance.estimator();
         let base = match self.table {
-            Some(t) => t.decode_iteration(batch, kv_len).secs(),
+            Some(t) => t.decode_iteration(estimator, batch, kv_len),
             None => {
                 let c = self.instance.config();
-                self.instance
-                    .estimator()
-                    .decode_iteration(batch, kv_len, c.tp, c.precision)
-                    .map_err(|e| ServeError::Estimator(e.to_string()))?
-                    .secs()
+                estimator.decode_iteration(batch, kv_len, c.tp, c.precision)
             }
-        };
+        }
+        .map_err(|e| ServeError::Estimator(e.to_string()))?
+        .secs();
         let dur = base * self.slow_mult + swap_out_s;
         self.decode_iterations += 1;
         self.decode_batch_sum += batch;

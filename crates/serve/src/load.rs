@@ -608,7 +608,10 @@ mod tests {
 
     /// A precision the device lacks (Ampere has no FP8) fails the
     /// instance probe with an estimator error, and the sweep lists the
-    /// strategy as infeasible while the others still run.
+    /// strategy as infeasible while the others still run. Past
+    /// [`EXACT_MODE_LIMIT`] requests a strategy is sealed instead of
+    /// probed, and the one cell the seal prices must reject it the same
+    /// way before any cell runs.
     #[test]
     fn unsupported_precision_is_an_infeasible_strategy() {
         let cluster = presets::dgx_a100_hdr_cluster();
@@ -629,6 +632,34 @@ mod tests {
             .push(LoadStrategy::single(1, Precision::Fp8));
         let report = load_sweep(&cluster, &model, &spec);
         assert_eq!(report.curves.len(), 2);
+        assert_eq!(report.infeasible.len(), 1);
+        assert_eq!(report.infeasible[0].precision, Precision::Fp8);
+        assert!(
+            report.infeasible[0]
+                .reason
+                .contains("no peak throughput for FP8"),
+            "{}",
+            report.infeasible[0].reason
+        );
+
+        assert!(matches!(
+            instance.seal(8, 64),
+            Err(crate::ServeError::Estimator(_))
+        ));
+        let streaming = LoadSweepSpec {
+            requests: EXACT_MODE_LIMIT + 1,
+            prompt: LengthDist::Fixed { tokens: 20 },
+            output: LengthDist::Fixed { tokens: 2 },
+            rates: vec![400.0],
+            strategies: vec![
+                LoadStrategy::single(1, Precision::Fp16),
+                LoadStrategy::single(1, Precision::Fp8),
+            ],
+            ..small_spec()
+        };
+        let report = load_sweep(&cluster, &model, &streaming);
+        assert_eq!(report.curves.len(), 1);
+        assert_eq!(report.curves[0].points[0].completed, streaming.requests);
         assert_eq!(report.infeasible.len(), 1);
         assert_eq!(report.infeasible[0].precision, Precision::Fp8);
         assert!(

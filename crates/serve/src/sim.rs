@@ -23,10 +23,12 @@
 //! scans), and per-request records plus exact percentile buffers are kept
 //! only within [`EXACT_MODE_LIMIT`] (or on request). Decode pricing runs
 //! either through the memoized [`PreparedInferenceEstimator`] (exact) or
-//! through a sealed, lock-free [`DecodeCostTable`]; prefill pricing
+//! through a sealed [`DecodeCostTable`], which prices each cell on the
+//! first iteration that reads it and is lock-free after; prefill pricing
 //! always hits a dense per-prompt-length cache. The simulation is
 //! single-threaded and all randomness lives in the seeded trace, so
-//! reports are byte-identical across runs and thread counts.
+//! reports are byte-identical across runs and thread counts (a cell's
+//! price does not depend on which run or thread filled it).
 
 use crate::engine::ReportInputs;
 use crate::fleet::run_fleet;
@@ -67,9 +69,10 @@ pub enum PricingMode {
     /// per-iteration lock + hash overhead and memo tables that grow with
     /// the number of distinct shapes.
     Exact,
-    /// Always the sealed [`DecodeCostTable`]: zero locking and hashing,
-    /// bounded memory, `(batch, kv)` rounded up to quantized buckets
-    /// (within one bucket ratio, ≈4.4%, of exact).
+    /// Always the sealed [`DecodeCostTable`]: `(batch, kv)` rounded up to
+    /// quantized buckets (within one bucket ratio, ≈4.4%, of exact),
+    /// bounded memory, each cell priced on its first read and then read
+    /// with no locking or hashing.
     Sealed,
 }
 
@@ -202,9 +205,10 @@ impl core::fmt::Display for ServeError {
 impl std::error::Error for ServeError {}
 
 /// A validated serving instance: one (cluster, model, strategy) triple
-/// with its prepared estimator and, once sealed, its immutable decode
-/// table. Build once, simulate many traces — the load-sweep engine runs
-/// every arrival rate of a strategy through one shared instance.
+/// with its prepared estimator and, once sealed, its decode-cost table.
+/// Build once, simulate many traces — the load-sweep engine runs every
+/// arrival rate of a strategy through one shared instance, and every run
+/// reuses the cells the runs before it priced.
 #[derive(Debug)]
 pub struct ServeInstance<'a> {
     cluster: &'a ClusterSpec,
@@ -374,11 +378,15 @@ impl<'a> ServeInstance<'a> {
 
     /// Seals the decode-cost table for batches up to `max_batch` and
     /// aggregate contexts up to `max_kv` (idempotent: the first seal
-    /// wins). The load-sweep engine calls this once per strategy with
-    /// bounds derived from the length distributions;
-    /// [`ServeInstance::simulate`] seals lazily from trace bounds when a
-    /// large trace arrives first, and **errors** on any later trace that
-    /// exceeds the sealed grid rather than silently clamping onto it.
+    /// wins). Sealing fixes the table's grids and prices one cell, so it
+    /// is cheap, and an unsupported precision fails here; every other
+    /// cell is priced on the first decode iteration that reads it, by
+    /// whichever run or thread gets there first. The load-sweep engine
+    /// calls this once per strategy with bounds derived from the length
+    /// distributions; [`ServeInstance::simulate`] seals from trace bounds
+    /// when a large trace arrives first, and **errors** on any later trace
+    /// that exceeds the sealed grid rather than silently clamping onto
+    /// it.
     ///
     /// # Errors
     ///
@@ -975,6 +983,56 @@ pub(crate) mod tests {
             .unwrap_err();
         assert!(matches!(err, ServeError::InvalidConfig(_)), "{err}");
         assert!(err.to_string().contains("sealed decode-cost grid"), "{err}");
+    }
+
+    /// The sealed table prices only the cells a run reads. The trace and
+    /// fleet of the sealed-path golden (`tests/golden/fleet_sealed.json`)
+    /// price under 1% of the grid, and a second run of the same trace
+    /// prices no new cell.
+    #[test]
+    fn sealed_table_prices_only_the_cells_a_run_reads() {
+        let cluster = presets::dgx_a100_hdr_cluster();
+        let instance = ServeInstance::new(
+            &cluster,
+            Arc::new(models::llama2_13b()),
+            ServeConfig::new(2),
+        )
+        .unwrap();
+        let trace = TraceSpec {
+            seed: 31,
+            requests: 12_000,
+            arrival: ArrivalProcess::Poisson { rate_per_s: 300.0 },
+            prompt: LengthDist::Uniform { lo: 50, hi: 400 },
+            output: LengthDist::Uniform { lo: 8, hi: 64 },
+            prefixes: None,
+            priority_classes: 1,
+        }
+        .generate();
+        let run = || {
+            run_fleet(
+                &instance,
+                2,
+                RouterPolicy::LeastOutstanding,
+                &FaultSpec::none(),
+                &trace,
+            )
+            .unwrap()
+        };
+        let first = run();
+        assert_eq!(first.completed, trace.len());
+        let table = instance
+            .pricing_table(trace.len(), &TraceBounds::scan(&instance, &trace))
+            .unwrap()
+            .expect("a trace past the exact-mode limit prices from the sealed table");
+        let priced = table.priced();
+        assert!(priced > 1, "the run read cells past the seal's probe");
+        assert!(
+            priced * 100 < table.entries(),
+            "{priced} of {} cells priced",
+            table.entries()
+        );
+        assert_eq!(run(), first);
+        assert_eq!(table.priced(), priced, "a repeat run prices no new cell");
     }
 
     /// Regression: a trace past [`EXACT_MODE_LIMIT`] in which *no*

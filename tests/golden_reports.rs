@@ -3,9 +3,11 @@
 //!
 //! The serving fixtures were captured at the commit *before* paged KV,
 //! prefix caching, and pluggable schedulers landed (`fleet_requeue.json`
-//! at the commit before crash requeues were routed in bulk); the training
-//! and sweep fixtures at the commit *before* the composable resilience
-//! stack (tiered checkpoints, failure processes, elastic training)
+//! at the commit before crash requeues were routed in bulk,
+//! `fleet_sealed.json` at the commit before the sealed decode-cost table
+//! priced its cells on first read); the training and sweep fixtures at
+//! the commit *before* the composable resilience stack (tiered
+//! checkpoints, failure processes, elastic training)
 //! landed, and re-pinned once when the expected checkpoint rework became
 //! exact instead of the first-order half interval (only the rework,
 //! goodput and failure-expected figures moved). The pre-existing regimes — `KvSpec::reserved()` + FIFO on
@@ -157,6 +159,38 @@ fn requeued_fleet_report_is_byte_identical_to_the_pre_bulk_requeue_fixture() {
         serde_json::to_string_pretty(&report).unwrap(),
         include_str!("golden/fleet_requeue.json"),
         "requeued FleetReport JSON drifted from the pre-bulk-requeue fixture"
+    );
+}
+
+/// `serve --model llama2-13b --tp 2 --replicas 2 --router
+/// least-outstanding --requests 12000 --rate 300 --prompt 50:400
+/// --output 8:64 --seed 31 --json`
+///
+/// The sealed-path pin: past `EXACT_MODE_LIMIT` requests decode
+/// iterations are priced from the sealed decode-cost table and the
+/// latency percentiles come from log histograms, which no smaller
+/// fixture reaches. Captured at the commit before the table priced its
+/// cells on first touch.
+#[test]
+fn sealed_fleet_report_is_byte_identical_to_the_pre_lazy_table_fixture() {
+    let config = FleetConfig {
+        replicas: 2,
+        router: RouterPolicy::LeastOutstanding,
+        replica: ServeConfig::new(2),
+        faults: FaultSpec::none(),
+    };
+    let report = simulate_fleet(
+        &presets::dgx_a100_hdr_cluster(),
+        Arc::new(models::llama2_13b()),
+        &config,
+        &trace(31, 12_000, 300.0, (50, 400), (8, 64)),
+    )
+    .unwrap();
+    assert_eq!(report.completed, 12_000);
+    assert_eq!(
+        serde_json::to_string_pretty(&report).unwrap(),
+        include_str!("golden/fleet_sealed.json"),
+        "sealed-path FleetReport JSON drifted from the pre-lazy-table fixture"
     );
 }
 
