@@ -743,7 +743,9 @@ mod tests {
     /// The sealed decode-cost table must be **bit-identical** to the
     /// memoized `decode_iteration` path on its exact grid region, and
     /// within one round-up bucket of it beyond — same costing code, with
-    /// vs without the per-call locking and hashing.
+    /// vs without the per-call locking and hashing. A bucketed cell costs
+    /// at least the exact price and at most one bucket ratio more per
+    /// rounded axis.
     #[test]
     fn sealed_table_matches_decode_iteration_on_the_exact_grid() {
         let cluster = presets::dgx_a100_hdr_cluster();
@@ -769,8 +771,11 @@ mod tests {
                 }
             }
             // Bucketed region: the sealed cost is the memoized cost of the
-            // round-up representative — never cheaper than exact.
-            for (batch, kv) in [(100usize, 300usize), (199, 999)] {
+            // round-up representative — never cheaper than exact, and
+            // within the envelope. The first two points sit just past a
+            // representative, where rounding up goes furthest.
+            let bucket_ratio = 2f64.powf(1.0 / crate::sealed::BUCKETS_PER_OCTAVE as f64);
+            for (batch, kv) in [(65usize, 257usize), (68, 269), (100, 300), (199, 999)] {
                 let rep_b = table.batch_grid().round_up(batch);
                 let rep_k = table.kv_grid().round_up(kv);
                 let sealed = table.decode_iteration(&serving, batch, kv).unwrap();
@@ -782,6 +787,10 @@ mod tests {
                     .decode_iteration(batch, kv, tp, Precision::Fp16)
                     .unwrap();
                 assert!(sealed >= exact, "rounding up must never price cheaper");
+                assert!(
+                    sealed.secs() <= exact.secs() * bucket_ratio * bucket_ratio,
+                    "tp={tp} batch={batch} kv={kv}: sealed {sealed} vs exact {exact}"
+                );
             }
         }
     }

@@ -538,11 +538,13 @@ impl Router {
     }
 }
 
-/// The fleet event loop behind every serving entry point: route every
-/// request online, drain the replicas, merge their populations. Shared by
-/// [`FleetInstance::simulate`], the load-sweep engine (which routes over
-/// instances it already prepared and sealed) and
-/// [`ServeInstance::simulate`] (one fault-free replica). The router is
+/// The fleet event loop behind every serving entry point: scan the trace
+/// once, route every request online, drain the replicas, merge their
+/// populations. Shared by [`FleetInstance::simulate`], the load-sweep
+/// engine (which routes over instances it already prepared and probed)
+/// and [`ServeInstance::simulate`] (one fault-free replica). Past
+/// [`crate::EXACT_MODE_LIMIT`] requests every replica prices decode from
+/// the instance's one sealed table, sealed on first use. The router is
 /// the one place an inadmissible request is rejected: on arrival, before
 /// it reaches any queue.
 ///
@@ -560,7 +562,9 @@ pub(crate) fn run_fleet(
     faults: &FaultSpec,
     trace: &[Request],
 ) -> Result<FleetReport, ServeError> {
-    ServeInstance::validate_trace(trace)?;
+    // Global trace bounds dominate every replica's share, so one scan
+    // sizes all engines.
+    let bounds = TraceBounds::scan(instance, trace)?;
     if let Err(reason) = faults.validate() {
         return Err(ServeError::InvalidConfig(format!("fault spec: {reason}")));
     }
@@ -568,15 +572,11 @@ pub(crate) fn run_fleet(
     // `FaultSpec::none()` (whatever its seed) stays bit-identical to a
     // run without fault wiring at all.
     let faulty = !faults.is_none();
-    // Global trace bounds dominate every replica's share, so one scan
-    // sizes all engines and (in the streaming regime) one shared sealed
-    // table prices all of them.
-    let bounds = TraceBounds::scan(instance, trace);
     let table = instance.pricing_table(trace.len(), &bounds)?;
     // Regime and record decisions run on the *whole* trace length, never
     // a replica's share: every replica must pick the same accumulator
-    // regime for the fleet merge to be loss-free, and `Auto` thresholds
-    // would otherwise depend on the router's balance.
+    // regime for the fleet merge (a mixed pair panics), and `Auto`
+    // thresholds would otherwise depend on the router's balance.
     let records_on = instance.records_on(trace.len());
     let mut engines: Vec<ReplicaEngine<'_, '_>> = (0..replicas)
         .map(|i| {
@@ -586,17 +586,14 @@ pub(crate) fn run_fleet(
         .collect();
 
     let mut front = Router::new(router, if faulty { trace.len() } else { 0 });
-    let mut rejected_ids = Vec::new();
-    // `validate_trace` caps the trace at `MAX_TRACE_REQUESTS`, so every
-    // index fits a `u32`.
+    let mut rejected = bounds.rejected.iter().peekable();
+    // The scan caps the trace at `MAX_TRACE_REQUESTS`, so every index
+    // fits a `u32`.
     for (r, req) in trace.iter().zip(0u32..) {
-        // No replica could ever admit this request (replicas are
-        // identical), so the front door rejects it outright instead of
-        // letting it occupy a queue. Admissibility is regime-aware: a
-        // whole-lifetime reservation against the budget in reserved mode,
-        // a worst-case block count against the pool in paged mode.
-        if !instance.admissible(r) {
-            rejected_ids.push(r.id);
+        // The scan found that no replica could ever admit this request
+        // (replicas are identical), so the front door rejects it outright
+        // instead of letting it occupy a queue.
+        if rejected.next_if_eq(&&req).is_some() {
             continue;
         }
         if faulty {
@@ -698,6 +695,11 @@ pub(crate) fn run_fleet(
         .map(|(routed, inputs)| instance.assemble_report(routed, inputs))
         .collect();
     let config = instance.config();
+    let rejected_ids: Vec<usize> = bounds
+        .rejected
+        .iter()
+        .map(|&req| trace[req as usize].id)
+        .collect();
 
     // Availability is schedule-based: outage windows are a pure function
     // of the spec, clipped to the fleet makespan, whether or not work was
@@ -1505,7 +1507,7 @@ mod tests {
                 .into_iter()
                 .map(|r| Request { arrival_s: 0.0, ..r })
                 .collect();
-            let bounds = TraceBounds::scan(&instance, &trace);
+            let bounds = TraceBounds::scan(&instance, &trace).unwrap();
             let table = instance.pricing_table(trace.len(), &bounds).unwrap();
             let faults = FaultSpec::crashes(fault_seed, 6.0, 1.5)
                 .with_domain(FaultDomain::new((0..REPLICAS).collect(), 10.0, 2.0));

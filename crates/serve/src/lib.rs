@@ -80,8 +80,8 @@ pub use report::{
     KvUsage, LatencyStats, QueueSample, QueueStats, RequestMetrics, ServeReport, SloReport, SloSpec,
 };
 pub use sim::{
-    simulate, simulate_trace, PricingMode, RecordMode, ServeConfig, ServeError, ServeInstance,
-    EXACT_MODE_LIMIT, MAX_QUEUE_SAMPLES, MAX_TRACE_REQUESTS,
+    simulate, simulate_trace, RecordMode, ServeConfig, ServeError, ServeInstance, EXACT_MODE_LIMIT,
+    MAX_QUEUE_SAMPLES, MAX_TRACE_REQUESTS,
 };
-pub use stats::{LatencyAccumulator, LogHistogram};
+pub use stats::LogHistogram;
 pub use trace::{max_context, ArrivalProcess, LengthDist, Prefix, PrefixSpec, Request, TraceSpec};

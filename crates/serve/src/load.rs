@@ -10,7 +10,9 @@
 //! sealed decode-cost table shared by every rate), the grid cells run
 //! rayon-parallel, and every cell replays the *same seed* so curves are
 //! paired — a throughput difference between two strategies is never
-//! sampling noise.
+//! sampling noise. A cell runs its trace exactly as a lone
+//! [`ServeInstance`] of its strategy would: the sealed table's grid
+//! depends on the instance alone, not on which cell sealed it.
 //!
 //! The result is deterministic: cells are collected in grid order
 //! regardless of thread count, and the SLO-goodput Pareto frontier
@@ -19,7 +21,6 @@
 //! [`optimus_sweep::frontier_indices_by`] core.
 
 use crate::fleet::run_fleet;
-use crate::sim::EXACT_MODE_LIMIT;
 use crate::{
     ArrivalProcess, FaultSpec, FleetReport, KvSpec, LengthDist, PrefixSpec, RouterPolicy,
     Scheduler, ServeConfig, ServeInstance, SloSpec, TraceSpec,
@@ -270,11 +271,14 @@ pub struct LoadSweepReport {
 
 /// Evaluates the (arrival-rate × strategy) grid rayon-parallel.
 ///
-/// Each feasible strategy gets one prepared [`ServeInstance`]; above
-/// [`EXACT_MODE_LIMIT`] requests per cell its decode-cost table is sealed
-/// once — deterministically, from the length-distribution bounds, before
-/// any cell runs — and shared lock-free by every rate. The report is
-/// byte-identical across `RAYON_NUM_THREADS` settings.
+/// Each feasible strategy gets one prepared and probed
+/// [`ServeInstance`]; above [`crate::EXACT_MODE_LIMIT`] requests per cell
+/// the first cell to run seals its decode-cost table (cells that race on
+/// the seal wait for it) and every rate shares it lock-free. The grid
+/// depends on the instance alone, so whichever cell seals it, each cell
+/// reports exactly what a lone [`ServeInstance`] of its strategy reports
+/// for its trace, and the report is byte-identical across
+/// `RAYON_NUM_THREADS` settings.
 ///
 /// # Errors
 ///
@@ -315,7 +319,7 @@ pub fn load_sweep(
     let degraded = faults.degraded_cluster(cluster);
     let cluster = degraded.as_ref().unwrap_or(cluster);
 
-    // --- phase 1: one instance per strategy, sealed and probed ----------
+    // --- phase 1: one probed instance per strategy ----------------------
     let prepared: Vec<Result<ServeInstance<'_>, InfeasibleStrategy>> = spec
         .strategies
         .par_iter()
@@ -358,18 +362,7 @@ pub fn load_sweep(
     let traces: Vec<Vec<crate::Request>> = spec
         .rates
         .par_iter()
-        .map(|&rate| {
-            TraceSpec {
-                seed: spec.seed,
-                requests: spec.requests,
-                arrival: ArrivalProcess::Poisson { rate_per_s: rate },
-                prompt: spec.prompt,
-                output: spec.output,
-                prefixes: spec.prefixes,
-                priority_classes: spec.priority_classes,
-            }
-            .generate()
-        })
+        .map(|&rate| spec.trace(rate).generate())
         .collect();
     let cells: Vec<(usize, usize)> = (0..instances.len())
         .flat_map(|si| (0..spec.rates.len()).map(move |ri| (si, ri)))
@@ -438,10 +431,24 @@ pub fn load_sweep(
     }
 }
 
-/// Builds, seals (for streaming-scale cells), and probes one strategy's
-/// instance. Sealing happens here — before any cell runs, with bounds
-/// derived from the length distributions rather than any one trace — so
-/// the table grid never depends on which cell a thread pool ran first.
+impl LoadSweepSpec {
+    /// The trace every cell at `rate` replays.
+    fn trace(&self, rate: f64) -> TraceSpec {
+        TraceSpec {
+            seed: self.seed,
+            requests: self.requests,
+            arrival: ArrivalProcess::Poisson { rate_per_s: rate },
+            prompt: self.prompt,
+            output: self.output,
+            prefixes: self.prefixes,
+            priority_classes: self.priority_classes,
+        }
+    }
+}
+
+/// Builds and probes one strategy's instance, so an unsupported
+/// precision surfaces as an infeasible strategy instead of a mid-grid
+/// panic.
 fn prepare_strategy<'a>(
     cluster: &'a ClusterSpec,
     model: &Arc<ModelConfig>,
@@ -457,10 +464,9 @@ fn prepare_strategy<'a>(
     if strategy.replicas == 0 {
         return Err(infeasible("a fleet needs at least one replica".to_owned()));
     }
-    // Replicas are identical, so one prepared (and, at streaming scale,
-    // sealed) instance prices every replica of every rate cell. The seal
-    // bounds below are per replica — each replica's batch is capped by
-    // its own KV budget — so they cover any routed share of any trace.
+    // Replicas are identical, so one prepared instance (and, at streaming
+    // scale, its one sealed table) prices every replica of every rate
+    // cell.
     let config = ServeConfig::new(strategy.tp)
         .with_precision(strategy.precision)
         .with_slo(spec.slo)
@@ -468,38 +474,14 @@ fn prepare_strategy<'a>(
         .with_scheduler(strategy.scheduler);
     let instance = ServeInstance::new(cluster, Arc::clone(model), config)
         .map_err(|e| infeasible(e.to_string()))?;
-    // A cache-hit prompt is the drawn suffix plus the shared prefix, so
-    // the per-request context ceiling grows by the prefix length.
-    let max_kv = crate::max_context(&spec.prompt, &spec.output, spec.prefixes.as_ref())
-        .expect("load_sweep asserts the largest context fits");
-    if spec.requests > EXACT_MODE_LIMIT {
-        // The same batch-ceiling computation the per-trace bound scan
-        // uses, fed the distributions' minimum reservation — so these
-        // bounds dominate every trace's and no cell ever clamps.
-        let max_batch = if strategy.kv.is_reserved() {
-            let min_request =
-                crate::Request::new(0, 0.0, spec.prompt.min_tokens(), spec.output.min_tokens());
-            let min_reservation = instance.reservation(&min_request).bytes();
-            instance.batch_ceiling(min_reservation, spec.requests)
-        } else {
-            // Paged batches are bounded by the block pool: every decoding
-            // member holds at least one private block.
-            instance.total_blocks().clamp(1, spec.requests)
-        };
-        instance
-            .seal(max_batch, max_kv)
-            .map_err(|e| infeasible(e.to_string()))?;
-    } else {
-        // Cheap probe so unsupported precisions surface as infeasible
-        // strategies instead of mid-grid panics.
-        instance.probe().map_err(|e| infeasible(e.to_string()))?;
-    }
+    instance.probe().map_err(|e| infeasible(e.to_string()))?;
     Ok(instance)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EXACT_MODE_LIMIT;
     use optimus_hw::presets;
     use optimus_model::presets as models;
 
@@ -608,10 +590,10 @@ mod tests {
 
     /// A precision the device lacks (Ampere has no FP8) fails the
     /// instance probe with an estimator error, and the sweep lists the
-    /// strategy as infeasible while the others still run. Past
-    /// [`EXACT_MODE_LIMIT`] requests a strategy is sealed instead of
-    /// probed, and the one cell the seal prices must reject it the same
-    /// way before any cell runs.
+    /// strategy as infeasible while the others still run. The seal fails
+    /// the same way, and past [`EXACT_MODE_LIMIT`] requests — where cells
+    /// price from sealed tables — the probe still rejects the strategy
+    /// before any cell runs.
     #[test]
     fn unsupported_precision_is_an_infeasible_strategy() {
         let cluster = presets::dgx_a100_hdr_cluster();
@@ -643,7 +625,7 @@ mod tests {
         );
 
         assert!(matches!(
-            instance.seal(8, 64),
+            instance.seal(),
             Err(crate::ServeError::Estimator(_))
         ));
         let streaming = LoadSweepSpec {
@@ -669,6 +651,39 @@ mod tests {
             "{}",
             report.infeasible[0].reason
         );
+    }
+
+    /// Regression: a streaming-scale strategy prepared for a sweep used
+    /// to be sealed from its length distributions' bounds, and a lone
+    /// instance from its trace's, so the two grids' top context buckets
+    /// differed and one strategy priced one decode iteration two ways
+    /// (224,680 vs 224,681 decode iterations here, where the trace's
+    /// longest request is 4,059 tokens and the distribution's 4,064). A
+    /// prepared strategy must run its cell's trace exactly as a fresh
+    /// instance of the same strategy does.
+    #[test]
+    fn prepared_strategy_runs_its_cell_like_a_fresh_instance() {
+        let cluster = presets::dgx_a100_hdr_cluster();
+        let model = Arc::new(models::llama2_13b());
+        let spec = LoadSweepSpec {
+            requests: 12_000,
+            prompt: LengthDist::Uniform { lo: 50, hi: 4000 },
+            output: LengthDist::Uniform { lo: 8, hi: 64 },
+            rates: vec![1.0],
+            strategies: vec![LoadStrategy::single(1, Precision::Fp16)],
+            ..small_spec()
+        };
+        let trace = spec.trace(spec.rates[0]).generate();
+        let prepared = prepare_strategy(&cluster, &model, &spec, spec.strategies[0]).unwrap();
+        let fresh = ServeInstance::new(&cluster, Arc::clone(&model), *prepared.config()).unwrap();
+        let run = |instance: &ServeInstance<'_>| {
+            run_fleet(instance, 1, spec.router, &FaultSpec::none(), &trace).unwrap()
+        };
+        assert!(
+            trace.len() > EXACT_MODE_LIMIT,
+            "cells price from sealed tables"
+        );
+        assert_eq!(run(&prepared), run(&fresh));
     }
 
     /// The replicas axis: a TP1×2 strategy occupies 2 GPUs like TP2, and

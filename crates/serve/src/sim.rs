@@ -22,13 +22,16 @@
 //! O(1) bookkeeping per iteration it participates in, with no per-member
 //! scans), and per-request records plus exact percentile buffers are kept
 //! only within [`EXACT_MODE_LIMIT`] (or on request). Decode pricing runs
-//! either through the memoized [`PreparedInferenceEstimator`] (exact) or
-//! through a sealed [`DecodeCostTable`], which prices each cell on the
-//! first iteration that reads it and is lock-free after; prefill pricing
-//! always hits a dense per-prompt-length cache. The simulation is
-//! single-threaded and all randomness lives in the seeded trace, so
-//! reports are byte-identical across runs and thread counts (a cell's
-//! price does not depend on which run or thread filled it).
+//! through the memoized [`PreparedInferenceEstimator`] (exact) within
+//! [`EXACT_MODE_LIMIT`] requests and through the instance's sealed
+//! [`DecodeCostTable`] beyond. The table's grid spans every batch and
+//! context the instance's KV budget can hold, so it depends on the
+//! instance alone, never on a trace; it prices each cell on the first
+//! iteration that reads it and is lock-free after. Prefill pricing always hits a dense
+//! per-prompt-length cache. The simulation is single-threaded and all
+//! randomness lives in the seeded trace, so reports are byte-identical
+//! across runs and thread counts (a cell's price does not depend on which
+//! run or thread filled it).
 
 use crate::engine::ReportInputs;
 use crate::fleet::run_fleet;
@@ -59,23 +62,6 @@ pub const EXACT_MODE_LIMIT: usize = 10_000;
 /// the trace with `u32`s. A longer trace is [`ServeError::InvalidTrace`].
 pub const MAX_TRACE_REQUESTS: usize = u32::MAX as usize;
 
-/// How decode iterations are priced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PricingMode {
-    /// Exact within [`EXACT_MODE_LIMIT`] requests, sealed beyond.
-    #[default]
-    Auto,
-    /// Always the memoized estimator: exact `(batch, kv)` pricing, with
-    /// per-iteration lock + hash overhead and memo tables that grow with
-    /// the number of distinct shapes.
-    Exact,
-    /// Always the sealed [`DecodeCostTable`]: `(batch, kv)` rounded up to
-    /// quantized buckets (within one bucket ratio, ≈4.4%, of exact),
-    /// bounded memory, each cell priced on its first read and then read
-    /// with no locking or hashing.
-    Sealed,
-}
-
 /// Whether per-request [`crate::RequestMetrics`] records are collected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RecordMode {
@@ -97,8 +83,6 @@ pub struct ServeConfig {
     pub precision: Precision,
     /// The latency objective goodput is measured against.
     pub slo: SloSpec,
-    /// Decode-pricing fidelity.
-    pub pricing: PricingMode,
     /// Per-request record collection.
     pub records: RecordMode,
     /// KV-cache memory regime (legacy whole-lifetime reservation, or
@@ -122,7 +106,6 @@ impl ServeConfig {
             tp,
             precision: Precision::Fp16,
             slo: SloSpec::default(),
-            pricing: PricingMode::default(),
             records: RecordMode::default(),
             kv: KvSpec::default(),
             scheduler: Scheduler::default(),
@@ -140,13 +123,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_slo(mut self, slo: SloSpec) -> Self {
         self.slo = slo;
-        self
-    }
-
-    /// Sets the decode-pricing mode.
-    #[must_use]
-    pub fn with_pricing(mut self, pricing: PricingMode) -> Self {
-        self.pricing = pricing;
         self
     }
 
@@ -336,9 +312,10 @@ impl<'a> ServeInstance<'a> {
 
     /// Whether this instance can ever run `request` alone: its full
     /// reservation fits the budget (reserved regime), or its peak block
-    /// need fits the pool (paged regime). The router rejects every other
-    /// request on arrival — the one rejection point, for a lone instance
-    /// and a fleet alike — which is what makes the paged engine
+    /// need fits the pool (paged regime). The trace scan marks every
+    /// other request, and the router rejects it on arrival — the one
+    /// rejection point, for a lone instance and a fleet alike — which is
+    /// what makes the paged engine
     /// deadlock-free: an admissible head always admits on an idle
     /// replica.
     #[must_use]
@@ -360,48 +337,30 @@ impl<'a> ServeInstance<'a> {
         (bytes / link.effective_bandwidth(bytes)).secs()
     }
 
-    /// Upper bound on the concurrent decode batch when the smallest
-    /// possible reservation is `min_reservation` bytes: how many such
-    /// reservations fit the KV budget at once, clamped to `[1, cap]`.
-    /// Both the per-trace bound scan and the load-sweep's
-    /// distribution-derived seal bounds go through this one computation,
-    /// so a pre-sealed table provably covers every trace drawn from the
-    /// distributions it was sized for.
-    pub(crate) fn batch_ceiling(&self, min_reservation: f64, cap: usize) -> usize {
-        let by_memory = if min_reservation > 0.0 {
-            (self.budget.bytes() / min_reservation).floor() as usize
-        } else {
-            cap
-        };
-        by_memory.clamp(1, cap.max(1))
-    }
-
-    /// Seals the decode-cost table for batches up to `max_batch` and
-    /// aggregate contexts up to `max_kv` (idempotent: the first seal
-    /// wins). Sealing fixes the table's grids and prices one cell, so it
-    /// is cheap, and an unsupported precision fails here; every other
-    /// cell is priced on the first decode iteration that reads it, by
-    /// whichever run or thread gets there first. The load-sweep engine
-    /// calls this once per strategy with bounds derived from the length
-    /// distributions; [`ServeInstance::simulate`] seals from trace bounds
-    /// when a large trace arrives first, and **errors** on any later trace
-    /// that exceeds the sealed grid rather than silently clamping onto
-    /// it.
+    /// Seals the instance's decode-cost table (idempotent: racing first
+    /// calls block on one seal, and every call returns the same table).
+    /// Both grids span ⌊KV budget / one token's per-device KV⌋, every
+    /// batch and aggregate context the budget can hold: a decoding
+    /// request holds at least one token (under paging, one block), so no
+    /// admissible state exceeds the grid on either axis, and a decode
+    /// price depends on the strategy, batch and context alone — never on
+    /// the trace that sealed the table. Sealing fixes the grids and
+    /// prices one cell, so it is cheap and an unsupported precision fails
+    /// here; every other cell is priced on the first decode iteration
+    /// that reads it, by whichever run or thread gets there first.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::Estimator`] when the device lacks the
     /// serving precision.
-    pub fn seal(&self, max_batch: usize, max_kv: usize) -> Result<&DecodeCostTable, ServeError> {
+    pub fn seal(&self) -> Result<&DecodeCostTable, ServeError> {
         self.table
             .get_or_init(|| {
+                let (tp, precision) = (self.config.tp, self.config.precision);
+                let token = kv_cache_bytes(&self.model, 1, 1, precision) / tp as f64;
+                let tokens = ((self.budget.bytes() / token.bytes()).floor() as usize).max(1);
                 self.estimator
-                    .seal_decode_costs(
-                        max_batch.max(1),
-                        max_kv.max(1),
-                        self.config.tp,
-                        self.config.precision,
-                    )
+                    .seal_decode_costs(tokens, tokens, tp, precision)
                     .map_err(|e| e.to_string())
             })
             .as_ref()
@@ -447,18 +406,80 @@ impl<'a> ServeInstance<'a> {
         })
     }
 
-    /// Rejects an unordered or over-long trace, zero-length
-    /// prompts/outputs, or a request whose `prompt + output` overflows —
-    /// the shared precondition of the single-replica and fleet entry
-    /// points.
-    pub(crate) fn validate_trace(trace: &[Request]) -> Result<(), ServeError> {
-        check_trace_len(trace.len())?;
-        if !trace.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s) {
-            return Err(ServeError::InvalidTrace(
-                "trace must be sorted by arrival time".to_owned(),
-            ));
+    /// Whether this run collects per-request records, given the trace
+    /// size.
+    pub(crate) fn records_on(&self, trace_len: usize) -> bool {
+        match self.config.records {
+            RecordMode::On => true,
+            RecordMode::Off => false,
+            RecordMode::Auto => trace_len <= EXACT_MODE_LIMIT,
         }
-        for r in trace {
+    }
+
+    /// The decode-pricing table for a trace of `trace_len` requests with
+    /// the given bounds: `None` — exact memoized pricing — within
+    /// [`EXACT_MODE_LIMIT`] requests or when no request is admissible
+    /// (nothing decodes, so nothing is sealed), and the sealed table
+    /// beyond, sealed on first use.
+    pub(crate) fn pricing_table(
+        &self,
+        trace_len: usize,
+        bounds: &TraceBounds,
+    ) -> Result<Option<&DecodeCostTable>, ServeError> {
+        if trace_len <= EXACT_MODE_LIMIT || bounds.admittable == 0 {
+            return Ok(None);
+        }
+        self.seal().map(Some)
+    }
+}
+
+/// What one scan of a trace finds before the event loop starts: the
+/// admittable portion's bounds, which size the prefill cache and the
+/// completion ring, and the router's rejections.
+pub(crate) struct TraceBounds {
+    /// Requests whose lone reservation fits the budget.
+    pub(crate) admittable: usize,
+    /// Largest prompt among admittable requests.
+    pub(crate) max_prompt: usize,
+    /// Largest prompt + output among admittable requests.
+    pub(crate) max_kv: usize,
+    /// Trace indices of the requests no idle instance could run, in
+    /// trace order.
+    pub(crate) rejected: Vec<u32>,
+}
+
+impl TraceBounds {
+    /// Validates `trace` and scans its bounds in one pass — the shared
+    /// precondition of the single-replica and fleet entry points.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServeError::InvalidTrace`] for an over-long trace, or
+    /// at the first request in trace order that arrives before its
+    /// predecessor, has a zero-length prompt or output, or whose
+    /// `prompt + output` overflows.
+    pub(crate) fn scan(
+        instance: &ServeInstance<'_>,
+        trace: &[Request],
+    ) -> Result<Self, ServeError> {
+        check_trace_len(trace.len())?;
+        let mut bounds = Self {
+            admittable: 0,
+            max_prompt: 0,
+            max_kv: 0,
+            rejected: Vec::new(),
+        };
+        let mut previous_arrival = None;
+        // `check_trace_len` caps the trace at `MAX_TRACE_REQUESTS`, so
+        // every index fits a `u32`.
+        for (r, index) in trace.iter().zip(0u32..) {
+            let in_order = previous_arrival.is_none_or(|at: f64| at <= r.arrival_s);
+            if !in_order {
+                return Err(ServeError::InvalidTrace(
+                    "trace must be sorted by arrival time".to_owned(),
+                ));
+            }
+            previous_arrival = Some(r.arrival_s);
             if r.prompt == 0 || r.output == 0 {
                 return Err(ServeError::InvalidTrace(format!(
                     "every request needs at least one prompt and one output token \
@@ -472,99 +493,15 @@ impl<'a> ServeInstance<'a> {
                     r.id, r.prompt, r.output
                 )));
             }
-        }
-        Ok(())
-    }
-
-    /// Whether this run collects per-request records, given the trace
-    /// size.
-    pub(crate) fn records_on(&self, trace_len: usize) -> bool {
-        match self.config.records {
-            RecordMode::On => true,
-            RecordMode::Off => false,
-            RecordMode::Auto => trace_len <= EXACT_MODE_LIMIT,
-        }
-    }
-
-    /// Resolves the decode-pricing table for a trace of `trace_len`
-    /// requests with the given bounds: `None` for exact memoized pricing,
-    /// `Some` for the sealed fast path (sealing on first use, refusing a
-    /// trace that exceeds an already-sealed grid).
-    pub(crate) fn pricing_table(
-        &self,
-        trace_len: usize,
-        bounds: &TraceBounds,
-    ) -> Result<Option<&DecodeCostTable>, ServeError> {
-        let sealed = match self.config.pricing {
-            PricingMode::Exact => false,
-            PricingMode::Sealed => true,
-            PricingMode::Auto => trace_len > EXACT_MODE_LIMIT,
-        };
-        if !(sealed && bounds.admittable > 0) {
-            return Ok(None);
-        }
-        let table = self.seal(bounds.max_batch, bounds.max_kv)?;
-        // The first seal fixes the grid. Clamping a bigger trace onto a
-        // smaller grid would underprice its decode iterations by an
-        // unbounded factor, so refuse instead.
-        if bounds.max_batch > table.batch_grid().max() || bounds.max_kv > table.kv_grid().max() {
-            return Err(ServeError::InvalidConfig(format!(
-                "trace exceeds the sealed decode-cost grid (needs batch ≤ {}, kv ≤ {}; \
-                 sealed at {}, {}): seal() the instance with covering bounds up front",
-                bounds.max_batch,
-                bounds.max_kv,
-                table.batch_grid().max(),
-                table.kv_grid().max(),
-            )));
-        }
-        Ok(Some(table))
-    }
-}
-
-/// Bounds of the admittable portion of a trace, derived in one scan:
-/// everything the sealed table, the prefill cache, and the completion
-/// ring need to size themselves.
-pub(crate) struct TraceBounds {
-    /// Requests whose lone reservation fits the budget.
-    pub(crate) admittable: usize,
-    /// Largest prompt among admittable requests.
-    pub(crate) max_prompt: usize,
-    /// Largest prompt + output among admittable requests.
-    pub(crate) max_kv: usize,
-    /// Upper bound on the concurrent decode batch: how many of the
-    /// smallest admittable reservations fit the budget at once.
-    pub(crate) max_batch: usize,
-}
-
-impl TraceBounds {
-    pub(crate) fn scan(instance: &ServeInstance<'_>, trace: &[Request]) -> Self {
-        let mut bounds = Self {
-            admittable: 0,
-            max_prompt: 0,
-            max_kv: 0,
-            max_batch: 1,
-        };
-        let mut min_reservation = f64::INFINITY;
-        for r in trace {
-            if !instance.admissible(r) {
-                continue;
-            }
-            bounds.admittable += 1;
-            bounds.max_prompt = bounds.max_prompt.max(r.prompt);
-            bounds.max_kv = bounds.max_kv.max(r.prompt + r.output);
-            min_reservation = min_reservation.min(instance.reservation(r).bytes());
-        }
-        if bounds.admittable > 0 {
-            bounds.max_batch = if instance.config.kv.is_reserved() {
-                instance.batch_ceiling(min_reservation, bounds.admittable)
+            if instance.admissible(r) {
+                bounds.admittable += 1;
+                bounds.max_prompt = bounds.max_prompt.max(r.prompt);
+                bounds.max_kv = bounds.max_kv.max(r.prompt + r.output);
             } else {
-                // Every decoding member of a paged batch holds at least
-                // one private block (its novel suffix is ≥ 1 token), so
-                // the pool bounds the batch.
-                instance.total_blocks().clamp(1, bounds.admittable)
-            };
+                bounds.rejected.push(index);
+            }
         }
-        bounds
+        Ok(bounds)
     }
 }
 
@@ -925,64 +862,76 @@ pub(crate) mod tests {
         assert_eq!(report.slo.attainment, 1.0);
     }
 
-    /// Sealed pricing reproduces the exact path's scheduling and
-    /// conservation outcomes, and its latencies stay within the bucket
-    /// quantization envelope of exact (identical below the exact grid
-    /// region, never more than a few percent above it).
+    /// The sealed grid covers every state an instance can reach, so no
+    /// decode iteration clamps onto the grid's top bucket (which would
+    /// underprice it). Over every preset cluster × model × TP that fits,
+    /// under reserved and paged KV: the longest admissible context, found
+    /// by bisection on [`ServeInstance::admissible`], is within the
+    /// context axis — an aggregate context is a mean over members, so it
+    /// is no longer — and the widest reachable decode batch is within the
+    /// batch axis.
     #[test]
-    fn sealed_pricing_tracks_exact_pricing() {
-        let cluster = presets::dgx_a100_hdr_cluster();
-        let model = Arc::new(models::llama2_7b());
-        let spec = spec(11, 64, 20.0);
-        let exact = simulate(
-            &cluster,
-            Arc::clone(&model),
-            &ServeConfig::new(1).with_pricing(PricingMode::Exact),
-            &spec,
-        )
-        .unwrap();
-        let sealed = simulate(
-            &cluster,
-            Arc::clone(&model),
-            &ServeConfig::new(1).with_pricing(PricingMode::Sealed),
-            &spec,
-        )
-        .unwrap();
-        assert_eq!(sealed.completed, exact.completed);
-        assert_eq!(sealed.generated_tokens, exact.generated_tokens);
-        assert_eq!(sealed.prefill_iterations, exact.prefill_iterations);
-        // Round-up quantization can only slow iterations, so makespan is
-        // bounded below by exact and above by one bucket ratio.
-        let ratio = sealed.makespan.secs() / exact.makespan.secs();
-        assert!(
-            (1.0..1.10).contains(&ratio),
-            "sealed/exact makespan ratio {ratio}"
-        );
-    }
-
-    /// A pre-sealed instance must refuse a trace whose bounds exceed its
-    /// grid instead of silently clamping (which would underprice decode
-    /// by an unbounded factor).
-    #[test]
-    fn sealed_grid_too_small_is_an_error_not_a_clamp() {
-        let cluster = presets::dgx_a100_hdr_cluster();
-        let instance = ServeInstance::new(
-            &cluster,
-            Arc::new(models::llama2_7b()),
-            ServeConfig::new(1).with_pricing(PricingMode::Sealed),
-        )
-        .unwrap();
-        instance.seal(8, 64).unwrap();
-        // Fits the grid: runs fine.
-        instance
-            .simulate(&TraceSpec::poisson(1, 4, 1.0, 30, 8).generate())
-            .unwrap();
-        // kv bound 500 + 50 far exceeds the sealed 64.
-        let err = instance
-            .simulate(&TraceSpec::poisson(1, 4, 1.0, 500, 50).generate())
-            .unwrap_err();
-        assert!(matches!(err, ServeError::InvalidConfig(_)), "{err}");
-        assert!(err.to_string().contains("sealed decode-cost grid"), "{err}");
+    fn sealed_grid_covers_every_admissible_state() {
+        let clusters = [
+            presets::dgx_a100_hdr_cluster(),
+            presets::dgx_h100_ndr_cluster(),
+            presets::dgx_h100_nvs_cluster(),
+            presets::dgx_h200_nvs_cluster(),
+            presets::dgx_b200_ndr_cluster(),
+            presets::dgx_b200_nvs_cluster(),
+        ];
+        let mut checked = 0;
+        for cluster in &clusters {
+            for model in models::llama2_family()
+                .into_iter()
+                .chain(models::gpt_family())
+            {
+                let model = Arc::new(model);
+                for (tp, kv) in [1, 2, 4, 8].into_iter().flat_map(|tp| {
+                    [KvSpec::reserved(), KvSpec::paged(16), KvSpec::paged(7)].map(|kv| (tp, kv))
+                }) {
+                    let config = ServeConfig::new(tp).with_kv(kv);
+                    let Ok(instance) = ServeInstance::new(cluster, Arc::clone(&model), config)
+                    else {
+                        continue;
+                    };
+                    let label = format!("{} {} TP{tp} {kv}", cluster.name, model.name);
+                    let fits =
+                        |context: usize| instance.admissible(&Request::new(0, 0.0, context - 1, 1));
+                    let (mut lo, mut hi) = (2, 1 << 40);
+                    assert!(fits(lo) && !fits(hi), "{label}");
+                    while hi - lo > 1 {
+                        let mid = lo + (hi - lo) / 2;
+                        if fits(mid) {
+                            lo = mid;
+                        } else {
+                            hi = mid;
+                        }
+                    }
+                    // Every decoding member reserves at least one prompt
+                    // and one output token, or holds at least one block.
+                    let widest = if kv.is_reserved() {
+                        let least = instance.reservation(&Request::new(0, 0.0, 1, 1));
+                        (instance.kv_budget().bytes() / least.bytes()).floor() as usize
+                    } else {
+                        instance.total_blocks()
+                    };
+                    let table = instance.seal().unwrap();
+                    assert!(
+                        lo <= table.kv_grid().max(),
+                        "{label}: context {lo} beyond the grid's {}",
+                        table.kv_grid().max()
+                    );
+                    assert!(
+                        widest <= table.batch_grid().max(),
+                        "{label}: batch {widest} beyond the grid's {}",
+                        table.batch_grid().max()
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 150, "only {checked} instances fit");
     }
 
     /// The sealed table prices only the cells a run reads. The trace and
@@ -1020,8 +969,9 @@ pub(crate) mod tests {
         };
         let first = run();
         assert_eq!(first.completed, trace.len());
+        let bounds = TraceBounds::scan(&instance, &trace).unwrap();
         let table = instance
-            .pricing_table(trace.len(), &TraceBounds::scan(&instance, &trace))
+            .pricing_table(trace.len(), &bounds)
             .unwrap()
             .expect("a trace past the exact-mode limit prices from the sealed table");
         let priced = table.priced();
@@ -1037,10 +987,10 @@ pub(crate) mod tests {
 
     /// Regression: a trace past [`EXACT_MODE_LIMIT`] in which *no*
     /// request fits the KV budget reaches the sealing decision with
-    /// `TraceBounds { admittable: 0, .. }` and `min_reservation` still
-    /// infinite. [`ServeInstance::pricing_table`] must skip the seal
-    /// (not build a degenerate grid or panic), and the run must reject
-    /// everything cleanly — on the reserved and the paged path alike.
+    /// `TraceBounds { admittable: 0, .. }`. Nothing will decode, so
+    /// [`ServeInstance::pricing_table`] must skip the seal, and the run
+    /// must reject everything cleanly — on the reserved and the paged
+    /// path alike.
     #[test]
     fn all_inadmissible_trace_past_the_limit_skips_the_seal() {
         let cluster = presets::dgx_a100_hdr_cluster();
@@ -1054,8 +1004,9 @@ pub(crate) mod tests {
             ServeConfig::new(1).with_kv(KvSpec::paged(16)),
         ] {
             let instance = ServeInstance::new(&cluster, Arc::clone(&model), config).unwrap();
-            let bounds = TraceBounds::scan(&instance, &trace);
+            let bounds = TraceBounds::scan(&instance, &trace).unwrap();
             assert_eq!(bounds.admittable, 0);
+            assert_eq!(bounds.rejected.len(), trace.len());
             assert!(
                 instance
                     .pricing_table(trace.len(), &bounds)
@@ -1068,8 +1019,7 @@ pub(crate) mod tests {
             assert_eq!(report.rejected, trace.len());
             assert_eq!(report.generated_tokens, 0);
             // The router rejects every request on arrival, so no engine
-            // clock ever starts: nothing inherits the infinite
-            // `min_reservation`.
+            // clock ever starts.
             assert_eq!(report.makespan, Time::ZERO);
             assert_eq!(report.queue.peak_waiting, 0);
         }

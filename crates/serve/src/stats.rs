@@ -3,11 +3,13 @@
 //! The exact [`LatencyStats::from_times`] path materializes one `Time`
 //! per request and selects order statistics at the end — fine to
 //! [`EXACT_MODE_LIMIT`](crate::EXACT_MODE_LIMIT) requests, pure memory
-//! churn beyond. [`LatencyAccumulator`] keeps both regimes behind one
-//! `record`/`finish` interface: small populations stay exact, large ones
-//! stream into a fixed-bin log-scale [`LogHistogram`] whose percentile
-//! estimates are within one bin width (≈2.2% at 32 bins per doubling) of
-//! the exact nearest-rank values, with count, mean, and max always exact.
+//! churn beyond. The simulator's latency accumulators keep both regimes
+//! behind one `record`/`finish` interface, and every accumulator of one
+//! run picks its regime from the whole trace length: small populations
+//! stay exact, large ones stream into a fixed-bin log-scale
+//! [`LogHistogram`] whose percentile estimates are within one bin width
+//! (≈2.2% at 32 bins per doubling) of the exact nearest-rank values, with
+//! count, mean, and max always exact.
 
 use crate::report::LatencyStats;
 use optimus_units::Time;
@@ -92,8 +94,8 @@ impl LogHistogram {
     /// Zero for an empty histogram.
     ///
     /// Because the estimate is a bin's *upper* edge, it can exceed the
-    /// population's true maximum; [`LatencyAccumulator::finish`] clamps
-    /// against the exactly-tracked max so a report never shows
+    /// population's true maximum; the simulator's streaming accumulators
+    /// clamp it against the exactly-tracked max so a report never shows
     /// `p99 > max`.
     #[must_use]
     pub fn percentile(&self, q: f64) -> Time {
@@ -122,7 +124,7 @@ impl Default for LogHistogram {
 /// histogram-backed streaming above. Count, mean, and max are exact in
 /// both regimes; only the streamed percentiles are approximate.
 #[derive(Debug)]
-pub enum LatencyAccumulator {
+pub(crate) enum LatencyAccumulator {
     /// Materialize every observation; `finish` runs the exact
     /// nearest-rank selection of [`LatencyStats::from_times`].
     Exact(Vec<Time>),
@@ -173,29 +175,15 @@ impl LatencyAccumulator {
 
     /// Folds another accumulator's population into this one, so fleet
     /// drivers can aggregate per-replica latency populations loss-free:
-    /// exact + exact concatenates the observations, streaming + streaming
-    /// merges histograms and running aggregates, and a mixed pair streams
-    /// the exact side's observations into the histogram regime (the only
-    /// lossy direction, taken only when the regimes genuinely differ).
+    /// exact + exact concatenates the observations, and streaming +
+    /// streaming merges histograms and running aggregates.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a mixed pair. Every accumulator of one run is sized from
+    /// the whole trace length, so the regimes of a run always agree.
     pub fn merge(&mut self, other: &Self) {
-        if matches!(self, Self::Exact(_)) && matches!(other, Self::Streaming { .. }) {
-            // Promote this side to the streaming regime first, so the
-            // match below only ever merges downhill.
-            let Self::Exact(mine) = core::mem::replace(
-                self,
-                Self::Streaming {
-                    histogram: LogHistogram::new(),
-                    sum_secs: 0.0,
-                    max: Time::ZERO,
-                },
-            ) else {
-                unreachable!("matched Exact above");
-            };
-            for v in mine {
-                self.record(v);
-            }
-        }
-        match (&mut *self, other) {
+        match (self, other) {
             (Self::Exact(mine), Self::Exact(theirs)) => mine.extend_from_slice(theirs),
             (
                 Self::Streaming {
@@ -213,21 +201,7 @@ impl LatencyAccumulator {
                 *sum_secs += other_sum;
                 *max = (*max).max(*other_max);
             }
-            (
-                Self::Streaming {
-                    histogram,
-                    sum_secs,
-                    max,
-                },
-                Self::Exact(theirs),
-            ) => {
-                for &v in theirs {
-                    histogram.record(v);
-                    *sum_secs += v.secs();
-                    *max = (*max).max(v);
-                }
-            }
-            (Self::Exact(_), Self::Streaming { .. }) => unreachable!("promoted above"),
+            _ => panic!("an exact and a streaming latency population do not merge"),
         }
     }
 
@@ -417,33 +391,12 @@ mod tests {
         assert!((merged.mean.secs() - union.mean.secs()).abs() <= 1e-12 * union.mean.secs());
     }
 
-    /// Mixed-regime merges promote the exact side into the histogram;
-    /// count, mean, and max stay exact in both directions.
+    /// The regimes of one run always agree, so a mixed pair is a bug in
+    /// the caller, not a population to convert.
     #[test]
-    fn mixed_regime_merges_keep_exact_aggregates() {
-        let exact_side = || {
-            let mut acc = LatencyAccumulator::Exact(Vec::new());
-            for i in 1..=40 {
-                acc.record(Time::from_millis(f64::from(i)));
-            }
-            acc
-        };
-        let streaming_side = || {
-            let mut acc = LatencyAccumulator::for_population(1_000_000);
-            for i in 41..=80 {
-                acc.record(Time::from_millis(f64::from(i)));
-            }
-            acc
-        };
-        let mut a = exact_side();
-        a.merge(&streaming_side());
-        let mut b = streaming_side();
-        b.merge(&exact_side());
-        for s in [a.finish(), b.finish()] {
-            assert_eq!(s.count, 80);
-            assert!((s.mean.millis() - 40.5).abs() < 1e-9);
-            assert_eq!(s.max, Time::from_millis(80.0));
-            assert!(s.p99 <= s.max);
-        }
+    #[should_panic(expected = "do not merge")]
+    fn mixed_regime_merges_panic() {
+        let mut exact = LatencyAccumulator::for_population(100);
+        exact.merge(&LatencyAccumulator::for_population(1_000_000));
     }
 }

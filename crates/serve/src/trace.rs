@@ -68,15 +68,6 @@ pub enum LengthDist {
 }
 
 impl LengthDist {
-    /// Smallest length the distribution can draw.
-    #[must_use]
-    pub fn min_tokens(&self) -> usize {
-        match *self {
-            Self::Fixed { tokens } => tokens,
-            Self::Uniform { lo, .. } => lo,
-        }
-    }
-
     /// Largest length the distribution can draw.
     #[must_use]
     pub fn max_tokens(&self) -> usize {
