@@ -223,6 +223,13 @@ pub(crate) struct ReplicaEngine<'i, 'a> {
     // Dense prefill-duration cache by prompt length: each distinct
     // admittable prompt is priced once per engine, lock-free after.
     prefill_cache: Vec<f64>,
+    // Dense exact decode-price cache (exact path only; empty when `table`
+    // prices decode): `decode_cache[batch][kv_len]`, NaN = unpriced. A
+    // row grows on demand to the largest context read at its batch. That
+    // context is below the trace's `max_kv`, because a decoding member
+    // holds at most prompt + output − 1 tokens, so a row never holds more
+    // than `max_kv` entries. A miss goes to the estimator's shared memo.
+    decode_cache: Vec<Vec<f64>>,
 
     // Completion ring: requests joining the decode batch with `n` output
     // tokens complete exactly `n` decode epochs later.
@@ -349,6 +356,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             table,
             budget: instance.kv_budget(),
             prefill_cache: vec![f64::NAN; bounds.max_prompt + 1],
+            decode_cache: Vec::new(),
             calendar: vec![Vec::new(); ring_len],
             decode_epoch: 0,
             order: Vec::new(),
@@ -982,16 +990,13 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         // is linear in total KV entries read, so batch × ⌈mean⌉ preserves
         // it while the GEMM terms see the true batch width.
         let kv_len = self.ctx_sum.div_ceil(batch);
-        let estimator = self.instance.estimator();
         let base = match self.table {
-            Some(t) => t.decode_iteration(estimator, batch, kv_len),
-            None => {
-                let c = self.instance.config();
-                estimator.decode_iteration(batch, kv_len, c.tp, c.precision)
-            }
-        }
-        .map_err(|e| ServeError::Estimator(e.to_string()))?
-        .secs();
+            Some(t) => t
+                .decode_iteration(self.instance.estimator(), batch, kv_len)
+                .map_err(|e| ServeError::Estimator(e.to_string()))?
+                .secs(),
+            None => self.exact_decode_price(batch, kv_len)?,
+        };
         let dur = base * self.slow_mult + swap_out_s;
         self.decode_iterations += 1;
         self.decode_batch_sum += batch;
@@ -1021,6 +1026,37 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             }
         }
         Ok(dur)
+    }
+
+    /// The exact price of one decode iteration at (`batch`, `kv_len`), in
+    /// seconds: read from the engine's dense cache, or priced through the
+    /// estimator's memo on a miss and kept.
+    fn exact_decode_price(&mut self, batch: usize, kv_len: usize) -> Result<f64, ServeError> {
+        // The completion ring is `max_kv + 1` long, so this bounds every
+        // row at `max_kv + 1` entries.
+        debug_assert!(
+            kv_len < self.calendar.len(),
+            "a decode context past the trace's max_kv"
+        );
+        if self.decode_cache.len() <= batch {
+            self.decode_cache.resize_with(batch + 1, Vec::new);
+        }
+        let row = &mut self.decode_cache[batch];
+        if row.len() <= kv_len {
+            row.resize(kv_len + 1, f64::NAN);
+        }
+        if !row[kv_len].is_nan() {
+            return Ok(row[kv_len]);
+        }
+        let c = self.instance.config();
+        let price = self
+            .instance
+            .estimator()
+            .decode_iteration(batch, kv_len, c.tp, c.precision)
+            .map_err(|e| ServeError::Estimator(e.to_string()))?
+            .secs();
+        self.decode_cache[batch][kv_len] = price;
+        Ok(price)
     }
 
     /// The paged decode's growth pass: every member whose next token
@@ -1224,7 +1260,73 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ArrivalProcess, KvSpec, LengthDist, ServeConfig, TraceSpec};
+    use optimus_hw::presets;
+    use optimus_model::presets as models;
     use proptest::prelude::*;
+    use std::sync::Arc;
+
+    /// The exact path's dense decode-price cache holds the estimator's
+    /// own prices bit for bit, and no row outgrows the trace's largest
+    /// context; the sealed path leaves it empty.
+    #[test]
+    fn decode_cache_holds_exact_prices_within_max_kv() {
+        let cluster = presets::dgx_a100_hdr_cluster();
+        let instance = ServeInstance::new(
+            &cluster,
+            Arc::new(models::llama2_7b()),
+            ServeConfig::new(1).with_kv(KvSpec::paged(16)),
+        )
+        .unwrap();
+        let trace = TraceSpec {
+            seed: 5,
+            requests: 300,
+            arrival: ArrivalProcess::Poisson { rate_per_s: 40.0 },
+            prompt: LengthDist::Uniform { lo: 50, hi: 400 },
+            output: LengthDist::Uniform { lo: 4, hi: 64 },
+            prefixes: None,
+            priority_classes: 1,
+        }
+        .generate();
+        let bounds = TraceBounds::scan(&instance, &trace).unwrap();
+        assert!(bounds.rejected.is_empty());
+        let run = |table| {
+            let mut engine = ReplicaEngine::new(&instance, &trace, table, &bounds, false, None);
+            for (req, r) in (0u32..).zip(&trace) {
+                engine.push(req, r.arrival_s);
+            }
+            engine.finish().unwrap();
+            engine
+        };
+
+        let exact = run(None);
+        let c = instance.config();
+        let mut priced = 0;
+        for (batch, row) in exact.decode_cache.iter().enumerate() {
+            assert!(
+                row.len() <= bounds.max_kv + 1,
+                "batch {batch}: {} entries",
+                row.len()
+            );
+            for (kv_len, &price) in row.iter().enumerate().filter(|(_, p)| !p.is_nan()) {
+                let memo = instance
+                    .estimator()
+                    .decode_iteration(batch, kv_len, c.tp, c.precision)
+                    .unwrap();
+                assert_eq!(
+                    price.to_bits(),
+                    memo.secs().to_bits(),
+                    "({batch}, {kv_len})"
+                );
+                priced += 1;
+            }
+        }
+        assert!(priced > 1 && priced <= exact.decode_iterations);
+
+        let sealed = run(Some(instance.seal().unwrap()));
+        assert!(sealed.decode_iterations > 0);
+        assert!(sealed.decode_cache.is_empty());
+    }
 
     /// The linear scan the ranked queue replaced, kept as the reference:
     /// the first (earliest-queued) minimum of the scheduler's key over

@@ -5,14 +5,18 @@
 //! serving strategy and reading off the saturation knee — the arrival
 //! rate where queueing detaches latency from the service time — and the
 //! SLO-feasible operating points. [`load_sweep`] evaluates an
-//! (arrival-rate × strategy) grid of full serving simulations: one
-//! [`ServeInstance`] is prepared per strategy (its memoized estimator and
-//! sealed decode-cost table shared by every rate), the grid cells run
-//! rayon-parallel, and every cell replays the *same seed* so curves are
-//! paired — a throughput difference between two strategies is never
-//! sampling noise. A cell runs its trace exactly as a lone
-//! [`ServeInstance`] of its strategy would: the sealed table's grid
-//! depends on the instance alone, not on which cell sealed it.
+//! (arrival-rate × strategy) grid of full serving simulations: the sweep
+//! prepares one memoized pricing estimator, shared by every strategy,
+//! rate and worker (its memo keys carry TP and precision, so each price
+//! is computed once per sweep); one [`ServeInstance`] is prepared per
+//! strategy over it (its sealed decode-cost table, past
+//! [`crate::EXACT_MODE_LIMIT`] requests per cell, shared by every rate);
+//! the grid cells run rayon-parallel, and every cell replays the *same
+//! seed* so curves are paired — a throughput difference between two
+//! strategies is never sampling noise. A cell runs its trace exactly as
+//! a lone [`ServeInstance`] of its strategy would: memo values are pure
+//! functions of their keys, and the sealed table's grid depends on the
+//! instance alone, not on which cell sealed it.
 //!
 //! The result is deterministic: cells are collected in grid order
 //! regardless of thread count, and the SLO-goodput Pareto frontier
@@ -26,6 +30,7 @@ use crate::{
     Scheduler, ServeConfig, ServeInstance, SloSpec, TraceSpec,
 };
 use optimus_hw::{ClusterSpec, Precision};
+use optimus_infer::PreparedInferenceEstimator;
 use optimus_model::ModelConfig;
 use optimus_sweep::frontier_indices_by;
 use optimus_units::Time;
@@ -271,19 +276,20 @@ pub struct LoadSweepReport {
 
 /// Evaluates the (arrival-rate × strategy) grid rayon-parallel.
 ///
-/// Each feasible strategy gets one prepared and probed
-/// [`ServeInstance`]; above [`crate::EXACT_MODE_LIMIT`] requests per cell
-/// the first cell to run seals its decode-cost table (cells that race on
-/// the seal wait for it) and every rate shares it lock-free. The grid
-/// depends on the instance alone, so whichever cell seals it, each cell
-/// reports exactly what a lone [`ServeInstance`] of its strategy reports
-/// for its trace, and the report is byte-identical across
-/// `RAYON_NUM_THREADS` settings.
-///
-/// # Errors
-///
-/// Returns [`crate::ServeError`] only via the per-strategy `infeasible`
-/// list — the sweep itself always succeeds if the spec is well-formed.
+/// The sweep prepares one pricing estimator over its cluster (the
+/// link-degraded one under link-mode degradation) and its model, and
+/// every feasible strategy's probed [`ServeInstance`] prices through it.
+/// Its memo keys carry TP and precision besides the shape, so each
+/// decode price, decode row and prefill layer is computed once per sweep,
+/// by whichever strategy, rate cell or worker reaches it first. Above
+/// [`crate::EXACT_MODE_LIMIT`] requests per cell each strategy prices
+/// decode from its own sealed table instead: the first cell to run seals
+/// it (cells that race on the seal wait for it) and every rate shares it
+/// lock-free. Memo values are pure functions of their keys and the grid
+/// depends on the instance alone, so each cell reports exactly what a
+/// lone [`ServeInstance`] of its strategy reports for its trace, and the
+/// report is byte-identical across `RAYON_NUM_THREADS` settings. A
+/// strategy that cannot serve goes to the report's `infeasible` list.
 ///
 /// # Panics
 ///
@@ -318,12 +324,25 @@ pub fn load_sweep(
     // name; the spec in `faults` records why the links are thinner).
     let degraded = faults.degraded_cluster(cluster);
     let cluster = degraded.as_ref().unwrap_or(cluster);
+    let estimator = PreparedInferenceEstimator::for_serving(cluster, Arc::clone(model));
+    run_grid(cluster, model, spec, &faults, &Arc::new(estimator))
+}
 
+/// [`load_sweep`] past its spec checks: every strategy prices through
+/// `estimator`, which must be prepared for serving over `cluster` and
+/// `model`.
+fn run_grid<'a>(
+    cluster: &'a ClusterSpec,
+    model: &Arc<ModelConfig>,
+    spec: &LoadSweepSpec,
+    faults: &FaultSpec,
+    estimator: &Arc<PreparedInferenceEstimator<'a>>,
+) -> LoadSweepReport {
     // --- phase 1: one probed instance per strategy ----------------------
     let prepared: Vec<Result<ServeInstance<'_>, InfeasibleStrategy>> = spec
         .strategies
         .par_iter()
-        .map(|s| prepare_strategy(cluster, model, spec, *s))
+        .map(|s| prepare_strategy(cluster, model, spec, *s, estimator))
         .collect();
     let mut instances: Vec<(LoadStrategy, ServeInstance<'_>)> = Vec::new();
     let mut infeasible = Vec::new();
@@ -380,7 +399,7 @@ pub fn load_sweep(
                 instance,
                 strategy.replicas,
                 spec.router,
-                &faults,
+                faults,
                 &traces[ri],
             )
             .expect("feasibility was probed in phase 1 and the spec asserts keep traces valid");
@@ -446,14 +465,15 @@ impl LoadSweepSpec {
     }
 }
 
-/// Builds and probes one strategy's instance, so an unsupported
-/// precision surfaces as an infeasible strategy instead of a mid-grid
-/// panic.
+/// Builds and probes one strategy's instance over the sweep's shared
+/// `estimator`, so an unsupported precision surfaces as an infeasible
+/// strategy instead of a mid-grid panic.
 fn prepare_strategy<'a>(
     cluster: &'a ClusterSpec,
     model: &Arc<ModelConfig>,
     spec: &LoadSweepSpec,
     strategy: LoadStrategy,
+    estimator: &Arc<PreparedInferenceEstimator<'a>>,
 ) -> Result<ServeInstance<'a>, InfeasibleStrategy> {
     let infeasible = |reason: String| InfeasibleStrategy {
         tp: strategy.tp,
@@ -472,8 +492,9 @@ fn prepare_strategy<'a>(
         .with_slo(spec.slo)
         .with_kv(strategy.kv)
         .with_scheduler(strategy.scheduler);
-    let instance = ServeInstance::new(cluster, Arc::clone(model), config)
-        .map_err(|e| infeasible(e.to_string()))?;
+    let instance =
+        ServeInstance::with_estimator(cluster, Arc::clone(model), config, Arc::clone(estimator))
+            .map_err(|e| infeasible(e.to_string()))?;
     instance.probe().map_err(|e| infeasible(e.to_string()))?;
     Ok(instance)
 }
@@ -674,7 +695,12 @@ mod tests {
             ..small_spec()
         };
         let trace = spec.trace(spec.rates[0]).generate();
-        let prepared = prepare_strategy(&cluster, &model, &spec, spec.strategies[0]).unwrap();
+        let estimator = Arc::new(PreparedInferenceEstimator::for_serving(
+            &cluster,
+            Arc::clone(&model),
+        ));
+        let prepared =
+            prepare_strategy(&cluster, &model, &spec, spec.strategies[0], &estimator).unwrap();
         let fresh = ServeInstance::new(&cluster, Arc::clone(&model), *prepared.config()).unwrap();
         let run = |instance: &ServeInstance<'_>| {
             run_fleet(instance, 1, spec.router, &FaultSpec::none(), &trace).unwrap()
@@ -926,5 +952,119 @@ mod tests {
         assert_eq!(report.curves.len(), 3);
         assert_eq!(report.infeasible.len(), 1);
         assert!(report.infeasible[0].reason.contains("priority-preempt"));
+    }
+
+    /// Every strategy of a sweep prices through one estimator. Two
+    /// strategies that differ only in scheduler, over one priority class,
+    /// run identical batches, so after the sweep its estimator holds
+    /// exactly the memo keys one lone instance of either holds after the
+    /// same cells — where one estimator per strategy leaves the sweep's
+    /// untouched.
+    #[test]
+    fn strategies_share_one_pricing_memo() {
+        let cluster = presets::dgx_a100_hdr_cluster();
+        let model = Arc::new(models::llama2_7b());
+        let mut spec = small_spec();
+        let fifo = LoadStrategy::single(1, Precision::Fp16).with_kv(KvSpec::paged(16));
+        spec.strategies = vec![fifo, fifo.with_scheduler(Scheduler::Priority)];
+        let shared = Arc::new(PreparedInferenceEstimator::for_serving(
+            &cluster,
+            Arc::clone(&model),
+        ));
+        let report = run_grid(&cluster, &model, &spec, &FaultSpec::none(), &shared);
+        for (a, b) in report.curves[0].points.iter().zip(&report.curves[1].points) {
+            assert_eq!(
+                *a,
+                LoadPoint {
+                    scheduler: Scheduler::Fifo,
+                    ..*b
+                },
+                "one priority class: priority admits in FIFO order"
+            );
+        }
+
+        let lone = ServeInstance::new(
+            &cluster,
+            Arc::clone(&model),
+            ServeConfig::new(1).with_slo(spec.slo).with_kv(fifo.kv),
+        )
+        .unwrap();
+        lone.probe().unwrap();
+        for &rate in &spec.rates {
+            lone.simulate(&spec.trace(rate).generate()).unwrap();
+        }
+        let keys = lone.estimator().cached_keys();
+        assert!(keys > 2, "the cells priced past the probe's row and price");
+        assert_eq!(shared.cached_keys(), keys);
+    }
+
+    /// Sharing one estimator never leaks a price between strategies: over
+    /// reserved and paged KV with a prefix pool, FIFO and priority
+    /// admission, TP1 and TP2, every cell's point equals the one a fresh
+    /// instance of its strategy gives on that cell's trace, and an FP8
+    /// strategy the device cannot serve is still listed infeasible.
+    #[test]
+    fn shared_memo_cells_equal_fresh_instances() {
+        let cluster = presets::dgx_a100_hdr_cluster();
+        let model = Arc::new(models::llama2_7b());
+        let mut spec = small_spec();
+        spec.requests = 120;
+        spec.rates = vec![4.0, 64.0];
+        spec.priority_classes = 3;
+        spec.prefixes = Some(PrefixSpec {
+            pool: 3,
+            tokens: 64,
+            rate: 0.7,
+        });
+        spec.strategies = Vec::new();
+        for kv in [KvSpec::reserved(), KvSpec::paged(16)] {
+            for scheduler in [Scheduler::Fifo, Scheduler::Priority] {
+                spec.strategies.push(
+                    LoadStrategy::single(1, Precision::Fp16)
+                        .with_kv(kv)
+                        .with_scheduler(scheduler),
+                );
+            }
+        }
+        spec.strategies
+            .push(LoadStrategy::single(2, Precision::Fp16).with_kv(KvSpec::paged(16)));
+        spec.strategies
+            .push(LoadStrategy::single(1, Precision::Fp8));
+        let report = load_sweep(&cluster, &model, &spec);
+        assert_eq!(report.infeasible.len(), 1);
+        assert_eq!(report.infeasible[0].precision, Precision::Fp8);
+        assert_eq!(report.curves.len(), spec.strategies.len() - 1);
+
+        let traces: Vec<Vec<crate::Request>> = spec
+            .rates
+            .iter()
+            .map(|&r| spec.trace(r).generate())
+            .collect();
+        for (curve, strategy) in report.curves.iter().zip(&spec.strategies) {
+            let config = ServeConfig::new(strategy.tp)
+                .with_precision(strategy.precision)
+                .with_slo(spec.slo)
+                .with_kv(strategy.kv)
+                .with_scheduler(strategy.scheduler);
+            let fresh = ServeInstance::new(&cluster, Arc::clone(&model), config).unwrap();
+            for ((point, trace), &rate) in curve.points.iter().zip(&traces).zip(&spec.rates) {
+                let fleet = run_fleet(
+                    &fresh,
+                    strategy.replicas,
+                    spec.router,
+                    &FaultSpec::none(),
+                    trace,
+                )
+                .unwrap();
+                assert_eq!(
+                    *point,
+                    LoadPoint::from_fleet(*strategy, rate, &fleet),
+                    "TP{} {} {:?} at {rate} req/s",
+                    strategy.tp,
+                    strategy.kv,
+                    strategy.scheduler
+                );
+            }
+        }
     }
 }

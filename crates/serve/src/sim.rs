@@ -23,7 +23,9 @@
 //! scans), and per-request records plus exact percentile buffers are kept
 //! only within [`EXACT_MODE_LIMIT`] (or on request). Decode pricing runs
 //! through the memoized [`PreparedInferenceEstimator`] (exact) within
-//! [`EXACT_MODE_LIMIT`] requests and through the instance's sealed
+//! [`EXACT_MODE_LIMIT`] requests — each replica engine keeps a dense
+//! (batch, context) price cache in front of the memo, so a warm exact
+//! read is a vector index with no lock — and through the instance's sealed
 //! [`DecodeCostTable`] beyond. The table's grid spans every batch and
 //! context the instance's KV budget can hold, so it depends on the
 //! instance alone, never on a trace; it prices each cell on the first
@@ -184,7 +186,11 @@ impl std::error::Error for ServeError {}
 /// with its prepared estimator and, once sealed, its decode-cost table.
 /// Build once, simulate many traces — the load-sweep engine runs every
 /// arrival rate of a strategy through one shared instance, and every run
-/// reuses the cells the runs before it priced.
+/// reuses the cells the runs before it priced. The estimator sits behind
+/// an [`Arc`]: [`ServeInstance::new`] prepares one of its own, and the
+/// load-sweep engine hands every strategy of a sweep the same one. Its
+/// memo keys carry TP and precision, so it prices each shape once per
+/// sweep.
 #[derive(Debug)]
 pub struct ServeInstance<'a> {
     cluster: &'a ClusterSpec,
@@ -192,7 +198,7 @@ pub struct ServeInstance<'a> {
     config: ServeConfig,
     weights: Bytes,
     budget: Bytes,
-    estimator: PreparedInferenceEstimator<'a>,
+    estimator: Arc<PreparedInferenceEstimator<'a>>,
     table: OnceLock<Result<DecodeCostTable, String>>,
 }
 
@@ -208,6 +214,24 @@ impl<'a> ServeInstance<'a> {
         cluster: &'a ClusterSpec,
         model: Arc<ModelConfig>,
         config: ServeConfig,
+    ) -> Result<Self, ServeError> {
+        let estimator = PreparedInferenceEstimator::for_serving(cluster, Arc::clone(&model));
+        Self::with_estimator(cluster, model, config, Arc::new(estimator))
+    }
+
+    /// Like [`ServeInstance::new`], pricing through `estimator`, which
+    /// must be prepared for serving over `cluster` and `model`. Its memo
+    /// values are pure functions of their keys, so a shared estimator
+    /// prices every iteration exactly as a fresh one would.
+    ///
+    /// # Errors
+    ///
+    /// As [`ServeInstance::new`].
+    pub(crate) fn with_estimator(
+        cluster: &'a ClusterSpec,
+        model: Arc<ModelConfig>,
+        config: ServeConfig,
+        estimator: Arc<PreparedInferenceEstimator<'a>>,
     ) -> Result<Self, ServeError> {
         let tp = config.tp;
         let precision = config.precision;
@@ -236,7 +260,6 @@ impl<'a> ServeInstance<'a> {
                 ),
             });
         }
-        let estimator = PreparedInferenceEstimator::for_serving(cluster, Arc::clone(&model));
         Ok(Self {
             cluster,
             model,
