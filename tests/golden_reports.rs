@@ -22,12 +22,15 @@
 use optimus::hw::presets;
 use optimus::memory::RecomputeMode;
 use optimus::model::presets as models;
+use optimus::prelude::Precision;
 use optimus::prelude::{
     CheckpointSpec, Parallelism, PipelineSchedule, TrainingConfig, TrainingEstimator,
 };
+use optimus::units::Time;
 use optimus_serve::{
-    simulate, simulate_fleet, ArrivalProcess, FaultSpec, FleetConfig, LengthDist, RouterPolicy,
-    ServeConfig, TraceSpec,
+    load_sweep, simulate, simulate_fleet, ArrivalProcess, FaultSpec, FleetConfig, KvSpec,
+    LengthDist, LoadStrategy, LoadSweepSpec, PrefixSpec, RecordMode, RouterPolicy, Scheduler,
+    ServeConfig, SloSpec, TraceSpec,
 };
 use optimus_sweep::{SweepEngine, SweepSpace, Workload};
 use std::sync::Arc;
@@ -239,4 +242,166 @@ fn basic_resilience_sweep_frontier_is_byte_identical_to_the_pre_stack_fixture() 
         include_str!("golden/sweep_resilience_frontier.json"),
         "basic-spec sweep frontier JSON drifted from the pre-stack fixture"
     );
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Checks a report's pretty and compact JSON against their pinned byte
+/// lengths and FNV-1a digests, returning one line per drifted form. A
+/// drifted form is written under the target directory for diffing.
+fn pin_drift<T: serde::Serialize>(name: &str, report: &T, pins: [(usize, u64); 2]) -> Vec<String> {
+    let outputs = [
+        ("pretty", serde_json::to_string_pretty(report).unwrap()),
+        ("compact", serde_json::to_string(report).unwrap()),
+    ];
+    let mut drifted = Vec::new();
+    for ((form, json), (len, digest)) in outputs.iter().zip(pins) {
+        let got = (json.len(), fnv1a(json.as_bytes()));
+        if got != (len, digest) {
+            let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+                .join(format!("{name}.{form}.json"));
+            std::fs::write(&path, json).unwrap();
+            drifted.push(format!(
+                "{name} {form}: {} bytes, digest {:#018x}; pinned {len} bytes, {digest:#018x}; \
+                 written to {}",
+                got.0,
+                got.1,
+                path.display()
+            ));
+        }
+    }
+    drifted
+}
+
+/// The length distributions, prefix pool, priority classes and SLO of
+/// the CI paged load-sweep smoke.
+const PAGED_PROMPT: LengthDist = LengthDist::Uniform { lo: 300, hi: 900 };
+const PAGED_OUTPUT: LengthDist = LengthDist::Uniform { lo: 16, hi: 48 };
+const PAGED_PREFIXES: PrefixSpec = PrefixSpec {
+    pool: 4,
+    tokens: 256,
+    rate: 0.7,
+};
+fn paged_slo() -> SloSpec {
+    SloSpec {
+        ttft: Time::from_millis(4000.0),
+        tpot: Time::from_millis(100.0),
+    }
+}
+
+/// `serve --model llama2-7b --tp 1 --kv-block 16 --scheduler fifo
+/// --requests 2000 --rate R --prompt 300:900 --output 16:48
+/// --prefix-tokens 256 --prefix-pool 4 --prefix-rate 0.7
+/// --priority-classes 3 --ttft-slo 4000 --seed 5 --records --json` at
+/// R = 4, 16 and 32 req/s.
+///
+/// Three large reports, about 36k non-integer numbers between them,
+/// pinned by length and digest in both pretty and compact form. Captured
+/// before reports were streamed to JSON without a value tree.
+#[test]
+fn paged_serve_reports_keep_their_pinned_digests() {
+    const PINS: [(f64, [(usize, u64); 2]); 3] = [
+        (
+            4.0,
+            [
+                (640_755, 0x8273_bed8_22a5_e72a),
+                (454_986, 0x268a_7f58_82ce_433e),
+            ],
+        ),
+        (
+            16.0,
+            [
+                (638_843, 0xdb97_3f6d_3674_c609),
+                (455_494, 0x80a2_6db5_99b1_b1ff),
+            ],
+        ),
+        (
+            32.0,
+            [
+                (633_580, 0x5615_307c_d4bf_8bac),
+                (449_747, 0xe2b8_f3d7_6f7d_4cb8),
+            ],
+        ),
+    ];
+    let config = ServeConfig::new(1)
+        .with_precision(Precision::Fp16)
+        .with_slo(paged_slo())
+        .with_kv(KvSpec::paged(16))
+        .with_scheduler(Scheduler::Fifo)
+        .with_records(RecordMode::On);
+    let model = Arc::new(models::llama2_7b());
+    let mut drifted = Vec::new();
+    for (rate, pins) in PINS {
+        let spec = TraceSpec {
+            seed: 5,
+            requests: 2000,
+            arrival: ArrivalProcess::Poisson { rate_per_s: rate },
+            prompt: PAGED_PROMPT,
+            output: PAGED_OUTPUT,
+            prefixes: Some(PAGED_PREFIXES),
+            priority_classes: 3,
+        };
+        let report = simulate(
+            &presets::dgx_a100_hdr_cluster(),
+            Arc::clone(&model),
+            &config,
+            &spec,
+        )
+        .unwrap();
+        assert_eq!(report.per_request.len(), 2000);
+        drifted.extend(pin_drift(&format!("serve_paged_rate{rate}"), &report, pins));
+    }
+    assert!(drifted.is_empty(), "JSON drifted:\n{}", drifted.join("\n"));
+}
+
+/// `load-sweep --model llama2-7b --tp-list 1 --kv-block-list 0,16,32
+/// --scheduler-list fifo,priority --priority-classes 3 --prefix-tokens
+/// 256 --prefix-pool 4 --prefix-rate 0.7 --rates 4,16,32 --requests 2000
+/// --prompt 300:900 --output 16:48 --ttft-slo 4000 --seed 5 --json`,
+/// the CI paged smoke at a fixed seed, pinned like the serve reports.
+#[test]
+fn paged_load_sweep_report_keeps_its_pinned_digests() {
+    let mut strategies = Vec::new();
+    for kv in [KvSpec::reserved(), KvSpec::paged(16), KvSpec::paged(32)] {
+        for scheduler in [Scheduler::Fifo, Scheduler::Priority] {
+            strategies.push(
+                LoadStrategy::single(1, Precision::Fp16)
+                    .with_kv(kv)
+                    .with_scheduler(scheduler),
+            );
+        }
+    }
+    let spec = LoadSweepSpec {
+        seed: 5,
+        requests: 2000,
+        prompt: PAGED_PROMPT,
+        output: PAGED_OUTPUT,
+        rates: vec![4.0, 16.0, 32.0],
+        strategies,
+        slo: paged_slo(),
+        router: RouterPolicy::RoundRobin,
+        faults: None,
+        prefixes: Some(PAGED_PREFIXES),
+        priority_classes: 3,
+    };
+    let report = load_sweep(
+        &presets::dgx_a100_hdr_cluster(),
+        &Arc::new(models::llama2_7b()),
+        &spec,
+    );
+    assert!(report.infeasible.is_empty());
+    let drifted = pin_drift(
+        "load_sweep_paged",
+        &report,
+        [
+            (18_304, 0x8be7_ebae_4caa_80d5),
+            (11_936, 0x37d9_a8b5_bb0f_e153),
+        ],
+    );
+    assert!(drifted.is_empty(), "JSON drifted:\n{}", drifted.join("\n"));
 }

@@ -93,3 +93,43 @@ fn quantities_roundtrip_transparently() {
     let b: Bytes = serde_json::from_str("1000000000.0").unwrap();
     assert_eq!(b.gb(), 1.0);
 }
+
+/// A paged, prefix-cached `ServeReport` with per-request records: the
+/// JSON `serde_json` writes straight from the derived serialization
+/// stream equals the JSON of the value tree built from the same stream,
+/// compact and pretty. Its integers are far below 2^53, where the tree
+/// holds them exactly.
+#[test]
+fn serve_report_streams_as_its_value_tree_prints() {
+    use optimus_serve::{ArrivalProcess, KvSpec, LengthDist, PrefixSpec, ServeConfig, TraceSpec};
+    let spec = TraceSpec {
+        seed: 3,
+        requests: 300,
+        arrival: ArrivalProcess::Poisson { rate_per_s: 16.0 },
+        prompt: LengthDist::Uniform { lo: 300, hi: 900 },
+        output: LengthDist::Uniform { lo: 16, hi: 48 },
+        prefixes: Some(PrefixSpec {
+            pool: 4,
+            tokens: 256,
+            rate: 0.7,
+        }),
+        priority_classes: 3,
+    };
+    let report = optimus_serve::simulate(
+        &hw::presets::dgx_a100_hdr_cluster(),
+        std::sync::Arc::new(model::presets::llama2_7b()),
+        &ServeConfig::new(1).with_kv(KvSpec::paged(16)),
+        &spec,
+    )
+    .unwrap();
+    assert_eq!(report.per_request.len(), 300);
+    let tree = serde::Serialize::to_value(&report);
+    assert_eq!(
+        serde_json::to_string(&report).unwrap(),
+        serde_json::to_string(&tree).unwrap()
+    );
+    assert_eq!(
+        serde_json::to_string_pretty(&report).unwrap(),
+        serde_json::to_string_pretty(&tree).unwrap()
+    );
+}
