@@ -1772,6 +1772,30 @@ mod tests {
         assert!(v.get("infeasible").is_some());
     }
 
+    /// Seeds above 2^53 print exactly as given, so a report names the seed
+    /// that ran rather than the nearest double.
+    #[test]
+    fn reports_print_64_bit_seeds_exactly() {
+        let printed = |out: &str, seed: &str| {
+            out.lines()
+                .any(|l| l.trim().trim_end_matches(',') == format!("\"seed\": {seed}"))
+        };
+        for seed in ["9007199254740993", "18446744073709551615"] {
+            let out = cli(&format!(
+                "load-sweep --model llama2-7b --tp-list 1 --rates 5 --requests 200 \
+                 --prompt 40:160 --output 2:16 --seed {seed} --json"
+            ))
+            .unwrap();
+            assert!(printed(&out, seed), "load-sweep --seed {seed}: {out}");
+            let out = cli(&format!(
+                "serve --model llama2-7b --tp 1 --replicas 2 --requests 50 --rate 20 \
+                 --prompt 50:150 --output 2:16 --mtbf 6 --mttr 2 --fault-seed {seed} --json"
+            ))
+            .unwrap();
+            assert!(printed(&out, seed), "serve --fault-seed {seed}: {out}");
+        }
+    }
+
     #[test]
     fn load_sweep_geometric_grid_and_defaults() {
         let out = cli(
