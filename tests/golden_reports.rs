@@ -30,7 +30,7 @@ use optimus::units::Time;
 use optimus_serve::{
     load_sweep, simulate, simulate_fleet, ArrivalProcess, FaultSpec, FleetConfig, KvSpec,
     LengthDist, LoadStrategy, LoadSweepSpec, PrefixSpec, RecordMode, RouterPolicy, Scheduler,
-    ServeConfig, SloSpec, TraceSpec,
+    ServeConfig, ServeInstance, SloSpec, TraceSpec,
 };
 use optimus_sweep::{SweepEngine, SweepSpace, Workload};
 use std::sync::Arc;
@@ -401,6 +401,80 @@ fn paged_load_sweep_report_keeps_its_pinned_digests() {
         [
             (18_304, 0x8be7_ebae_4caa_80d5),
             (11_936, 0x37d9_a8b5_bb0f_e153),
+        ],
+    );
+    assert!(drifted.is_empty(), "JSON drifted:\n{}", drifted.join("\n"));
+}
+
+/// The llama2-13b TP2 replica of perfbench's serve-fleet workload, with
+/// the prompts U[50, 400] and outputs U[8, 64] of `serve --prompt 50:400
+/// --output 8:64`, at `rate` req/s.
+fn fleet_shape(seed: u64, requests: usize, rate: f64) -> (TraceSpec, ServeConfig) {
+    let replica = ServeConfig::new(2)
+        .with_precision(Precision::Fp16)
+        .with_kv(KvSpec::reserved())
+        .with_scheduler(Scheduler::Fifo);
+    (trace(seed, requests, rate, (50, 400), (8, 64)), replica)
+}
+
+/// `serve --model llama2-13b --tp 2 --requests 1000000 --rate 500
+/// --prompt 50:400 --output 8:64 --seed 3 --json`, serve-fleet pass (a)'s
+/// shape: one replica streams a million requests through the sealed
+/// decode table and the latency histograms, with the FIFO head blocked
+/// on KV for most of the run. Captured before latency bins were read
+/// from a table. Release only, like the next pin: in a debug build the
+/// two take about 2 s, more than the rest of the tier-1 suite.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn million_request_serve_report_keeps_its_pinned_digests() {
+    let (spec, replica) = fleet_shape(3, 1_000_000, 500.0);
+    let cluster = presets::dgx_a100_hdr_cluster();
+    let instance =
+        ServeInstance::new(&cluster, Arc::new(models::llama2_13b()), replica).unwrap();
+    let report = instance.simulate(&spec.generate()).unwrap();
+    assert_eq!(report.completed + report.rejected, 1_000_000);
+    let drifted = pin_drift(
+        "serve_1m",
+        &report,
+        [
+            (8_141, 0x2bbc_a053_c65f_84b2),
+            (4_918, 0x33ad_206b_bc54_cdc0),
+        ],
+    );
+    assert!(drifted.is_empty(), "JSON drifted:\n{}", drifted.join("\n"));
+}
+
+/// `serve --model llama2-13b --tp 2 --replicas 4 --router
+/// least-outstanding --requests 200000 --rate 1200 --prompt 50:400
+/// --output 8:64 --seed 3 --mtbf 60 --mttr 10 --fault-seed 7 --json`,
+/// serve-fleet pass (c)'s shape: crashes drain and requeue millions of
+/// requests, so every release of a reservation by a crash shows. Captured
+/// before latency bins were read from a table. Release only.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn chaos_fleet_report_at_200k_requests_keeps_its_pinned_digests() {
+    let (spec, replica) = fleet_shape(3, 200_000, 1200.0);
+    let config = FleetConfig {
+        replicas: 4,
+        router: RouterPolicy::LeastOutstanding,
+        replica,
+        faults: FaultSpec::crashes(7, 60.0, 10.0),
+    };
+    let report = simulate_fleet(
+        &presets::dgx_a100_hdr_cluster(),
+        Arc::new(models::llama2_13b()),
+        &config,
+        &spec,
+    )
+    .unwrap();
+    assert_eq!(report.availability.crashes, 223);
+    assert_eq!(report.availability.requeues, 3_412_874);
+    let drifted = pin_drift(
+        "fleet_chaos_200k",
+        &report,
+        [
+            (2_537_198, 0xb59f_1d52_900f_e956),
+            (1_219_759, 0xba73_2589_f684_d164),
         ],
     );
     assert!(drifted.is_empty(), "JSON drifted:\n{}", drifted.join("\n"));
