@@ -13,22 +13,107 @@
 
 use crate::report::LatencyStats;
 use optimus_units::Time;
+use std::sync::OnceLock;
 
 /// Log-scale resolution: bins per doubling of latency.
 pub const HISTOGRAM_BINS_PER_OCTAVE: usize = 32;
 /// Smallest representable latency (values below clamp into the first
 /// bin): one nanosecond.
 const MIN_SECS: f64 = 1e-9;
-/// Largest representable latency (values above clamp into the last bin):
-/// ~11.6 days, far beyond any simulated makespan.
-const MAX_SECS: f64 = 1e6;
+/// Doublings the bins span: ⌈log2(1e6 s / `MIN_SECS`)⌉, so they cover
+/// latencies up to ~11.6 days, far beyond any simulated makespan. Values
+/// from `MIN_SECS·2^OCTAVES` (~13 days) up clamp into the last bin.
+const OCTAVES: usize = 50;
+/// Bins of every histogram: [`HISTOGRAM_BINS_PER_OCTAVE`] per octave plus
+/// the top clamp bin.
+const BIN_COUNT: usize = OCTAVES * HISTOGRAM_BINS_PER_OCTAVE + 1;
+
+/// The bin lookup indexes a value by its exponent and the top
+/// `INDEX_BITS` bits of its mantissa. A bucket is then at most 2^-7 of
+/// its value wide, under half a bin (2^(1/32) − 1 ≈ 2.2%), so it holds
+/// at most one bin edge.
+const INDEX_BITS: u32 = 7;
+/// Shift from an `f64`'s bits to its bucket number.
+const INDEX_SHIFT: u32 = f64::MANTISSA_DIGITS - 1 - INDEX_BITS;
+/// Bucket number of `MIN_SECS`: index entry 0.
+const INDEX_BASE: usize = (MIN_SECS.to_bits() >> INDEX_SHIFT) as usize;
+
+/// The bin of `secs` by the defining formula: bin `i` covers
+/// `[MIN·2^(i/B), MIN·2^((i+1)/B))` seconds, through a `log2` and a
+/// `floor`. [`BinTable`] is derived from it, and tests check the two
+/// agree.
+fn formula_bin(secs: f64) -> usize {
+    if secs <= MIN_SECS {
+        return 0;
+    }
+    let i = ((secs / MIN_SECS).log2() * HISTOGRAM_BINS_PER_OCTAVE as f64).floor() as usize;
+    i.min(BIN_COUNT - 1)
+}
+
+/// The bin edges of [`formula_bin`] and an index over them, so that
+/// binning a value is one table read and one comparison.
+struct BinTable {
+    /// `edges[i]`, for `i ≥ 1`: the least `f64` the formula puts in bin
+    /// `i` (`edges[0]` is zero).
+    edges: Vec<f64>,
+    /// Entry `k`: the bin of the least `f64` in bucket `INDEX_BASE + k`,
+    /// for every bucket from `MIN_SECS`'s to the last edge's.
+    index: Vec<u16>,
+}
+
+impl BinTable {
+    /// The process's table, built on first use.
+    fn get() -> &'static Self {
+        static TABLE: OnceLock<BinTable> = OnceLock::new();
+        TABLE.get_or_init(Self::build)
+    }
+
+    /// Finds each edge by stepping ulps from `MIN_SECS·2^(i/B)` until the
+    /// formula's bin changes right there, then bins each bucket's least
+    /// value against the edges.
+    fn build() -> Self {
+        let mut edges = vec![0.0; BIN_COUNT];
+        for (i, edge) in edges.iter_mut().enumerate().skip(1) {
+            let mut x = MIN_SECS * (i as f64 / HISTOGRAM_BINS_PER_OCTAVE as f64).exp2();
+            while formula_bin(x) >= i {
+                x = x.next_down();
+            }
+            while formula_bin(x) < i {
+                x = x.next_up();
+            }
+            *edge = x;
+        }
+        let last = (edges[BIN_COUNT - 1].to_bits() >> INDEX_SHIFT) as usize;
+        let index = (INDEX_BASE..=last)
+            .map(|bucket| {
+                let least = f64::from_bits((bucket as u64) << INDEX_SHIFT);
+                let bin = edges.partition_point(|&e| e <= least) - 1;
+                u16::try_from(bin).expect("1,601 bins fit u16")
+            })
+            .collect();
+        Self { edges, index }
+    }
+
+    /// The bin of `secs`: equal to [`formula_bin`] for every value.
+    fn bin_of(&self, secs: f64) -> usize {
+        if secs <= MIN_SECS {
+            return 0;
+        }
+        if secs >= self.edges[BIN_COUNT - 1] {
+            return BIN_COUNT - 1;
+        }
+        let bucket = (secs.to_bits() >> INDEX_SHIFT) as usize - INDEX_BASE;
+        let bin = usize::from(self.index[bucket]);
+        bin + usize::from(secs >= self.edges[bin + 1])
+    }
+}
 
 /// A fixed-bin log-scale latency histogram: bin `i` covers
 /// `[MIN·2^(i/B), MIN·2^((i+1)/B))` seconds with `B` bins per doubling.
 ///
 /// Memory is a few kilobytes regardless of population size, and recording
-/// is a `log2`, a multiply, and an increment — no allocation, no
-/// sorting.
+/// is a lookup in a per-process table of the bin edges and an increment —
+/// no allocation, no sorting.
 #[derive(Debug, Clone)]
 pub struct LogHistogram {
     counts: Vec<u64>,
@@ -39,25 +124,10 @@ impl LogHistogram {
     /// An empty histogram spanning 1 ns to ~11.6 days.
     #[must_use]
     pub fn new() -> Self {
-        let octaves = (MAX_SECS / MIN_SECS).log2().ceil() as usize;
         Self {
-            counts: vec![0; octaves * HISTOGRAM_BINS_PER_OCTAVE + 1],
+            counts: vec![0; BIN_COUNT],
             total: 0,
         }
-    }
-
-    /// Index of the bin holding `secs` (clamped to the covered range).
-    fn bin_of(secs: f64) -> usize {
-        if secs <= MIN_SECS {
-            return 0;
-        }
-        let i = ((secs / MIN_SECS).log2() * HISTOGRAM_BINS_PER_OCTAVE as f64).floor() as usize;
-        i.min(Self::bin_count() - 1)
-    }
-
-    fn bin_count() -> usize {
-        let octaves = (MAX_SECS / MIN_SECS).log2().ceil() as usize;
-        octaves * HISTOGRAM_BINS_PER_OCTAVE + 1
     }
 
     /// The upper edge of bin `i` — the conservative representative a
@@ -68,7 +138,7 @@ impl LogHistogram {
 
     /// Records one observation.
     pub fn record(&mut self, value: Time) {
-        self.counts[Self::bin_of(value.secs())] += 1;
+        self.counts[BinTable::get().bin_of(value.secs())] += 1;
         self.total += 1;
     }
 
@@ -110,7 +180,7 @@ impl LogHistogram {
                 return Time::from_secs(Self::bin_upper(i));
             }
         }
-        Time::from_secs(Self::bin_upper(Self::bin_count() - 1))
+        Time::from_secs(Self::bin_upper(BIN_COUNT - 1))
     }
 }
 
@@ -208,8 +278,8 @@ impl LatencyAccumulator {
     /// Finalizes the statistics. Streamed percentile estimates are
     /// clamped to the exactly-tracked maximum: the histogram reports a
     /// bin's upper edge, which for the top-occupied bin can exceed the
-    /// true max (and, for clamped overflow values, even `MAX_SECS`) — a
-    /// report must never show `p99 > max`.
+    /// true max (for clamped overflow values, by any amount) — a report
+    /// must never show `p99 > max`.
     #[must_use]
     pub fn finish(&self) -> LatencyStats {
         match self {
@@ -259,6 +329,54 @@ mod tests {
                 e.secs()
             );
         }
+    }
+
+    /// The bin count is a constant; it stays what the covered range
+    /// gives: ⌈log2(1e6 s / 1 ns)⌉ octaves of 32 bins, plus the top clamp
+    /// bin.
+    #[test]
+    fn bin_count_follows_the_covered_range() {
+        let octaves = (1e6 / MIN_SECS).log2().ceil() as usize;
+        assert_eq!(BIN_COUNT, octaves * HISTOGRAM_BINS_PER_OCTAVE + 1);
+        assert_eq!(BIN_COUNT, 1601);
+        assert_eq!(LogHistogram::new().counts.len(), BIN_COUNT);
+    }
+
+    /// The table bins every value exactly as the formula does: the 8 ulps
+    /// on each side of every edge (where a slipped edge or a `>` for `>=`
+    /// shows), and a million seeded random bit patterns over
+    /// [1e-12, 1e9] s, which cross both clamps.
+    #[test]
+    fn table_bins_equal_formula_bins() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let table = BinTable::get();
+        let check = |x: f64| {
+            assert_eq!(
+                table.bin_of(x),
+                formula_bin(x),
+                "{x:e} ({:#x})",
+                x.to_bits()
+            );
+        };
+        for &edge in &table.edges[1..] {
+            let (mut below, mut above) = (edge, edge);
+            check(edge);
+            for _ in 0..8 {
+                below = below.next_down();
+                above = above.next_up();
+                check(below);
+                check(above);
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(11);
+        let bits = 1e-12f64.to_bits()..=1e9f64.to_bits();
+        for _ in 0..1_000_000 {
+            check(f64::from_bits(rng.gen_range(bits.clone())));
+        }
+        for x in [0.0, MIN_SECS, 1e-12, 1e9, f64::MAX, f64::INFINITY] {
+            check(x);
+        }
+        assert_eq!(table.index.len(), 6401);
     }
 
     #[test]
@@ -330,7 +448,7 @@ mod tests {
     fn overflowing_values_keep_percentiles_under_the_max() {
         let mut acc = LatencyAccumulator::for_population(1_000_000);
         for _ in 0..10 {
-            acc.record(Time::from_secs(1e7)); // beyond MAX_SECS = 1e6
+            acc.record(Time::from_secs(1e7)); // past the last bin's edge, ~1.13e6 s
         }
         let s = acc.finish();
         assert_eq!(s.max, Time::from_secs(1e7));
