@@ -198,6 +198,9 @@ pub struct ServeInstance<'a> {
     config: ServeConfig,
     weights: Bytes,
     budget: Bytes,
+    /// Unsharded KV bytes of one token, `kv_cache_bytes(model, 1, 1,
+    /// precision)`: every KV footprint the instance prices is a multiple.
+    token_kv: f64,
     estimator: Arc<PreparedInferenceEstimator<'a>>,
     table: OnceLock<Result<DecodeCostTable, String>>,
 }
@@ -260,12 +263,14 @@ impl<'a> ServeInstance<'a> {
                 ),
             });
         }
+        let token_kv = kv_cache_bytes(&model, 1, 1, precision).bytes();
         Ok(Self {
             cluster,
             model,
             config,
             weights,
             budget: capacity - weights,
+            token_kv,
             estimator,
             table: OnceLock::new(),
         })
@@ -288,15 +293,25 @@ impl<'a> ServeInstance<'a> {
         &self.estimator
     }
 
-    /// The full KV reservation of one request on this instance.
+    /// The full KV reservation of one request on this instance: the
+    /// per-device KV of its prompt + output tokens. A request with no
+    /// tokens reserves nothing; the simulator's entry points reject it as
+    /// an invalid trace before anything is reserved.
     #[must_use]
     pub fn reservation(&self, request: &Request) -> Bytes {
-        kv_cache_bytes(
-            &self.model,
-            1,
-            request.prompt + request.output,
-            self.config.precision,
-        ) / self.config.tp as f64
+        self.kv_share(request.prompt + request.output)
+    }
+
+    /// The per-device KV bytes of `tokens` tokens: one token's unsharded
+    /// bytes × `tokens`, split over TP. Bit-identical to
+    /// `kv_cache_bytes(model, 1, tokens, precision) / tp`: every factor of
+    /// that product is an integer times a power of two, so both orders
+    /// multiply exactly while the product stays below 2^53 bytes, which
+    /// holds past 10^8 tokens for every preset at every precision, far
+    /// beyond any device's budget. The division stays last: one token's
+    /// share, rounded first, would round differently at TP 3.
+    fn kv_share(&self, tokens: usize) -> Bytes {
+        Bytes::new(self.token_kv * tokens as f64 / self.config.tp as f64)
     }
 
     /// Bytes of one KV block under a paged [`KvSpec`] (exact: the KV
@@ -309,12 +324,7 @@ impl<'a> ServeInstance<'a> {
     #[must_use]
     pub fn block_bytes(&self) -> Bytes {
         assert!(!self.config.kv.is_reserved(), "reserved KV has no blocks");
-        kv_cache_bytes(
-            &self.model,
-            1,
-            self.config.kv.block_tokens,
-            self.config.precision,
-        ) / self.config.tp as f64
+        self.kv_share(self.config.kv.block_tokens)
     }
 
     /// Device block pool under a paged [`KvSpec`]:
@@ -380,7 +390,7 @@ impl<'a> ServeInstance<'a> {
         self.table
             .get_or_init(|| {
                 let (tp, precision) = (self.config.tp, self.config.precision);
-                let token = kv_cache_bytes(&self.model, 1, 1, precision) / tp as f64;
+                let token = self.kv_share(1);
                 let tokens = ((self.budget.bytes() / token.bytes()).floor() as usize).max(1);
                 self.estimator
                     .seal_decode_costs(tokens, tokens, tp, precision)
@@ -1199,6 +1209,88 @@ pub(crate) mod tests {
                 assert!(err.to_string().contains(what), "{err}");
             }
         }
+    }
+
+    /// One instance per preset model × precision × TP 1..=8, on an A100
+    /// node whose DRAM holds any model's weights, so no combination is
+    /// skipped.
+    fn every_kv_shape(cluster: &ClusterSpec) -> Vec<ServeInstance<'_>> {
+        let mut instances = Vec::new();
+        for model in models::llama2_family()
+            .into_iter()
+            .chain([models::gpt_7b()])
+            .chain(models::gpt_family())
+        {
+            let model = Arc::new(model);
+            let estimator = Arc::new(PreparedInferenceEstimator::for_serving(
+                cluster,
+                Arc::clone(&model),
+            ));
+            for &precision in Precision::all() {
+                for tp in 1..=8 {
+                    let config = ServeConfig::new(tp).with_precision(precision);
+                    instances.push(
+                        ServeInstance::with_estimator(
+                            cluster,
+                            Arc::clone(&model),
+                            config,
+                            Arc::clone(&estimator),
+                        )
+                        .unwrap(),
+                    );
+                }
+            }
+        }
+        instances
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The reservation from the per-token constant equals the KV
+        /// footprint priced whole and split over TP, bit for bit, for
+        /// every shape: a per-device constant (one token's share rounded
+        /// first) fails this at TP 3.
+        #[test]
+        fn reservation_equals_the_whole_footprint_split_over_tp(
+            context in 1usize..=10_000_000,
+        ) {
+            let mut cluster = presets::dgx_a100_hdr_cluster();
+            cluster.node.accelerator.dram.capacity = Bytes::from_gb(1e9);
+            let instances = every_kv_shape(&cluster);
+            assert_eq!(instances.len(), 9 * Precision::all().len() * 8);
+            for instance in &instances {
+                let c = instance.config();
+                for tokens in [1, context, 10_000_000] {
+                    let whole = kv_cache_bytes(&instance.model, 1, tokens, c.precision);
+                    let expected = whole / c.tp as f64;
+                    let got = instance.reservation(&Request::new(0, 0.0, tokens - 1, 1));
+                    proptest::prop_assert_eq!(
+                        got.bytes().to_bits(),
+                        expected.bytes().to_bits(),
+                        "{} {} TP{} at {} tokens",
+                        instance.model.name,
+                        c.precision,
+                        c.tp,
+                        tokens
+                    );
+                }
+            }
+        }
+    }
+
+    /// A request with no tokens reserves nothing, rather than panicking;
+    /// the simulator itself rejects such a request before reserving.
+    #[test]
+    fn a_request_without_tokens_reserves_nothing() {
+        let cluster = presets::dgx_a100_hdr_cluster();
+        let instance =
+            ServeInstance::new(&cluster, Arc::new(models::llama2_7b()), ServeConfig::new(3))
+                .unwrap();
+        assert_eq!(
+            instance.reservation(&Request::new(0, 0.0, 0, 0)),
+            Bytes::ZERO
+        );
     }
 
     /// The down-sampled queue series always ends at the trace end, even
