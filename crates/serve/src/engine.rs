@@ -260,6 +260,13 @@ pub(crate) struct ReplicaEngine<'i, 'a> {
     sink: CompletionSink,
 
     reserved: Bytes,
+    // Reserved KV only: the admission pick did not fit, and since then no
+    // reservation was released and no request joined the ranked queue.
+    // A failed reserved admission changes nothing, so until one of those
+    // happens every retry would fail the same way, and `admit` skips it.
+    // Paged KV never sets it: a failed paged attempt touches a prefix's
+    // `last_use` and can evict idle prefixes.
+    head_blocked: bool,
     kv_peak: Bytes,
     prefill_iterations: usize,
     decode_iterations: usize,
@@ -374,6 +381,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             ctx_sum: 0,
             sink: CompletionSink::new(config.slo, trace.len(), records_on),
             reserved: Bytes::ZERO,
+            head_blocked: false,
             kv_peak: Bytes::ZERO,
             prefill_iterations: 0,
             decode_iterations: 0,
@@ -600,6 +608,9 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             }
         }
         if self.scheduler == Scheduler::Fifo {
+            if self.head_blocked {
+                return;
+            }
             while self.admit_cursor < self.arrived {
                 if !self.try_admit(self.order[self.admit_cursor]) {
                     break; // head-of-line: the cursor's request waits for memory
@@ -612,8 +623,12 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         for pos in self.admit_cursor..self.arrived {
             let request = &trace[self.order[pos] as usize];
             self.ranked.insert(rank(self.scheduler, request), pos);
+            self.head_blocked = false; // the newcomer may be the new pick
         }
         self.admit_cursor = self.arrived;
+        if self.head_blocked {
+            return;
+        }
         while let Some(pos) = self.ranked.peek() {
             if !self.try_admit(self.order[pos]) {
                 break; // head-of-line: the pick waits for memory
@@ -638,6 +653,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         } else {
             let need = self.instance.reservation(request);
             if self.reserved + need > self.budget {
+                self.head_blocked = true;
                 return false;
             }
             self.reserved += need;
@@ -883,6 +899,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         self.decoding_count = 0;
         self.ctx_sum = 0;
         self.reserved = Bytes::ZERO;
+        self.head_blocked = false;
         // A crash wipes the device: the block pool and every cached
         // prefix die with it.
         self.used_blocks = 0;
@@ -1018,6 +1035,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             let (r, slot) = (self.request(idx), &self.slots[idx as usize]);
             self.sink.complete(r, slot, end);
             self.reserved = self.reserved - slot.reserved;
+            self.head_blocked = false;
             self.ctx_sum -= r.prompt + r.output;
             self.decoding_count -= 1;
             self.free_slots.push(idx);
