@@ -94,7 +94,8 @@ impl BinTable {
         Self { edges, index }
     }
 
-    /// The bin of `secs`: equal to [`formula_bin`] for every value.
+    /// The bin of `secs`: equal to [`formula_bin`] for every value a
+    /// `Time` can hold (any but NaN).
     fn bin_of(&self, secs: f64) -> usize {
         if secs <= MIN_SECS {
             return 0;

@@ -406,17 +406,6 @@ fn paged_load_sweep_report_keeps_its_pinned_digests() {
     assert!(drifted.is_empty(), "JSON drifted:\n{}", drifted.join("\n"));
 }
 
-/// The llama2-13b TP2 replica of perfbench's serve-fleet workload, with
-/// the prompts U[50, 400] and outputs U[8, 64] of `serve --prompt 50:400
-/// --output 8:64`, at `rate` req/s.
-fn fleet_shape(seed: u64, requests: usize, rate: f64) -> (TraceSpec, ServeConfig) {
-    let replica = ServeConfig::new(2)
-        .with_precision(Precision::Fp16)
-        .with_kv(KvSpec::reserved())
-        .with_scheduler(Scheduler::Fifo);
-    (trace(seed, requests, rate, (50, 400), (8, 64)), replica)
-}
-
 /// `serve --model llama2-13b --tp 2 --requests 1000000 --rate 500
 /// --prompt 50:400 --output 8:64 --seed 3 --json`, serve-fleet pass (a)'s
 /// shape: one replica streams a million requests through the sealed
@@ -427,10 +416,14 @@ fn fleet_shape(seed: u64, requests: usize, rate: f64) -> (TraceSpec, ServeConfig
 #[test]
 #[cfg_attr(debug_assertions, ignore)]
 fn million_request_serve_report_keeps_its_pinned_digests() {
-    let (spec, replica) = fleet_shape(3, 1_000_000, 500.0);
     let cluster = presets::dgx_a100_hdr_cluster();
-    let instance =
-        ServeInstance::new(&cluster, Arc::new(models::llama2_13b()), replica).unwrap();
+    let instance = ServeInstance::new(
+        &cluster,
+        Arc::new(models::llama2_13b()),
+        ServeConfig::new(2),
+    )
+    .unwrap();
+    let spec = trace(3, 1_000_000, 500.0, (50, 400), (8, 64));
     let report = instance.simulate(&spec.generate()).unwrap();
     assert_eq!(report.completed + report.rejected, 1_000_000);
     let drifted = pin_drift(
@@ -453,18 +446,17 @@ fn million_request_serve_report_keeps_its_pinned_digests() {
 #[test]
 #[cfg_attr(debug_assertions, ignore)]
 fn chaos_fleet_report_at_200k_requests_keeps_its_pinned_digests() {
-    let (spec, replica) = fleet_shape(3, 200_000, 1200.0);
     let config = FleetConfig {
         replicas: 4,
         router: RouterPolicy::LeastOutstanding,
-        replica,
+        replica: ServeConfig::new(2),
         faults: FaultSpec::crashes(7, 60.0, 10.0),
     };
     let report = simulate_fleet(
         &presets::dgx_a100_hdr_cluster(),
         Arc::new(models::llama2_13b()),
         &config,
-        &spec,
+        &trace(3, 200_000, 1200.0, (50, 400), (8, 64)),
     )
     .unwrap();
     assert_eq!(report.availability.crashes, 223);
