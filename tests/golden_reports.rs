@@ -29,8 +29,8 @@ use optimus::prelude::{
 use optimus::units::Time;
 use optimus_serve::{
     load_sweep, simulate, simulate_fleet, ArrivalProcess, FaultSpec, FleetConfig, KvSpec,
-    LengthDist, LoadStrategy, LoadSweepSpec, PrefixSpec, RecordMode, RouterPolicy, Scheduler,
-    ServeConfig, ServeInstance, SloSpec, TraceSpec,
+    LengthDist, LoadStrategy, LoadSweepSpec, PreemptPolicy, PrefixSpec, RecordMode, RouterPolicy,
+    Scheduler, ServeConfig, ServeInstance, SloSpec, TraceSpec,
 };
 use optimus_sweep::{SweepEngine, SweepSpace, Workload};
 use std::sync::Arc;
@@ -467,6 +467,109 @@ fn chaos_fleet_report_at_200k_requests_keeps_its_pinned_digests() {
         [
             (2_537_198, 0xb59f_1d52_900f_e956),
             (1_219_759, 0xba73_2589_f684_d164),
+        ],
+    );
+    assert!(drifted.is_empty(), "JSON drifted:\n{}", drifted.join("\n"));
+}
+
+/// `serve --model llama2-13b --tp 2 --requests 1000000 --rate 500
+/// --prompt 50:400 --output 8:64 --kv-block 16 --json` (seed 42): the
+/// million-request serve under 16-token paged KV, FIFO with recompute
+/// preemption. About 640 requests decode per iteration and 155,286
+/// preemptions return their blocks, so every block grant and victim of
+/// the paged decode shows. Captured before the paged decode filed its
+/// members by the epoch their blocks fill. Release only.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn million_request_paged_serve_report_keeps_its_pinned_digests() {
+    let config = ServeConfig::new(2).with_kv(KvSpec::paged(16));
+    let report = simulate(
+        &presets::dgx_a100_hdr_cluster(),
+        Arc::new(models::llama2_13b()),
+        &config,
+        &trace(42, 1_000_000, 500.0, (50, 400), (8, 64)),
+    )
+    .unwrap();
+    let paging = report.paging.as_ref().expect("paged KV reports paging");
+    assert_eq!(paging.preemptions, 155_286);
+    assert_eq!(report.decode_iterations, 56_204);
+    let drifted = pin_drift(
+        "serve_1m_paged",
+        &report,
+        [
+            (9_372, 0xa734_8a12_ab78_26d6),
+            (5_674, 0xdbc8_5543_f955_f3fe),
+        ],
+    );
+    assert!(drifted.is_empty(), "JSON drifted:\n{}", drifted.join("\n"));
+}
+
+/// `serve --model llama2-13b --tp 2 --requests 200000 --rate 500
+/// --prompt 50:400 --output 8:64 --kv-block 16 --scheduler
+/// priority-preempt --priority-classes 3 --preempt swap --json` (seed
+/// 42): priority preemption picks the least urgent member as its victim
+/// and swaps it out to host. Captured like the previous pin. Release
+/// only.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn priority_preempt_swap_serve_report_keeps_its_pinned_digests() {
+    let config = ServeConfig::new(2)
+        .with_kv(KvSpec::paged(16).with_policy(PreemptPolicy::Swap))
+        .with_scheduler(Scheduler::PriorityPreempt);
+    let mut spec = trace(42, 200_000, 500.0, (50, 400), (8, 64));
+    spec.priority_classes = 3;
+    let report = simulate(
+        &presets::dgx_a100_hdr_cluster(),
+        Arc::new(models::llama2_13b()),
+        &config,
+        &spec,
+    )
+    .unwrap();
+    let paging = report.paging.as_ref().expect("paged KV reports paging");
+    assert_eq!(paging.swap_outs, 26_649);
+    assert_eq!(paging.swap_ins, 26_649);
+    let drifted = pin_drift(
+        "serve_priority_preempt_swap",
+        &report,
+        [
+            (13_678, 0xe1eb_29b5_3ab9_7d11),
+            (8_084, 0x7fb5_c66f_beb3_4093),
+        ],
+    );
+    assert!(drifted.is_empty(), "JSON drifted:\n{}", drifted.join("\n"));
+}
+
+/// `serve --model llama2-13b --tp 2 --replicas 4 --router
+/// least-outstanding --requests 200000 --rate 1200 --prompt 50:400
+/// --output 8:64 --kv-block 16 --mtbf 60 --mttr 10 --fault-seed 7
+/// --json` (seed 42): the chaos fleet under paged KV, where crash drains
+/// empty decode batches that are mid-growth. Captured like the previous
+/// pins. Release only.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn paged_chaos_fleet_report_at_200k_requests_keeps_its_pinned_digests() {
+    let config = FleetConfig {
+        replicas: 4,
+        router: RouterPolicy::LeastOutstanding,
+        replica: ServeConfig::new(2).with_kv(KvSpec::paged(16)),
+        faults: FaultSpec::crashes(7, 60.0, 10.0),
+    };
+    let report = simulate_fleet(
+        &presets::dgx_a100_hdr_cluster(),
+        Arc::new(models::llama2_13b()),
+        &config,
+        &trace(42, 200_000, 1200.0, (50, 400), (8, 64)),
+    )
+    .unwrap();
+    assert_eq!(report.availability.crashes, 241);
+    let paging = report.paging.as_ref().expect("paged KV reports paging");
+    assert_eq!(paging.preemptions, 37_307);
+    let drifted = pin_drift(
+        "fleet_chaos_paged_200k",
+        &report,
+        [
+            (2_568_501, 0x918b_5284_925e_e74b),
+            (1_234_397, 0x7768_5dde_0e9f_831f),
         ],
     );
     assert!(drifted.is_empty(), "JSON drifted:\n{}", drifted.join("\n"));
