@@ -52,12 +52,35 @@ struct Slot {
     blocks: usize,
     /// Blocks borrowed from this request's resident prefix entry.
     shared_blocks: usize,
-    /// Decode tokens produced so far (reset to zero by a recompute
-    /// preemption, preserved by a swap).
+    /// Decode tokens produced when the request last joined the decode
+    /// batch (reset to zero by a recompute preemption, preserved by a
+    /// swap). A decoding member has produced `output − (due −
+    /// decode_epoch)` tokens; the count is brought up to date only when it
+    /// is preempted.
     generated: usize,
-    /// Calendar ring position this slot's completion is filed under, so
-    /// preemption can withdraw it in O(ring-slot).
-    due_ring: usize,
+    /// The decode epoch this slot's completion falls due at; its calendar
+    /// ring position is `due % calendar.len()`, so preemption can withdraw
+    /// it in O(ring-slot).
+    due: usize,
+    /// The iteration this slot last joined the paged decode batch in, or
+    /// [`NOT_DECODING`]. One request joins per iteration at most, so the
+    /// stamp names one membership of the slot, and stamps grow in join
+    /// order.
+    joined: usize,
+}
+
+/// [`Slot::joined`] of a slot outside the paged decode batch.
+const NOT_DECODING: usize = usize::MAX;
+
+/// One membership of the paged decode batch, as the join-ordered batch
+/// list and the block-growth ring file it: live while its slot's
+/// [`Slot::joined`] still equals `joined`. A completion or preemption
+/// resets that stamp, which turns every entry of the membership dead in
+/// O(1).
+#[derive(Clone, Copy)]
+struct Member {
+    slot: u32,
+    joined: usize,
 }
 
 /// Streaming aggregation of completion events: latency accumulators plus
@@ -305,8 +328,19 @@ pub(crate) struct ReplicaEngine<'i, 'a> {
     // Swapped slots whose blocks are re-allocated, each waiting for its
     // swap-in iteration (served before prefills).
     awaiting_swapin: VecDeque<u32>,
-    // Decoding slots in join order — the preemption victim order.
-    active: Vec<u32>,
+    // Decode-batch memberships in join order: the preemption victim
+    // order. Completions and preemptions leave dead entries behind; the
+    // latest-joined pick pops them off the back, and the list is compacted
+    // once they outnumber the live members.
+    active: Vec<Member>,
+    // The block-growth ring, indexed by decode epoch: slot `e % len` holds
+    // the members whose held blocks are full at epoch `e`, so that their
+    // next token needs one more block. A member is filed at its join
+    // epoch plus the room left in its blocks, and again `block_tokens`
+    // epochs after each grant, but only at epochs before it completes.
+    // That keeps every filing at most min(`block_tokens`, `max_kv`)
+    // epochs ahead, and the ring is one slot longer.
+    grow_ring: Vec<Vec<Member>>,
     prefix_cache: Vec<PrefixEntry>,
     preemptions: usize,
     swap_outs: usize,
@@ -316,6 +350,19 @@ pub(crate) struct ReplicaEngine<'i, 'a> {
     prefix_misses: usize,
     prefix_evictions: usize,
     cached_tokens_saved: usize,
+    #[cfg(test)]
+    reference_scan: bool,
+    #[cfg(test)]
+    growth_log: Vec<Growth>,
+}
+
+/// One block-growth event of a paged decode iteration: the decode epoch
+/// it happened at and the trace index it happened to.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Growth {
+    Grant(usize, u32),
+    Preempt(usize, u32),
 }
 
 impl<'i, 'a> ReplicaEngine<'i, 'a> {
@@ -337,6 +384,11 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         let slow_mult = faults.as_ref().map_or(1.0, |f| f.slow_mult);
         let config = instance.config();
         let paged = !config.kv.is_reserved();
+        let grow_ring_len = if paged {
+            config.kv.block_tokens.min(bounds.max_kv) + 1
+        } else {
+            0
+        };
         Self {
             paged,
             scheduler: config.scheduler,
@@ -349,6 +401,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             swapped: VecDeque::new(),
             awaiting_swapin: VecDeque::new(),
             active: Vec::new(),
+            grow_ring: vec![Vec::new(); grow_ring_len],
             prefix_cache: Vec::new(),
             preemptions: 0,
             swap_outs: 0,
@@ -395,6 +448,10 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             faults,
             slow_mult,
             requeued: Vec::new(),
+            #[cfg(test)]
+            reference_scan: false,
+            #[cfg(test)]
+            growth_log: Vec::new(),
         }
     }
 
@@ -670,7 +727,8 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             blocks,
             shared_blocks,
             generated: 0,
-            due_ring: 0,
+            due: 0,
+            joined: NOT_DECODING,
         });
         self.awaiting_prefill.push_back(slot);
         true
@@ -778,7 +836,9 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
 
     /// Puts a slot (back) into the decode batch: first token at the next
     /// decode epoch if none was emitted yet, completion when the
-    /// remaining output fills.
+    /// remaining output fills. Under paged KV the member also files on
+    /// the growth ring at the epoch its held blocks fill, unless it
+    /// completes first.
     fn rejoin_decode(&mut self, idx: u32) {
         let (ctx, remaining, first_pending) = {
             let (r, s) = (self.request(idx), &self.slots[idx as usize]);
@@ -793,12 +853,36 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         if first_pending {
             self.pending_first.push(idx);
         }
-        let due = (self.decode_epoch + remaining) % self.calendar.len();
-        self.calendar[due].push(idx);
+        let due = self.decode_epoch + remaining;
+        let ring_len = self.calendar.len();
+        self.calendar[due % ring_len].push(idx);
         if self.paged {
-            self.slots[idx as usize].due_ring = due;
-            self.active.push(idx);
+            let member = Member {
+                slot: idx,
+                joined: self.iteration,
+            };
+            let s = &mut self.slots[idx as usize];
+            s.due = due;
+            s.joined = member.joined;
+            // Admission and swap-in allocate ⌈ctx / block⌉ blocks, so
+            // `room` < `block_tokens`.
+            let room = (s.blocks + s.shared_blocks) * self.block_tokens - ctx;
+            self.active.push(member);
+            if room < remaining {
+                self.file_growth(self.decode_epoch + room, member);
+            }
         }
+    }
+
+    /// Files `member` on the growth ring at decode epoch `epoch`.
+    fn file_growth(&mut self, epoch: usize, member: Member) {
+        let ring_len = self.grow_ring.len();
+        self.grow_ring[epoch % ring_len].push(member);
+    }
+
+    /// Whether `member` is still in the decode batch.
+    fn is_live(&self, member: Member) -> bool {
+        self.slots[member.slot as usize].joined == member.joined
     }
 
     /// Frees capacity for `need` more blocks, evicting idle
@@ -893,6 +977,9 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         self.preempted.clear();
         self.swapped.clear();
         self.active.clear();
+        for due in &mut self.grow_ring {
+            due.clear();
+        }
         self.pending_first.clear();
         self.slots.clear();
         self.free_slots.clear();
@@ -1028,9 +1115,6 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         // order.
         let due_slot = self.decode_epoch % self.calendar.len();
         let done = core::mem::take(&mut self.calendar[due_slot]);
-        if self.paged && !done.is_empty() {
-            self.active.retain(|x| !done.contains(x));
-        }
         for idx in done {
             let (r, slot) = (self.request(idx), &self.slots[idx as usize]);
             self.sink.complete(r, slot, end);
@@ -1042,6 +1126,11 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             if self.paged {
                 self.release_completed(idx);
             }
+        }
+        if self.active.len() > 2 * self.decoding_count {
+            let slots = &self.slots;
+            self.active
+                .retain(|m| slots[m.slot as usize].joined == m.joined);
         }
         Ok(dur)
     }
@@ -1078,80 +1167,111 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
     }
 
     /// The paged decode's growth pass: every member whose next token
-    /// crosses a block boundary gets one more block, preempting victims
-    /// when the pool (after evicting idle prefixes) runs dry; survivors
-    /// then advance one generated token. Returns the summed swap-out
-    /// transfer seconds charged to this iteration (zero under
-    /// recompute).
+    /// crosses a block boundary gets one more block, in join order,
+    /// preempting victims when the pool (after evicting idle prefixes)
+    /// runs dry. Returns the summed swap-out transfer seconds charged to
+    /// this iteration (zero under recompute).
+    ///
+    /// The members that need a block are exactly the live entries of this
+    /// epoch's growth-ring slot, and the slot holds them in join order:
+    /// the members refiled after a grant `block_tokens` epochs ago come
+    /// first, in that epoch's drain order, and every join that lands on
+    /// this epoch came later, because a join files less than
+    /// `block_tokens` epochs ahead. So draining the slot in order grants
+    /// the blocks, and picks the victims, of a scan over the whole batch
+    /// in join order — at the cost of the members that grow.
     fn grow_batch(&mut self) -> f64 {
+        #[cfg(test)]
+        if self.reference_scan {
+            return self.reference_grow_batch();
+        }
+        let epoch = self.decode_epoch;
+        let ring_slot = epoch % self.grow_ring.len();
+        let mut due = core::mem::take(&mut self.grow_ring[ring_slot]);
         let mut swap_s = 0.0;
-        let mut i = 0;
-        while i < self.active.len() {
-            let idx = self.active[i];
-            let (held, ctx_next) = {
-                let s = &self.slots[idx as usize];
-                (
-                    s.blocks + s.shared_blocks,
-                    self.request(idx).prompt + s.generated + 1,
-                )
-            };
-            if self.instance.blocks_for(ctx_next) <= held {
-                i += 1;
-                continue;
+        for &member in &due {
+            // A preemption, earlier in this pass or before, leaves its
+            // filing dead.
+            while self.is_live(member) {
+                if self.ensure_free(1) {
+                    self.alloc_blocks(1);
+                    let s = &mut self.slots[member.slot as usize];
+                    s.blocks += 1;
+                    let (refill, completes) = (epoch + self.block_tokens, s.due);
+                    #[cfg(test)]
+                    self.growth_log
+                        .push(Growth::Grant(epoch, self.slots[member.slot as usize].req));
+                    if refill < completes {
+                        self.file_growth(refill, member);
+                    }
+                    break;
+                }
+                // Pool exhausted: preempt, then retry the grower unless it
+                // was the pick. A batch of one always gets its block (its
+                // own private and shared blocks are the only pinned ones
+                // left), so the pass terminates with at least one
+                // survivor.
+                let victim = self.pick_victim();
+                swap_s += self.preempt(victim);
             }
-            if self.ensure_free(1) {
-                self.alloc_blocks(1);
-                self.slots[idx as usize].blocks += 1;
-                i += 1;
-                continue;
-            }
-            // Pool exhausted: preempt. Under priority-preempt the least
-            // urgent member goes (highest priority value, latest-joined
-            // among ties); otherwise the latest-joined outright — the
-            // vLLM recompute order. The grower itself can be the pick;
-            // a batch of one always gets its block (its own private and
-            // shared blocks are the only pinned ones left), so the pass
-            // terminates with at least one survivor.
-            let victim = if self.scheduler == Scheduler::PriorityPreempt {
-                (0..self.active.len())
-                    .max_by_key(|&j| (self.request(self.active[j]).priority, j))
-                    .expect("the growing member is active")
-            } else {
-                self.active.len() - 1
-            };
-            swap_s += self.preempt(victim);
-            if victim < i {
-                i -= 1; // the list shifted under the cursor
-            }
-            // Re-examine position i: either the same still-blocked grower
-            // or, when the grower itself was evicted, its successor.
         }
-        for &idx in &self.active {
-            self.slots[idx as usize].generated += 1;
-        }
+        due.clear();
+        self.grow_ring[ring_slot] = due;
         swap_s
     }
 
-    /// Preempts the active member at position `pos`: its private blocks
-    /// leave the device (freed under recompute, streamed to host under
-    /// swap), its prefix reference drops, and it moves to the matching
-    /// re-admission queue. Returns the swap-out seconds charged.
-    fn preempt(&mut self, pos: usize) -> f64 {
-        let idx = self.active.remove(pos);
+    /// The preemption victim among the live members. Under
+    /// priority-preempt the least urgent member goes (highest priority
+    /// value, latest-joined among ties); otherwise the latest-joined
+    /// outright — the vLLM recompute order. The latter is popped off the
+    /// batch list with the dead entries above it.
+    fn pick_victim(&mut self) -> u32 {
+        if self.scheduler == Scheduler::PriorityPreempt {
+            let trace = self.trace;
+            let slots = &self.slots;
+            return self
+                .active
+                .iter()
+                .enumerate()
+                .filter(|&(_, m)| slots[m.slot as usize].joined == m.joined)
+                .max_by_key(|&(j, m)| (trace[slots[m.slot as usize].req as usize].priority, j))
+                .expect("the growing member is live")
+                .1
+                .slot;
+        }
+        loop {
+            let m = self.active.pop().expect("the growing member is live");
+            if self.is_live(m) {
+                return m.slot;
+            }
+        }
+    }
+
+    /// Preempts the live member in slot `idx`: its private blocks leave
+    /// the device (freed under recompute, streamed to host under swap),
+    /// its prefix reference drops, and it moves to the matching
+    /// re-admission queue. Its batch entries turn dead. Returns the
+    /// swap-out seconds charged.
+    fn preempt(&mut self, idx: u32) -> f64 {
         let request = self.request(idx);
-        let (blocks, shared, ctx, due, prefix) = {
+        let epoch = self.decode_epoch;
+        let (blocks, shared, generated, due, prefix) = {
             let s = &mut self.slots[idx as usize];
             let out = (
                 s.blocks,
                 s.shared_blocks,
-                request.prompt + s.generated,
-                s.due_ring,
+                request.output - (s.due - epoch),
+                s.due,
                 request.prefix,
             );
             s.blocks = 0;
             s.shared_blocks = 0;
+            s.joined = NOT_DECODING;
             out
         };
+        #[cfg(test)]
+        self.growth_log
+            .push(Growth::Preempt(epoch, self.slots[idx as usize].req));
         self.used_blocks -= blocks;
         if shared > 0 {
             let p = prefix.expect("shared blocks imply a prefix");
@@ -1160,10 +1280,11 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             e.refs -= 1;
             e.last_use = self.iteration;
         }
-        self.calendar[due].retain(|&x| x != idx);
+        let ring_len = self.calendar.len();
+        self.calendar[due % ring_len].retain(|&x| x != idx);
         self.pending_first.retain(|&x| x != idx);
         self.decoding_count -= 1;
-        self.ctx_sum -= ctx;
+        self.ctx_sum -= request.prompt + generated;
         self.preemptions += 1;
         match self.policy {
             PreemptPolicy::Recompute => {
@@ -1173,6 +1294,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
                 0.0
             }
             PreemptPolicy::Swap => {
+                self.slots[idx as usize].generated = generated;
                 self.swap_outs += 1;
                 self.swap_bytes += self.instance.block_bytes() * blocks as f64;
                 self.swapped.push_back(idx);
@@ -1182,8 +1304,9 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
     }
 
     /// Returns a completed slot's blocks to the pool and drops its
-    /// prefix reference. The prefix entry stays resident — that is the
-    /// cache; it leaves only by eviction or a crash.
+    /// prefix reference; its batch entry turns dead. The prefix entry
+    /// stays resident — that is the cache; it leaves only by eviction or
+    /// a crash.
     fn release_completed(&mut self, idx: u32) {
         let prefix = self.request(idx).prefix;
         let (blocks, shared) = {
@@ -1191,6 +1314,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             let out = (s.blocks, s.shared_blocks);
             s.blocks = 0;
             s.shared_blocks = 0;
+            s.joined = NOT_DECODING;
             out
         };
         self.used_blocks -= blocks;
@@ -1278,7 +1402,9 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ArrivalProcess, KvSpec, LengthDist, ServeConfig, TraceSpec};
+    use crate::{
+        ArrivalProcess, FaultSpec, KvSpec, LengthDist, PrefixSpec, ServeConfig, TraceSpec,
+    };
     use optimus_hw::presets;
     use optimus_model::presets as models;
     use proptest::prelude::*;
@@ -1417,6 +1543,194 @@ mod tests {
                     prop_assert_eq!(queue.len(), pending.len());
                 }
             }
+        }
+    }
+
+    impl ReplicaEngine<'_, '_> {
+        /// The per-member growth scan the ring replaced, kept as the
+        /// reference: every live member, in join order, checks whether its
+        /// next token crosses a block boundary, and a member that cannot
+        /// get its block preempts the scan's victim and looks again. The
+        /// join order is rebuilt from the slots alone (join stamps grow in
+        /// join order), so it does not lean on the batch list either.
+        pub(super) fn reference_grow_batch(&mut self) -> f64 {
+            let epoch = self.decode_epoch;
+            let ring_slot = epoch % self.grow_ring.len();
+            self.grow_ring[ring_slot].clear(); // nothing reads the ring here
+            let mut active: Vec<u32> = (0u32..)
+                .zip(&self.slots)
+                .filter(|(_, s)| s.joined != NOT_DECODING)
+                .map(|(idx, _)| idx)
+                .collect();
+            active.sort_by_key(|&idx| self.slots[idx as usize].joined);
+            let mut swap_s = 0.0;
+            let mut i = 0;
+            while i < active.len() {
+                let idx = active[i];
+                let (held, ctx_next) = {
+                    let (r, s) = (self.request(idx), &self.slots[idx as usize]);
+                    let generated = r.output - (s.due - epoch);
+                    (s.blocks + s.shared_blocks, r.prompt + generated + 1)
+                };
+                if self.instance.blocks_for(ctx_next) <= held {
+                    i += 1;
+                    continue;
+                }
+                if self.ensure_free(1) {
+                    self.alloc_blocks(1);
+                    self.slots[idx as usize].blocks += 1;
+                    let req = self.slots[idx as usize].req;
+                    self.growth_log.push(Growth::Grant(epoch, req));
+                    i += 1;
+                    continue;
+                }
+                let victim = if self.scheduler == Scheduler::PriorityPreempt {
+                    (0..active.len())
+                        .max_by_key(|&j| (self.request(active[j]).priority, j))
+                        .expect("the growing member is active")
+                } else {
+                    active.len() - 1
+                };
+                swap_s += self.preempt(active.remove(victim));
+                if victim < i {
+                    i -= 1;
+                }
+            }
+            swap_s
+        }
+    }
+
+    /// Everything a growth run is compared on: its growth log, then its
+    /// counters and final clock.
+    type GrowthRun = (Vec<Growth>, [usize; 6], u64);
+
+    /// Runs `trace` through one paged engine whose pool holds `pool`
+    /// blocks, handing each crash's drops straight back to it at the
+    /// drain instant, as a one-replica router would.
+    fn growth_run(
+        instance: &ServeInstance<'_>,
+        trace: &[Request],
+        pool: usize,
+        faults: Option<&FaultSpec>,
+        reference: bool,
+    ) -> GrowthRun {
+        let bounds = TraceBounds::scan(instance, trace).unwrap();
+        let wiring = faults.map(|f| EngineFaults::for_replica(f, 0));
+        let mut engine = ReplicaEngine::new(instance, trace, None, &bounds, false, wiring);
+        engine.total_blocks = pool;
+        engine.reference_scan = reference;
+        let requeue = |engine: &mut ReplicaEngine<'_, '_>| {
+            let drops = engine.take_requeued();
+            for drop in &drops {
+                for &req in &drop.lost {
+                    engine.push(req, drop.at_s);
+                }
+            }
+            !drops.is_empty()
+        };
+        for (req, r) in (0u32..).zip(trace) {
+            engine.advance_to(r.arrival_s).unwrap();
+            requeue(&mut engine);
+            engine.push(req, r.arrival_s);
+        }
+        let mut rounds = 0;
+        loop {
+            engine.finish().unwrap();
+            if !requeue(&mut engine) {
+                break;
+            }
+            rounds += 1;
+            assert!(rounds < 10_000, "the crash drains do not converge");
+        }
+        let counters = [
+            engine.sink.completed,
+            engine.decode_iterations,
+            engine.prefill_iterations,
+            engine.preemptions,
+            engine.peak_blocks,
+            engine.prefix_evictions,
+        ];
+        (engine.growth_log, counters, engine.clock.to_bits())
+    }
+
+    const SCHEDULERS: [Scheduler; 4] = [
+        Scheduler::Fifo,
+        Scheduler::Priority,
+        Scheduler::Sjf,
+        Scheduler::PriorityPreempt,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The growth ring against the per-member scan it replaced, over
+        /// random traces, block sizes, schedulers, preemption policies,
+        /// prefix pools and crash drains, in a pool squeezed down to a
+        /// few times the largest request's peak need so that preemption
+        /// is common: every decode iteration grants blocks to, and
+        /// preempts, the same members in the same order, and the runs end
+        /// alike.
+        #[test]
+        fn growth_ring_replays_the_per_member_scan(
+            seed in 1u64..10_000,
+            requests in 20usize..120,
+            rate in 5.0f64..200.0,
+            prompt in (1usize..64, 0usize..240),
+            output in (1usize..24, 0usize..120),
+            block in prop_oneof![Just(1usize), Just(7usize), Just(16usize), Just(32usize), 1usize..48],
+            scheduler in 0usize..4,
+            swap in prop_oneof![Just(false), Just(true)],
+            prefixes in (0u8..2, 1usize..4, 1usize..96, 0.0f64..1.0),
+            priority_classes in 1u8..4,
+            crashes in (0u8..2, 0u64..100, 0.5f64..8.0, 0.05f64..2.0),
+            slack in 0usize..400,
+        ) {
+            let cluster = presets::dgx_a100_hdr_cluster();
+            let policy = if swap { PreemptPolicy::Swap } else { PreemptPolicy::Recompute };
+            let instance = ServeInstance::new(
+                &cluster,
+                Arc::new(models::llama2_7b()),
+                ServeConfig::new(1)
+                    .with_kv(KvSpec::paged(block).with_policy(policy))
+                    .with_scheduler(SCHEDULERS[scheduler]),
+            )
+            .unwrap();
+            let trace = TraceSpec {
+                seed,
+                requests,
+                arrival: ArrivalProcess::Poisson { rate_per_s: rate },
+                prompt: LengthDist::Uniform { lo: prompt.0, hi: prompt.0 + prompt.1 },
+                output: LengthDist::Uniform { lo: output.0, hi: output.0 + output.1 },
+                prefixes: (prefixes.0 == 1).then_some(PrefixSpec {
+                    pool: prefixes.1,
+                    tokens: prefixes.2,
+                    rate: prefixes.3,
+                }),
+                priority_classes,
+            }
+            .generate();
+            let peak = trace
+                .iter()
+                .map(|r| instance.blocks_for(r.prompt + r.output))
+                .max()
+                .unwrap();
+            let pool = (peak + peak * slack / 100).min(instance.total_blocks());
+            let faults = (crashes.0 == 1).then(|| FaultSpec::crashes(crashes.1, crashes.2, crashes.3));
+
+            let ring = growth_run(&instance, &trace, pool, faults.as_ref(), false);
+            let scan = growth_run(&instance, &trace, pool, faults.as_ref(), true);
+            prop_assert!(ring.0.iter().any(|g| matches!(g, Growth::Grant(..))));
+            if let Some(i) = (0..ring.0.len().min(scan.0.len())).find(|&i| ring.0[i] != scan.0[i]) {
+                prop_assert!(
+                    false,
+                    "growth event {i}: ring {:?}, scan {:?}",
+                    ring.0[i],
+                    scan.0[i]
+                );
+            }
+            prop_assert_eq!(ring.0.len(), scan.0.len());
+            prop_assert_eq!(ring.1, scan.1);
+            prop_assert_eq!(ring.2, scan.2);
         }
     }
 }
