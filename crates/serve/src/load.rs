@@ -26,8 +26,8 @@
 
 use crate::fleet::run_fleet;
 use crate::{
-    ArrivalProcess, FaultSpec, FleetReport, KvSpec, LengthDist, PrefixSpec, RouterPolicy,
-    Scheduler, ServeConfig, ServeInstance, SloSpec, TraceSpec,
+    ArrivalProcess, FaultSpec, FleetReport, KvSpec, LengthDist, PrefixSpec, RecordMode,
+    RouterPolicy, Scheduler, ServeConfig, ServeInstance, SloSpec, TraceSpec,
 };
 use optimus_hw::{ClusterSpec, Precision};
 use optimus_infer::PreparedInferenceEstimator;
@@ -486,10 +486,11 @@ fn prepare_strategy<'a>(
     }
     // Replicas are identical, so one prepared instance (and, at streaming
     // scale, its one sealed table) prices every replica of every rate
-    // cell.
+    // cell. A cell's point reads no per-request record, so none is kept.
     let config = ServeConfig::new(strategy.tp)
         .with_precision(strategy.precision)
         .with_slo(spec.slo)
+        .with_records(RecordMode::Off)
         .with_kv(strategy.kv)
         .with_scheduler(strategy.scheduler);
     let instance =
