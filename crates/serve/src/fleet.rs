@@ -628,8 +628,10 @@ pub(crate) fn run_fleet(
     }
     // Drain. Crashes during the tail can still requeue work after the
     // last arrival, so finishing and re-routing alternate until the fleet
-    // runs dry (each round re-serves strictly the work the previous round
-    // dropped, so this converges).
+    // runs dry. Each round re-serves only the work the previous round
+    // dropped, which converges unless the outages leave no uptime long
+    // enough to finish an iteration in: then every round loses the same
+    // work again, and the spec is refused.
     let mut drain_rounds = 0usize;
     loop {
         for engine in &mut engines {
@@ -644,10 +646,13 @@ pub(crate) fn run_fleet(
             break;
         }
         drain_rounds += 1;
-        assert!(
-            drain_rounds < 100_000,
-            "requeue drain failed to converge after {drain_rounds} rounds"
-        );
+        if drain_rounds == 100_000 {
+            return Err(ServeError::InvalidConfig(format!(
+                "fault spec: the fleet never finishes at MTBF {} s: crashes lost the same \
+                 work again in each of {drain_rounds} requeue rounds after the last arrival",
+                faults.mtbf_s
+            )));
+        }
     }
 
     // --- aggregate -------------------------------------------------------
@@ -1210,6 +1215,33 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, ServeError::InvalidConfig(_)), "{err}");
+    }
+
+    /// `serve --mtbf 0.05 --mttr 10 --requests 10`: with a 50 ms MTBF
+    /// every iteration outlasts the uptime it starts in, so each crash
+    /// loses the work again and the requeue drain never runs dry. That is
+    /// a typed error naming the MTBF, not a panic.
+    #[test]
+    fn a_fault_spec_that_never_lets_the_fleet_finish_is_a_clean_error() {
+        let cluster = presets::dgx_a100_hdr_cluster();
+        let spec = TraceSpec {
+            seed: 42,
+            requests: 10,
+            arrival: ArrivalProcess::Poisson { rate_per_s: 2.0 },
+            prompt: LengthDist::Fixed { tokens: 200 },
+            output: LengthDist::Fixed { tokens: 64 },
+            prefixes: None,
+            priority_classes: 1,
+        };
+        let err = simulate_fleet(
+            &cluster,
+            Arc::new(models::llama2_13b()),
+            &FleetConfig::new(1, 1).with_faults(FaultSpec::crashes(0, 0.05, 10.0)),
+            &spec,
+        )
+        .unwrap_err();
+        assert!(matches!(err, ServeError::InvalidConfig(_)), "{err}");
+        assert!(err.to_string().contains("MTBF 0.05 s"), "{err}");
     }
 
     /// Every availability and throughput figure must be finite and JSON

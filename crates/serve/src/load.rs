@@ -297,7 +297,10 @@ pub struct LoadSweepReport {
 /// a non-positive/non-finite rate, prompt, output and prefix lengths
 /// whose largest context overflows `usize`, or an invalid fault spec;
 /// and, once some strategy is feasible, on more requests per cell than
-/// [`crate::MAX_TRACE_REQUESTS`].
+/// [`crate::MAX_TRACE_REQUESTS`], or on a cell whose fault spec never
+/// lets its fleet finish (outages that leave no uptime long enough to
+/// complete an iteration in, which [`crate::simulate_fleet`] reports as
+/// [`crate::ServeError::InvalidConfig`]).
 #[must_use]
 pub fn load_sweep(
     cluster: &ClusterSpec,
@@ -395,6 +398,9 @@ fn run_grid<'a>(
             // `one_replica_fleet_equals_single_instance`), so there is
             // one code path to keep correct.
             let (strategy, instance) = &instances[si];
+            // Phase 1 probed the pricing and the spec asserts keep the
+            // traces valid, so the one error left is a fault spec that
+            // never lets the fleet finish (see `# Panics`).
             let report = run_fleet(
                 instance,
                 strategy.replicas,
@@ -402,7 +408,7 @@ fn run_grid<'a>(
                 faults,
                 &traces[ri],
             )
-            .expect("feasibility was probed in phase 1 and the spec asserts keep traces valid");
+            .unwrap_or_else(|e| panic!("load-sweep cell: {e}"));
             LoadPoint::from_fleet(*strategy, spec.rates[ri], &report)
         })
         .collect();
