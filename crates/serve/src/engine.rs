@@ -977,8 +977,8 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         self.preempted.clear();
         self.swapped.clear();
         self.active.clear();
-        for due in &mut self.grow_ring {
-            due.clear();
+        for growers in &mut self.grow_ring {
+            growers.clear();
         }
         self.pending_first.clear();
         self.slots.clear();
@@ -1187,9 +1187,9 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         }
         let epoch = self.decode_epoch;
         let ring_slot = epoch % self.grow_ring.len();
-        let mut due = core::mem::take(&mut self.grow_ring[ring_slot]);
+        let mut growers = core::mem::take(&mut self.grow_ring[ring_slot]);
         let mut swap_s = 0.0;
-        for &member in &due {
+        for &member in &growers {
             // A preemption, earlier in this pass or before, leaves its
             // filing dead.
             while self.is_live(member) {
@@ -1215,8 +1215,8 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
                 swap_s += self.preempt(victim);
             }
         }
-        due.clear();
-        self.grow_ring[ring_slot] = due;
+        growers.clear();
+        self.grow_ring[ring_slot] = growers;
         swap_s
     }
 
@@ -1720,13 +1720,8 @@ mod tests {
             let ring = growth_run(&instance, &trace, pool, faults.as_ref(), false);
             let scan = growth_run(&instance, &trace, pool, faults.as_ref(), true);
             prop_assert!(ring.0.iter().any(|g| matches!(g, Growth::Grant(..))));
-            if let Some(i) = (0..ring.0.len().min(scan.0.len())).find(|&i| ring.0[i] != scan.0[i]) {
-                prop_assert!(
-                    false,
-                    "growth event {i}: ring {:?}, scan {:?}",
-                    ring.0[i],
-                    scan.0[i]
-                );
+            for (i, (ring_event, scan_event)) in ring.0.iter().zip(&scan.0).enumerate() {
+                prop_assert_eq!(ring_event, scan_event, "growth event {}", i);
             }
             prop_assert_eq!(ring.0.len(), scan.0.len());
             prop_assert_eq!(ring.1, scan.1);
