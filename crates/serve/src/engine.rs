@@ -44,7 +44,7 @@ struct Slot {
     prefill_dur_s: f64,
     first_token_s: f64,
     reserved: Bytes,
-    // Paged-mode state (all zero under reserved KV).
+    // Paged-mode state (unused under reserved KV).
     /// Prompt tokens the next prefill actually prices (the full prompt,
     /// minus any resident shared-prefix blocks skipped on a cache hit).
     prefill_tokens: usize,
