@@ -1227,14 +1227,12 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
     /// batch list with the dead entries above it.
     fn pick_victim(&mut self) -> u32 {
         if self.scheduler == Scheduler::PriorityPreempt {
-            let trace = self.trace;
-            let slots = &self.slots;
             return self
                 .active
                 .iter()
                 .enumerate()
-                .filter(|&(_, m)| slots[m.slot as usize].joined == m.joined)
-                .max_by_key(|&(j, m)| (trace[slots[m.slot as usize].req as usize].priority, j))
+                .filter(|&(_, &m)| self.is_live(m))
+                .max_by_key(|&(j, m)| (self.request(m.slot).priority, j))
                 .expect("the growing member is live")
                 .1
                 .slot;
