@@ -1,9 +1,8 @@
 //! Micro-benchmarks of the analytical engines themselves: roofline kernel
 //! costing, collective costing, memory models, the end-to-end
 //! training/inference estimators, and the serving simulator's decode
-//! pricing (sealing a decode-cost table and reading every cell, filling
-//! the exact memo). These quantify the "early design space exploration"
-//! speed the analytical approach buys.
+//! pricing (filling the memo). These quantify the "early design space
+//! exploration" speed the analytical approach buys.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use optimus::collective::{Collective, CommModel};
@@ -99,27 +98,8 @@ fn bench_inference_estimator(c: &mut Criterion) {
 fn bench_decode_pricing(c: &mut Criterion) {
     let cluster = hw::presets::dgx_a100_hdr_cluster();
     let model = Arc::new(model::presets::llama2_13b());
-    // The grid the 4-replica llama2-13b TP2 fleet of the serving benchmark
-    // seals: batches up to its KV-budget ceiling, contexts up to the
-    // longest prompt plus output. A sealed table prices a cell on its
-    // first read, so this seals and then reads every cell: the cost of
-    // the full grid, which a serving run pays only for the cells it reads.
-    c.bench_function("infer/seal_llama13b_tp2_2819x464", |b| {
-        b.iter(|| {
-            let serving = PreparedInferenceEstimator::for_serving(&cluster, Arc::clone(&model));
-            let table = serving
-                .seal_decode_costs(2819, 464, 2, Precision::Fp16)
-                .unwrap();
-            for &batch in table.batch_grid().values() {
-                for &kv in table.kv_grid().values() {
-                    black_box(table.decode_iteration(&serving, batch, kv).unwrap());
-                }
-            }
-            black_box(table)
-        })
-    });
-    // A cold exact fill: 16 batch widths × 16 contexts, the shapes an
-    // exact-pricing run meets, on fresh memo tables.
+    // A cold fill: 16 batch widths × 16 contexts, the shapes a serving
+    // run meets, on fresh memo tables.
     let shapes: Vec<(usize, usize)> = (1..=16)
         .flat_map(|batch| (0..16).map(move |i| (batch, 300 + 60 * i)))
         .collect();

@@ -1,7 +1,7 @@
 //! Benchmarks of the continuous-batching serving simulator: trace
 //! generation alone, end-to-end simulations at moderate load (the memo
 //! tables absorb repeated iteration shapes), a million-request trace on
-//! the streaming/sealed-table path, and a 16-point load sweep. These are
+//! the streaming path, and a 16-point load sweep. These are
 //! quick local microbenches; the serving benchmark of record is
 //! `bash perfbench/run.sh --workload serve-fleet|serve-paged` (see
 //! `perfbench/README.md`).
@@ -76,8 +76,7 @@ fn bench_simulate_paged_prefix(c: &mut Criterion) {
 }
 
 /// One million requests at deep saturation through the streaming path:
-/// sealed decode table, recycled slots, completion ring, histogram
-/// percentiles. The trace is pregenerated so the bench times the
+/// recycled slots, completion ring, histogram percentiles. The trace is pregenerated so the bench times the
 /// simulator alone; the `<2 s` release-mode budget from the scale work is
 /// what this number tracks.
 fn bench_simulate_1m(c: &mut Criterion) {
@@ -160,7 +159,7 @@ fn bench_fleet_4rep_chaos(c: &mut Criterion) {
 }
 
 /// A 16-cell (4 rates × 4 TP strategies) load sweep at 20k requests per
-/// cell — the saturation-knee study shape, sealed tables shared per
+/// cell — the saturation-knee study shape, one memo shared by every
 /// strategy, cells rayon-parallel.
 fn bench_load_sweep_16pt(c: &mut Criterion) {
     let cluster = hw::presets::dgx_a100_hdr_cluster();

@@ -16,10 +16,8 @@ mod config;
 mod estimator;
 mod prepared;
 mod report;
-pub mod sealed;
 
 pub use config::InferenceConfig;
 pub use estimator::InferenceEstimator;
 pub use prepared::PreparedInferenceEstimator;
 pub use report::{GemmAnalysis, InferenceBreakdown, InferenceReport};
-pub use sealed::{DecodeCostTable, LogGrid};

@@ -19,11 +19,8 @@
 //! holes for a context and accumulates every op in `layer_forward_ops`
 //! order. [`PreparedInferenceEstimator::decode_iteration`] memoizes rows
 //! per `(batch, tp, precision)` and totals per `(batch, kv_len, tp,
-//! precision)`; a [`crate::DecodeCostTable`] from
-//! [`PreparedInferenceEstimator::seal_decode_costs`] keeps its rows and
-//! cells itself and prices each cell on first read. Both run the same
-//! code, so a sealed cell and the memoized price are bit-identical by
-//! construction.
+//! precision)`, so a cold price at a batch already seen costs only the
+//! attention core at its context.
 //!
 //! Memo values are pure functions of their keys, so concurrent fill order
 //! cannot change any result: a memoized sweep is byte-identical to naive
@@ -76,7 +73,7 @@ type DecodeKey = (usize, usize, usize, Precision);
 /// The part of a decode iteration at one batch width that never reads the
 /// KV context.
 #[derive(Debug, Clone)]
-pub(crate) struct DecodeRow {
+struct DecodeRow {
     /// The costs of one decode layer's ops in `layer_forward_ops` order,
     /// `None` at the attention-core slots (`OpRole::is_selective_recompute`),
     /// whose shapes are the only ones that read `kv_len`.
@@ -393,60 +390,12 @@ impl<'a> PreparedInferenceEstimator<'a> {
         })
     }
 
-    /// Seals decode-iteration pricing for one `(tp, precision)` strategy
-    /// into a [`crate::DecodeCostTable`] covering batches up to
-    /// `max_batch` and aggregate contexts up to `max_kv` on the default
-    /// quantization grids (exact to [`crate::sealed::BATCH_EXACT`] /
-    /// [`crate::sealed::KV_EXACT`], then
-    /// [`crate::sealed::BUCKETS_PER_OCTAVE`] log-scale buckets per
-    /// doubling).
-    ///
-    /// Sealing fixes the two grids and prices one cell, batch 1 at
-    /// context 1, so a strategy the device cannot serve fails here and not
-    /// at its first iteration. Every other cell is priced the first time
-    /// [`crate::DecodeCostTable::decode_iteration`] reads it, context
-    /// factored: one decode row per batch representative, then only the
-    /// attention core per cell. Rows and cells come from the same
-    /// functions as [`Self::decode_iteration`], so every cell is
-    /// **bit-identical** to the memoized price at its representative. The
-    /// table keeps its rows and cells itself: neither sealing nor a fill
-    /// takes the memo locks or grows the maps.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HwError`] when the device lacks the serving precision.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_batch`, `max_kv`, or `tp` is zero.
-    pub fn seal_decode_costs(
-        &self,
-        max_batch: usize,
-        max_kv: usize,
-        tp: usize,
-        precision: Precision,
-    ) -> Result<crate::DecodeCostTable, HwError> {
-        use crate::sealed::{LogGrid, BATCH_EXACT, BUCKETS_PER_OCTAVE, KV_EXACT};
-        assert!(
-            max_batch > 0 && max_kv > 0 && tp > 0,
-            "degenerate decode-table bounds"
-        );
-        let table = crate::DecodeCostTable::new(
-            LogGrid::new(BATCH_EXACT, BUCKETS_PER_OCTAVE, max_batch),
-            LogGrid::new(KV_EXACT, BUCKETS_PER_OCTAVE, max_kv),
-            tp,
-            precision,
-        );
-        table.decode_iteration(self, 1, 1)?;
-        Ok(table)
-    }
-
     /// Costs everything a decode iteration at `batch` prices without the
     /// KV context. The row is built at context 1: no op outside the
     /// attention core, nor the head stage or the all-reduce volume, reads
     /// `kv_len` (pinned by `decode_ops_differ_only_in_the_attention_core`
     /// and `extra_ops_are_context_independent`).
-    pub(crate) fn decode_row(
+    fn decode_row(
         &self,
         batch: usize,
         tp: usize,
@@ -477,7 +426,7 @@ impl<'a> PreparedInferenceEstimator<'a> {
     /// attention core into the row's holes and accumulates every layer op
     /// in `layer_forward_ops` order — the f64 sums of costing the whole
     /// layer op by op.
-    pub(crate) fn decode_total(&self, row: &DecodeRow, gp: &GraphParams) -> Result<Time, HwError> {
+    fn decode_total(&self, row: &DecodeRow, gp: &GraphParams) -> Result<Time, HwError> {
         let mut core = graph::attention_core_ops(&self.model, gp).into_iter();
         let mut bd = InferenceBreakdown::default();
         for slot in &row.layer {
@@ -740,86 +689,6 @@ mod tests {
         );
     }
 
-    /// The sealed decode-cost table must be **bit-identical** to the
-    /// memoized `decode_iteration` path on its exact grid region, and
-    /// within one round-up bucket of it beyond — same costing code, with
-    /// vs without the per-call locking and hashing. A bucketed cell costs
-    /// at least the exact price and at most one bucket ratio more per
-    /// rounded axis.
-    #[test]
-    fn sealed_table_matches_decode_iteration_on_the_exact_grid() {
-        let cluster = presets::dgx_a100_hdr_cluster();
-        let serving =
-            PreparedInferenceEstimator::for_serving(&cluster, Arc::new(models::llama2_13b()));
-        for tp in [1, 2] {
-            let table = serving
-                .seal_decode_costs(200, 1000, tp, Precision::Fp16)
-                .unwrap();
-            // Exact region: every covered (batch, kv) pair matches the
-            // memoized path bit-for-bit.
-            for batch in [1usize, 2, 17, 64] {
-                for kv in [1usize, 3, 100, 256] {
-                    let sealed = table.decode_iteration(&serving, batch, kv).unwrap();
-                    let memoized = serving
-                        .decode_iteration(batch, kv, tp, Precision::Fp16)
-                        .unwrap();
-                    assert_eq!(
-                        sealed.secs().to_bits(),
-                        memoized.secs().to_bits(),
-                        "tp={tp} batch={batch} kv={kv}"
-                    );
-                }
-            }
-            // Bucketed region: the sealed cost is the memoized cost of the
-            // round-up representative — never cheaper than exact, and
-            // within the envelope. The first two points sit just past a
-            // representative, where rounding up goes furthest.
-            let bucket_ratio = 2f64.powf(1.0 / crate::sealed::BUCKETS_PER_OCTAVE as f64);
-            for (batch, kv) in [(65usize, 257usize), (68, 269), (100, 300), (199, 999)] {
-                let rep_b = table.batch_grid().round_up(batch);
-                let rep_k = table.kv_grid().round_up(kv);
-                let sealed = table.decode_iteration(&serving, batch, kv).unwrap();
-                let at_rep = serving
-                    .decode_iteration(rep_b, rep_k, tp, Precision::Fp16)
-                    .unwrap();
-                assert_eq!(sealed.secs().to_bits(), at_rep.secs().to_bits());
-                let exact = serving
-                    .decode_iteration(batch, kv, tp, Precision::Fp16)
-                    .unwrap();
-                assert!(sealed >= exact, "rounding up must never price cheaper");
-                assert!(
-                    sealed.secs() <= exact.secs() * bucket_ratio * bucket_ratio,
-                    "tp={tp} batch={batch} kv={kv}: sealed {sealed} vs exact {exact}"
-                );
-            }
-        }
-    }
-
-    /// Sealing must not grow the memo tables: the whole point is a
-    /// bounded structure next to (not inside) the caches.
-    #[test]
-    fn sealing_bypasses_the_memo_tables() {
-        let cluster = presets::dgx_a100_hdr_cluster();
-        let serving =
-            PreparedInferenceEstimator::for_serving(&cluster, Arc::new(models::llama2_7b()));
-        let before = serving.cached_keys();
-        let table = serving
-            .seal_decode_costs(500, 2000, 1, Precision::Fp16)
-            .unwrap();
-        assert!(table.entries() > 0);
-        assert_eq!(
-            serving.cached_keys(),
-            before,
-            "sealing must not touch the RwLock'd memo tables"
-        );
-        // The table stays logarithmically small even for generous bounds.
-        assert!(
-            table.entries() < 80_000,
-            "table blew up: {} entries",
-            table.entries()
-        );
-    }
-
     /// An unsupported precision (Ampere has no FP8) is an error cold and
     /// from the memo: the failed row and price are cached like any value,
     /// so a repeat neither recosts nor grows the tables, and a second
@@ -859,7 +728,6 @@ mod tests {
             Precision::Fp8
         )));
         assert_eq!(serving.cached_keys(), 3, "the failed row is shared");
-        assert!(serving.seal_decode_costs(8, 8, 2, Precision::Fp8).is_err());
     }
 
     /// All decode steps of one point share a single embedding/head entry,

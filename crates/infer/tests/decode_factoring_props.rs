@@ -13,10 +13,10 @@
 //! * `decode_iteration` equals the reference **to the bit**, cold and
 //!   warm, a warm repeat adds no memo key, and a second context at the
 //!   same batch adds only its price (the row is shared);
-//! * every cell of a `seal_decode_costs` grid equals the reference at
-//!   its representative to the bit, whether one thread fills the table
-//!   in a random order or eight threads race on every first touch, and
-//!   neither sealing nor any fill adds a memo key.
+//! * when eight threads race on every first touch of one shared
+//!   estimator, over (batch, context) pairs whose rows are shared, every
+//!   price still equals the reference to the bit, and the memo ends up
+//!   with exactly the keys a single-threaded fill leaves.
 
 use optimus_collective::CommModel;
 use optimus_hw::{presets, ClusterSpec, Precision};
@@ -137,13 +137,12 @@ proptest! {
 }
 
 proptest! {
-    // A grid holds up to ~54k cells, each priced naively here.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn every_sealed_entry_matches_op_by_op_costing_to_the_bit(
-        max_batch in 1usize..=4096,
-        max_kv in 1usize..=8192,
+    fn racing_first_touches_price_every_decode_iteration_to_the_bit(
+        mut batches in proptest::collection::vec(1usize..=4096, 1..9),
+        mut contexts in proptest::collection::vec(1usize..=8192, 1..17),
         tp_log2 in 0u32..4,
         (m, d) in (0usize..3, 0usize..2),
         seed in 0u64..u64::MAX,
@@ -151,32 +150,31 @@ proptest! {
         let tp = 1usize << tp_log2;
         let (cluster, precision) = device(d);
         let model = model(m);
-        let serving = PreparedInferenceEstimator::for_serving(&cluster, Arc::clone(&model));
-        let permuted = serving.seal_decode_costs(max_batch, max_kv, tp, precision).unwrap();
-        let raced = serving.seal_decode_costs(max_batch, max_kv, tp, precision).unwrap();
-        prop_assert_eq!(serving.cached_keys(), 0, "sealing adds no memo key");
-        for table in [&permuted, &raced] {
-            prop_assert_eq!(table.priced(), 1, "sealing prices one cell");
+        for axis in [&mut batches, &mut contexts] {
+            axis.sort_unstable();
+            axis.dedup();
         }
-        let cells: Vec<(usize, usize)> = permuted
-            .batch_grid()
-            .values()
+        // Every batch width at every context: each row serves several
+        // prices, so the row and total memos race on shared keys.
+        let pairs: Vec<(usize, usize)> = batches
             .iter()
-            .flat_map(|&batch| permuted.kv_grid().values().iter().map(move |&kv| (batch, kv)))
+            .flat_map(|&batch| contexts.iter().map(move |&kv| (batch, kv)))
             .collect();
-        let order = shuffled(&cells, seed);
+        let order = shuffled(&pairs, seed);
 
-        // One table fills cell by cell in a random order.
+        // One thread fills a fresh estimator in the shuffled order.
+        let single = PreparedInferenceEstimator::for_serving(&cluster, Arc::clone(&model));
         for &(batch, kv) in &order {
-            permuted.decode_iteration(&serving, batch, kv).unwrap();
-            prop_assert_eq!(serving.cached_keys(), 0, "a fill adds no memo key");
+            single.decode_iteration(batch, kv, tp, precision).unwrap();
         }
-        // The other fills from an eight-thread pool, one walker per
-        // thread. A barrier starts all eight together and each walks every
-        // cell in the same order, so first touches race.
+
+        // Eight walkers share another fresh estimator. A barrier starts
+        // them together and each walks the same order, so first touches
+        // race.
         const WALKERS: usize = 8;
+        let raced = PreparedInferenceEstimator::for_serving(&cluster, Arc::clone(&model));
         let start = Barrier::new(WALKERS);
-        rayon::ThreadPoolBuilder::new()
+        let walks: Vec<Vec<Time>> = rayon::ThreadPoolBuilder::new()
             .num_threads(WALKERS)
             .build()
             .unwrap()
@@ -186,23 +184,21 @@ proptest! {
                     .into_par_iter()
                     .map(|_| {
                         start.wait();
-                        for &(batch, kv) in &order {
-                            raced.decode_iteration(&serving, batch, kv).unwrap();
-                        }
+                        order
+                            .iter()
+                            .map(|&(batch, kv)| raced.decode_iteration(batch, kv, tp, precision).unwrap())
+                            .collect()
                     })
-                    .collect::<Vec<()>>()
+                    .collect()
             });
-        prop_assert_eq!(serving.cached_keys(), 0, "a racing fill adds no memo key");
+        prop_assert_eq!(raced.cached_keys(), single.cached_keys());
 
-        for table in [&permuted, &raced] {
-            prop_assert_eq!(table.priced(), table.entries(), "every cell is priced");
-        }
-        for &(batch, kv) in &cells {
-            let expected = reference(&cluster, &model, (batch, kv, tp), precision);
-            for table in [&permuted, &raced] {
+        for (i, &(batch, kv)) in order.iter().enumerate() {
+            let expected = reference(&cluster, &model, (batch, kv, tp), precision).secs().to_bits();
+            for walk in &walks {
                 prop_assert_eq!(
-                    table.decode_iteration(&serving, batch, kv).unwrap().secs().to_bits(),
-                    expected.secs().to_bits(),
+                    walk[i].secs().to_bits(),
+                    expected,
                     "batch={} kv={} tp={} {}", batch, kv, tp, precision
                 );
             }

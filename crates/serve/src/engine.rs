@@ -30,7 +30,6 @@ use crate::{
     PagingReport, PreemptPolicy, QueueSample, Request, RequestMetrics, Scheduler, SloSpec,
     MAX_QUEUE_SAMPLES,
 };
-use optimus_infer::DecodeCostTable;
 use optimus_units::{Bytes, Time};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -240,18 +239,17 @@ pub(crate) struct Dropped {
 pub(crate) struct ReplicaEngine<'i, 'a> {
     instance: &'i ServeInstance<'a>,
     trace: &'i [Request],
-    table: Option<&'i DecodeCostTable>,
     budget: Bytes,
 
     // Dense prefill-duration cache by prompt length: each distinct
     // admittable prompt is priced once per engine, lock-free after.
     prefill_cache: Vec<f64>,
-    // Dense exact decode-price cache (exact path only; empty when `table`
-    // prices decode): `decode_cache[batch][kv_len]`, NaN = unpriced. A
-    // row grows on demand to the largest context read at its batch. That
-    // context is below the trace's `max_kv`, because a decoding member
-    // holds at most prompt + output − 1 tokens, so a row never holds more
-    // than `max_kv` entries. A miss goes to the estimator's shared memo.
+    // Dense decode-price cache: `decode_cache[batch][kv_len]`, NaN =
+    // unpriced. A row grows on demand to the largest context read at its
+    // batch. That context is below the trace's `max_kv`, because a
+    // decoding member holds at most prompt + output − 1 tokens, so a row
+    // never holds more than `max_kv` entries. A miss goes to the
+    // estimator's shared memo.
     decode_cache: Vec<Vec<f64>>,
 
     // Completion ring: requests joining the decode batch with `n` output
@@ -375,7 +373,6 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
     pub(crate) fn new(
         instance: &'i ServeInstance<'a>,
         trace: &'i [Request],
-        table: Option<&'i DecodeCostTable>,
         bounds: &TraceBounds,
         records_on: bool,
         faults: Option<EngineFaults>,
@@ -413,7 +410,6 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             cached_tokens_saved: 0,
             instance,
             trace,
-            table,
             budget: instance.kv_budget(),
             prefill_cache: vec![f64::NAN; bounds.max_prompt + 1],
             decode_cache: Vec::new(),
@@ -482,14 +478,16 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
     /// Whether the replica's outage schedule has it up at `t` — the
     /// router's skip-down-replicas query. `t` must be nondecreasing
     /// across calls (the router's clock is monotone).
-    pub(crate) fn available(&mut self, t: f64) -> bool {
-        self.faults.as_mut().is_none_or(|f| !f.query.down_at(t))
+    pub(crate) fn available(&mut self, t: f64) -> Result<bool, ServeError> {
+        self.faults
+            .as_mut()
+            .map_or(Ok(true), |f| f.query.down_at(t).map(|down| !down))
     }
 
     /// The earliest instant ≥ `t` at which the replica's schedule has it
     /// up again.
-    pub(crate) fn next_up(&mut self, t: f64) -> f64 {
-        self.faults.as_mut().map_or(t, |f| f.query.next_up(t))
+    pub(crate) fn next_up(&mut self, t: f64) -> Result<f64, ServeError> {
+        self.faults.as_mut().map_or(Ok(t), |f| f.query.next_up(t))
     }
 
     /// Takes the drops crashes have made since the last call, in drain
@@ -533,11 +531,12 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
     /// # Errors
     ///
     /// Returns [`ServeError::Estimator`] when iteration pricing fails
-    /// (unsupported precision).
+    /// (unsupported precision), and [`ServeError::InvalidConfig`] when
+    /// the outage schedule's uptimes fall below the clock's resolution.
     pub(crate) fn advance_to(&mut self, target: f64) -> Result<(), ServeError> {
         loop {
             if self.faults.is_some() {
-                self.process_outages();
+                self.process_outages()?;
             }
             self.catch_up_arrivals();
             self.admit();
@@ -927,20 +926,20 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
     /// has already passed (the outage fit inside one indivisible
     /// iteration, or the engine was idle across it with nothing assigned)
     /// is ridden through without a drain.
-    fn process_outages(&mut self) {
+    fn process_outages(&mut self) -> Result<(), ServeError> {
         loop {
             let Some((crash, recover)) = self.faults.as_ref().and_then(|f| f.window) else {
-                return;
+                return Ok(());
             };
             if self.clock < crash {
-                return;
+                return Ok(());
             }
             if self.clock < recover {
                 self.drain_for_requeue();
                 self.clock = recover;
             }
             let faults = self.faults.as_mut().expect("window implies fault wiring");
-            faults.window = faults.stream.next_window();
+            faults.window = faults.stream.next_window()?;
         }
     }
 
@@ -1094,14 +1093,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         // is linear in total KV entries read, so batch × ⌈mean⌉ preserves
         // it while the GEMM terms see the true batch width.
         let kv_len = self.ctx_sum.div_ceil(batch);
-        let base = match self.table {
-            Some(t) => t
-                .decode_iteration(self.instance.estimator(), batch, kv_len)
-                .map_err(|e| ServeError::Estimator(e.to_string()))?
-                .secs(),
-            None => self.exact_decode_price(batch, kv_len)?,
-        };
-        let dur = base * self.slow_mult + swap_out_s;
+        let dur = self.exact_decode_price(batch, kv_len)? * self.slow_mult + swap_out_s;
         self.decode_iterations += 1;
         self.decode_batch_sum += batch;
         let end = self.clock + dur;
@@ -1408,9 +1400,9 @@ mod tests {
     use proptest::prelude::*;
     use std::sync::Arc;
 
-    /// The exact path's dense decode-price cache holds the estimator's
-    /// own prices bit for bit, and no row outgrows the trace's largest
-    /// context; the sealed path leaves it empty.
+    /// The engine's dense decode-price cache holds the estimator's own
+    /// prices bit for bit, and no row outgrows the trace's largest
+    /// context.
     #[test]
     fn decode_cache_holds_exact_prices_within_max_kv() {
         let cluster = presets::dgx_a100_hdr_cluster();
@@ -1432,19 +1424,14 @@ mod tests {
         .generate();
         let bounds = TraceBounds::scan(&instance, &trace).unwrap();
         assert!(bounds.rejected.is_empty());
-        let run = |table| {
-            let mut engine = ReplicaEngine::new(&instance, &trace, table, &bounds, false, None);
-            for (req, r) in (0u32..).zip(&trace) {
-                engine.push(req, r.arrival_s);
-            }
-            engine.finish().unwrap();
-            engine
-        };
-
-        let exact = run(None);
+        let mut engine = ReplicaEngine::new(&instance, &trace, &bounds, false, None);
+        for (req, r) in (0u32..).zip(&trace) {
+            engine.push(req, r.arrival_s);
+        }
+        engine.finish().unwrap();
         let c = instance.config();
         let mut priced = 0;
-        for (batch, row) in exact.decode_cache.iter().enumerate() {
+        for (batch, row) in engine.decode_cache.iter().enumerate() {
             assert!(
                 row.len() <= bounds.max_kv + 1,
                 "batch {batch}: {} entries",
@@ -1463,11 +1450,7 @@ mod tests {
                 priced += 1;
             }
         }
-        assert!(priced > 1 && priced <= exact.decode_iterations);
-
-        let sealed = run(Some(instance.seal().unwrap()));
-        assert!(sealed.decode_iterations > 0);
-        assert!(sealed.decode_cache.is_empty());
+        assert!(priced > 1 && priced <= engine.decode_iterations);
     }
 
     /// The linear scan the ranked queue replaced, kept as the reference:
@@ -1613,8 +1596,8 @@ mod tests {
         reference: bool,
     ) -> GrowthRun {
         let bounds = TraceBounds::scan(instance, trace).unwrap();
-        let wiring = faults.map(|f| EngineFaults::for_replica(f, 0));
-        let mut engine = ReplicaEngine::new(instance, trace, None, &bounds, false, wiring);
+        let wiring = faults.map(|f| EngineFaults::for_replica(f, 0).unwrap());
+        let mut engine = ReplicaEngine::new(instance, trace, &bounds, false, wiring);
         engine.total_blocks = pool;
         engine.reference_scan = reference;
         let requeue = |engine: &mut ReplicaEngine<'_, '_>| {

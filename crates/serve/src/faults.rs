@@ -39,6 +39,9 @@
 //! * Downtime accounting is schedule-based: a replica's downtime is the
 //!   sum of its merged outage windows clipped to the fleet makespan,
 //!   whether or not work was lost.
+//! * A process whose median uptime is below the clock's resolution at a
+//!   recovery instant would merge its outages into one that never ends,
+//!   so the spec is refused there with [`crate::ServeError::InvalidConfig`].
 //!
 //! Degradation has two pricing modes ([`DegradeMode`]):
 //!
@@ -58,6 +61,7 @@
 //! `chaos_props.rs` — to leave the fleet path bit-identical to a
 //! fault-free simulation.
 
+use crate::ServeError;
 use optimus_hw::reliability::weibull_scale;
 use optimus_hw::{ClusterSpec, FailureProcess};
 use rand::distributions::{Distribution, Exp};
@@ -416,24 +420,40 @@ impl FaultSpec {
     /// contains it, with overlapping windows coalesced. A pure function
     /// of `(spec, replica)` — the same schedule the engines and the
     /// router observe.
-    #[must_use]
-    pub fn outage_windows(&self, replica: usize, horizon_s: f64) -> Vec<(f64, f64)> {
-        let mut stream = OutageStream::for_replica(self, replica);
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServeError::InvalidConfig`] when an outage process's
+    /// median uptime falls below the clock's resolution at a recovery
+    /// before `horizon_s`.
+    pub fn outage_windows(
+        &self,
+        replica: usize,
+        horizon_s: f64,
+    ) -> Result<Vec<(f64, f64)>, ServeError> {
+        let mut stream = OutageStream::for_replica(self, replica)?;
         let mut windows = Vec::new();
-        while let Some((crash, recover)) = stream.next_window() {
+        while let Some((crash, recover)) = stream.next_window()? {
             if crash >= horizon_s {
                 break;
             }
             windows.push((crash, recover));
         }
-        windows
+        Ok(windows)
     }
 
     /// The shared outage windows of domain `index` that begin before
     /// `horizon_s` — the timeline every member replica observes,
     /// identically. Empty for an inactive (or out-of-range) domain.
-    #[must_use]
-    pub fn domain_outage_windows(&self, index: usize, horizon_s: f64) -> Vec<(f64, f64)> {
+    ///
+    /// # Errors
+    ///
+    /// As [`FaultSpec::outage_windows`].
+    pub fn domain_outage_windows(
+        &self,
+        index: usize,
+        horizon_s: f64,
+    ) -> Result<Vec<(f64, f64)>, ServeError> {
         let mut windows = Vec::new();
         let Some(mut timeline) = self
             .domains
@@ -441,33 +461,21 @@ impl FaultSpec {
             .filter(|d| d.is_active())
             .and_then(|_| FaultTimeline::domain(self, index))
         else {
-            return windows;
+            return Ok(windows);
         };
         loop {
-            let (crash, recover) = timeline.next_window();
+            let (crash, recover) = timeline.next_window()?;
             if crash >= horizon_s {
-                return windows;
+                return Ok(windows);
             }
             windows.push((crash, recover));
         }
     }
-
-    /// Schedule-based availability accounting for one replica: the number
-    /// of merged outage windows beginning before `horizon_s` and their
-    /// total downtime clipped to the horizon.
-    #[must_use]
-    pub(crate) fn outage_stats(&self, replica: usize, horizon_s: f64) -> (usize, f64) {
-        clipped_stats(&self.outage_windows(replica, horizon_s), horizon_s)
-    }
-
-    /// Schedule-based accounting for one domain's shared process.
-    #[must_use]
-    pub(crate) fn domain_outage_stats(&self, index: usize, horizon_s: f64) -> (usize, f64) {
-        clipped_stats(&self.domain_outage_windows(index, horizon_s), horizon_s)
-    }
 }
 
-fn clipped_stats(windows: &[(f64, f64)], horizon_s: f64) -> (usize, f64) {
+/// Schedule-based availability accounting: the number of outage
+/// `windows` and their total downtime clipped to `horizon_s`.
+pub(crate) fn clipped_stats(windows: &[(f64, f64)], horizon_s: f64) -> (usize, f64) {
     let downtime = windows
         .iter()
         .map(|&(crash, recover)| recover.min(horizon_s) - crash)
@@ -521,6 +529,15 @@ impl UptimeLaw {
             _ => Self::Exponential,
         }
     }
+
+    /// The median uptime at mean `mtbf_s`: `scale · (ln 2)^(1/k)`, which
+    /// is `mtbf · ln 2` for the exponential law.
+    fn median(&self, mtbf_s: f64) -> f64 {
+        match self {
+            Self::Exponential => mtbf_s * core::f64::consts::LN_2,
+            Self::Weibull { scale, inv_shape } => scale * core::f64::consts::LN_2.powf(*inv_shape),
+        }
+    }
 }
 
 impl FaultTimeline {
@@ -553,7 +570,23 @@ impl FaultTimeline {
 
     /// The next `(crash_s, recover_s)` window; successive windows are
     /// disjoint and time-ordered.
-    pub(crate) fn next_window(&mut self) -> (f64, f64) {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServeError::InvalidConfig`], naming the MTBF, when the
+    /// median uptime vanishes in rounding at the last recovery instant:
+    /// then at least half the sampled uptimes are below the clock's
+    /// resolution there, each such crash lands exactly on the recovery,
+    /// and the merged outage in [`OutageStream::next_window`] would go on
+    /// absorbing window after window.
+    pub(crate) fn next_window(&mut self) -> Result<(f64, f64), ServeError> {
+        if self.at_s + self.law.median(self.mtbf_s) == self.at_s {
+            return Err(ServeError::InvalidConfig(format!(
+                "fault spec: at MTBF {:?} s half the uptimes are shorter than the clock's \
+                 resolution at the {:?} s recovery, so outages would merge into one that never ends",
+                self.mtbf_s, self.at_s
+            )));
+        }
         let uptime = match &self.law {
             UptimeLaw::Exponential => Exp::new(1.0 / self.mtbf_s).sample(&mut self.rng),
             UptimeLaw::Weibull { scale, inv_shape } => {
@@ -564,7 +597,7 @@ impl FaultTimeline {
         let crash = self.at_s + uptime;
         let recover = crash + Exp::new(1.0 / self.mttr_s).sample(&mut self.rng);
         self.at_s = recover;
-        (crash, recover)
+        Ok((crash, recover))
     }
 }
 
@@ -581,7 +614,7 @@ pub(crate) struct OutageStream {
 }
 
 impl OutageStream {
-    pub(crate) fn for_replica(spec: &FaultSpec, replica: usize) -> Self {
+    pub(crate) fn for_replica(spec: &FaultSpec, replica: usize) -> Result<Self, ServeError> {
         let mut sources: Vec<FaultTimeline> = Vec::new();
         if let Some(own) = FaultTimeline::new(spec, replica) {
             sources.push(own);
@@ -593,28 +626,38 @@ impl OutageStream {
                 }
             }
         }
-        let heads = sources.iter_mut().map(FaultTimeline::next_window).collect();
-        Self { sources, heads }
+        let heads = sources
+            .iter_mut()
+            .map(FaultTimeline::next_window)
+            .collect::<Result<_, _>>()?;
+        Ok(Self { sources, heads })
     }
 
     /// The next merged window, or `None` when no outage process covers
     /// this replica. Pops the earliest pending window, then absorbs every
     /// window (from any source) that starts inside the union built so
     /// far, extending the recovery edge.
-    pub(crate) fn next_window(&mut self) -> Option<(f64, f64)> {
-        let first =
-            (0..self.heads.len()).min_by(|&a, &b| self.heads[a].0.total_cmp(&self.heads[b].0))?;
+    ///
+    /// # Errors
+    ///
+    /// As [`FaultTimeline::next_window`].
+    pub(crate) fn next_window(&mut self) -> Result<Option<(f64, f64)>, ServeError> {
+        let Some(first) =
+            (0..self.heads.len()).min_by(|&a, &b| self.heads[a].0.total_cmp(&self.heads[b].0))
+        else {
+            return Ok(None);
+        };
         let (crash, mut recover) = self.heads[first];
-        self.heads[first] = self.sources[first].next_window();
+        self.heads[first] = self.sources[first].next_window()?;
         loop {
             let Some(next) = (0..self.heads.len())
                 .filter(|&i| self.heads[i].0 <= recover)
                 .min_by(|&a, &b| self.heads[a].0.total_cmp(&self.heads[b].0))
             else {
-                return Some((crash, recover));
+                return Ok(Some((crash, recover)));
             };
             recover = recover.max(self.heads[next].1);
-            self.heads[next] = self.sources[next].next_window();
+            self.heads[next] = self.sources[next].next_window()?;
         }
     }
 }
@@ -630,31 +673,31 @@ pub(crate) struct OutageCursor {
 }
 
 impl OutageCursor {
-    pub(crate) fn new(spec: &FaultSpec, replica: usize) -> Self {
-        let mut stream = OutageStream::for_replica(spec, replica);
-        let window = stream.next_window();
-        Self {
+    pub(crate) fn new(spec: &FaultSpec, replica: usize) -> Result<Self, ServeError> {
+        let mut stream = OutageStream::for_replica(spec, replica)?;
+        let window = stream.next_window()?;
+        Ok(Self {
             stream,
             window,
             hi: 0.0,
-        }
+        })
     }
 
     /// Whether the schedule has the replica inside an outage at `t`.
-    pub(crate) fn down_at(&mut self, t: f64) -> bool {
+    pub(crate) fn down_at(&mut self, t: f64) -> Result<bool, ServeError> {
         self.hi = self.hi.max(t);
         let t = self.hi;
         loop {
             match self.window {
-                None => return false,
+                None => return Ok(false),
                 Some((crash, recover)) => {
                     if t < crash {
-                        return false;
+                        return Ok(false);
                     }
                     if t < recover {
-                        return true;
+                        return Ok(true);
                     }
-                    self.window = self.stream.next_window();
+                    self.window = self.stream.next_window()?;
                 }
             }
         }
@@ -662,12 +705,12 @@ impl OutageCursor {
 
     /// The earliest instant ≥ `t` at which the schedule has the replica
     /// up (the end of the current outage window, or `t` itself).
-    pub(crate) fn next_up(&mut self, t: f64) -> f64 {
-        if self.down_at(t) {
+    pub(crate) fn next_up(&mut self, t: f64) -> Result<f64, ServeError> {
+        Ok(if self.down_at(t)? {
             self.window.expect("down ⇒ inside a window").1
         } else {
             t
-        }
+        })
     }
 }
 
@@ -683,15 +726,15 @@ pub(crate) struct EngineFaults {
 }
 
 impl EngineFaults {
-    pub(crate) fn for_replica(spec: &FaultSpec, replica: usize) -> Self {
-        let mut stream = OutageStream::for_replica(spec, replica);
-        let window = stream.next_window();
-        Self {
+    pub(crate) fn for_replica(spec: &FaultSpec, replica: usize) -> Result<Self, ServeError> {
+        let mut stream = OutageStream::for_replica(spec, replica)?;
+        let window = stream.next_window()?;
+        Ok(Self {
             stream,
             window,
-            query: OutageCursor::new(spec, replica),
+            query: OutageCursor::new(spec, replica)?,
             slow_mult: spec.slow_mult(replica),
-        }
+        })
     }
 }
 
@@ -742,7 +785,7 @@ mod tests {
         assert!(!spec.has_domains());
         assert!(spec.validate().is_ok());
         assert_eq!(spec.slow_mult(0), 1.0);
-        assert!(spec.outage_windows(3, 1e9).is_empty());
+        assert!(spec.outage_windows(3, 1e9).unwrap().is_empty());
         // An inactive spec stays inactive whatever its seed.
         let seeded = FaultSpec { seed: 99, ..spec };
         assert!(seeded.is_none());
@@ -751,24 +794,26 @@ mod tests {
     #[test]
     fn timelines_are_deterministic_and_ordered() {
         let spec = FaultSpec::crashes(7, 120.0, 15.0);
-        let a = spec.outage_windows(2, 10_000.0);
-        let b = spec.outage_windows(2, 10_000.0);
+        let a = spec.outage_windows(2, 10_000.0).unwrap();
+        let b = spec.outage_windows(2, 10_000.0).unwrap();
         assert_eq!(a, b, "same (seed, replica) must replay the schedule");
         assert!(!a.is_empty());
         for w in a.windows(2) {
             assert!(w[0].1 <= w[1].0, "windows must be disjoint and ordered");
         }
         assert!(a.iter().all(|&(c, r)| c <= r));
-        let other = spec.outage_windows(3, 10_000.0);
+        let other = spec.outage_windows(3, 10_000.0).unwrap();
         assert_ne!(a, other, "replicas draw independent schedules");
-        let reseeded = FaultSpec::crashes(8, 120.0, 15.0).outage_windows(2, 10_000.0);
+        let reseeded = FaultSpec::crashes(8, 120.0, 15.0)
+            .outage_windows(2, 10_000.0)
+            .unwrap();
         assert_ne!(a, reseeded, "the fault seed must matter");
     }
 
     #[test]
     fn mean_window_shape_tracks_mtbf_and_mttr() {
         let spec = FaultSpec::crashes(42, 100.0, 10.0);
-        let windows = spec.outage_windows(0, 1_000_000.0);
+        let windows = spec.outage_windows(0, 1_000_000.0).unwrap();
         let n = windows.len() as f64;
         let mean_down: f64 = windows.iter().map(|&(c, r)| r - c).sum::<f64>() / n;
         // Cycle length ≈ mtbf + mttr ⇒ ~9091 windows over 1e6 s.
@@ -779,9 +824,9 @@ mod tests {
     #[test]
     fn outage_stats_clip_to_the_horizon() {
         let spec = FaultSpec::crashes(1, 50.0, 1e6);
-        let windows = spec.outage_windows(0, 200.0);
+        let windows = spec.outage_windows(0, 200.0).unwrap();
         assert!(!windows.is_empty());
-        let (crashes, downtime) = spec.outage_stats(0, 200.0);
+        let (crashes, downtime) = clipped_stats(&windows, 200.0);
         assert_eq!(crashes, windows.len());
         assert!(
             downtime <= 200.0 * crashes as f64,
@@ -808,14 +853,14 @@ mod tests {
     #[test]
     fn cursor_matches_the_window_list() {
         let spec = FaultSpec::crashes(11, 30.0, 5.0);
-        let windows = spec.outage_windows(0, 2_000.0);
-        let mut cursor = OutageCursor::new(&spec, 0);
+        let windows = spec.outage_windows(0, 2_000.0).unwrap();
+        let mut cursor = OutageCursor::new(&spec, 0).unwrap();
         let mut t = 0.0;
         while t < 1_900.0 {
             let expect = windows.iter().any(|&(c, r)| t >= c && t < r);
-            assert_eq!(cursor.down_at(t), expect, "at {t}");
+            assert_eq!(cursor.down_at(t).unwrap(), expect, "at {t}");
             if expect {
-                let up = cursor.next_up(t);
+                let up = cursor.next_up(t).unwrap();
                 let (_, r) = *windows
                     .iter()
                     .find(|&&(c, r)| t >= c && t < r)
@@ -874,18 +919,18 @@ mod tests {
     #[test]
     fn domain_members_share_the_identical_schedule() {
         let spec = FaultSpec::none().with_domain(FaultDomain::new(vec![0, 2], 80.0, 10.0));
-        let member_a = spec.outage_windows(0, 50_000.0);
-        let member_b = spec.outage_windows(2, 50_000.0);
-        let shared = spec.domain_outage_windows(0, 50_000.0);
+        let member_a = spec.outage_windows(0, 50_000.0).unwrap();
+        let member_b = spec.outage_windows(2, 50_000.0).unwrap();
+        let shared = spec.domain_outage_windows(0, 50_000.0).unwrap();
         assert!(!shared.is_empty());
         assert_eq!(member_a, shared, "a member sees exactly the domain windows");
         assert_eq!(member_a, member_b, "members go down together");
         assert!(
-            spec.outage_windows(1, 50_000.0).is_empty(),
+            spec.outage_windows(1, 50_000.0).unwrap().is_empty(),
             "a non-member is untouched"
         );
         assert!(
-            spec.outage_windows(7, 50_000.0).is_empty(),
+            spec.outage_windows(7, 50_000.0).unwrap().is_empty(),
             "an out-of-range member index applies to no replica here"
         );
     }
@@ -894,7 +939,7 @@ mod tests {
     fn merged_windows_union_own_and_domain_processes() {
         let spec =
             FaultSpec::crashes(13, 60.0, 8.0).with_domain(FaultDomain::new(vec![0, 1], 90.0, 12.0));
-        let merged = spec.outage_windows(0, 20_000.0);
+        let merged = spec.outage_windows(0, 20_000.0).unwrap();
         assert!(!merged.is_empty());
         for w in merged.windows(2) {
             assert!(
@@ -903,8 +948,10 @@ mod tests {
             );
         }
         // The merged schedule is pointwise the OR of the two processes.
-        let own = FaultSpec::crashes(13, 60.0, 8.0).outage_windows(0, 20_000.0);
-        let shared = spec.domain_outage_windows(0, 20_000.0);
+        let own = FaultSpec::crashes(13, 60.0, 8.0)
+            .outage_windows(0, 20_000.0)
+            .unwrap();
+        let shared = spec.domain_outage_windows(0, 20_000.0).unwrap();
         let down = |windows: &[(f64, f64)], t: f64| windows.iter().any(|&(c, r)| t >= c && t < r);
         let mut t = 0.0;
         while t < 19_000.0 {
@@ -916,8 +963,10 @@ mod tests {
             t += 1.73;
         }
         // And the domain layer never perturbs the replica's own stream.
-        let merged_replica_1 = spec.outage_windows(1, 20_000.0);
-        let own_replica_1 = FaultSpec::crashes(13, 60.0, 8.0).outage_windows(1, 20_000.0);
+        let merged_replica_1 = spec.outage_windows(1, 20_000.0).unwrap();
+        let own_replica_1 = FaultSpec::crashes(13, 60.0, 8.0)
+            .outage_windows(1, 20_000.0)
+            .unwrap();
         let down_any = |t: f64| down(&own_replica_1, t) || down(&shared, t);
         let mut t = 0.0;
         while t < 19_000.0 {

@@ -24,7 +24,7 @@
 //! so fleet reports are byte-identical across runs and thread counts.
 
 use crate::engine::{Dropped, ReplicaEngine};
-use crate::faults::{EngineFaults, FaultSpec, FleetAvailability};
+use crate::faults::{clipped_stats, EngineFaults, FaultSpec, FleetAvailability};
 use crate::sim::{check_trace_len, TraceBounds};
 use crate::stats::LatencyAccumulator;
 use crate::{
@@ -273,9 +273,8 @@ impl core::fmt::Display for FleetReport {
 }
 
 /// A validated fleet: one shared [`ServeInstance`] (replicas are
-/// identical, so they share the prepared estimator and sealed decode
-/// table) plus the routing configuration. Build once, simulate many
-/// traces.
+/// identical, so they share the prepared estimator) plus the routing
+/// configuration. Build once, simulate many traces.
 #[derive(Debug)]
 pub struct FleetInstance<'a> {
     instance: ServeInstance<'a>,
@@ -332,9 +331,11 @@ impl<'a> FleetInstance<'a> {
     ///
     /// Returns [`ServeError::InvalidTrace`] if `trace` is not sorted by
     /// arrival time, holds more than [`crate::MAX_TRACE_REQUESTS`]
-    /// requests, or contains a zero-length prompt or output, and
+    /// requests, or contains a zero-length prompt or output,
     /// [`ServeError::Estimator`] when the device lacks the serving
-    /// precision.
+    /// precision, and [`ServeError::InvalidConfig`] when the fault spec
+    /// never lets the fleet finish or its uptimes fall below the clock's
+    /// resolution.
     pub fn simulate(&self, trace: &[Request]) -> Result<FleetReport, ServeError> {
         run_fleet(
             &self.instance,
@@ -454,19 +455,19 @@ impl Router {
     /// Scans which replicas are up at the router's clock. When the whole
     /// fleet is down the FIFO front door blocks — the clock jumps to the
     /// earliest scheduled recovery — and scans again.
-    fn await_live(&mut self, engines: &mut [ReplicaEngine<'_, '_>]) {
+    fn await_live(&mut self, engines: &mut [ReplicaEngine<'_, '_>]) -> Result<(), ServeError> {
         loop {
             self.up.clear();
             for engine in engines.iter_mut() {
-                self.up.push(engine.available(self.now));
+                self.up.push(engine.available(self.now)?);
             }
             if self.up.contains(&true) {
-                return;
+                return Ok(());
             }
-            let wake = engines
-                .iter_mut()
-                .map(|e| e.next_up(self.now))
-                .fold(f64::INFINITY, f64::min);
+            let mut wake = f64::INFINITY;
+            for engine in engines.iter_mut() {
+                wake = wake.min(engine.next_up(self.now)?);
+            }
             debug_assert!(wake > self.now, "a down replica recovers strictly later");
             self.now = wake;
         }
@@ -475,31 +476,40 @@ impl Router {
     /// Routes trace request `req` at the router's clock, skipping down
     /// replicas (and waiting out an all-down fleet) and reading live
     /// loads.
-    fn route_at(&mut self, engines: &mut [ReplicaEngine<'_, '_>], req: u32) {
-        self.await_live(engines);
+    fn route_at(
+        &mut self,
+        engines: &mut [ReplicaEngine<'_, '_>],
+        req: u32,
+    ) -> Result<(), ServeError> {
+        self.await_live(engines)?;
         let choice = self.state.pick(
             engines.len(),
             |i| self.up[i],
             |i| load(self.policy, &engines[i]),
         );
         engines[choice].push(req, self.now);
+        Ok(())
     }
 
     /// Collects the drops every replica's crashes have made since the
     /// last call and re-routes their requests (see [`Router::requeue`]).
-    fn reroute_drained(&mut self, engines: &mut [ReplicaEngine<'_, '_>]) {
+    fn reroute_drained(&mut self, engines: &mut [ReplicaEngine<'_, '_>]) -> Result<(), ServeError> {
         let mut drops = Vec::new();
         for engine in engines.iter_mut() {
             drops.extend(engine.take_requeued());
         }
-        self.requeue(engines, drops);
+        self.requeue(engines, drops)
     }
 
     /// Re-routes every dropped request at the instant it was dropped:
     /// instants in time order, and within one instant in trace order —
     /// drops that share an instant (the members of one failure domain)
     /// merge by index. Each instant is routed in one pass.
-    fn requeue(&mut self, engines: &mut [ReplicaEngine<'_, '_>], mut drops: Vec<Dropped>) {
+    fn requeue(
+        &mut self,
+        engines: &mut [ReplicaEngine<'_, '_>],
+        mut drops: Vec<Dropped>,
+    ) -> Result<(), ServeError> {
         drops.sort_by(|a, b| a.at_s.total_cmp(&b.at_s));
         for group in drops.chunk_by_mut(|a, b| a.at_s.total_cmp(&b.at_s).is_eq()) {
             let (drop, shared) = group.split_first_mut().expect("chunks are non-empty");
@@ -510,8 +520,9 @@ impl Router {
                 // One ascending run per drop: the stable sort merges them.
                 drop.lost.sort();
             }
-            self.route_instant(engines, drop.at_s, &drop.lost);
+            self.route_instant(engines, drop.at_s, &drop.lost)?;
         }
+        Ok(())
     }
 
     /// Routes `lost`, dropped at `at_s`, in one pass: one availability
@@ -520,9 +531,14 @@ impl Router {
     /// each push raises exactly the chosen replica's load by one and no
     /// engine advances inside the pass, so the snapshot stays equal to
     /// the live loads.
-    fn route_instant(&mut self, engines: &mut [ReplicaEngine<'_, '_>], at_s: f64, lost: &[u32]) {
+    fn route_instant(
+        &mut self,
+        engines: &mut [ReplicaEngine<'_, '_>],
+        at_s: f64,
+        lost: &[u32],
+    ) -> Result<(), ServeError> {
         self.now = self.now.max(at_s);
-        self.await_live(engines);
+        self.await_live(engines)?;
         self.loads.clear();
         self.loads
             .extend(engines.iter().map(|engine| load(self.policy, engine)));
@@ -535,6 +551,7 @@ impl Router {
             self.loads[choice] += 1;
             engines[choice].push(req, self.now);
         }
+        Ok(())
     }
 }
 
@@ -542,11 +559,10 @@ impl Router {
 /// once, route every request online, drain the replicas, merge their
 /// populations. Shared by [`FleetInstance::simulate`], the load-sweep
 /// engine (which routes over instances it already prepared and probed)
-/// and [`ServeInstance::simulate`] (one fault-free replica). Past
-/// [`crate::EXACT_MODE_LIMIT`] requests every replica prices decode from
-/// the instance's one sealed table, sealed on first use. The router is
-/// the one place an inadmissible request is rejected: on arrival, before
-/// it reaches any queue.
+/// and [`ServeInstance::simulate`] (one fault-free replica). Every
+/// replica prices decode exactly through the instance's shared estimator.
+/// The router is the one place an inadmissible request is rejected: on
+/// arrival, before it reaches any queue.
 ///
 /// Online-knowledge caveat: a replica's queue-depth sample is taken at
 /// the end of each iteration from the requests routed to it *by then*. A
@@ -572,7 +588,6 @@ pub(crate) fn run_fleet(
     // `FaultSpec::none()` (whatever its seed) stays bit-identical to a
     // run without fault wiring at all.
     let faulty = !faults.is_none();
-    let table = instance.pricing_table(trace.len(), &bounds)?;
     // Regime and record decisions run on the *whole* trace length, never
     // a replica's share: every replica must pick the same accumulator
     // regime for the fleet merge (a mixed pair panics), and `Auto`
@@ -580,10 +595,14 @@ pub(crate) fn run_fleet(
     let records_on = instance.records_on(trace.len());
     let mut engines: Vec<ReplicaEngine<'_, '_>> = (0..replicas)
         .map(|i| {
-            let wiring = faulty.then(|| EngineFaults::for_replica(faults, i));
-            ReplicaEngine::new(instance, trace, table, &bounds, records_on, wiring)
+            let wiring = faulty
+                .then(|| EngineFaults::for_replica(faults, i))
+                .transpose()?;
+            Ok(ReplicaEngine::new(
+                instance, trace, &bounds, records_on, wiring,
+            ))
         })
-        .collect();
+        .collect::<Result<_, ServeError>>()?;
 
     let mut front = Router::new(router, if faulty { trace.len() } else { 0 });
     let mut rejected = bounds.rejected.iter().peekable();
@@ -605,8 +624,8 @@ pub(crate) fn run_fleet(
                 engine.advance_to(r.arrival_s)?;
             }
             front.now = front.now.max(r.arrival_s);
-            front.reroute_drained(&mut engines);
-            front.route_at(&mut engines, req);
+            front.reroute_drained(&mut engines)?;
+            front.route_at(&mut engines, req)?;
         } else {
             // A single replica needs no observation — every choice is 0 —
             // so skip the stepping and run the lone engine out in one
@@ -641,7 +660,7 @@ pub(crate) fn run_fleet(
             break;
         }
         let before = front.requeues;
-        front.reroute_drained(&mut engines);
+        front.reroute_drained(&mut engines)?;
         if front.requeues == before {
             break;
         }
@@ -714,7 +733,7 @@ pub(crate) fn run_fleet(
     let mut per_replica_downtime = Vec::with_capacity(replicas);
     for i in 0..replicas {
         let (crashes, downtime) = if faulty {
-            faults.outage_stats(i, makespan_s)
+            clipped_stats(&faults.outage_windows(i, makespan_s)?, makespan_s)
         } else {
             (0, 0.0)
         };
@@ -727,8 +746,11 @@ pub(crate) fn run_fleet(
     // inside the per-replica merged downtime above.)
     let per_domain_downtime: Vec<Time> = if faulty {
         (0..faults.domains.len())
-            .map(|d| Time::from_secs(faults.domain_outage_stats(d, makespan_s).1))
-            .collect()
+            .map(|d| {
+                let windows = faults.domain_outage_windows(d, makespan_s)?;
+                Ok(Time::from_secs(clipped_stats(&windows, makespan_s).1))
+            })
+            .collect::<Result<_, ServeError>>()?
     } else {
         Vec::new()
     };
@@ -874,7 +896,7 @@ pub fn simulate_fleet_trace(
 mod tests {
     use super::*;
     use crate::{ArrivalProcess, FaultDomain, LengthDist};
-    use optimus_hw::presets;
+    use optimus_hw::{presets, FailureProcess};
     use optimus_model::presets as models;
     use proptest::prelude::*;
 
@@ -1244,6 +1266,56 @@ mod tests {
         assert!(err.to_string().contains("MTBF 0.05 s"), "{err}");
     }
 
+    /// `serve --mtbf 1e-300 --mttr 10 --requests 10` and `serve --mtbf 5
+    /// --mttr 10 --requests 10 --failure-process weibull:0.01`: nearly
+    /// every uptime either spec samples is below the clock's resolution at
+    /// the recovery instant, so each next crash lands exactly on the
+    /// recovery and the merged outage window absorbs it, forever. Both are
+    /// a typed error naming the MTBF. Each runs on its own thread, so a
+    /// hang fails the test after 5 s instead of stalling the suite.
+    #[test]
+    fn fault_specs_with_uptimes_below_the_clock_resolution_are_clean_errors() {
+        let specs = [
+            (FaultSpec::crashes(0, 1e-300, 10.0), "MTBF 1e-300 s"),
+            (
+                FaultSpec::crashes(0, 5.0, 10.0)
+                    .with_process(FailureProcess::Weibull { shape: 0.01 }),
+                "MTBF 5.0 s",
+            ),
+        ];
+        for (faults, mtbf) in specs {
+            let (sent, received) = std::sync::mpsc::channel();
+            let worker = std::thread::spawn(move || {
+                let trace = TraceSpec {
+                    seed: 42,
+                    requests: 10,
+                    arrival: ArrivalProcess::Poisson { rate_per_s: 2.0 },
+                    prompt: LengthDist::Fixed { tokens: 200 },
+                    output: LengthDist::Fixed { tokens: 64 },
+                    prefixes: None,
+                    priority_classes: 1,
+                };
+                let result = simulate_fleet(
+                    &presets::dgx_a100_hdr_cluster(),
+                    Arc::new(models::llama2_13b()),
+                    &FleetConfig::new(1, 1).with_faults(faults),
+                    &trace,
+                );
+                // The receiver may have given up already.
+                let _ = sent.send(result.map(|report| report.completed));
+            });
+            let result = received
+                .recv_timeout(std::time::Duration::from_secs(5))
+                .unwrap_or_else(|e| panic!("{mtbf}: no result within 5 s ({e})"));
+            worker
+                .join()
+                .expect("the simulation thread ends after sending");
+            let err = result.unwrap_err();
+            assert!(matches!(err, ServeError::InvalidConfig(_)), "{err}");
+            assert!(err.to_string().contains(mtbf), "{err}");
+        }
+    }
+
     /// Every availability and throughput figure must be finite and JSON
     /// must carry no `null`ed-out numbers (the vendored serializer writes
     /// non-finite floats as `null`), whatever degenerate shape the run
@@ -1489,14 +1561,14 @@ mod tests {
             loop {
                 up.clear();
                 for engine in engines.iter_mut() {
-                    up.push(engine.available(*router_now));
+                    up.push(engine.available(*router_now).unwrap());
                 }
                 if up.contains(&true) {
                     break;
                 }
                 *router_now = engines
                     .iter_mut()
-                    .map(|e| e.next_up(*router_now))
+                    .map(|e| e.next_up(*router_now).unwrap())
                     .fold(f64::INFINITY, f64::min);
             }
             let choice = scan_pick(policy, state, engines, &up);
@@ -1540,12 +1612,11 @@ mod tests {
                 .map(|r| Request { arrival_s: 0.0, ..r })
                 .collect();
             let bounds = TraceBounds::scan(&instance, &trace).unwrap();
-            let table = instance.pricing_table(trace.len(), &bounds).unwrap();
             let faults = FaultSpec::crashes(fault_seed, 6.0, 1.5)
                 .with_domain(FaultDomain::new((0..REPLICAS).collect(), 10.0, 2.0));
             let own: Vec<Vec<(f64, f64)>> =
-                (0..REPLICAS).map(|i| faults.outage_windows(i, HORIZON_S)).collect();
-            let shared = faults.domain_outage_windows(0, HORIZON_S);
+                (0..REPLICAS).map(|i| faults.outage_windows(i, HORIZON_S).unwrap()).collect();
+            let shared = faults.domain_outage_windows(0, HORIZON_S).unwrap();
             // A point `u` of the way through the windows, laid end to end.
             let inside = |windows: &[(f64, f64)], u: f64| {
                 let at = u * windows.len() as f64;
@@ -1579,8 +1650,8 @@ mod tests {
             let engines = || {
                 let mut engines: Vec<ReplicaEngine<'_, '_>> = (0..REPLICAS)
                     .map(|i| {
-                        let wiring = Some(EngineFaults::for_replica(&faults, i));
-                        ReplicaEngine::new(&instance, &trace, table, &bounds, records_on, wiring)
+                        let wiring = Some(EngineFaults::for_replica(&faults, i).unwrap());
+                        ReplicaEngine::new(&instance, &trace, &bounds, records_on, wiring)
                     })
                     .collect();
                 for ((engine, &preload), first) in engines.iter_mut().zip(&preloads).zip(0u32..) {
@@ -1618,7 +1689,7 @@ mod tests {
                     ..Router::new(policy, trace.len())
                 };
                 let copy = drops.iter().map(|d| Dropped { at_s: d.at_s, lost: d.lost.clone() });
-                front.requeue(&mut bulk, copy.collect());
+                front.requeue(&mut bulk, copy.collect()).unwrap();
 
                 for (i, (a, b)) in reference.iter().zip(&bulk).enumerate() {
                     prop_assert_eq!(a.assignments(), b.assignments(), "{policy}, replica {i}");

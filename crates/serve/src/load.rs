@@ -9,14 +9,12 @@
 //! prepares one memoized pricing estimator, shared by every strategy,
 //! rate and worker (its memo keys carry TP and precision, so each price
 //! is computed once per sweep); one [`ServeInstance`] is prepared per
-//! strategy over it (its sealed decode-cost table, past
-//! [`crate::EXACT_MODE_LIMIT`] requests per cell, shared by every rate);
-//! the grid cells run rayon-parallel, and every cell replays the *same
-//! seed* so curves are paired — a throughput difference between two
-//! strategies is never sampling noise. A cell runs its trace exactly as
-//! a lone [`ServeInstance`] of its strategy would: memo values are pure
-//! functions of their keys, and the sealed table's grid depends on the
-//! instance alone, not on which cell sealed it.
+//! strategy over it, shared by every rate; the grid cells run
+//! rayon-parallel, and every cell replays the *same seed* so curves are
+//! paired — a throughput difference between two strategies is never
+//! sampling noise. A cell runs its trace exactly as a lone
+//! [`ServeInstance`] of its strategy would: memo values are pure
+//! functions of their keys, not of which cell or worker filled them.
 //!
 //! The result is deterministic: cells are collected in grid order
 //! regardless of thread count, and the SLO-goodput Pareto frontier
@@ -281,15 +279,11 @@ pub struct LoadSweepReport {
 /// every feasible strategy's probed [`ServeInstance`] prices through it.
 /// Its memo keys carry TP and precision besides the shape, so each
 /// decode price, decode row and prefill layer is computed once per sweep,
-/// by whichever strategy, rate cell or worker reaches it first. Above
-/// [`crate::EXACT_MODE_LIMIT`] requests per cell each strategy prices
-/// decode from its own sealed table instead: the first cell to run seals
-/// it (cells that race on the seal wait for it) and every rate shares it
-/// lock-free. Memo values are pure functions of their keys and the grid
-/// depends on the instance alone, so each cell reports exactly what a
-/// lone [`ServeInstance`] of its strategy reports for its trace, and the
-/// report is byte-identical across `RAYON_NUM_THREADS` settings. A
-/// strategy that cannot serve goes to the report's `infeasible` list.
+/// by whichever strategy, rate cell or worker reaches it first. Memo
+/// values are pure functions of their keys, so each cell reports exactly
+/// what a lone [`ServeInstance`] of its strategy reports for its trace,
+/// and the report is byte-identical across `RAYON_NUM_THREADS` settings.
+/// A strategy that cannot serve goes to the report's `infeasible` list.
 ///
 /// # Panics
 ///
@@ -299,7 +293,8 @@ pub struct LoadSweepReport {
 /// and, once some strategy is feasible, on more requests per cell than
 /// [`crate::MAX_TRACE_REQUESTS`], or on a cell whose fault spec never
 /// lets its fleet finish (outages that leave no uptime long enough to
-/// complete an iteration in, which [`crate::simulate_fleet`] reports as
+/// complete an iteration in, or uptimes below the clock's resolution,
+/// which [`crate::simulate_fleet`] reports as
 /// [`crate::ServeError::InvalidConfig`]).
 #[must_use]
 pub fn load_sweep(
@@ -490,9 +485,9 @@ fn prepare_strategy<'a>(
     if strategy.replicas == 0 {
         return Err(infeasible("a fleet needs at least one replica".to_owned()));
     }
-    // Replicas are identical, so one prepared instance (and, at streaming
-    // scale, its one sealed table) prices every replica of every rate
-    // cell. A cell's point reads no per-request record, so none is kept.
+    // Replicas are identical, so one prepared instance prices every
+    // replica of every rate cell. A cell's point reads no per-request
+    // record, so none is kept.
     let config = ServeConfig::new(strategy.tp)
         .with_precision(strategy.precision)
         .with_slo(spec.slo)
@@ -618,10 +613,8 @@ mod tests {
 
     /// A precision the device lacks (Ampere has no FP8) fails the
     /// instance probe with an estimator error, and the sweep lists the
-    /// strategy as infeasible while the others still run. The seal fails
-    /// the same way, and past [`EXACT_MODE_LIMIT`] requests — where cells
-    /// price from sealed tables — the probe still rejects the strategy
-    /// before any cell runs.
+    /// strategy as infeasible while the others still run, within
+    /// [`EXACT_MODE_LIMIT`] requests per cell and past it alike.
     #[test]
     fn unsupported_precision_is_an_infeasible_strategy() {
         let cluster = presets::dgx_a100_hdr_cluster();
@@ -652,10 +645,6 @@ mod tests {
             report.infeasible[0].reason
         );
 
-        assert!(matches!(
-            instance.seal(),
-            Err(crate::ServeError::Estimator(_))
-        ));
         let streaming = LoadSweepSpec {
             requests: EXACT_MODE_LIMIT + 1,
             prompt: LengthDist::Fixed { tokens: 20 },
@@ -681,14 +670,14 @@ mod tests {
         );
     }
 
-    /// Regression: a streaming-scale strategy prepared for a sweep used
-    /// to be sealed from its length distributions' bounds, and a lone
-    /// instance from its trace's, so the two grids' top context buckets
-    /// differed and one strategy priced one decode iteration two ways
-    /// (224,680 vs 224,681 decode iterations here, where the trace's
-    /// longest request is 4,059 tokens and the distribution's 4,064). A
-    /// prepared strategy must run its cell's trace exactly as a fresh
-    /// instance of the same strategy does.
+    /// A strategy prepared for a sweep, over the sweep's shared
+    /// estimator, must run its cell's trace exactly as a fresh instance of
+    /// the same strategy does, past [`EXACT_MODE_LIMIT`] requests too.
+    /// Regression: the two once priced decode from cost grids sized from
+    /// different bounds (the length distributions' and the trace's), so
+    /// one strategy priced one decode iteration two ways (224,680 vs
+    /// 224,681 decode iterations here, where the trace's longest request
+    /// is 4,059 tokens and the distribution's 4,064).
     #[test]
     fn prepared_strategy_runs_its_cell_like_a_fresh_instance() {
         let cluster = presets::dgx_a100_hdr_cluster();
@@ -712,10 +701,7 @@ mod tests {
         let run = |instance: &ServeInstance<'_>| {
             run_fleet(instance, 1, spec.router, &FaultSpec::none(), &trace).unwrap()
         };
-        assert!(
-            trace.len() > EXACT_MODE_LIMIT,
-            "cells price from sealed tables"
-        );
+        assert!(trace.len() > EXACT_MODE_LIMIT);
         assert_eq!(run(&prepared), run(&fresh));
     }
 

@@ -21,19 +21,18 @@
 //! decode completions are scheduled on an epoch ring (every request costs
 //! O(1) bookkeeping per iteration it participates in, with no per-member
 //! scans), and per-request records plus exact percentile buffers are kept
-//! only within [`EXACT_MODE_LIMIT`] (or on request). Decode pricing runs
-//! through the memoized [`PreparedInferenceEstimator`] (exact) within
-//! [`EXACT_MODE_LIMIT`] requests — each replica engine keeps a dense
-//! (batch, context) price cache in front of the memo, so a warm exact
-//! read is a vector index with no lock — and through the instance's sealed
-//! [`DecodeCostTable`] beyond. The table's grid spans every batch and
-//! context the instance's KV budget can hold, so it depends on the
-//! instance alone, never on a trace; it prices each cell on the first
-//! iteration that reads it and is lock-free after. Prefill pricing always hits a dense
-//! per-prompt-length cache. The simulation is single-threaded and all
-//! randomness lives in the seeded trace, so reports are byte-identical
-//! across runs and thread counts (a cell's price does not depend on which
-//! run or thread filled it).
+//! only within [`EXACT_MODE_LIMIT`] (or on request). Every decode
+//! iteration is priced exactly, at its own (batch, context), through the
+//! memoized [`PreparedInferenceEstimator`]: each replica engine keeps a
+//! dense (batch, context) price cache in front of the memo, so a warm
+//! read is a vector index with no lock, and only a miss, once per
+//! distinct shape per engine, takes the memo's lock and hash. A decode
+//! price depends on the strategy, batch and context alone, never on how
+//! long the trace is. Prefill pricing hits a dense per-prompt-length
+//! cache. The simulation is single-threaded and all randomness lives in
+//! the seeded trace, so reports are byte-identical across runs and
+//! thread counts (a memo value does not depend on which run or thread
+//! filled it).
 
 use crate::engine::ReportInputs;
 use crate::fleet::run_fleet;
@@ -42,22 +41,21 @@ use crate::{
     ServeReport, SloReport, SloSpec, TraceSpec,
 };
 use optimus_hw::{ClusterSpec, Precision};
-use optimus_infer::{DecodeCostTable, PreparedInferenceEstimator};
+use optimus_infer::PreparedInferenceEstimator;
 use optimus_memory::{inference_memory, kv_cache_bytes};
 use optimus_model::ModelConfig;
 use optimus_units::{Bytes, Time};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Cap on the queue-depth samples retained in a [`ServeReport`]; longer
 /// runs are down-sampled with an even stride (plus the final sample, so
 /// the series always ends at trace end).
 pub const MAX_QUEUE_SAMPLES: usize = 128;
 
-/// Trace size up to which the simulator defaults to full fidelity: exact
-/// memoized decode pricing, exact percentile selection, and per-request
-/// records. Above it the defaults switch to the streaming machinery —
-/// sealed-table pricing, log-histogram percentiles, records off — sized
-/// for million-request traces.
+/// Trace size up to which a report keeps per-request records by default
+/// ([`RecordMode::Auto`]) and selects latency percentiles exactly. Above
+/// it records default off and percentiles come from log histograms, sized
+/// for million-request traces. Decode pricing does not depend on it.
 pub const EXACT_MODE_LIMIT: usize = 10_000;
 
 /// The most requests one simulated trace may hold: replica engines index
@@ -183,10 +181,10 @@ impl core::fmt::Display for ServeError {
 impl std::error::Error for ServeError {}
 
 /// A validated serving instance: one (cluster, model, strategy) triple
-/// with its prepared estimator and, once sealed, its decode-cost table.
-/// Build once, simulate many traces — the load-sweep engine runs every
-/// arrival rate of a strategy through one shared instance, and every run
-/// reuses the cells the runs before it priced. The estimator sits behind
+/// with its prepared estimator. Build once, simulate many traces — the
+/// load-sweep engine runs every arrival rate of a strategy through one
+/// shared instance, and every run reuses the prices the runs before it
+/// left in the estimator's memo. The estimator sits behind
 /// an [`Arc`]: [`ServeInstance::new`] prepares one of its own, and the
 /// load-sweep engine hands every strategy of a sweep the same one. Its
 /// memo keys carry TP and precision, so it prices each shape once per
@@ -202,7 +200,6 @@ pub struct ServeInstance<'a> {
     /// precision)`: every KV footprint the instance prices is a multiple.
     token_kv: f64,
     estimator: Arc<PreparedInferenceEstimator<'a>>,
-    table: OnceLock<Result<DecodeCostTable, String>>,
 }
 
 impl<'a> ServeInstance<'a> {
@@ -272,7 +269,6 @@ impl<'a> ServeInstance<'a> {
             budget: capacity - weights,
             token_kv,
             estimator,
-            table: OnceLock::new(),
         })
     }
 
@@ -370,36 +366,6 @@ impl<'a> ServeInstance<'a> {
         (bytes / link.effective_bandwidth(bytes)).secs()
     }
 
-    /// Seals the instance's decode-cost table (idempotent: racing first
-    /// calls block on one seal, and every call returns the same table).
-    /// Both grids span ⌊KV budget / one token's per-device KV⌋, every
-    /// batch and aggregate context the budget can hold: a decoding
-    /// request holds at least one token (under paging, one block), so no
-    /// admissible state exceeds the grid on either axis, and a decode
-    /// price depends on the strategy, batch and context alone — never on
-    /// the trace that sealed the table. Sealing fixes the grids and
-    /// prices one cell, so it is cheap and an unsupported precision fails
-    /// here; every other cell is priced on the first decode iteration
-    /// that reads it, by whichever run or thread gets there first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Estimator`] when the device lacks the
-    /// serving precision.
-    pub fn seal(&self) -> Result<&DecodeCostTable, ServeError> {
-        self.table
-            .get_or_init(|| {
-                let (tp, precision) = (self.config.tp, self.config.precision);
-                let token = self.kv_share(1);
-                let tokens = ((self.budget.bytes() / token.bytes()).floor() as usize).max(1);
-                self.estimator
-                    .seal_decode_costs(tokens, tokens, tp, precision)
-                    .map_err(|e| e.to_string())
-            })
-            .as_ref()
-            .map_err(|msg| ServeError::Estimator(msg.clone()))
-    }
-
     /// Cheaply verifies the estimator accepts this strategy (the one
     /// runtime-rejectable axis is the precision), so callers can surface
     /// an unsupported precision before running a grid of simulations.
@@ -448,30 +414,12 @@ impl<'a> ServeInstance<'a> {
             RecordMode::Auto => trace_len <= EXACT_MODE_LIMIT,
         }
     }
-
-    /// The decode-pricing table for a trace of `trace_len` requests with
-    /// the given bounds: `None` — exact memoized pricing — within
-    /// [`EXACT_MODE_LIMIT`] requests or when no request is admissible
-    /// (nothing decodes, so nothing is sealed), and the sealed table
-    /// beyond, sealed on first use.
-    pub(crate) fn pricing_table(
-        &self,
-        trace_len: usize,
-        bounds: &TraceBounds,
-    ) -> Result<Option<&DecodeCostTable>, ServeError> {
-        if trace_len <= EXACT_MODE_LIMIT || bounds.admittable == 0 {
-            return Ok(None);
-        }
-        self.seal().map(Some)
-    }
 }
 
 /// What one scan of a trace finds before the event loop starts: the
 /// admittable portion's bounds, which size the prefill cache and the
 /// completion ring, and the router's rejections.
 pub(crate) struct TraceBounds {
-    /// Requests whose lone reservation fits the budget.
-    pub(crate) admittable: usize,
     /// Largest prompt among admittable requests.
     pub(crate) max_prompt: usize,
     /// Largest prompt + output among admittable requests.
@@ -497,7 +445,6 @@ impl TraceBounds {
     ) -> Result<Self, ServeError> {
         check_trace_len(trace.len())?;
         let mut bounds = Self {
-            admittable: 0,
             max_prompt: 0,
             max_kv: 0,
             rejected: Vec::new(),
@@ -527,7 +474,6 @@ impl TraceBounds {
                 )));
             }
             if instance.admissible(r) {
-                bounds.admittable += 1;
                 bounds.max_prompt = bounds.max_prompt.max(r.prompt);
                 bounds.max_kv = bounds.max_kv.max(r.prompt + r.output);
             } else {
@@ -895,84 +841,52 @@ pub(crate) mod tests {
         assert_eq!(report.slo.attainment, 1.0);
     }
 
-    /// The sealed grid covers every state an instance can reach, so no
-    /// decode iteration clamps onto the grid's top bucket (which would
-    /// underprice it). Over every preset cluster × model × TP that fits,
-    /// under reserved and paged KV: the longest admissible context, found
-    /// by bisection on [`ServeInstance::admissible`], is within the
-    /// context axis — an aggregate context is a mean over members, so it
-    /// is no longer — and the widest reachable decode batch is within the
-    /// batch axis.
+    /// A decode price depends on the iteration's own (batch, context),
+    /// never on how long the trace is. `serve --model llama2-13b --tp 2
+    /// --requests N --rate 20 --prompt 50:400 --output 8:64` at N = 10,000,
+    /// with one more request appended that arrives after every other has
+    /// completed: each of the first 10,000 per-request records must be
+    /// unchanged, since nothing the extra request does can reach them. The
+    /// test compares records, not percentiles: past [`EXACT_MODE_LIMIT`]
+    /// requests percentiles come from log histograms, so TPOT p50 moves
+    /// from 26.08 to 26.44 ms across the limit on that command line
+    /// although no request's TPOT does.
     #[test]
-    fn sealed_grid_covers_every_admissible_state() {
-        let clusters = [
-            presets::dgx_a100_hdr_cluster(),
-            presets::dgx_h100_ndr_cluster(),
-            presets::dgx_h100_nvs_cluster(),
-            presets::dgx_h200_nvs_cluster(),
-            presets::dgx_b200_ndr_cluster(),
-            presets::dgx_b200_nvs_cluster(),
-        ];
-        let mut checked = 0;
-        for cluster in &clusters {
-            for model in models::llama2_family()
-                .into_iter()
-                .chain(models::gpt_family())
-            {
-                let model = Arc::new(model);
-                for (tp, kv) in [1, 2, 4, 8].into_iter().flat_map(|tp| {
-                    [KvSpec::reserved(), KvSpec::paged(16), KvSpec::paged(7)].map(|kv| (tp, kv))
-                }) {
-                    let config = ServeConfig::new(tp).with_kv(kv);
-                    let Ok(instance) = ServeInstance::new(cluster, Arc::clone(&model), config)
-                    else {
-                        continue;
-                    };
-                    let label = format!("{} {} TP{tp} {kv}", cluster.name, model.name);
-                    let fits =
-                        |context: usize| instance.admissible(&Request::new(0, 0.0, context - 1, 1));
-                    let (mut lo, mut hi) = (2, 1 << 40);
-                    assert!(fits(lo) && !fits(hi), "{label}");
-                    while hi - lo > 1 {
-                        let mid = lo + (hi - lo) / 2;
-                        if fits(mid) {
-                            lo = mid;
-                        } else {
-                            hi = mid;
-                        }
-                    }
-                    // Every decoding member reserves at least one prompt
-                    // and one output token, or holds at least one block.
-                    let widest = if kv.is_reserved() {
-                        let least = instance.reservation(&Request::new(0, 0.0, 1, 1));
-                        (instance.kv_budget().bytes() / least.bytes()).floor() as usize
-                    } else {
-                        instance.total_blocks()
-                    };
-                    let table = instance.seal().unwrap();
-                    assert!(
-                        lo <= table.kv_grid().max(),
-                        "{label}: context {lo} beyond the grid's {}",
-                        table.kv_grid().max()
-                    );
-                    assert!(
-                        widest <= table.batch_grid().max(),
-                        "{label}: batch {widest} beyond the grid's {}",
-                        table.batch_grid().max()
-                    );
-                    checked += 1;
-                }
-            }
+    fn appending_a_late_request_leaves_every_earlier_record_unchanged() {
+        let cluster = presets::dgx_a100_hdr_cluster();
+        let instance = ServeInstance::new(
+            &cluster,
+            Arc::new(models::llama2_13b()),
+            ServeConfig::new(2).with_records(RecordMode::On),
+        )
+        .unwrap();
+        let mut trace = TraceSpec {
+            seed: 42,
+            requests: EXACT_MODE_LIMIT,
+            arrival: ArrivalProcess::Poisson { rate_per_s: 20.0 },
+            prompt: LengthDist::Uniform { lo: 50, hi: 400 },
+            output: LengthDist::Uniform { lo: 8, hi: 64 },
+            prefixes: None,
+            priority_classes: 1,
         }
-        assert!(checked > 150, "only {checked} instances fit");
+        .generate();
+        let within = instance.simulate(&trace).unwrap();
+        assert_eq!(within.per_request.len(), EXACT_MODE_LIMIT);
+        let late = within.makespan.secs() + 1.0;
+        trace.push(Request::new(EXACT_MODE_LIMIT, late, 200, 32));
+        let past = instance.simulate(&trace).unwrap();
+        assert_eq!(past.per_request.len(), EXACT_MODE_LIMIT + 1);
+        for (before, after) in within.per_request.iter().zip(&past.per_request) {
+            assert_eq!(before, after, "request {}", before.id);
+        }
     }
 
-    /// The sealed table prices only the cells a run reads. The trace and
-    /// fleet of the sealed-path golden (`tests/golden/fleet_sealed.json`)
-    /// price under 1% of the grid, and a second run of the same trace
-    /// prices no new cell.
+    /// Past [`EXACT_MODE_LIMIT`] requests, a second run of the same trace
+    /// on the same instance reads every decode price from the warm memo:
+    /// it adds no memo key and returns an equal report. The trace and
+    /// fleet are those of `tests/golden/fleet_streaming.json`.
     #[test]
-    fn sealed_table_prices_only_the_cells_a_run_reads() {
+    fn a_repeat_run_on_a_warm_memo_returns_an_equal_report() {
         let cluster = presets::dgx_a100_hdr_cluster();
         let instance = ServeInstance::new(
             &cluster,
@@ -1002,30 +916,20 @@ pub(crate) mod tests {
         };
         let first = run();
         assert_eq!(first.completed, trace.len());
-        let bounds = TraceBounds::scan(&instance, &trace).unwrap();
-        let table = instance
-            .pricing_table(trace.len(), &bounds)
-            .unwrap()
-            .expect("a trace past the exact-mode limit prices from the sealed table");
-        let priced = table.priced();
-        assert!(priced > 1, "the run read cells past the seal's probe");
-        assert!(
-            priced * 100 < table.entries(),
-            "{priced} of {} cells priced",
-            table.entries()
-        );
+        let keys = instance.estimator().cached_keys();
         assert_eq!(run(), first);
-        assert_eq!(table.priced(), priced, "a repeat run prices no new cell");
+        assert_eq!(
+            instance.estimator().cached_keys(),
+            keys,
+            "a repeat run prices no new shape"
+        );
     }
 
-    /// Regression: a trace past [`EXACT_MODE_LIMIT`] in which *no*
-    /// request fits the KV budget reaches the sealing decision with
-    /// `TraceBounds { admittable: 0, .. }`. Nothing will decode, so
-    /// [`ServeInstance::pricing_table`] must skip the seal, and the run
-    /// must reject everything cleanly — on the reserved and the paged
-    /// path alike.
+    /// A trace past [`EXACT_MODE_LIMIT`] in which *no* request fits the
+    /// KV budget runs cleanly: the router rejects every request on
+    /// arrival, on the reserved and the paged path alike.
     #[test]
-    fn all_inadmissible_trace_past_the_limit_skips_the_seal() {
+    fn all_inadmissible_trace_past_the_limit_rejects_every_request() {
         let cluster = presets::dgx_a100_hdr_cluster();
         let model = Arc::new(models::llama2_7b());
         // Half-million-token prompts overflow any single-GPU KV budget.
@@ -1037,22 +941,11 @@ pub(crate) mod tests {
             ServeConfig::new(1).with_kv(KvSpec::paged(16)),
         ] {
             let instance = ServeInstance::new(&cluster, Arc::clone(&model), config).unwrap();
-            let bounds = TraceBounds::scan(&instance, &trace).unwrap();
-            assert_eq!(bounds.admittable, 0);
-            assert_eq!(bounds.rejected.len(), trace.len());
-            assert!(
-                instance
-                    .pricing_table(trace.len(), &bounds)
-                    .unwrap()
-                    .is_none(),
-                "an all-inadmissible trace must not seal a pricing grid"
-            );
             let report = instance.simulate(&trace).unwrap();
             assert_eq!(report.completed, 0);
             assert_eq!(report.rejected, trace.len());
             assert_eq!(report.generated_tokens, 0);
-            // The router rejects every request on arrival, so no engine
-            // clock ever starts.
+            // No engine clock ever starts.
             assert_eq!(report.makespan, Time::ZERO);
             assert_eq!(report.queue.peak_waiting, 0);
         }

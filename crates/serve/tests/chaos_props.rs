@@ -337,10 +337,10 @@ fn domain_downtime_decomposes_into_per_replica_accounting() {
     // The shared schedule itself is what the members observed: both rack
     // members went down together for every window.
     let horizon = report.makespan.secs();
-    let shared = faults.domain_outage_windows(0, horizon);
+    let shared = faults.domain_outage_windows(0, horizon).unwrap();
     assert!(!shared.is_empty());
-    assert_eq!(faults.outage_windows(0, horizon), shared);
-    assert_eq!(faults.outage_windows(1, horizon), shared);
+    assert_eq!(faults.outage_windows(0, horizon).unwrap(), shared);
+    assert_eq!(faults.outage_windows(1, horizon).unwrap(), shared);
 }
 
 /// Link-mode degradation prices the slowdown through the interconnect:

@@ -3,9 +3,9 @@
 //! * the log-histogram percentile estimates agree with the exact
 //!   nearest-rank statistics to within one bin width;
 //! * the scheduler's conservation invariants (tokens, requests, KV
-//!   budget) hold at 100k-request scale on the sealed-table fast path;
+//!   budget) hold at 100k-request scale on the streaming path;
 //! * load-sweep reports are byte-identical across installed 1- and
-//!   8-thread rayon pools.
+//!   8-thread rayon pools, whose workers share one estimator's memo.
 
 use optimus_hw::{presets, Precision};
 use optimus_model::presets as models;
@@ -56,17 +56,18 @@ proptest! {
     }
 }
 
-// --- 100k-request conservation on the sealed path -------------------------
+// --- 100k-request conservation on the streaming path ----------------------
 
 proptest! {
     // Each case simulates 100k requests; two sampled scenarios keep the
-    // suite affordable in debug builds while still exercising the sealed
-    // table, the slot recycling, and the completion ring at scale.
+    // suite affordable in debug builds while still exercising the engine's
+    // decode-price cache, the slot recycling, and the completion ring at
+    // scale.
     #![proptest_config(ProptestConfig::with_cases(2))]
 
     /// Token, request, and KV-budget conservation at 100k-request scale:
-    /// the streaming machinery (sealed pricing, recycled slots, epoch
-    /// ring, histogram stats) must lose nothing an exact-mode run keeps.
+    /// the streaming machinery (recycled slots, epoch ring, histogram
+    /// stats) must lose nothing an exact-mode run keeps.
     #[test]
     fn conservation_holds_at_100k_scale(
         seed in 0u64..1000,
@@ -125,14 +126,14 @@ fn sweep_json(spec: &LoadSweepSpec) -> String {
 }
 
 /// The load-sweep grid runs rayon-parallel, but cells are collected in
-/// grid order and every sealed table is built from distribution-derived
-/// bounds before any cell runs — so the JSON must be byte-identical
-/// across installed 1- and 8-thread pools, and across repeated runs.
+/// grid order and every memo value is a pure function of its key, so the
+/// JSON must be byte-identical across installed 1- and 8-thread pools,
+/// and across repeated runs.
 #[test]
 fn load_sweep_json_is_byte_identical_across_one_and_eight_threads() {
-    // Crosses the exact-mode limit so the sealed-table path (the one with
-    // a first-seal-wins hazard if bounds ever became trace-dependent) is
-    // the path under test.
+    // Crosses the exact-mode limit, so the cells' reports take their
+    // percentiles from histograms, while the workers of all three
+    // strategies race on first fills of the one shared memo.
     let spec = LoadSweepSpec {
         seed: 7,
         requests: 12_000,

@@ -4,8 +4,8 @@
 //! The serving fixtures were captured at the commit *before* paged KV,
 //! prefix caching, and pluggable schedulers landed (`fleet_requeue.json`
 //! at the commit before crash requeues were routed in bulk,
-//! `fleet_sealed.json` at the commit before the sealed decode-cost table
-//! priced its cells on first read); the training and sweep fixtures at
+//! `fleet_streaming.json` at the commit that priced every decode
+//! iteration exactly); the training and sweep fixtures at
 //! the commit *before* the composable resilience stack (tiered
 //! checkpoints, failure processes, elastic training)
 //! landed, and re-pinned once when the expected checkpoint rework became
@@ -169,13 +169,12 @@ fn requeued_fleet_report_is_byte_identical_to_the_pre_bulk_requeue_fixture() {
 /// least-outstanding --requests 12000 --rate 300 --prompt 50:400
 /// --output 8:64 --seed 31 --json`
 ///
-/// The sealed-path pin: past `EXACT_MODE_LIMIT` requests decode
-/// iterations are priced from the sealed decode-cost table and the
-/// latency percentiles come from log histograms, which no smaller
-/// fixture reaches. Captured at the commit before the table priced its
-/// cells on first touch.
+/// The streaming-path pin: past `EXACT_MODE_LIMIT` requests the latency
+/// percentiles come from log histograms, which no smaller fixture
+/// reaches. Captured when every decode iteration came to be priced
+/// exactly, whatever the trace's length.
 #[test]
-fn sealed_fleet_report_is_byte_identical_to_the_pre_lazy_table_fixture() {
+fn streaming_fleet_report_is_byte_identical_to_the_exact_pricing_fixture() {
     let config = FleetConfig {
         replicas: 2,
         router: RouterPolicy::LeastOutstanding,
@@ -192,8 +191,8 @@ fn sealed_fleet_report_is_byte_identical_to_the_pre_lazy_table_fixture() {
     assert_eq!(report.completed, 12_000);
     assert_eq!(
         serde_json::to_string_pretty(&report).unwrap(),
-        include_str!("golden/fleet_sealed.json"),
-        "sealed-path FleetReport JSON drifted from the pre-lazy-table fixture"
+        include_str!("golden/fleet_streaming.json"),
+        "streaming-path FleetReport JSON drifted from the exact-pricing fixture"
     );
 }
 
@@ -408,11 +407,12 @@ fn paged_load_sweep_report_keeps_its_pinned_digests() {
 
 /// `serve --model llama2-13b --tp 2 --requests 1000000 --rate 500
 /// --prompt 50:400 --output 8:64 --seed 3 --json`, serve-fleet pass (a)'s
-/// shape: one replica streams a million requests through the sealed
-/// decode table and the latency histograms, with the FIFO head blocked
-/// on KV for most of the run. Captured before latency bins were read
-/// from a table. Release only, like the next pin: in a debug build the
-/// two take about 2 s, more than the rest of the tier-1 suite.
+/// shape: one replica streams a million requests through the latency
+/// histograms, with the FIFO head blocked on KV for most of the run.
+/// Captured before latency bins were read from a table, and re-pinned
+/// when every decode iteration came to be priced exactly. Release only,
+/// like the next pin: in a debug build the two take about 2 s, more than
+/// the rest of the tier-1 suite.
 #[test]
 #[cfg_attr(debug_assertions, ignore)]
 fn million_request_serve_report_keeps_its_pinned_digests() {
@@ -430,8 +430,8 @@ fn million_request_serve_report_keeps_its_pinned_digests() {
         "serve_1m",
         &report,
         [
-            (8_141, 0x2bbc_a053_c65f_84b2),
-            (4_918, 0x33ad_206b_bc54_cdc0),
+            (8_128, 0x672c_32b7_28df_9d3d),
+            (4_905, 0x90d4_6330_9698_3e5b),
         ],
     );
     assert!(drifted.is_empty(), "JSON drifted:\n{}", drifted.join("\n"));
@@ -442,7 +442,8 @@ fn million_request_serve_report_keeps_its_pinned_digests() {
 /// --output 8:64 --seed 3 --mtbf 60 --mttr 10 --fault-seed 7 --json`,
 /// serve-fleet pass (c)'s shape: crashes drain and requeue millions of
 /// requests, so every release of a reservation by a crash shows. Captured
-/// before latency bins were read from a table. Release only.
+/// before latency bins were read from a table, and re-pinned when every
+/// decode iteration came to be priced exactly. Release only.
 #[test]
 #[cfg_attr(debug_assertions, ignore)]
 fn chaos_fleet_report_at_200k_requests_keeps_its_pinned_digests() {
@@ -459,14 +460,14 @@ fn chaos_fleet_report_at_200k_requests_keeps_its_pinned_digests() {
         &trace(3, 200_000, 1200.0, (50, 400), (8, 64)),
     )
     .unwrap();
-    assert_eq!(report.availability.crashes, 223);
-    assert_eq!(report.availability.requeues, 3_412_874);
+    assert_eq!(report.availability.crashes, 221);
+    assert_eq!(report.availability.requeues, 3_421_392);
     let drifted = pin_drift(
         "fleet_chaos_200k",
         &report,
         [
-            (2_537_198, 0xb59f_1d52_900f_e956),
-            (1_219_759, 0xba73_2589_f684_d164),
+            (2_537_015, 0x223d_d7b6_b93f_e1d5),
+            (1_219_695, 0x0e31_3687_5259_34dd),
         ],
     );
     assert!(drifted.is_empty(), "JSON drifted:\n{}", drifted.join("\n"));
@@ -478,7 +479,8 @@ fn chaos_fleet_report_at_200k_requests_keeps_its_pinned_digests() {
 /// preemption. About 640 requests decode per iteration and 155,286
 /// preemptions return their blocks, so every block grant and victim of
 /// the paged decode shows. Captured before the paged decode filed its
-/// members by the epoch their blocks fill. Release only.
+/// members by the epoch their blocks fill, and re-pinned when every
+/// decode iteration came to be priced exactly. Release only.
 #[test]
 #[cfg_attr(debug_assertions, ignore)]
 fn million_request_paged_serve_report_keeps_its_pinned_digests() {
@@ -497,8 +499,8 @@ fn million_request_paged_serve_report_keeps_its_pinned_digests() {
         "serve_1m_paged",
         &report,
         [
-            (9_372, 0xa734_8a12_ab78_26d6),
-            (5_674, 0xdbc8_5543_f955_f3fe),
+            (9_373, 0xbebd_f013_780a_1d92),
+            (5_675, 0x9e25_037d_6395_5390),
         ],
     );
     assert!(drifted.is_empty(), "JSON drifted:\n{}", drifted.join("\n"));
@@ -532,8 +534,8 @@ fn priority_preempt_swap_serve_report_keeps_its_pinned_digests() {
         "serve_priority_preempt_swap",
         &report,
         [
-            (13_678, 0xe1eb_29b5_3ab9_7d11),
-            (8_084, 0x7fb5_c66f_beb3_4093),
+            (13_694, 0x2a91_0a4a_ab49_39f0),
+            (8_100, 0xa530_0053_e72c_936e),
         ],
     );
     assert!(drifted.is_empty(), "JSON drifted:\n{}", drifted.join("\n"));
@@ -563,13 +565,13 @@ fn paged_chaos_fleet_report_at_200k_requests_keeps_its_pinned_digests() {
     .unwrap();
     assert_eq!(report.availability.crashes, 241);
     let paging = report.paging.as_ref().expect("paged KV reports paging");
-    assert_eq!(paging.preemptions, 37_307);
+    assert_eq!(paging.preemptions, 36_968);
     let drifted = pin_drift(
         "fleet_chaos_paged_200k",
         &report,
         [
-            (2_568_501, 0x918b_5284_925e_e74b),
-            (1_234_397, 0x7768_5dde_0e9f_831f),
+            (2_567_403, 0xfafa_8590_1a4c_59d8),
+            (1_233_840, 0xd198_59fe_ec1d_9622),
         ],
     );
     assert!(drifted.is_empty(), "JSON drifted:\n{}", drifted.join("\n"));
