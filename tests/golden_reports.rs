@@ -1,5 +1,5 @@
-//! Byte-identity pins of the serving and training reports against
-//! golden JSON fixtures.
+//! Byte-identity pins of the serving, training and inference reports
+//! against golden JSON fixtures.
 //!
 //! The serving fixtures were captured at the commit *before* paged KV,
 //! prefix caching, and pluggable schedulers landed (`fleet_requeue.json`
@@ -10,7 +10,9 @@
 //! checkpoints, failure processes, elastic training)
 //! landed, and re-pinned once when the expected checkpoint rework became
 //! exact instead of the first-order half interval (only the rework,
-//! goodput and failure-expected figures moved). The pre-existing regimes — `KvSpec::reserved()` + FIFO on
+//! goodput and failure-expected figures moved); the inference fixtures
+//! at the commit before the one-shot decode loop was priced from the
+//! context-factored decode rows. The pre-existing regimes — `KvSpec::reserved()` + FIFO on
 //! the serving side, a plain `--mtbf`/`--restart` exponential spec on
 //! the training side — must keep emitting byte-identical reports: the
 //! new sections are *omitted* (not `null`) when absent, through the
@@ -24,7 +26,8 @@ use optimus::memory::RecomputeMode;
 use optimus::model::presets as models;
 use optimus::prelude::Precision;
 use optimus::prelude::{
-    CheckpointSpec, Parallelism, PipelineSchedule, TrainingConfig, TrainingEstimator,
+    CheckpointSpec, InferenceConfig, InferenceEstimator, Parallelism, PipelineSchedule,
+    TrainingConfig, TrainingEstimator,
 };
 use optimus::units::Time;
 use optimus_serve::{
@@ -240,6 +243,41 @@ fn basic_resilience_sweep_frontier_is_byte_identical_to_the_pre_stack_fixture() 
         serde_json::to_string_pretty(&report.frontier).unwrap(),
         include_str!("golden/sweep_resilience_frontier.json"),
         "basic-spec sweep frontier JSON drifted from the pre-stack fixture"
+    );
+}
+
+/// `infer --model llama2-70b --cluster h100-ndr --tp 8 --prefill 200
+/// --generate 200 --json`, the Table 2 row whose decode all-reduces are
+/// latency-bound. Captured before the one-shot decode loop was priced
+/// from the context-factored decode rows.
+#[test]
+fn llama70b_tp8_inference_report_is_byte_identical_to_the_pre_factoring_fixture() {
+    let cfg = InferenceConfig::new(models::llama2_70b(), 1, 200, 200, 8);
+    let report = InferenceEstimator::new(&presets::dgx_h100_ndr_cluster())
+        .estimate(&cfg)
+        .unwrap();
+    assert_eq!(
+        serde_json::to_string_pretty(&report).unwrap(),
+        include_str!("golden/infer_llama70b_h100_tp8.json"),
+        "InferenceReport JSON drifted from the pre-factoring fixture"
+    );
+}
+
+/// `sweep --model llama2-13b --cluster a100-hdr --workload infer
+/// --max-gpus 8 --json`: every (TP, precision) point of a batch-1,
+/// 200 + 200-token request within 8 GPUs. Captured like the previous
+/// fixture.
+#[test]
+fn inference_sweep_report_is_byte_identical_to_the_pre_factoring_fixture() {
+    let report = SweepEngine::new(&presets::dgx_a100_hdr_cluster()).sweep(
+        &models::llama2_13b(),
+        &Workload::inference(1, 200, 200),
+        &SweepSpace::power_of_two(8),
+    );
+    assert_eq!(
+        serde_json::to_string_pretty(&report).unwrap(),
+        include_str!("golden/sweep_infer_llama13b_8gpu.json"),
+        "inference SweepReport JSON drifted from the pre-factoring fixture"
     );
 }
 
