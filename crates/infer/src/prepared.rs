@@ -1,26 +1,28 @@
 //! The memoized two-phase inference estimator.
 //!
 //! An inference sweep evaluates every feasible (TP, precision) pair of one
-//! (model, cluster, request-shape) triple, and the decode loop alone costs
-//! `generate` operator-graph traversals per point. The per-step kernel
-//! costs depend only on `(seq, kv_len, tp, precision)` — and the
-//! embedding/LM-head stage does not even see `kv_len`, so all decode steps
-//! of a point share one entry. [`PreparedInferenceEstimator`] holds the
+//! (model, cluster, request-shape) triple. Kernel costs depend only on
+//! `(batch, seq, kv_len, tp, precision)`, and the embedding/LM-head stage
+//! does not even see `kv_len`. [`PreparedInferenceEstimator`] holds the
 //! roofline and concurrent memo tables over those keys; per-point
-//! evaluation reduces to lookups plus the communication and assembly
-//! arithmetic.
+//! evaluation reduces to lookups, the attention core at each decode
+//! context, and the communication and assembly arithmetic.
 //!
-//! Decode-iteration pricing for the serving simulator is **context
-//! factored**. Of a decode layer's ops only the attention core (scores,
-//! softmax, attention dropout, context gather) reads the KV context; every
-//! other op, the embedding/LM-head stage and the TP all-reduce depend on
-//! the batch alone. So a decode *row* per batch holds those kernel costs,
-//! with holes at the attention-core slots, and one function costs the
-//! holes for a context and accumulates every op in `layer_forward_ops`
-//! order. [`PreparedInferenceEstimator::decode_iteration`] memoizes rows
-//! per `(batch, tp, precision)` and totals per `(batch, kv_len, tp,
-//! precision)`, so a cold price at a batch already seen costs only the
-//! attention core at its context.
+//! Decode pricing is **context factored**, in the one-shot decode loop and
+//! for the serving simulator alike. Of a decode layer's ops only the
+//! attention core (scores, softmax, attention dropout, context gather)
+//! reads the KV context; every other op, the embedding/LM-head stage and
+//! the TP all-reduce depend on the batch alone. So a decode *row* per
+//! batch, memoized per `(batch, tp, precision)`, holds those kernel costs
+//! with holes at the attention-core slots, and one walk costs the holes at
+//! a context and hands every op's cost over in `layer_forward_ops` order.
+//! [`PreparedInferenceEstimator::estimate`] folds each step's walk into
+//! the breakdown, FLOPs and DRAM bytes, so a point's decode loop costs the
+//! rest of the layer once and leaves no memo entry per context.
+//! [`PreparedInferenceEstimator::decode_iteration`] folds only the time
+//! and memoizes totals per `(batch, kv_len, tp, precision)`, so a cold
+//! price at a batch already seen costs only the attention core at its
+//! context.
 //!
 //! Memo values are pure functions of their keys, so concurrent fill order
 //! cannot change any result: a memoized sweep is byte-identical to naive
@@ -48,6 +50,16 @@ struct StepCost {
     flops: FlopCount,
     dram: Bytes,
     gemms: Vec<GemmAnalysis>,
+}
+
+impl StepCost {
+    /// Files one kernel's time under its bound type and adds its FLOPs and
+    /// DRAM bytes.
+    fn add(&mut self, cost: &KernelCost) {
+        accumulate(&mut self.bd, cost);
+        self.flops += cost.flops;
+        self.dram += cost.dram_traffic();
+    }
 }
 
 /// Memo key of one transformer layer's kernels: `(batch, seq, kv_len, tp,
@@ -260,20 +272,32 @@ impl<'a> PreparedInferenceEstimator<'a> {
         let prefill_time = prefill_bd.total();
 
         // --- decode loop (exact, token by token) ---------------------------
-        let mut decode_bd = InferenceBreakdown::default();
+        // Each step is the batch's decode row with the attention core
+        // costed at that step's context. The all-reduce volume and the
+        // embedding + LM-head stage never read the context, so every step
+        // adds the same values, in the same order as costing it whole.
+        let row = self.decode_row(self.batch, tp, precision)?;
         let decode_comm_volume =
             Bytes::new((self.batch * self.model.hidden) as f64 * precision.bytes());
+        let step_comm = plan.tp_layer_inference(decode_comm_volume) * layers;
+        let step_wire = plan.tp_layer_forward_wire_bytes(decode_comm_volume) * layers;
+        let extra = self.extra_cost(&GraphParams::decode(
+            self.batch,
+            self.prefill,
+            tp,
+            precision,
+        ))?;
+        let mut decode_bd = InferenceBreakdown::default();
         for step in 0..self.generate {
-            let ctx = self.prefill + step;
-            let dp = GraphParams::decode(self.batch, ctx, tp, precision);
-            let layer = self.layer_cost(&dp)?;
+            let dp = GraphParams::decode(self.batch, self.prefill + step, tp, precision);
+            let mut layer = StepCost::default();
+            self.walk_decode_layer(&row, &dp, |cost| layer.add(cost))?;
             add_scaled(&mut decode_bd, &layer.bd, layers);
             device_flops += layer.flops * layers;
             dram_traffic += layer.dram * layers;
-            decode_bd.communication += plan.tp_layer_inference(decode_comm_volume) * layers;
-            network_traffic += plan.tp_layer_forward_wire_bytes(decode_comm_volume) * layers;
+            decode_bd.communication += step_comm;
+            network_traffic += step_wire;
 
-            let extra = self.extra_cost(&dp)?;
             add_scaled(&mut decode_bd, &extra.bd, 1.0);
             device_flops += extra.flops;
             dram_traffic += extra.dram;
@@ -289,8 +313,9 @@ impl<'a> PreparedInferenceEstimator<'a> {
         breakdown.communication = prefill_bd.communication + decode_bd.communication;
 
         // --- per-GEMM analyses ------------------------------------------------
-        // Both tables are warm memo hits: the prefill layer was costed
-        // above, and the final decode context is the last loop step.
+        // The prefill table is a warm memo hit; the decode table costs the
+        // layer once more at the final context, the one decode entry the
+        // layer memo holds.
         let prefill_gemms = pre_layer.gemms.clone();
         let final_ctx = self.prefill + self.generate - 1;
         let decode_params = GraphParams::decode(self.batch, final_ctx, tp, precision);
@@ -383,10 +408,20 @@ impl<'a> PreparedInferenceEstimator<'a> {
             "degenerate decode iteration"
         );
         memoized(&self.decode_totals, (batch, kv_len, tp, precision), || {
-            let row = memoized(&self.decode_rows, (batch, tp, precision), || {
-                self.decode_row(batch, tp, precision).map(Arc::new)
-            })?;
+            let row = self.decode_row(batch, tp, precision)?;
             self.decode_total(&row, &GraphParams::decode(batch, kv_len, tp, precision))
+        })
+    }
+
+    /// The decode row at `batch`, memoized on `(batch, tp, precision)`.
+    fn decode_row(
+        &self,
+        batch: usize,
+        tp: usize,
+        precision: Precision,
+    ) -> Result<Arc<DecodeRow>, HwError> {
+        memoized(&self.decode_rows, (batch, tp, precision), || {
+            self.cost_decode_row(batch, tp, precision).map(Arc::new)
         })
     }
 
@@ -395,7 +430,7 @@ impl<'a> PreparedInferenceEstimator<'a> {
     /// attention core, nor the head stage or the all-reduce volume, reads
     /// `kv_len` (pinned by `decode_ops_differ_only_in_the_attention_core`
     /// and `extra_ops_are_context_independent`).
-    fn decode_row(
+    fn cost_decode_row(
         &self,
         batch: usize,
         tp: usize,
@@ -422,19 +457,31 @@ impl<'a> PreparedInferenceEstimator<'a> {
         })
     }
 
-    /// One decode iteration at `gp.kv_len` from its batch's row: costs the
-    /// attention core into the row's holes and accumulates every layer op
-    /// in `layer_forward_ops` order — the f64 sums of costing the whole
-    /// layer op by op.
+    /// One decode iteration's time at `gp.kv_len` from its batch's row.
     fn decode_total(&self, row: &DecodeRow, gp: &GraphParams) -> Result<Time, HwError> {
-        let mut core = graph::attention_core_ops(&self.model, gp).into_iter();
         let mut bd = InferenceBreakdown::default();
+        self.walk_decode_layer(row, gp, |cost| accumulate(&mut bd, cost))?;
+        let layers = self.model.layers as f64;
+        Ok(bd.total() * layers + row.comm * layers + row.head)
+    }
+
+    /// Hands `fold` the cost of every op of one decode layer at
+    /// `gp.kv_len`, in `layer_forward_ops` order: the row's costs, with the
+    /// attention core costed at that context in its holes. Folding them in
+    /// this order gives the f64 sums of costing the whole layer op by op.
+    fn walk_decode_layer(
+        &self,
+        row: &DecodeRow,
+        gp: &GraphParams,
+        mut fold: impl FnMut(&KernelCost),
+    ) -> Result<(), HwError> {
+        let mut core = graph::attention_core_ops(&self.model, gp).into_iter();
         for slot in &row.layer {
             match slot {
-                Some(cost) => accumulate(&mut bd, cost),
+                Some(cost) => fold(cost),
                 None => {
                     let op = core.next().expect("one attention-core op per hole");
-                    accumulate(&mut bd, &self.op_cost(&op, gp.precision)?);
+                    fold(&self.op_cost(&op, gp.precision)?);
                 }
             }
         }
@@ -442,8 +489,7 @@ impl<'a> PreparedInferenceEstimator<'a> {
             core.next().is_none(),
             "every attention-core op fills a hole"
         );
-        let layers = self.model.layers as f64;
-        Ok(bd.total() * layers + row.comm * layers + row.head)
+        Ok(())
     }
 
     /// One transformer layer's kernels for the pass described by `gp`,
@@ -483,9 +529,7 @@ impl<'a> PreparedInferenceEstimator<'a> {
         let mut total = StepCost::default();
         for op in ops {
             let cost = self.op_cost(op, precision)?;
-            accumulate(&mut total.bd, &cost);
-            total.flops += cost.flops;
-            total.dram += cost.dram_traffic();
+            total.add(&cost);
             if let OpKind::Gemm(_) = op.kind {
                 total.gemms.push(GemmAnalysis {
                     role: op.role,
@@ -730,27 +774,28 @@ mod tests {
         assert_eq!(serving.cached_keys(), 3, "the failed row is shared");
     }
 
-    /// All decode steps of one point share a single embedding/head entry,
-    /// so the extra cache stays tiny while the layer cache holds one entry
-    /// per distinct context length.
+    /// A point's memo keys do not grow with `generate`: every decode step
+    /// shares one decode row and one embedding/head entry, and the layer
+    /// memo holds the prefill layer plus the decode layer at the final
+    /// context (for the per-GEMM table), never an entry per context.
     #[test]
-    fn decode_steps_share_the_head_entry() {
+    fn memo_keys_do_not_grow_with_generate() {
         let cluster = presets::dgx_a100_hdr_cluster();
-        let generate = 16;
-        let prepared = PreparedInferenceEstimator::new(
-            &cluster,
-            Arc::new(models::llama2_7b()),
-            1,
-            100,
-            generate,
-        );
-        prepared.estimate(1, Precision::Fp16).unwrap();
-        // Layer entries: 1 prefill + `generate` decode contexts; extra
-        // entries: 1 prefill + 1 decode.
-        let after_one = prepared.cached_keys();
-        assert_eq!(after_one, (1 + generate) + 2);
-        // A second estimate at the same point adds nothing.
-        prepared.estimate(1, Precision::Fp16).unwrap();
-        assert_eq!(prepared.cached_keys(), after_one);
+        let keys = |generate| {
+            let prepared = PreparedInferenceEstimator::new(
+                &cluster,
+                Arc::new(models::llama2_7b()),
+                1,
+                100,
+                generate,
+            );
+            prepared.estimate(1, Precision::Fp16).unwrap();
+            let after_one = prepared.cached_keys();
+            // A second estimate at the same point adds nothing.
+            prepared.estimate(1, Precision::Fp16).unwrap();
+            assert_eq!(prepared.cached_keys(), after_one, "generate={generate}");
+            after_one
+        };
+        assert_eq!(keys(16), keys(200));
     }
 }

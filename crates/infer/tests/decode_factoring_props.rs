@@ -16,15 +16,21 @@
 //! * when eight threads race on every first touch of one shared
 //!   estimator, over (batch, context) pairs whose rows are shared, every
 //!   price still equals the reference to the bit, and the memo ends up
-//!   with exactly the keys a single-threaded fill leaves.
+//!   with exactly the keys a single-threaded fill leaves;
+//! * the one-shot `estimate`, whose decode loop prices each step from
+//!   the same rows, equals the unfactored, unmemoized loop (every op of
+//!   the prefill layer, of each step's decode layer and of the
+//!   embedding/LM-head stage costed and folded in op order, plus the
+//!   all-reduces) **to the bit** in every time, breakdown category,
+//!   traffic volume and decode-GEMM row.
 
 use optimus_collective::CommModel;
 use optimus_hw::{presets, ClusterSpec, Precision};
-use optimus_infer::{InferenceBreakdown, PreparedInferenceEstimator};
+use optimus_infer::{GemmAnalysis, InferenceBreakdown, PreparedInferenceEstimator};
 use optimus_model::{graph, presets as models, GraphParams, ModelConfig, Op, OpKind};
 use optimus_parallel::{CommPlan, Parallelism};
 use optimus_roofline::RooflineModel;
-use optimus_units::{Bytes, Time};
+use optimus_units::{Bytes, FlopCount, Time};
 use proptest::prelude::*;
 use rayon::prelude::*;
 use std::sync::{Arc, Barrier};
@@ -46,10 +52,20 @@ fn device(index: usize) -> (ClusterSpec, Precision) {
     }
 }
 
-/// `ops` costed one by one, each kernel's roofline time filed under its
-/// bound type and its overhead under `overhead`, summed in op order.
-fn op_by_op(roofline: &RooflineModel<'_>, ops: &[Op], precision: Precision) -> Time {
-    let mut bd = InferenceBreakdown::default();
+/// An op list's costs folded in op order: each kernel's roofline time
+/// filed under its bound type and its overhead under `overhead`, its
+/// FLOPs and DRAM bytes summed, and a row per GEMM.
+#[derive(Default)]
+struct Folded {
+    bd: InferenceBreakdown,
+    flops: FlopCount,
+    dram: Bytes,
+    gemms: Vec<GemmAnalysis>,
+}
+
+/// `ops` costed one by one through the public roofline and folded.
+fn fold(roofline: &RooflineModel<'_>, ops: &[Op], precision: Precision) -> Folded {
+    let mut out = Folded::default();
     for op in ops {
         let cost = match op.kind {
             OpKind::Gemm(g) => roofline.batched_gemm(g, precision).unwrap(),
@@ -59,13 +75,34 @@ fn op_by_op(roofline: &RooflineModel<'_>, ops: &[Op], precision: Precision) -> T
                 .unwrap(),
         };
         if cost.bound().is_compute() {
-            bd.compute += cost.roofline_time();
+            out.bd.compute += cost.roofline_time();
         } else {
-            bd.memory += cost.roofline_time();
+            out.bd.memory += cost.roofline_time();
         }
-        bd.overhead += cost.overhead;
+        out.bd.overhead += cost.overhead;
+        out.flops += cost.flops;
+        out.dram += cost.dram_traffic();
+        if let OpKind::Gemm(_) = op.kind {
+            out.gemms.push(GemmAnalysis {
+                role: op.role,
+                time: cost.total(),
+                bound: cost.bound(),
+            });
+        }
     }
-    bd.total()
+    out
+}
+
+/// The time of `ops` costed one by one and folded in op order.
+fn op_by_op(roofline: &RooflineModel<'_>, ops: &[Op], precision: Precision) -> Time {
+    fold(roofline, ops, precision).bd.total()
+}
+
+/// The embedding + LM-head stage's ops.
+fn extra_ops(model: &ModelConfig, gp: &GraphParams) -> Vec<Op> {
+    let mut ops = graph::embedding_ops(model, gp);
+    ops.extend(graph::head_ops(model, gp));
+    ops
 }
 
 /// `items` in a seeded random order (Fisher–Yates over splitmix64).
@@ -94,13 +131,160 @@ fn reference(
     let roofline = RooflineModel::new(cluster.accelerator());
     let gp = GraphParams::decode(batch, kv_len, tp, precision);
     let layer = op_by_op(&roofline, &graph::layer_forward_ops(model, &gp), precision);
-    let mut head_ops = graph::embedding_ops(model, &gp);
-    head_ops.extend(graph::head_ops(model, &gp));
-    let head = op_by_op(&roofline, &head_ops, precision);
+    let head = op_by_op(&roofline, &extra_ops(model, &gp), precision);
     let plan = CommPlan::new(cluster, Parallelism::tensor_parallel(tp), CommModel::Auto);
     let volume = Bytes::new((batch * model.hidden) as f64 * precision.bytes());
     let layers = model.layers as f64;
     layer * layers + plan.tp_layer_inference(volume) * layers + head
+}
+
+/// The parts of an `InferenceReport` the decode loop produces.
+struct OneShot {
+    total: Time,
+    decode: Time,
+    per_token: Time,
+    breakdown: InferenceBreakdown,
+    device_flops: FlopCount,
+    dram_traffic: Bytes,
+    network_traffic: Bytes,
+    decode_gemms: Vec<GemmAnalysis>,
+}
+
+/// Adds `scale` copies of `src`'s kernel categories into `dst`.
+fn add_scaled(dst: &mut InferenceBreakdown, src: &InferenceBreakdown, scale: f64) {
+    dst.compute += src.compute * scale;
+    dst.memory += src.memory * scale;
+    dst.overhead += src.overhead * scale;
+}
+
+/// A one-shot estimate's loop with no factoring and no memo: the prefill
+/// layer and every decode step's layer at its own context costed op by
+/// op, the embedding/LM-head stage costed afresh at each step, and the
+/// TP all-reduces, folded in the order the estimator adds them.
+fn reference_estimate(
+    cluster: &ClusterSpec,
+    model: &ModelConfig,
+    (batch, prefill, generate, tp): (usize, usize, usize, usize),
+    precision: Precision,
+) -> OneShot {
+    let roofline = RooflineModel::new(cluster.accelerator());
+    let plan = CommPlan::new(cluster, Parallelism::tensor_parallel(tp), CommModel::Auto);
+    let layers = model.layers as f64;
+
+    let pre = GraphParams::prefill(batch, prefill, tp, precision);
+    let layer = fold(&roofline, &graph::layer_forward_ops(model, &pre), precision);
+    let mut prefill_bd = InferenceBreakdown::default();
+    add_scaled(&mut prefill_bd, &layer.bd, layers);
+    let mut device_flops = layer.flops * layers;
+    let mut dram_traffic = layer.dram * layers;
+    let volume = Bytes::new((batch * prefill * model.hidden) as f64 * precision.bytes());
+    prefill_bd.communication += plan.tp_layer_inference(volume) * layers;
+    let mut network_traffic = plan.tp_layer_forward_wire_bytes(volume) * layers;
+    let extra = fold(&roofline, &extra_ops(model, &pre), precision);
+    add_scaled(&mut prefill_bd, &extra.bd, 1.0);
+    device_flops += extra.flops;
+    dram_traffic += extra.dram;
+
+    let mut decode_bd = InferenceBreakdown::default();
+    let volume = Bytes::new((batch * model.hidden) as f64 * precision.bytes());
+    let mut decode_gemms = Vec::new();
+    for step in 0..generate {
+        let dp = GraphParams::decode(batch, prefill + step, tp, precision);
+        let layer = fold(&roofline, &graph::layer_forward_ops(model, &dp), precision);
+        add_scaled(&mut decode_bd, &layer.bd, layers);
+        device_flops += layer.flops * layers;
+        dram_traffic += layer.dram * layers;
+        decode_bd.communication += plan.tp_layer_inference(volume) * layers;
+        network_traffic += plan.tp_layer_forward_wire_bytes(volume) * layers;
+        let extra = fold(&roofline, &extra_ops(model, &dp), precision);
+        add_scaled(&mut decode_bd, &extra.bd, 1.0);
+        device_flops += extra.flops;
+        dram_traffic += extra.dram;
+        decode_gemms = layer.gemms;
+    }
+    let decode = decode_bd.total();
+    let mut breakdown = prefill_bd;
+    add_scaled(&mut breakdown, &decode_bd, 1.0);
+    breakdown.communication = prefill_bd.communication + decode_bd.communication;
+    OneShot {
+        total: prefill_bd.total() + decode,
+        decode,
+        per_token: decode / generate as f64,
+        breakdown,
+        device_flops,
+        dram_traffic,
+        network_traffic,
+        decode_gemms,
+    }
+}
+
+/// A breakdown's four categories as bit patterns.
+fn breakdown_bits(bd: &InferenceBreakdown) -> [u64; 4] {
+    [bd.compute, bd.memory, bd.communication, bd.overhead].map(|t| t.secs().to_bits())
+}
+
+/// A GEMM table's rows as (role, bound, time bits).
+fn gemm_bits(gemms: &[GemmAnalysis]) -> Vec<String> {
+    gemms
+        .iter()
+        .map(|g| format!("{} {:?} {:#x}", g.role, g.bound, g.time.secs().to_bits()))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn one_shot_estimate_matches_the_unfactored_loop_to_the_bit(
+        batch in 1usize..=64,
+        prefill in 1usize..=4096,
+        generate in 1usize..=64,
+        tp in 1usize..=8,
+        (m, d) in (0usize..3, 0usize..2),
+    ) {
+        let (cluster, precision) = device(d);
+        let model = model(m);
+        let report = PreparedInferenceEstimator::new(
+            &cluster,
+            Arc::clone(&model),
+            batch,
+            prefill,
+            generate,
+        )
+        .estimate(tp, precision)
+        .unwrap();
+        let expected = reference_estimate(&cluster, &model, (batch, prefill, generate, tp), precision);
+        let case = format!("{} batch={batch} prefill={prefill} generate={generate} tp={tp} {precision}", model.name);
+        let bits = |t: Time| t.secs().to_bits();
+        prop_assert_eq!(bits(report.total), bits(expected.total), "total, {}", case);
+        prop_assert_eq!(bits(report.decode), bits(expected.decode), "decode, {}", case);
+        prop_assert_eq!(bits(report.per_token), bits(expected.per_token), "per_token, {}", case);
+        prop_assert_eq!(
+            breakdown_bits(&report.breakdown),
+            breakdown_bits(&expected.breakdown),
+            "breakdown, {}", case
+        );
+        prop_assert_eq!(
+            report.device_flops.get().to_bits(),
+            expected.device_flops.get().to_bits(),
+            "device_flops, {}", case
+        );
+        prop_assert_eq!(
+            report.dram_traffic.bytes().to_bits(),
+            expected.dram_traffic.bytes().to_bits(),
+            "dram_traffic, {}", case
+        );
+        prop_assert_eq!(
+            report.network_traffic.bytes().to_bits(),
+            expected.network_traffic.bytes().to_bits(),
+            "network_traffic, {}", case
+        );
+        prop_assert_eq!(
+            gemm_bits(&report.decode_gemms),
+            gemm_bits(&expected.decode_gemms),
+            "decode_gemms, {}", case
+        );
+    }
 }
 
 proptest! {
