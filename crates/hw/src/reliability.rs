@@ -82,18 +82,23 @@ impl FailureProcess {
     ///
     /// Returns a human-readable reason when a parameter is out of range
     /// (non-positive or non-finite Weibull shape, zero racks, or a
-    /// non-positive/non-finite rack MTBF).
+    /// non-positive/non-finite rack MTBF), or when a shape or rack MTBF is
+    /// so small (below about 5.6e-309) that its reciprocal overflows.
     pub fn validate(&self) -> Result<(), String> {
         match self {
             Self::Exponential => Ok(()),
             Self::Weibull { shape } => {
-                if shape.is_finite() && *shape > 0.0 {
-                    Ok(())
-                } else {
-                    Err(format!(
+                if !(shape.is_finite() && *shape > 0.0) {
+                    return Err(format!(
                         "Weibull shape must be positive and finite, got {shape}"
-                    ))
+                    ));
                 }
+                if !(1.0 / shape).is_finite() {
+                    return Err(format!(
+                        "Weibull shape {shape:?} is too small: its reciprocal 1/k overflows"
+                    ));
+                }
+                Ok(())
             }
             Self::RackCorrelated { racks, rack_mtbf_s } => {
                 if *racks == 0 {
@@ -102,6 +107,11 @@ impl FailureProcess {
                 if !(rack_mtbf_s.is_finite() && *rack_mtbf_s > 0.0) {
                     return Err(format!(
                         "rack MTBF must be positive and finite, got {rack_mtbf_s}"
+                    ));
+                }
+                if !(1.0 / rack_mtbf_s).is_finite() {
+                    return Err(format!(
+                        "rack MTBF {rack_mtbf_s:?} s is too short: its rate 1/MTBF overflows"
                     ));
                 }
                 Ok(())
@@ -322,6 +332,27 @@ mod tests {
         }
         .validate()
         .is_err());
+    }
+
+    /// A rack MTBF or Weibull shape below about 5.6e-309 has an infinite
+    /// reciprocal: the rack rate makes the cluster MTBF 0 and then a NaN
+    /// time, and an infinite `1/k` never finishes pricing. Both are
+    /// refused; the smallest normal values still pass.
+    #[test]
+    fn validation_rejects_parameters_whose_reciprocal_overflows() {
+        let tiny = 1e-320;
+        let racks = |rack_mtbf_s| FailureProcess::RackCorrelated {
+            racks: 4,
+            rack_mtbf_s,
+        };
+        assert!(racks(tiny).validate().is_err());
+        assert!(FailureProcess::Weibull { shape: tiny }.validate().is_err());
+        assert!(racks(f64::MIN_POSITIVE).validate().is_ok());
+        assert!(FailureProcess::Weibull {
+            shape: f64::MIN_POSITIVE
+        }
+        .validate()
+        .is_ok());
     }
 
     #[test]

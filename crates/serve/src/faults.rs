@@ -298,8 +298,9 @@ impl FaultSpec {
     ///
     /// Returns a human-readable reason when a field is out of range
     /// (negative or non-finite MTBF, non-positive MTTR with crashes
-    /// enabled, straggler fraction outside `[0, 1]`, multipliers below 1,
-    /// a domain with duplicate members or a degenerate outage process).
+    /// enabled, a positive MTBF or MTTR whose reciprocal rate overflows,
+    /// straggler fraction outside `[0, 1]`, multipliers below 1, a domain
+    /// with duplicate members or a degenerate outage process).
     pub fn validate(&self) -> Result<(), String> {
         if !(self.mtbf_s.is_finite() && self.mtbf_s >= 0.0) {
             return Err(format!(
@@ -307,9 +308,21 @@ impl FaultSpec {
                 self.mtbf_s
             ));
         }
+        if self.has_crashes() && !(1.0 / self.mtbf_s).is_finite() {
+            return Err(format!(
+                "MTBF {:?} s is too short: its crash rate 1/MTBF overflows",
+                self.mtbf_s
+            ));
+        }
         if self.has_crashes() && !(self.mttr_s.is_finite() && self.mttr_s > 0.0) {
             return Err(format!(
                 "MTTR must be positive and finite when crashes are enabled, got {}",
+                self.mttr_s
+            ));
+        }
+        if self.has_crashes() && !(1.0 / self.mttr_s).is_finite() {
+            return Err(format!(
+                "MTTR {:?} s is too short: its repair rate 1/MTTR overflows",
                 self.mttr_s
             ));
         }
@@ -339,9 +352,21 @@ impl FaultSpec {
                     domain.mtbf_s
                 ));
             }
+            if domain.mtbf_s > 0.0 && !(1.0 / domain.mtbf_s).is_finite() {
+                return Err(format!(
+                    "domain {index}: MTBF {:?} s is too short: its outage rate 1/MTBF overflows",
+                    domain.mtbf_s
+                ));
+            }
             if domain.mtbf_s > 0.0 && !(domain.mttr_s.is_finite() && domain.mttr_s > 0.0) {
                 return Err(format!(
                     "domain {index}: MTTR must be positive and finite when the domain is enabled, got {}",
+                    domain.mttr_s
+                ));
+            }
+            if domain.mtbf_s > 0.0 && !(1.0 / domain.mttr_s).is_finite() {
+                return Err(format!(
+                    "domain {index}: MTTR {:?} s is too short: its repair rate 1/MTTR overflows",
                     domain.mttr_s
                 ));
             }
@@ -914,6 +939,25 @@ mod tests {
         assert!(ok.validate().is_ok());
         assert!(ok.has_domains());
         assert!(!ok.is_none());
+    }
+
+    /// Below about 5.6e-309 s a positive MTBF or MTTR has an infinite
+    /// reciprocal, which `Exp::new` refuses with a panic when the outage
+    /// stream draws from it. Each is refused here instead, for the
+    /// replica process and for a failure domain; the smallest normal
+    /// durations still pass.
+    #[test]
+    fn validation_rejects_durations_whose_rate_overflows() {
+        let tiny = 1e-320;
+        assert!(FaultSpec::crashes(0, tiny, 10.0).validate().is_err());
+        assert!(FaultSpec::crashes(0, 10.0, tiny).validate().is_err());
+        let domain =
+            |mtbf, mttr| FaultSpec::none().with_domain(FaultDomain::new(vec![0, 1], mtbf, mttr));
+        assert!(domain(tiny, 10.0).validate().is_err());
+        assert!(domain(10.0, tiny).validate().is_err());
+        let least = f64::MIN_POSITIVE;
+        assert!(FaultSpec::crashes(0, least, least).validate().is_ok());
+        assert!(domain(least, least).validate().is_ok());
     }
 
     #[test]
