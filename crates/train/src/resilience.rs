@@ -909,6 +909,8 @@ impl Uptime {
 ///   shape [`FailureProcess::validate`] accepts. Periods before the mass
 ///   begins (`(u/λ)^k` below `1e-17`) are skipped, and the sum stops once
 ///   `τ·S(u)`, which bounds everything past `u`, is below `1e-17` of it.
+///   A mean far from 1 s (outside `1e-50..=1e50`) is priced in units of
+///   the mean, `M·E(1, τ/M, δ/M)`, where those sums stay in f64's range.
 #[must_use]
 pub fn expected_rework(uptime: Uptime, interval_s: f64, write_s: f64) -> f64 {
     let tau = interval_s;
@@ -924,8 +926,27 @@ pub fn expected_rework(uptime: Uptime, interval_s: f64, write_s: f64) -> f64 {
         let whole = -(-period / mean).exp_m1();
         return (tau - mean * exp_remainder(tau / mean) / whole).clamp(0.0, tau);
     }
+    if mean > 0.0 && mean.is_finite() && !DIRECT_MEANS.contains(&mean) {
+        let unit = expected_rework(
+            Uptime::weibull(uptime.shape, 1.0),
+            tau / mean,
+            write_s / mean,
+        );
+        return (mean * unit).min(tau);
+    }
     WeibullLaw::new(uptime.shape, mean).rework(tau, period)
 }
+
+/// The means `M` whose Weibull rework [`expected_rework`] sums directly.
+/// The period sum's scales follow `M`: its Euler–Maclaurin tail forms
+/// `P³` and the survival derivatives `h³`, with `P` and `1/h` of the
+/// order of `M` at realistic `τ/M`, and those leave f64's range (`M`
+/// beyond about 1e100 or below about 1e-100 gives a wrong sum or NaN).
+/// Outside this band `E` is priced in units of the mean,
+/// `E(M, τ, δ) = M·E(1, τ/M, δ/M)`, which holds because `E` scales
+/// linearly when `M`, `τ` and `δ` scale together; inside it every result
+/// is the direct sum's.
+const DIRECT_MEANS: core::ops::RangeInclusive<f64> = 1e-50..=1e50;
 
 /// `φ(a) = a − 1 + e^{−a}`, from its Taylor series `Σ_{n≥2} (−a)ⁿ/n!`
 /// below `a = 1/2` (where the direct form cancels) and directly above.

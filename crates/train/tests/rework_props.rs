@@ -11,7 +11,10 @@
 //!   quadrature of `Σ_j [∫_{jP}^{jP+τ} S − τ·S((j+1)P)]` over
 //!   `k ∈ [0.3, 5]`;
 //! * **unbiased** — agrees with a seeded 2¹⁶-draw Monte Carlo of the
-//!   uptime within 4 standard errors.
+//!   uptime within 4 standard errors;
+//! * **scale-invariant** — `E(cM, cτ, cδ) = c·E(M, τ, δ)` to `1e-9`
+//!   relative for `c` log-uniform over `[1e-300, 1e300]` and
+//!   `k ∈ [0.3, 5]`.
 //!
 //! The mean is fixed at 1000 s where it does not matter: `E` scales
 //! linearly when `M`, `τ` and `δ` scale together.
@@ -158,6 +161,27 @@ proptest! {
         prop_assert!(
             (weibull / exponential - 1.0).abs() < 1e-5,
             "k = {shape}: {weibull} vs exponential {exponential}"
+        );
+    }
+
+    /// Scaling the mean, the interval and the write time together scales
+    /// `E` by the same factor, over the whole f64 range: the direct
+    /// period sum leaves f64's range far from `M = 1 s` (it returned NaN
+    /// below `c ≈ 1e-105` and above `c ≈ 1e100` for `k < 1`).
+    #[test]
+    fn rework_is_scale_invariant(
+        shape in 0.3f64..5.0,
+        log_scale in -300.0f64..300.0,
+        tau_frac in 1e-3f64..3.0,
+        write_frac in 0.0f64..2.0,
+    ) {
+        let c = 10f64.powf(log_scale);
+        let (tau, write) = (tau_frac * MEAN, write_frac * tau_frac * MEAN);
+        let base = expected_rework(Uptime::weibull(shape, MEAN), tau, write);
+        let scaled = expected_rework(Uptime::weibull(shape, c * MEAN), c * tau, c * write) / c;
+        prop_assert!(
+            (scaled / base - 1.0).abs() < 1e-9,
+            "k = {shape}, c = {c:e}, τ = {tau}, δ = {write}: {scaled} vs {base}"
         );
     }
 
