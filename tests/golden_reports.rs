@@ -26,8 +26,8 @@ use optimus::memory::RecomputeMode;
 use optimus::model::presets as models;
 use optimus::prelude::Precision;
 use optimus::prelude::{
-    CheckpointSpec, InferenceConfig, InferenceEstimator, Parallelism, PipelineSchedule,
-    TrainingConfig, TrainingEstimator,
+    CheckpointSpec, CheckpointTier, FailureProcess, InferenceConfig, InferenceEstimator,
+    Parallelism, PipelineSchedule, TrainingConfig, TrainingEstimator,
 };
 use optimus::units::Time;
 use optimus_serve::{
@@ -35,7 +35,7 @@ use optimus_serve::{
     LengthDist, LoadStrategy, LoadSweepSpec, PreemptPolicy, PrefixSpec, RecordMode, RouterPolicy,
     Scheduler, ServeConfig, ServeInstance, SloSpec, TraceSpec,
 };
-use optimus_sweep::{SweepEngine, SweepSpace, Workload};
+use optimus_sweep::{SweepEngine, SweepReport, SweepSpace, Workload};
 use std::sync::Arc;
 
 fn trace(
@@ -222,28 +222,69 @@ fn basic_resilience_train_report_is_byte_identical_to_the_pre_stack_fixture() {
 }
 
 /// `sweep --model llama2-13b --cluster a100-hdr --workload train
-/// --batch 64 --max-gpus 64 --mtbf 10000 --restart 900 --frontier-only
-/// --json`
-#[test]
-fn basic_resilience_sweep_frontier_is_byte_identical_to_the_pre_stack_fixture() {
+/// --batch 64 --max-gpus 64` under `checkpoint`: every 64-GPU llama2-13b
+/// strategy, selective recomputation, the CLI's defaults.
+fn resilient_training_sweep(checkpoint: CheckpointSpec) -> SweepReport {
     let workload = Workload::Training {
         batch: 64,
         seq: 2048,
         recompute: RecomputeMode::Selective,
         schedule: PipelineSchedule::OneFOneB,
     };
-    let report = SweepEngine::new(&presets::dgx_a100_hdr_cluster())
-        .with_checkpoint(CheckpointSpec::with_mtbf(10_000.0).with_restart(900.0))
+    SweepEngine::new(&presets::dgx_a100_hdr_cluster())
+        .with_checkpoint(checkpoint)
         .sweep(
             &models::llama2_13b(),
             &workload,
             &SweepSpace::power_of_two(64),
-        );
+        )
+}
+
+/// `sweep --model llama2-13b --cluster a100-hdr --workload train
+/// --batch 64 --max-gpus 64 --mtbf 10000 --restart 900 --frontier-only
+/// --json`
+#[test]
+fn basic_resilience_sweep_frontier_is_byte_identical_to_the_pre_stack_fixture() {
+    let report = resilient_training_sweep(CheckpointSpec::with_mtbf(10_000.0).with_restart(900.0));
     assert_eq!(
         serde_json::to_string_pretty(&report.frontier).unwrap(),
         include_str!("golden/sweep_resilience_frontier.json"),
         "basic-spec sweep frontier JSON drifted from the pre-stack fixture"
     );
+}
+
+/// `sweep --model llama2-13b --cluster a100-hdr --workload train
+/// --batch 64 --max-gpus 64 --mtbf 10000 --restart 900
+/// --failure-process weibull:0.7 --checkpoint-tiers peer,delta --elastic
+/// --json`, the tiered-resilience sweep of perfbench `sweep` pass (b):
+/// every strategy priced under Weibull failures, peer and delta tiers and
+/// elastic continuation. The `--frontier-only` output is a fixture and
+/// the full report (about 261 kB pretty) is pinned like the large reports
+/// below. Captured before the checkpoint rework was memoized across a
+/// sweep, and checked byte for byte against that build's CLI `--json`.
+#[test]
+fn tiered_resilience_sweep_matches_its_pre_rework_memo_fixture_and_pins() {
+    let report = resilient_training_sweep(
+        CheckpointSpec::with_mtbf(10_000.0)
+            .with_restart(900.0)
+            .with_process(FailureProcess::Weibull { shape: 0.7 })
+            .with_tiers(vec![CheckpointTier::peer(), CheckpointTier::delta()])
+            .with_elastic(true),
+    );
+    assert_eq!(
+        serde_json::to_string_pretty(&report.frontier).unwrap(),
+        include_str!("golden/sweep_tiered_resilience_frontier.json"),
+        "tiered-resilience sweep frontier JSON drifted from the pre-memo fixture"
+    );
+    let drifted = pin_drift(
+        "sweep_tiered_resilience",
+        &report,
+        [
+            (260_847, 0xd7bc_f344_de71_4ebd),
+            (165_420, 0xfb6c_e215_f2a5_a0ab),
+        ],
+    );
+    assert!(drifted.is_empty(), "JSON drifted:\n{}", drifted.join("\n"));
 }
 
 /// `infer --model llama2-70b --cluster h100-ndr --tp 8 --prefill 200
