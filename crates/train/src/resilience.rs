@@ -909,6 +909,8 @@ impl Uptime {
 ///   shape [`FailureProcess::validate`] accepts. Periods before the mass
 ///   begins (`(u/λ)^k` below `1e-17`) are skipped, and the sum stops once
 ///   `τ·S(u)`, which bounds everything past `u`, is below `1e-17` of it.
+///   A period too short to resolve where the mass begins (under `2⁻²⁶`
+///   of that point) prices the uniform phase, `τ(τ/2 + δ)/(τ + δ)`.
 ///   A mean far from 1 s (outside `1e-50..=1e50`) is priced in units of
 ///   the mean, `M·E(1, τ/M, δ/M)`, where those sums stay in f64's range.
 #[must_use]
@@ -1000,6 +1002,15 @@ const EM_DRIFT: f64 = 2e-3;
 /// Cumulative hazard `(u/λ)^k` below which the mass has not begun:
 /// periods that end before it add at most `τ` times it in total.
 const MASS_BEGINS: f64 = 1e-17;
+/// The period sum resolves a period at the point `x` where the mass begins
+/// only while `P` is at least this fraction of `x` (`2⁻²⁶ = √ε`): its
+/// nodes `x + s·τ` round by `ε·x/τ` relative, and where `x + τ == x` a
+/// whole period rounds away. A shorter period prices the uniform phase
+/// `U mod P` instead, whose error in `E/τ` is at most the skipped mass
+/// plus `P` times the density's total variation past `x`: `k·1e-17` more
+/// where the density falls from `x` on (`k < 1`), and `2⁻²⁵·x·f_max` more
+/// where it rises to a mode first.
+const RESOLVED_PERIOD: f64 = 1.490_116_119_384_765_6e-8;
 /// Stop once the remaining mass bounds the rest of the sum below this
 /// fraction of the running total.
 const TAIL_NEGLIGIBLE: f64 = 1e-17;
@@ -1130,10 +1141,14 @@ impl WeibullLaw {
     /// `E[min(U mod P, τ)]`; see [`expected_rework`].
     fn rework(&self, tau: f64, period: f64) -> f64 {
         let k = self.shape;
+        let mass_begins = (self.ln_scale + MASS_BEGINS.ln() / k).exp();
+        if period < RESOLVED_PERIOD * mass_begins {
+            // The phase U mod P is uniform: E = τ(τ/2 + δ)/P.
+            return tau * (1.0 - tau / (2.0 * period));
+        }
         // Period 0 exactly: ∫₀^τ S = M·P(1/k, (τ/λ)^k).
         let mut total = self.partial_mean(tau) - tau * self.survival(period);
         // Skip the periods that end before the mass begins.
-        let mass_begins = (self.ln_scale + MASS_BEGINS.ln() / k).exp();
         let mut j = (mass_begins / period).floor().max(1.0);
         let mut z = self.cumulative_hazard(j * period);
         let smooth_end = self.smooth_end(period);
@@ -1183,7 +1198,13 @@ impl WeibullLaw {
 /// instead of `τ/2`, whose minimizer sits within `O(τ/M)` of this one.
 #[must_use]
 pub fn young_daly_interval(checkpoint_write_s: f64, cluster_mtbf_s: f64) -> f64 {
-    (2.0 * checkpoint_write_s * cluster_mtbf_s).sqrt()
+    let product = 2.0 * checkpoint_write_s * cluster_mtbf_s;
+    if product.is_finite() {
+        product.sqrt()
+    } else {
+        // 2δM overflows past about 1.8e308; the roots of its factors do not.
+        (2.0 * checkpoint_write_s).sqrt() * cluster_mtbf_s.sqrt()
+    }
 }
 
 /// The first-order waste fraction `w(τ) = δ/τ + (τ/2 + R)/M`: non-useful
@@ -1507,6 +1528,49 @@ mod tests {
         assert_eq!(fixed.interval.secs(), 1234.0);
         // A fixed interval far from the Young–Daly pick loses to it.
         assert!(auto.goodput > fixed.goodput);
+    }
+
+    #[test]
+    fn young_daly_interval_outlives_an_overflowing_product() {
+        // In range the interval is √(2δM), bit for bit.
+        assert_eq!(
+            young_daly_interval(37.5, 1.25e4),
+            (2.0 * 37.5 * 1.25e4f64).sqrt()
+        );
+        // 2δM leaves f64's range past about 1.8e308, √(2δM) does not.
+        let tau = young_daly_interval(100.0, 1e307);
+        assert!((tau / (200f64.sqrt() * 1e307f64.sqrt()) - 1.0).abs() < 1e-15);
+        // One unsharded llama2-13b device at the largest per-GPU MTBF
+        // takes seconds to checkpoint, so its 2δM overflows; every process
+        // prices it to finite figures.
+        let cluster = presets::dgx_a100_hdr_cluster();
+        let memory = memory_for(Parallelism::new(1, 1, 1));
+        for process in [
+            FailureProcess::Exponential,
+            FailureProcess::Weibull { shape: 0.7 },
+            FailureProcess::Weibull { shape: 1.5 },
+            FailureProcess::RackCorrelated {
+                racks: 4,
+                rack_mtbf_s: 1e9,
+            },
+        ] {
+            let r = CheckpointSpec::with_mtbf(1e308)
+                .with_process(process)
+                .evaluate(&cluster, &memory, 1, Time::from_secs(10.0))
+                .unwrap();
+            if process == FailureProcess::Exponential {
+                let (delta, m) = (r.checkpoint_write.secs(), r.cluster_mtbf.secs());
+                assert!(!(2.0 * delta * m).is_finite(), "δ = {delta}, M = {m}");
+            }
+            for (name, x) in [
+                ("interval", r.interval.secs()),
+                ("rework", r.rework_frac),
+                ("goodput", r.goodput),
+                ("expected", r.expected_time_per_batch.secs()),
+            ] {
+                assert!(x.is_finite(), "{process:?}: {name} = {x}");
+            }
+        }
     }
 
     #[test]

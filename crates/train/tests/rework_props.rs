@@ -14,7 +14,10 @@
 //!   uptime within 4 standard errors;
 //! * **scale-invariant** — `E(cM, cτ, cδ) = c·E(M, τ, δ)` to `1e-9`
 //!   relative for `c` log-uniform over `[1e-300, 1e300]` and
-//!   `k ∈ [0.3, 5]`.
+//!   `k ∈ [0.3, 5]`;
+//! * **uniform in phase at tiny intervals** — for `τ/M` log-uniform over
+//!   `[1e-300, 1e-12]`, `k ∈ [0.7, 5]` and `δ/τ ∈ [0, 2]`, `E` is within
+//!   `1e-6` relative of the uniform-phase value `τ(τ/2 + δ)/(τ + δ)`.
 //!
 //! The mean is fixed at 1000 s where it does not matter: `E` scales
 //! linearly when `M`, `τ` and `δ` scale together.
@@ -182,6 +185,27 @@ proptest! {
         prop_assert!(
             (scaled / base - 1.0).abs() < 1e-9,
             "k = {shape}, c = {c:e}, τ = {tau}, δ = {write}: {scaled} vs {base}"
+        );
+    }
+
+    /// Far below `τ/M = 1e-12` the period sum cannot resolve one period
+    /// where the mass begins, and the phase `U mod P` is uniform: `E` is
+    /// its value `τ(τ/2 + δ)/(τ + δ)`. The sum read 0 there (below
+    /// `τ/M ≈ 1e-41` at `k = 0.7` and `1e-20` at `k = 5`).
+    #[test]
+    fn rework_tends_to_the_uniform_phase_at_tiny_intervals(
+        shape in 0.7f64..5.0,
+        write_frac in 0.0f64..2.0,
+        log_tau_frac in -300.0f64..-12.0,
+    ) {
+        let tau = 10f64.powf(log_tau_frac) * MEAN;
+        let write = write_frac * tau;
+        let e = expected_rework(Uptime::weibull(shape, MEAN), tau, write);
+        let uniform = tau * ((tau / 2.0 + write) / (tau + write));
+        prop_assert!(
+            (e / uniform - 1.0).abs() < 1e-6,
+            "k = {shape}, τ/M = {:e}, δ/τ = {write_frac}: {e} vs {uniform}",
+            tau / MEAN
         );
     }
 
