@@ -10,20 +10,24 @@
 //!
 //! * **Phase 1 (prepare, once per sweep):** fix the model, cluster, and
 //!   workload; build the roofline; pre-compute the useful model FLOPs; and
-//!   open a concurrent memo table of [`LayerCosts`] keyed by
-//!   `(tp, sp, microbatch, precision)`.
+//!   open two concurrent memo tables: [`LayerCosts`] keyed by
+//!   `(tp, sp, microbatch, precision)`, and the expected checkpoint
+//!   rework ([`expected_rework`]) keyed by the bit patterns of its
+//!   `(shape, mean, τ, δ)`.
 //! * **Phase 2 (evaluate, once per point):** look the layer costs up and
 //!   run only the cheap assembly — pipeline algebra, DP/PP collectives,
-//!   optimizer update, MFU.
+//!   optimizer update, MFU — then price the failure environment, whose
+//!   reworks the points of a sweep share: a strategy's interval and write
+//!   time depend only on its cluster MTBF and its checkpoint shard.
 //!
-//! The memo table is filled with pure functions of its key, so concurrent
+//! Both tables are filled with pure functions of their keys, so concurrent
 //! evaluation order cannot change any value: a memoized sweep is
 //! byte-identical to a naive per-point evaluation (a property the
 //! `optimus-sweep` integration tests pin down).
 
 use crate::{
-    CheckpointSpec, GemmBoundSplit, StackContext, TrainError, TrainingBreakdown, TrainingConfig,
-    TrainingReport,
+    expected_rework, CheckpointSpec, GemmBoundSplit, StackContext, TrainError, TrainingBreakdown,
+    TrainingConfig, TrainingReport, Uptime,
 };
 use optimus_collective::CommModel;
 use optimus_hw::{ClusterSpec, Precision};
@@ -89,6 +93,10 @@ pub(crate) fn ops_cost(
 /// fixed per [`PreparedTrainingEstimator`], and DP/PP only assemble.
 type LayerKey = (usize, bool, usize, Precision);
 
+/// The rework memo key: the bit patterns of an uptime law's shape and
+/// mean, the checkpoint interval `τ` and the write time `δ`.
+type ReworkKey = [u64; 4];
+
 /// Everything shared by all strategy points with the same [`LayerKey`]:
 /// the costed per-layer kernels, the embedding/head stage, the Fig. 7
 /// bound split, and the TP/SP collective terms (which also depend only on
@@ -149,6 +157,8 @@ pub struct PreparedTrainingEstimator<'a> {
     /// only, so computed once at prepare time.
     model_flops: FlopCount,
     cache: RwLock<HashMap<LayerKey, Result<LayerCosts, TrainError>>>,
+    /// [`expected_rework`] per distinct `(shape, mean, τ, δ)`.
+    reworks: RwLock<HashMap<ReworkKey, f64>>,
 }
 
 impl<'a> PreparedTrainingEstimator<'a> {
@@ -176,6 +186,7 @@ impl<'a> PreparedTrainingEstimator<'a> {
             checkpoint: CheckpointSpec::none(),
             model_flops,
             cache: RwLock::new(HashMap::new()),
+            reworks: RwLock::new(HashMap::new()),
         }
     }
 
@@ -223,8 +234,9 @@ impl<'a> PreparedTrainingEstimator<'a> {
     /// Sets the failure environment every estimate is priced under. The
     /// default [`CheckpointSpec::none`] leaves reports untouched; an
     /// active spec attaches a resilience section with the
-    /// failure-expected batch time (a pure assembly-phase computation —
-    /// the layer-cost memo table is unaffected).
+    /// failure-expected batch time (an assembly-phase computation whose
+    /// expected reworks fill their own memo table; the layer-cost table
+    /// is unaffected).
     #[must_use]
     pub fn with_checkpoint(mut self, checkpoint: CheckpointSpec) -> Self {
         self.checkpoint = checkpoint;
@@ -236,6 +248,15 @@ impl<'a> PreparedTrainingEstimator<'a> {
     #[must_use]
     pub fn cached_keys(&self) -> usize {
         self.cache.read().expect("layer-cost cache poisoned").len()
+    }
+
+    /// Number of distinct `(shape, mean, τ, δ)` whose expected checkpoint
+    /// rework has been priced so far. A sweep's strategies share their
+    /// cluster MTBFs and checkpoint shards, so this stays far below the
+    /// number of rework lookups.
+    #[must_use]
+    pub fn cached_rework_keys(&self) -> usize {
+        self.reworks.read().expect("rework cache poisoned").len()
     }
 
     /// Phase-2 evaluation of one strategy point, computing the memory
@@ -357,6 +378,7 @@ impl<'a> PreparedTrainingEstimator<'a> {
                 time_per_batch,
             },
             &|dp| self.reprice_dp(p, precision, dp).ok(),
+            &|uptime, interval_s, write_s| self.rework(uptime, interval_s, write_s),
         );
 
         Ok(TrainingReport {
@@ -457,6 +479,28 @@ impl<'a> PreparedTrainingEstimator<'a> {
             .expect("layer-cost cache poisoned")
             .entry(key)
             .or_insert_with(|| computed.clone());
+        computed
+    }
+
+    /// [`expected_rework`] through the rework memo, filled like the
+    /// layer-cost table: computed outside the lock on a miss, and keyed on
+    /// its whole input, so a racing duplicate stores the identical value.
+    fn rework(&self, uptime: Uptime, interval_s: f64, write_s: f64) -> f64 {
+        let key = [uptime.shape, uptime.mean_s, interval_s, write_s].map(f64::to_bits);
+        if let Some(&hit) = self
+            .reworks
+            .read()
+            .expect("rework cache poisoned")
+            .get(&key)
+        {
+            return hit;
+        }
+        let computed = expected_rework(uptime, interval_s, write_s);
+        self.reworks
+            .write()
+            .expect("rework cache poisoned")
+            .entry(key)
+            .or_insert(computed);
         computed
     }
 
@@ -617,6 +661,114 @@ mod tests {
             .estimate(Parallelism::new(1, 2, 1), Precision::Bf16)
             .unwrap();
         assert_eq!(prepared.cached_keys(), 2);
+    }
+
+    /// The strategies of the 64-GPU llama2-13b sweep on A100 (batch 64,
+    /// sequence 2048, selective recomputation): every power-of-two DP, TP
+    /// and PP within 64 GPUs that divides the heads and layers (TP within
+    /// a node), microbatches 1–8 that divide the batch, SP where TP > 1,
+    /// FP16 and BF16, whose footprint fits the device.
+    fn sweep_points(
+        cluster: &ClusterSpec,
+        model: &ModelConfig,
+    ) -> Vec<(Parallelism, Precision, TrainingMemoryReport)> {
+        let mut points = Vec::new();
+        for tp in [1, 2, 4, 8] {
+            for pp in [1, 2, 4, 8] {
+                for dp in (0..=6).map(|e| 1 << e).filter(|dp| dp * tp * pp <= 64) {
+                    for mb in [1, 2, 4, 8].into_iter().filter(|mb| 64 % (dp * mb) == 0) {
+                        for sp in [false, true].into_iter().filter(|&sp| !sp || tp > 1) {
+                            let p = Parallelism::new(dp, tp, pp).with_sp(sp).with_microbatch(mb);
+                            for precision in [Precision::Fp16, Precision::Bf16] {
+                                let spec = TrainingMemorySpec {
+                                    batch: 64,
+                                    seq: 2048,
+                                    parallelism: p,
+                                    schedule: PipelineSchedule::OneFOneB,
+                                    precision,
+                                    recompute: RecomputeMode::Selective,
+                                };
+                                if let Ok(memory) = training_memory(model, &spec) {
+                                    if memory.fits(cluster.accelerator().dram.capacity) {
+                                        points.push((p, precision, memory));
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        points
+    }
+
+    /// perfbench `sweep` pass (b): the 64-GPU llama2-13b sweep under
+    /// Weibull k = 0.7 failures with peer and delta tiers and elastic
+    /// continuation. Its 532 strategies look the rework up 1,436 times
+    /// for 122 distinct (shape, mean, τ, δ): strategies on as many GPUs
+    /// share a cluster MTBF, and those that also shard the model state
+    /// alike share their checkpoint writes and intervals.
+    #[test]
+    fn rework_memo_fills_one_key_per_distinct_rework() {
+        let cluster = presets::dgx_a100_hdr_cluster();
+        let model = Arc::new(models::llama2_13b());
+        let points = sweep_points(&cluster, &model);
+        let spec = CheckpointSpec::with_mtbf(10_000.0)
+            .with_restart(900.0)
+            .with_process(optimus_hw::FailureProcess::Weibull { shape: 0.7 })
+            .with_tiers(vec![
+                crate::CheckpointTier::peer(),
+                crate::CheckpointTier::delta(),
+            ])
+            .with_elastic(true);
+        let prepare = || {
+            PreparedTrainingEstimator::new(&cluster, Arc::clone(&model), 64, 2048)
+                .with_recompute(RecomputeMode::Selective)
+        };
+        let stacked = prepare().with_checkpoint(spec.clone());
+        let estimate_all = |est: &PreparedTrainingEstimator<'_>| -> Vec<_> {
+            points
+                .iter()
+                .filter_map(|&(p, precision, memory)| {
+                    let report = est.estimate_with_memory(p, precision, memory).ok()?;
+                    Some((p, precision, report))
+                })
+                .collect()
+        };
+        let reports = estimate_all(&stacked);
+        assert_eq!(reports.len(), 532);
+        assert_eq!(stacked.cached_rework_keys(), 122);
+
+        // Every lookup the stack makes, counted through a bare pricing.
+        let lookups = std::cell::Cell::new(0);
+        for (p, precision, report) in &reports {
+            let ctx = StackContext {
+                cluster: &cluster,
+                memory: &report.memory,
+                gpus: p.total_gpus(),
+                parallelism: Some(*p),
+                comm: CommModel::Auto,
+                time_per_batch: report.time_per_batch,
+            };
+            let counted = spec.evaluate_stack(
+                &ctx,
+                &|dp| stacked.reprice_dp(*p, *precision, dp).ok(),
+                &|uptime, interval_s, write_s| {
+                    lookups.set(lookups.get() + 1);
+                    expected_rework(uptime, interval_s, write_s)
+                },
+            );
+            assert_eq!(counted, report.resilience);
+        }
+        assert_eq!(lookups.get(), 1_436);
+
+        // A warm repeat adds no key, and a spec-free sweep fills none.
+        assert_eq!(estimate_all(&stacked).len(), 532);
+        assert_eq!(stacked.cached_rework_keys(), 122);
+        let plain = prepare();
+        assert_eq!(estimate_all(&plain).len(), 532);
+        assert_eq!(plain.cached_rework_keys(), 0);
+        assert_eq!(plain.cached_keys(), stacked.cached_keys());
     }
 
     /// Errors memoize too: an unsupported precision fails identically on

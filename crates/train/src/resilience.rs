@@ -462,6 +462,7 @@ impl CheckpointSpec {
                 time_per_batch,
             },
             &|_| None,
+            &expected_rework,
         )
     }
 
@@ -470,13 +471,18 @@ impl CheckpointSpec {
     /// `reprice` maps a shrunken DP degree to the failure-free time of
     /// the correspondingly shrunken batch (the elastic repricing entry
     /// point of [`crate::PreparedTrainingEstimator`]); return `None` to
-    /// declare the shrink infeasible. `None` overall when the failure
-    /// process is disabled (or `gpus == 0`).
+    /// declare the shrink infeasible. `rework` prices the expected rework
+    /// per failure of an uptime law, an interval and a write time: the
+    /// bare [`expected_rework`], or a memo in front of it that returns its
+    /// values bit for bit (the prepared estimator keeps one per sweep).
+    /// `None` overall when the failure process is disabled (or
+    /// `gpus == 0`).
     #[must_use]
     pub fn evaluate_stack(
         &self,
         ctx: &StackContext<'_>,
         reprice: &dyn Fn(usize) -> Option<Time>,
+        rework: &dyn Fn(Uptime, f64, f64) -> f64,
     ) -> Option<ResilienceReport> {
         if !self.has_failures() || ctx.gpus == 0 {
             return None;
@@ -518,10 +524,10 @@ impl CheckpointSpec {
         // cadence, and of the base tier's: one exact evaluation per
         // distinct (τ, δ), shared by every tier subset below.
         let uptime = Uptime::of(self.process, cluster_mtbf);
-        let base_rework = expected_rework(uptime, interval, delta) / cluster_mtbf;
+        let base_rework = rework(uptime, interval, delta) / cluster_mtbf;
         let tier_rework: Vec<f64> = applicable
             .iter()
-            .map(|t| expected_rework(uptime, t.interval_s, t.write.secs()) / cluster_mtbf)
+            .map(|t| rework(uptime, t.interval_s, t.write.secs()) / cluster_mtbf)
             .collect();
 
         // Recovery per failure class, independent of the tier subset: a
@@ -1678,8 +1684,12 @@ mod tests {
             .with_tier(CheckpointTier::peer())
             .with_tier(CheckpointTier::delta());
         let ctx = stack_ctx(&cluster, &memory, p, t);
-        let rb = base.evaluate_stack(&ctx, &|_| None).unwrap();
-        let rt = tiered.evaluate_stack(&ctx, &|_| None).unwrap();
+        let rb = base
+            .evaluate_stack(&ctx, &|_| None, &expected_rework)
+            .unwrap();
+        let rt = tiered
+            .evaluate_stack(&ctx, &|_| None, &expected_rework)
+            .unwrap();
         assert!(
             rt.goodput >= rb.goodput,
             "a tier that does not pay for itself must be dropped, not priced: \
@@ -1710,7 +1720,9 @@ mod tests {
             .with_restart(900.0)
             .with_tier(CheckpointTier::peer());
         let ctx = stack_ctx(&cluster, &memory, p, Time::from_secs(10.0));
-        let r = spec.evaluate_stack(&ctx, &|_| None).unwrap();
+        let r = spec
+            .evaluate_stack(&ctx, &|_| None, &expected_rework)
+            .unwrap();
         let tiers = r.tiers.as_ref().unwrap();
         assert!(!tiers[0].active, "dp=1 has no peer group to replicate into");
     }
@@ -1730,7 +1742,7 @@ mod tests {
         // Per-replica work is constant, so the shrunken batch takes about
         // the same wall-clock as the full one (slightly more here).
         let r = spec
-            .evaluate_stack(&ctx, &|_| Some(Time::from_secs(10.1)))
+            .evaluate_stack(&ctx, &|_| Some(Time::from_secs(10.1)), &expected_rework)
             .unwrap();
         let e = r.elastic.as_ref().unwrap();
         assert!(e.feasible);
