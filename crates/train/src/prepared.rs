@@ -37,6 +37,7 @@ use optimus_parallel::{CommPlan, Parallelism, PipelineSchedule};
 use optimus_roofline::RooflineModel;
 use optimus_units::{Bytes, FlopCount, Time};
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::{Arc, RwLock};
 
 /// Per-operator-list cost accumulator: time plus the energy-relevant
@@ -451,10 +452,7 @@ impl<'a> PreparedTrainingEstimator<'a> {
         Ok(busy + bubble + dp_comm + weight_update)
     }
 
-    /// Looks a key up in the memo table, computing (and publishing) it on a
-    /// miss. Values are pure functions of the key given the prepared
-    /// context, so a racing duplicate computation produces the identical
-    /// value — results never depend on evaluation order or thread count.
+    /// The layer costs of a key, through the layer-cost memo table.
     fn layer_costs(
         &self,
         tp: usize,
@@ -462,46 +460,18 @@ impl<'a> PreparedTrainingEstimator<'a> {
         microbatch: usize,
         precision: Precision,
     ) -> Result<LayerCosts, TrainError> {
-        let key = (tp, sp, microbatch, precision);
-        if let Some(hit) = self
-            .cache
-            .read()
-            .expect("layer-cost cache poisoned")
-            .get(&key)
-        {
-            return hit.clone();
-        }
-        // Compute outside the lock: the table stays available to other
-        // evaluation threads while this (possibly slow) roofline pass runs.
-        let computed = self.compute_layer_costs(tp, sp, microbatch, precision);
-        self.cache
-            .write()
-            .expect("layer-cost cache poisoned")
-            .entry(key)
-            .or_insert_with(|| computed.clone());
-        computed
+        memoized(&self.cache, (tp, sp, microbatch, precision), || {
+            self.compute_layer_costs(tp, sp, microbatch, precision)
+        })
     }
 
-    /// [`expected_rework`] through the rework memo, filled like the
-    /// layer-cost table: computed outside the lock on a miss, and keyed on
-    /// its whole input, so a racing duplicate stores the identical value.
+    /// [`expected_rework`] through the rework memo table, keyed on the bit
+    /// patterns of its whole input.
     fn rework(&self, uptime: Uptime, interval_s: f64, write_s: f64) -> f64 {
         let key = [uptime.shape, uptime.mean_s, interval_s, write_s].map(f64::to_bits);
-        if let Some(&hit) = self
-            .reworks
-            .read()
-            .expect("rework cache poisoned")
-            .get(&key)
-        {
-            return hit;
-        }
-        let computed = expected_rework(uptime, interval_s, write_s);
-        self.reworks
-            .write()
-            .expect("rework cache poisoned")
-            .entry(key)
-            .or_insert(computed);
-        computed
+        memoized(&self.reworks, key, || {
+            expected_rework(uptime, interval_s, write_s)
+        })
     }
 
     /// The memo-miss path: builds and costs one layer's operator graph, the
@@ -596,6 +566,29 @@ impl<'a> PreparedTrainingEstimator<'a> {
             .factor(traffic);
         traffic / (dram * util.get())
     }
+}
+
+/// Looks `key` up in `table`, computing (and publishing) the value on a
+/// miss. The value is computed outside the lock, so the table stays
+/// available to other evaluation threads while a slow miss runs. Values
+/// are pure functions of their keys given the prepared context, so a
+/// racing duplicate computation produces the identical value — results
+/// never depend on evaluation order or thread count.
+fn memoized<K: Eq + Hash, V: Clone>(
+    table: &RwLock<HashMap<K, V>>,
+    key: K,
+    compute: impl FnOnce() -> V,
+) -> V {
+    if let Some(hit) = table.read().expect("memo table poisoned").get(&key) {
+        return hit.clone();
+    }
+    let computed = compute();
+    table
+        .write()
+        .expect("memo table poisoned")
+        .entry(key)
+        .or_insert_with(|| computed.clone());
+    computed
 }
 
 /// Useful (non-recompute) model FLOPs per batch: 3× the forward GEMM work
