@@ -12,7 +12,9 @@
 //! exact instead of the first-order half interval (only the rework,
 //! goodput and failure-expected figures moved); the inference fixtures
 //! at the commit before the one-shot decode loop was priced from the
-//! context-factored decode rows. The pre-existing regimes — `KvSpec::reserved()` + FIFO on
+//! context-factored decode rows; the tiered-resilience sweep at the
+//! commit before the expected checkpoint rework was memoized across a
+//! sweep. The pre-existing regimes — `KvSpec::reserved()` + FIFO on
 //! the serving side, a plain `--mtbf`/`--restart` exponential spec on
 //! the training side — must keep emitting byte-identical reports: the
 //! new sections are *omitted* (not `null`) when absent, through the
