@@ -12,25 +12,19 @@
 //!   for cheap re-warm and expensive restarts;
 //! * **spec byte-compat** — a basic `--mtbf`/`--restart` spec (and
 //!   [`CheckpointSpec::none`]) serializes exactly as it did before the
-//!   stack existed: none of the new keys appear and no value is null;
-//! * **the rework memo is invisible** — eight threads racing on the first
-//!   fills of one shared prepared estimator's rework memo price every
-//!   strategy's resilience section exactly as the stack priced through
-//!   the bare [`expected_rework`], to the bit, and leave the memo with
-//!   the keys of a single-threaded fill.
+//!   stack existed: none of the new keys appear and no value is null.
 
 use optimus_collective::CommModel;
-use optimus_hw::{presets, ClusterSpec, FailureProcess, Precision};
-use optimus_memory::{training_memory, RecomputeMode, TrainingMemoryReport, TrainingMemorySpec};
+use optimus_hw::{presets, FailureProcess};
+use optimus_memory::{training_memory, RecomputeMode, TrainingMemorySpec};
 use optimus_model::presets as models;
 use optimus_parallel::{Parallelism, PipelineSchedule};
 use optimus_train::{
-    expected_rework, CheckpointSpec, CheckpointTier, PreparedTrainingEstimator, ResilienceReport,
-    StackContext, TrainingConfig, TrainingEstimator,
+    expected_rework, CheckpointSpec, CheckpointTier, ResilienceReport, StackContext,
+    TrainingConfig, TrainingEstimator,
 };
 use optimus_units::Time;
 use proptest::prelude::*;
-use std::sync::{Arc, Barrier};
 
 /// The worked strategy anchor: llama2-13b, DP8 × TP8 + SP on 64 GPUs.
 fn anchor_memory() -> optimus_memory::TrainingMemoryReport {
@@ -238,166 +232,4 @@ fn stacked_spec_json_is_null_free() {
     // The base and delta intervals are auto; nothing else may be null.
     assert_eq!(json.matches("\"interval_s\": null").count(), 2, "{json}");
     assert_eq!(json.matches("null").count(), 2, "{json}");
-}
-
-/// The strategies of perfbench `sweep` pass (b), the 64-GPU llama2-13b
-/// sweep on A100 (batch 64, sequence 2048, selective recomputation):
-/// every power-of-two DP, TP and PP within 64 GPUs that divides the heads
-/// and layers (TP within a node), microbatches 1–8 that divide the batch,
-/// SP where TP > 1, FP16 and BF16, whose footprint fits the device.
-fn sweep_points(cluster: &ClusterSpec) -> Vec<(Parallelism, Precision, TrainingMemoryReport)> {
-    let model = models::llama2_13b();
-    let mut points = Vec::new();
-    for tp in [1, 2, 4, 8] {
-        for pp in [1, 2, 4, 8] {
-            for dp in (0..=6).map(|e| 1 << e).filter(|dp| dp * tp * pp <= 64) {
-                for mb in [1, 2, 4, 8].into_iter().filter(|mb| 64 % (dp * mb) == 0) {
-                    for sp in [false, true].into_iter().filter(|&sp| !sp || tp > 1) {
-                        let p = Parallelism::new(dp, tp, pp).with_sp(sp).with_microbatch(mb);
-                        for precision in [Precision::Fp16, Precision::Bf16] {
-                            let spec = TrainingMemorySpec {
-                                batch: 64,
-                                seq: 2048,
-                                parallelism: p,
-                                schedule: PipelineSchedule::OneFOneB,
-                                precision,
-                                recompute: RecomputeMode::Selective,
-                            };
-                            if let Ok(memory) = training_memory(&model, &spec) {
-                                if memory.fits(cluster.accelerator().dram.capacity) {
-                                    points.push((p, precision, memory));
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    points
-}
-
-/// `items` in a seeded random order (Fisher–Yates over splitmix64).
-fn shuffled<T: Copy>(items: &[T], mut seed: u64) -> Vec<T> {
-    let mut next = || {
-        seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = seed;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
-    let mut out = items.to_vec();
-    for i in (1..out.len()).rev() {
-        out.swap(i, (next() % (i as u64 + 1)) as usize);
-    }
-    out
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Eight threads, started together at a barrier, walk one shared
-    /// prepared estimator through the same shuffled strategies of the
-    /// tiered-resilience sweep, so first fills of the rework memo race.
-    /// Every report's resilience section equals the stack priced through
-    /// the bare `expected_rework` to the bit, and the memo ends with the
-    /// keys of a single-threaded fill.
-    #[test]
-    fn racing_walkers_price_resilience_like_the_bare_rework(
-        process in prop_oneof![
-            Just(FailureProcess::Weibull { shape: 0.7 }),
-            Just(FailureProcess::Weibull { shape: 1.0 }),
-            Just(FailureProcess::Weibull { shape: 1.5 }),
-            (2usize..9, 1e5f64..1e8).prop_map(|(racks, rack_mtbf_s)| {
-                FailureProcess::RackCorrelated { racks, rack_mtbf_s }
-            }),
-        ],
-        mtbf in 1e3f64..1e7,
-        interval in prop_oneof![Just(None), (60.0f64..1e5).prop_map(Some)],
-        tier_mask in 0usize..4,
-        elastic in prop_oneof![Just(false), Just(true)],
-        walk_len in 16usize..96,
-        seed in 0u64..u64::MAX,
-    ) {
-        let cluster = presets::dgx_a100_hdr_cluster();
-        let model = Arc::new(models::llama2_13b());
-        let tiers = [CheckpointTier::peer(), CheckpointTier::delta()]
-            .into_iter()
-            .enumerate()
-            .filter(|(bit, _)| tier_mask & (1 << bit) != 0)
-            .map(|(_, tier)| tier)
-            .collect();
-        let mut spec = CheckpointSpec::with_mtbf(mtbf)
-            .with_restart(900.0)
-            .with_process(process)
-            .with_tiers(tiers)
-            .with_elastic(elastic);
-        // A pinned interval keys strategies with different write times on
-        // one τ; the Young–Daly interval would tell them apart.
-        if let Some(s) = interval {
-            spec = spec.with_interval(s);
-        }
-        let prepare = || {
-            PreparedTrainingEstimator::new(&cluster, Arc::clone(&model), 64, 2048)
-                .with_recompute(RecomputeMode::Selective)
-                .with_checkpoint(spec.clone())
-        };
-        let mut order = shuffled(&sweep_points(&cluster), seed);
-        order.truncate(walk_len);
-
-        // One thread fills a fresh estimator in the shuffled order.
-        let single = prepare();
-        for &(p, precision, memory) in &order {
-            let _ = single.estimate_with_memory(p, precision, memory);
-        }
-
-        // Eight walkers share another fresh estimator. A barrier starts
-        // them together and each walks the same order, so first fills race.
-        const WALKERS: usize = 8;
-        let raced = prepare();
-        let start = Barrier::new(WALKERS);
-        let walks: Vec<Vec<Option<Option<ResilienceReport>>>> = std::thread::scope(|scope| {
-            let walkers: Vec<_> = (0..WALKERS)
-                .map(|_| {
-                    scope.spawn(|| {
-                        start.wait();
-                        order
-                            .iter()
-                            .map(|&(p, precision, memory)| {
-                                let report = raced.estimate_with_memory(p, precision, memory);
-                                report.ok().map(|r| r.resilience)
-                            })
-                            .collect()
-                    })
-                })
-                .collect();
-            walkers.into_iter().map(|w| w.join().unwrap()).collect()
-        });
-        prop_assert_eq!(raced.cached_rework_keys(), single.cached_rework_keys());
-
-        for (i, &(p, precision, memory)) in order.iter().enumerate() {
-            let reference = single.estimate_with_memory(p, precision, memory).ok().map(|report| {
-                spec.evaluate_stack(
-                    &StackContext {
-                        cluster: &cluster,
-                        memory: &report.memory,
-                        gpus: p.total_gpus(),
-                        parallelism: Some(p),
-                        comm: CommModel::Auto,
-                        time_per_batch: report.time_per_batch,
-                    },
-                    &|dp| single.reprice_dp(p, precision, dp).ok(),
-                    &expected_rework,
-                )
-            });
-            // An active spec prices every strategy that estimates.
-            prop_assert!(reference.as_ref().is_none_or(Option::is_some));
-            // The JSON tells every bit apart, -0.0 from 0.0 included.
-            let expected = serde_json::to_string(&reference).unwrap();
-            for walk in &walks {
-                prop_assert_eq!(&walk[i], &reference, "{} {} under {:?}", p, precision, spec);
-                prop_assert_eq!(serde_json::to_string(&walk[i]).unwrap(), expected.as_str());
-            }
-        }
-    }
 }
