@@ -217,11 +217,9 @@ impl RankedQueue {
         self.0.len()
     }
 
-    /// Empties the queue, returning its positions in queue order.
-    fn drain(&mut self) -> Vec<usize> {
-        let mut positions: Vec<usize> = self.0.drain().map(|Reverse((_, pos))| pos).collect();
-        positions.sort_unstable();
-        positions
+    /// Empties the queue, yielding its positions in no particular order.
+    fn drain(&mut self) -> impl Iterator<Item = usize> + '_ {
+        self.0.drain().map(|Reverse((_, pos))| pos)
     }
 }
 
@@ -230,7 +228,8 @@ impl RankedQueue {
 pub(crate) struct Dropped {
     /// The replica's clock when the crash took effect.
     pub(crate) at_s: f64,
-    /// The lost trace indices, ascending.
+    /// The lost trace indices, in no particular order: the router puts
+    /// them in trace order.
     pub(crate) lost: Vec<u32>,
 }
 
@@ -464,6 +463,16 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         self.assigned += 1;
     }
 
+    /// [`ReplicaEngine::push`] of every request in `reqs`, in order, all
+    /// at `at_s`, as one append.
+    pub(crate) fn push_all(&mut self, reqs: impl IntoIterator<Item = u32>, at_s: f64) {
+        let eff = self.eff.last().map_or(at_s, |&prev| prev.max(at_s));
+        let before = self.order.len();
+        self.order.extend(reqs);
+        self.eff.resize(self.order.len(), eff);
+        self.assigned += self.order.len() - before;
+    }
+
     /// The (trace index, effective arrival) of every request assigned
     /// here and not drained since, in push order.
     #[cfg(test)]
@@ -491,8 +500,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
     }
 
     /// Takes the drops crashes have made since the last call, in drain
-    /// order: each is one drain instant with its lost trace indices in
-    /// ascending order.
+    /// order: each is one drain instant with its lost trace indices.
     pub(crate) fn take_requeued(&mut self) -> Vec<Dropped> {
         core::mem::take(&mut self.requeued)
     }
@@ -947,8 +955,10 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
     /// prefill, or mid-decode — is pulled back for the router to requeue
     /// with its original arrival time intact; partial decode progress is
     /// discarded. The lost requests leave as one [`Dropped`] at the
-    /// current clock, in trace order. Completed history and cumulative
-    /// counters survive; only in-flight state resets.
+    /// current clock, unsorted: the admitted and preempted requests, then
+    /// the ranked queue, then the backlog `order[admit_cursor..]` in push
+    /// order. Completed history and cumulative counters survive; only
+    /// in-flight state resets.
     fn drain_for_requeue(&mut self) {
         let mut lost: Vec<u32> = Vec::new();
         for &idx in &self.awaiting_prefill {
@@ -969,7 +979,8 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         {
             lost.push(self.slots[idx as usize].req);
         }
-        lost.extend(self.ranked.drain().into_iter().map(|pos| self.order[pos]));
+        let order = &self.order;
+        lost.extend(self.ranked.drain().map(|pos| order[pos]));
         lost.extend_from_slice(&self.order[self.admit_cursor..]);
         self.awaiting_prefill.clear();
         self.awaiting_swapin.clear();
@@ -998,9 +1009,6 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         if lost.is_empty() {
             return;
         }
-        // The bulk of `lost` is the backlog `order[admit_cursor..]`: a few
-        // ascending runs in push order, which the stable sort merges.
-        lost.sort();
         self.requeued.push(Dropped {
             at_s: self.clock,
             lost,
@@ -1474,8 +1482,8 @@ mod tests {
         /// Random interleavings of arrivals, admission rounds that end in
         /// a head-of-line block (the pick's memory is not there yet) and
         /// crash drains: every pick of the ranked queue is the scan's
-        /// pick, a blocked pick stays queued, and a drain hands back the
-        /// queue in queue order. Keys come from tiny ranges, so `priority`
+        /// pick, a blocked pick stays queued, and a drain hands back every
+        /// queued position once. Keys come from tiny ranges, so `priority`
         /// and `sjf` both see many rank ties.
         #[test]
         fn ranked_queue_picks_what_the_scan_picked(
@@ -1516,8 +1524,10 @@ mod tests {
                             }
                         }
                         _ => {
-                            let drained: Vec<usize> = pending.drain(..).map(|r| r.id).collect();
-                            prop_assert_eq!(queue.drain(), drained, "{scheduler}");
+                            let queued: Vec<usize> = pending.drain(..).map(|r| r.id).collect();
+                            let mut drained: Vec<usize> = queue.drain().collect();
+                            drained.sort_unstable();
+                            prop_assert_eq!(drained, queued, "{scheduler}");
                             prop_assert_eq!(queue.len(), 0);
                         }
                     }
@@ -1587,7 +1597,7 @@ mod tests {
 
     /// Runs `trace` through one paged engine whose pool holds `pool`
     /// blocks, handing each crash's drops straight back to it at the
-    /// drain instant, as a one-replica router would.
+    /// drain instant in trace order, as a one-replica router would.
     fn growth_run(
         instance: &ServeInstance<'_>,
         trace: &[Request],
@@ -1601,8 +1611,9 @@ mod tests {
         engine.total_blocks = pool;
         engine.reference_scan = reference;
         let requeue = |engine: &mut ReplicaEngine<'_, '_>| {
-            let drops = engine.take_requeued();
-            for drop in &drops {
+            let mut drops = engine.take_requeued();
+            for drop in &mut drops {
+                drop.lost.sort_unstable();
                 for &req in &drop.lost {
                     engine.push(req, drop.at_s);
                 }

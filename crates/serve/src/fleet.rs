@@ -373,10 +373,9 @@ impl RouterState {
     /// Round-robin takes the first up replica at or after its cursor;
     /// random draws a uniform index among the up replicas (the same draw
     /// while all are up); the state-aware policies take the up replica of
-    /// least `load` — the policy's [`load`] of each replica, read live or
-    /// from a snapshot kept in step with the pushes — and `min_by_key`
-    /// returns the first minimum, so ties break to the lowest replica
-    /// index, deterministically.
+    /// least `load` — the policy's [`load`] of each replica, read live —
+    /// and `min_by_key` returns the first minimum, so ties break to the
+    /// lowest replica index, deterministically.
     fn pick(
         &mut self,
         n: usize,
@@ -409,6 +408,77 @@ impl RouterState {
     }
 }
 
+/// One requeue instant's destinations in closed form, with no per-request
+/// argmin. The replicas in `order` take turns, one request each per round.
+/// At the start they are the up replicas at the lowest snapshot load, in
+/// cyclic index order from the first turn. After each round every member
+/// has risen one level, and once the level reaches the next load up, the
+/// replicas at that load join. That is the water-fill of the state-aware
+/// policies: every push raises exactly its replica's load by one, and the
+/// first minimum in index order is the next member still at the level.
+/// Round-robin's loads are all 0, so its up replicas cycle from its
+/// cursor in one phase.
+#[derive(Default)]
+struct Turns {
+    /// The policy's [`load`] of each replica at the instant,
+    /// `usize::MAX` for a down replica (which never joins).
+    loads: Vec<usize>,
+    /// The replicas taking turns, in turn order.
+    order: Vec<usize>,
+    /// The replica whose index the turn order starts at.
+    first: usize,
+    /// The load every member of `order` has at the start of this phase.
+    level: usize,
+    /// The lowest load above `level`, where the next replicas join
+    /// (`usize::MAX` when none will).
+    joins_at: usize,
+}
+
+impl Turns {
+    /// Starts the turns over the snapshot in `loads`, in cyclic index
+    /// order from `first`. At least one replica is up.
+    fn start(&mut self, first: usize) {
+        self.first = first;
+        self.level = self.loads.iter().copied().min().unwrap_or(0);
+        self.widen();
+    }
+
+    /// Lets every replica at or below `level` take turns.
+    fn widen(&mut self) {
+        let n = self.loads.len();
+        self.order.clear();
+        self.joins_at = usize::MAX;
+        for i in (self.first..n).chain(0..self.first) {
+            let load = self.loads[i];
+            if load <= self.level {
+                self.order.push(i);
+            } else {
+                self.joins_at = self.joins_at.min(load);
+            }
+        }
+        debug_assert!(
+            !self.order.is_empty(),
+            "the router waits for a live replica"
+        );
+    }
+
+    /// How many of the next `left` requests go round `order` before more
+    /// replicas join: whole rounds up to the joining level, or all of
+    /// them.
+    fn phase_len(&self, left: usize) -> usize {
+        (self.joins_at - self.level)
+            .saturating_mul(self.order.len())
+            .min(left)
+    }
+
+    /// Ends a phase: the level reaches the next load up, and the replicas
+    /// there join.
+    fn next_phase(&mut self) {
+        self.level = self.joins_at;
+        self.widen();
+    }
+}
+
 /// The load `policy` balances at `engine`: outstanding requests under
 /// least-outstanding, waiting requests under join-shortest-queue; the
 /// stateless policies read none. A `push` raises both by exactly one.
@@ -430,8 +500,14 @@ struct Router {
     now: f64,
     /// Which replicas were up at `now` at the last availability scan.
     up: Vec<bool>,
-    /// The load snapshot one requeue instant water-fills.
-    loads: Vec<usize>,
+    /// The destinations of one requeue instant.
+    turns: Turns,
+    /// One bit per trace index, set while a requeue instant gathers its
+    /// drops and cleared as it reads them back (empty on a fault-free
+    /// fleet).
+    pending: Vec<u64>,
+    /// One requeue instant's requests, in trace order.
+    lost: Vec<u32>,
     /// Requeue events: every crash-drain of a request counts once.
     requeues: usize,
     /// One mark per trace index, set when a crash requeues the request
@@ -446,7 +522,9 @@ impl Router {
             state: RouterState::new(policy),
             now: 0.0,
             up: Vec::new(),
-            loads: Vec::new(),
+            turns: Turns::default(),
+            pending: vec![0; marks.div_ceil(64)],
+            lost: Vec::new(),
             requeues: 0,
             requeued: vec![false; marks],
         }
@@ -502,56 +580,114 @@ impl Router {
     }
 
     /// Re-routes every dropped request at the instant it was dropped:
-    /// instants in time order, and within one instant in trace order —
-    /// drops that share an instant (the members of one failure domain)
-    /// merge by index. Each instant is routed in one pass.
+    /// instants in time order, and within one instant in trace order.
+    /// Drops that share an instant (the members of one failure domain)
+    /// are routed together, each instant in one pass.
     fn requeue(
         &mut self,
         engines: &mut [ReplicaEngine<'_, '_>],
         mut drops: Vec<Dropped>,
     ) -> Result<(), ServeError> {
         drops.sort_by(|a, b| a.at_s.total_cmp(&b.at_s));
-        for group in drops.chunk_by_mut(|a, b| a.at_s.total_cmp(&b.at_s).is_eq()) {
-            let (drop, shared) = group.split_first_mut().expect("chunks are non-empty");
-            if !shared.is_empty() {
-                for other in shared {
-                    drop.lost.append(&mut other.lost);
-                }
-                // One ascending run per drop: the stable sort merges them.
-                drop.lost.sort();
-            }
-            self.route_instant(engines, drop.at_s, &drop.lost)?;
+        for group in drops.chunk_by(|a, b| a.at_s.total_cmp(&b.at_s).is_eq()) {
+            self.route_instant(engines, group[0].at_s, group)?;
         }
         Ok(())
     }
 
-    /// Routes `lost`, dropped at `at_s`, in one pass: one availability
-    /// scan (and at most one all-down stall), then one pick per request.
-    /// The state-aware policies water-fill a load snapshot taken once:
-    /// each push raises exactly the chosen replica's load by one and no
-    /// engine advances inside the pass, so the snapshot stays equal to
-    /// the live loads.
+    /// Routes the requests `drops` lost at `at_s` in one pass, in time
+    /// linear in the requests plus one bit scan over their index span:
+    /// one availability scan (and at most one all-down stall), then the
+    /// requests in trace order (see [`Router::gather`]). Random draws each
+    /// request's replica as [`RouterState::pick`] does. The other policies
+    /// route in [`Turns`] over a load snapshot taken once (no engine
+    /// advances inside the pass): each of a phase's `m` members takes
+    /// every `m`-th request of the phase, in one append.
     fn route_instant(
         &mut self,
         engines: &mut [ReplicaEngine<'_, '_>],
         at_s: f64,
-        lost: &[u32],
+        drops: &[Dropped],
     ) -> Result<(), ServeError> {
         self.now = self.now.max(at_s);
         self.await_live(engines)?;
-        self.loads.clear();
-        self.loads
-            .extend(engines.iter().map(|engine| load(self.policy, engine)));
-        self.requeues += lost.len();
-        for &req in lost {
-            self.requeued[req as usize] = true;
-            let choice = self
-                .state
-                .pick(engines.len(), |i| self.up[i], |i| self.loads[i]);
-            self.loads[choice] += 1;
-            engines[choice].push(req, self.now);
+        self.gather(drops);
+        if self.lost.is_empty() {
+            return Ok(());
+        }
+        self.requeues += self.lost.len();
+
+        let policy = self.policy;
+        let turns = &mut self.turns;
+        turns.loads.clear();
+        turns
+            .loads
+            .extend(engines.iter().zip(&self.up).map(|(engine, &up)| {
+                if up {
+                    load(policy, engine)
+                } else {
+                    usize::MAX
+                }
+            }));
+        let (lost, now) = (&self.lost[..], self.now);
+        match &mut self.state {
+            RouterState::Random { rng } => {
+                turns.start(0);
+                for &req in lost {
+                    engines[turns.order[rng.gen_range(0..turns.order.len())]].push(req, now);
+                }
+            }
+            state => {
+                turns.start(match state {
+                    RouterState::RoundRobin { next } => *next % engines.len(),
+                    _ => 0,
+                });
+                let mut routed = 0;
+                let last = loop {
+                    let m = turns.order.len();
+                    let phase = &lost[routed..routed + turns.phase_len(lost.len() - routed)];
+                    for (j, &replica) in turns.order.iter().enumerate() {
+                        engines[replica].push_all(phase.iter().skip(j).step_by(m).copied(), now);
+                    }
+                    routed += phase.len();
+                    if routed == lost.len() {
+                        break turns.order[(phase.len() - 1) % m];
+                    }
+                    turns.next_phase();
+                };
+                if let RouterState::RoundRobin { next } = state {
+                    *next = (last + 1) % engines.len();
+                }
+            }
         }
         Ok(())
+    }
+
+    /// Puts the requests `drops` lost into `lost` in trace order, marking
+    /// each requeued. Every index is set in the `pending` bitmap, then
+    /// the words from the lowest index to the highest are read back and
+    /// cleared: one bit scan over the index span, with no comparison
+    /// sort. The same request is never lost twice in one instant.
+    fn gather(&mut self, drops: &[Dropped]) {
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        for &req in drops.iter().flat_map(|drop| &drop.lost) {
+            let req = req as usize;
+            let (word, bit) = (req / 64, 1u64 << (req % 64));
+            debug_assert!(self.pending[word] & bit == 0, "request {req} lost twice");
+            self.pending[word] |= bit;
+            lo = lo.min(req);
+            hi = hi.max(req);
+        }
+        self.lost.clear();
+        for word in lo / 64..=hi / 64 {
+            let mut bits = core::mem::take(&mut self.pending[word]);
+            while bits != 0 {
+                let req = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.requeued[req] = true;
+                self.lost.push(req as u32);
+            }
+        }
     }
 }
 
@@ -1587,16 +1723,25 @@ mod tests {
         /// hands every engine the (trace index, effective arrival)
         /// sequence the per-request loop did, and leaves the router clock,
         /// the requeue count, the requeue marks and the next pick where
-        /// the loop left them, for all four policies.
+        /// the loop left them, for all four policies. Each drop has the
+        /// shape a crash hands over, up to hundreds of requests: an
+        /// unsorted in-flight head, then its backlog as a few ascending
+        /// runs out of trace order. Some drop holds each 64-bit word edge
+        /// (indices 0, 63 and 64) and the last index. The preloads are
+        /// unlevel, or level with no warm-up, so the water-fill levels,
+        /// takes turns and ends mid-round.
         #[test]
         fn bulk_requeue_routes_what_the_per_request_loop_routed(
             fault_seed in 0u64..1000,
             router_seed in 0u64..1000,
-            preloads in proptest::collection::vec(0u32..6, 4..5),
-            warmup_s in 0.0f64..0.4,
+            (preloads, level, warmup_s) in (
+                proptest::collection::vec(0u32..8, 4..5),
+                0u8..2,
+                0.0f64..0.4,
+            ),
             instants in proptest::collection::vec((0u8..2, 0.0f64..1.0, 0u8..2), 1..5),
             stall_at in 0usize..6,
-            owners in proptest::collection::vec(0usize..12, 48..49),
+            (words, tail, shape_seed) in (2usize..20, prop_oneof![Just(0usize), 1usize..64], 0u64..1000),
         ) {
             const REPLICAS: usize = 4;
             const HORIZON_S: f64 = 40.0;
@@ -1606,7 +1751,7 @@ mod tests {
                     .unwrap();
             // Everything arrives at once, so the preloads are pushed at
             // their arrival and reach decode within the warm-up.
-            let trace: Vec<Request> = spec(fault_seed, owners.len(), 40.0)
+            let trace: Vec<Request> = spec(fault_seed, 64 * words + tail, 40.0)
                 .generate()
                 .into_iter()
                 .map(|r| Request { arrival_s: 0.0, ..r })
@@ -1625,12 +1770,12 @@ mod tests {
             };
             let mut drops: Vec<Dropped> = Vec::new();
             for (k, &(kind, u, pair)) in instants.iter().enumerate() {
-                let at_s = if k == stall_at {
+                let at_s = if k == stall_at && !shared.is_empty() {
                     let at_s = inside(&shared, u);
                     let down = |w: &Vec<(f64, f64)>| w.iter().any(|&(c, r)| c <= at_s && at_s < r);
                     prop_assert!(own.iter().all(down), "the whole fleet is down at {}", at_s);
                     at_s
-                } else if kind == 0 {
+                } else if kind == 0 || own[k % REPLICAS].is_empty() {
                     u * HORIZON_S
                 } else {
                     inside(&own[k % REPLICAS], u)
@@ -1639,13 +1784,48 @@ mod tests {
                     drops.push(Dropped { at_s, lost: Vec::new() });
                 }
             }
-            let mut marked = vec![false; trace.len()];
-            for (req, &owner) in (0u32..).zip(&owners) {
+            // Each request is lost by one drop or by none; the word edges
+            // and the last index always are.
+            let mut rng = StdRng::seed_from_u64(shape_seed);
+            let last = trace.len() - 1;
+            for req in 0..=last {
+                let owner = if [0, 63, 64, last].contains(&req) {
+                    req % drops.len()
+                } else {
+                    rng.gen_range(0..drops.len() + 1)
+                };
                 if let Some(drop) = drops.get_mut(owner) {
-                    drop.lost.push(req);
-                    marked[req as usize] = true;
+                    drop.lost.push(req as u32);
                 }
             }
+            // A crash that loses nothing hands over no drop.
+            drops.retain(|drop| !drop.lost.is_empty());
+            let mut marked = vec![false; trace.len()];
+            for drop in &mut drops {
+                for &req in &drop.lost {
+                    marked[req as usize] = true;
+                }
+                // Up to 8 requests in flight, in no order, then the rest
+                // as up to 4 ascending runs, the last run first.
+                let mut shaped = Vec::new();
+                for _ in 0..rng.gen_range(0..9usize).min(drop.lost.len()) {
+                    shaped.push(drop.lost.remove(rng.gen_range(0..drop.lost.len())));
+                }
+                let mut cuts: Vec<usize> = (0..rng.gen_range(0..4usize))
+                    .map(|_| rng.gen_range(0..drop.lost.len() + 1))
+                    .chain([0, drop.lost.len()])
+                    .collect();
+                cuts.sort_unstable();
+                for run in cuts.windows(2).rev() {
+                    shaped.extend_from_slice(&drop.lost[run[0]..run[1]]);
+                }
+                drop.lost = shaped;
+            }
+            let (preloads, warmup_s) = if level == 1 {
+                (vec![preloads[0]; REPLICAS], 0.0)
+            } else {
+                (preloads, warmup_s)
+            };
             let records_on = instance.records_on(trace.len());
             let engines = || {
                 let mut engines: Vec<ReplicaEngine<'_, '_>> = (0..REPLICAS)

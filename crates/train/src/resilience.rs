@@ -1149,8 +1149,7 @@ impl WeibullLaw {
         let k = self.shape;
         let mass_begins = (self.ln_scale + MASS_BEGINS.ln() / k).exp();
         if period < RESOLVED_PERIOD * mass_begins {
-            // The phase U mod P is uniform: E = τ(τ/2 + δ)/P.
-            return tau * (1.0 - tau / (2.0 * period));
+            return uniform_phase(tau, period);
         }
         // Period 0 exactly: ∫₀^τ S = M·P(1/k, (τ/λ)^k).
         let mut total = self.partial_mean(tau) - tau * self.survival(period);
@@ -1171,7 +1170,18 @@ impl WeibullLaw {
             };
             if self.smooth(j, period, z_max, u_max) {
                 match smooth_end {
-                    None => return (total + self.tail(x, tau, period)).clamp(0.0, tau),
+                    None => {
+                        let tail = self.tail(x, tau, period);
+                        if tail.is_nan() {
+                            // A period far below the scale where the
+                            // hazard varies (tiny shapes at τ/M near
+                            // 1e-150): the tail's P³ underflows to 0 and
+                            // F‴, built from h³, overflows. The phase is
+                            // uniform there, to about (P/λ)^k.
+                            return uniform_phase(tau, period);
+                        }
+                        return (total + tail).clamp(0.0, tau);
+                    }
                     Some(end) if end > j => {
                         total += self.tail(x, tau, period) - self.tail(end * period, tau, period);
                         j = end;
@@ -1194,6 +1204,11 @@ impl WeibullLaw {
         }
         total.clamp(0.0, tau)
     }
+}
+
+/// `E` when the phase `U mod P` is uniform: `τ(τ/2 + δ)/P`.
+fn uniform_phase(tau: f64, period: f64) -> f64 {
+    tau * (1.0 - tau / (2.0 * period))
 }
 
 /// The Young–Daly checkpoint interval `√(2 δ M)` for a checkpoint that
@@ -1657,6 +1672,28 @@ mod tests {
             rack_mtbf_s: 1e6,
         };
         assert_eq!(Uptime::of(racks, 500.0), Uptime::exponential(500.0));
+    }
+
+    /// Regression: at τ/M = 1e-150 with a shape of 0.1 or below, the
+    /// Euler–Maclaurin tail formed 0·∞ (its `P³` underflows, `F‴` carries
+    /// an overflowing `h³`), so the rework came out NaN, and τ — twice
+    /// the uniform phase's τ/2 — once scaled back from units of the mean.
+    /// The phase is uniform there to about `(P/λ)^k`, which is 2% at
+    /// `k = 0.02` and below 1e-6 at the larger shapes.
+    #[test]
+    fn tiny_shapes_at_tiny_intervals_price_the_uniform_phase() {
+        for shape in [0.02, 0.05, 0.1] {
+            for write in [0.0, 0.5] {
+                for (mean, tau) in [(1.0, 1e-150), (1e300, 1e150)] {
+                    let e = expected_rework(Uptime::weibull(shape, mean), tau, write * tau);
+                    let uniform = tau * (0.5 + write) / (1.0 + write);
+                    assert!(
+                        (e / uniform - 1.0).abs() < 0.05,
+                        "k = {shape}, M = {mean}, δ/τ = {write}: {e} vs {uniform}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

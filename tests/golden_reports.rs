@@ -554,6 +554,42 @@ fn chaos_fleet_report_at_200k_requests_keeps_its_pinned_digests() {
     assert!(drifted.is_empty(), "JSON drifted:\n{}", drifted.join("\n"));
 }
 
+/// `serve --model llama2-13b --tp 2 --replicas 4 --requests 200000
+/// --rate 20 --prompt 50:400 --output 8:64 --mtbf 5 --mttr 1 --fault-seed
+/// 7 --json` (round-robin, seed 42): the sparse-drop chaos fleet. Its
+/// 6,641 crashes move 24,955 requests, a few each, so a drop instant's
+/// index span is at its widest relative to what the instant moves.
+/// Captured before drops were put in trace order through a bitmap, and
+/// equal to that CLI line's output byte for byte. Release only.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn sparse_drop_chaos_fleet_report_keeps_its_pinned_digests() {
+    let config = FleetConfig {
+        replicas: 4,
+        router: RouterPolicy::RoundRobin,
+        replica: ServeConfig::new(2),
+        faults: FaultSpec::crashes(7, 5.0, 1.0),
+    };
+    let report = simulate_fleet(
+        &presets::dgx_a100_hdr_cluster(),
+        Arc::new(models::llama2_13b()),
+        &config,
+        &trace(42, 200_000, 20.0, (50, 400), (8, 64)),
+    )
+    .unwrap();
+    assert_eq!(report.availability.crashes, 6_641);
+    assert_eq!(report.availability.requeues, 24_955);
+    let drifted = pin_drift(
+        "fleet_sparse_drop_200k",
+        &report,
+        [
+            (328_097, 0x1f47_d483_26b5_2f50),
+            (157_985, 0x2b3d_5e49_c269_f994),
+        ],
+    );
+    assert!(drifted.is_empty(), "JSON drifted:\n{}", drifted.join("\n"));
+}
+
 /// `serve --model llama2-13b --tp 2 --requests 1000000 --rate 500
 /// --prompt 50:400 --output 8:64 --kv-block 16 --json` (seed 42): the
 /// million-request serve under 16-token paged KV, FIFO with recompute
