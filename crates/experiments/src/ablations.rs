@@ -6,7 +6,7 @@ use crate::util::model_by_name;
 use optimus::collective::{Collective, CommModel};
 use optimus::hw::{presets, DeviceCalibration};
 use optimus::memory::{training_memory, RecomputeMode, TrainingMemorySpec};
-use optimus::model::{graph, GraphParams, OpKind};
+use optimus::model::{graph, GraphParams};
 use optimus::prelude::*;
 use optimus::roofline::RooflineModel;
 
@@ -49,13 +49,7 @@ pub fn flash_attention() -> Vec<FlashRow> {
             for (i, flash) in [false, true].into_iter().enumerate() {
                 let p = GraphParams::prefill(1, seq, 1, Precision::Fp16).with_flash(flash);
                 for op in graph::layer_forward_ops(&model, &p) {
-                    let cost = match op.kind {
-                        OpKind::Gemm(g) => roofline.batched_gemm(g, Precision::Fp16).unwrap(),
-                        OpKind::Eltwise(e) => roofline.eltwise(e),
-                        OpKind::Flash(fa) => roofline
-                            .custom_kernel(fa.flops(), &fa.traffic(), Precision::Fp16)
-                            .unwrap(),
-                    };
+                    let cost = op.cost(&roofline, Precision::Fp16).unwrap();
                     times[i] += cost.total().millis();
                     drams[i] += cost.dram_traffic().mib();
                 }

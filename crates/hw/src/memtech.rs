@@ -60,12 +60,6 @@ impl DramTechnology {
         }
     }
 
-    /// The training-sweep generations of Fig. 6 (HBM2 → HBM4).
-    #[must_use]
-    pub fn training_sweep() -> &'static [Self] {
-        &[Self::Hbm2, Self::Hbm2e, Self::Hbm3, Self::Hbm4]
-    }
-
     /// The inference-sweep generations of Fig. 9 (GDDR6 → HBMX).
     #[must_use]
     pub fn inference_sweep() -> &'static [Self] {

@@ -77,14 +77,6 @@ impl ClusterSpec {
         }
     }
 
-    /// Returns a copy with a different accelerator (keeping node shape and
-    /// links) — used by technology sweeps.
-    #[must_use]
-    pub fn with_accelerator(mut self, accelerator: Accelerator) -> Self {
-        self.node.accelerator = accelerator;
-        self
-    }
-
     /// Returns a copy with a different inter-node link.
     #[must_use]
     pub fn with_inter_link(mut self, link: LinkSpec) -> Self {

@@ -32,7 +32,7 @@ use crate::{GemmAnalysis, InferenceBreakdown, InferenceConfig, InferenceReport};
 use optimus_collective::CommModel;
 use optimus_hw::{ClusterSpec, HwError, Precision};
 use optimus_memory::{inference_memory, InferenceMemoryReport};
-use optimus_model::{graph, GraphParams, ModelConfig, Op, OpKind};
+use optimus_model::{graph, GraphParams, ModelConfig, Op};
 use optimus_parallel::{CommPlan, Parallelism};
 use optimus_roofline::{KernelCost, RooflineModel};
 use optimus_units::{Bytes, FlopCount, Time};
@@ -443,7 +443,7 @@ impl<'a> PreparedInferenceEstimator<'a> {
                 if op.role.is_selective_recompute() {
                     Ok(None)
                 } else {
-                    self.op_cost(op, precision).map(Some)
+                    op.cost(&self.roofline, precision).map(Some)
                 }
             })
             .collect::<Result<_, _>>()?;
@@ -481,7 +481,7 @@ impl<'a> PreparedInferenceEstimator<'a> {
                 Some(cost) => fold(cost),
                 None => {
                     let op = core.next().expect("one attention-core op per hole");
-                    fold(&self.op_cost(&op, gp.precision)?);
+                    fold(&op.cost(&self.roofline, gp.precision)?);
                 }
             }
         }
@@ -528,9 +528,9 @@ impl<'a> PreparedInferenceEstimator<'a> {
     fn ops_cost(&self, ops: &[Op], precision: Precision) -> Result<StepCost, HwError> {
         let mut total = StepCost::default();
         for op in ops {
-            let cost = self.op_cost(op, precision)?;
+            let cost = op.cost(&self.roofline, precision)?;
             total.add(&cost);
-            if let OpKind::Gemm(_) = op.kind {
+            if op.as_gemm().is_some() {
                 total.gemms.push(GemmAnalysis {
                     role: op.role,
                     time: cost.total(),
@@ -539,16 +539,6 @@ impl<'a> PreparedInferenceEstimator<'a> {
             }
         }
         Ok(total)
-    }
-
-    fn op_cost(&self, op: &Op, precision: Precision) -> Result<KernelCost, HwError> {
-        match op.kind {
-            OpKind::Gemm(g) => self.roofline.batched_gemm(g, precision),
-            OpKind::Eltwise(e) => Ok(self.roofline.eltwise(e)),
-            OpKind::Flash(fa) => self
-                .roofline
-                .custom_kernel(fa.flops(), &fa.traffic(), precision),
-        }
     }
 }
 

@@ -278,17 +278,6 @@ pub fn layer_backward_ops(model: &ModelConfig, p: &GraphParams) -> Vec<Op> {
     ops
 }
 
-/// The attention-core forward ops replayed under **selective**
-/// recomputation (Eq. 2): scores, softmax, attention dropout, and the
-/// context gather — cheap to recompute, expensive to store.
-#[must_use]
-pub fn selective_recompute_ops(model: &ModelConfig, p: &GraphParams) -> Vec<Op> {
-    layer_forward_ops(model, p)
-        .into_iter()
-        .filter(|op| op.role.is_selective_recompute())
-        .collect()
-}
-
 /// Embedding-stage ops: token lookup (plus learned-position add for GPT).
 #[must_use]
 pub fn embedding_ops(model: &ModelConfig, p: &GraphParams) -> Vec<Op> {
@@ -451,15 +440,6 @@ mod tests {
         let plain = elems(&layer_forward_ops(&m, &base), OpRole::InputNorm);
         let sharded = elems(&layer_forward_ops(&m, &with_sp), OpRole::InputNorm);
         assert!((plain / sharded - 8.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn selective_recompute_is_attention_core() {
-        let m = presets::gpt_175b();
-        let p = GraphParams::prefill(1, 2048, 8, Precision::Fp16);
-        let ops = selective_recompute_ops(&m, &p);
-        assert_eq!(ops.len(), 4, "scores, softmax, dropout, context");
-        assert!(ops.iter().all(|o| o.role.is_selective_recompute()));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! parallelism — for training forward/backward passes, prefill, and
 //! KV-cached auto-regressive decode. These operator lists are the task
 //! graphs of the paper's Fig. 1, and every estimator in the suite costs
-//! them with the hierarchical roofline model.
+//! them with the hierarchical roofline model through [`Op::cost`].
 //!
 //! ```
 //! use optimus_hw::Precision;

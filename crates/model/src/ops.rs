@@ -1,7 +1,8 @@
 //! Typed operators of the transformer task graph.
 
 use crate::FlashAttentionOp;
-use optimus_roofline::{BatchedGemm, EltwiseOp, GemmShape};
+use optimus_hw::{HwError, Precision};
+use optimus_roofline::{BatchedGemm, EltwiseOp, GemmShape, KernelCost, RooflineModel};
 use optimus_units::FlopCount;
 use serde::{Deserialize, Serialize};
 
@@ -62,21 +63,6 @@ pub enum OpRole {
 }
 
 impl OpRole {
-    /// `true` for the six GEMM roles of the paper's Table 4.
-    #[must_use]
-    pub fn is_layer_gemm(self) -> bool {
-        matches!(
-            self,
-            Self::QkvProjection
-                | Self::AttnScores
-                | Self::AttnOverValues
-                | Self::OutputProjection
-                | Self::MlpUp
-                | Self::MlpGate
-                | Self::MlpDown
-        )
-    }
-
     /// `true` for the attention-core roles recomputed under *selective*
     /// recomputation (Eq. 2's softmax/dropout region).
     #[must_use]
@@ -174,6 +160,27 @@ impl Op {
             OpKind::Gemm(g) => g.flops(),
             OpKind::Eltwise(e) => e.flops(),
             OpKind::Flash(f) => f.flops(),
+        }
+    }
+
+    /// The operator's kernel cost on the hierarchical roofline: a GEMM at
+    /// the GEMM `precision`, a streaming op at the element width it
+    /// carries, and the fused flash kernel from its FLOPs and per-level
+    /// traffic. Every estimator prices its ops through this one call.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HwError::UnsupportedPrecision`] if the device has no peak
+    /// throughput entry for `precision` (streaming ops never fail).
+    pub fn cost(
+        &self,
+        roofline: &RooflineModel<'_>,
+        precision: Precision,
+    ) -> Result<KernelCost, HwError> {
+        match self.kind {
+            OpKind::Gemm(g) => roofline.batched_gemm(g, precision),
+            OpKind::Eltwise(e) => Ok(roofline.eltwise(e)),
+            OpKind::Flash(fa) => roofline.custom_kernel(fa.flops(), &fa.traffic(), precision),
         }
     }
 

@@ -3,34 +3,21 @@
 use crate::{blocked_traffic, choose_tile, BatchedGemm, GemmShape, KernelCost};
 use optimus_hw::{Accelerator, HwError, MemoryLevelKind, Precision};
 use optimus_units::{Bytes, Ratio, Time};
-use serde::{Deserialize, Serialize};
 
-/// Tuning knobs of the roofline engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RooflineConfig {
-    /// Capacity visible to one blocking unit at the shared/L1 level.
-    ///
-    /// [`optimus_hw::MemoryLevel`] records *aggregate* capacity, but tiles
-    /// are chosen per SM. The effective per-SM blocking store is shared
-    /// memory **plus the register file** (modern GEMMs accumulate the
-    /// output tile in registers while A/B stream through shared memory):
-    /// ~160 KiB shared + ~256 KiB registers ≈ 416 KiB. Modeling only the
-    /// shared memory makes large GEMMs spuriously L2-bound — the
-    /// mis-prediction the paper calls out in DeepFlow (§5.3).
-    pub sharedl1_tile_capacity: Bytes,
-    /// Fraction of the (chip-wide) L2 usable for blocking; the rest holds
-    /// other streams and metadata.
-    pub l2_blocking_fraction: Ratio,
-}
+/// Capacity visible to one blocking unit at the shared/L1 level, in KiB.
+///
+/// [`optimus_hw::MemoryLevel`] records *aggregate* capacity, but tiles
+/// are chosen per SM. The effective per-SM blocking store is shared
+/// memory **plus the register file** (modern GEMMs accumulate the
+/// output tile in registers while A/B stream through shared memory):
+/// ~160 KiB shared + ~256 KiB registers ≈ 416 KiB. Modeling only the
+/// shared memory makes large GEMMs spuriously L2-bound — the
+/// mis-prediction the paper calls out in DeepFlow (§5.3).
+const SHAREDL1_TILE_CAPACITY_KIB: f64 = 416.0;
 
-impl Default for RooflineConfig {
-    fn default() -> Self {
-        Self {
-            sharedl1_tile_capacity: Bytes::from_kib(416.0),
-            l2_blocking_fraction: Ratio::new(0.5),
-        }
-    }
-}
+/// Fraction of the (chip-wide) L2 usable for blocking; the rest holds
+/// other streams and metadata.
+const L2_BLOCKING_FRACTION: f64 = 0.5;
 
 /// The hierarchical roofline model bound to one accelerator.
 ///
@@ -41,23 +28,13 @@ impl Default for RooflineConfig {
 #[derive(Debug, Clone)]
 pub struct RooflineModel<'a> {
     device: &'a Accelerator,
-    config: RooflineConfig,
 }
 
 impl<'a> RooflineModel<'a> {
-    /// Creates a model for `device` with default tiling configuration.
+    /// Creates a model for `device`.
     #[must_use]
     pub fn new(device: &'a Accelerator) -> Self {
-        Self {
-            device,
-            config: RooflineConfig::default(),
-        }
-    }
-
-    /// Creates a model with explicit tiling configuration.
-    #[must_use]
-    pub fn with_config(device: &'a Accelerator, config: RooflineConfig) -> Self {
-        Self { device, config }
+        Self { device }
     }
 
     /// The device this model predicts for.
@@ -230,10 +207,10 @@ impl<'a> RooflineModel<'a> {
             MemoryLevelKind::Dram => self
                 .device
                 .level(MemoryLevelKind::L2)
-                .map(|l| l.capacity * self.config.l2_blocking_fraction.get())
+                .map(|l| l.capacity * L2_BLOCKING_FRACTION)
                 .unwrap_or(own_capacity),
             // L2 traffic is blocked by what one SM keeps in shared memory.
-            MemoryLevelKind::L2 => self.config.sharedl1_tile_capacity,
+            MemoryLevelKind::L2 => Bytes::from_kib(SHAREDL1_TILE_CAPACITY_KIB),
             // Shared-memory traffic is blocked by the register macro-tile.
             _ => {
                 let c = &self.device.compute;

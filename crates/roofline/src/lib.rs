@@ -43,6 +43,6 @@ mod tiling;
 
 pub use cost::{BoundType, KernelCost};
 pub use eltwise::{EltwiseKind, EltwiseOp};
-pub use gemm::{RooflineConfig, RooflineModel};
+pub use gemm::RooflineModel;
 pub use shape::{BatchedGemm, GemmShape};
 pub use tiling::{blocked_traffic, choose_tile, Tile};

@@ -158,14 +158,6 @@ impl core::fmt::Display for Scheduler {
     }
 }
 
-impl Scheduler {
-    /// Whether the scheduler ranks by [`crate::Request::priority`].
-    #[must_use]
-    pub fn is_priority_aware(&self) -> bool {
-        matches!(self, Self::Priority | Self::PriorityPreempt)
-    }
-}
-
 /// Paged-KV accounting of one run: block occupancy, prefix-cache
 /// effectiveness, and preemption traffic. Present in a
 /// [`crate::ServeReport`] exactly when the replica ran a paged

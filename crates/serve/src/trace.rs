@@ -148,22 +148,6 @@ impl Request {
         self.priority = priority;
         self
     }
-
-    /// Marks the leading `tokens` prompt tokens as shared prefix `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `tokens` is positive and strictly below the prompt
-    /// length (a request always contributes at least one novel token).
-    #[must_use]
-    pub fn with_prefix(mut self, id: usize, tokens: usize) -> Self {
-        assert!(
-            tokens > 0 && tokens < self.prompt,
-            "prefix must cover 1..prompt tokens"
-        );
-        self.prefix = Some(Prefix { id, tokens });
-        self
-    }
 }
 
 /// A pool of shared prompt prefixes — the conversational / few-shot
@@ -251,20 +235,6 @@ impl TraceSpec {
             prefixes: None,
             priority_classes: 1,
         }
-    }
-
-    /// Sets the shared-prefix pool.
-    #[must_use]
-    pub fn with_prefixes(mut self, prefixes: PrefixSpec) -> Self {
-        self.prefixes = Some(prefixes);
-        self
-    }
-
-    /// Sets the number of uniformly drawn priority classes.
-    #[must_use]
-    pub fn with_priority_classes(mut self, classes: u8) -> Self {
-        self.priority_classes = classes;
-        self
     }
 
     /// Expands the spec into an arrival-ordered request list.

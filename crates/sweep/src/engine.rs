@@ -334,10 +334,19 @@ impl<'e, 'a> PreparedSweep<'e, 'a> {
                             + self.engine.cost.energy_usd_joules(total.joules()),
                     )
                 };
+                let latency = report.time_per_batch * inflate;
+                // A waste so large that an inflated figure overflows
+                // rejects the point, as an estimator error does.
+                if !(latency.secs().is_finite()
+                    && energy_total.joules().is_finite()
+                    && cost_usd.is_finite())
+                {
+                    return Err(point);
+                }
                 Ok(EvaluatedPoint {
                     point,
                     gpus,
-                    latency: report.time_per_batch * inflate,
+                    latency,
                     throughput: self.workload.work_units()
                         / (report.time_per_batch.secs() * inflate),
                     memory_per_device: report.memory.total(),
@@ -456,6 +465,29 @@ mod tests {
         );
         assert!(a100_c.gpu_price_usd < h100_c.gpu_price_usd);
         assert!(h100_c.gpu_price_usd < b200_c.gpu_price_usd);
+    }
+
+    /// A restart cost whose inflated energy and cost overflow, though the
+    /// failure-expected time stays finite, rejects each point as an
+    /// estimator error does, so no evaluated figure is ever infinite.
+    #[test]
+    fn overflowing_inflated_figures_reject_the_point() {
+        let cluster = presets::dgx_a100_hdr_cluster();
+        let sweep = |restart_s: f64| {
+            SweepEngine::new(&cluster)
+                .with_checkpoint(CheckpointSpec::with_mtbf(10.0).with_restart(restart_s))
+                .sweep(
+                    &models::llama2_13b(),
+                    &Workload::training(64, 2048),
+                    &SweepSpace::power_of_two(8),
+                )
+        };
+        let (finite, overflowing) = (sweep(1e300), sweep(1e306));
+        assert_eq!((finite.evaluated.len(), finite.rejected.len()), (86, 0));
+        assert_eq!(
+            (overflowing.evaluated.len(), overflowing.rejected.len()),
+            (0, 86)
+        );
     }
 
     #[test]

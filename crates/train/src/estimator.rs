@@ -12,6 +12,9 @@ pub enum TrainError {
     Parallel(ParallelError),
     /// The device cannot execute the requested precision.
     Hw(HwError),
+    /// The named failure-expected figure overflows `f64`: the restart,
+    /// repair or checkpoint costs are too large against the cluster MTBF.
+    ResilienceOverflow(&'static str),
 }
 
 impl core::fmt::Display for TrainError {
@@ -19,6 +22,11 @@ impl core::fmt::Display for TrainError {
         match self {
             Self::Parallel(e) => write!(f, "parallelization error: {e}"),
             Self::Hw(e) => write!(f, "hardware error: {e}"),
+            Self::ResilienceOverflow(figure) => write!(
+                f,
+                "the failure-expected {figure} overflows: restart, repair and checkpoint \
+                 costs are too large against the cluster MTBF"
+            ),
         }
     }
 }
@@ -28,6 +36,7 @@ impl std::error::Error for TrainError {
         match self {
             Self::Parallel(e) => Some(e),
             Self::Hw(e) => Some(e),
+            Self::ResilienceOverflow(_) => None,
         }
     }
 }
@@ -101,7 +110,8 @@ impl<'a> TrainingEstimator<'a> {
     /// # Errors
     ///
     /// Returns [`TrainError`] if the parallelization does not divide the
-    /// workload/cluster or the precision is unsupported by the device.
+    /// workload/cluster, the precision is unsupported by the device, or a
+    /// failure-expected figure overflows.
     pub fn estimate(&self, cfg: &TrainingConfig) -> Result<TrainingReport, TrainError> {
         PreparedTrainingEstimator::from_config(self.cluster, cfg)
             .with_checkpoint(self.checkpoint.clone())

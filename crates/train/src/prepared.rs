@@ -32,9 +32,9 @@ use crate::{
 use optimus_collective::CommModel;
 use optimus_hw::{ClusterSpec, Precision};
 use optimus_memory::{training_memory, RecomputeMode, TrainingMemoryReport, TrainingMemorySpec};
-use optimus_model::{graph, GraphParams, ModelConfig, Op, OpKind};
+use optimus_model::{graph, GraphParams, ModelConfig, Op};
 use optimus_parallel::{CommPlan, Parallelism, PipelineSchedule};
-use optimus_roofline::RooflineModel;
+use optimus_roofline::{KernelCost, RooflineModel};
 use optimus_units::{Bytes, FlopCount, Time};
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -50,6 +50,13 @@ pub(crate) struct OpsCost {
 }
 
 impl OpsCost {
+    /// Adds one kernel's time, FLOPs and DRAM bytes.
+    fn add(&mut self, cost: &KernelCost) {
+        self.time += cost.total();
+        self.flops += cost.flops;
+        self.dram += cost.dram_traffic();
+    }
+
     pub(crate) fn plus(&self, other: &Self) -> Self {
         Self {
             time: self.time + other.time,
@@ -69,21 +76,19 @@ impl OpsCost {
 
 /// Total device time, FLOPs, and DRAM traffic of an operator list at the
 /// given GEMM precision (streaming ops already carry their element widths).
-pub(crate) fn ops_cost(
+/// Each op is costed once, and `visit` sees it with its cost in op order,
+/// so the sums that read the same per-op costs add them as they come.
+fn ops_cost(
     roofline: &RooflineModel<'_>,
     ops: &[Op],
     precision: Precision,
+    mut visit: impl FnMut(&Op, &KernelCost),
 ) -> Result<OpsCost, TrainError> {
     let mut total = OpsCost::default();
     for op in ops {
-        let cost = match op.kind {
-            OpKind::Gemm(g) => roofline.batched_gemm(g, precision)?,
-            OpKind::Eltwise(e) => roofline.eltwise(e),
-            OpKind::Flash(fa) => roofline.custom_kernel(fa.flops(), &fa.traffic(), precision)?,
-        };
-        total.time += cost.total();
-        total.flops += cost.flops;
-        total.dram += cost.dram_traffic();
+        let cost = op.cost(roofline, precision)?;
+        total.add(&cost);
+        visit(op, &cost);
     }
     Ok(total)
 }
@@ -267,7 +272,8 @@ impl<'a> PreparedTrainingEstimator<'a> {
     /// # Errors
     ///
     /// Returns [`TrainError`] if the parallelization does not divide the
-    /// workload/cluster or the precision is unsupported by the device.
+    /// workload/cluster, the precision is unsupported by the device, or a
+    /// failure-expected figure overflows.
     pub fn estimate(
         &self,
         parallelism: Parallelism,
@@ -297,7 +303,9 @@ impl<'a> PreparedTrainingEstimator<'a> {
     /// # Errors
     ///
     /// Returns [`TrainError`] if the parallelization does not divide the
-    /// workload/cluster or the precision is unsupported by the device.
+    /// workload/cluster, the precision is unsupported by the device, or a
+    /// failure-expected figure overflows
+    /// ([`TrainError::ResilienceOverflow`]).
     pub fn estimate_with_memory(
         &self,
         parallelism: Parallelism,
@@ -382,6 +390,19 @@ impl<'a> PreparedTrainingEstimator<'a> {
             &|dp| self.reprice_dp(p, precision, dp).ok(),
             &|uptime, interval_s, write_s| self.rework(uptime, interval_s, write_s),
         );
+        if let Some(r) = &resilience {
+            // A cost that overflows a failure-expected figure is refused,
+            // not reported as an infinity.
+            for (figure, value) in [
+                ("batch time", r.expected_time_per_batch.secs()),
+                ("restart fraction", r.restart_frac),
+                ("repair fraction", r.repair_frac.unwrap_or(0.0)),
+            ] {
+                if !value.is_finite() {
+                    return Err(TrainError::ResilienceOverflow(figure));
+                }
+            }
+        }
 
         Ok(TrainingReport {
             time_per_batch,
@@ -493,17 +514,33 @@ impl<'a> PreparedTrainingEstimator<'a> {
             .with_sp(sp)
             .with_flash(self.flash);
 
+        // Each forward and backward op is costed once. The Fig. 7 bound
+        // split runs on through the forward then the backward GEMMs, and
+        // selective recomputation (Eq. 2) replays the forward attention
+        // core, so both read the same per-op costs.
+        let mut gemm_split = GemmBoundSplit::default();
+        let mut split = |op: &Op, cost: &KernelCost| {
+            if op.as_gemm().is_some() {
+                if cost.bound().is_compute() {
+                    gemm_split.compute_bound += cost.total();
+                } else {
+                    gemm_split.memory_bound += cost.total();
+                }
+            }
+        };
+        let mut attention_core = OpsCost::default();
         let fwd_ops = graph::layer_forward_ops(&self.model, &gp);
+        let fwd = ops_cost(&self.roofline, &fwd_ops, precision, |op, cost| {
+            split(op, cost);
+            if op.role.is_selective_recompute() {
+                attention_core.add(cost);
+            }
+        })?;
         let bwd_ops = graph::layer_backward_ops(&self.model, &gp);
-        let fwd = ops_cost(&self.roofline, &fwd_ops, precision)?;
-        let bwd = ops_cost(&self.roofline, &bwd_ops, precision)?;
+        let bwd = ops_cost(&self.roofline, &bwd_ops, precision, split)?;
         let recompute = match self.recompute {
             RecomputeMode::None => OpsCost::default(),
-            RecomputeMode::Selective => ops_cost(
-                &self.roofline,
-                &graph::selective_recompute_ops(&self.model, &gp),
-                precision,
-            )?,
+            RecomputeMode::Selective => attention_core,
             // Full recomputation replays the whole forward pass.
             RecomputeMode::Full { .. } => fwd,
         };
@@ -514,20 +551,7 @@ impl<'a> PreparedTrainingEstimator<'a> {
             .into_iter()
             .chain(graph::head_ops(&self.model, &gp))
             .collect();
-        let emb_head = ops_cost(&self.roofline, &emb_head_ops, precision)?.scaled(3.0);
-
-        // Per-layer GEMM bound split (Fig. 7).
-        let mut gemm_split = GemmBoundSplit::default();
-        for op in fwd_ops.iter().chain(bwd_ops.iter()) {
-            if let OpKind::Gemm(g) = op.kind {
-                let cost = self.roofline.batched_gemm(g, precision)?;
-                if cost.bound().is_compute() {
-                    gemm_split.compute_bound += cost.total();
-                } else {
-                    gemm_split.memory_bound += cost.total();
-                }
-            }
-        }
+        let emb_head = ops_cost(&self.roofline, &emb_head_ops, precision, |_, _| {})?.scaled(3.0);
 
         // TP/SP collectives see only (tp, sp) and the microbatch activation
         // volume, so they memoize under the same key. DP/PP terms are
@@ -660,6 +684,177 @@ mod tests {
             .estimate(Parallelism::new(1, 2, 1), Precision::Bf16)
             .unwrap();
         assert_eq!(prepared.cached_keys(), 2);
+    }
+
+    /// A restart or repair cost so large against the cluster MTBF that a
+    /// failure-expected figure overflows is an error naming the figure, not
+    /// a report carrying an infinity; a large finite one still prices.
+    #[test]
+    fn overflowing_resilience_figures_are_errors() {
+        let cluster = presets::dgx_a100_hdr_cluster();
+        let error = |model: ModelConfig, batch: usize, spec: CheckpointSpec| {
+            PreparedTrainingEstimator::new(&cluster, Arc::new(model), batch, 2048)
+                .with_checkpoint(spec)
+                .estimate(Parallelism::new(8, 8, 1), Precision::Fp16)
+                .err()
+        };
+        let overflow = |figure| Some(TrainError::ResilienceOverflow(figure));
+        let spec = CheckpointSpec::with_mtbf(10.0);
+        let elastic = spec.clone().with_elastic(true);
+        assert_eq!(
+            error(models::gpt_175b(), 64, spec.clone().with_restart(1e308)),
+            overflow("batch time")
+        );
+        assert_eq!(
+            error(models::gpt_175b(), 64, elastic.clone().with_repair(1e308)),
+            overflow("batch time")
+        );
+        // Elastic continuation keeps the chosen waste finite, but not the
+        // restart or repair fraction it is chosen over; a short batch keeps
+        // the degraded continuation's expected time finite too.
+        assert_eq!(
+            error(models::gpt_175b(), 64, elastic.with_restart(1e308)),
+            overflow("restart fraction")
+        );
+        assert_eq!(
+            error(
+                models::llama2_7b(),
+                8,
+                CheckpointSpec::with_mtbf(8.0)
+                    .with_elastic(true)
+                    .with_repair(1e308)
+            ),
+            overflow("repair fraction")
+        );
+        assert_eq!(
+            error(models::gpt_175b(), 64, spec.with_restart(1e300)),
+            None
+        );
+    }
+
+    /// The one costing walk of `compute_layer_costs` against the per-list
+    /// algorithm it replaced, kept here as the reference: each op list
+    /// costed on its own, the selective replay as the forward ops filtered
+    /// by role, and the Fig. 7 split as every forward then backward GEMM
+    /// costed again into running sums. Every figure matches to the bit
+    /// over gpt-22b (LayerNorm, GELU, dropout), llama2-13b and llama2-70b
+    /// (GQA), TP, SP, microbatch, flash, all three recompute modes, and
+    /// FP16/BF16 on A100 and FP8 on H100.
+    #[test]
+    fn one_layer_walk_matches_the_per_list_costing() {
+        let bits = |c: OpsCost| [c.time.secs(), c.flops.get(), c.dram.bytes()].map(f64::to_bits);
+        let split_bits =
+            |s: GemmBoundSplit| [s.compute_bound, s.memory_bound].map(|t| t.secs().to_bits());
+        let (a100, h100) = (
+            presets::dgx_a100_hdr_cluster(),
+            presets::dgx_h100_ndr_cluster(),
+        );
+        let modes = [
+            RecomputeMode::None,
+            RecomputeMode::Selective,
+            RecomputeMode::Full {
+                checkpoints_per_stage: None,
+            },
+        ];
+        let mut cells = Vec::new();
+        for tp in [1, 2, 8] {
+            for sp in [false, true] {
+                for microbatch in [1, 4] {
+                    for flash in [false, true] {
+                        cells.push((tp, sp, microbatch, flash));
+                    }
+                }
+            }
+        }
+        for model in [
+            models::gpt_22b(),
+            models::llama2_13b(),
+            models::llama2_70b(),
+        ]
+        .map(Arc::new)
+        {
+            for (cluster, precision) in [
+                (&a100, Precision::Fp16),
+                (&a100, Precision::Bf16),
+                (&h100, Precision::Fp8),
+            ] {
+                let roofline = RooflineModel::new(cluster.accelerator());
+                let costed = |ops: &[Op]| {
+                    let mut sum = OpsCost::default();
+                    for c in ops.iter().map(|op| op.cost(&roofline, precision).unwrap()) {
+                        sum.time += c.total();
+                        sum.flops += c.flops;
+                        sum.dram += c.dram_traffic();
+                    }
+                    sum
+                };
+                for mode in modes {
+                    for &(tp, sp, microbatch, flash) in &cells {
+                        let gp = GraphParams::prefill(microbatch, 2048, tp, precision)
+                            .with_sp(sp)
+                            .with_flash(flash);
+                        let fwd_ops = graph::layer_forward_ops(&model, &gp);
+                        let bwd_ops = graph::layer_backward_ops(&model, &gp);
+                        let core: Vec<Op> = fwd_ops
+                            .iter()
+                            .copied()
+                            .filter(|op| op.role.is_selective_recompute())
+                            .collect();
+                        let recompute = match mode {
+                            RecomputeMode::None => OpsCost::default(),
+                            RecomputeMode::Selective => costed(&core),
+                            RecomputeMode::Full { .. } => costed(&fwd_ops),
+                        };
+                        let emb_head = [
+                            graph::embedding_ops(&model, &gp),
+                            graph::head_ops(&model, &gp),
+                        ]
+                        .concat();
+                        let mut split = GemmBoundSplit::default();
+                        for op in fwd_ops
+                            .iter()
+                            .chain(&bwd_ops)
+                            .filter(|op| op.as_gemm().is_some())
+                        {
+                            let c = op.cost(&roofline, precision).unwrap();
+                            if c.bound().is_compute() {
+                                split.compute_bound += c.total();
+                            } else {
+                                split.memory_bound += c.total();
+                            }
+                        }
+
+                        let walked =
+                            PreparedTrainingEstimator::new(cluster, Arc::clone(&model), 8, 2048)
+                                .with_recompute(mode)
+                                .with_flash(flash)
+                                .compute_layer_costs(tp, sp, microbatch, precision)
+                                .unwrap();
+                        let cell = format!(
+                            "{} {precision} {mode} tp={tp} sp={sp} mb={microbatch} flash={flash}",
+                            model.name
+                        );
+                        let want = [
+                            costed(&fwd_ops),
+                            costed(&bwd_ops),
+                            recompute,
+                            costed(&emb_head).scaled(3.0),
+                        ];
+                        let got = [walked.fwd, walked.bwd, walked.recompute, walked.emb_head];
+                        assert_eq!(
+                            got.map(bits),
+                            want.map(bits),
+                            "fwd, bwd, recompute, emb/head: {cell}"
+                        );
+                        assert_eq!(
+                            split_bits(walked.gemm_split),
+                            split_bits(split),
+                            "split: {cell}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// Errors memoize too: an unsupported precision fails identically on

@@ -344,18 +344,6 @@ impl CheckpointSpec {
         !self.has_failures()
     }
 
-    /// Whether the spec uses anything beyond the scalar Young–Daly base
-    /// model (non-exponential process, extra tiers, elasticity, repair
-    /// waits, or a non-default power profile).
-    #[must_use]
-    pub fn uses_stack(&self) -> bool {
-        self.process != FailureProcess::Exponential
-            || !self.tiers.is_empty()
-            || self.elastic
-            || self.repair_s != 0.0
-            || self.overhead_util != 1.0
-    }
-
     /// Validates the spec's parameters.
     ///
     /// # Errors

@@ -56,12 +56,6 @@ impl Power {
 }
 
 impl Energy {
-    /// Creates an energy from joules. Alias of [`Energy::new`].
-    #[must_use]
-    pub fn from_joules(j: f64) -> Self {
-        Self::new(j)
-    }
-
     /// The energy in joules.
     #[must_use]
     pub const fn joules(self) -> f64 {
@@ -74,12 +68,6 @@ impl Frequency {
     #[must_use]
     pub fn from_ghz(ghz: f64) -> Self {
         Self::new(ghz * 1e9)
-    }
-
-    /// Creates a frequency from megahertz.
-    #[must_use]
-    pub fn from_mhz(mhz: f64) -> Self {
-        Self::new(mhz * 1e6)
     }
 
     /// The frequency in GHz.
