@@ -3,6 +3,7 @@
 use crate::args::{synopses, ArgError, Args, Command};
 use optimus::memory::{training_memory, RecomputeMode, TrainingMemorySpec};
 use optimus::prelude::*;
+use optimus::units::Figure;
 use optimus_sweep::{render_frontier, render_table, SweepEngine, SweepSpace, Workload};
 
 /// Resolves a model preset name (case-insensitive, `-`/`_` agnostic).
@@ -782,7 +783,11 @@ fn load_sweep(args: &Args) -> Result<String, ArgError> {
     if let Some(f) = &report.faults {
         let mut axes = Vec::new();
         if f.mtbf_s > 0.0 {
-            axes.push(format!("mtbf {} s, mttr {} s", f.mtbf_s, f.mttr_s));
+            axes.push(format!(
+                "mtbf {} s, mttr {} s",
+                Figure(f.mtbf_s),
+                Figure(f.mttr_s)
+            ));
         }
         if !f.domains.is_empty() {
             axes.push(format!("{} failure domain(s)", f.domains.len()));
@@ -790,13 +795,15 @@ fn load_sweep(args: &Args) -> Result<String, ArgError> {
         if f.straggler_frac > 0.0 {
             axes.push(format!(
                 "stragglers {}:{}",
-                f.straggler_frac, f.straggler_mult
+                f.straggler_frac,
+                Figure(f.straggler_mult)
             ));
         }
         if f.degrade_mult != 1.0 {
             axes.push(format!(
                 "degrade {}× ({:?})",
-                f.degrade_mult, f.degrade_mode
+                Figure(f.degrade_mult),
+                f.degrade_mode
             ));
         }
         out.push_str(&format!(
@@ -959,7 +966,7 @@ fn sweep(args: &Args) -> Result<String, ArgError> {
     );
     if checkpoint.has_failures() {
         let interval = match checkpoint.interval_s {
-            Some(s) => format!("checkpoint every {s} s"),
+            Some(s) => format!("checkpoint every {} s", Figure(s)),
             None => "Young–Daly checkpoint interval".to_owned(),
         };
         let mut extras = String::new();
@@ -980,7 +987,8 @@ fn sweep(args: &Args) -> Result<String, ArgError> {
         out.push_str(&format!(
             "resilience: per-GPU mtbf {} s, {interval}, restart {} s{extras} — latency, cost, \
              and energy are failure-expected\n\n",
-            checkpoint.mtbf_s, checkpoint.restart_s
+            Figure(checkpoint.mtbf_s),
+            Figure(checkpoint.restart_s)
         ));
     }
     out.push_str(&render_frontier(&report));
@@ -1500,6 +1508,42 @@ mod tests {
             v.get("completed").and_then(serde_json::Value::as_f64),
             Some(16.0)
         );
+    }
+
+    /// Finite figures of 2^53 or more print in exponent form, not as
+    /// hundreds of digits: the expected time, latencies and costs of a
+    /// huge restart cost, the echoed restart, and a load sweep's echoed
+    /// MTBF and MTTR.
+    #[test]
+    fn huge_figures_print_no_long_digit_runs() {
+        for line in [
+            "train --mtbf 10 --restart 1e300",
+            "sweep --max-gpus 8 --mtbf 10 --restart 1e300 --frontier-only",
+            "load-sweep --model llama2-7b --tp-list 1 --replicas-list 2 --rates 20 \
+             --requests 30 --mtbf 1e300 --mttr 1e299",
+        ] {
+            let out = cli(line).unwrap();
+            let longest = out
+                .split(|c: char| !c.is_ascii_digit())
+                .map(str::len)
+                .max()
+                .unwrap_or(0);
+            assert!(longest < 20, "{line}: {out}");
+            assert!(out.contains("e29"), "{line}: {out}");
+        }
+    }
+
+    /// A fleet with faults but no outage window (stragglers only) reports
+    /// zero downtime per replica, not `-0.000 ns`.
+    #[test]
+    fn fault_free_replicas_report_positive_zero_downtime() {
+        let out = cli("serve --replicas 2 --stragglers 0.5:2 --requests 20").unwrap();
+        let line = out
+            .lines()
+            .find(|l| l.starts_with("churn: downtime per replica"))
+            .unwrap();
+        assert!(line.contains("[0.000 ns, 0.000 ns]"), "{line}");
+        assert!(!out.contains("-0.000"), "{out}");
     }
 
     #[test]

@@ -317,26 +317,6 @@ pub fn fig5_series() -> Vec<Fig5Point> {
     ]
 }
 
-/// §6.2's observations for Fig. 9, used as reference checks: on 8 A100s
-/// serving Llama2-13B, communication ≈ 1.6× memory time; NV3 → NV4 buys a
-/// ~12% communication gain.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Fig9Reference {
-    /// Communication-to-memory time ratio at 8 GPUs.
-    pub comm_to_memory_8gpu: f64,
-    /// Fractional communication improvement from NVLink3 to NVLink4.
-    pub nv4_comm_gain: f64,
-}
-
-/// The Fig. 9 reference observations.
-#[must_use]
-pub fn fig9_reference() -> Fig9Reference {
-    Fig9Reference {
-        comm_to_memory_8gpu: 1.6,
-        nv4_comm_gain: 0.12,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

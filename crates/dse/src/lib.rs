@@ -28,10 +28,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod objective;
 mod optimizer;
 mod space;
 
-pub use objective::Objective;
 pub use optimizer::{DsePoint, DseResult, GradientDescent, GridSearch, RandomSearch};
 pub use space::SearchSpace;

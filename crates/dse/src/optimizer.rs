@@ -48,26 +48,6 @@ impl Default for GradientDescent {
     }
 }
 
-/// Implements the [`crate::Objective`]-driven entry point — the same
-/// evaluation interface the strategy sweep in `optimus-sweep` uses — for
-/// each optimizer, bridging to its closure-based `minimize`.
-macro_rules! impl_minimize_objective {
-    ($($optimizer:ty),*) => {$(
-        impl $optimizer {
-            /// Minimizes a shared [`crate::Objective`] over `space`.
-            pub fn minimize_objective<O: crate::Objective<Allocation>>(
-                &self,
-                space: &SearchSpace,
-                objective: &O,
-            ) -> DseResult {
-                self.minimize(space, |a| objective.evaluate(&a))
-            }
-        }
-    )*};
-}
-
-impl_minimize_objective!(GradientDescent, RandomSearch, GridSearch);
-
 impl GradientDescent {
     /// Minimizes `objective` over `space`, starting from the centroid.
     ///
@@ -251,35 +231,6 @@ mod tests {
         );
         assert!((result.best.allocation.sram.get() - 0.25).abs() < 0.05);
         assert!(result.best.objective < 0.105);
-    }
-
-    #[test]
-    fn objective_trait_drives_every_optimizer() {
-        // The shared `Objective` interface (also consumed by the sweep in
-        // `optimus-sweep`) must reach the same optimum as the closure path.
-        let space = SearchSpace::default();
-        let objective = |a: &Allocation| bowl(*a);
-        let gd = GradientDescent::default().minimize_objective(&space, &objective);
-        assert_eq!(
-            gd.best.allocation,
-            GradientDescent::default()
-                .minimize(&space, bowl)
-                .best
-                .allocation
-        );
-        let rs = RandomSearch::default().minimize_objective(&space, &objective);
-        assert_eq!(
-            rs.best.allocation,
-            RandomSearch::default()
-                .minimize(&space, bowl)
-                .best
-                .allocation
-        );
-        let gs = GridSearch::default().minimize_objective(&space, &objective);
-        assert_eq!(
-            gs.best.allocation,
-            GridSearch::default().minimize(&space, bowl).best.allocation
-        );
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Inference-job description.
 
-use optimus_collective::CommModel;
 use optimus_hw::Precision;
 use optimus_model::ModelConfig;
 use serde::{Deserialize, Serialize};
@@ -27,15 +26,11 @@ pub struct InferenceConfig {
     pub tp: usize,
     /// Serving precision.
     pub precision: Precision,
-    /// Collective-algorithm policy. Defaults to automatic, which picks the
-    /// double-binary-tree for the latency-bound decode all-reduces (§3.4).
-    pub comm: CommModel,
 }
 
 impl InferenceConfig {
-    /// Creates a config at FP16 with automatic collective selection.
-    /// Accepts an owned [`ModelConfig`] or an existing [`Arc`] (shared
-    /// across sweep points).
+    /// Creates a config at FP16. Accepts an owned [`ModelConfig`] or an
+    /// existing [`Arc`] (shared across sweep points).
     ///
     /// # Panics
     ///
@@ -59,7 +54,6 @@ impl InferenceConfig {
             generate,
             tp,
             precision: Precision::Fp16,
-            comm: CommModel::Auto,
         }
     }
 
@@ -67,13 +61,6 @@ impl InferenceConfig {
     #[must_use]
     pub fn with_precision(mut self, precision: Precision) -> Self {
         self.precision = precision;
-        self
-    }
-
-    /// Sets the collective policy.
-    #[must_use]
-    pub fn with_comm(mut self, comm: CommModel) -> Self {
-        self.comm = comm;
         self
     }
 

@@ -4,7 +4,7 @@
 //! (model, cluster, request-shape) triple. Kernel costs depend only on
 //! `(batch, seq, kv_len, tp, precision)`, and the embedding/LM-head stage
 //! does not even see `kv_len`. [`PreparedInferenceEstimator`] holds the
-//! roofline and concurrent memo tables over those keys; per-point
+//! roofline and [`Memo`] tables over those keys; per-point
 //! evaluation reduces to lookups, the attention core at each decode
 //! context, and the communication and assembly arithmetic.
 //!
@@ -29,16 +29,13 @@
 //! per-point evaluation.
 
 use crate::{GemmAnalysis, InferenceBreakdown, InferenceConfig, InferenceReport};
-use optimus_collective::CommModel;
 use optimus_hw::{ClusterSpec, HwError, Precision};
 use optimus_memory::{inference_memory, InferenceMemoryReport};
-use optimus_model::{graph, GraphParams, ModelConfig, Op};
+use optimus_model::{graph, GraphParams, Memo, ModelConfig, Op};
 use optimus_parallel::{CommPlan, Parallelism};
 use optimus_roofline::{KernelCost, RooflineModel};
 use optimus_units::{Bytes, FlopCount, Time};
-use std::collections::HashMap;
-use std::hash::Hash;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 /// Cost of one operator list: bound-type time breakdown, the
 /// energy-relevant volumes, and the per-GEMM analysis rows (memoized with
@@ -123,16 +120,14 @@ pub struct PreparedInferenceEstimator<'a> {
     batch: usize,
     prefill: usize,
     generate: usize,
-    comm: CommModel,
-    layer_cache: RwLock<HashMap<LayerKey, Result<Arc<StepCost>, HwError>>>,
-    extra_cache: RwLock<HashMap<ExtraKey, Result<Arc<StepCost>, HwError>>>,
-    decode_rows: RwLock<HashMap<RowKey, Result<Arc<DecodeRow>, HwError>>>,
-    decode_totals: RwLock<HashMap<DecodeKey, Result<Time, HwError>>>,
+    layer_cache: Memo<LayerKey, Result<Arc<StepCost>, HwError>>,
+    extra_cache: Memo<ExtraKey, Result<Arc<StepCost>, HwError>>,
+    decode_rows: Memo<RowKey, Result<Arc<DecodeRow>, HwError>>,
+    decode_totals: Memo<DecodeKey, Result<Time, HwError>>,
 }
 
 impl<'a> PreparedInferenceEstimator<'a> {
-    /// Prepares an estimator for one (model, cluster, request shape) with
-    /// automatic collective selection.
+    /// Prepares an estimator for one (model, cluster, request shape).
     ///
     /// # Panics
     ///
@@ -157,11 +152,10 @@ impl<'a> PreparedInferenceEstimator<'a> {
             batch,
             prefill,
             generate,
-            comm: CommModel::Auto,
-            layer_cache: RwLock::new(HashMap::new()),
-            extra_cache: RwLock::new(HashMap::new()),
-            decode_rows: RwLock::new(HashMap::new()),
-            decode_totals: RwLock::new(HashMap::new()),
+            layer_cache: Memo::default(),
+            extra_cache: Memo::default(),
+            decode_rows: Memo::default(),
+            decode_totals: Memo::default(),
         }
     }
 
@@ -177,7 +171,6 @@ impl<'a> PreparedInferenceEstimator<'a> {
             cfg.prefill,
             cfg.generate,
         )
-        .with_comm(cfg.comm)
     }
 
     /// Prepares an estimator for iteration-level serving simulation, where
@@ -189,25 +182,15 @@ impl<'a> PreparedInferenceEstimator<'a> {
         Self::new(cluster, model, 1, 1, 1)
     }
 
-    /// Sets the collective policy.
-    #[must_use]
-    pub fn with_comm(mut self, comm: CommModel) -> Self {
-        self.comm = comm;
-        self
-    }
-
     /// Number of distinct memo keys materialized so far: per-step layer
     /// and embedding/LM-head kernels, decode rows and decode-iteration
     /// prices.
     #[must_use]
     pub fn cached_keys(&self) -> usize {
-        fn len<K, V>(table: &RwLock<HashMap<K, V>>) -> usize {
-            table.read().expect("memo table poisoned").len()
-        }
-        len(&self.layer_cache)
-            + len(&self.extra_cache)
-            + len(&self.decode_rows)
-            + len(&self.decode_totals)
+        self.layer_cache.len()
+            + self.extra_cache.len()
+            + self.decode_rows.len()
+            + self.decode_totals.len()
     }
 
     /// Phase-2 evaluation of one (TP, precision) point, computing the
@@ -241,7 +224,7 @@ impl<'a> PreparedInferenceEstimator<'a> {
     ) -> Result<InferenceReport, HwError> {
         assert!(tp > 0, "tp must be positive");
         let parallelism = Parallelism::tensor_parallel(tp);
-        let plan = CommPlan::new(self.cluster, parallelism, self.comm);
+        let plan = CommPlan::new(self.cluster, parallelism);
         let layers = self.model.layers as f64;
 
         // --- prefill -----------------------------------------------------
@@ -370,7 +353,7 @@ impl<'a> PreparedInferenceEstimator<'a> {
         let layer = self.layer_cost(&gp)?;
         let extra = self.extra_cost(&gp)?;
         let layers = self.model.layers as f64;
-        let plan = CommPlan::new(self.cluster, Parallelism::tensor_parallel(tp), self.comm);
+        let plan = CommPlan::new(self.cluster, Parallelism::tensor_parallel(tp));
         let volume = Bytes::new((batch * prompt * self.model.hidden) as f64 * precision.bytes());
         Ok(layer.bd.total() * layers + plan.tp_layer_inference(volume) * layers + extra.bd.total())
     }
@@ -407,10 +390,11 @@ impl<'a> PreparedInferenceEstimator<'a> {
             batch > 0 && kv_len > 0 && tp > 0,
             "degenerate decode iteration"
         );
-        memoized(&self.decode_totals, (batch, kv_len, tp, precision), || {
-            let row = self.decode_row(batch, tp, precision)?;
-            self.decode_total(&row, &GraphParams::decode(batch, kv_len, tp, precision))
-        })
+        self.decode_totals
+            .get_or_insert_with((batch, kv_len, tp, precision), || {
+                let row = self.decode_row(batch, tp, precision)?;
+                self.decode_total(&row, &GraphParams::decode(batch, kv_len, tp, precision))
+            })
     }
 
     /// The decode row at `batch`, memoized on `(batch, tp, precision)`.
@@ -420,9 +404,10 @@ impl<'a> PreparedInferenceEstimator<'a> {
         tp: usize,
         precision: Precision,
     ) -> Result<Arc<DecodeRow>, HwError> {
-        memoized(&self.decode_rows, (batch, tp, precision), || {
-            self.cost_decode_row(batch, tp, precision).map(Arc::new)
-        })
+        self.decode_rows
+            .get_or_insert_with((batch, tp, precision), || {
+                self.cost_decode_row(batch, tp, precision).map(Arc::new)
+            })
     }
 
     /// Costs everything a decode iteration at `batch` prices without the
@@ -448,7 +433,7 @@ impl<'a> PreparedInferenceEstimator<'a> {
             })
             .collect::<Result<_, _>>()?;
         let head = self.ops_cost(&self.extra_ops(&gp), precision)?.bd.total();
-        let plan = CommPlan::new(self.cluster, Parallelism::tensor_parallel(tp), self.comm);
+        let plan = CommPlan::new(self.cluster, Parallelism::tensor_parallel(tp));
         let volume = Bytes::new((batch * self.model.hidden) as f64 * precision.bytes());
         Ok(DecodeRow {
             layer,
@@ -496,7 +481,7 @@ impl<'a> PreparedInferenceEstimator<'a> {
     /// memoized on `(batch, seq, kv_len, tp, precision)`.
     fn layer_cost(&self, gp: &GraphParams) -> Result<Arc<StepCost>, HwError> {
         let key = (gp.batch, gp.seq, gp.kv_len, gp.tp, gp.precision);
-        memoized(&self.layer_cache, key, || {
+        self.layer_cache.get_or_insert_with(key, || {
             self.ops_cost(&graph::layer_forward_ops(&self.model, gp), gp.precision)
                 .map(Arc::new)
         })
@@ -506,14 +491,11 @@ impl<'a> PreparedInferenceEstimator<'a> {
     /// memoized on `(batch, seq, tp, precision)` — `kv_len` never reaches
     /// these ops, so every decode step shares one entry.
     fn extra_cost(&self, gp: &GraphParams) -> Result<Arc<StepCost>, HwError> {
-        memoized(
-            &self.extra_cache,
-            (gp.batch, gp.seq, gp.tp, gp.precision),
-            || {
+        self.extra_cache
+            .get_or_insert_with((gp.batch, gp.seq, gp.tp, gp.precision), || {
                 self.ops_cost(&self.extra_ops(gp), gp.precision)
                     .map(Arc::new)
-            },
-        )
+            })
     }
 
     /// The embedding + LM-head stage's ops.
@@ -540,26 +522,6 @@ impl<'a> PreparedInferenceEstimator<'a> {
         }
         Ok(total)
     }
-}
-
-/// Looks `key` up in `table`, computing and inserting the value on a miss.
-/// Values are pure functions of their keys, so when two threads race on
-/// one key the first insert wins and both return equal values.
-fn memoized<K: Eq + Hash, V: Clone>(
-    table: &RwLock<HashMap<K, Result<V, HwError>>>,
-    key: K,
-    compute: impl FnOnce() -> Result<V, HwError>,
-) -> Result<V, HwError> {
-    if let Some(hit) = table.read().expect("memo table poisoned").get(&key) {
-        return hit.clone();
-    }
-    let computed = compute();
-    table
-        .write()
-        .expect("memo table poisoned")
-        .entry(key)
-        .or_insert_with(|| computed.clone());
-    computed
 }
 
 /// Adds `scale` copies of `src` kernel categories into `dst`

@@ -24,7 +24,6 @@
 //!   all-reduces) **to the bit** in every time, breakdown category,
 //!   traffic volume and decode-GEMM row.
 
-use optimus_collective::CommModel;
 use optimus_hw::{presets, ClusterSpec, Precision};
 use optimus_infer::{GemmAnalysis, InferenceBreakdown, PreparedInferenceEstimator};
 use optimus_model::{graph, presets as models, GraphParams, ModelConfig, Op, OpKind};
@@ -132,7 +131,7 @@ fn reference(
     let gp = GraphParams::decode(batch, kv_len, tp, precision);
     let layer = op_by_op(&roofline, &graph::layer_forward_ops(model, &gp), precision);
     let head = op_by_op(&roofline, &extra_ops(model, &gp), precision);
-    let plan = CommPlan::new(cluster, Parallelism::tensor_parallel(tp), CommModel::Auto);
+    let plan = CommPlan::new(cluster, Parallelism::tensor_parallel(tp));
     let volume = Bytes::new((batch * model.hidden) as f64 * precision.bytes());
     let layers = model.layers as f64;
     layer * layers + plan.tp_layer_inference(volume) * layers + head
@@ -168,7 +167,7 @@ fn reference_estimate(
     precision: Precision,
 ) -> OneShot {
     let roofline = RooflineModel::new(cluster.accelerator());
-    let plan = CommPlan::new(cluster, Parallelism::tensor_parallel(tp), CommModel::Auto);
+    let plan = CommPlan::new(cluster, Parallelism::tensor_parallel(tp));
     let layers = model.layers as f64;
 
     let pre = GraphParams::prefill(batch, prefill, tp, precision);

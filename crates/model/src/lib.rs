@@ -7,7 +7,8 @@
 //! parallelism — for training forward/backward passes, prefill, and
 //! KV-cached auto-regressive decode. These operator lists are the task
 //! graphs of the paper's Fig. 1, and every estimator in the suite costs
-//! them with the hierarchical roofline model through [`Op::cost`].
+//! them with the hierarchical roofline model through [`Op::cost`], and
+//! the prepared estimators keep those costs in [`Memo`] tables.
 //!
 //! ```
 //! use optimus_hw::Precision;
@@ -26,10 +27,12 @@
 mod config;
 mod flash;
 pub mod graph;
+mod memo;
 mod ops;
 pub mod presets;
 
 pub use config::{AttentionKind, MlpKind, ModelConfig, ModelConfigBuilder, NormKind};
 pub use flash::FlashAttentionOp;
 pub use graph::GraphParams;
+pub use memo::Memo;
 pub use ops::{total_flops, Op, OpKind, OpRole};

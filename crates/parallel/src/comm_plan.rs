@@ -12,17 +12,17 @@ use optimus_units::{Bytes, Time};
 pub struct CommPlan<'a> {
     cluster: &'a ClusterSpec,
     parallelism: Parallelism,
-    comm: CommModel,
 }
 
 impl<'a> CommPlan<'a> {
-    /// Creates a plan for `parallelism` mapped onto `cluster`.
+    /// Creates a plan for `parallelism` mapped onto `cluster`. Every
+    /// collective takes the cheaper of ring and tree ([`CommModel::Auto`],
+    /// the NCCL-style selection of §3.4).
     #[must_use]
-    pub fn new(cluster: &'a ClusterSpec, parallelism: Parallelism, comm: CommModel) -> Self {
+    pub fn new(cluster: &'a ClusterSpec, parallelism: Parallelism) -> Self {
         Self {
             cluster,
             parallelism,
-            comm,
         }
     }
 
@@ -44,17 +44,11 @@ impl<'a> CommPlan<'a> {
         }
         let link = self.cluster.link_for_group(tp);
         if self.parallelism.sp {
-            let ag = self
-                .comm
-                .time(Collective::AllGather, activation_volume, tp, link);
-            let rs = self
-                .comm
-                .time(Collective::ReduceScatter, activation_volume, tp, link);
+            let ag = CommModel::Auto.time(Collective::AllGather, activation_volume, tp, link);
+            let rs = CommModel::Auto.time(Collective::ReduceScatter, activation_volume, tp, link);
             (ag + rs) * 2.0
         } else {
-            self.comm
-                .time(Collective::AllReduce, activation_volume, tp, link)
-                * 2.0
+            CommModel::Auto.time(Collective::AllReduce, activation_volume, tp, link) * 2.0
         }
     }
 
@@ -83,8 +77,7 @@ impl<'a> CommPlan<'a> {
             self.cluster
                 .link_for_group(dp * self.parallelism.tp * self.parallelism.pp)
         };
-        self.comm
-            .time(Collective::AllReduce, gradient_volume, dp, link)
+        CommModel::Auto.time(Collective::AllReduce, gradient_volume, dp, link)
     }
 
     /// One pipeline-stage boundary crossing for one microbatch's
@@ -102,8 +95,7 @@ impl<'a> CommPlan<'a> {
         } else {
             &self.cluster.node.intra_link
         };
-        self.comm
-            .time(Collective::PointToPoint, activation_volume, 2, link)
+        CommModel::Auto.time(Collective::PointToPoint, activation_volume, 2, link)
     }
 
     /// Tensor-parallel communication of one **inference** layer (prefill or
@@ -155,18 +147,19 @@ mod tests {
     #[test]
     fn tp1_is_free() {
         let c = cluster();
-        let plan = CommPlan::new(&c, Parallelism::single(), CommModel::auto());
+        let plan = CommPlan::new(&c, Parallelism::single());
         assert_eq!(plan.tp_layer_forward(Bytes::from_mib(50.0)), Time::ZERO);
     }
 
     #[test]
     fn sp_costs_the_same_as_tp() {
-        // Ring all-reduce = all-gather + reduce-scatter, so SP's pairs cost
-        // exactly what TP's all-reduces cost (the paper's "without
-        // incurring communication overhead").
+        // At 50 MiB every collective picks the ring, and a ring all-reduce
+        // = all-gather + reduce-scatter, so SP's pairs cost exactly what
+        // TP's all-reduces cost (the paper's "without incurring
+        // communication overhead").
         let c = cluster();
-        let tp = CommPlan::new(&c, Parallelism::new(1, 8, 1), CommModel::Ring);
-        let sp = CommPlan::new(&c, Parallelism::new(1, 8, 1).with_sp(true), CommModel::Ring);
+        let tp = CommPlan::new(&c, Parallelism::new(1, 8, 1));
+        let sp = CommPlan::new(&c, Parallelism::new(1, 8, 1).with_sp(true));
         let v = Bytes::from_mib(50.0);
         let a = tp.tp_layer_forward(v);
         let b = sp.tp_layer_forward(v);
@@ -177,11 +170,11 @@ mod tests {
     fn dp_across_nodes_uses_infiniband() {
         let c = cluster();
         // tp·pp = 64 ≥ 8 GPUs/node: DP replicas sit on different nodes.
-        let plan = CommPlan::new(&c, Parallelism::new(4, 8, 8), CommModel::Ring);
+        let plan = CommPlan::new(&c, Parallelism::new(4, 8, 8));
         let v = Bytes::from_gib(2.0);
         let t_inter = plan.dp_gradient_allreduce(v);
         // The same volume on NVLink would be ~12x faster (300 vs 25 GB/s).
-        let intra_plan = CommPlan::new(&c, Parallelism::new(4, 1, 1), CommModel::Ring);
+        let intra_plan = CommPlan::new(&c, Parallelism::new(4, 1, 1));
         let t_intra = intra_plan.dp_gradient_allreduce(v);
         assert!(t_inter.secs() > 5.0 * t_intra.secs());
     }
@@ -189,8 +182,8 @@ mod tests {
     #[test]
     fn pp_hop_uses_inter_node_when_spanning() {
         let c = cluster();
-        let spanning = CommPlan::new(&c, Parallelism::new(1, 8, 8), CommModel::auto());
-        let local = CommPlan::new(&c, Parallelism::new(1, 2, 4), CommModel::auto());
+        let spanning = CommPlan::new(&c, Parallelism::new(1, 8, 8));
+        let local = CommPlan::new(&c, Parallelism::new(1, 2, 4));
         let v = Bytes::from_mib(24.0);
         assert!(spanning.pp_hop(v) > local.pp_hop(v));
     }
@@ -198,7 +191,7 @@ mod tests {
     #[test]
     fn pp1_hop_is_free() {
         let c = cluster();
-        let plan = CommPlan::new(&c, Parallelism::new(8, 8, 1), CommModel::auto());
+        let plan = CommPlan::new(&c, Parallelism::new(8, 8, 1));
         assert_eq!(plan.pp_hop(Bytes::from_mib(24.0)), Time::ZERO);
     }
 }

@@ -499,12 +499,13 @@ impl FaultSpec {
 }
 
 /// Schedule-based availability accounting: the number of outage
-/// `windows` and their total downtime clipped to `horizon_s`.
+/// `windows` and their total downtime clipped to `horizon_s`. The sum
+/// starts at +0.0 (`Iterator::sum` starts at −0.0), so no outage is zero
+/// downtime, not a negative zero.
 pub(crate) fn clipped_stats(windows: &[(f64, f64)], horizon_s: f64) -> (usize, f64) {
-    let downtime = windows
-        .iter()
-        .map(|&(crash, recover)| recover.min(horizon_s) - crash)
-        .sum();
+    let downtime = windows.iter().fold(0.0, |sum, &(crash, recover)| {
+        sum + (recover.min(horizon_s) - crash)
+    });
     (windows.len(), downtime)
 }
 
@@ -801,6 +802,7 @@ pub struct FleetAvailability {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use optimus_units::Time;
 
     #[test]
     fn none_is_inactive_and_valid() {
@@ -858,6 +860,16 @@ mod tests {
             "clipped downtime {downtime}"
         );
         assert!(downtime < 1e6, "downtime must be clipped, got {downtime}");
+    }
+
+    /// An entity with no outage window has +0.0 downtime, which prints as
+    /// `0.000 ns`, not `-0.000 ns`.
+    #[test]
+    fn no_outage_is_positive_zero_downtime() {
+        let (crashes, downtime) = clipped_stats(&[], 200.0);
+        assert_eq!(crashes, 0);
+        assert!(downtime == 0.0 && downtime.is_sign_positive());
+        assert_eq!(Time::from_secs(downtime).to_string(), "0.000 ns");
     }
 
     #[test]

@@ -79,24 +79,6 @@ impl SweepReport {
                 .expect("costs are finite")
         })
     }
-
-    /// The evaluated point minimizing an arbitrary [`crate::Objective`] —
-    /// the same interface the µArch allocation search consumes. Ties break
-    /// toward the earlier point in deterministic order.
-    #[must_use]
-    pub fn best_by<O: crate::Objective<EvaluatedPoint>>(
-        &self,
-        objective: &O,
-    ) -> Option<&EvaluatedPoint> {
-        let mut best: Option<(&EvaluatedPoint, f64)> = None;
-        for p in &self.evaluated {
-            let score = objective.evaluate(p);
-            if best.is_none_or(|(_, s)| score < s) {
-                best = Some((p, score));
-            }
-        }
-        best.map(|(p, _)| p)
-    }
 }
 
 /// Evaluates strategy spaces against one cluster.
@@ -126,9 +108,7 @@ impl<'a> SweepEngine<'a> {
     /// Creates an engine with energy/cost coefficients matched to the
     /// cluster's accelerator generation (by preset name: A100, H100/H200,
     /// B200). Unrecognized accelerators — including `tpu_v4` — fall back
-    /// to A100-class economics; use [`Self::with_energy_model`] and
-    /// [`Self::with_cost_model`] to supply accurate coefficients for such
-    /// devices.
+    /// to A100-class economics.
     #[must_use]
     pub fn new(cluster: &'a ClusterSpec) -> Self {
         let (energy, cost) = economics_for(cluster);
@@ -138,20 +118,6 @@ impl<'a> SweepEngine<'a> {
             cost,
             checkpoint: CheckpointSpec::none(),
         }
-    }
-
-    /// Overrides the energy model.
-    #[must_use]
-    pub fn with_energy_model(mut self, energy: EnergyModel) -> Self {
-        self.energy = energy;
-        self
-    }
-
-    /// Overrides the cost model.
-    #[must_use]
-    pub fn with_cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
     }
 
     /// Prices every training strategy under the same failure environment:
@@ -437,20 +403,6 @@ mod tests {
             .frontier
             .iter()
             .any(|p| p.cost_usd == cheapest.cost_usd));
-    }
-
-    #[test]
-    fn best_by_latency_objective_matches_fastest() {
-        let cluster = presets::dgx_a100_hdr_cluster();
-        let report = SweepEngine::new(&cluster).sweep(
-            &models::llama2_13b(),
-            &Workload::inference(1, 200, 32),
-            &SweepSpace::power_of_two(8),
-        );
-        let by_objective = report
-            .best_by(&|p: &EvaluatedPoint| p.latency.secs())
-            .unwrap();
-        assert_eq!(by_objective.latency, report.fastest().unwrap().latency);
     }
 
     #[test]

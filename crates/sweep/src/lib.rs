@@ -14,10 +14,7 @@
 //!    [`optimus_train::TrainingEstimator`] /
 //!    [`optimus_infer::InferenceEstimator`] in parallel (rayon), attaching
 //!    energy and amortized-cost figures from `optimus-energy`;
-//! 3. [`pareto_frontier`] extracts the minimal (latency, cost) frontier,
-//!    and [`SweepReport::best_by`] ranks by any [`Objective`] — the same
-//!    evaluation interface the µArch allocation search in `optimus-dse`
-//!    consumes.
+//! 3. [`pareto_frontier`] extracts the minimal (latency, cost) frontier.
 //!
 //! Results are **deterministic**: enumeration order is a fixed total order
 //! over strategies, parallel evaluation preserves that order, and the
@@ -50,9 +47,6 @@ mod report;
 mod space;
 
 pub use engine::{EvaluatedPoint, SweepEngine, SweepReport};
-/// The shared search-evaluation interface, re-exported from `optimus-dse`
-/// so both searches are driven through one trait.
-pub use optimus_dse::Objective;
 pub use pareto::{dominates, frontier_indices_by, pareto_frontier, pareto_frontier_indices};
 pub use report::{render_frontier, render_table};
 pub use space::{PointMemory, StrategyPoint, SweepSpace, Workload};

@@ -1,6 +1,7 @@
 //! Human-readable rendering of sweep results.
 
 use crate::{EvaluatedPoint, SweepReport};
+use optimus_units::Figure;
 
 /// Column-aligned text table of evaluated points (one row each), with the
 /// frontier marked. `limit` caps the number of body rows (0 = no cap).
@@ -38,11 +39,11 @@ pub fn render_table(report: &SweepReport, limit: usize) -> String {
             row.gpus,
             row.mfu
                 .map_or_else(|| "-".to_owned(), |m| format!("{:.2}", m)),
-            format!("{:.4} s", row.latency.secs()),
+            format!("{:.4} s", Figure(row.latency.secs())),
             format!("{:.1}/s", row.throughput),
             format!("{:.1} GB", row.memory_per_device.gb()),
-            format!("{:.1} kJ", row.energy.joules() / 1e3),
-            format!("${:.4}", row.cost_usd),
+            format!("{:.1} kJ", Figure(row.energy.joules() / 1e3)),
+            format!("${:.4}", Figure(row.cost_usd)),
             if on_frontier { "yes" } else { "" },
         ));
     }
@@ -60,8 +61,8 @@ pub fn render_frontier(report: &SweepReport) -> String {
             row.point.parallelism.microbatch,
             row.point.precision.to_string(),
             row.gpus,
-            format!("{:.4} s", row.latency.secs()),
-            row.cost_usd,
+            format!("{:.4} s", Figure(row.latency.secs())),
+            Figure(row.cost_usd),
         ));
     }
     out
@@ -72,6 +73,7 @@ mod tests {
     use crate::{SweepEngine, SweepSpace, Workload};
     use optimus_hw::presets;
     use optimus_model::presets as models;
+    use optimus_units::{Energy, Time};
 
     #[test]
     fn table_marks_frontier_rows() {
@@ -86,5 +88,42 @@ mod tests {
         assert!(table.contains("yes"));
         let frontier = super::render_frontier(&report);
         assert!(frontier.lines().count() >= 2);
+    }
+
+    /// Latency, energy and cost cells of 2^53 or more print in exponent
+    /// form, not as hundreds of fixed-point digits; smaller cells print in
+    /// fixed point.
+    #[test]
+    fn huge_cells_print_in_exponent_form() {
+        let cluster = presets::dgx_a100_hdr_cluster();
+        let mut report = SweepEngine::new(&cluster).sweep(
+            &models::llama2_13b(),
+            &Workload::inference(1, 200, 16),
+            &SweepSpace::power_of_two(1),
+        );
+        report.evaluated.truncate(1);
+        for (secs, joules, usd, cells) in [
+            (0.5, 2e3, 0.25, ["0.5000 s", "2.0 kJ", "$0.2500"]),
+            (
+                5.626e298,
+                1e300,
+                2f64.powi(53),
+                ["5.626e298 s", "1.000e297 kJ", "$9.007e15"],
+            ),
+        ] {
+            let row = &mut report.evaluated[0];
+            row.latency = Time::from_secs(secs);
+            row.energy = Energy::new(joules);
+            row.cost_usd = usd;
+            report.frontier.clone_from(&report.evaluated);
+            let table = super::render_table(&report, 0);
+            let frontier = super::render_frontier(&report);
+            for cell in cells {
+                assert!(table.contains(cell), "{cell}: {table}");
+            }
+            for cell in [cells[0], cells[2]] {
+                assert!(frontier.contains(cell), "{cell}: {frontier}");
+            }
+        }
     }
 }

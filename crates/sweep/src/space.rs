@@ -164,8 +164,6 @@ pub struct SweepSpace {
     pub microbatch: Vec<usize>,
     /// Precisions to try (pruned to what the device supports).
     pub precisions: Vec<Precision>,
-    /// Whether to include sequence-parallel variants of TP>1 points.
-    pub try_sequence_parallel: bool,
 }
 
 impl SweepSpace {
@@ -187,7 +185,6 @@ impl SweepSpace {
             dp: pows(max_gpus),
             microbatch: vec![1, 2, 4, 8],
             precisions: vec![Precision::Fp16, Precision::Bf16],
-            try_sequence_parallel: true,
         }
     }
 
@@ -351,8 +348,7 @@ impl SweepSpace {
     /// SP variants to try for a TP degree: plain TP always; the
     /// sequence-parallel variant only where SP differs (TP > 1).
     fn sp_variants(&self, tp: usize) -> impl Iterator<Item = bool> {
-        let with_sp = self.try_sequence_parallel && tp > 1;
-        core::iter::once(false).chain(with_sp.then_some(true))
+        core::iter::once(false).chain((tp > 1).then_some(true))
     }
 }
 

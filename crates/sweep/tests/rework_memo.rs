@@ -14,7 +14,6 @@
 //!   [`expected_rework`], to the bit, and leave the memo with the keys of
 //!   a single-threaded fill.
 
-use optimus_collective::CommModel;
 use optimus_hw::{presets, ClusterSpec, FailureProcess, Precision};
 use optimus_memory::TrainingMemoryReport;
 use optimus_model::{presets as models, ModelConfig};
@@ -85,7 +84,6 @@ fn price(
             memory: &report.memory,
             gpus: p.total_gpus(),
             parallelism: Some(p),
-            comm: CommModel::Auto,
             time_per_batch: report.time_per_batch,
         },
         &|dp| est.reprice_dp(p, precision, dp).ok(),

@@ -1,6 +1,5 @@
 //! Training-job description.
 
-use optimus_collective::CommModel;
 use optimus_hw::Precision;
 use optimus_memory::RecomputeMode;
 use optimus_model::ModelConfig;
@@ -31,17 +30,15 @@ pub struct TrainingConfig {
     pub schedule: PipelineSchedule,
     /// Activation recomputation.
     pub recompute: RecomputeMode,
-    /// Collective-algorithm policy.
-    pub comm: CommModel,
     /// Use the fused FlashAttention kernel (IO-aware attention, §1.1)
     /// instead of materialized attention ops.
     pub flash: bool,
 }
 
 impl TrainingConfig {
-    /// Creates a config with 1F1B scheduling, no recomputation, FP16, and
-    /// automatic collective selection. Accepts an owned [`ModelConfig`] or
-    /// an existing [`Arc`] (shared across sweep points).
+    /// Creates a config with 1F1B scheduling, no recomputation and FP16.
+    /// Accepts an owned [`ModelConfig`] or an existing [`Arc`] (shared
+    /// across sweep points).
     #[must_use]
     pub fn new(
         model: impl Into<Arc<ModelConfig>>,
@@ -57,7 +54,6 @@ impl TrainingConfig {
             parallelism,
             schedule: PipelineSchedule::OneFOneB,
             recompute: RecomputeMode::None,
-            comm: CommModel::Auto,
             flash: false,
         }
     }
@@ -80,13 +76,6 @@ impl TrainingConfig {
     #[must_use]
     pub fn with_precision(mut self, precision: Precision) -> Self {
         self.precision = precision;
-        self
-    }
-
-    /// Sets the collective policy.
-    #[must_use]
-    pub fn with_comm(mut self, comm: CommModel) -> Self {
-        self.comm = comm;
         self
     }
 

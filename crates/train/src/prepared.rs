@@ -10,7 +10,7 @@
 //!
 //! * **Phase 1 (prepare, once per sweep):** fix the model, cluster, and
 //!   workload; build the roofline; pre-compute the useful model FLOPs; and
-//!   open two concurrent memo tables: [`LayerCosts`] keyed by
+//!   open two [`Memo`] tables: [`LayerCosts`] keyed by
 //!   `(tp, sp, microbatch, precision)`, and the expected checkpoint
 //!   rework ([`expected_rework`]) of Weibull uptime keyed by the bit
 //!   patterns of its `(shape, mean, τ, δ)`.
@@ -19,6 +19,8 @@
 //!   optimizer update, MFU — then price the failure environment, whose
 //!   reworks the points of a sweep share: a strategy's interval and write
 //!   time depend only on its cluster MTBF and its checkpoint shard.
+//!   Elastic recovery prices each shrunken DP group through the same
+//!   pipeline assembly.
 //!
 //! Both tables are filled with pure functions of their keys, so concurrent
 //! evaluation order cannot change any value: a memoized sweep is
@@ -29,16 +31,13 @@ use crate::{
     expected_rework, CheckpointSpec, GemmBoundSplit, StackContext, TrainError, TrainingBreakdown,
     TrainingConfig, TrainingReport, Uptime,
 };
-use optimus_collective::CommModel;
 use optimus_hw::{ClusterSpec, Precision};
 use optimus_memory::{training_memory, RecomputeMode, TrainingMemoryReport, TrainingMemorySpec};
-use optimus_model::{graph, GraphParams, ModelConfig, Op};
+use optimus_model::{graph, GraphParams, Memo, ModelConfig, Op};
 use optimus_parallel::{CommPlan, Parallelism, PipelineSchedule};
 use optimus_roofline::{KernelCost, RooflineModel};
 use optimus_units::{Bytes, FlopCount, Time};
-use std::collections::HashMap;
-use std::hash::Hash;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 /// Per-operator-list cost accumulator: time plus the energy-relevant
 /// volumes.
@@ -127,6 +126,30 @@ struct LayerCosts {
     tp_fwd_wire: Bytes,
 }
 
+/// One strategy's failure-free pipeline step, the assembly that every
+/// estimate and every elastic repricing shares.
+struct Step<'a> {
+    microbatches: usize,
+    layers_per_stage: usize,
+    layer_costs: LayerCosts,
+    /// One layer's forward, backward and recompute kernels.
+    layer: OpsCost,
+    plan: CommPlan<'a>,
+    /// Per microbatch: a stage's layer kernels, its TP/SP collectives, its
+    /// share of the embedding + LM head, and its pipeline hops.
+    stage_compute: Time,
+    stage_tp: Time,
+    stage_extra: Time,
+    p2p_per_ubatch: Time,
+    /// Stage time over every microbatch.
+    busy: Time,
+    bubble: Time,
+    params_per_device: f64,
+    grad_volume: Bytes,
+    dp_comm: Time,
+    weight_update: Time,
+}
+
 /// Phase-1 state of the two-phase training estimator: everything that is
 /// invariant across the strategy points of one sweep, plus the layer-cost
 /// and rework memo tables. Build it once per (model, cluster, workload)
@@ -156,21 +179,20 @@ pub struct PreparedTrainingEstimator<'a> {
     seq: usize,
     schedule: PipelineSchedule,
     recompute: RecomputeMode,
-    comm: CommModel,
     flash: bool,
     checkpoint: CheckpointSpec,
     /// Useful model FLOPs per batch — a function of (model, batch, seq)
     /// only, so computed once at prepare time.
     model_flops: FlopCount,
-    cache: RwLock<HashMap<LayerKey, Result<LayerCosts, TrainError>>>,
+    cache: Memo<LayerKey, Result<LayerCosts, TrainError>>,
     /// [`expected_rework`] per distinct Weibull `(shape, mean, τ, δ)`.
-    reworks: RwLock<HashMap<ReworkKey, f64>>,
+    reworks: Memo<ReworkKey, f64>,
 }
 
 impl<'a> PreparedTrainingEstimator<'a> {
     /// Prepares an estimator for one (model, cluster, workload) with the
     /// defaults of [`TrainingConfig::new`]: 1F1B scheduling, no
-    /// recomputation, automatic collectives, no flash kernel.
+    /// recomputation, no flash kernel.
     #[must_use]
     pub fn new(
         cluster: &'a ClusterSpec,
@@ -187,17 +209,16 @@ impl<'a> PreparedTrainingEstimator<'a> {
             seq,
             schedule: PipelineSchedule::OneFOneB,
             recompute: RecomputeMode::None,
-            comm: CommModel::Auto,
             flash: false,
             checkpoint: CheckpointSpec::none(),
             model_flops,
-            cache: RwLock::new(HashMap::new()),
-            reworks: RwLock::new(HashMap::new()),
+            cache: Memo::default(),
+            reworks: Memo::default(),
         }
     }
 
     /// Prepares from a full [`TrainingConfig`], adopting its workload-level
-    /// fields (model, batch, seq, schedule, recompute, comm, flash). The
+    /// fields (model, batch, seq, schedule, recompute, flash). The
     /// config's `parallelism` and `precision` are *per-point* inputs — pass
     /// them to [`Self::estimate`] instead.
     #[must_use]
@@ -205,7 +226,6 @@ impl<'a> PreparedTrainingEstimator<'a> {
         Self::new(cluster, Arc::clone(&cfg.model), cfg.batch, cfg.seq)
             .with_schedule(cfg.schedule)
             .with_recompute(cfg.recompute)
-            .with_comm(cfg.comm)
             .with_flash(cfg.flash)
     }
 
@@ -220,13 +240,6 @@ impl<'a> PreparedTrainingEstimator<'a> {
     #[must_use]
     pub fn with_recompute(mut self, recompute: RecomputeMode) -> Self {
         self.recompute = recompute;
-        self
-    }
-
-    /// Sets the collective policy.
-    #[must_use]
-    pub fn with_comm(mut self, comm: CommModel) -> Self {
-        self.comm = comm;
         self
     }
 
@@ -253,7 +266,7 @@ impl<'a> PreparedTrainingEstimator<'a> {
     /// `O(distinct-kernel-keys)` factor of a sweep's cost.
     #[must_use]
     pub fn cached_keys(&self) -> usize {
-        self.cache.read().expect("layer-cost cache poisoned").len()
+        self.cache.len()
     }
 
     /// Number of distinct Weibull `(shape, mean, τ, δ)` whose expected
@@ -263,7 +276,7 @@ impl<'a> PreparedTrainingEstimator<'a> {
     /// key: its closed form is priced on every lookup.
     #[must_use]
     pub fn cached_rework_keys(&self) -> usize {
-        self.reworks.read().expect("rework cache poisoned").len()
+        self.reworks.len()
     }
 
     /// Phase-2 evaluation of one strategy point, computing the memory
@@ -313,65 +326,34 @@ impl<'a> PreparedTrainingEstimator<'a> {
         memory: TrainingMemoryReport,
     ) -> Result<TrainingReport, TrainError> {
         let p = parallelism;
-        p.validate(self.cluster)?;
-        let microbatches = p.microbatches(self.batch)?;
-        let layers_per_stage = p.layers_per_stage(self.model.layers)?;
+        let step = self.step(p, precision, self.batch)?;
+        let lc = &step.layer_costs;
+        let stages = step.layers_per_stage as f64;
+        let ubatches = step.microbatches as f64;
 
-        let lc = self.layer_costs(p.tp, p.sp, p.microbatch, precision)?;
-        let layer_cost = lc.fwd.plus(&lc.bwd).plus(&lc.recompute);
-        let layer_time = layer_cost.time;
-        let plan = CommPlan::new(self.cluster, p, self.comm);
-
-        // --- pipeline assembly --------------------------------------------
-        let stage_compute = layer_time * layers_per_stage as f64;
-        let stage_tp = lc.tp_per_layer * layers_per_stage as f64;
-        let stage_extra = lc.emb_head.time / p.pp as f64;
-        // Two stage-boundary crossings per microbatch (forward activation
-        // out, backward gradient in), times the interleaving multiplier.
-        let p2p_per_ubatch = plan.pp_hop(lc.act_volume) * 2.0 * self.schedule.p2p_multiplier();
-
-        let stage_time = stage_compute + stage_tp + stage_extra + p2p_per_ubatch;
-        let busy = stage_time * microbatches as f64;
-        let bubble = busy * self.schedule.bubble_fraction(p.pp, microbatches);
-
-        // --- once-per-batch terms ------------------------------------------
-        let params_per_device = layers_per_stage as f64 * self.model.layer_param_count()
-            / p.tp as f64
-            + self.model.embedding_param_count() / p.tp as f64;
-        let grad_volume = Bytes::new(params_per_device * precision.bytes());
-        let dp_comm = plan.dp_gradient_allreduce(grad_volume);
-        let weight_update = self.weight_update_time(precision, params_per_device);
-
-        // --- aggregate -------------------------------------------------------
-        let compute = (layer_time * layers_per_stage as f64 + stage_extra) * microbatches as f64;
-        let tp_comm = stage_tp * microbatches as f64;
-        let pp_comm = p2p_per_ubatch * microbatches as f64;
         let breakdown = TrainingBreakdown {
-            compute,
-            tp_comm,
-            pp_comm,
-            dp_comm,
-            bubble,
-            weight_update,
+            compute: (step.stage_compute + step.stage_extra) * ubatches,
+            tp_comm: step.stage_tp * ubatches,
+            pp_comm: step.p2p_per_ubatch * ubatches,
+            dp_comm: step.dp_comm,
+            bubble: step.bubble,
+            weight_update: step.weight_update,
         };
         let time_per_batch = breakdown.total();
 
         // --- per-device energy-relevant totals ---------------------------
-        let ubatches = microbatches as f64;
         let device_flops = FlopCount::new(
-            (layer_cost.flops.get() * layers_per_stage as f64
-                + lc.emb_head.flops.get() / p.pp as f64)
-                * ubatches,
+            (step.layer.flops.get() * stages + lc.emb_head.flops.get() / p.pp as f64) * ubatches,
         );
-        let optimizer_traffic = Bytes::new(params_per_device * (16.0 + 12.0 + precision.bytes()));
+        let optimizer_traffic =
+            Bytes::new(step.params_per_device * (16.0 + 12.0 + precision.bytes()));
         let dram_traffic = Bytes::new(
-            (layer_cost.dram.bytes() * layers_per_stage as f64
-                + lc.emb_head.dram.bytes() / p.pp as f64)
-                * ubatches,
+            (step.layer.dram.bytes() * stages + lc.emb_head.dram.bytes() / p.pp as f64) * ubatches,
         ) + optimizer_traffic;
-        let network_traffic = lc.tp_fwd_wire * (2.0 * layers_per_stage as f64 * ubatches)
-            + plan.pp_wire_bytes(lc.act_volume) * (2.0 * self.schedule.p2p_multiplier() * ubatches)
-            + plan.dp_wire_bytes(grad_volume);
+        let network_traffic = lc.tp_fwd_wire * (2.0 * stages * ubatches)
+            + step.plan.pp_wire_bytes(lc.act_volume)
+                * (2.0 * self.schedule.p2p_multiplier() * ubatches)
+            + step.plan.dp_wire_bytes(step.grad_volume);
 
         // --- MFU ---------------------------------------------------------------
         let peak = self.cluster.accelerator().peak(precision)?;
@@ -384,7 +366,6 @@ impl<'a> PreparedTrainingEstimator<'a> {
                 memory: &memory,
                 gpus: p.total_gpus(),
                 parallelism: Some(p),
-                comm: self.comm,
                 time_per_batch,
             },
             &|dp| self.reprice_dp(p, precision, dp).ok(),
@@ -408,7 +389,7 @@ impl<'a> PreparedTrainingEstimator<'a> {
             time_per_batch,
             breakdown,
             memory,
-            microbatches,
+            microbatches: step.microbatches,
             model_flops: self.model_flops,
             mfu,
             layer_gemm_split: lc.gemm_split,
@@ -424,8 +405,8 @@ impl<'a> PreparedTrainingEstimator<'a> {
     /// to `dp` replicas. The per-replica batch stays constant (the
     /// global batch shrinks to `batch · dp / parallelism.dp`), so the
     /// microbatch count per pipeline is unchanged and the layer-cost
-    /// memo key is identical — repricing is pure assembly, exactly like
-    /// a DP change within a sweep.
+    /// memo key is identical — repricing is pure assembly, through the
+    /// same step assembly as [`Self::estimate_with_memory`].
     ///
     /// # Errors
     ///
@@ -446,32 +427,70 @@ impl<'a> PreparedTrainingEstimator<'a> {
         let shrunk = Parallelism::new(dp.max(1), p.tp, p.pp)
             .with_sp(p.sp)
             .with_microbatch(p.microbatch);
-        shrunk.validate(self.cluster)?;
-        let microbatches = shrunk.microbatches(batch)?;
-        let layers_per_stage = shrunk.layers_per_stage(self.model.layers)?;
+        let step = self.step(shrunk, precision, batch)?;
+        Ok(step.busy + step.bubble + step.dp_comm + step.weight_update)
+    }
 
-        let lc = self.layer_costs(shrunk.tp, shrunk.sp, shrunk.microbatch, precision)?;
-        let layer_cost = lc.fwd.plus(&lc.bwd).plus(&lc.recompute);
-        let layer_time = layer_cost.time;
-        let plan = CommPlan::new(self.cluster, shrunk, self.comm);
+    /// The failure-free pipeline step of strategy `p` over `batch`: the
+    /// one assembly that [`Self::estimate_with_memory`] and
+    /// [`Self::reprice_dp`] price with.
+    // Inlined into both callers: returned out of line, the step's fields
+    // went through memory and the plain 64-GPU training sweep ran about
+    // 3% slower than with the assembly written out in each caller.
+    #[inline(always)]
+    fn step(
+        &self,
+        p: Parallelism,
+        precision: Precision,
+        batch: usize,
+    ) -> Result<Step<'a>, TrainError> {
+        p.validate(self.cluster)?;
+        let microbatches = p.microbatches(batch)?;
+        let layers_per_stage = p.layers_per_stage(self.model.layers)?;
+        let layer_costs = self.layer_costs(p.tp, p.sp, p.microbatch, precision)?;
+        let layer = layer_costs
+            .fwd
+            .plus(&layer_costs.bwd)
+            .plus(&layer_costs.recompute);
+        let plan = CommPlan::new(self.cluster, p);
 
-        let stage_compute = layer_time * layers_per_stage as f64;
-        let stage_tp = lc.tp_per_layer * layers_per_stage as f64;
-        let stage_extra = lc.emb_head.time / shrunk.pp as f64;
-        let p2p_per_ubatch = plan.pp_hop(lc.act_volume) * 2.0 * self.schedule.p2p_multiplier();
-
+        // --- pipeline assembly --------------------------------------------
+        let stage_compute = layer.time * layers_per_stage as f64;
+        let stage_tp = layer_costs.tp_per_layer * layers_per_stage as f64;
+        let stage_extra = layer_costs.emb_head.time / p.pp as f64;
+        // Two stage-boundary crossings per microbatch (forward activation
+        // out, backward gradient in), times the interleaving multiplier.
+        let p2p_per_ubatch =
+            plan.pp_hop(layer_costs.act_volume) * 2.0 * self.schedule.p2p_multiplier();
         let stage_time = stage_compute + stage_tp + stage_extra + p2p_per_ubatch;
         let busy = stage_time * microbatches as f64;
-        let bubble = busy * self.schedule.bubble_fraction(shrunk.pp, microbatches);
+        let bubble = busy * self.schedule.bubble_fraction(p.pp, microbatches);
 
+        // --- once-per-batch terms ------------------------------------------
         let params_per_device = layers_per_stage as f64 * self.model.layer_param_count()
-            / shrunk.tp as f64
-            + self.model.embedding_param_count() / shrunk.tp as f64;
+            / p.tp as f64
+            + self.model.embedding_param_count() / p.tp as f64;
         let grad_volume = Bytes::new(params_per_device * precision.bytes());
         let dp_comm = plan.dp_gradient_allreduce(grad_volume);
         let weight_update = self.weight_update_time(precision, params_per_device);
 
-        Ok(busy + bubble + dp_comm + weight_update)
+        Ok(Step {
+            microbatches,
+            layers_per_stage,
+            layer_costs,
+            layer,
+            plan,
+            stage_compute,
+            stage_tp,
+            stage_extra,
+            p2p_per_ubatch,
+            busy,
+            bubble,
+            params_per_device,
+            grad_volume,
+            dp_comm,
+            weight_update,
+        })
     }
 
     /// The layer costs of a key, through the layer-cost memo table.
@@ -482,9 +501,10 @@ impl<'a> PreparedTrainingEstimator<'a> {
         microbatch: usize,
         precision: Precision,
     ) -> Result<LayerCosts, TrainError> {
-        memoized(&self.cache, (tp, sp, microbatch, precision), || {
-            self.compute_layer_costs(tp, sp, microbatch, precision)
-        })
+        self.cache
+            .get_or_insert_with((tp, sp, microbatch, precision), || {
+                self.compute_layer_costs(tp, sp, microbatch, precision)
+            })
     }
 
     /// [`expected_rework`] through the rework memo table, keyed on the bit
@@ -496,9 +516,8 @@ impl<'a> PreparedTrainingEstimator<'a> {
             return expected_rework(uptime, interval_s, write_s);
         }
         let key = [uptime.shape, uptime.mean_s, interval_s, write_s].map(f64::to_bits);
-        memoized(&self.reworks, key, || {
-            expected_rework(uptime, interval_s, write_s)
-        })
+        self.reworks
+            .get_or_insert_with(key, || expected_rework(uptime, interval_s, write_s))
     }
 
     /// The memo-miss path: builds and costs one layer's operator graph, the
@@ -563,7 +582,6 @@ impl<'a> PreparedTrainingEstimator<'a> {
             Parallelism::new(1, tp, 1)
                 .with_sp(sp)
                 .with_microbatch(microbatch),
-            self.comm,
         );
         let tp_per_layer =
             tp_plan.tp_layer_forward(act_volume) + tp_plan.tp_layer_backward(act_volume);
@@ -596,29 +614,6 @@ impl<'a> PreparedTrainingEstimator<'a> {
             .factor(traffic);
         traffic / (dram * util.get())
     }
-}
-
-/// Looks `key` up in `table`, computing (and publishing) the value on a
-/// miss. The value is computed outside the lock, so the table stays
-/// available to other evaluation threads while a slow miss runs. Values
-/// are pure functions of their keys given the prepared context, so a
-/// racing duplicate computation produces the identical value — results
-/// never depend on evaluation order or thread count.
-fn memoized<K: Eq + Hash, V: Clone>(
-    table: &RwLock<HashMap<K, V>>,
-    key: K,
-    compute: impl FnOnce() -> V,
-) -> V {
-    if let Some(hit) = table.read().expect("memo table poisoned").get(&key) {
-        return hit.clone();
-    }
-    let computed = compute();
-    table
-        .write()
-        .expect("memo table poisoned")
-        .entry(key)
-        .or_insert_with(|| computed.clone());
-    computed
 }
 
 /// Useful (non-recompute) model FLOPs per batch: 3× the forward GEMM work
@@ -684,6 +679,47 @@ mod tests {
             .estimate(Parallelism::new(1, 2, 1), Precision::Bf16)
             .unwrap();
         assert_eq!(prepared.cached_keys(), 2);
+    }
+
+    /// Elastic repricing is the shrunken job's own estimate: dropping a
+    /// strategy's DP group from `dp` to `d` replicas prices exactly what a
+    /// fresh estimator gives the same strategy at `d` replicas over the
+    /// proportionally smaller batch.
+    #[test]
+    fn elastic_repricing_equals_the_shrunken_jobs_estimate() {
+        let cluster = presets::dgx_a100_hdr_cluster();
+        for model in [models::gpt_22b(), models::llama2_13b()].map(Arc::new) {
+            for mode in [RecomputeMode::None, RecomputeMode::Selective] {
+                let prepared =
+                    PreparedTrainingEstimator::new(&cluster, Arc::clone(&model), 64, 2048)
+                        .with_recompute(mode);
+                for (dp, tp, pp, mb) in [(8, 8, 1, 1), (4, 4, 2, 2), (8, 2, 4, 1), (2, 8, 2, 4)] {
+                    let p = Parallelism::new(dp, tp, pp).with_microbatch(mb);
+                    for d in 1..dp {
+                        let repriced = prepared.reprice_dp(p, Precision::Fp16, d).unwrap();
+                        let fresh = PreparedTrainingEstimator::new(
+                            &cluster,
+                            Arc::clone(&model),
+                            64 / dp * d,
+                            2048,
+                        )
+                        .with_recompute(mode)
+                        .estimate(
+                            Parallelism::new(d, tp, pp).with_microbatch(mb),
+                            Precision::Fp16,
+                        )
+                        .unwrap()
+                        .time_per_batch;
+                        let rel = (repriced.secs() - fresh.secs()).abs() / fresh.secs();
+                        assert!(
+                            rel <= 1e-12,
+                            "{} {mode} {p} → dp {d}: {repriced} vs {fresh}",
+                            model.name
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// A restart or repair cost so large against the cluster MTBF that a

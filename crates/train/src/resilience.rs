@@ -446,7 +446,6 @@ impl CheckpointSpec {
                 memory,
                 gpus,
                 parallelism: None,
-                comm: CommModel::Auto,
                 time_per_batch,
             },
             &|_| None,
@@ -735,8 +734,7 @@ impl CheckpointSpec {
                         // device state over the node-egress link; with no
                         // peer group there is nowhere to replicate to.
                         let write =
-                            ctx.comm
-                                .time(Collective::AllGather, checkpoint_bytes, dp, link);
+                            CommModel::Auto.time(Collective::AllGather, checkpoint_bytes, dp, link);
                         (checkpoint_bytes, write, dp >= 2)
                     }
                     TierKind::PersistentFull | TierKind::PersistentDelta => {
@@ -780,8 +778,6 @@ pub struct StackContext<'a> {
     /// The strategy's parallelism (peer-tier group size and elastic
     /// blast-radius arithmetic); `None` disables both.
     pub parallelism: Option<Parallelism>,
-    /// The collective policy pricing peer-replica all-gathers.
-    pub comm: CommModel,
     /// The strategy's failure-free batch time.
     pub time_per_batch: Time,
 }
@@ -1416,7 +1412,6 @@ mod tests {
             memory,
             gpus: p.total_gpus(),
             parallelism: Some(p),
-            comm: CommModel::Auto,
             time_per_batch: t,
         }
     }

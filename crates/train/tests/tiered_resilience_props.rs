@@ -14,7 +14,6 @@
 //!   [`CheckpointSpec::none`]) serializes exactly as it did before the
 //!   stack existed: none of the new keys appear and no value is null.
 
-use optimus_collective::CommModel;
 use optimus_hw::{presets, FailureProcess};
 use optimus_memory::{training_memory, RecomputeMode, TrainingMemorySpec};
 use optimus_model::presets as models;
@@ -58,7 +57,6 @@ fn evaluate(
             memory,
             gpus: 64,
             parallelism: Some(Parallelism::new(8, 8, 1).with_sp(true)),
-            comm: CommModel::Auto,
             time_per_batch: t,
         },
         &|_| Some(Time::from_secs(10.1)),
