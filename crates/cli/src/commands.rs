@@ -12,25 +12,9 @@ use optimus_sweep::{render_frontier, render_table, SweepEngine, SweepSpace, Work
 ///
 /// Returns [`ArgError`] listing the known names on a miss.
 pub fn model_preset(name: &str) -> Result<ModelConfig, ArgError> {
-    use optimus::model::presets as p;
-    let key = name.to_lowercase().replace('_', "-");
-    Ok(match key.as_str() {
-        "gpt-7b" => p::gpt_7b(),
-        "gpt-22b" => p::gpt_22b(),
-        "gpt-175b" => p::gpt_175b(),
-        "gpt-310b" => p::gpt_310b(),
-        "gpt-530b" => p::gpt_530b(),
-        "gpt-1008b" | "gpt-1t" => p::gpt_1008b(),
-        "llama2-7b" => p::llama2_7b(),
-        "llama2-13b" => p::llama2_13b(),
-        "llama2-70b" => p::llama2_70b(),
-        _ => {
-            return Err(ArgError(format!(
-                "unknown model `{name}`; try one of: gpt-7b, gpt-22b, gpt-175b, gpt-310b, \
-                 gpt-530b, gpt-1008b, llama2-7b, llama2-13b, llama2-70b"
-            )))
-        }
-    })
+    use optimus::model::presets;
+    presets::by_name(name)
+        .ok_or_else(|| unknown_preset("model", name, presets::all().iter().map(|m| &m.name)))
 }
 
 /// Resolves a cluster preset name.
@@ -39,22 +23,19 @@ pub fn model_preset(name: &str) -> Result<ModelConfig, ArgError> {
 ///
 /// Returns [`ArgError`] listing the known names on a miss.
 pub fn cluster_preset(name: &str) -> Result<ClusterSpec, ArgError> {
-    use optimus::hw::presets as p;
-    let key = name.to_lowercase().replace('_', "-");
-    Ok(match key.as_str() {
-        "a100-hdr" | "a100" => p::dgx_a100_hdr_cluster(),
-        "h100-ndr" | "h100" => p::dgx_h100_ndr_cluster(),
-        "h100-nvs" => p::dgx_h100_nvs_cluster(),
-        "h200-nvs" | "h200" => p::dgx_h200_nvs_cluster(),
-        "b200-ndr" => p::dgx_b200_ndr_cluster(),
-        "b200-nvs" | "b200" => p::dgx_b200_nvs_cluster(),
-        _ => {
-            return Err(ArgError(format!(
-                "unknown cluster `{name}`; try one of: a100-hdr, h100-ndr, h100-nvs, \
-                 h200-nvs, b200-ndr, b200-nvs"
-            )))
-        }
-    })
+    use optimus::hw::presets;
+    presets::cluster_by_name(name)
+        .ok_or_else(|| unknown_preset("cluster", name, presets::clusters().iter().map(|c| &c.name)))
+}
+
+/// The error for an unknown `kind` preset `name`, listing the `known`
+/// preset names in lower case.
+fn unknown_preset<'a>(kind: &str, name: &str, known: impl Iterator<Item = &'a String>) -> ArgError {
+    let known: Vec<String> = known.map(|n| n.to_lowercase()).collect();
+    ArgError(format!(
+        "unknown {kind} `{name}`; try one of: {}",
+        known.join(", ")
+    ))
 }
 
 fn precision_of(name: &str) -> Result<Precision, ArgError> {
@@ -1017,18 +998,11 @@ fn sweep(args: &Args) -> Result<String, ArgError> {
 #[must_use]
 pub fn list() -> String {
     let mut out = String::from("models:\n");
-    for m in optimus::model::presets::gpt_family()
-        .into_iter()
-        .chain([optimus::model::presets::gpt_7b()])
-        .chain(optimus::model::presets::llama2_family())
-    {
+    for m in optimus::model::presets::all() {
         out.push_str(&format!("  {m}\n"));
     }
     out.push_str("\nclusters:\n");
-    for name in [
-        "a100-hdr", "h100-ndr", "h100-nvs", "h200-nvs", "b200-ndr", "b200-nvs",
-    ] {
-        let c = cluster_preset(name).expect("preset list is in sync");
+    for c in optimus::hw::presets::clusters() {
         out.push_str(&format!("  {c}\n"));
     }
     out
@@ -2228,6 +2202,54 @@ mod tests {
             .unwrap();
         assert!(out.contains("all "), "{out}");
         assert!(out.contains("strategies by latency"), "{out}");
+    }
+
+    /// Every preset resolves by its own name in upper case, in lower case
+    /// and with `_` for `-`; each alias names the preset it always named;
+    /// an unknown name resolves to nothing, and the CLI lists the presets
+    /// in its error as it always did.
+    #[test]
+    fn presets_resolve_by_name_and_alias() {
+        use optimus::hw::presets as hw;
+        use optimus::model::presets as models;
+        let spellings = |name: &str| {
+            [
+                name.to_uppercase(),
+                name.to_lowercase(),
+                name.replace('-', "_"),
+            ]
+        };
+        for m in models::all() {
+            for name in spellings(&m.name) {
+                assert_eq!(models::by_name(&name).as_ref(), Some(&m), "{name}");
+            }
+        }
+        for c in hw::clusters() {
+            for name in spellings(&c.name) {
+                assert_eq!(hw::cluster_by_name(&name).as_ref(), Some(&c), "{name}");
+            }
+        }
+        assert_eq!(models::by_name("GPT_1T"), Some(models::gpt_1008b()));
+        for (alias, cluster) in [
+            ("a100", hw::dgx_a100_hdr_cluster()),
+            ("H100", hw::dgx_h100_ndr_cluster()),
+            ("h200", hw::dgx_h200_nvs_cluster()),
+            ("b200", hw::dgx_b200_nvs_cluster()),
+        ] {
+            assert_eq!(hw::cluster_by_name(alias), Some(cluster), "{alias}");
+        }
+        assert_eq!(models::by_name("gpt-2"), None);
+        assert_eq!(hw::cluster_by_name("v100"), None);
+        assert_eq!(
+            model_preset("gpt-2").unwrap_err().to_string(),
+            "unknown model `gpt-2`; try one of: gpt-7b, gpt-22b, gpt-175b, gpt-310b, gpt-530b, \
+             gpt-1008b, llama2-7b, llama2-13b, llama2-70b"
+        );
+        assert_eq!(
+            cluster_preset("v100").unwrap_err().to_string(),
+            "unknown cluster `v100`; try one of: a100-hdr, h100-ndr, h100-nvs, h200-nvs, \
+             b200-ndr, b200-nvs"
+        );
     }
 
     #[test]

@@ -3,21 +3,7 @@ fn main() {
     let dir = std::path::Path::new("results");
     optimus_experiments::run_all(dir).expect("results directory is writable");
     println!("wrote results/*.csv");
-    for name in [
-        "table1",
-        "table2",
-        "table4",
-        "fig3",
-        "fig4",
-        "fig5",
-        "fig6",
-        "fig7",
-        "fig8",
-        "fig9",
-        "ablations",
-        "tco",
-        "scaling",
-    ] {
+    for (name, _) in optimus_experiments::EXPERIMENTS {
         println!("  results/{name}.csv");
     }
 }

@@ -27,6 +27,26 @@ mod util;
 
 pub use util::{markdown_table, model_by_name, write_csv};
 
+/// An experiment's name (its CSV's file stem) and its CSV's rows.
+pub type Experiment = (&'static str, fn() -> Vec<Vec<String>>);
+
+/// Every experiment, in the order [`run_all`] writes them.
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("table1", table1::csv),
+    ("table2", table2::csv),
+    ("table4", table4::csv),
+    ("fig3", fig3::csv),
+    ("fig4", fig4::csv),
+    ("fig5", fig5::csv),
+    ("fig6", fig6::csv),
+    ("fig7", fig7::csv),
+    ("fig8", fig8::csv),
+    ("fig9", fig9::csv),
+    ("ablations", ablations::csv),
+    ("tco", tco::csv),
+    ("scaling", scaling::csv),
+];
+
 /// Runs every experiment and writes its CSV into `dir`.
 ///
 /// # Errors
@@ -34,18 +54,8 @@ pub use util::{markdown_table, model_by_name, write_csv};
 /// Returns an I/O error if `dir` is not writable.
 pub fn run_all(dir: &std::path::Path) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
-    write_csv(dir.join("table1.csv"), &table1::csv())?;
-    write_csv(dir.join("table2.csv"), &table2::csv())?;
-    write_csv(dir.join("table4.csv"), &table4::csv())?;
-    write_csv(dir.join("fig3.csv"), &fig3::csv())?;
-    write_csv(dir.join("fig4.csv"), &fig4::csv())?;
-    write_csv(dir.join("fig5.csv"), &fig5::csv())?;
-    write_csv(dir.join("fig6.csv"), &fig6::csv())?;
-    write_csv(dir.join("fig7.csv"), &fig7::csv())?;
-    write_csv(dir.join("fig8.csv"), &fig8::csv())?;
-    write_csv(dir.join("fig9.csv"), &fig9::csv())?;
-    write_csv(dir.join("ablations.csv"), &ablations::csv())?;
-    write_csv(dir.join("tco.csv"), &tco::csv())?;
-    write_csv(dir.join("scaling.csv"), &scaling::csv())?;
+    for (name, csv) in EXPERIMENTS {
+        write_csv(dir.join(format!("{name}.csv")), &csv())?;
+    }
     Ok(())
 }

@@ -56,19 +56,8 @@ pub fn write_csv(path: impl AsRef<Path>, rows: &[Vec<String>]) -> std::io::Resul
 /// Panics on an unknown name (refdata and presets are maintained together).
 #[must_use]
 pub fn model_by_name(name: &str) -> optimus::model::ModelConfig {
-    use optimus::model::presets as p;
-    match name {
-        "GPT-7B" => p::gpt_7b(),
-        "GPT-22B" => p::gpt_22b(),
-        "GPT-175B" => p::gpt_175b(),
-        "GPT-310B" => p::gpt_310b(),
-        "GPT-530B" => p::gpt_530b(),
-        "GPT-1008B" => p::gpt_1008b(),
-        "Llama2-7B" => p::llama2_7b(),
-        "Llama2-13B" => p::llama2_13b(),
-        "Llama2-70B" => p::llama2_70b(),
-        other => panic!("unknown model preset `{other}`"),
-    }
+    optimus::model::presets::by_name(name)
+        .unwrap_or_else(|| panic!("unknown model preset `{name}`"))
 }
 
 #[cfg(test)]

@@ -210,6 +210,37 @@ pub fn dgx_b200_nvs_cluster() -> ClusterSpec {
     ClusterSpec::new("B200-NVS", node, inter)
 }
 
+/// Every cluster preset.
+#[must_use]
+pub fn clusters() -> Vec<ClusterSpec> {
+    vec![
+        dgx_a100_hdr_cluster(),
+        dgx_h100_ndr_cluster(),
+        dgx_h100_nvs_cluster(),
+        dgx_h200_nvs_cluster(),
+        dgx_b200_ndr_cluster(),
+        dgx_b200_nvs_cluster(),
+    ]
+}
+
+/// The cluster preset whose name is `name`, compared case-insensitively
+/// with `_` read as `-`; a bare `a100`, `h100`, `h200` or `b200` names
+/// that accelerator's default cluster.
+#[must_use]
+pub fn cluster_by_name(name: &str) -> Option<ClusterSpec> {
+    let key = name.to_lowercase().replace('_', "-");
+    let key = match key.as_str() {
+        "a100" => "a100-hdr",
+        "h100" => "h100-ndr",
+        "h200" => "h200-nvs",
+        "b200" => "b200-nvs",
+        key => key,
+    };
+    clusters()
+        .into_iter()
+        .find(|c| c.name.to_lowercase() == key)
+}
+
 /// A single-node "cluster" view of `node` (no inter-node fabric needed);
 /// the inter-node link is a placeholder that collectives never select for
 /// groups that fit in the node.

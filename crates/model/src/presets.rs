@@ -81,16 +81,29 @@ pub fn llama2_70b() -> ModelConfig {
         .build()
 }
 
-/// All GPT presets used in Table 1, in ascending size.
+/// Every preset, GPT then Llama-2, in ascending size within each family.
 #[must_use]
-pub fn gpt_family() -> Vec<ModelConfig> {
-    vec![gpt_22b(), gpt_175b(), gpt_310b(), gpt_530b(), gpt_1008b()]
+pub fn all() -> Vec<ModelConfig> {
+    vec![
+        gpt_7b(),
+        gpt_22b(),
+        gpt_175b(),
+        gpt_310b(),
+        gpt_530b(),
+        gpt_1008b(),
+        llama2_7b(),
+        llama2_13b(),
+        llama2_70b(),
+    ]
 }
 
-/// All Llama-2 presets used in Table 2, in ascending size.
+/// The preset whose name is `name`, compared case-insensitively with `_`
+/// read as `-`; `gpt-1t` names GPT-1008B.
 #[must_use]
-pub fn llama2_family() -> Vec<ModelConfig> {
-    vec![llama2_7b(), llama2_13b(), llama2_70b()]
+pub fn by_name(name: &str) -> Option<ModelConfig> {
+    let key = name.to_lowercase().replace('_', "-");
+    let key = if key == "gpt-1t" { "gpt-1008b" } else { &key };
+    all().into_iter().find(|m| m.name.to_lowercase() == key)
 }
 
 #[cfg(test)]
@@ -140,9 +153,13 @@ mod tests {
 
     #[test]
     fn families_are_sorted_by_size() {
-        for family in [gpt_family(), llama2_family()] {
-            let sizes: Vec<f64> = family.iter().map(ModelConfig::param_count).collect();
-            assert!(sizes.windows(2).all(|w| w[0] < w[1]));
+        for family in ["GPT-", "Llama2-"] {
+            let sizes: Vec<f64> = all()
+                .iter()
+                .filter(|m| m.name.starts_with(family))
+                .map(ModelConfig::param_count)
+                .collect();
+            assert!(sizes.windows(2).all(|w| w[0] < w[1]), "{family}");
         }
     }
 }

@@ -33,7 +33,7 @@ use crate::{
 };
 use optimus_hw::{ClusterSpec, Precision};
 use optimus_model::ModelConfig;
-use optimus_units::Time;
+use optimus_units::{Figure, Time};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -842,6 +842,19 @@ pub(crate) fn run_fleet(
         decode_batch_sum += inputs.decode_batch_sum;
         makespan_s = makespan_s.max(inputs.makespan_s);
     }
+    // No latency outlasts the makespan and no queue holds more requests
+    // than the trace, so below this bound no sum a report takes can
+    // overflow. Slowdown multipliers can stretch a run past it.
+    if !(makespan_s * trace.len() as f64).is_finite() {
+        return Err(ServeError::InvalidConfig(format!(
+            "fault spec: slowdowns of {}× (degrade) and {}× (stragglers) stretch the makespan \
+             to {} s, and the figures of its {} requests overflow",
+            Figure(faults.degrade_mult),
+            Figure(faults.straggler_mult),
+            Figure(makespan_s),
+            trace.len()
+        )));
+    }
     let per_s = |count: f64| {
         if makespan_s > 0.0 {
             count / makespan_s
@@ -1400,6 +1413,24 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, ServeError::InvalidConfig(_)), "{err}");
         assert!(err.to_string().contains("MTBF 0.05 s"), "{err}");
+    }
+
+    /// `serve --degrade 1e308 --requests 5`: a finite slowdown multiplier
+    /// whose iteration times overflow the report's sums. The run is a
+    /// typed error naming the multiplier, not a report with an infinite
+    /// e2e mean.
+    #[test]
+    fn a_slowdown_whose_figures_overflow_is_a_clean_error() {
+        let cluster = presets::dgx_a100_hdr_cluster();
+        let err = simulate_fleet(
+            &cluster,
+            Arc::new(models::llama2_13b()),
+            &FleetConfig::new(1, 1).with_faults(FaultSpec::none().with_degradation(1e308)),
+            &spec(42, 5, 2.0),
+        )
+        .unwrap_err();
+        assert!(matches!(err, ServeError::InvalidConfig(_)), "{err}");
+        assert!(err.to_string().contains("1.000e308× (degrade)"), "{err}");
     }
 
     /// `serve --mtbf 1e-300 --mttr 10 --requests 10` and `serve --mtbf 5

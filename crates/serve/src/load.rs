@@ -25,7 +25,7 @@
 use crate::fleet::run_fleet;
 use crate::{
     ArrivalProcess, FaultSpec, FleetReport, KvSpec, LengthDist, PrefixSpec, RecordMode,
-    RouterPolicy, Scheduler, ServeConfig, ServeInstance, SloSpec, TraceSpec,
+    RouterPolicy, Scheduler, ServeConfig, ServeError, ServeInstance, SloSpec, TraceSpec,
 };
 use optimus_hw::{ClusterSpec, Precision};
 use optimus_infer::PreparedInferenceEstimator;
@@ -243,8 +243,20 @@ pub struct InfeasibleStrategy {
     /// Replica count.
     pub replicas: usize,
     /// Why it cannot serve (weights overflow, TP beyond a node,
-    /// unsupported precision, zero replicas).
+    /// unsupported precision, zero replicas), or why one of its cells
+    /// failed (a fleet that never finishes, figures that overflow).
     pub reason: String,
+}
+
+impl InfeasibleStrategy {
+    fn new(strategy: LoadStrategy, reason: String) -> Self {
+        Self {
+            tp: strategy.tp,
+            precision: strategy.precision,
+            replicas: strategy.replicas,
+            reason,
+        }
+    }
 }
 
 /// The complete outcome of one load sweep.
@@ -283,7 +295,13 @@ pub struct LoadSweepReport {
 /// values are pure functions of their keys, so each cell reports exactly
 /// what a lone [`ServeInstance`] of its strategy reports for its trace,
 /// and the report is byte-identical across `RAYON_NUM_THREADS` settings.
-/// A strategy that cannot serve goes to the report's `infeasible` list.
+/// A strategy that cannot serve goes to the report's `infeasible` list,
+/// and so does one with a cell that fails: a fault spec that never lets
+/// its fleet finish (outages that leave no uptime long enough to complete
+/// an iteration in, or uptimes below the clock's resolution), or
+/// slowdowns whose figures overflow. Its reason is the
+/// [`crate::ServeError`] of its first failing rate, and the frontier is
+/// drawn over the other strategies' curves.
 ///
 /// # Panics
 ///
@@ -291,11 +309,7 @@ pub struct LoadSweepReport {
 /// a non-positive/non-finite rate, prompt, output and prefix lengths
 /// whose largest context overflows `usize`, or an invalid fault spec;
 /// and, once some strategy is feasible, on more requests per cell than
-/// [`crate::MAX_TRACE_REQUESTS`], or on a cell whose fault spec never
-/// lets its fleet finish (outages that leave no uptime long enough to
-/// complete an iteration in, or uptimes below the clock's resolution,
-/// which [`crate::simulate_fleet`] reports as
-/// [`crate::ServeError::InvalidConfig`]).
+/// [`crate::MAX_TRACE_REQUESTS`].
 #[must_use]
 pub fn load_sweep(
     cluster: &ClusterSpec,
@@ -337,7 +351,7 @@ fn run_grid<'a>(
     estimator: &Arc<PreparedInferenceEstimator<'a>>,
 ) -> LoadSweepReport {
     // --- phase 1: one probed instance per strategy ----------------------
-    let prepared: Vec<Result<ServeInstance<'_>, InfeasibleStrategy>> = spec
+    let prepared: Vec<Result<ServeInstance<'_>, String>> = spec
         .strategies
         .par_iter()
         .map(|s| prepare_strategy(cluster, model, spec, *s, estimator))
@@ -347,7 +361,7 @@ fn run_grid<'a>(
     for (s, outcome) in spec.strategies.iter().zip(prepared) {
         match outcome {
             Ok(instance) => instances.push((*s, instance)),
-            Err(reason) => infeasible.push(reason),
+            Err(reason) => infeasible.push(InfeasibleStrategy::new(*s, reason)),
         }
     }
     // Nothing can run: report the reasons without generating a single
@@ -384,7 +398,7 @@ fn run_grid<'a>(
     let cells: Vec<(usize, usize)> = (0..instances.len())
         .flat_map(|si| (0..spec.rates.len()).map(move |ri| (si, ri)))
         .collect();
-    let points: Vec<LoadPoint> = cells
+    let cells: Vec<Result<LoadPoint, ServeError>> = cells
         .into_par_iter()
         .map(|(si, ri)| {
             // Every cell — single replica included — runs through the
@@ -394,33 +408,41 @@ fn run_grid<'a>(
             // one code path to keep correct.
             let (strategy, instance) = &instances[si];
             // Phase 1 probed the pricing and the spec asserts keep the
-            // traces valid, so the one error left is a fault spec that
-            // never lets the fleet finish (see `# Panics`).
+            // traces valid, so what can still fail is the fault spec: a
+            // fleet that never finishes, or slowdowns whose figures
+            // overflow.
             let report = run_fleet(
                 instance,
                 strategy.replicas,
                 spec.router,
                 faults,
                 &traces[ri],
-            )
-            .unwrap_or_else(|e| panic!("load-sweep cell: {e}"));
-            LoadPoint::from_fleet(*strategy, spec.rates[ri], &report)
+            )?;
+            Ok(LoadPoint::from_fleet(*strategy, spec.rates[ri], &report))
         })
         .collect();
 
     // --- phase 3: curves and the SLO-goodput frontier -------------------
-    let curves: Vec<SaturationCurve> = instances
+    // A strategy with a failing cell has no curve: it is infeasible, for
+    // the reason of its first failing rate.
+    let mut curves: Vec<SaturationCurve> = Vec::new();
+    for ((s, _), row) in instances.iter().zip(cells.chunks(spec.rates.len())) {
+        match row.iter().map(|cell| cell.as_ref().copied()).collect() {
+            Ok(points) => curves.push(SaturationCurve {
+                tp: s.tp,
+                precision: s.precision,
+                replicas: s.replicas,
+                gpus: s.gpus(),
+                kv: s.kv,
+                scheduler: s.scheduler,
+                points,
+            }),
+            Err(e) => infeasible.push(InfeasibleStrategy::new(*s, e.to_string())),
+        }
+    }
+    let points: Vec<LoadPoint> = curves
         .iter()
-        .enumerate()
-        .map(|(si, (s, _))| SaturationCurve {
-            tp: s.tp,
-            precision: s.precision,
-            replicas: s.replicas,
-            gpus: s.gpus(),
-            kv: s.kv,
-            scheduler: s.scheduler,
-            points: points[si * spec.rates.len()..(si + 1) * spec.rates.len()].to_vec(),
-        })
+        .flat_map(|c| c.points.iter().copied())
         .collect();
     // Minimize devices, maximize goodput (negated). The tie-break runs on
     // point identity — (tp, precision, replicas, kv, scheduler, rate) —
@@ -468,22 +490,16 @@ impl LoadSweepSpec {
 
 /// Builds and probes one strategy's instance over the sweep's shared
 /// `estimator`, so an unsupported precision surfaces as an infeasible
-/// strategy instead of a mid-grid panic.
+/// strategy, with the returned reason, instead of a mid-grid panic.
 fn prepare_strategy<'a>(
     cluster: &'a ClusterSpec,
     model: &Arc<ModelConfig>,
     spec: &LoadSweepSpec,
     strategy: LoadStrategy,
     estimator: &Arc<PreparedInferenceEstimator<'a>>,
-) -> Result<ServeInstance<'a>, InfeasibleStrategy> {
-    let infeasible = |reason: String| InfeasibleStrategy {
-        tp: strategy.tp,
-        precision: strategy.precision,
-        replicas: strategy.replicas,
-        reason,
-    };
+) -> Result<ServeInstance<'a>, String> {
     if strategy.replicas == 0 {
-        return Err(infeasible("a fleet needs at least one replica".to_owned()));
+        return Err("a fleet needs at least one replica".to_owned());
     }
     // Replicas are identical, so one prepared instance prices every
     // replica of every rate cell. A cell's point reads no per-request
@@ -496,8 +512,8 @@ fn prepare_strategy<'a>(
         .with_scheduler(strategy.scheduler);
     let instance =
         ServeInstance::with_estimator(cluster, Arc::clone(model), config, Arc::clone(estimator))
-            .map_err(|e| infeasible(e.to_string()))?;
-    instance.probe().map_err(|e| infeasible(e.to_string()))?;
+            .map_err(|e| e.to_string())?;
+    instance.probe().map_err(|e| e.to_string())?;
     Ok(instance)
 }
 
@@ -540,6 +556,34 @@ mod tests {
                 assert_eq!(p.offered_rate_per_s, rate);
                 assert_eq!(p.completed + p.rejected, 48);
             }
+        }
+    }
+
+    /// `load-sweep --tp-list 1,2 --mtbf 0.05 --mttr 10`: no cell can
+    /// finish, so both strategies are infeasible, with the MTBF in the
+    /// reason, instead of the sweep panicking.
+    #[test]
+    fn a_cell_that_cannot_finish_makes_its_strategy_infeasible() {
+        let cluster = presets::dgx_a100_hdr_cluster();
+        let model = Arc::new(models::llama2_7b());
+        let spec = LoadSweepSpec {
+            requests: 10,
+            prompt: LengthDist::Fixed { tokens: 200 },
+            output: LengthDist::Fixed { tokens: 64 },
+            rates: vec![4.0],
+            faults: Some(FaultSpec::crashes(0, 0.05, 10.0)),
+            ..small_spec()
+        };
+        let report = load_sweep(&cluster, &model, &spec);
+        assert!(report.curves.is_empty() && report.frontier.is_empty());
+        assert_eq!(report.infeasible.len(), 2);
+        for (strategy, tp) in report.infeasible.iter().zip([1, 2]) {
+            assert_eq!(strategy.tp, tp);
+            assert!(
+                strategy.reason.contains("MTBF 0.05 s"),
+                "{}",
+                strategy.reason
+            );
         }
     }
 

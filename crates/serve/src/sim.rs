@@ -1109,11 +1109,7 @@ pub(crate) mod tests {
     /// skipped.
     fn every_kv_shape(cluster: &ClusterSpec) -> Vec<ServeInstance<'_>> {
         let mut instances = Vec::new();
-        for model in models::llama2_family()
-            .into_iter()
-            .chain([models::gpt_7b()])
-            .chain(models::gpt_family())
-        {
+        for model in models::all() {
             let model = Arc::new(model);
             let estimator = Arc::new(PreparedInferenceEstimator::for_serving(
                 cluster,

@@ -147,21 +147,17 @@ impl Workload {
     }
 }
 
-/// Candidate axes of the sweep. Axes are sorted and deduplicated at
-/// enumeration time, and every combination is filtered through the
-/// validity rules of [`SweepSpace::enumerate`].
+/// Microbatch sizes a training sweep tries.
+const MICROBATCHES: [usize; 4] = [1, 2, 4, 8];
+
+/// The strategy space of a sweep: a GPU budget and the precisions to try.
+/// The TP, PP and DP axes are the powers of two up to the budget, and
+/// every combination is filtered through the validity rules of
+/// [`SweepSpace::enumerate`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepSpace {
     /// Largest total device count a strategy may occupy.
     pub max_gpus: usize,
-    /// Tensor-parallel degrees to try.
-    pub tp: Vec<usize>,
-    /// Pipeline-parallel degrees to try.
-    pub pp: Vec<usize>,
-    /// Data-parallel degrees to try.
-    pub dp: Vec<usize>,
-    /// Microbatch sizes to try (training only).
-    pub microbatch: Vec<usize>,
     /// Precisions to try (pruned to what the device supports).
     pub precisions: Vec<Precision>,
 }
@@ -172,18 +168,8 @@ impl SweepSpace {
     #[must_use]
     pub fn power_of_two(max_gpus: usize) -> Self {
         assert!(max_gpus > 0, "sweep needs at least one device");
-        let pows = |cap: usize| -> Vec<usize> {
-            (0..)
-                .map(|e| 1usize << e)
-                .take_while(|v| *v <= cap)
-                .collect()
-        };
         Self {
             max_gpus,
-            tp: pows(max_gpus),
-            pp: pows(max_gpus),
-            dp: pows(max_gpus),
-            microbatch: vec![1, 2, 4, 8],
             precisions: vec![Precision::Fp16, Precision::Bf16],
         }
     }
@@ -236,16 +222,22 @@ impl SweepSpace {
         let device = cluster.accelerator();
         let gpus_per_node = cluster.node.gpus_per_node;
 
-        let mut tp_axis = self.sorted_axis(&self.tp);
-        tp_axis.retain(|&tp| {
-            tp <= gpus_per_node
-                && model.heads.is_multiple_of(tp)
-                && model.kv_heads().is_multiple_of(tp)
-        });
-        let mut pp_axis = self.sorted_axis(&self.pp);
-        pp_axis.retain(|&pp| model.layers.is_multiple_of(pp) && pp <= self.max_gpus);
-        let dp_axis = self.sorted_axis(&self.dp);
-        let mb_axis = self.sorted_axis(&self.microbatch);
+        let powers = || {
+            (0..usize::BITS)
+                .map(|e| 1usize << e)
+                .take_while(|&v| v <= self.max_gpus)
+        };
+        let tp_axis: Vec<usize> = powers()
+            .filter(|&tp| {
+                tp <= gpus_per_node
+                    && model.heads.is_multiple_of(tp)
+                    && model.kv_heads().is_multiple_of(tp)
+            })
+            .collect();
+        let pp_axis: Vec<usize> = powers()
+            .filter(|&pp| model.layers.is_multiple_of(pp))
+            .collect();
+        let dp_axis: Vec<usize> = powers().collect();
         let precisions: Vec<Precision> = {
             let mut ps: Vec<Precision> = self
                 .precisions
@@ -269,11 +261,13 @@ impl SweepSpace {
                 for &tp in &tp_axis {
                     for &pp in &pp_axis {
                         for &dp in &dp_axis {
-                            if dp * tp * pp > self.max_gpus {
+                            // Budgets near `usize::MAX` reach DP degrees whose
+                            // products overflow; none of those fits.
+                            if dp.checked_mul(tp * pp).is_none_or(|n| n > self.max_gpus) {
                                 continue;
                             }
-                            for &mb in &mb_axis {
-                                if !batch.is_multiple_of(dp * mb) {
+                            for mb in MICROBATCHES {
+                                if !dp.checked_mul(mb).is_some_and(|n| batch.is_multiple_of(n)) {
                                     continue;
                                 }
                                 for sp in self.sp_variants(tp) {
@@ -314,9 +308,6 @@ impl SweepSpace {
             } => {
                 let context = prefill + generate;
                 for &tp in &tp_axis {
-                    if tp > self.max_gpus {
-                        continue;
-                    }
                     let parallelism = Parallelism::tensor_parallel(tp);
                     for &precision in &precisions {
                         let memory = inference_memory(model, *batch, context, tp, precision);
@@ -338,13 +329,6 @@ impl SweepSpace {
         points
     }
 
-    fn sorted_axis(&self, axis: &[usize]) -> Vec<usize> {
-        let mut out: Vec<usize> = axis.iter().copied().filter(|&v| v > 0).collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// SP variants to try for a TP degree: plain TP always; the
     /// sequence-parallel variant only where SP differs (TP > 1).
     fn sp_variants(&self, tp: usize) -> impl Iterator<Item = bool> {
@@ -358,25 +342,17 @@ mod tests {
     use optimus_hw::presets;
     use optimus_model::presets as models;
 
+    /// A budget of `usize::MAX` enumerates exactly what a 4,096-GPU one
+    /// does: the widest llama2-13b strategy at batch 64 is DP 64 × TP 8 ×
+    /// PP 8. The axes used to shift a power of two past the word.
     #[test]
-    fn axes_are_deduplicated_and_sorted() {
-        let mut space = SweepSpace::power_of_two(8);
-        space.tp = vec![8, 1, 2, 2, 4];
-        let points = space.enumerate(
-            &models::llama2_13b(),
-            &presets::dgx_a100_hdr_cluster(),
-            &Workload::inference(1, 200, 200),
-        );
-        let tps: Vec<usize> = points.iter().map(|p| p.parallelism.tp).collect();
-        assert!(
-            tps.windows(2).all(|w| w[0] <= w[1]),
-            "inference axis must come out sorted: {tps:?}"
-        );
-        assert_eq!(points.len(), {
-            let mut unique = points.clone();
-            unique.dedup();
-            unique.len()
-        });
+    fn an_unbounded_budget_enumerates_what_fits() {
+        let cluster = presets::dgx_a100_hdr_cluster();
+        let workload = Workload::training(64, 2048);
+        let enumerate = |max_gpus| {
+            SweepSpace::power_of_two(max_gpus).enumerate(&models::llama2_13b(), &cluster, &workload)
+        };
+        assert_eq!(enumerate(usize::MAX), enumerate(4096));
     }
 
     #[test]

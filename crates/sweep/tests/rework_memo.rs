@@ -82,8 +82,7 @@ fn price(
         &StackContext {
             cluster,
             memory: &report.memory,
-            gpus: p.total_gpus(),
-            parallelism: Some(p),
+            parallelism: p,
             time_per_batch: report.time_per_batch,
         },
         &|dp| est.reprice_dp(p, precision, dp).ok(),

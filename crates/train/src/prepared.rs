@@ -364,8 +364,7 @@ impl<'a> PreparedTrainingEstimator<'a> {
             &StackContext {
                 cluster: self.cluster,
                 memory: &memory,
-                gpus: p.total_gpus(),
-                parallelism: Some(p),
+                parallelism: p,
                 time_per_batch,
             },
             &|dp| self.reprice_dp(p, precision, dp).ok(),

@@ -423,36 +423,6 @@ impl CheckpointSpec {
         Ok(())
     }
 
-    /// Prices this spec for one evaluated strategy: `memory` is the
-    /// strategy's per-device footprint, `gpus` its device count, and
-    /// `time_per_batch` the failure-free batch time. `None` when the
-    /// failure process is disabled (or `gpus == 0`).
-    ///
-    /// This signature has no parallelism context, so peer tiers are
-    /// inapplicable and elastic recovery falls back to restart pricing —
-    /// use [`Self::evaluate_stack`] (or the prepared estimator, which
-    /// wires it up) for the full stack.
-    #[must_use]
-    pub fn evaluate(
-        &self,
-        cluster: &ClusterSpec,
-        memory: &TrainingMemoryReport,
-        gpus: usize,
-        time_per_batch: Time,
-    ) -> Option<ResilienceReport> {
-        self.evaluate_stack(
-            &StackContext {
-                cluster,
-                memory,
-                gpus,
-                parallelism: None,
-                time_per_batch,
-            },
-            &|_| None,
-            &expected_rework,
-        )
-    }
-
     /// Prices the full resilience stack for one evaluated strategy.
     ///
     /// `reprice` maps a shrunken DP degree to the failure-free time of
@@ -462,8 +432,7 @@ impl CheckpointSpec {
     /// per failure of an uptime law, an interval and a write time: the
     /// bare [`expected_rework`], or a memo in front of it that returns its
     /// values bit for bit (the prepared estimator keeps one per sweep).
-    /// `None` overall when the failure process is disabled (or
-    /// `gpus == 0`).
+    /// `None` overall when the failure process is disabled.
     #[must_use]
     pub fn evaluate_stack(
         &self,
@@ -471,11 +440,10 @@ impl CheckpointSpec {
         reprice: &dyn Fn(usize) -> Option<Time>,
         rework: &dyn Fn(Uptime, f64, f64) -> f64,
     ) -> Option<ResilienceReport> {
-        if !self.has_failures() || ctx.gpus == 0 {
+        if !self.has_failures() {
             return None;
         }
         let memory = ctx.memory;
-        let gpus = ctx.gpus;
         // Model state per device: parameters + optimizer moments. The
         // gradient buffer is transient and activations are recomputed, so
         // neither belongs in a checkpoint.
@@ -487,7 +455,9 @@ impl CheckpointSpec {
         let checkpoint_write = checkpoint_bytes / link.effective_bandwidth(checkpoint_bytes);
         let delta = checkpoint_write.secs();
 
-        let cluster_mtbf = self.process.cluster_mtbf(self.mtbf_s, gpus);
+        let cluster_mtbf = self
+            .process
+            .cluster_mtbf(self.mtbf_s, ctx.parallelism.total_gpus());
         let (interval, auto_interval) = match self.interval_s {
             Some(s) => (s, false),
             None => (young_daly_interval(delta, cluster_mtbf), true),
@@ -499,9 +469,9 @@ impl CheckpointSpec {
             0.0
         };
 
-        let dp = ctx.parallelism.map_or(1, |p| p.dp);
-        let classes = self.failure_classes(ctx.parallelism, gpus, dp);
-        let priced = self.price_tiers(ctx, checkpoint_bytes, cluster_mtbf, dp);
+        let dp = ctx.parallelism.dp;
+        let classes = self.failure_classes(ctx.parallelism);
+        let priced = self.price_tiers(ctx, checkpoint_bytes, cluster_mtbf);
         let applicable: Vec<&PricedTier> = priced.iter().filter(|t| t.applicable).collect();
 
         let restart_frac = self.restart_s / cluster_mtbf;
@@ -678,25 +648,16 @@ impl CheckpointSpec {
 
     /// The failure event classes of this spec's process: each with its
     /// share of the total failure rate and the number of DP groups its
-    /// blast radius removes.
-    fn failure_classes(
-        &self,
-        parallelism: Option<Parallelism>,
-        gpus: usize,
-        dp: usize,
-    ) -> Vec<FailureClass> {
+    /// blast radius removes under strategy `p`.
+    fn failure_classes(&self, p: Parallelism) -> Vec<FailureClass> {
         match self.process {
             FailureProcess::RackCorrelated { racks, rack_mtbf_s } => {
+                let gpus = p.total_gpus();
                 let solo_rate = gpus as f64 / self.mtbf_s;
                 let rack_rate = racks as f64 / rack_mtbf_s;
                 let total = solo_rate + rack_rate;
                 let rack_gpus = gpus.div_ceil(racks.max(1));
-                let lost = match parallelism {
-                    Some(p) => rack_gpus.div_ceil(p.tp * p.pp).clamp(1, dp),
-                    // Without parallelism context, assume the rack takes
-                    // the whole job (peer tiers inapplicable anyway).
-                    None => dp,
-                };
+                let lost = rack_gpus.div_ceil(p.tp * p.pp).clamp(1, p.dp);
                 vec![
                     FailureClass {
                         weight: solo_rate / total,
@@ -722,9 +683,9 @@ impl CheckpointSpec {
         ctx: &StackContext<'_>,
         checkpoint_bytes: Bytes,
         cluster_mtbf: f64,
-        dp: usize,
     ) -> Vec<PricedTier> {
         let link = &ctx.cluster.inter_link;
+        let dp = ctx.parallelism.dp;
         self.tiers
             .iter()
             .map(|tier| {
@@ -773,11 +734,9 @@ pub struct StackContext<'a> {
     pub cluster: &'a ClusterSpec,
     /// The strategy's per-device memory footprint.
     pub memory: &'a TrainingMemoryReport,
-    /// The strategy's device count.
-    pub gpus: usize,
-    /// The strategy's parallelism (peer-tier group size and elastic
-    /// blast-radius arithmetic); `None` disables both.
-    pub parallelism: Option<Parallelism>,
+    /// The strategy: its device count, peer-tier group size and elastic
+    /// blast-radius arithmetic.
+    pub parallelism: Parallelism,
     /// The strategy's failure-free batch time.
     pub time_per_batch: Time,
 }
@@ -1410,10 +1369,28 @@ mod tests {
         StackContext {
             cluster,
             memory,
-            gpus: p.total_gpus(),
-            parallelism: Some(p),
+            parallelism: p,
             time_per_batch: t,
         }
+    }
+
+    /// `spec` priced on one DP group of `gpus` devices, TP up to 8 and PP
+    /// the rest: no peer group, nothing to shrink, and a rack takes the
+    /// whole job.
+    fn price_one_group(
+        spec: &CheckpointSpec,
+        cluster: &ClusterSpec,
+        memory: &TrainingMemoryReport,
+        gpus: usize,
+        t: Time,
+    ) -> Option<ResilienceReport> {
+        let tp = gpus.min(8);
+        let p = Parallelism::new(1, tp, gpus / tp);
+        spec.evaluate_stack(
+            &stack_ctx(cluster, memory, p, t),
+            &|_| None,
+            &expected_rework,
+        )
     }
 
     #[test]
@@ -1424,9 +1401,7 @@ mod tests {
         assert!(spec.validate().is_ok());
         let cluster = presets::dgx_a100_hdr_cluster();
         let memory = memory_for(Parallelism::new(8, 8, 1).with_sp(true));
-        assert!(spec
-            .evaluate(&cluster, &memory, 64, Time::from_secs(10.0))
-            .is_none());
+        assert!(price_one_group(&spec, &cluster, &memory, 64, Time::from_secs(10.0)).is_none());
     }
 
     #[test]
@@ -1500,8 +1475,8 @@ mod tests {
         let memory = memory_for(Parallelism::new(8, 8, 1).with_sp(true));
         let spec = CheckpointSpec::with_mtbf(1e8).with_restart(60.0);
         let t = Time::from_secs(10.0);
-        let r64 = spec.evaluate(&cluster, &memory, 64, t).unwrap();
-        let r128 = spec.evaluate(&cluster, &memory, 128, t).unwrap();
+        let r64 = price_one_group(&spec, &cluster, &memory, 64, t).unwrap();
+        let r128 = price_one_group(&spec, &cluster, &memory, 128, t).unwrap();
         assert!(
             (r64.cluster_mtbf.secs() - 2.0 * r128.cluster_mtbf.secs()).abs() < 1e-6,
             "doubling the fleet must halve the cluster MTBF"
@@ -1518,16 +1493,13 @@ mod tests {
         let cluster = presets::dgx_a100_hdr_cluster();
         let memory = memory_for(Parallelism::new(8, 8, 1).with_sp(true));
         let t = Time::from_secs(10.0);
-        let auto = CheckpointSpec::with_mtbf(1e8)
-            .evaluate(&cluster, &memory, 64, t)
-            .unwrap();
+        let auto =
+            price_one_group(&CheckpointSpec::with_mtbf(1e8), &cluster, &memory, 64, t).unwrap();
         assert!(auto.auto_interval);
         let expect = young_daly_interval(auto.checkpoint_write.secs(), auto.cluster_mtbf.secs());
         assert!((auto.interval.secs() - expect).abs() < 1e-9);
-        let fixed = CheckpointSpec::with_mtbf(1e8)
-            .with_interval(1234.0)
-            .evaluate(&cluster, &memory, 64, t)
-            .unwrap();
+        let fixed = CheckpointSpec::with_mtbf(1e8).with_interval(1234.0);
+        let fixed = price_one_group(&fixed, &cluster, &memory, 64, t).unwrap();
         assert!(!fixed.auto_interval);
         assert_eq!(fixed.interval.secs(), 1234.0);
         // A fixed interval far from the Young–Daly pick loses to it.
@@ -1558,10 +1530,8 @@ mod tests {
                 rack_mtbf_s: 1e9,
             },
         ] {
-            let r = CheckpointSpec::with_mtbf(1e308)
-                .with_process(process)
-                .evaluate(&cluster, &memory, 1, Time::from_secs(10.0))
-                .unwrap();
+            let spec = CheckpointSpec::with_mtbf(1e308).with_process(process);
+            let r = price_one_group(&spec, &cluster, &memory, 1, Time::from_secs(10.0)).unwrap();
             if process == FailureProcess::Exponential {
                 let (delta, m) = (r.checkpoint_write.secs(), r.cluster_mtbf.secs());
                 assert!(!(2.0 * delta * m).is_finite(), "δ = {delta}, M = {m}");
@@ -1584,8 +1554,8 @@ mod tests {
         let wide = memory_for(Parallelism::new(2, 8, 1).with_sp(true));
         let spec = CheckpointSpec::with_mtbf(1e8);
         let t = Time::from_secs(10.0);
-        let rn = spec.evaluate(&cluster, &narrow, 16, t).unwrap();
-        let rw = spec.evaluate(&cluster, &wide, 16, t).unwrap();
+        let rn = price_one_group(&spec, &cluster, &narrow, 16, t).unwrap();
+        let rw = price_one_group(&spec, &cluster, &wide, 16, t).unwrap();
         assert!(
             rw.checkpoint_bytes < rn.checkpoint_bytes,
             "TP8 shards model state thinner than TP2"
@@ -1597,10 +1567,8 @@ mod tests {
     fn waste_decomposes_and_goodput_inverts_it() {
         let cluster = presets::dgx_a100_hdr_cluster();
         let memory = memory_for(Parallelism::new(8, 8, 1).with_sp(true));
-        let r = CheckpointSpec::with_mtbf(5e7)
-            .with_restart(300.0)
-            .evaluate(&cluster, &memory, 64, Time::from_secs(10.0))
-            .unwrap();
+        let spec = CheckpointSpec::with_mtbf(5e7).with_restart(300.0);
+        let r = price_one_group(&spec, &cluster, &memory, 64, Time::from_secs(10.0)).unwrap();
         let (tau, delta, m) = (
             r.interval.secs(),
             r.checkpoint_write.secs(),
@@ -1778,15 +1746,12 @@ mod tests {
         let cluster = presets::dgx_a100_hdr_cluster();
         let memory = memory_for(Parallelism::new(8, 8, 1).with_sp(true));
         let t = Time::from_secs(10.0);
-        let exp = CheckpointSpec::with_mtbf(4e5)
-            .with_restart(900.0)
-            .evaluate(&cluster, &memory, 64, t)
-            .unwrap();
-        let infant = CheckpointSpec::with_mtbf(4e5)
-            .with_restart(900.0)
-            .with_process(FailureProcess::Weibull { shape: 0.7 })
-            .evaluate(&cluster, &memory, 64, t)
-            .unwrap();
+        let exp = CheckpointSpec::with_mtbf(4e5).with_restart(900.0);
+        let infant = exp
+            .clone()
+            .with_process(FailureProcess::Weibull { shape: 0.7 });
+        let exp = price_one_group(&exp, &cluster, &memory, 64, t).unwrap();
+        let infant = price_one_group(&infant, &cluster, &memory, 64, t).unwrap();
         assert!(
             infant.cluster_mtbf < exp.cluster_mtbf,
             "k < 1 min-stability shortens the cluster MTBF"

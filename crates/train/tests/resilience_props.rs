@@ -19,11 +19,13 @@
 //!   existed.
 
 use optimus_hw::presets;
+use optimus_memory::TrainingMemoryReport;
 use optimus_memory::{training_memory, RecomputeMode, TrainingMemorySpec};
 use optimus_model::presets as models;
 use optimus_parallel::{Parallelism, PipelineSchedule};
 use optimus_train::{
-    waste_fraction, young_daly_interval, CheckpointSpec, TrainingConfig, TrainingEstimator,
+    expected_rework, waste_fraction, young_daly_interval, CheckpointSpec, ResilienceReport,
+    StackContext, TrainingConfig, TrainingEstimator,
 };
 use optimus_units::Time;
 use proptest::prelude::*;
@@ -32,9 +34,9 @@ use proptest::prelude::*;
 const AUTO_INTERVAL_SLACK: f64 = 1e-6;
 
 /// The per-device footprint of the worked strategy (llama2-13b, DP8 ×
-/// TP8 + SP on 64 GPUs) — a fixed, feasible anchor for the evaluate()
+/// TP8 + SP on 64 GPUs) — a fixed, feasible anchor for the pricing
 /// properties.
-fn anchor_memory() -> optimus_memory::TrainingMemoryReport {
+fn anchor_memory() -> TrainingMemoryReport {
     training_memory(
         &models::llama2_13b(),
         &TrainingMemorySpec {
@@ -47,6 +49,22 @@ fn anchor_memory() -> optimus_memory::TrainingMemoryReport {
         },
     )
     .unwrap()
+}
+
+/// `spec` priced on one DP group of the anchor's 64 devices (TP8 × PP8):
+/// no peer group, nothing to shrink, and a rack takes the whole job.
+fn price_one_group(
+    spec: &CheckpointSpec,
+    memory: &TrainingMemoryReport,
+    t: Time,
+) -> Option<ResilienceReport> {
+    let ctx = StackContext {
+        cluster: &presets::dgx_a100_hdr_cluster(),
+        memory,
+        parallelism: Parallelism::new(1, 8, 8),
+        time_per_batch: t,
+    };
+    spec.evaluate_stack(&ctx, &|_| None, &expected_rework)
 }
 
 proptest! {
@@ -80,13 +98,11 @@ proptest! {
         restart_lo in 0.0f64..5_000.0,
         restart_gain in 1.01f64..10.0,
     ) {
-        let cluster = presets::dgx_a100_hdr_cluster();
         let memory = anchor_memory();
         let t = Time::from_secs(10.0);
         let at = |mtbf_s: f64, restart_s: f64| {
-            CheckpointSpec::with_mtbf(mtbf_s)
-                .with_restart(restart_s)
-                .evaluate(&cluster, &memory, 64, t)
+            let spec = CheckpointSpec::with_mtbf(mtbf_s).with_restart(restart_s);
+            price_one_group(&spec, &memory, t)
                 .expect("active spec evaluates")
                 .goodput
         };
@@ -109,16 +125,12 @@ proptest! {
         mtbf in 1e5f64..1e9,
         interval in 1.0f64..1e6,
     ) {
-        let cluster = presets::dgx_a100_hdr_cluster();
         let memory = anchor_memory();
         let t = Time::from_secs(10.0);
-        let auto = CheckpointSpec::with_mtbf(mtbf)
-            .evaluate(&cluster, &memory, 64, t)
-            .unwrap();
-        let fixed = CheckpointSpec::with_mtbf(mtbf)
-            .with_interval(interval)
-            .evaluate(&cluster, &memory, 64, t)
-            .unwrap();
+        let auto = CheckpointSpec::with_mtbf(mtbf);
+        let fixed = auto.clone().with_interval(interval);
+        let auto = price_one_group(&auto, &memory, t).unwrap();
+        let fixed = price_one_group(&fixed, &memory, t).unwrap();
         prop_assert!(auto.auto_interval && !fixed.auto_interval);
         prop_assert!(
             auto.goodput >= fixed.goodput - AUTO_INTERVAL_SLACK,

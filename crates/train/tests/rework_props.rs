@@ -27,7 +27,7 @@ use optimus_hw::{presets, FailureProcess};
 use optimus_memory::{training_memory, RecomputeMode, TrainingMemorySpec};
 use optimus_model::presets as models;
 use optimus_parallel::{Parallelism, PipelineSchedule};
-use optimus_train::{expected_rework, CheckpointSpec, Uptime};
+use optimus_train::{expected_rework, CheckpointSpec, StackContext, Uptime};
 use optimus_units::Time;
 use proptest::prelude::*;
 
@@ -219,11 +219,18 @@ proptest! {
     ) {
         let cluster = presets::dgx_a100_hdr_cluster();
         let memory = anchor_memory();
+        // One DP group of 64 devices: no peer group, nothing to shrink.
+        let ctx = StackContext {
+            cluster: &cluster,
+            memory: &memory,
+            parallelism: Parallelism::new(1, 8, 8),
+            time_per_batch: Time::from_secs(10.0),
+        };
         let goodput = |mtbf_s: f64| {
             CheckpointSpec::with_mtbf(mtbf_s)
                 .with_restart(restart)
                 .with_process(FailureProcess::Weibull { shape })
-                .evaluate(&cluster, &memory, 64, Time::from_secs(10.0))
+                .evaluate_stack(&ctx, &|_| None, &expected_rework)
                 .expect("active spec evaluates")
                 .goodput
         };

@@ -55,8 +55,7 @@ fn evaluate(
         &StackContext {
             cluster: &cluster,
             memory,
-            gpus: 64,
-            parallelism: Some(Parallelism::new(8, 8, 1).with_sp(true)),
+            parallelism: Parallelism::new(8, 8, 1).with_sp(true),
             time_per_batch: t,
         },
         &|_| Some(Time::from_secs(10.1)),
