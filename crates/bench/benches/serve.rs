@@ -9,12 +9,25 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use optimus::prelude::*;
 use optimus_serve::{
-    load_sweep, simulate, simulate_fleet_trace, simulate_trace, FaultSpec, FleetConfig, KvSpec,
-    LengthDist, LoadStrategy, LoadSweepSpec, PrefixSpec, RouterPolicy, ServeConfig, SloSpec,
-    TraceSpec,
+    load_sweep, FaultSpec, FleetConfig, FleetInstance, KvSpec, LengthDist, LoadStrategy,
+    LoadSweepSpec, PrefixSpec, Request, RouterPolicy, ServeConfig, ServeInstance, ServeReport,
+    SloSpec, TraceSpec,
 };
 use std::hint::black_box;
 use std::sync::Arc;
+
+/// One single-replica run, instance construction included.
+fn serve(
+    cluster: &ClusterSpec,
+    model: &Arc<ModelConfig>,
+    config: ServeConfig,
+    trace: &[Request],
+) -> ServeReport {
+    ServeInstance::new(cluster, Arc::clone(model), config)
+        .unwrap()
+        .simulate(trace)
+        .unwrap()
+}
 
 fn trace_spec() -> TraceSpec {
     // 64 requests at 8 req/s keeps several requests in flight, so decode
@@ -35,7 +48,7 @@ fn bench_simulate(c: &mut Criterion) {
     let config = ServeConfig::new(2);
     let spec = trace_spec();
     c.bench_function("serve/llama13b_a100_tp2_64req", |b| {
-        b.iter(|| black_box(simulate(&cluster, Arc::clone(&model), &config, &spec).unwrap()))
+        b.iter(|| black_box(serve(&cluster, &model, config, &spec.generate())))
     });
 }
 
@@ -47,7 +60,7 @@ fn bench_simulate_long_decode(c: &mut Criterion) {
     // per-step memo tables exist for.
     let spec = TraceSpec::poisson(7, 32, 4.0, 100, 128);
     c.bench_function("serve/llama7b_a100_tp1_long_decode", |b| {
-        b.iter(|| black_box(simulate(&cluster, Arc::clone(&model), &config, &spec).unwrap()))
+        b.iter(|| black_box(serve(&cluster, &model, config, &spec.generate())))
     });
 }
 
@@ -71,7 +84,7 @@ fn bench_simulate_paged_prefix(c: &mut Criterion) {
         ..TraceSpec::poisson(11, 10_000, 40.0, 400, 32)
     };
     c.bench_function("serve/llama7b_paged_prefix_10k", |b| {
-        b.iter(|| black_box(simulate(&cluster, Arc::clone(&model), &config, &spec).unwrap()))
+        b.iter(|| black_box(serve(&cluster, &model, config, &spec.generate())))
     });
 }
 
@@ -94,7 +107,7 @@ fn bench_simulate_1m(c: &mut Criterion) {
     }
     .generate();
     c.bench_function("serve/llama13b_1m_req", |b| {
-        b.iter(|| black_box(simulate_trace(&cluster, Arc::clone(&model), &config, &trace).unwrap()))
+        b.iter(|| black_box(serve(&cluster, &model, config, &trace)))
     });
 }
 
@@ -123,7 +136,8 @@ fn bench_fleet_4rep(c: &mut Criterion) {
     .generate();
     c.bench_function("fleet/llama13b_4rep", |b| {
         b.iter(|| {
-            black_box(simulate_fleet_trace(&cluster, Arc::clone(&model), &config, &trace).unwrap())
+            let fleet = FleetInstance::new(&cluster, Arc::clone(&model), config.clone()).unwrap();
+            black_box(fleet.simulate(&trace).unwrap())
         })
     });
 }
@@ -153,7 +167,8 @@ fn bench_fleet_4rep_chaos(c: &mut Criterion) {
     .generate();
     c.bench_function("fleet/llama13b_4rep_chaos", |b| {
         b.iter(|| {
-            black_box(simulate_fleet_trace(&cluster, Arc::clone(&model), &config, &trace).unwrap())
+            let fleet = FleetInstance::new(&cluster, Arc::clone(&model), config.clone()).unwrap();
+            black_box(fleet.simulate(&trace).unwrap())
         })
     });
 }

@@ -489,10 +489,10 @@ fn slo_of(args: &Args) -> optimus_serve::SloSpec {
 
 /// `optimus-cli serve …` — continuous-batching serving simulation with
 /// SLO metrics, over one replica or (with `--replicas N`) a routed
-/// fleet.
+/// fleet, either way through one fleet simulation.
 fn serve(args: &Args) -> Result<String, ArgError> {
     use optimus_serve::{
-        simulate, simulate_fleet, ArrivalProcess, FleetConfig, RecordMode, ServeConfig, TraceSpec,
+        simulate_fleet, ArrivalProcess, FaultSpec, FleetConfig, RecordMode, ServeConfig, TraceSpec,
     };
     let model = model_preset(args.get_or("model", "llama2-13b"))?;
     let cluster = cluster_preset(args.get_or("cluster", "a100-hdr"))?;
@@ -538,94 +538,93 @@ fn serve(args: &Args) -> Result<String, ArgError> {
         ArrivalProcess::Fixed { interval_s } => format!("fixed every {interval_s} s"),
     };
 
+    // Fault injection is a fleet concern, so `--mtbf` on a single replica
+    // reports as a fleet too (the router requeues its drained work); a
+    // fault-free lone replica reports as one serving instance.
     let replicas = args.get_usize("replicas", 1);
     let faults = faults_of(args, replicas)?;
-    if replicas > 1 || faults.is_some() {
-        // Fleet path: route the trace online across identical replicas.
-        // Fault injection is a fleet concern, so `--mtbf` on a single
-        // replica also runs here (the router requeues its drained work).
-        let fleet_config = FleetConfig {
-            replicas,
-            router: router_of(args)?,
-            replica: config,
-            faults: faults.unwrap_or_else(optimus_serve::FaultSpec::none),
-        };
-        let report = simulate_fleet(&cluster, std::sync::Arc::new(model), &fleet_config, &spec)
-            .map_err(|e| ArgError(e.to_string()))?;
-        if args.has("json") {
-            return serde_json::to_string_pretty(&report).map_err(|e| ArgError(e.to_string()));
-        }
-        let mut out = format!(
-            "serve: {} on {} ({replicas} × TP{tp}, {precision}, {} GPUs)\ntrace: {requests} \
-             requests, {arrival_desc}, seed {}\n\n{report}\n\nper replica:\n",
-            report.model, report.cluster, report.gpus, spec.seed
-        );
-        for (i, r) in report.per_replica.iter().enumerate() {
-            out.push_str(&format!(
-                "  {i}: {:>6} routed, {:>6} completed  |  {:>8.1} tok/s, ttft p99 {:>10}, \
-                 slo {:>5.1}%\n",
-                report.routed[i],
-                r.completed,
-                r.tokens_per_s,
-                r.ttft.p99.to_string(),
-                r.slo.attainment * 100.0,
-            ));
-        }
-        let (prefills, decodes): (usize, usize) =
-            report.per_replica.iter().fold((0, 0), |(p, d), r| {
-                (p + r.prefill_iterations, d + r.decode_iterations)
-            });
-        out.push_str(&format!(
-            "\niterations: {prefills} prefill + {decodes} decode across replicas \
-             (mean decode batch {:.1})\n",
-            report.mean_decode_batch
-        ));
-        if let Some(f) = &report.faults {
-            let downtime: Vec<String> = report
-                .availability
-                .per_replica_downtime
-                .iter()
-                .map(ToString::to_string)
-                .collect();
-            out.push_str(&format!(
-                "churn: downtime per replica [{}], {} requeue events over {} requests\n",
-                downtime.join(", "),
-                report.availability.requeues,
-                report.availability.requeued_requests,
-            ));
-            if !f.domains.is_empty() {
-                let domains: Vec<String> = f
-                    .domains
-                    .iter()
-                    .zip(&report.availability.per_domain_downtime)
-                    .map(|(d, down)| format!("{:?} down {down}", d.replicas))
-                    .collect();
-                out.push_str(&format!("domains: {}\n", domains.join(", ")));
-            }
-        }
-        return Ok(out);
-    }
-    if args.has("router") {
+    let lone = replicas == 1 && faults.is_none();
+    if lone && args.has("router") {
         return Err(ArgError(
             "--router does not apply without --replicas 2 or more".to_owned(),
         ));
     }
-
-    let report = simulate(&cluster, std::sync::Arc::new(model), &config, &spec)
+    let fleet_config = FleetConfig {
+        replicas,
+        router: router_of(args)?,
+        replica: config,
+        faults: faults.unwrap_or_else(FaultSpec::none),
+    };
+    let report = simulate_fleet(&cluster, std::sync::Arc::new(model), &fleet_config, &spec)
         .map_err(|e| ArgError(e.to_string()))?;
 
+    if lone {
+        let report = report.into_lone_replica();
+        if args.has("json") {
+            return serde_json::to_string_pretty(&report).map_err(|e| ArgError(e.to_string()));
+        }
+        let mut out = format!(
+            "serve: {} on {} (TP{tp}, {precision})\ntrace: {requests} requests, {arrival_desc}, \
+             seed {}\n\n{report}\n",
+            report.model, report.cluster, spec.seed
+        );
+        out.push_str(&format!(
+            "\niterations: {} prefill + {} decode (mean decode batch {:.1})\n",
+            report.prefill_iterations, report.decode_iterations, report.mean_decode_batch
+        ));
+        return Ok(out);
+    }
     if args.has("json") {
         return serde_json::to_string_pretty(&report).map_err(|e| ArgError(e.to_string()));
     }
     let mut out = format!(
-        "serve: {} on {} (TP{tp}, {precision})\ntrace: {requests} requests, {arrival_desc}, \
-         seed {}\n\n{report}\n",
-        report.model, report.cluster, spec.seed
+        "serve: {} on {} ({replicas} × TP{tp}, {precision}, {} GPUs)\ntrace: {requests} \
+         requests, {arrival_desc}, seed {}\n\n{report}\n\nper replica:\n",
+        report.model, report.cluster, report.gpus, spec.seed
     );
+    for (i, r) in report.per_replica.iter().enumerate() {
+        out.push_str(&format!(
+            "  {i}: {:>6} routed, {:>6} completed  |  {:>8.1} tok/s, ttft p99 {:>10}, \
+             slo {:>5.1}%\n",
+            report.routed[i],
+            r.completed,
+            r.tokens_per_s,
+            r.ttft.p99.to_string(),
+            r.slo.attainment * 100.0,
+        ));
+    }
+    let (prefills, decodes): (usize, usize) =
+        report.per_replica.iter().fold((0, 0), |(p, d), r| {
+            (p + r.prefill_iterations, d + r.decode_iterations)
+        });
     out.push_str(&format!(
-        "\niterations: {} prefill + {} decode (mean decode batch {:.1})\n",
-        report.prefill_iterations, report.decode_iterations, report.mean_decode_batch
+        "\niterations: {prefills} prefill + {decodes} decode across replicas \
+         (mean decode batch {:.1})\n",
+        report.mean_decode_batch
     ));
+    if let Some(f) = &report.faults {
+        let downtime: Vec<String> = report
+            .availability
+            .per_replica_downtime
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        out.push_str(&format!(
+            "churn: downtime per replica [{}], {} requeue events over {} requests\n",
+            downtime.join(", "),
+            report.availability.requeues,
+            report.availability.requeued_requests,
+        ));
+        if !f.domains.is_empty() {
+            let domains: Vec<String> = f
+                .domains
+                .iter()
+                .zip(&report.availability.per_domain_downtime)
+                .map(|(d, down)| format!("{:?} down {down}", d.replicas))
+                .collect();
+            out.push_str(&format!("domains: {}\n", domains.join(", ")));
+        }
+    }
     Ok(out)
 }
 

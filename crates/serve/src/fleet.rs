@@ -25,6 +25,7 @@
 
 use crate::engine::{Dropped, ReplicaEngine};
 use crate::faults::{clipped_stats, EngineFaults, FaultSpec, FleetAvailability};
+use crate::report::{write_latency_lines, write_slo_line};
 use crate::sim::{check_trace_len, TraceBounds};
 use crate::stats::LatencyAccumulator;
 use crate::{
@@ -139,6 +140,21 @@ impl FleetConfig {
         self.faults = faults;
         self
     }
+
+    /// The checks every fleet passes before it is built: at least one
+    /// replica and a valid fault spec. Validation comes before anything
+    /// reads the spec: a NaN or negative link-mode multiplier would
+    /// panic in [`FaultSpec::degraded_cluster`].
+    fn check(&self) -> Result<(), ServeError> {
+        if self.replicas == 0 {
+            return Err(ServeError::InvalidConfig(
+                "a fleet needs at least one replica".to_owned(),
+            ));
+        }
+        self.faults
+            .validate()
+            .map_err(|reason| ServeError::InvalidConfig(format!("fault spec: {reason}")))
+    }
 }
 
 /// The complete outcome of one fleet simulation: fleet-level aggregates
@@ -211,6 +227,30 @@ pub struct FleetReport {
     pub paging: Option<PagingReport>,
 }
 
+impl FleetReport {
+    /// A one-replica fleet's report as a lone [`ServeInstance`] gives
+    /// it: the replica's report, with `requests`, `rejected` and
+    /// `rejected_ids` from the router, which rejects on arrival what no
+    /// idle instance could run. The fleet-level fields are dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the fleet has exactly one replica.
+    #[must_use]
+    pub fn into_lone_replica(self) -> ServeReport {
+        let [replica]: [ServeReport; 1] = self
+            .per_replica
+            .try_into()
+            .expect("a lone replica is a fleet of one");
+        ServeReport {
+            requests: self.requests,
+            rejected: self.rejected,
+            rejected_ids: self.rejected_ids,
+            ..replica
+        }
+    }
+}
+
 impl core::fmt::Display for FleetReport {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         writeln!(
@@ -230,29 +270,8 @@ impl core::fmt::Display for FleetReport {
             "  {:.1} tok/s, {:.2} req/s fleet-wide  |  routed {:?}",
             self.tokens_per_s, self.requests_per_s, self.routed
         )?;
-        let line = |name: &str, s: &LatencyStats| {
-            format!(
-                "  {name:<6} p50 {:>10}  p90 {:>10}  p99 {:>10}  mean {:>10}  max {:>10}",
-                s.p50.to_string(),
-                s.p90.to_string(),
-                s.p99.to_string(),
-                s.mean.to_string(),
-                s.max.to_string()
-            )
-        };
-        writeln!(f, "{}", line("ttft", &self.ttft))?;
-        writeln!(f, "{}", line("tpot", &self.tpot))?;
-        writeln!(f, "{}", line("e2e", &self.e2e))?;
-        write!(
-            f,
-            "  slo    ttft ≤ {}, tpot ≤ {}: {}/{} met ({:.1}%), goodput {:.1} tok/s",
-            self.slo.spec.ttft,
-            self.slo.spec.tpot,
-            self.slo.met,
-            self.completed,
-            self.slo.attainment * 100.0,
-            self.slo.goodput_tokens_per_s
-        )?;
+        write_latency_lines(f, &self.ttft, &self.tpot, &self.e2e)?;
+        write_slo_line(f, &self.slo, self.completed)?;
         if self.faults.is_some() {
             let a = &self.availability;
             write!(
@@ -282,35 +301,28 @@ pub struct FleetInstance<'a> {
 }
 
 impl<'a> FleetInstance<'a> {
-    /// Validates the per-replica strategy and prepares the shared pricing
-    /// estimator.
+    /// Validates the fleet and its per-replica strategy and prepares the
+    /// shared pricing estimator.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError`] when the replica strategy cannot serve at
-    /// all (weights overflow the device, `tp` beyond a node), `replicas`
-    /// is zero, or the fault spec requires link-mode degradation: this
-    /// constructor prices over the caller's borrowed cluster as-is, so an
-    /// active [`crate::DegradeMode::Link`] spec must instead enter
-    /// through [`simulate_fleet_trace`] or [`crate::load_sweep`], which
-    /// build the degraded cluster before preparing instances.
+    /// Returns [`ServeError`] when `replicas` is zero, the fault spec is
+    /// invalid, the replica strategy cannot serve at all (see
+    /// [`ServeInstance::new`]), or the fault spec requires link-mode
+    /// degradation: this constructor prices over the caller's borrowed
+    /// cluster as-is, so an active [`crate::DegradeMode::Link`] spec must
+    /// instead enter through [`simulate_fleet`] or [`crate::load_sweep`],
+    /// which build the degraded cluster before preparing instances.
     pub fn new(
         cluster: &'a ClusterSpec,
         model: Arc<ModelConfig>,
         config: FleetConfig,
     ) -> Result<Self, ServeError> {
-        if config.replicas == 0 {
-            return Err(ServeError::InvalidConfig(
-                "a fleet needs at least one replica".to_owned(),
-            ));
-        }
-        if let Err(reason) = config.faults.validate() {
-            return Err(ServeError::InvalidConfig(format!("fault spec: {reason}")));
-        }
+        config.check()?;
         if config.faults.link_degrade_active() {
             return Err(ServeError::InvalidConfig(
                 "link-mode degradation re-prices the cluster's interconnect; \
-                 run it through simulate_fleet/simulate_fleet_trace or load_sweep, \
+                 run it through simulate_fleet or load_sweep, \
                  which simulate over the degraded cluster"
                     .to_owned(),
             ));
@@ -319,23 +331,16 @@ impl<'a> FleetInstance<'a> {
         Ok(Self { instance, config })
     }
 
-    /// The shared per-replica instance.
-    #[must_use]
-    pub fn instance(&self) -> &ServeInstance<'a> {
-        &self.instance
-    }
-
     /// Simulates serving `trace` on this fleet.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidTrace`] if `trace` is not sorted by
     /// arrival time, holds more than [`crate::MAX_TRACE_REQUESTS`]
-    /// requests, or contains a zero-length prompt or output,
-    /// [`ServeError::Estimator`] when the device lacks the serving
-    /// precision, and [`ServeError::InvalidConfig`] when the fault spec
-    /// never lets the fleet finish or its uptimes fall below the clock's
-    /// resolution.
+    /// requests, or contains a zero-length prompt or output, and
+    /// [`ServeError::InvalidConfig`] when the fault spec never lets the
+    /// fleet finish, its uptimes fall below the clock's resolution, or
+    /// its slowdowns stretch the run until its figures overflow.
     pub fn simulate(&self, trace: &[Request]) -> Result<FleetReport, ServeError> {
         run_fleet(
             &self.instance,
@@ -694,8 +699,9 @@ impl Router {
 /// The fleet event loop behind every serving entry point: scan the trace
 /// once, route every request online, drain the replicas, merge their
 /// populations. Shared by [`FleetInstance::simulate`], the load-sweep
-/// engine (which routes over instances it already prepared and probed)
-/// and [`ServeInstance::simulate`] (one fault-free replica). Every
+/// engine (which routes over instances it already prepared) and
+/// [`ServeInstance::simulate`] (one fault-free replica). Each caller has
+/// validated `faults` (a [`FleetConfig`] check, or `load_sweep`'s). Every
 /// replica prices decode exactly through the instance's shared estimator.
 /// The router is the one place an inadmissible request is rejected: on
 /// arrival, before it reaches any queue.
@@ -717,9 +723,6 @@ pub(crate) fn run_fleet(
     // Global trace bounds dominate every replica's share, so one scan
     // sizes all engines.
     let bounds = TraceBounds::scan(instance, trace)?;
-    if let Err(reason) = faults.validate() {
-        return Err(ServeError::InvalidConfig(format!("fault spec: {reason}")));
-    }
     // A degenerate spec takes the exact fault-free code path below, so
     // `FaultSpec::none()` (whatever its seed) stays bit-identical to a
     // run without fault wiring at all.
@@ -982,25 +985,6 @@ pub(crate) fn run_fleet(
 /// Generates the trace from `spec` and simulates serving it on a fleet of
 /// `config.replicas` identical replicas of `model` over `cluster`.
 ///
-/// # Errors
-///
-/// Returns [`ServeError`] when the replica strategy cannot serve at all
-/// (see [`FleetInstance::new`]), and [`ServeError::InvalidTrace`] when
-/// `spec.requests` exceeds [`crate::MAX_TRACE_REQUESTS`] (checked before
-/// any request is generated).
-pub fn simulate_fleet(
-    cluster: &ClusterSpec,
-    model: Arc<ModelConfig>,
-    config: &FleetConfig,
-    spec: &TraceSpec,
-) -> Result<FleetReport, ServeError> {
-    check_trace_len(spec.requests)?;
-    simulate_fleet_trace(cluster, model, config, &spec.generate())
-}
-
-/// Like [`simulate_fleet`], over an explicit arrival-ordered request
-/// list.
-///
 /// Unlike [`FleetInstance::new`], this entry point accepts an active
 /// [`crate::DegradeMode::Link`] fault spec: it builds the
 /// bandwidth-degraded copy of `cluster` (see
@@ -1010,35 +994,23 @@ pub fn simulate_fleet(
 ///
 /// # Errors
 ///
-/// Returns [`ServeError`] for configurations that cannot serve (weights
-/// overflow the device, `tp` beyond a node, zero replicas, an invalid
-/// fault spec), and [`ServeError::InvalidTrace`] if `trace` is not sorted
-/// by arrival time, holds more than [`crate::MAX_TRACE_REQUESTS`]
-/// requests, or contains a zero-length prompt or output.
-pub fn simulate_fleet_trace(
+/// Returns the errors of [`FleetInstance::new`], bar the link-mode one,
+/// and of [`FleetInstance::simulate`]; and, before generating anything,
+/// [`ServeError::InvalidTrace`] for a `spec` [`TraceSpec::validate`]
+/// refuses or one of more than [`crate::MAX_TRACE_REQUESTS`] requests.
+pub fn simulate_fleet(
     cluster: &ClusterSpec,
     model: Arc<ModelConfig>,
     config: &FleetConfig,
-    trace: &[Request],
+    spec: &TraceSpec,
 ) -> Result<FleetReport, ServeError> {
-    if let Err(reason) = config.faults.validate() {
-        return Err(ServeError::InvalidConfig(format!("fault spec: {reason}")));
-    }
+    config.check()?;
+    spec.validate().map_err(ServeError::InvalidTrace)?;
+    check_trace_len(spec.requests)?;
     let degraded = config.faults.degraded_cluster(cluster);
-    let priced = degraded.as_ref().unwrap_or(cluster);
-    if config.replicas == 0 {
-        return Err(ServeError::InvalidConfig(
-            "a fleet needs at least one replica".to_owned(),
-        ));
-    }
-    let instance = ServeInstance::new(priced, model, config.replica)?;
-    run_fleet(
-        &instance,
-        config.replicas,
-        config.router,
-        &config.faults,
-        trace,
-    )
+    let instance = ServeInstance::new(degraded.as_ref().unwrap_or(cluster), model, config.replica)?;
+    let config = config.clone();
+    FleetInstance { instance, config }.simulate(&spec.generate())
 }
 
 #[cfg(test)]
@@ -1048,6 +1020,16 @@ mod tests {
     use optimus_hw::{presets, FailureProcess};
     use optimus_model::presets as models;
     use proptest::prelude::*;
+
+    /// Serves `trace` on a fresh fleet of `config`.
+    fn serve(
+        cluster: &ClusterSpec,
+        model: Arc<ModelConfig>,
+        config: &FleetConfig,
+        trace: &[Request],
+    ) -> Result<FleetReport, ServeError> {
+        FleetInstance::new(cluster, model, config.clone())?.simulate(trace)
+    }
 
     fn spec(seed: u64, requests: usize, rate: f64) -> TraceSpec {
         TraceSpec {
@@ -1116,35 +1098,38 @@ mod tests {
     }
 
     /// A single-replica fleet is exactly the single-instance simulation
-    /// for every policy: the per-replica report, with `requests`,
-    /// `rejected` and `rejected_ids` taken from the router, must equal
-    /// `ServeInstance::simulate`'s output field for field — the ground
-    /// truth that lets the load-sweep run all its cells through
-    /// `run_fleet`. It holds with inadmissible requests mid-backlog and
-    /// after the last completion, under every KV regime and scheduler,
-    /// because the router is the one place that rejects them.
+    /// for every policy: its lone-replica view (the per-replica report,
+    /// with `requests`, `rejected` and `rejected_ids` taken from the
+    /// router) must equal `ServeInstance::simulate`'s output field for
+    /// field — the ground truth that lets the load-sweep run all its
+    /// cells through `run_fleet` and `serve` print a lone replica from
+    /// its one `simulate_fleet` run. It holds with inadmissible requests
+    /// mid-backlog and after the last completion, under every KV regime
+    /// and scheduler, because the router is the one place that rejects
+    /// them.
     #[test]
     fn one_replica_fleet_equals_single_instance() {
         let cluster = presets::dgx_a100_hdr_cluster();
         let model = Arc::new(models::llama2_13b());
-        let trace = spec(11, 64, 8.0).generate();
-        let single =
-            crate::simulate_trace(&cluster, Arc::clone(&model), &ServeConfig::new(2), &trace)
-                .unwrap();
-        for policy in policies() {
-            let fleet = simulate_fleet_trace(
-                &cluster,
-                Arc::clone(&model),
-                &FleetConfig {
-                    replicas: 1,
-                    router: policy,
-                    replica: ServeConfig::new(2),
-                    faults: FaultSpec::none(),
-                },
-                &trace,
-            )
+        let trace_spec = spec(11, 64, 8.0);
+        let trace = trace_spec.generate();
+        let single = ServeInstance::new(&cluster, Arc::clone(&model), ServeConfig::new(2))
+            .unwrap()
+            .simulate(&trace)
             .unwrap();
+        for policy in policies() {
+            let config = FleetConfig {
+                replicas: 1,
+                router: policy,
+                replica: ServeConfig::new(2),
+                faults: FaultSpec::none(),
+            };
+            let fleet = serve(&cluster, Arc::clone(&model), &config, &trace).unwrap();
+            let generated =
+                simulate_fleet(&cluster, Arc::clone(&model), &config, &trace_spec).unwrap();
+            assert_eq!(generated, fleet, "{policy}");
             assert_eq!(fleet.per_replica[0], single, "{policy}");
+            assert_eq!(fleet.clone().into_lone_replica(), single, "{policy}");
             assert_eq!(fleet.ttft, single.ttft, "{policy}");
             assert_eq!(fleet.e2e, single.e2e, "{policy}");
             assert_eq!(fleet.makespan, single.makespan, "{policy}");
@@ -1152,11 +1137,13 @@ mod tests {
 
         let trace = crate::sim::tests::trace_with_rejects();
         for replica in crate::sim::tests::regimes() {
-            let single =
-                crate::simulate_trace(&cluster, Arc::clone(&model), &replica, &trace).unwrap();
+            let single = ServeInstance::new(&cluster, Arc::clone(&model), replica)
+                .unwrap()
+                .simulate(&trace)
+                .unwrap();
             for policy in policies() {
                 let label = format!("{} {:?} {policy}", replica.kv, replica.scheduler);
-                let fleet = simulate_fleet_trace(
+                let fleet = serve(
                     &cluster,
                     Arc::clone(&model),
                     &FleetConfig::new(1, 1)
@@ -1167,14 +1154,8 @@ mod tests {
                 .unwrap();
                 assert_eq!(fleet.rejected_ids, crate::sim::tests::REJECTED, "{label}");
                 assert_eq!(fleet.routed, vec![trace.len() - 2], "{label}");
-                let replica_report = ServeReport {
-                    requests: fleet.requests,
-                    rejected: fleet.rejected,
-                    rejected_ids: fleet.rejected_ids.clone(),
-                    ..fleet.per_replica[0].clone()
-                };
-                assert_eq!(replica_report, single, "{label}");
                 assert_eq!(fleet.makespan, single.makespan, "{label}");
+                assert_eq!(fleet.into_lone_replica(), single, "{label}");
             }
         }
     }
@@ -1214,7 +1195,7 @@ mod tests {
             Request::new(1, 0.2, 100, 4),
             Request::new(2, 0.3, 120, 4),
         ];
-        let report = simulate_fleet_trace(
+        let report = serve(
             &cluster,
             Arc::new(models::llama2_13b()),
             &FleetConfig::new(2, 1).with_router(RouterPolicy::LeastOutstanding),
@@ -1229,46 +1210,134 @@ mod tests {
     #[test]
     fn zero_replicas_is_a_clean_error() {
         let cluster = presets::dgx_a100_hdr_cluster();
-        let err = FleetInstance::new(
-            &cluster,
-            Arc::new(models::llama2_7b()),
-            FleetConfig {
-                replicas: 0,
-                router: RouterPolicy::RoundRobin,
-                replica: ServeConfig::new(1),
-                faults: FaultSpec::none(),
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, ServeError::InvalidConfig(_)), "{err}");
+        let config = FleetConfig {
+            replicas: 0,
+            router: RouterPolicy::RoundRobin,
+            replica: ServeConfig::new(1),
+            faults: FaultSpec::none(),
+        };
+        let model = Arc::new(models::llama2_7b());
+        for err in [
+            FleetInstance::new(&cluster, Arc::clone(&model), config.clone()).unwrap_err(),
+            simulate_fleet(&cluster, model, &config, &spec(1, 4, 1.0)).unwrap_err(),
+        ] {
+            assert!(matches!(err, ServeError::InvalidConfig(_)), "{err}");
+            assert!(err.to_string().contains("at least one replica"), "{err}");
+        }
     }
 
     /// Regression: an unsorted trace or a zero-length prompt or output
-    /// used to panic in both fleet entry points; it is now a typed error.
+    /// used to panic in the fleet entry points; it is now a typed error.
     #[test]
     fn invalid_traces_are_typed_errors() {
         let cluster = presets::dgx_a100_hdr_cluster();
-        let model = Arc::new(models::llama2_7b());
-        let config = FleetConfig::new(2, 1);
-        let fleet = FleetInstance::new(&cluster, Arc::clone(&model), config.clone()).unwrap();
+        let fleet = FleetInstance::new(
+            &cluster,
+            Arc::new(models::llama2_7b()),
+            FleetConfig::new(2, 1),
+        )
+        .unwrap();
         let unsorted = [Request::new(0, 1.0, 10, 4), Request::new(1, 0.5, 10, 4)];
         let no_prompt = [Request::new(0, 0.0, 0, 4)];
         let no_output = [Request::new(0, 0.0, 10, 4), Request::new(1, 0.5, 10, 0)];
         let overflow = [Request::new(0, 0.0, 4, usize::MAX)];
         for trace in [&unsorted[..], &no_prompt[..], &no_output[..], &overflow[..]] {
-            for err in [
-                fleet.simulate(trace).unwrap_err(),
-                simulate_fleet_trace(&cluster, Arc::clone(&model), &config, trace).unwrap_err(),
-            ] {
-                assert!(matches!(err, ServeError::InvalidTrace(_)), "{err}");
-            }
+            let err = fleet.simulate(trace).unwrap_err();
+            assert!(matches!(err, ServeError::InvalidTrace(_)), "{err}");
+        }
+    }
+
+    /// Every degenerate trace spec is a typed error from the spec-level
+    /// entry point, refused before a request is generated; each of these
+    /// used to panic inside [`TraceSpec::generate`] (the overflowing
+    /// context with a prefix pool, on the prefixed prompt's sum).
+    #[test]
+    fn degenerate_trace_specs_are_typed_errors() {
+        let cluster = presets::dgx_a100_hdr_cluster();
+        let model = Arc::new(models::llama2_7b());
+        fn pool(pool: usize, tokens: usize, rate: f64) -> Option<crate::PrefixSpec> {
+            Some(crate::PrefixSpec { pool, tokens, rate })
+        }
+        type Case = (&'static str, fn(&mut TraceSpec));
+        let cases: [Case; 15] = [
+            ("arrival parameter", |t| {
+                t.arrival = ArrivalProcess::Poisson { rate_per_s: 0.0 }
+            }),
+            ("arrival parameter", |t| {
+                t.arrival = ArrivalProcess::Poisson {
+                    rate_per_s: f64::NAN,
+                }
+            }),
+            ("arrival parameter", |t| {
+                t.arrival = ArrivalProcess::Fixed { interval_s: 0.0 }
+            }),
+            ("arrival parameter", |t| {
+                t.arrival = ArrivalProcess::Fixed {
+                    interval_s: f64::NAN,
+                }
+            }),
+            ("prompt length", |t| {
+                t.prompt = LengthDist::Fixed { tokens: 0 }
+            }),
+            ("output length", |t| {
+                t.output = LengthDist::Fixed { tokens: 0 }
+            }),
+            ("prompt range", |t| {
+                t.prompt = LengthDist::Uniform { lo: 0, hi: 8 }
+            }),
+            ("output range", |t| {
+                t.output = LengthDist::Uniform { lo: 9, hi: 8 }
+            }),
+            ("prefix pool", |t| t.prefixes = pool(0, 8, 0.5)),
+            ("prefix length", |t| t.prefixes = pool(2, 0, 0.5)),
+            ("prefix rate", |t| t.prefixes = pool(2, 8, 1.5)),
+            ("prefix rate", |t| t.prefixes = pool(2, 8, -0.1)),
+            ("prefix rate", |t| t.prefixes = pool(2, 8, f64::NAN)),
+            ("priority class", |t| t.priority_classes = 0),
+            ("context overflows", |t| {
+                t.prompt = LengthDist::Fixed {
+                    tokens: usize::MAX - 4,
+                };
+                t.prefixes = pool(2, 8, 1.0);
+            }),
+        ];
+        for (what, degenerate) in cases {
+            let mut trace = spec(1, 4, 1.0);
+            degenerate(&mut trace);
+            let config = FleetConfig::new(2, 1);
+            let err = simulate_fleet(&cluster, Arc::clone(&model), &config, &trace).unwrap_err();
+            assert!(matches!(err, ServeError::InvalidTrace(_)), "{what}: {err}");
+            assert!(err.to_string().contains(what), "{what}: {err}");
+            assert_eq!(trace.validate(), Err(err.to_string()), "{what}");
+        }
+    }
+
+    /// A NaN or negative link-mode multiplier is an invalid fault spec,
+    /// refused before the degraded cluster is built: pricing a link at
+    /// such a multiplier panics in `Bandwidth::new`.
+    #[test]
+    fn link_mode_multipliers_are_validated_before_degrading() {
+        let cluster = presets::dgx_a100_hdr_cluster();
+        for mult in [f64::NAN, -2.0] {
+            let faults = FaultSpec::none()
+                .with_degradation(mult)
+                .with_degrade_mode(crate::DegradeMode::Link);
+            let err = simulate_fleet(
+                &cluster,
+                Arc::new(models::llama2_7b()),
+                &FleetConfig::new(2, 1).with_faults(faults),
+                &spec(1, 4, 1.0),
+            )
+            .unwrap_err();
+            assert!(matches!(err, ServeError::InvalidConfig(_)), "{mult}: {err}");
+            assert!(err.to_string().starts_with("fault spec: "), "{mult}: {err}");
         }
     }
 
     #[test]
     fn empty_trace_yields_an_empty_fleet_report() {
         let cluster = presets::dgx_a100_hdr_cluster();
-        let report = simulate_fleet_trace(
+        let report = serve(
             &cluster,
             Arc::new(models::llama2_7b()),
             &FleetConfig::new(2, 1),
@@ -1511,7 +1580,7 @@ mod tests {
     #[test]
     fn empty_trace_under_faults_keeps_availability_finite() {
         let cluster = presets::dgx_a100_hdr_cluster();
-        let report = simulate_fleet_trace(
+        let report = serve(
             &cluster,
             Arc::new(models::llama2_7b()),
             &FleetConfig::new(3, 1).with_faults(FaultSpec::crashes(5, 2.0, 1.0)),
@@ -1535,7 +1604,7 @@ mod tests {
             Request::new(0, 0.1, 500_000, 4),
             Request::new(1, 0.2, 600_000, 4),
         ];
-        let report = simulate_fleet_trace(
+        let report = serve(
             &cluster,
             Arc::new(models::llama2_13b()),
             &FleetConfig::new(2, 1).with_faults(FaultSpec::crashes(5, 2.0, 1.0)),
@@ -1589,7 +1658,7 @@ mod tests {
             Request::new(1, 0.101, 100, 4),
             Request::new(2, 0.102, 100, 4),
         ];
-        let report = simulate_fleet_trace(
+        let report = serve(
             &cluster,
             Arc::new(models::llama2_13b()),
             &FleetConfig::new(2, 1).with_router(RouterPolicy::LeastOutstanding),

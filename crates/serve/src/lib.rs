@@ -35,21 +35,23 @@
 //! down replicas, and reports gain availability metrics — which makes the
 //! load-sweep frontier availability-aware.
 //!
+//! Every run enters through one of four validated doors:
+//! [`ServeInstance::simulate`] and [`FleetInstance::simulate`] serve a
+//! trace on an instance built once, [`simulate_fleet`] serves a
+//! [`TraceSpec`] on a fleet, and [`load_sweep`] runs a (rate × strategy)
+//! grid; the last two also price link-mode degradation.
+//!
 //! ```
 //! use optimus_hw::presets;
 //! use optimus_model::presets as models;
-//! use optimus_serve::{simulate, ServeConfig, TraceSpec};
+//! use optimus_serve::{ServeConfig, ServeInstance, TraceSpec};
 //! use std::sync::Arc;
 //!
 //! let cluster = presets::dgx_a100_hdr_cluster();
-//! let trace = TraceSpec::poisson(42, 16, 2.0, 200, 16);
-//! let report = simulate(
-//!     &cluster,
-//!     Arc::new(models::llama2_7b()),
-//!     &ServeConfig::new(1),
-//!     &trace,
-//! )
-//! .unwrap();
+//! let instance =
+//!     ServeInstance::new(&cluster, Arc::new(models::llama2_7b()), ServeConfig::new(1)).unwrap();
+//! let trace = TraceSpec::poisson(42, 16, 2.0, 200, 16).generate();
+//! let report = instance.simulate(&trace).unwrap();
 //! assert_eq!(report.completed, 16);
 //! assert!(report.ttft.p50 <= report.e2e.p50);
 //! ```
@@ -68,9 +70,7 @@ pub mod stats;
 mod trace;
 
 pub use faults::{DegradeMode, FaultDomain, FaultSpec, FleetAvailability};
-pub use fleet::{
-    simulate_fleet, simulate_fleet_trace, FleetConfig, FleetInstance, FleetReport, RouterPolicy,
-};
+pub use fleet::{simulate_fleet, FleetConfig, FleetInstance, FleetReport, RouterPolicy};
 pub use kv::{KvSpec, PagingReport, PreemptPolicy, Scheduler};
 pub use load::{
     load_sweep, InfeasibleStrategy, LoadPoint, LoadStrategy, LoadSweepReport, LoadSweepSpec,
@@ -80,8 +80,8 @@ pub use report::{
     KvUsage, LatencyStats, QueueSample, QueueStats, RequestMetrics, ServeReport, SloReport, SloSpec,
 };
 pub use sim::{
-    simulate, simulate_trace, RecordMode, ServeConfig, ServeError, ServeInstance, EXACT_MODE_LIMIT,
-    MAX_QUEUE_SAMPLES, MAX_TRACE_REQUESTS,
+    RecordMode, ServeConfig, ServeError, ServeInstance, EXACT_MODE_LIMIT, MAX_QUEUE_SAMPLES,
+    MAX_TRACE_REQUESTS,
 };
 pub use stats::LogHistogram;
 pub use trace::{max_context, ArrivalProcess, LengthDist, Prefix, PrefixSpec, Request, TraceSpec};

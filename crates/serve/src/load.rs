@@ -288,7 +288,7 @@ pub struct LoadSweepReport {
 ///
 /// The sweep prepares one pricing estimator over its cluster (the
 /// link-degraded one under link-mode degradation) and its model, and
-/// every feasible strategy's probed [`ServeInstance`] prices through it.
+/// every feasible strategy's validated [`ServeInstance`] prices through it.
 /// Its memo keys carry TP and precision besides the shape, so each
 /// decode price, decode row and prefill layer is computed once per sweep,
 /// by whichever strategy, rate cell or worker reaches it first. Memo
@@ -306,8 +306,9 @@ pub struct LoadSweepReport {
 /// # Panics
 ///
 /// Panics on a degenerate spec: no rates, no strategies, zero requests,
-/// a non-positive/non-finite rate, prompt, output and prefix lengths
-/// whose largest context overflows `usize`, or an invalid fault spec;
+/// a non-positive/non-finite rate, a trace [`TraceSpec::validate`]
+/// refuses (lengths whose largest context overflows `usize` among
+/// them), or an invalid fault spec;
 /// and, once some strategy is feasible, on more requests per cell than
 /// [`crate::MAX_TRACE_REQUESTS`].
 #[must_use]
@@ -317,16 +318,15 @@ pub fn load_sweep(
     spec: &LoadSweepSpec,
 ) -> LoadSweepReport {
     assert!(spec.requests > 0, "a load sweep needs requests");
-    assert!(
-        crate::max_context(&spec.prompt, &spec.output, spec.prefixes.as_ref()).is_some(),
-        "the largest prompt + output + prefix context overflows"
-    );
     assert!(!spec.rates.is_empty(), "a load sweep needs arrival rates");
     assert!(!spec.strategies.is_empty(), "a load sweep needs strategies");
     assert!(
         spec.rates.iter().all(|r| r.is_finite() && *r > 0.0),
         "arrival rates must be finite and positive"
     );
+    if let Err(reason) = spec.trace(spec.rates[0]).validate() {
+        panic!("{reason}");
+    }
     let faults = spec.faults.clone().unwrap_or_else(FaultSpec::none);
     if let Err(reason) = faults.validate() {
         panic!("invalid fault spec: {reason}");
@@ -350,7 +350,7 @@ fn run_grid<'a>(
     faults: &FaultSpec,
     estimator: &Arc<PreparedInferenceEstimator<'a>>,
 ) -> LoadSweepReport {
-    // --- phase 1: one probed instance per strategy ----------------------
+    // --- phase 1: one validated instance per strategy -------------------
     let prepared: Vec<Result<ServeInstance<'_>, String>> = spec
         .strategies
         .par_iter()
@@ -407,10 +407,10 @@ fn run_grid<'a>(
             // `one_replica_fleet_equals_single_instance`), so there is
             // one code path to keep correct.
             let (strategy, instance) = &instances[si];
-            // Phase 1 probed the pricing and the spec asserts keep the
-            // traces valid, so what can still fail is the fault spec: a
-            // fleet that never finishes, or slowdowns whose figures
-            // overflow.
+            // Phase 1 validated each strategy, its precision included,
+            // and the spec asserts keep the traces valid, so what can
+            // still fail is the fault spec: a fleet that never finishes,
+            // or slowdowns whose figures overflow.
             let report = run_fleet(
                 instance,
                 strategy.replicas,
@@ -488,9 +488,10 @@ impl LoadSweepSpec {
     }
 }
 
-/// Builds and probes one strategy's instance over the sweep's shared
-/// `estimator`, so an unsupported precision surfaces as an infeasible
-/// strategy, with the returned reason, instead of a mid-grid panic.
+/// Builds one strategy's validated instance over the sweep's shared
+/// `estimator`, so a strategy that cannot serve, an unsupported
+/// precision included, surfaces as an infeasible strategy with the
+/// returned reason instead of failing mid-grid.
 fn prepare_strategy<'a>(
     cluster: &'a ClusterSpec,
     model: &Arc<ModelConfig>,
@@ -510,11 +511,8 @@ fn prepare_strategy<'a>(
         .with_records(RecordMode::Off)
         .with_kv(strategy.kv)
         .with_scheduler(strategy.scheduler);
-    let instance =
-        ServeInstance::with_estimator(cluster, Arc::clone(model), config, Arc::clone(estimator))
-            .map_err(|e| e.to_string())?;
-    instance.probe().map_err(|e| e.to_string())?;
-    Ok(instance)
+    ServeInstance::with_estimator(cluster, Arc::clone(model), config, Arc::clone(estimator))
+        .map_err(|e| e.to_string())
 }
 
 #[cfg(test)]
@@ -656,23 +654,24 @@ mod tests {
     }
 
     /// A precision the device lacks (Ampere has no FP8) fails the
-    /// instance probe with an estimator error, and the sweep lists the
-    /// strategy as infeasible while the others still run, within
-    /// [`EXACT_MODE_LIMIT`] requests per cell and past it alike.
+    /// instance's construction with an estimator error, and the sweep
+    /// lists the strategy as infeasible while the others still run,
+    /// within [`EXACT_MODE_LIMIT`] requests per cell and past it alike.
     #[test]
     fn unsupported_precision_is_an_infeasible_strategy() {
         let cluster = presets::dgx_a100_hdr_cluster();
         let model = Arc::new(models::llama2_7b());
-        let instance = ServeInstance::new(
+        let err = ServeInstance::new(
             &cluster,
             Arc::clone(&model),
             ServeConfig::new(1).with_precision(Precision::Fp8),
         )
-        .unwrap();
-        assert!(matches!(
-            instance.probe(),
-            Err(crate::ServeError::Estimator(_))
-        ));
+        .unwrap_err();
+        assert!(matches!(err, ServeError::Estimator(_)), "{err}");
+        assert!(
+            err.to_string().contains("no peak throughput for FP8"),
+            "{err}"
+        );
 
         let mut spec = small_spec();
         spec.strategies
@@ -1026,12 +1025,14 @@ mod tests {
             ServeConfig::new(1).with_slo(spec.slo).with_kv(fifo.kv),
         )
         .unwrap();
-        lone.probe().unwrap();
         for &rate in &spec.rates {
             lone.simulate(&spec.trace(rate).generate()).unwrap();
         }
         let keys = lone.estimator().cached_keys();
-        assert!(keys > 2, "the cells priced past the probe's row and price");
+        assert!(
+            keys > 2,
+            "the cells priced past the constructor's decode row and price"
+        );
         assert_eq!(shared.cached_keys(), keys);
     }
 

@@ -246,19 +246,7 @@ impl core::fmt::Display for ServeReport {
             self.tokens_per_s,
             self.requests_per_s
         )?;
-        let line = |name: &str, s: &LatencyStats| {
-            format!(
-                "  {name:<6} p50 {:>10}  p90 {:>10}  p99 {:>10}  mean {:>10}  max {:>10}",
-                s.p50.to_string(),
-                s.p90.to_string(),
-                s.p99.to_string(),
-                s.mean.to_string(),
-                s.max.to_string()
-            )
-        };
-        writeln!(f, "{}", line("ttft", &self.ttft))?;
-        writeln!(f, "{}", line("tpot", &self.tpot))?;
-        writeln!(f, "{}", line("e2e", &self.e2e))?;
+        write_latency_lines(f, &self.ttft, &self.tpot, &self.e2e)?;
         writeln!(
             f,
             "  queue  peak {} waiting / {} decoding, mean waiting {:.2}",
@@ -272,16 +260,7 @@ impl core::fmt::Display for ServeReport {
             self.kv.peak_utilization * 100.0,
             self.kv.weights
         )?;
-        write!(
-            f,
-            "  slo    ttft ≤ {}, tpot ≤ {}: {}/{} met ({:.1}%), goodput {:.1} tok/s",
-            self.slo.spec.ttft,
-            self.slo.spec.tpot,
-            self.slo.met,
-            self.completed,
-            self.slo.attainment * 100.0,
-            self.slo.goodput_tokens_per_s
-        )?;
+        write_slo_line(f, &self.slo, self.completed)?;
         if let Some(scheduler) = &self.scheduler {
             write!(f, "\n  sched  {scheduler}")?;
         }
@@ -290,6 +269,47 @@ impl core::fmt::Display for ServeReport {
         }
         Ok(())
     }
+}
+
+/// Writes the `ttft`, `tpot` and `e2e` percentile lines of a text
+/// report, each ending in a newline.
+pub(crate) fn write_latency_lines(
+    f: &mut core::fmt::Formatter<'_>,
+    ttft: &LatencyStats,
+    tpot: &LatencyStats,
+    e2e: &LatencyStats,
+) -> core::fmt::Result {
+    for (name, s) in [("ttft", ttft), ("tpot", tpot), ("e2e", e2e)] {
+        writeln!(
+            f,
+            "  {name:<6} p50 {:>10}  p90 {:>10}  p99 {:>10}  mean {:>10}  max {:>10}",
+            s.p50.to_string(),
+            s.p90.to_string(),
+            s.p99.to_string(),
+            s.mean.to_string(),
+            s.max.to_string()
+        )?;
+    }
+    Ok(())
+}
+
+/// Writes the `slo` line of a text report over `completed` requests,
+/// with no newline.
+pub(crate) fn write_slo_line(
+    f: &mut core::fmt::Formatter<'_>,
+    slo: &SloReport,
+    completed: usize,
+) -> core::fmt::Result {
+    write!(
+        f,
+        "  slo    ttft ≤ {}, tpot ≤ {}: {}/{} met ({:.1}%), goodput {:.1} tok/s",
+        slo.spec.ttft,
+        slo.spec.tpot,
+        slo.met,
+        completed,
+        slo.attainment * 100.0,
+        slo.goodput_tokens_per_s
+    )
 }
 
 #[cfg(test)]

@@ -37,8 +37,8 @@
 use crate::engine::ReportInputs;
 use crate::fleet::run_fleet;
 use crate::{
-    FaultSpec, KvSpec, KvUsage, QueueSample, QueueStats, Request, RouterPolicy, Scheduler,
-    ServeReport, SloReport, SloSpec, TraceSpec,
+    FaultSpec, FleetReport, KvSpec, KvUsage, QueueSample, QueueStats, Request, RouterPolicy,
+    Scheduler, ServeReport, SloReport, SloSpec,
 };
 use optimus_hw::{ClusterSpec, Precision};
 use optimus_infer::PreparedInferenceEstimator;
@@ -163,7 +163,8 @@ pub enum ServeError {
     Estimator(String),
     /// The trace is not sorted by arrival time, holds more than
     /// [`MAX_TRACE_REQUESTS`] requests, or a request has a zero-length
-    /// prompt or output.
+    /// prompt or output; or the [`crate::TraceSpec`] it would be
+    /// generated from is degenerate (see [`crate::TraceSpec::validate`]).
     InvalidTrace(String),
 }
 
@@ -208,8 +209,10 @@ impl<'a> ServeInstance<'a> {
     /// # Errors
     ///
     /// Returns [`ServeError`] when the configuration cannot serve at all:
-    /// the sharded weights overflow the device or `tp` does not fit a
-    /// node.
+    /// the priority-preempt scheduler over reserved KV, `tp` beyond a
+    /// node, sharded weights that overflow the device, or
+    /// ([`ServeError::Estimator`]) a device that lacks the serving
+    /// precision.
     pub fn new(
         cluster: &'a ClusterSpec,
         model: Arc<ModelConfig>,
@@ -260,6 +263,11 @@ impl<'a> ServeInstance<'a> {
                 ),
             });
         }
+        // The estimator itself refuses one axis, the precision: price one
+        // decode step so that refusal comes here, before any trace runs.
+        estimator
+            .decode_iteration(1, 1, tp, precision)
+            .map_err(|e| ServeError::Estimator(e.to_string()))?;
         let token_kv = kv_cache_bytes(&model, 1, 1, precision).bytes();
         Ok(Self {
             cluster,
@@ -366,43 +374,20 @@ impl<'a> ServeInstance<'a> {
         (bytes / link.effective_bandwidth(bytes)).secs()
     }
 
-    /// Cheaply verifies the estimator accepts this strategy (the one
-    /// runtime-rejectable axis is the precision), so callers can surface
-    /// an unsupported precision before running a grid of simulations.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Estimator`] when the device lacks the
-    /// serving precision.
-    pub fn probe(&self) -> Result<(), ServeError> {
-        self.estimator
-            .decode_iteration(1, 1, self.config.tp, self.config.precision)
-            .map(|_| ())
-            .map_err(|e| ServeError::Estimator(e.to_string()))
-    }
-
     /// Simulates serving `trace` on this instance: the fleet event loop
-    /// over one fault-free replica, whose report takes `requests`,
-    /// `rejected` and `rejected_ids` from the router. The router rejects
-    /// a request no idle instance could run on arrival, so it never
-    /// counts as waiting.
+    /// over one fault-free replica, reported by
+    /// [`FleetReport::into_lone_replica`]. The router rejects a request
+    /// no idle instance could run on arrival, so it never counts as
+    /// waiting.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidTrace`] if `trace` is not sorted by
     /// arrival time, holds more than [`MAX_TRACE_REQUESTS`] requests, or
-    /// contains a zero-length prompt or output, and
-    /// [`ServeError::Estimator`] when the device lacks the serving
-    /// precision.
+    /// contains a zero-length prompt or output.
     pub fn simulate(&self, trace: &[Request]) -> Result<ServeReport, ServeError> {
-        let fleet = run_fleet(self, 1, RouterPolicy::RoundRobin, &FaultSpec::none(), trace)?;
-        let replica = fleet.per_replica.into_iter().next().expect("one replica");
-        Ok(ServeReport {
-            requests: fleet.requests,
-            rejected: fleet.rejected,
-            rejected_ids: fleet.rejected_ids,
-            ..replica
-        })
+        run_fleet(self, 1, RouterPolicy::RoundRobin, &FaultSpec::none(), trace)
+            .map(FleetReport::into_lone_replica)
     }
 
     /// Whether this run collects per-request records, given the trace
@@ -493,43 +478,6 @@ pub(crate) fn check_trace_len(len: usize) -> Result<(), ServeError> {
         )));
     }
     Ok(())
-}
-
-/// Generates the trace from `spec` and simulates serving it on one
-/// `tp`-way instance of `model` over `cluster`.
-///
-/// # Errors
-///
-/// Returns [`ServeError`] when the configuration cannot serve at all: the
-/// sharded weights overflow the device, `tp` does not fit a node, or the
-/// device lacks the precision; and [`ServeError::InvalidTrace`] when
-/// `spec.requests` exceeds [`MAX_TRACE_REQUESTS`] (checked before any
-/// request is generated).
-pub fn simulate(
-    cluster: &ClusterSpec,
-    model: Arc<ModelConfig>,
-    config: &ServeConfig,
-    spec: &TraceSpec,
-) -> Result<ServeReport, ServeError> {
-    check_trace_len(spec.requests)?;
-    simulate_trace(cluster, model, config, &spec.generate())
-}
-
-/// Like [`simulate`], over an explicit arrival-ordered request list.
-///
-/// # Errors
-///
-/// Returns [`ServeError`] for configurations that cannot serve (see
-/// [`simulate`]), and [`ServeError::InvalidTrace`] if `trace` is not
-/// sorted by arrival time, holds more than [`MAX_TRACE_REQUESTS`]
-/// requests, or contains a zero-length prompt or output.
-pub fn simulate_trace(
-    cluster: &ClusterSpec,
-    model: Arc<ModelConfig>,
-    config: &ServeConfig,
-    trace: &[Request],
-) -> Result<ServeReport, ServeError> {
-    ServeInstance::new(cluster, model, *config)?.simulate(trace)
 }
 
 impl<'a> ServeInstance<'a> {
@@ -630,9 +578,19 @@ impl<'a> ServeInstance<'a> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::{ArrivalProcess, LengthDist};
+    use crate::{ArrivalProcess, LengthDist, TraceSpec};
     use optimus_hw::presets;
     use optimus_model::presets as models;
+
+    /// Serves `trace` on a fresh instance of `config`.
+    fn serve(
+        cluster: &ClusterSpec,
+        model: Arc<ModelConfig>,
+        config: ServeConfig,
+        trace: &[Request],
+    ) -> Result<ServeReport, ServeError> {
+        ServeInstance::new(cluster, model, config)?.simulate(trace)
+    }
 
     /// Ids of the inadmissible requests in [`trace_with_rejects`].
     pub(crate) const REJECTED: [usize; 2] = [6, 13];
@@ -686,17 +644,17 @@ pub(crate) mod tests {
     #[test]
     fn all_requests_complete_and_conserve_tokens() {
         let cluster = presets::dgx_a100_hdr_cluster();
-        let trace = spec(9, 24, 4.0);
-        let report = simulate(
+        let trace = spec(9, 24, 4.0).generate();
+        let report = serve(
             &cluster,
             Arc::new(models::llama2_7b()),
-            &ServeConfig::new(1),
+            ServeConfig::new(1),
             &trace,
         )
         .unwrap();
         assert_eq!(report.completed + report.rejected, report.requests);
         assert_eq!(report.rejected, 0, "7B leaves ample KV budget");
-        let requested: usize = trace.generate().iter().map(|r| r.output).sum();
+        let requested: usize = trace.iter().map(|r| r.output).sum();
         assert_eq!(report.generated_tokens, requested);
         assert_eq!(report.per_request.len(), report.completed);
         assert_eq!(report.prefill_iterations, report.completed);
@@ -707,8 +665,16 @@ pub(crate) mod tests {
         let cluster = presets::dgx_a100_hdr_cluster();
         let model = Arc::new(models::llama2_13b());
         let cfg = ServeConfig::new(1);
-        let calm = simulate(&cluster, Arc::clone(&model), &cfg, &spec(5, 32, 0.05)).unwrap();
-        let slammed = simulate(&cluster, Arc::clone(&model), &cfg, &spec(5, 32, 50.0)).unwrap();
+        let run = |rate| {
+            serve(
+                &cluster,
+                Arc::clone(&model),
+                cfg,
+                &spec(5, 32, rate).generate(),
+            )
+        };
+        let calm = run(0.05).unwrap();
+        let slammed = run(50.0).unwrap();
         assert!(slammed.queue.peak_decoding >= calm.queue.peak_decoding);
         assert!(
             slammed.queue.peak_waiting > calm.queue.peak_waiting,
@@ -735,10 +701,10 @@ pub(crate) mod tests {
             Request::new(0, 0.1, 500_000, 4),
             Request::new(1, 0.2, 100, 4),
         ];
-        let report = simulate_trace(
+        let report = serve(
             &cluster,
             Arc::new(models::llama2_13b()),
-            &ServeConfig::new(1),
+            ServeConfig::new(1),
             &trace,
         )
         .unwrap();
@@ -759,8 +725,8 @@ pub(crate) mod tests {
             .collect();
         for config in regimes() {
             let model = Arc::new(models::llama2_13b());
-            let report = simulate_trace(&cluster, Arc::clone(&model), &config, &trace).unwrap();
-            let clean = simulate_trace(&cluster, model, &config, &served).unwrap();
+            let report = serve(&cluster, Arc::clone(&model), config, &trace).unwrap();
+            let clean = serve(&cluster, model, config, &served).unwrap();
             let label = format!("{} {:?}", config.kv, config.scheduler);
             assert_eq!(report.rejected_ids, REJECTED, "{label}: trace order");
             assert_eq!(report.requests, trace.len(), "{label}");
@@ -802,24 +768,18 @@ pub(crate) mod tests {
     #[test]
     fn weights_overflow_is_a_clean_error() {
         let cluster = presets::dgx_a100_hdr_cluster();
-        let err = simulate(
-            &cluster,
-            Arc::new(models::gpt_175b()),
-            &ServeConfig::new(1),
-            &TraceSpec::poisson(1, 1, 1.0, 10, 2),
-        )
-        .unwrap_err();
+        let err = ServeInstance::new(&cluster, Arc::new(models::gpt_175b()), ServeConfig::new(1))
+            .unwrap_err();
         assert!(matches!(err, ServeError::WeightsDontFit { .. }), "{err}");
     }
 
     #[test]
     fn tp_beyond_the_node_is_rejected() {
         let cluster = presets::dgx_a100_hdr_cluster();
-        let err = simulate(
+        let err = ServeInstance::new(
             &cluster,
             Arc::new(models::llama2_7b()),
-            &ServeConfig::new(16),
-            &TraceSpec::poisson(1, 1, 1.0, 10, 2),
+            ServeConfig::new(16),
         )
         .unwrap_err();
         assert!(matches!(err, ServeError::InvalidConfig(_)), "{err}");
@@ -828,10 +788,10 @@ pub(crate) mod tests {
     #[test]
     fn empty_trace_yields_an_empty_report() {
         let cluster = presets::dgx_a100_hdr_cluster();
-        let report = simulate_trace(
+        let report = serve(
             &cluster,
             Arc::new(models::llama2_7b()),
-            &ServeConfig::new(1),
+            ServeConfig::new(1),
             &[],
         )
         .unwrap();
@@ -959,17 +919,17 @@ pub(crate) mod tests {
         let cluster = presets::dgx_a100_hdr_cluster();
         let model = Arc::new(models::llama2_7b());
         // Tiny fixed lengths keep a just-over-the-limit trace cheap.
-        let spec = TraceSpec::poisson(5, EXACT_MODE_LIMIT + 1, 400.0, 20, 2);
-        let auto = simulate(&cluster, Arc::clone(&model), &ServeConfig::new(1), &spec).unwrap();
+        let trace = TraceSpec::poisson(5, EXACT_MODE_LIMIT + 1, 400.0, 20, 2).generate();
+        let auto = serve(&cluster, Arc::clone(&model), ServeConfig::new(1), &trace).unwrap();
         assert!(
             auto.per_request.is_empty(),
             "records default off past the limit"
         );
-        let forced = simulate(
+        let forced = serve(
             &cluster,
             Arc::clone(&model),
-            &ServeConfig::new(1).with_records(RecordMode::On),
-            &spec,
+            ServeConfig::new(1).with_records(RecordMode::On),
+            &trace,
         )
         .unwrap();
         assert_eq!(forced.per_request.len(), forced.completed);
@@ -988,13 +948,13 @@ pub(crate) mod tests {
     fn record_mode_off_only_drops_the_records() {
         let cluster = presets::dgx_a100_hdr_cluster();
         let model = Arc::new(models::llama2_7b());
-        let spec = spec(3, 40, 8.0);
-        let with = simulate(&cluster, Arc::clone(&model), &ServeConfig::new(1), &spec).unwrap();
-        let without = simulate(
+        let trace = spec(3, 40, 8.0).generate();
+        let with = serve(&cluster, Arc::clone(&model), ServeConfig::new(1), &trace).unwrap();
+        let without = serve(
             &cluster,
             Arc::clone(&model),
-            &ServeConfig::new(1).with_records(RecordMode::Off),
-            &spec,
+            ServeConfig::new(1).with_records(RecordMode::Off),
+            &trace,
         )
         .unwrap();
         assert!(without.per_request.is_empty());
@@ -1021,10 +981,10 @@ pub(crate) mod tests {
             Request::new(1, 0.101, 100, 4),
             Request::new(2, 0.102, 100, 4),
         ];
-        let report = simulate_trace(
+        let report = serve(
             &cluster,
             Arc::new(models::llama2_13b()),
-            &ServeConfig::new(1),
+            ServeConfig::new(1),
             &trace,
         )
         .unwrap();
@@ -1049,10 +1009,10 @@ pub(crate) mod tests {
     fn peak_waiting_excludes_the_request_being_prefilled() {
         let cluster = presets::dgx_a100_hdr_cluster();
         let lone = [Request::new(0, 0.1, 100, 4)];
-        let report = simulate_trace(
+        let report = serve(
             &cluster,
             Arc::new(models::llama2_7b()),
-            &ServeConfig::new(1),
+            ServeConfig::new(1),
             &lone,
         )
         .unwrap();
@@ -1061,10 +1021,10 @@ pub(crate) mod tests {
 
         // Two simultaneous arrivals: one prefills, one genuinely waits.
         let pair = [Request::new(0, 0.1, 100, 4), Request::new(1, 0.1, 100, 4)];
-        let report = simulate_trace(
+        let report = serve(
             &cluster,
             Arc::new(models::llama2_7b()),
-            &ServeConfig::new(1),
+            ServeConfig::new(1),
             &pair,
         )
         .unwrap();
@@ -1076,14 +1036,14 @@ pub(crate) mod tests {
     }
 
     /// Regression: an unsorted trace or a zero-length prompt or output
-    /// used to panic in both single-replica entry points; it is now a
+    /// used to panic in the single-replica entry point; it is now a
     /// typed error.
     #[test]
     fn invalid_traces_are_typed_errors() {
         let cluster = presets::dgx_a100_hdr_cluster();
-        let model = Arc::new(models::llama2_7b());
-        let config = ServeConfig::new(1);
-        let instance = ServeInstance::new(&cluster, Arc::clone(&model), config).unwrap();
+        let instance =
+            ServeInstance::new(&cluster, Arc::new(models::llama2_7b()), ServeConfig::new(1))
+                .unwrap();
         let unsorted = [Request::new(0, 1.0, 10, 4), Request::new(1, 0.5, 10, 4)];
         let no_prompt = [Request::new(0, 0.0, 0, 4)];
         let no_output = [Request::new(0, 0.0, 10, 4), Request::new(1, 0.5, 10, 0)];
@@ -1094,19 +1054,15 @@ pub(crate) mod tests {
             (&no_output[..], "request 1 has prompt 10, output 0"),
             (&overflow[..], "output 4 tokens overflow"),
         ] {
-            for err in [
-                instance.simulate(trace).unwrap_err(),
-                simulate_trace(&cluster, Arc::clone(&model), &config, trace).unwrap_err(),
-            ] {
-                assert!(matches!(err, ServeError::InvalidTrace(_)), "{err}");
-                assert!(err.to_string().contains(what), "{err}");
-            }
+            let err = instance.simulate(trace).unwrap_err();
+            assert!(matches!(err, ServeError::InvalidTrace(_)), "{err}");
+            assert!(err.to_string().contains(what), "{err}");
         }
     }
 
-    /// One instance per preset model × precision × TP 1..=8, on an A100
-    /// node whose DRAM holds any model's weights, so no combination is
-    /// skipped.
+    /// One instance per preset model × precision × TP 1..=8, on a B200
+    /// node, which has every precision, whose DRAM holds any model's
+    /// weights, so no combination is skipped.
     fn every_kv_shape(cluster: &ClusterSpec) -> Vec<ServeInstance<'_>> {
         let mut instances = Vec::new();
         for model in models::all() {
@@ -1144,7 +1100,7 @@ pub(crate) mod tests {
         fn reservation_equals_the_whole_footprint_split_over_tp(
             context in 1usize..=10_000_000,
         ) {
-            let mut cluster = presets::dgx_a100_hdr_cluster();
+            let mut cluster = presets::dgx_b200_ndr_cluster();
             cluster.node.accelerator.dram.capacity = Bytes::from_gb(1e9);
             let instances = every_kv_shape(&cluster);
             assert_eq!(instances.len(), 9 * Precision::all().len() * 8);
@@ -1189,11 +1145,11 @@ pub(crate) mod tests {
         let cluster = presets::dgx_a100_hdr_cluster();
         // Enough iterations to engage both the online stride doubling and
         // the assembly-time thinning.
-        let report = simulate(
+        let report = serve(
             &cluster,
             Arc::new(models::llama2_7b()),
-            &ServeConfig::new(1),
-            &spec(21, 600, 12.0),
+            ServeConfig::new(1),
+            &spec(21, 600, 12.0).generate(),
         )
         .unwrap();
         assert!(report.queue.samples.len() <= MAX_QUEUE_SAMPLES + 1);

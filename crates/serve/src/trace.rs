@@ -37,17 +37,6 @@ impl ArrivalProcess {
             Self::Fixed { interval_s } => interval_s,
         }
     }
-
-    fn validate(&self) {
-        let value = match *self {
-            Self::Poisson { rate_per_s } => rate_per_s,
-            Self::Fixed { interval_s } => interval_s,
-        };
-        assert!(
-            value.is_finite() && value > 0.0,
-            "arrival parameter must be finite and positive, got {value}"
-        );
-    }
 }
 
 /// A token-length distribution for prompts or outputs.
@@ -84,12 +73,13 @@ impl LengthDist {
         }
     }
 
-    fn validate(&self, what: &str) {
+    fn validate(&self, what: &str) -> Result<(), String> {
         match *self {
-            Self::Fixed { tokens } => assert!(tokens > 0, "{what} length must be positive"),
-            Self::Uniform { lo, hi } => {
-                assert!(lo > 0 && lo <= hi, "{what} range must satisfy 0 < lo <= hi");
-            }
+            Self::Fixed { tokens } => ensure(tokens > 0, format!("{what} length must be positive")),
+            Self::Uniform { lo, hi } => ensure(
+                lo > 0 && lo <= hi,
+                format!("{what} range must satisfy 0 < lo <= hi"),
+            ),
         }
     }
 }
@@ -165,14 +155,12 @@ pub struct PrefixSpec {
     pub rate: f64,
 }
 
-impl PrefixSpec {
-    fn validate(&self) {
-        assert!(self.pool > 0, "prefix pool must be non-empty");
-        assert!(self.tokens > 0, "prefix length must be positive");
-        assert!(
-            (0.0..=1.0).contains(&self.rate) && self.rate.is_finite(),
-            "prefix rate must lie in [0, 1]"
-        );
+/// `Ok` when `ok` holds, else the `reason`.
+fn ensure(ok: bool, reason: impl Into<String>) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(reason.into())
     }
 }
 
@@ -237,6 +225,46 @@ impl TraceSpec {
         }
     }
 
+    /// Checks that the spec describes a stream [`TraceSpec::generate`]
+    /// can draw.
+    ///
+    /// # Errors
+    ///
+    /// Returns the reason for a degenerate spec: a rate or interval that
+    /// is not finite and positive, a zero-token length or an inverted
+    /// range, an empty prefix pool or a zero-token prefix, a prefix rate
+    /// outside `[0, 1]`, zero priority classes, or lengths whose largest
+    /// context (see [`max_context`]) overflows `usize`.
+    pub fn validate(&self) -> Result<(), String> {
+        let gap = match self.arrival {
+            ArrivalProcess::Poisson { rate_per_s } => rate_per_s,
+            ArrivalProcess::Fixed { interval_s } => interval_s,
+        };
+        ensure(
+            gap.is_finite() && gap > 0.0,
+            format!("arrival parameter must be finite and positive, got {gap}"),
+        )?;
+        self.prompt.validate("prompt")?;
+        self.output.validate("output")?;
+        if let Some(p) = &self.prefixes {
+            ensure(p.pool > 0, "prefix pool must be non-empty")?;
+            ensure(p.tokens > 0, "prefix length must be positive")?;
+            ensure(
+                (0.0..=1.0).contains(&p.rate),
+                "prefix rate must lie in [0, 1]",
+            )?;
+        }
+        ensure(
+            self.priority_classes > 0,
+            "at least one priority class is required",
+        )?;
+        let context = max_context(&self.prompt, &self.output, self.prefixes.as_ref());
+        ensure(
+            context.is_some(),
+            "the largest prompt + output + prefix context overflows",
+        )
+    }
+
     /// Expands the spec into an arrival-ordered request list.
     ///
     /// All randomness flows through one [`StdRng`] seeded from
@@ -248,21 +276,13 @@ impl TraceSpec {
     ///
     /// # Panics
     ///
-    /// Panics on degenerate parameters (non-positive rate/interval,
-    /// zero-token lengths, an empty prefix pool, a prefix rate outside
-    /// `[0, 1]`, or zero priority classes).
+    /// Panics, with the reason, on a spec [`TraceSpec::validate`]
+    /// refuses.
     #[must_use]
     pub fn generate(&self) -> Vec<Request> {
-        self.arrival.validate();
-        self.prompt.validate("prompt");
-        self.output.validate("output");
-        if let Some(p) = &self.prefixes {
-            p.validate();
+        if let Err(reason) = self.validate() {
+            panic!("{reason}");
         }
-        assert!(
-            self.priority_classes > 0,
-            "at least one priority class is required"
-        );
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut clock = 0.0;
         (0..self.requests)

@@ -22,9 +22,8 @@
 use optimus_hw::presets;
 use optimus_model::presets as models;
 use optimus_serve::{
-    simulate_fleet, simulate_fleet_trace, ArrivalProcess, DegradeMode, FaultDomain, FaultSpec,
-    FleetConfig, FleetInstance, FleetReport, LengthDist, Request, RouterPolicy, ServeConfig,
-    TraceSpec,
+    simulate_fleet, ArrivalProcess, DegradeMode, FaultDomain, FaultSpec, FleetConfig,
+    FleetInstance, FleetReport, LengthDist, Request, RouterPolicy, ServeConfig, TraceSpec,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -508,9 +507,8 @@ fn requeue_order_ignores_request_labels() {
         let config = FleetConfig::new(4, 1)
             .with_router(policy)
             .with_faults(FaultSpec::crashes(7, 8.0, 2.0));
-        let run = |trace: &[Request]| {
-            simulate_fleet_trace(&cluster, Arc::clone(&model), &config, trace).unwrap()
-        };
+        let fleet = FleetInstance::new(&cluster, Arc::clone(&model), config).unwrap();
+        let run = |trace: &[Request]| fleet.simulate(trace).unwrap();
         let expected = run(&original);
         assert!(
             expected.availability.requeues > 0,

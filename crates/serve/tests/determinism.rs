@@ -12,7 +12,7 @@
 
 use optimus_hw::presets;
 use optimus_model::presets as models;
-use optimus_serve::{simulate, ServeConfig, SloSpec, TraceSpec};
+use optimus_serve::{ServeConfig, ServeInstance, SloSpec, TraceSpec};
 use optimus_units::Time;
 use std::sync::Arc;
 
@@ -22,7 +22,8 @@ fn report_json(spec: &TraceSpec) -> String {
         ttft: Time::from_millis(500.0),
         tpot: Time::from_millis(50.0),
     });
-    let report = simulate(&cluster, Arc::new(models::llama2_13b()), &config, spec).unwrap();
+    let instance = ServeInstance::new(&cluster, Arc::new(models::llama2_13b()), config).unwrap();
+    let report = instance.simulate(&spec.generate()).unwrap();
     serde_json::to_string(&report).unwrap()
 }
 
@@ -59,13 +60,10 @@ fn different_seeds_produce_different_reports() {
 #[test]
 fn report_roundtrips_through_json() {
     let cluster = presets::dgx_a100_hdr_cluster();
-    let report = simulate(
-        &cluster,
-        Arc::new(models::llama2_7b()),
-        &ServeConfig::new(1),
-        &TraceSpec::poisson(7, 12, 3.0, 120, 8),
-    )
-    .unwrap();
+    let report = ServeInstance::new(&cluster, Arc::new(models::llama2_7b()), ServeConfig::new(1))
+        .unwrap()
+        .simulate(&TraceSpec::poisson(7, 12, 3.0, 120, 8).generate())
+        .unwrap();
     let json = serde_json::to_string(&report).unwrap();
     let back: optimus_serve::ServeReport = serde_json::from_str(&json).unwrap();
     assert_eq!(back, report);

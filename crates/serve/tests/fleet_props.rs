@@ -13,8 +13,8 @@
 use optimus_hw::presets;
 use optimus_model::presets as models;
 use optimus_serve::{
-    simulate, simulate_fleet, ArrivalProcess, FaultSpec, FleetConfig, LengthDist, RouterPolicy,
-    ServeConfig, TraceSpec,
+    simulate_fleet, ArrivalProcess, FaultSpec, FleetConfig, LengthDist, RouterPolicy, ServeConfig,
+    ServeInstance, TraceSpec,
 };
 use std::sync::Arc;
 
@@ -172,13 +172,10 @@ fn r_replicas_at_r_times_the_rate_match_single_replica_attainment() {
     let model = Arc::new(models::llama2_7b());
     const R: usize = 4;
     const BASE_RATE: f64 = 40.0;
-    let single = simulate(
-        &cluster,
-        Arc::clone(&model),
-        &ServeConfig::new(1),
-        &trace(9, 5_000, BASE_RATE),
-    )
-    .unwrap();
+    let single = ServeInstance::new(&cluster, Arc::clone(&model), ServeConfig::new(1))
+        .unwrap()
+        .simulate(&trace(9, 5_000, BASE_RATE).generate())
+        .unwrap();
     let fleet = simulate_fleet(
         &cluster,
         Arc::clone(&model),

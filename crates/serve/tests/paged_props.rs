@@ -14,9 +14,9 @@
 use optimus_hw::{presets, Precision};
 use optimus_model::presets as models;
 use optimus_serve::{
-    load_sweep, simulate, simulate_fleet, ArrivalProcess, FleetConfig, KvSpec, LengthDist,
-    LoadStrategy, LoadSweepSpec, PreemptPolicy, PrefixSpec, RecordMode, RouterPolicy, Scheduler,
-    ServeConfig, SloSpec, TraceSpec,
+    load_sweep, simulate_fleet, ArrivalProcess, FleetConfig, KvSpec, LengthDist, LoadStrategy,
+    LoadSweepSpec, PreemptPolicy, PrefixSpec, RecordMode, RouterPolicy, Scheduler, ServeConfig,
+    ServeInstance, SloSpec, TraceSpec,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -72,7 +72,10 @@ proptest! {
             .with_kv(KvSpec::paged(block).with_policy(policy))
             .with_scheduler(SCHEDULERS[sched])
             .with_records(RecordMode::On);
-        let report = simulate(&cluster, Arc::clone(&model), &config, &spec).unwrap();
+        let report = ServeInstance::new(&cluster, Arc::clone(&model), config)
+            .unwrap()
+            .simulate(&spec.generate())
+            .unwrap();
         let paging = report.paging.expect("paged runs report paging");
 
         prop_assert!(paging.peak_blocks <= paging.total_blocks,
@@ -132,7 +135,10 @@ fn preempted_requests_complete_exactly_once() {
         let config = ServeConfig::new(1)
             .with_kv(KvSpec::paged(16).with_policy(policy))
             .with_records(RecordMode::On);
-        let report = simulate(&cluster, Arc::clone(&model), &config, &spec).unwrap();
+        let report = ServeInstance::new(&cluster, Arc::clone(&model), config)
+            .unwrap()
+            .simulate(&spec.generate())
+            .unwrap();
         let paging = report.paging.expect("paged runs report paging");
         assert!(
             paging.preemptions > 0,

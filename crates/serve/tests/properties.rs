@@ -13,7 +13,9 @@
 
 use optimus_hw::presets;
 use optimus_model::presets as models;
-use optimus_serve::{simulate, ArrivalProcess, LengthDist, ServeConfig, ServeReport, TraceSpec};
+use optimus_serve::{
+    ArrivalProcess, LengthDist, ServeConfig, ServeInstance, ServeReport, TraceSpec,
+};
 use optimus_units::Time;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -31,12 +33,12 @@ fn run(scenario: Scenario) -> (TraceSpec, ServeReport) {
         priority_classes: 1,
     };
     let cluster = presets::dgx_a100_hdr_cluster();
-    let report = simulate(
+    let report = ServeInstance::new(
         &cluster,
         Arc::new(models::llama2_7b()),
-        &ServeConfig::new(tp),
-        &spec,
+        ServeConfig::new(tp),
     )
+    .and_then(|instance| instance.simulate(&spec.generate()))
     .expect("7B always fits an 80 GB device");
     (spec, report)
 }

@@ -11,8 +11,8 @@ use optimus_hw::{presets, Precision};
 use optimus_model::presets as models;
 use optimus_serve::stats::HISTOGRAM_BINS_PER_OCTAVE;
 use optimus_serve::{
-    load_sweep, simulate, LatencyStats, LengthDist, LoadStrategy, LoadSweepSpec, LogHistogram,
-    RouterPolicy, ServeConfig, SloSpec, TraceSpec,
+    load_sweep, LatencyStats, LengthDist, LoadStrategy, LoadSweepSpec, LogHistogram, RouterPolicy,
+    ServeConfig, ServeInstance, SloSpec, TraceSpec,
 };
 use optimus_units::Time;
 use proptest::prelude::*;
@@ -84,13 +84,10 @@ proptest! {
             prefixes: None,
             priority_classes: 1,
         };
-        let report = simulate(
-            &cluster,
-            Arc::new(models::llama2_7b()),
-            &ServeConfig::new(tp),
-            &spec,
-        )
-        .unwrap();
+        let report = ServeInstance::new(&cluster, Arc::new(models::llama2_7b()), ServeConfig::new(tp))
+            .unwrap()
+            .simulate(&spec.generate())
+            .unwrap();
 
         // Request conservation.
         prop_assert_eq!(report.completed + report.rejected, report.requests);

@@ -26,6 +26,7 @@
 use optimus::hw::presets;
 use optimus::memory::RecomputeMode;
 use optimus::model::presets as models;
+use optimus::model::ModelConfig;
 use optimus::prelude::Precision;
 use optimus::prelude::{
     CheckpointSpec, CheckpointTier, FailureProcess, InferenceConfig, InferenceEstimator,
@@ -33,12 +34,22 @@ use optimus::prelude::{
 };
 use optimus::units::Time;
 use optimus_serve::{
-    load_sweep, simulate, simulate_fleet, ArrivalProcess, FaultSpec, FleetConfig, KvSpec,
-    LengthDist, LoadStrategy, LoadSweepSpec, PreemptPolicy, PrefixSpec, RecordMode, RouterPolicy,
-    Scheduler, ServeConfig, ServeInstance, SloSpec, TraceSpec,
+    load_sweep, simulate_fleet, ArrivalProcess, FaultSpec, FleetConfig, KvSpec, LengthDist,
+    LoadStrategy, LoadSweepSpec, PreemptPolicy, PrefixSpec, RecordMode, RouterPolicy, Scheduler,
+    ServeConfig, ServeInstance, ServeReport, SloSpec, TraceSpec,
 };
 use optimus_sweep::{SweepEngine, SweepReport, SweepSpace, Workload};
 use std::sync::Arc;
+
+/// A single-replica `serve` run: `spec`'s trace on one instance of
+/// `model` under `config`, over the A100 cluster.
+fn serve(model: Arc<ModelConfig>, config: ServeConfig, spec: &TraceSpec) -> ServeReport {
+    let cluster = presets::dgx_a100_hdr_cluster();
+    ServeInstance::new(&cluster, model, config)
+        .unwrap()
+        .simulate(&spec.generate())
+        .unwrap()
+}
 
 fn trace(
     seed: u64,
@@ -68,13 +79,11 @@ fn trace(
 /// --prompt 50:200 --output 2:24 --seed 13 --json`
 #[test]
 fn reserved_serve_report_is_byte_identical_to_the_pre_paging_fixture() {
-    let report = simulate(
-        &presets::dgx_a100_hdr_cluster(),
+    let report = serve(
         Arc::new(models::llama2_7b()),
-        &ServeConfig::new(1),
+        ServeConfig::new(1),
         &trace(13, 40, 8.0, (50, 200), (2, 24)),
-    )
-    .unwrap();
+    );
     assert_eq!(
         serde_json::to_string_pretty(&report).unwrap(),
         include_str!("golden/serve_reserved.json"),
@@ -426,13 +435,7 @@ fn paged_serve_reports_keep_their_pinned_digests() {
             prefixes: Some(PAGED_PREFIXES),
             priority_classes: 3,
         };
-        let report = simulate(
-            &presets::dgx_a100_hdr_cluster(),
-            Arc::clone(&model),
-            &config,
-            &spec,
-        )
-        .unwrap();
+        let report = serve(Arc::clone(&model), config, &spec);
         assert_eq!(report.per_request.len(), 2000);
         drifted.extend(pin_drift(&format!("serve_paged_rate{rate}"), &report, pins));
     }
@@ -602,13 +605,11 @@ fn sparse_drop_chaos_fleet_report_keeps_its_pinned_digests() {
 #[cfg_attr(debug_assertions, ignore)]
 fn million_request_paged_serve_report_keeps_its_pinned_digests() {
     let config = ServeConfig::new(2).with_kv(KvSpec::paged(16));
-    let report = simulate(
-        &presets::dgx_a100_hdr_cluster(),
+    let report = serve(
         Arc::new(models::llama2_13b()),
-        &config,
+        config,
         &trace(42, 1_000_000, 500.0, (50, 400), (8, 64)),
-    )
-    .unwrap();
+    );
     let paging = report.paging.as_ref().expect("paged KV reports paging");
     assert_eq!(paging.preemptions, 155_286);
     assert_eq!(report.decode_iterations, 56_204);
@@ -637,13 +638,7 @@ fn priority_preempt_swap_serve_report_keeps_its_pinned_digests() {
         .with_scheduler(Scheduler::PriorityPreempt);
     let mut spec = trace(42, 200_000, 500.0, (50, 400), (8, 64));
     spec.priority_classes = 3;
-    let report = simulate(
-        &presets::dgx_a100_hdr_cluster(),
-        Arc::new(models::llama2_13b()),
-        &config,
-        &spec,
-    )
-    .unwrap();
+    let report = serve(Arc::new(models::llama2_13b()), config, &spec);
     let paging = report.paging.as_ref().expect("paged KV reports paging");
     assert_eq!(paging.swap_outs, 26_649);
     assert_eq!(paging.swap_ins, 26_649);

@@ -101,7 +101,9 @@ fn quantities_roundtrip_transparently() {
 /// holds them exactly.
 #[test]
 fn serve_report_streams_as_its_value_tree_prints() {
-    use optimus_serve::{ArrivalProcess, KvSpec, LengthDist, PrefixSpec, ServeConfig, TraceSpec};
+    use optimus_serve::{
+        ArrivalProcess, KvSpec, LengthDist, PrefixSpec, ServeConfig, ServeInstance, TraceSpec,
+    };
     let spec = TraceSpec {
         seed: 3,
         requests: 300,
@@ -115,12 +117,14 @@ fn serve_report_streams_as_its_value_tree_prints() {
         }),
         priority_classes: 3,
     };
-    let report = optimus_serve::simulate(
-        &hw::presets::dgx_a100_hdr_cluster(),
+    let cluster = hw::presets::dgx_a100_hdr_cluster();
+    let report = ServeInstance::new(
+        &cluster,
         std::sync::Arc::new(model::presets::llama2_7b()),
-        &ServeConfig::new(1).with_kv(KvSpec::paged(16)),
-        &spec,
+        ServeConfig::new(1).with_kv(KvSpec::paged(16)),
     )
+    .unwrap()
+    .simulate(&spec.generate())
     .unwrap();
     assert_eq!(report.per_request.len(), 300);
     let tree = serde::Serialize::to_value(&report);

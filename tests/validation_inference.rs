@@ -99,7 +99,7 @@ fn table4_bound_types_fully_agree() {
 #[test]
 fn serving_simulator_degenerates_to_static_estimator_at_low_rate() {
     use optimus::prelude::*;
-    use optimus_serve::{ArrivalProcess, LengthDist, ServeConfig, TraceSpec};
+    use optimus_serve::{ArrivalProcess, LengthDist, ServeConfig, ServeInstance, TraceSpec};
     use std::sync::Arc;
 
     let cluster = hw::presets::dgx_a100_hdr_cluster();
@@ -128,9 +128,10 @@ fn serving_simulator_degenerates_to_static_estimator_at_low_rate() {
             prefixes: None,
             priority_classes: 1,
         };
-        let report =
-            optimus_serve::simulate(&cluster, Arc::clone(&model), &ServeConfig::new(tp), &spec)
-                .unwrap();
+        let report = ServeInstance::new(&cluster, Arc::clone(&model), ServeConfig::new(tp))
+            .unwrap()
+            .simulate(&spec.generate())
+            .unwrap();
         assert_eq!(report.completed, 5);
         assert_eq!(report.queue.peak_decoding, 1, "no overlap at this rate");
         assert_eq!(
