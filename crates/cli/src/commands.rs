@@ -456,7 +456,8 @@ fn requests_of(args: &Args, default: usize) -> Result<usize, ArgError> {
 }
 
 /// Rejects `--prompt`, `--output` and `--prefix-tokens` lengths whose
-/// largest context overflows a token count.
+/// largest context passes the `u32::MAX` tokens a request can hold (see
+/// [`optimus_serve::max_context`]).
 fn check_max_context(
     prompt: &optimus_serve::LengthDist,
     output: &optimus_serve::LengthDist,
@@ -730,14 +731,15 @@ fn load_sweep(args: &Args) -> Result<String, ArgError> {
         priority_classes: priority_classes_of(args)?,
     };
     check_max_context(&spec.prompt, &spec.output, spec.prefixes.as_ref())?;
+    // `load_sweep` panics on a trace it refuses, such as a prefix pool of
+    // more than 2^32 entries: refuse it here instead.
+    if let Some(&rate) = spec.rates.first() {
+        spec.trace(rate).validate().map_err(ArgError)?;
+    }
 
     let report = load_sweep(&cluster, &std::sync::Arc::new(model), &spec);
     if report.curves.is_empty() {
-        let reasons: Vec<String> = report
-            .infeasible
-            .iter()
-            .map(|i| format!("TP{} {}: {}", i.tp, i.precision, i.reason))
-            .collect();
+        let reasons: Vec<String> = report.infeasible.iter().map(infeasible_desc).collect();
         return Err(ArgError(format!(
             "no feasible strategy in the grid:\n  {}",
             reasons.join("\n  ")
@@ -850,12 +852,18 @@ fn load_sweep(args: &Args) -> Result<String, ArgError> {
         ));
     }
     for i in &report.infeasible {
-        out.push_str(&format!(
-            "\ninfeasible: TP{} {} × {} replica(s): {}\n",
-            i.tp, i.precision, i.replicas, i.reason
-        ));
+        out.push_str(&format!("\ninfeasible: {}\n", infeasible_desc(i)));
     }
     Ok(out)
+}
+
+/// An infeasible load-sweep strategy by every axis that tells it apart
+/// (TP, precision, replicas, KV regime, scheduler), with its reason.
+fn infeasible_desc(i: &optimus_serve::InfeasibleStrategy) -> String {
+    format!(
+        "TP{} {} × {} replica(s), {} KV, {}: {}",
+        i.tp, i.precision, i.replicas, i.kv, i.scheduler, i.reason
+    )
 }
 
 /// `optimus-cli memory …` — training memory dissection.
@@ -1898,6 +1906,82 @@ mod tests {
         ] {
             assert!(cli(bad).is_err(), "{bad} should be rejected");
         }
+    }
+
+    /// A request holds its lengths and its prefix id in `u32`s: a context
+    /// past `u32::MAX` tokens and a pool of more than 2^32 prefixes are
+    /// usage errors from `serve` and `load-sweep` alike (`load-sweep`
+    /// checks its cell trace first, since `load_sweep` panics on one it
+    /// refuses).
+    #[test]
+    fn the_32_bit_trace_limits_are_usage_errors() {
+        let pool = "--prefix-tokens 16 --prefix-pool 4294967297";
+        for line in [
+            format!("serve --requests 4 {pool}"),
+            format!("load-sweep --tp-list 1 --rates 4 --requests 4 {pool}"),
+        ] {
+            let err = cli(&line).unwrap_err().to_string();
+            assert!(
+                err.contains("prefix pool holds at most 2^32"),
+                "{line}: {err}"
+            );
+        }
+        for line in [
+            "serve --prompt 4294967295 --output 1 --requests 1",
+            "load-sweep --prompt 4294967295 --output 1 --requests 1",
+        ] {
+            let err = cli(line).unwrap_err().to_string();
+            assert!(
+                err.contains("exceeds the token count limit"),
+                "{line}: {err}"
+            );
+        }
+    }
+
+    /// Regression: an infeasible load-sweep strategy carried only its TP,
+    /// precision and replica count, so the FP8 strategies under reserved
+    /// and 16-token paged KV were two identical `infeasible` entries, and
+    /// the all-infeasible error named a one- and a two-replica strategy
+    /// alike, as `TP1 FP16`. Each now names every axis of its strategy.
+    #[test]
+    fn infeasible_strategies_name_every_axis() {
+        let out = cli(
+            "load-sweep --model llama2-7b --tp-list 1 --precisions fp16,fp8 --kv-block-list 0,16 \
+             --rates 4 --requests 10 --json",
+        )
+        .unwrap();
+        let v: serde_json::Value = serde_json::from_str(&out).unwrap();
+        let infeasible = v.get("infeasible").and_then(serde_json::Value::as_array);
+        let kv_blocks: Vec<Option<f64>> = infeasible
+            .unwrap()
+            .iter()
+            .map(|i| {
+                let kv = i.get("kv")?;
+                assert_eq!(i.get("scheduler")?.as_str(), Some("Fifo"));
+                kv.get("block_tokens")?.as_f64()
+            })
+            .collect();
+        assert_eq!(kv_blocks, [Some(0.0), Some(16.0)], "{out}");
+
+        let err = cli(
+            "load-sweep --model llama2-7b --tp-list 1 --replicas-list 1,2 --rates 4 \
+             --requests 10 --degrade 1e308",
+        )
+        .unwrap_err()
+        .to_string();
+        let named: Vec<&str> = err
+            .lines()
+            .skip(1)
+            .map(|line| line.split(": fault spec").next().unwrap().trim())
+            .collect();
+        assert_eq!(
+            named,
+            [
+                "TP1 FP16 × 1 replica(s), reserved KV, fifo",
+                "TP1 FP16 × 2 replica(s), reserved KV, fifo"
+            ],
+            "{err}"
+        );
     }
 
     #[test]

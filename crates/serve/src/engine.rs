@@ -116,11 +116,12 @@ impl CompletionSink {
     /// Folds one completed request, admitted into `slot`, into the
     /// aggregates.
     fn complete(&mut self, r: &Request, slot: &Slot, completed_s: f64) {
+        let output = r.output as usize;
         let first = slot.first_token_s;
         let ttft = first - r.arrival_s;
         let e2e = completed_s - r.arrival_s;
         let tpot =
-            (r.output > 1).then(|| Time::from_secs((completed_s - first) / (r.output - 1) as f64));
+            (output > 1).then(|| Time::from_secs((completed_s - first) / (output - 1) as f64));
         let met_slo =
             Time::from_secs(ttft) <= self.slo.ttft && tpot.is_none_or(|t| t <= self.slo.tpot);
         self.ttft.record(Time::from_secs(ttft));
@@ -129,16 +130,16 @@ impl CompletionSink {
             self.tpot.record(t);
         }
         self.completed += 1;
-        self.generated_tokens += r.output;
+        self.generated_tokens += output;
         if met_slo {
             self.met += 1;
-            self.met_tokens += r.output;
+            self.met_tokens += output;
         }
         if self.records_on {
             self.records.push(RequestMetrics {
-                id: r.id,
-                prompt: r.prompt,
-                generated: r.output,
+                id: r.id as usize,
+                prompt: r.prompt as usize,
+                generated: output,
                 arrival: Time::from_secs(r.arrival_s),
                 queue_wait: Time::from_secs(slot.admitted_s - r.arrival_s),
                 prefill: Time::from_secs(slot.prefill_dur_s),
@@ -187,7 +188,7 @@ fn rank(scheduler: Scheduler, request: &Request) -> usize {
     match scheduler {
         Scheduler::Fifo => 0,
         Scheduler::Priority | Scheduler::PriorityPreempt => usize::from(request.priority),
-        Scheduler::Sjf => request.prompt + request.output,
+        Scheduler::Sjf => request.prompt as usize + request.output as usize,
     }
 }
 
@@ -347,8 +348,13 @@ pub(crate) struct ReplicaEngine<'i, 'a> {
     prefix_misses: usize,
     prefix_evictions: usize,
     cached_tokens_saved: usize,
+    // Test-only switches to the reference implementations the fast paths
+    // replaced: the per-member growth scan and the full calendar walk of
+    // a crash drain.
     #[cfg(test)]
     reference_scan: bool,
+    #[cfg(test)]
+    reference_drain: bool,
     #[cfg(test)]
     growth_log: Vec<Growth>,
 }
@@ -445,6 +451,8 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             requeued: Vec::new(),
             #[cfg(test)]
             reference_scan: false,
+            #[cfg(test)]
+            reference_drain: false,
             #[cfg(test)]
             growth_log: Vec::new(),
         }
@@ -712,7 +720,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             let Some((blocks, shared)) = self.alloc_prompt_blocks(request) else {
                 return false;
             };
-            let tokens = request.prompt - shared * self.block_tokens;
+            let tokens = request.prompt as usize - shared * self.block_tokens;
             (Bytes::ZERO, tokens, blocks, shared)
         } else {
             let need = self.instance.reservation(request);
@@ -722,7 +730,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             }
             self.reserved += need;
             self.kv_peak = self.kv_peak.max(self.reserved);
-            (need, request.prompt, 0, 0)
+            (need, request.prompt as usize, 0, 0)
         };
         let slot = self.alloc_slot(Slot {
             req,
@@ -753,7 +761,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         let s = &mut self.slots[idx as usize];
         s.blocks = blocks;
         s.shared_blocks = shared;
-        s.prefill_tokens = request.prompt - shared * self.block_tokens;
+        s.prefill_tokens = request.prompt as usize - shared * self.block_tokens;
         self.awaiting_prefill.push_back(idx);
         true
     }
@@ -765,7 +773,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
     /// even after evicting idle prefixes.
     fn alloc_prompt_blocks(&mut self, request: &Request) -> Option<(usize, usize)> {
         let shared = self.borrow_prefix(request);
-        let need = self.instance.blocks_for(request.prompt) - shared;
+        let need = self.instance.blocks_for(request.prompt as usize) - shared;
         if !self.ensure_free(need) {
             self.unborrow_prefix(request, shared);
             return None;
@@ -787,12 +795,12 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
     /// request carries no prefix or the entry is absent.
     fn borrow_prefix(&mut self, request: &Request) -> usize {
         let Some(p) = request.prefix else { return 0 };
-        if self.prefix_cache.len() <= p.id {
-            self.prefix_cache
-                .resize_with(p.id + 1, PrefixEntry::default);
+        let id = p.id as usize;
+        if self.prefix_cache.len() <= id {
+            self.prefix_cache.resize_with(id + 1, PrefixEntry::default);
         }
         let iter = self.iteration;
-        let e = &mut self.prefix_cache[p.id];
+        let e = &mut self.prefix_cache[id];
         if !e.resident {
             return 0;
         }
@@ -806,7 +814,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
     fn unborrow_prefix(&mut self, request: &Request, shared: usize) {
         if shared > 0 {
             let p = request.prefix.expect("shared blocks imply a prefix");
-            self.prefix_cache[p.id].refs -= 1;
+            self.prefix_cache[p.id as usize].refs -= 1;
         }
     }
 
@@ -815,7 +823,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
     /// its swap-in iteration.
     fn stage_swap_in(&mut self, idx: u32) -> bool {
         let request = self.request(idx);
-        let ctx = request.prompt + self.slots[idx as usize].generated;
+        let ctx = request.prompt as usize + self.slots[idx as usize].generated;
         let shared = self.borrow_prefix(request);
         let need = self.instance.blocks_for(ctx) - shared;
         if !self.ensure_free(need) {
@@ -850,8 +858,8 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         let (ctx, remaining, first_pending) = {
             let (r, s) = (self.request(idx), &self.slots[idx as usize]);
             (
-                r.prompt + s.generated,
-                r.output - s.generated,
+                r.prompt as usize + s.generated,
+                r.output as usize - s.generated,
                 s.first_token_s == 0.0,
             )
         };
@@ -964,11 +972,30 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         for &idx in &self.awaiting_prefill {
             lost.push(self.slots[idx as usize].req);
         }
-        for due in &mut self.calendar {
-            for idx in due.drain(..) {
-                lost.push(self.slots[idx as usize].req);
+        // The calendar holds exactly the `decoding_count` decoding members
+        // (a preemption withdraws its victim), each due less than a ring's
+        // length after the current epoch. So walk forward from the next
+        // epoch and stop once all of them are collected: the walk costs
+        // the longest remaining output, not the ring's `max_kv + 1` slots.
+        let ring_len = self.calendar.len();
+        let mut left = self.decoding_count;
+        #[cfg(test)]
+        if self.reference_drain {
+            for due in &mut self.calendar {
+                lost.extend(due.drain(..).map(|idx| self.slots[idx as usize].req));
             }
+            left = 0;
         }
+        // Bounded by the ring, so a miscount costs the full walk, not a hang.
+        for epoch in self.decode_epoch + 1..self.decode_epoch + ring_len {
+            if left == 0 {
+                break;
+            }
+            let due = &mut self.calendar[epoch % ring_len];
+            left -= due.len();
+            lost.extend(due.drain(..).map(|idx| self.slots[idx as usize].req));
+        }
+        debug_assert_eq!(left, 0, "a decoding member is missing from the calendar");
         // Staged and parked preemption victims (paged KV only) and the
         // ranked queue go back to the router too.
         for &idx in self
@@ -1064,13 +1091,13 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         if had_shared {
             return; // admitted through the resident entry: nothing to donate
         }
-        let full = p.tokens / self.block_tokens;
+        let full = p.tokens.get() as usize / self.block_tokens;
         if full == 0 {
             return; // the prefix does not fill a single block
         }
         debug_assert!(private > full, "a prompt strictly outgrows its prefix");
         let iter = self.iteration;
-        let e = &mut self.prefix_cache[p.id];
+        let e = &mut self.prefix_cache[p.id as usize];
         if e.resident {
             // Double miss: keep the sibling's resident copy, free ours.
             e.refs += 1;
@@ -1120,7 +1147,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             self.sink.complete(r, slot, end);
             self.reserved = self.reserved - slot.reserved;
             self.head_blocked = false;
-            self.ctx_sum -= r.prompt + r.output;
+            self.ctx_sum -= r.prompt as usize + r.output as usize;
             self.decoding_count -= 1;
             self.free_slots.push(idx);
             if self.paged {
@@ -1258,7 +1285,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             let out = (
                 s.blocks,
                 s.shared_blocks,
-                request.output - (s.due - epoch),
+                request.output as usize - (s.due - epoch),
                 s.due,
                 request.prefix,
             );
@@ -1273,7 +1300,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         self.used_blocks -= blocks;
         if shared > 0 {
             let p = prefix.expect("shared blocks imply a prefix");
-            let e = &mut self.prefix_cache[p.id];
+            let e = &mut self.prefix_cache[p.id as usize];
             debug_assert!(e.refs > 0, "prefix refs free exactly once");
             e.refs -= 1;
             e.last_use = self.iteration;
@@ -1282,7 +1309,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         self.calendar[due % ring_len].retain(|&x| x != idx);
         self.pending_first.retain(|&x| x != idx);
         self.decoding_count -= 1;
-        self.ctx_sum -= request.prompt + generated;
+        self.ctx_sum -= request.prompt as usize + generated;
         self.preemptions += 1;
         match self.policy {
             PreemptPolicy::Recompute => {
@@ -1318,7 +1345,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         self.used_blocks -= blocks;
         if shared > 0 {
             let p = prefix.expect("shared blocks imply a prefix");
-            let e = &mut self.prefix_cache[p.id];
+            let e = &mut self.prefix_cache[p.id as usize];
             debug_assert!(e.refs > 0, "prefix refs free exactly once");
             e.refs -= 1;
             e.last_use = self.iteration;
@@ -1470,9 +1497,8 @@ mod tests {
             Scheduler::Priority | Scheduler::PriorityPreempt => {
                 (0..pending.len()).min_by_key(|&i| pending[i].priority)
             }
-            Scheduler::Sjf => {
-                (0..pending.len()).min_by_key(|&i| pending[i].prompt + pending[i].output)
-            }
+            Scheduler::Sjf => (0..pending.len())
+                .min_by_key(|&i| pending[i].prompt as usize + pending[i].output as usize),
         }
     }
 
@@ -1487,7 +1513,7 @@ mod tests {
         /// and `sjf` both see many rank ties.
         #[test]
         fn ranked_queue_picks_what_the_scan_picked(
-            events in proptest::collection::vec((0u8..8, 0u8..3, 1usize..4, 1usize..4), 0..240),
+            events in proptest::collection::vec((0u8..8, 0u8..3, 1u32..4, 1u32..4), 0..240),
         ) {
             for scheduler in [Scheduler::Priority, Scheduler::Sjf, Scheduler::PriorityPreempt] {
                 let mut queue = RankedQueue::default();
@@ -1499,7 +1525,8 @@ mod tests {
                 for &(event, priority, prompt, output) in &events {
                     match event {
                         0..=2 => {
-                            let r = Request::new(next_pos, 0.0, prompt, output)
+                            let id = u32::try_from(next_pos).unwrap();
+                            let r = Request::new(id, 0.0, prompt, output)
                                 .with_priority(priority);
                             queue.insert(rank(scheduler, &r), next_pos);
                             pending.push_back(r);
@@ -1513,18 +1540,19 @@ mod tests {
                                 let expected = scan_pick(scheduler, &pending);
                                 prop_assert_eq!(
                                     queue.peek(),
-                                    expected.map(|i| pending[i].id),
+                                    expected.map(|i| pending[i].id as usize),
                                     "{scheduler}"
                                 );
                                 let Some(i) = expected else { break };
                                 if admit < admits {
-                                    prop_assert_eq!(queue.pop(), Some(pending[i].id));
+                                    prop_assert_eq!(queue.pop(), Some(pending[i].id as usize));
                                     pending.remove(i);
                                 }
                             }
                         }
                         _ => {
-                            let queued: Vec<usize> = pending.drain(..).map(|r| r.id).collect();
+                            let queued: Vec<usize> =
+                                pending.drain(..).map(|r| r.id as usize).collect();
                             let mut drained: Vec<usize> = queue.drain().collect();
                             drained.sort_unstable();
                             prop_assert_eq!(drained, queued, "{scheduler}");
@@ -1560,8 +1588,11 @@ mod tests {
                 let idx = active[i];
                 let (held, ctx_next) = {
                     let (r, s) = (self.request(idx), &self.slots[idx as usize]);
-                    let generated = r.output - (s.due - epoch);
-                    (s.blocks + s.shared_blocks, r.prompt + generated + 1)
+                    let generated = r.output as usize - (s.due - epoch);
+                    (
+                        s.blocks + s.shared_blocks,
+                        r.prompt as usize + generated + 1,
+                    )
                 };
                 if self.instance.blocks_for(ctx_next) <= held {
                     i += 1;
@@ -1595,9 +1626,43 @@ mod tests {
     /// counters and final clock.
     type GrowthRun = (Vec<Growth>, [usize; 6], u64);
 
+    /// Runs `trace` through `engine`, handing each crash's drops straight
+    /// back to it at the drain instant in trace order, as a one-replica
+    /// router would. Returns every drop: its drain instant's bits and its
+    /// lost trace indices in trace order.
+    fn drive(engine: &mut ReplicaEngine<'_, '_>, trace: &[Request]) -> Vec<(u64, Vec<u32>)> {
+        let mut drops = Vec::new();
+        let mut requeue = |engine: &mut ReplicaEngine<'_, '_>| {
+            let taken = engine.take_requeued();
+            let any = !taken.is_empty();
+            for mut drop in taken {
+                drop.lost.sort_unstable();
+                for &req in &drop.lost {
+                    engine.push(req, drop.at_s);
+                }
+                drops.push((drop.at_s.to_bits(), drop.lost));
+            }
+            any
+        };
+        for (req, r) in (0u32..).zip(trace) {
+            engine.advance_to(r.arrival_s).unwrap();
+            requeue(engine);
+            engine.push(req, r.arrival_s);
+        }
+        let mut rounds = 0;
+        loop {
+            engine.finish().unwrap();
+            if !requeue(engine) {
+                break;
+            }
+            rounds += 1;
+            assert!(rounds < 10_000, "the crash drains do not converge");
+        }
+        drops
+    }
+
     /// Runs `trace` through one paged engine whose pool holds `pool`
-    /// blocks, handing each crash's drops straight back to it at the
-    /// drain instant in trace order, as a one-replica router would.
+    /// blocks (see [`drive`]).
     fn growth_run(
         instance: &ServeInstance<'_>,
         trace: &[Request],
@@ -1610,30 +1675,7 @@ mod tests {
         let mut engine = ReplicaEngine::new(instance, trace, &bounds, false, wiring);
         engine.total_blocks = pool;
         engine.reference_scan = reference;
-        let requeue = |engine: &mut ReplicaEngine<'_, '_>| {
-            let mut drops = engine.take_requeued();
-            for drop in &mut drops {
-                drop.lost.sort_unstable();
-                for &req in &drop.lost {
-                    engine.push(req, drop.at_s);
-                }
-            }
-            !drops.is_empty()
-        };
-        for (req, r) in (0u32..).zip(trace) {
-            engine.advance_to(r.arrival_s).unwrap();
-            requeue(&mut engine);
-            engine.push(req, r.arrival_s);
-        }
-        let mut rounds = 0;
-        loop {
-            engine.finish().unwrap();
-            if !requeue(&mut engine) {
-                break;
-            }
-            rounds += 1;
-            assert!(rounds < 10_000, "the crash drains do not converge");
-        }
+        drive(&mut engine, trace);
         let counters = [
             engine.sink.completed,
             engine.decode_iterations,
@@ -1703,7 +1745,7 @@ mod tests {
             .generate();
             let peak = trace
                 .iter()
-                .map(|r| instance.blocks_for(r.prompt + r.output))
+                .map(|r| instance.blocks_for(r.prompt as usize + r.output as usize))
                 .max()
                 .unwrap();
             let pool = (peak + peak * slack / 100).min(instance.total_blocks());
@@ -1718,6 +1760,66 @@ mod tests {
             prop_assert_eq!(ring.0.len(), scan.0.len());
             prop_assert_eq!(ring.1, scan.1);
             prop_assert_eq!(ring.2, scan.2);
+        }
+    }
+
+    /// The bounded calendar walk of a crash drain against the walk over
+    /// every calendar slot it replaced, kept as the reference: over the
+    /// chaos shape (llama2-13b TP2, prompts 50..=400, outputs 8..=64, far
+    /// past capacity, crashing every few seconds) under reserved KV and
+    /// under 16-token paged KV with recompute and with swap preemption,
+    /// every drain hands back the same requests at the same instant, and
+    /// the runs end alike.
+    #[test]
+    fn crash_drains_collect_what_the_full_calendar_walk_collected() {
+        let cluster = presets::dgx_a100_hdr_cluster();
+        let model = Arc::new(models::llama2_13b());
+        let trace = TraceSpec {
+            seed: 7,
+            requests: 1000,
+            arrival: ArrivalProcess::Poisson { rate_per_s: 300.0 },
+            prompt: LengthDist::Uniform { lo: 50, hi: 400 },
+            output: LengthDist::Uniform { lo: 8, hi: 64 },
+            prefixes: None,
+            priority_classes: 1,
+        }
+        .generate();
+        let faults = FaultSpec::crashes(7, 4.0, 1.0);
+        let paged = KvSpec::paged(16);
+        for kv in [
+            KvSpec::reserved(),
+            paged,
+            paged.with_policy(PreemptPolicy::Swap),
+        ] {
+            let instance = ServeInstance::new(
+                &cluster,
+                Arc::clone(&model),
+                ServeConfig::new(2).with_kv(kv),
+            )
+            .unwrap();
+            let run = |reference: bool| {
+                let bounds = TraceBounds::scan(&instance, &trace).unwrap();
+                let wiring = EngineFaults::for_replica(&faults, 0).unwrap();
+                let mut engine =
+                    ReplicaEngine::new(&instance, &trace, &bounds, false, Some(wiring));
+                engine.reference_drain = reference;
+                let drops = drive(&mut engine, &trace);
+                let counters = [
+                    engine.sink.completed,
+                    engine.decode_iterations,
+                    engine.preemptions,
+                ];
+                (drops, counters, engine.clock.to_bits())
+            };
+            let (walked, full) = (run(false), run(true));
+            let lost: usize = walked.0.iter().map(|(_, lost)| lost.len()).sum();
+            assert!(
+                walked.0.len() > 10 && lost > 1000,
+                "{kv:?}: {} drains",
+                walked.0.len()
+            );
+            assert_eq!(walked.1[0], trace.len(), "{kv:?}");
+            assert_eq!(walked, full, "{kv:?}");
         }
     }
 }

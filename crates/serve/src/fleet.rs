@@ -26,7 +26,7 @@
 use crate::engine::{Dropped, ReplicaEngine};
 use crate::faults::{clipped_stats, EngineFaults, FaultSpec, FleetAvailability};
 use crate::report::{write_latency_lines, write_slo_line};
-use crate::sim::{check_trace_len, TraceBounds};
+use crate::sim::TraceBounds;
 use crate::stats::LatencyAccumulator;
 use crate::{
     LatencyStats, PagingReport, Request, ServeConfig, ServeError, ServeInstance, ServeReport,
@@ -874,7 +874,7 @@ pub(crate) fn run_fleet(
     let rejected_ids: Vec<usize> = bounds
         .rejected
         .iter()
-        .map(|&req| trace[req as usize].id)
+        .map(|&req| trace[req as usize].id as usize)
         .collect();
 
     // Availability is schedule-based: outage windows are a pure function
@@ -914,7 +914,7 @@ pub(crate) fn run_fleet(
     let mut distinct_requeued: Vec<usize> = trace
         .iter()
         .zip(&front.requeued)
-        .filter_map(|(r, &marked)| marked.then_some(r.id))
+        .filter_map(|(r, &marked)| marked.then_some(r.id as usize))
         .collect();
     distinct_requeued.sort_unstable();
     distinct_requeued.dedup();
@@ -997,7 +997,8 @@ pub(crate) fn run_fleet(
 /// Returns the errors of [`FleetInstance::new`], bar the link-mode one,
 /// and of [`FleetInstance::simulate`]; and, before generating anything,
 /// [`ServeError::InvalidTrace`] for a `spec` [`TraceSpec::validate`]
-/// refuses or one of more than [`crate::MAX_TRACE_REQUESTS`] requests.
+/// refuses, one of more than [`crate::MAX_TRACE_REQUESTS`] requests
+/// among them.
 pub fn simulate_fleet(
     cluster: &ClusterSpec,
     model: Arc<ModelConfig>,
@@ -1006,7 +1007,6 @@ pub fn simulate_fleet(
 ) -> Result<FleetReport, ServeError> {
     config.check()?;
     spec.validate().map_err(ServeError::InvalidTrace)?;
-    check_trace_len(spec.requests)?;
     let degraded = config.faults.degraded_cluster(cluster);
     let instance = ServeInstance::new(degraded.as_ref().unwrap_or(cluster), model, config.replica)?;
     let config = config.clone();
@@ -1057,7 +1057,7 @@ mod tests {
         let cluster = presets::dgx_a100_hdr_cluster();
         let model = Arc::new(models::llama2_7b());
         let trace = spec(17, 96, 24.0);
-        let requested: usize = trace.generate().iter().map(|r| r.output).sum();
+        let requested: usize = trace.generate().iter().map(|r| r.output as usize).sum();
         for policy in policies() {
             let config = FleetConfig::new(3, 1).with_router(policy);
             let report = simulate_fleet(&cluster, Arc::clone(&model), &config, &trace).unwrap();
@@ -1228,6 +1228,8 @@ mod tests {
 
     /// Regression: an unsorted trace or a zero-length prompt or output
     /// used to panic in the fleet entry points; it is now a typed error.
+    /// (An overflowing context is a spec-level case of
+    /// `degenerate_trace_specs_are_typed_errors`.)
     #[test]
     fn invalid_traces_are_typed_errors() {
         let cluster = presets::dgx_a100_hdr_cluster();
@@ -1240,17 +1242,20 @@ mod tests {
         let unsorted = [Request::new(0, 1.0, 10, 4), Request::new(1, 0.5, 10, 4)];
         let no_prompt = [Request::new(0, 0.0, 0, 4)];
         let no_output = [Request::new(0, 0.0, 10, 4), Request::new(1, 0.5, 10, 0)];
-        let overflow = [Request::new(0, 0.0, 4, usize::MAX)];
-        for trace in [&unsorted[..], &no_prompt[..], &no_output[..], &overflow[..]] {
+        for trace in [&unsorted[..], &no_prompt[..], &no_output[..]] {
             let err = fleet.simulate(trace).unwrap_err();
             assert!(matches!(err, ServeError::InvalidTrace(_)), "{err}");
         }
     }
 
     /// Every degenerate trace spec is a typed error from the spec-level
-    /// entry point, refused before a request is generated; each of these
-    /// used to panic inside [`TraceSpec::generate`] (the overflowing
-    /// context with a prefix pool, on the prefixed prompt's sum).
+    /// entry point, refused before a request is generated; each of the
+    /// first fifteen used to panic inside [`TraceSpec::generate`] (the
+    /// overflowing context with a prefix pool, on the prefixed prompt's
+    /// sum). The last four are the 32-bit limits of a [`Request`]: a
+    /// prompt or output whose context passes `u32::MAX` tokens (the
+    /// spec-level form of a trace whose `prompt + output` overflows), a
+    /// pool of more than 2^32 prefixes and a trace too long to index.
     #[test]
     fn degenerate_trace_specs_are_typed_errors() {
         let cluster = presets::dgx_a100_hdr_cluster();
@@ -1259,7 +1264,7 @@ mod tests {
             Some(crate::PrefixSpec { pool, tokens, rate })
         }
         type Case = (&'static str, fn(&mut TraceSpec));
-        let cases: [Case; 15] = [
+        let cases: [Case; 19] = [
             ("arrival parameter", |t| {
                 t.arrival = ArrivalProcess::Poisson { rate_per_s: 0.0 }
             }),
@@ -1299,6 +1304,23 @@ mod tests {
                     tokens: usize::MAX - 4,
                 };
                 t.prefixes = pool(2, 8, 1.0);
+            }),
+            ("context overflows", |t| {
+                t.prompt = LengthDist::Fixed {
+                    tokens: u32::MAX as usize,
+                };
+            }),
+            ("context overflows", |t| {
+                t.output = LengthDist::Uniform {
+                    lo: 1,
+                    hi: u32::MAX as usize,
+                };
+            }),
+            ("prefix pool holds at most", |t| {
+                t.prefixes = pool((1 << 32) + 1, 8, 0.5)
+            }),
+            ("a trace holds at most", |t| {
+                t.requests = crate::MAX_TRACE_REQUESTS + 1
             }),
         ];
         for (what, degenerate) in cases {

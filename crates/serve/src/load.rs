@@ -233,7 +233,9 @@ pub struct SaturationCurve {
     pub points: Vec<LoadPoint>,
 }
 
-/// A strategy the sweep could not run at all, with the reason.
+/// A strategy the sweep could not run at all, with the reason. It names
+/// every axis of its [`LoadStrategy`], so no two strategies of a grid
+/// read alike.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InfeasibleStrategy {
     /// Tensor-parallel degree of each replica.
@@ -242,6 +244,10 @@ pub struct InfeasibleStrategy {
     pub precision: Precision,
     /// Replica count.
     pub replicas: usize,
+    /// KV-cache regime of each replica.
+    pub kv: KvSpec,
+    /// Admission scheduler of each replica.
+    pub scheduler: Scheduler,
     /// Why it cannot serve (weights overflow, TP beyond a node,
     /// unsupported precision, zero replicas), or why one of its cells
     /// failed (a fleet that never finishes, figures that overflow).
@@ -254,6 +260,8 @@ impl InfeasibleStrategy {
             tp: strategy.tp,
             precision: strategy.precision,
             replicas: strategy.replicas,
+            kv: strategy.kv,
+            scheduler: strategy.scheduler,
             reason,
         }
     }
@@ -307,8 +315,8 @@ pub struct LoadSweepReport {
 ///
 /// Panics on a degenerate spec: no rates, no strategies, zero requests,
 /// a non-positive/non-finite rate, a trace [`TraceSpec::validate`]
-/// refuses (lengths whose largest context overflows `usize` among
-/// them), or an invalid fault spec;
+/// refuses for its shape (lengths whose largest context passes
+/// `u32::MAX` tokens among them), or an invalid fault spec;
 /// and, once some strategy is feasible, on more requests per cell than
 /// [`crate::MAX_TRACE_REQUESTS`].
 #[must_use]
@@ -324,7 +332,7 @@ pub fn load_sweep(
         spec.rates.iter().all(|r| r.is_finite() && *r > 0.0),
         "arrival rates must be finite and positive"
     );
-    if let Err(reason) = spec.trace(spec.rates[0]).validate() {
+    if let Err(reason) = spec.trace(spec.rates[0]).validate_shape() {
         panic!("{reason}");
     }
     let faults = spec.faults.clone().unwrap_or_else(FaultSpec::none);
@@ -389,7 +397,8 @@ fn run_grid<'a>(
     );
     // Traces depend on the rate alone, not the strategy: generate each
     // once and share it by reference across the row of cells (a sweep
-    // therefore holds rates × requests requests in memory — ~32 B each).
+    // therefore holds rates × requests requests in memory, 32 B each:
+    // see the size assertion beside `Request`).
     let traces: Vec<Vec<crate::Request>> = spec
         .rates
         .par_iter()
@@ -474,8 +483,11 @@ fn run_grid<'a>(
 }
 
 impl LoadSweepSpec {
-    /// The trace every cell at `rate` replays.
-    fn trace(&self, rate: f64) -> TraceSpec {
+    /// The trace every cell at `rate` replays. [`load_sweep`] panics on a
+    /// spec whose traces [`TraceSpec::validate`] refuses for their shape,
+    /// so a caller holding outside input can check one first.
+    #[must_use]
+    pub fn trace(&self, rate: f64) -> TraceSpec {
         TraceSpec {
             seed: self.seed,
             requests: self.requests,

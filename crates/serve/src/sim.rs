@@ -36,6 +36,7 @@
 
 use crate::engine::ReportInputs;
 use crate::fleet::run_fleet;
+use crate::trace::check_trace_len;
 use crate::{
     FaultSpec, FleetReport, KvSpec, KvUsage, QueueSample, QueueStats, Request, RouterPolicy,
     Scheduler, ServeReport, SloReport, SloSpec,
@@ -59,7 +60,9 @@ pub const MAX_QUEUE_SAMPLES: usize = 128;
 pub const EXACT_MODE_LIMIT: usize = 10_000;
 
 /// The most requests one simulated trace may hold: replica engines index
-/// the trace with `u32`s. A longer trace is [`ServeError::InvalidTrace`].
+/// the trace with `u32`s. A longer trace is [`ServeError::InvalidTrace`],
+/// and [`crate::TraceSpec::validate`] refuses a longer spec, so every id
+/// it generates fits [`Request::id`].
 pub const MAX_TRACE_REQUESTS: usize = u32::MAX as usize;
 
 /// Whether per-request [`crate::RequestMetrics`] records are collected.
@@ -303,7 +306,7 @@ impl<'a> ServeInstance<'a> {
     /// an invalid trace before anything is reserved.
     #[must_use]
     pub fn reservation(&self, request: &Request) -> Bytes {
-        self.kv_share(request.prompt + request.output)
+        self.kv_share(request.prompt as usize + request.output as usize)
     }
 
     /// The per-device KV bytes of `tokens` tokens: one token's unsharded
@@ -360,7 +363,8 @@ impl<'a> ServeInstance<'a> {
         if self.config.kv.is_reserved() {
             self.reservation(request) <= self.budget
         } else {
-            self.blocks_for(request.prompt + request.output) <= self.total_blocks()
+            self.blocks_for(request.prompt as usize + request.output as usize)
+                <= self.total_blocks()
         }
     }
 
@@ -428,7 +432,7 @@ impl TraceBounds {
         instance: &ServeInstance<'_>,
         trace: &[Request],
     ) -> Result<Self, ServeError> {
-        check_trace_len(trace.len())?;
+        check_trace_len(trace.len()).map_err(ServeError::InvalidTrace)?;
         let mut bounds = Self {
             max_prompt: 0,
             max_kv: 0,
@@ -452,32 +456,22 @@ impl TraceBounds {
                     r.id, r.prompt, r.output
                 )));
             }
-            if r.prompt.checked_add(r.output).is_none() {
+            let (prompt, output) = (r.prompt as usize, r.output as usize);
+            let Some(kv) = prompt.checked_add(output) else {
                 return Err(ServeError::InvalidTrace(format!(
                     "request {}'s prompt {} + output {} tokens overflow",
                     r.id, r.prompt, r.output
                 )));
-            }
+            };
             if instance.admissible(r) {
-                bounds.max_prompt = bounds.max_prompt.max(r.prompt);
-                bounds.max_kv = bounds.max_kv.max(r.prompt + r.output);
+                bounds.max_prompt = bounds.max_prompt.max(prompt);
+                bounds.max_kv = bounds.max_kv.max(kv);
             } else {
                 bounds.rejected.push(index);
             }
         }
         Ok(bounds)
     }
-}
-
-/// Rejects a trace length past [`MAX_TRACE_REQUESTS`] — before a spec of
-/// that size is generated at all.
-pub(crate) fn check_trace_len(len: usize) -> Result<(), ServeError> {
-    if len > MAX_TRACE_REQUESTS {
-        return Err(ServeError::InvalidTrace(format!(
-            "a trace holds at most {MAX_TRACE_REQUESTS} requests, got {len}"
-        )));
-    }
-    Ok(())
 }
 
 impl<'a> ServeInstance<'a> {
@@ -654,7 +648,7 @@ pub(crate) mod tests {
         .unwrap();
         assert_eq!(report.completed + report.rejected, report.requests);
         assert_eq!(report.rejected, 0, "7B leaves ample KV budget");
-        let requested: usize = trace.iter().map(|r| r.output).sum();
+        let requested: usize = trace.iter().map(|r| r.output as usize).sum();
         assert_eq!(report.generated_tokens, requested);
         assert_eq!(report.per_request.len(), report.completed);
         assert_eq!(report.prefill_iterations, report.completed);
@@ -720,7 +714,7 @@ pub(crate) mod tests {
         let trace = trace_with_rejects();
         let served: Vec<Request> = trace
             .iter()
-            .filter(|r| !REJECTED.contains(&r.id))
+            .filter(|r| !REJECTED.contains(&(r.id as usize)))
             .copied()
             .collect();
         for config in regimes() {
@@ -833,7 +827,7 @@ pub(crate) mod tests {
         let within = instance.simulate(&trace).unwrap();
         assert_eq!(within.per_request.len(), EXACT_MODE_LIMIT);
         let late = within.makespan.secs() + 1.0;
-        trace.push(Request::new(EXACT_MODE_LIMIT, late, 200, 32));
+        trace.push(Request::new(EXACT_MODE_LIMIT as u32, late, 200, 32));
         let past = instance.simulate(&trace).unwrap();
         assert_eq!(past.per_request.len(), EXACT_MODE_LIMIT + 1);
         for (before, after) in within.per_request.iter().zip(&past.per_request) {
@@ -893,8 +887,8 @@ pub(crate) mod tests {
         let cluster = presets::dgx_a100_hdr_cluster();
         let model = Arc::new(models::llama2_7b());
         // Half-million-token prompts overflow any single-GPU KV budget.
-        let trace: Vec<Request> = (0..=EXACT_MODE_LIMIT)
-            .map(|i| Request::new(i, i as f64 * 1e-4, 500_000, 4))
+        let trace: Vec<Request> = (0..=EXACT_MODE_LIMIT as u32)
+            .map(|i| Request::new(i, f64::from(i) * 1e-4, 500_000, 4))
             .collect();
         for config in [
             ServeConfig::new(1),
@@ -1037,7 +1031,9 @@ pub(crate) mod tests {
 
     /// Regression: an unsorted trace or a zero-length prompt or output
     /// used to panic in the single-replica entry point; it is now a
-    /// typed error.
+    /// typed error. (A `u32` prompt plus a `u32` output cannot overflow
+    /// a token count, so an overflowing context is a spec-level case of
+    /// `degenerate_trace_specs_are_typed_errors`.)
     #[test]
     fn invalid_traces_are_typed_errors() {
         let cluster = presets::dgx_a100_hdr_cluster();
@@ -1047,12 +1043,10 @@ pub(crate) mod tests {
         let unsorted = [Request::new(0, 1.0, 10, 4), Request::new(1, 0.5, 10, 4)];
         let no_prompt = [Request::new(0, 0.0, 0, 4)];
         let no_output = [Request::new(0, 0.0, 10, 4), Request::new(1, 0.5, 10, 0)];
-        let overflow = [Request::new(0, 0.0, usize::MAX, 4)];
         for (trace, what) in [
             (&unsorted[..], "sorted by arrival time"),
             (&no_prompt[..], "request 0 has prompt 0"),
             (&no_output[..], "request 1 has prompt 10, output 0"),
-            (&overflow[..], "output 4 tokens overflow"),
         ] {
             let err = instance.simulate(trace).unwrap_err();
             assert!(matches!(err, ServeError::InvalidTrace(_)), "{err}");
@@ -1109,7 +1103,8 @@ pub(crate) mod tests {
                 for tokens in [1, context, 10_000_000] {
                     let whole = kv_cache_bytes(&instance.model, 1, tokens, c.precision);
                     let expected = whole / c.tp as f64;
-                    let got = instance.reservation(&Request::new(0, 0.0, tokens - 1, 1));
+                    let prompt = u32::try_from(tokens - 1).unwrap();
+                    let got = instance.reservation(&Request::new(0, 0.0, prompt, 1));
                     proptest::prop_assert_eq!(
                         got.bytes().to_bits(),
                         expected.bytes().to_bits(),

@@ -57,7 +57,7 @@ fn policies() -> [RouterPolicy; 4] {
 /// churn: arrivals split into completions and rejections; requeued work
 /// requeues-then-completes; `routed` counts every assignment.
 fn assert_conserved(report: &FleetReport, spec: &TraceSpec, label: &str) {
-    let requested: usize = spec.generate().iter().map(|r| r.output).sum();
+    let requested: usize = spec.generate().iter().map(|r| r.output as usize).sum();
     assert_eq!(report.requests, spec.requests, "{label}");
     assert_eq!(
         report.completed + report.rejected,
@@ -499,7 +499,7 @@ fn requeue_order_ignores_request_labels() {
     let relabelled: Vec<Request> = original
         .iter()
         .map(|r| Request {
-            id: relabel(r.id),
+            id: u32::try_from(relabel(r.id as usize)).unwrap(),
             ..*r
         })
         .collect();

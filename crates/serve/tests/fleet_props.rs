@@ -48,7 +48,7 @@ fn fleet_conserves_tokens_and_requests_at_scale() {
     let cluster = presets::dgx_a100_hdr_cluster();
     let model = Arc::new(models::llama2_7b());
     let spec = trace(3, 30_000, 120.0);
-    let requested: usize = spec.generate().iter().map(|r| r.output).sum();
+    let requested: usize = spec.generate().iter().map(|r| r.output as usize).sum();
     for policy in policies() {
         let config = FleetConfig::new(4, 1).with_router(policy);
         let report = simulate_fleet(&cluster, Arc::clone(&model), &config, &spec).unwrap();

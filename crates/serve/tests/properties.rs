@@ -115,7 +115,7 @@ proptest! {
             prop_assert!(m.ttft <= m.e2e, "request {}: ttft {} > e2e {}", m.id, m.ttft, m.e2e);
             prop_assert!(m.ttft > Time::ZERO, "a first token cannot be free");
             prop_assert!(m.queue_wait + m.prefill <= m.ttft);
-            let requested = trace[m.id].output;
+            let requested = trace[m.id].output as usize;
             if let Some(tpot) = m.tpot {
                 let rebuilt = m.ttft.secs() + tpot.secs() * (requested - 1) as f64;
                 prop_assert!(
@@ -140,7 +140,7 @@ proptest! {
         prop_assert_eq!(report.per_request.len(), report.completed);
         for m in &report.per_request {
             prop_assert_eq!(
-                m.generated, trace[m.id].output,
+                m.generated, trace[m.id].output as usize,
                 "request {} generated {} of {} tokens",
                 m.id, m.generated, trace[m.id].output
             );

@@ -95,7 +95,7 @@ proptest! {
         prop_assert_eq!(report.prefill_iterations, report.completed);
 
         // Token conservation against the trace itself.
-        let requested: usize = spec.generate().iter().map(|r| r.output).sum();
+        let requested: usize = spec.generate().iter().map(|r| r.output as usize).sum();
         prop_assert_eq!(report.generated_tokens, requested);
         prop_assert!(report.decode_iterations <= requested);
 
