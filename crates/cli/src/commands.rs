@@ -228,29 +228,23 @@ fn infer(args: &Args) -> Result<String, ArgError> {
 }
 
 /// Parses a token-length option: either a single count (`200`) or an
-/// inclusive `LO:HI` range (`50:400`).
+/// inclusive `LO:HI` range (`50:400`). `TraceSpec::validate` refuses a
+/// zero length or an inverted range.
 fn length_dist_of(key: &str, value: &str) -> Result<optimus_serve::LengthDist, ArgError> {
     use optimus_serve::LengthDist;
-    let parse_tokens = |v: &str| -> Result<usize, ArgError> {
+    let parse_tokens = |v: &str| {
         v.parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| ArgError(format!("--{key} expects a positive token count, got `{v}`")))
+            .map_err(|_| ArgError(format!("--{key} expects a positive token count, got `{v}`")))
     };
-    match value.split_once(':') {
-        None => Ok(LengthDist::Fixed {
+    Ok(match value.split_once(':') {
+        None => LengthDist::Fixed {
             tokens: parse_tokens(value)?,
-        }),
-        Some((lo, hi)) => {
-            let (lo, hi) = (parse_tokens(lo)?, parse_tokens(hi)?);
-            if lo > hi {
-                return Err(ArgError(format!(
-                    "--{key} range must satisfy LO <= HI, got `{value}`"
-                )));
-            }
-            Ok(LengthDist::Uniform { lo, hi })
-        }
-    }
+        },
+        Some((lo, hi)) => LengthDist::Uniform {
+            lo: parse_tokens(lo)?,
+            hi: parse_tokens(hi)?,
+        },
+    })
 }
 
 /// Parses the routing options shared by `serve` and `load-sweep`:
@@ -282,7 +276,8 @@ fn router_of(args: &Args) -> Result<optimus_serve::RouterPolicy, ArgError> {
 /// Parses the fault-injection options of `serve` and `load-sweep`, with
 /// `--domains N` splitting `fleet_replicas` (the largest fleet the spec
 /// will run against) into N contiguous groups that fail together. `None`
-/// when no fault axis is requested at all.
+/// when no fault axis is requested at all. The run checks the spec
+/// (`FaultSpec::validate`).
 fn faults_of(
     args: &Args,
     fleet_replicas: usize,
@@ -359,8 +354,6 @@ fn faults_of(
             }
         });
     }
-    spec.validate()
-        .map_err(|reason| ArgError(format!("invalid fault options: {reason}")))?;
     Ok(Some(spec))
 }
 
@@ -434,44 +427,11 @@ fn prefixes_of(args: &Args) -> Result<Option<optimus_serve::PrefixSpec>, ArgErro
         }
         return Ok(None);
     }
-    let pool = args.get_usize("prefix-pool", 8);
-    let rate = args.get_f64("prefix-rate", 0.5);
-    if !(0.0..=1.0).contains(&rate) {
-        return Err(ArgError("--prefix-rate must lie in [0, 1]".to_owned()));
-    }
-    Ok(Some(optimus_serve::PrefixSpec { pool, tokens, rate }))
-}
-
-/// Parses `--requests N`, which one trace caps at
-/// [`optimus_serve::MAX_TRACE_REQUESTS`].
-fn requests_of(args: &Args, default: usize) -> Result<usize, ArgError> {
-    let requests = args.get_usize("requests", default);
-    if requests > optimus_serve::MAX_TRACE_REQUESTS {
-        return Err(ArgError(format!(
-            "--requests must be at most {}, got {requests}",
-            optimus_serve::MAX_TRACE_REQUESTS
-        )));
-    }
-    Ok(requests)
-}
-
-/// Rejects `--prompt`, `--output` and `--prefix-tokens` lengths whose
-/// largest context passes the `u32::MAX` tokens a request can hold (see
-/// [`optimus_serve::max_context`]).
-fn check_max_context(
-    prompt: &optimus_serve::LengthDist,
-    output: &optimus_serve::LengthDist,
-    prefixes: Option<&optimus_serve::PrefixSpec>,
-) -> Result<(), ArgError> {
-    optimus_serve::max_context(prompt, output, prefixes)
-        .map(|_| ())
-        .ok_or_else(|| {
-            ArgError(
-                "--prompt, --output and --prefix-tokens overflow: the largest context \
-                 exceeds the token count limit"
-                    .to_owned(),
-            )
-        })
+    Ok(Some(optimus_serve::PrefixSpec {
+        pool: args.get_usize("prefix-pool", 8),
+        tokens,
+        rate: args.get_f64("prefix-rate", 0.5),
+    }))
 }
 
 /// Parses `--priority-classes N` (1 = every request at priority 0).
@@ -509,7 +469,7 @@ fn serve(args: &Args) -> Result<String, ArgError> {
             rate_per_s: args.get_f64("rate", 2.0),
         }
     };
-    let requests = requests_of(args, 100)?;
+    let requests = args.get_usize("requests", 100);
     let slo = slo_of(args);
 
     let spec = TraceSpec {
@@ -521,7 +481,6 @@ fn serve(args: &Args) -> Result<String, ArgError> {
         prefixes: prefixes_of(args)?,
         priority_classes: priority_classes_of(args)?,
     };
-    check_max_context(&spec.prompt, &spec.output, spec.prefixes.as_ref())?;
     // Per-request records default off beyond the exact-mode limit (a
     // million-request trace would otherwise carry a million records);
     // `--records` forces them on at any scale.
@@ -702,24 +661,18 @@ fn load_sweep(args: &Args) -> Result<String, ArgError> {
                 "--max-rate must be at least --min-rate".to_owned(),
             ));
         }
-        let grid: Vec<f64> = if points == 1 {
+        if points == 1 {
             vec![lo]
         } else {
             (0..points)
                 .map(|i| lo * (hi / lo).powf(i as f64 / (points - 1) as f64))
                 .collect()
-        };
-        if grid.iter().any(|r| !r.is_finite()) {
-            return Err(ArgError(
-                "--max-rate / --min-rate overflows the geometric rate grid".to_owned(),
-            ));
         }
-        grid
     };
 
     let spec = LoadSweepSpec {
         seed: args.get_usize("seed", 42) as u64,
-        requests: requests_of(args, 1000)?,
+        requests: args.get_usize("requests", 1000),
         prompt: length_dist_of("prompt", args.get_or("prompt", "200"))?,
         output: length_dist_of("output", args.get_or("output", "64"))?,
         rates,
@@ -730,12 +683,8 @@ fn load_sweep(args: &Args) -> Result<String, ArgError> {
         prefixes: prefixes_of(args)?,
         priority_classes: priority_classes_of(args)?,
     };
-    check_max_context(&spec.prompt, &spec.output, spec.prefixes.as_ref())?;
-    // `load_sweep` panics on a trace it refuses, such as a prefix pool of
-    // more than 2^32 entries: refuse it here instead.
-    if let Some(&rate) = spec.rates.first() {
-        spec.trace(rate).validate().map_err(ArgError)?;
-    }
+    // `load_sweep` panics on a spec `validate` refuses.
+    spec.validate().map_err(ArgError)?;
 
     let report = load_sweep(&cluster, &std::sync::Arc::new(model), &spec);
     if report.curves.is_empty() {
@@ -1714,8 +1663,8 @@ mod tests {
         let err = cli("serve --mtbf 5 --failure-process racks:2:5000").unwrap_err();
         assert_eq!(
             err.to_string(),
-            "invalid fault options: rack-correlated outages are expressed with failure \
-             domains here; use --domains instead"
+            "fault spec: rack-correlated outages are expressed with failure domains here; \
+             use --domains instead"
         );
         for bad in [
             "serve --mtbf 5 --failure-process weibull:0",
@@ -1910,9 +1859,9 @@ mod tests {
 
     /// A request holds its lengths and its prefix id in `u32`s: a context
     /// past `u32::MAX` tokens and a pool of more than 2^32 prefixes are
-    /// usage errors from `serve` and `load-sweep` alike (`load-sweep`
-    /// checks its cell trace first, since `load_sweep` panics on one it
-    /// refuses).
+    /// usage errors from `serve` and `load-sweep` alike, in
+    /// `TraceSpec::validate`'s words (`load-sweep` validates its spec
+    /// first, since `load_sweep` panics on one it refuses).
     #[test]
     fn the_32_bit_trace_limits_are_usage_errors() {
         let pool = "--prefix-tokens 16 --prefix-pool 4294967297";
@@ -1932,7 +1881,7 @@ mod tests {
         ] {
             let err = cli(line).unwrap_err().to_string();
             assert!(
-                err.contains("exceeds the token count limit"),
+                err.contains("the largest prompt + output + prefix context overflows"),
                 "{line}: {err}"
             );
         }
@@ -2135,7 +2084,9 @@ mod tests {
     /// every missing or conflicting partner is an `ArgError` that names the
     /// flag. The zero counts used to panic in the `TrainingConfig`,
     /// `InferenceConfig` and `Parallelism` constructors, the grid overflow
-    /// inside `load_sweep`, and the rest ran with the option ignored.
+    /// inside `load_sweep`, and the rest ran with the option ignored. A
+    /// value the trace rules refuse is an `ArgError` in
+    /// `TraceSpec::validate`'s words, which name the quantity.
     #[test]
     fn rejected_command_lines_name_the_offending_flag() {
         for (line, flag) in [
@@ -2173,20 +2124,26 @@ mod tests {
                 "serve --replicas 2 --degrade 2 --fault-seed 9",
                 "--fault-seed",
             ),
-            (
-                "load-sweep --min-rate 1e-300 --max-rate 1e300 --points 3",
-                "--max-rate",
-            ),
-            ("serve --requests 18446744073709551615", "--requests"),
-            ("load-sweep --requests 18446744073709551615", "--requests"),
-            ("load-sweep --prompt 18446744073709551615", "--prompt"),
-            (
-                "serve --prefix-tokens 8 --prompt 18446744073709551610 --output 1",
-                "--prompt",
-            ),
         ] {
             let err = cli(line).expect_err(line);
             assert!(err.to_string().contains(flag), "{line}: {err}");
+        }
+        let requests = "a trace holds at most 4294967295 requests, got 18446744073709551615";
+        let context = "the largest prompt + output + prefix context overflows";
+        for (line, reason) in [
+            (
+                "load-sweep --min-rate 1e-300 --max-rate 1e300 --points 3",
+                "arrival parameter must be finite and positive, got inf",
+            ),
+            ("serve --requests 18446744073709551615", requests),
+            ("load-sweep --requests 18446744073709551615", requests),
+            ("load-sweep --prompt 18446744073709551615", context),
+            (
+                "serve --prefix-tokens 8 --prompt 18446744073709551610 --output 1",
+                context,
+            ),
+        ] {
+            assert_eq!(cli(line).expect_err(line).to_string(), reason, "{line}");
         }
     }
 

@@ -1,5 +1,5 @@
-//! The serving half of the CLI corpus: every `serve` and `load-sweep`
-//! line of `tests/cli_corpus.txt` runs through the built binary as text
+//! The CLI corpus: every line of `tests/cli_corpus.txt`, which covers
+//! every subcommand but `list`, runs through the built binary as text
 //! and with `--json` appended, and each run's exit code and the 64-bit
 //! FNV-1a digests of its stdout and stderr must equal the pins in
 //! `tests/golden/cli_corpus.digests`.
@@ -119,7 +119,7 @@ fn run(line: &str, mode: &str, dir: &Path, stem: &str) -> (Digest, PathBuf, Path
 }
 
 #[test]
-fn serving_corpus_matches_its_pinned_digests() {
+fn cli_corpus_matches_its_pinned_digests() {
     let mut pins = parse_pins();
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_corpus");
     // A fresh start, so no earlier run's outputs or digests can be

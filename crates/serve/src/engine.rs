@@ -32,7 +32,7 @@ use crate::{
 };
 use optimus_units::{Bytes, Time};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 /// An admitted request's in-flight state (slot-arena entry, recycled at
 /// completion).
@@ -169,14 +169,12 @@ pub(crate) struct ReportInputs {
     pub(crate) paging: Option<PagingReport>,
 }
 
-/// One shared prefix's residency in the device block pool. Entries are
-/// indexed by [`crate::Prefix::id`]; a non-resident entry holds no
-/// blocks. Residency survives its last reference (that is the cache) —
-/// eviction happens only when an allocation needs the blocks, idle
-/// entries first in least-recently-used order.
-#[derive(Clone, Default)]
+/// One resident shared prefix in the device block pool, keyed in the
+/// cache by [`crate::Prefix::id`]. Residency survives its last reference
+/// (that is the cache) — eviction happens only when an allocation needs
+/// the blocks, idle entries first in least-recently-used order, and
+/// removes the entry.
 struct PrefixEntry {
-    resident: bool,
     blocks: usize,
     refs: usize,
     last_use: usize,
@@ -339,7 +337,10 @@ pub(crate) struct ReplicaEngine<'i, 'a> {
     // That keeps every filing at most min(`block_tokens`, `max_kv`)
     // epochs ahead, and the ring is one slot longer.
     grow_ring: Vec<Vec<Member>>,
-    prefix_cache: Vec<PrefixEntry>,
+    /// The resident prefixes by id, so the cache holds what the pool
+    /// holds, whatever ids the trace draws. The eviction pick's
+    /// `(last_use, id)` key is unique, so the pick is deterministic.
+    prefix_cache: BTreeMap<u32, PrefixEntry>,
     preemptions: usize,
     swap_outs: usize,
     swap_ins: usize,
@@ -404,7 +405,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             awaiting_swapin: VecDeque::new(),
             active: Vec::new(),
             grow_ring: vec![Vec::new(); grow_ring_len],
-            prefix_cache: Vec::new(),
+            prefix_cache: BTreeMap::new(),
             preemptions: 0,
             swap_outs: 0,
             swap_ins: 0,
@@ -794,28 +795,33 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
     /// it against eviction) and returns its block count — zero when the
     /// request carries no prefix or the entry is absent.
     fn borrow_prefix(&mut self, request: &Request) -> usize {
-        let Some(p) = request.prefix else { return 0 };
-        let id = p.id as usize;
-        if self.prefix_cache.len() <= id {
-            self.prefix_cache.resize_with(id + 1, PrefixEntry::default);
-        }
-        let iter = self.iteration;
-        let e = &mut self.prefix_cache[id];
-        if !e.resident {
+        let Some(e) = request
+            .prefix
+            .and_then(|p| self.prefix_cache.get_mut(&p.id))
+        else {
             return 0;
-        }
+        };
         e.refs += 1;
-        e.last_use = iter;
+        e.last_use = self.iteration;
         e.blocks
     }
 
-    /// Rolls back [`ReplicaEngine::borrow_prefix`] when the allocation it
-    /// pinned for could not complete.
+    /// Drops the reference [`ReplicaEngine::borrow_prefix`] or a donation
+    /// took for a request holding `shared` blocks of its prefix (none when
+    /// `shared` is 0): a referenced entry is never evicted, so it is
+    /// still resident, and it stays so — that is the cache.
     fn unborrow_prefix(&mut self, request: &Request, shared: usize) {
-        if shared > 0 {
-            let p = request.prefix.expect("shared blocks imply a prefix");
-            self.prefix_cache[p.id as usize].refs -= 1;
+        if shared == 0 {
+            return;
         }
+        let p = request.prefix.expect("shared blocks imply a prefix");
+        let e = self
+            .prefix_cache
+            .get_mut(&p.id)
+            .expect("a referenced prefix stays resident");
+        debug_assert!(e.refs > 0, "prefix refs free exactly once");
+        e.refs -= 1;
+        e.last_use = self.iteration;
     }
 
     /// Tries to stage a swapped-out victim's return: re-allocate device
@@ -908,18 +914,17 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             return false;
         }
         while self.total_blocks - self.used_blocks < need {
-            let Some(victim) = (0..self.prefix_cache.len())
-                .filter(|&i| self.prefix_cache[i].resident && self.prefix_cache[i].refs == 0)
-                .min_by_key(|&i| (self.prefix_cache[i].last_use, i))
+            let Some(victim) = self
+                .prefix_cache
+                .iter()
+                .filter(|(_, e)| e.refs == 0)
+                .min_by_key(|&(&id, e)| (e.last_use, id))
+                .map(|(&id, _)| id)
             else {
                 return false;
             };
-            let freed = {
-                let e = &mut self.prefix_cache[victim];
-                e.resident = false;
-                core::mem::take(&mut e.blocks)
-            };
-            self.used_blocks -= freed;
+            let evicted = self.prefix_cache.remove(&victim).expect("a cached id");
+            self.used_blocks -= evicted.blocks;
             self.prefix_evictions += 1;
         }
         true
@@ -1027,9 +1032,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         // A crash wipes the device: the block pool and every cached
         // prefix die with it.
         self.used_blocks = 0;
-        for e in &mut self.prefix_cache {
-            *e = PrefixEntry::default();
-        }
+        self.prefix_cache.clear();
         self.order.truncate(self.admit_cursor);
         self.eff.truncate(self.admit_cursor);
         self.arrived = self.admit_cursor;
@@ -1096,25 +1099,21 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             return; // the prefix does not fill a single block
         }
         debug_assert!(private > full, "a prompt strictly outgrows its prefix");
-        let iter = self.iteration;
-        let e = &mut self.prefix_cache[p.id as usize];
-        if e.resident {
+        let duplicate = self.prefix_cache.contains_key(&p.id);
+        let e = self.prefix_cache.entry(p.id).or_insert(PrefixEntry {
+            blocks: full,
+            refs: 0,
+            last_use: 0,
+        });
+        e.refs += 1;
+        e.last_use = self.iteration;
+        let shared = e.blocks;
+        let s = &mut self.slots[idx as usize];
+        s.shared_blocks = shared;
+        s.blocks -= shared;
+        if duplicate {
             // Double miss: keep the sibling's resident copy, free ours.
-            e.refs += 1;
-            e.last_use = iter;
-            let shared = e.blocks;
-            let s = &mut self.slots[idx as usize];
-            s.shared_blocks = shared;
-            s.blocks -= shared;
             self.used_blocks -= shared;
-        } else {
-            e.resident = true;
-            e.blocks = full;
-            e.refs = 1;
-            e.last_use = iter;
-            let s = &mut self.slots[idx as usize];
-            s.shared_blocks = full;
-            s.blocks -= full;
         }
     }
 
@@ -1280,14 +1279,13 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
     fn preempt(&mut self, idx: u32) -> f64 {
         let request = self.request(idx);
         let epoch = self.decode_epoch;
-        let (blocks, shared, generated, due, prefix) = {
+        let (blocks, shared, generated, due) = {
             let s = &mut self.slots[idx as usize];
             let out = (
                 s.blocks,
                 s.shared_blocks,
                 request.output as usize - (s.due - epoch),
                 s.due,
-                request.prefix,
             );
             s.blocks = 0;
             s.shared_blocks = 0;
@@ -1298,13 +1296,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         self.growth_log
             .push(Growth::Preempt(epoch, self.slots[idx as usize].req));
         self.used_blocks -= blocks;
-        if shared > 0 {
-            let p = prefix.expect("shared blocks imply a prefix");
-            let e = &mut self.prefix_cache[p.id as usize];
-            debug_assert!(e.refs > 0, "prefix refs free exactly once");
-            e.refs -= 1;
-            e.last_use = self.iteration;
-        }
+        self.unborrow_prefix(request, shared);
         let ring_len = self.calendar.len();
         self.calendar[due % ring_len].retain(|&x| x != idx);
         self.pending_first.retain(|&x| x != idx);
@@ -1333,7 +1325,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
     /// stays resident — that is the cache; it leaves only by eviction or
     /// a crash.
     fn release_completed(&mut self, idx: u32) {
-        let prefix = self.request(idx).prefix;
+        let request = self.request(idx);
         let (blocks, shared) = {
             let s = &mut self.slots[idx as usize];
             let out = (s.blocks, s.shared_blocks);
@@ -1343,13 +1335,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             out
         };
         self.used_blocks -= blocks;
-        if shared > 0 {
-            let p = prefix.expect("shared blocks imply a prefix");
-            let e = &mut self.prefix_cache[p.id as usize];
-            debug_assert!(e.refs > 0, "prefix refs free exactly once");
-            e.refs -= 1;
-            e.last_use = self.iteration;
-        }
+        self.unborrow_prefix(request, shared);
     }
 
     /// Drains every pushed request to completion and closes the
@@ -1486,6 +1472,55 @@ mod tests {
             }
         }
         assert!(priced > 1 && priced <= engine.decode_iterations);
+    }
+
+    /// Regression: the prefix cache was a dense vector resized to the
+    /// largest pool id drawn + 1, so one request carrying prefix id
+    /// 999,999 made a million entries, and every eviction scanned them
+    /// all. It holds the resident prefixes only: with ids spread up to
+    /// 1,000,000 through a pool squeezed until prefixes are evicted, after
+    /// every arrival each entry is a resident prefix holding blocks the
+    /// pool counts as used.
+    #[test]
+    fn prefix_cache_holds_only_resident_prefixes() {
+        let cluster = presets::dgx_a100_hdr_cluster();
+        let instance = ServeInstance::new(
+            &cluster,
+            Arc::new(models::llama2_7b()),
+            ServeConfig::new(1).with_kv(KvSpec::paged(16)),
+        )
+        .unwrap();
+        let trace = TraceSpec {
+            seed: 9,
+            requests: 400,
+            arrival: ArrivalProcess::Poisson { rate_per_s: 50.0 },
+            prompt: LengthDist::Uniform { lo: 20, hi: 200 },
+            output: LengthDist::Uniform { lo: 4, hi: 32 },
+            prefixes: Some(PrefixSpec {
+                pool: 1_000_001,
+                tokens: 64,
+                rate: 1.0,
+            }),
+            priority_classes: 1,
+        }
+        .generate();
+        assert!(trace.iter().any(|r| r.prefix.unwrap().id > 900_000));
+        let bounds = TraceBounds::scan(&instance, &trace).unwrap();
+        let mut engine = ReplicaEngine::new(&instance, &trace, &bounds, false, None);
+        engine.total_blocks = 200;
+        let mut most = 0;
+        for (req, r) in (0u32..).zip(&trace) {
+            engine.advance_to(r.arrival_s).unwrap();
+            engine.push(req, r.arrival_s);
+            let resident = engine.prefix_cache.values().filter(|e| e.blocks > 0);
+            assert_eq!(resident.count(), engine.prefix_cache.len(), "request {req}");
+            let cached: usize = engine.prefix_cache.values().map(|e| e.blocks).sum();
+            assert!(cached <= engine.used_blocks, "request {req}");
+            most = most.max(engine.prefix_cache.len());
+        }
+        engine.finish().unwrap();
+        assert_eq!(engine.sink.completed, trace.len());
+        assert!(most > 1 && engine.prefix_evictions > 0, "{most} entries");
     }
 
     /// The linear scan the ranked queue replaced, kept as the reference:

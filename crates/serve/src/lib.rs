@@ -39,7 +39,15 @@
 //! [`ServeInstance::simulate`] and [`FleetInstance::simulate`] serve a
 //! trace on an instance built once, [`simulate_fleet`] serves a
 //! [`TraceSpec`] on a fleet, and [`load_sweep`] runs a (rate × strategy)
-//! grid; the last two also price link-mode degradation.
+//! grid; the last two also price link-mode degradation. Each rule on a
+//! caller's input is stated once: [`TraceSpec::validate`] for lengths,
+//! prefixes, contexts, request counts and arrival rates,
+//! [`FaultSpec::validate`] for the fault environment, and
+//! [`LoadSweepSpec::validate`] for a grid, which holds every one of its
+//! cell traces and its fault spec to the other two. The first three doors
+//! return a [`ServeError`] for input they refuse, and [`load_sweep`]
+//! panics on a spec [`LoadSweepSpec::validate`] refuses, so a caller
+//! holding outside input validates first.
 //!
 //! ```
 //! use optimus_hw::presets;
@@ -84,4 +92,4 @@ pub use sim::{
     MAX_TRACE_REQUESTS,
 };
 pub use stats::LogHistogram;
-pub use trace::{max_context, ArrivalProcess, LengthDist, Prefix, PrefixSpec, Request, TraceSpec};
+pub use trace::{ArrivalProcess, LengthDist, Prefix, PrefixSpec, Request, TraceSpec};

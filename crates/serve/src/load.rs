@@ -23,6 +23,7 @@
 //! [`optimus_sweep::frontier_indices_by`] core.
 
 use crate::fleet::run_fleet;
+use crate::trace::ensure;
 use crate::{
     ArrivalProcess, FaultSpec, FleetReport, KvSpec, LengthDist, PrefixSpec, RecordMode,
     RouterPolicy, Scheduler, ServeConfig, ServeError, ServeInstance, SloSpec, TraceSpec,
@@ -248,7 +249,7 @@ pub struct InfeasibleStrategy {
     pub kv: KvSpec,
     /// Admission scheduler of each replica.
     pub scheduler: Scheduler,
-    /// Why it cannot serve (weights overflow, TP beyond a node,
+    /// Why it cannot serve (weights overflow, TP zero or beyond a node,
     /// unsupported precision, zero replicas), or why one of its cells
     /// failed (a fleet that never finishes, figures that overflow).
     pub reason: String,
@@ -313,32 +314,17 @@ pub struct LoadSweepReport {
 ///
 /// # Panics
 ///
-/// Panics on a degenerate spec: no rates, no strategies, zero requests,
-/// a non-positive/non-finite rate, a trace [`TraceSpec::validate`]
-/// refuses for its shape (lengths whose largest context passes
-/// `u32::MAX` tokens among them), or an invalid fault spec;
-/// and, once some strategy is feasible, on more requests per cell than
-/// [`crate::MAX_TRACE_REQUESTS`].
+/// Panics, with the reason, on a spec [`LoadSweepSpec::validate`] refuses.
 #[must_use]
 pub fn load_sweep(
     cluster: &ClusterSpec,
     model: &Arc<ModelConfig>,
     spec: &LoadSweepSpec,
 ) -> LoadSweepReport {
-    assert!(spec.requests > 0, "a load sweep needs requests");
-    assert!(!spec.rates.is_empty(), "a load sweep needs arrival rates");
-    assert!(!spec.strategies.is_empty(), "a load sweep needs strategies");
-    assert!(
-        spec.rates.iter().all(|r| r.is_finite() && *r > 0.0),
-        "arrival rates must be finite and positive"
-    );
-    if let Err(reason) = spec.trace(spec.rates[0]).validate_shape() {
+    if let Err(reason) = spec.validate() {
         panic!("{reason}");
     }
     let faults = spec.faults.clone().unwrap_or_else(FaultSpec::none);
-    if let Err(reason) = faults.validate() {
-        panic!("invalid fault spec: {reason}");
-    }
     // Under link-mode degradation every cell is priced over the
     // bandwidth-degraded cluster (the report keeps the original cluster
     // name; the spec in `faults` records why the links are thinner).
@@ -390,11 +376,6 @@ fn run_grid<'a>(
     }
 
     // --- phase 2: the grid, cells in parallel ---------------------------
-    assert!(
-        spec.requests <= crate::MAX_TRACE_REQUESTS,
-        "a load sweep cell holds at most {} requests",
-        crate::MAX_TRACE_REQUESTS
-    );
     // Traces depend on the rate alone, not the strategy: generate each
     // once and share it by reference across the row of cells (a sweep
     // therefore holds rates × requests requests in memory, 32 B each:
@@ -417,9 +398,9 @@ fn run_grid<'a>(
             // one code path to keep correct.
             let (strategy, instance) = &instances[si];
             // Phase 1 validated each strategy, its precision included,
-            // and the spec asserts keep the traces valid, so what can
-            // still fail is the fault spec: a fleet that never finishes,
-            // or slowdowns whose figures overflow.
+            // and the spec's validation keeps the traces valid, so what
+            // can still fail is the fault spec: a fleet that never
+            // finishes, or slowdowns whose figures overflow.
             let report = run_fleet(
                 instance,
                 strategy.replicas,
@@ -483,11 +464,32 @@ fn run_grid<'a>(
 }
 
 impl LoadSweepSpec {
-    /// The trace every cell at `rate` replays. [`load_sweep`] panics on a
-    /// spec whose traces [`TraceSpec::validate`] refuses for their shape,
-    /// so a caller holding outside input can check one first.
-    #[must_use]
-    pub fn trace(&self, rate: f64) -> TraceSpec {
+    /// Checks that [`load_sweep`] can run the spec.
+    ///
+    /// # Errors
+    ///
+    /// Returns the reason for a degenerate spec: no rates, no strategies,
+    /// zero requests, a rate whose cell trace [`TraceSpec::validate`]
+    /// refuses (a rate that is not finite and positive, or lengths,
+    /// prefixes, priority classes, a context or a request count that no
+    /// trace may have), or a fault spec [`FaultSpec::validate`] refuses.
+    pub fn validate(&self) -> Result<(), String> {
+        ensure(!self.rates.is_empty(), "a load sweep needs arrival rates")?;
+        ensure(!self.strategies.is_empty(), "a load sweep needs strategies")?;
+        ensure(self.requests > 0, "a load sweep needs requests")?;
+        for &rate in &self.rates {
+            self.trace(rate).validate()?;
+        }
+        match &self.faults {
+            Some(faults) => faults
+                .validate()
+                .map_err(|reason| format!("fault spec: {reason}")),
+            None => Ok(()),
+        }
+    }
+
+    /// The trace every cell at `rate` replays.
+    fn trace(&self, rate: f64) -> TraceSpec {
         TraceSpec {
             seed: self.seed,
             requests: self.requests,
@@ -513,6 +515,9 @@ fn prepare_strategy<'a>(
 ) -> Result<ServeInstance<'a>, String> {
     if strategy.replicas == 0 {
         return Err("a fleet needs at least one replica".to_owned());
+    }
+    if strategy.tp == 0 {
+        return Err("a replica needs a tensor-parallel degree of at least 1".to_owned());
     }
     // Replicas are identical, so one prepared instance prices every
     // replica of every rate cell. A cell's point reads no per-request
@@ -808,15 +813,91 @@ mod tests {
             LoadStrategy::single(64, Precision::Fp16),
             LoadStrategy::single(1, Precision::Fp16).with_replicas(0),
         ];
-        // Before the early exit this tried to materialize
-        // rates × 2^40 requests (~100 TB of Request structs).
-        spec.requests = 1 << 40;
+        // The most requests a cell may hold: generating them would take
+        // rates × 2^32 requests of 32 bytes (~137 GB a rate).
+        spec.requests = crate::MAX_TRACE_REQUESTS;
         let report = load_sweep(&cluster, &model, &spec);
         assert!(report.curves.is_empty());
         assert!(report.frontier.is_empty());
         assert_eq!(report.infeasible.len(), 2);
         assert!(report.infeasible[0].reason.contains("exceeds"));
         assert!(report.infeasible[1].reason.contains("replica"));
+    }
+
+    /// Regression: a zero-TP strategy panicked on a rayon worker, in
+    /// `ServeConfig::new`'s assert. It is infeasible, with the reason,
+    /// as a zero-replica one is, and the other strategies still run.
+    #[test]
+    fn zero_tp_strategy_is_infeasible() {
+        let cluster = presets::dgx_a100_hdr_cluster();
+        let model = Arc::new(models::llama2_7b());
+        let mut spec = small_spec();
+        spec.strategies
+            .push(LoadStrategy::single(0, Precision::Fp16));
+        let report = load_sweep(&cluster, &model, &spec);
+        assert_eq!(report.curves.len(), 2);
+        assert_eq!(report.infeasible.len(), 1);
+        assert_eq!(report.infeasible[0].tp, 0);
+        assert!(
+            report.infeasible[0]
+                .reason
+                .contains("tensor-parallel degree of at least 1"),
+            "{}",
+            report.infeasible[0].reason
+        );
+    }
+
+    /// `LoadSweepSpec::validate` refuses each degenerate spec with its
+    /// reason, the trace rules in `TraceSpec::validate`'s words for any
+    /// rate of the grid, and `load_sweep` panics with that reason.
+    #[test]
+    fn validate_refuses_each_degenerate_spec() {
+        let refused = |edit: fn(&mut LoadSweepSpec), reason: &str| {
+            let mut spec = small_spec();
+            edit(&mut spec);
+            let err = spec.validate().unwrap_err();
+            assert!(err.contains(reason), "{err}");
+            let cluster = presets::dgx_a100_hdr_cluster();
+            let model = Arc::new(models::llama2_7b());
+            let panic = std::panic::catch_unwind(|| load_sweep(&cluster, &model, &spec))
+                .expect_err("load_sweep runs only what validate accepts");
+            assert_eq!(panic.downcast_ref::<String>(), Some(&err));
+        };
+        assert_eq!(small_spec().validate(), Ok(()));
+        refused(|s| s.rates.clear(), "needs arrival rates");
+        refused(|s| s.strategies.clear(), "needs strategies");
+        refused(|s| s.requests = 0, "needs requests");
+        refused(
+            |s| s.rates[2] = f64::INFINITY,
+            "finite and positive, got inf",
+        );
+        refused(|s| s.rates[1] = f64::NAN, "finite and positive, got NaN");
+        refused(
+            |s| s.prompt = LengthDist::Fixed { tokens: 0 },
+            "prompt length must be positive",
+        );
+        refused(
+            |s| s.output = LengthDist::Uniform { lo: 9, hi: 3 },
+            "output range must satisfy 0 < lo <= hi",
+        );
+        refused(
+            |s| {
+                s.prefixes = Some(PrefixSpec {
+                    pool: 4,
+                    tokens: 16,
+                    rate: 2.0,
+                });
+            },
+            "prefix rate must lie in [0, 1]",
+        );
+        refused(
+            |s| s.requests = crate::MAX_TRACE_REQUESTS + 1,
+            "a trace holds at most",
+        );
+        refused(
+            |s| s.faults = Some(FaultSpec::crashes(0, 1e-320, 10.0)),
+            "fault spec: MTBF 1e-320 s is too short",
+        );
     }
 
     /// The fault axis makes the frontier availability-aware: under crash
@@ -866,7 +947,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid fault spec")]
+    #[should_panic(expected = "fault spec: MTTR must be positive")]
     fn degenerate_fault_spec_is_rejected() {
         let cluster = presets::dgx_a100_hdr_cluster();
         let model = Arc::new(models::llama2_7b());
@@ -876,7 +957,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "arrival rates")]
+    #[should_panic(expected = "arrival parameter must be finite and positive")]
     fn degenerate_rates_are_rejected() {
         let cluster = presets::dgx_a100_hdr_cluster();
         let model = Arc::new(models::llama2_7b());

@@ -108,9 +108,9 @@ pub struct Prefix {
 /// choose).
 ///
 /// Token lengths are `u32`s: a request's prompt plus output stays within
-/// `u32::MAX` tokens (see [`max_context`]). Readers widen a length to
-/// `usize` before any token arithmetic. The type is 32 bytes, so a
-/// million-request trace takes 32 MB.
+/// `u32::MAX` tokens (see [`TraceSpec::validate`]). Readers widen a
+/// length to `usize` before any token arithmetic. The type is 32 bytes,
+/// so a million-request trace takes 32 MB.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Request {
     /// The caller's label for the request: [`TraceSpec::generate`] numbers
@@ -177,29 +177,12 @@ pub struct PrefixSpec {
 }
 
 /// `Ok` when `ok` holds, else the `reason`.
-fn ensure(ok: bool, reason: impl Into<String>) -> Result<(), String> {
+pub(crate) fn ensure(ok: bool, reason: impl Into<String>) -> Result<(), String> {
     if ok {
         Ok(())
     } else {
         Err(reason.into())
     }
-}
-
-/// The largest context a request drawn from these lengths can carry: the
-/// longest prompt plus the longest output, plus the shared prefix when a
-/// pool is active (a prefixed prompt is the prefix plus a drawn suffix).
-/// `None` past `u32::MAX` tokens, the most a [`Request`] can hold.
-#[must_use]
-pub fn max_context(
-    prompt: &LengthDist,
-    output: &LengthDist,
-    prefixes: Option<&PrefixSpec>,
-) -> Option<usize> {
-    prompt
-        .max_tokens()
-        .checked_add(output.max_tokens())?
-        .checked_add(prefixes.map_or(0, |p| p.tokens))
-        .filter(|&context| context <= u32::MAX as usize)
 }
 
 /// Rejects a trace length past [`MAX_TRACE_REQUESTS`].
@@ -270,17 +253,12 @@ impl TraceSpec {
     /// is not finite and positive, a zero-token length or an inverted
     /// range, an empty prefix pool, one of more than 2^32 entries or a
     /// zero-token prefix, a prefix rate outside `[0, 1]`, zero priority
-    /// classes, lengths whose largest context (see [`max_context`])
-    /// passes `u32::MAX` tokens, or more than [`MAX_TRACE_REQUESTS`]
-    /// requests. Every id, length and prefix a valid spec draws fits its
-    /// `u32` [`Request`] field.
+    /// classes, a largest context past `u32::MAX` tokens (the longest
+    /// prompt plus the longest output, plus the prefix when a pool is
+    /// active, since a prefixed prompt is the prefix plus a drawn suffix),
+    /// or more than [`MAX_TRACE_REQUESTS`] requests. Every id, length and
+    /// prefix a valid spec draws fits its `u32` [`Request`] field.
     pub fn validate(&self) -> Result<(), String> {
-        self.validate_shape()?;
-        check_trace_len(self.requests)
-    }
-
-    /// [`TraceSpec::validate`] bar the request count.
-    pub(crate) fn validate_shape(&self) -> Result<(), String> {
         let gap = match self.arrival {
             ArrivalProcess::Poisson { rate_per_s } => rate_per_s,
             ArrivalProcess::Fixed { interval_s } => interval_s,
@@ -307,11 +285,16 @@ impl TraceSpec {
             self.priority_classes > 0,
             "at least one priority class is required",
         )?;
-        let context = max_context(&self.prompt, &self.output, self.prefixes.as_ref());
+        let context = self
+            .prompt
+            .max_tokens()
+            .checked_add(self.output.max_tokens())
+            .and_then(|c| c.checked_add(self.prefixes.map_or(0, |p| p.tokens)));
         ensure(
-            context.is_some(),
+            context.is_some_and(|c| c <= u32::MAX as usize),
             "the largest prompt + output + prefix context overflows",
-        )
+        )?;
+        check_trace_len(self.requests)
     }
 
     /// Expands the spec into an arrival-ordered request list.
