@@ -24,11 +24,12 @@
 //! arrival within the target.
 
 use crate::faults::EngineFaults;
+use crate::report::ratio;
 use crate::sim::{ServeError, ServeInstance, TraceBounds};
 use crate::stats::LatencyAccumulator;
 use crate::{
-    PagingReport, PreemptPolicy, QueueSample, Request, RequestMetrics, Scheduler, SloSpec,
-    MAX_QUEUE_SAMPLES,
+    LatencyStats, PagingReport, PreemptPolicy, QueueSample, Request, RequestMetrics, Scheduler,
+    SloReport, SloSpec, MAX_QUEUE_SAMPLES,
 };
 use optimus_units::{Bytes, Time};
 use std::cmp::Reverse;
@@ -88,17 +89,17 @@ pub(crate) struct CompletionSink {
     slo: SloSpec,
     records_on: bool,
     pub(crate) records: Vec<RequestMetrics>,
-    pub(crate) ttft: LatencyAccumulator,
-    pub(crate) tpot: LatencyAccumulator,
-    pub(crate) e2e: LatencyAccumulator,
+    ttft: LatencyAccumulator,
+    tpot: LatencyAccumulator,
+    e2e: LatencyAccumulator,
     pub(crate) completed: usize,
     pub(crate) generated_tokens: usize,
-    pub(crate) met: usize,
-    pub(crate) met_tokens: usize,
+    met: usize,
+    met_tokens: usize,
 }
 
 impl CompletionSink {
-    fn new(slo: SloSpec, expected: usize, records_on: bool) -> Self {
+    pub(crate) fn new(slo: SloSpec, expected: usize, records_on: bool) -> Self {
         Self {
             slo,
             records_on,
@@ -150,6 +151,60 @@ impl CompletionSink {
             });
         }
     }
+
+    /// Folds `other`'s latency populations and counters into this sink;
+    /// its records stay where they are.
+    pub(crate) fn merge(&mut self, other: &Self) {
+        self.ttft.merge(&other.ttft);
+        self.tpot.merge(&other.tpot);
+        self.e2e.merge(&other.e2e);
+        self.completed += other.completed;
+        self.generated_tokens += other.generated_tokens;
+        self.met += other.met;
+        self.met_tokens += other.met_tokens;
+    }
+
+    /// The figures a report derives from its completions over a run of
+    /// `makespan_s` with the given decode counters: a replica's report
+    /// from its own sink, a fleet's from its replicas' merged sinks.
+    pub(crate) fn figures(
+        &self,
+        decode_iterations: usize,
+        decode_batch_sum: usize,
+        makespan_s: f64,
+    ) -> SinkFigures {
+        let per_s = |count: usize| ratio(count as f64, makespan_s);
+        SinkFigures {
+            tokens_per_s: per_s(self.generated_tokens),
+            requests_per_s: per_s(self.completed),
+            mean_decode_batch: ratio(decode_batch_sum as f64, decode_iterations as f64),
+            ttft: self.ttft.finish(),
+            tpot: self.tpot.finish(),
+            e2e: self.e2e.finish(),
+            slo: SloReport {
+                spec: self.slo,
+                met: self.met,
+                attainment: if self.completed > 0 {
+                    self.met as f64 / self.completed as f64
+                } else {
+                    1.0
+                },
+                goodput_tokens_per_s: per_s(self.met_tokens),
+                goodput_requests_per_s: per_s(self.met),
+            },
+        }
+    }
+}
+
+/// A report's throughput, latency and SLO figures ([`CompletionSink::figures`]).
+pub(crate) struct SinkFigures {
+    pub(crate) tokens_per_s: f64,
+    pub(crate) requests_per_s: f64,
+    pub(crate) mean_decode_batch: f64,
+    pub(crate) ttft: LatencyStats,
+    pub(crate) tpot: LatencyStats,
+    pub(crate) e2e: LatencyStats,
+    pub(crate) slo: SloReport,
 }
 
 /// Everything one engine hands to report assembly.
@@ -946,22 +1001,18 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
     /// and jumps the clock to the recovery instant; a window the clock
     /// has already passed (the outage fit inside one indivisible
     /// iteration, or the engine was idle across it with nothing assigned)
-    /// is ridden through without a drain.
+    /// is ridden through without a drain. Merged windows are disjoint, so
+    /// the clock is up again at the recovery instant.
     fn process_outages(&mut self) -> Result<(), ServeError> {
-        loop {
-            let Some((crash, recover)) = self.faults.as_ref().and_then(|f| f.window) else {
-                return Ok(());
-            };
-            if self.clock < crash {
-                return Ok(());
-            }
-            if self.clock < recover {
-                self.drain_for_requeue();
-                self.clock = recover;
-            }
-            let faults = self.faults.as_mut().expect("window implies fault wiring");
-            faults.window = faults.stream.next_window()?;
+        let Some(faults) = &mut self.faults else {
+            return Ok(());
+        };
+        if faults.drain.down_at(self.clock)? {
+            let recover = faults.drain.next_up(self.clock)?;
+            self.drain_for_requeue();
+            self.clock = recover;
         }
+        Ok(())
     }
 
     /// Crash: every incomplete request — queued for admission, awaiting
@@ -1370,11 +1421,7 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             block_tokens: self.block_tokens,
             total_blocks: self.total_blocks,
             peak_blocks: self.peak_blocks,
-            peak_block_utilization: if self.total_blocks > 0 {
-                self.peak_blocks as f64 / self.total_blocks as f64
-            } else {
-                0.0
-            },
+            peak_block_utilization: ratio(self.peak_blocks as f64, self.total_blocks as f64),
             preemptions: self.preemptions,
             swap_outs: self.swap_outs,
             swap_ins: self.swap_ins,

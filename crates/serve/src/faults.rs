@@ -689,9 +689,10 @@ impl OutageStream {
 }
 
 /// A forward-only cursor over one replica's merged outage schedule — the
-/// router's availability view. Queries are clamped forward: asking about
-/// an earlier instant than a previous query answers as of the latest
-/// instant seen (the router's knowledge only moves forward).
+/// router's availability view, and the engine's drain schedule. Queries
+/// are clamped forward: asking about an earlier instant than a previous
+/// query answers as of the latest instant seen (the router's knowledge
+/// and the engine clock only move forward).
 pub(crate) struct OutageCursor {
     stream: OutageStream,
     window: Option<(f64, f64)>,
@@ -740,24 +741,19 @@ impl OutageCursor {
     }
 }
 
-/// One replica engine's fault wiring: its drain-side merged outage stream
-/// (the `window`/`stream` pair advanced by the engine clock), the
-/// router's independent query cursor, and the constant slowdown
-/// multiplier.
+/// One replica engine's fault wiring: two independent cursors over its
+/// merged outage schedule, one the engine clock drains by and one the
+/// router queries, and the constant slowdown multiplier.
 pub(crate) struct EngineFaults {
-    pub(crate) stream: OutageStream,
-    pub(crate) window: Option<(f64, f64)>,
+    pub(crate) drain: OutageCursor,
     pub(crate) query: OutageCursor,
     pub(crate) slow_mult: f64,
 }
 
 impl EngineFaults {
     pub(crate) fn for_replica(spec: &FaultSpec, replica: usize) -> Result<Self, ServeError> {
-        let mut stream = OutageStream::for_replica(spec, replica)?;
-        let window = stream.next_window()?;
         Ok(Self {
-            stream,
-            window,
+            drain: OutageCursor::new(spec, replica)?,
             query: OutageCursor::new(spec, replica)?,
             slow_mult: spec.slow_mult(replica),
         })

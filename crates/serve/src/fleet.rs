@@ -23,16 +23,16 @@
 //! throughput, and SLO goodput. Everything is single-threaded and seeded,
 //! so fleet reports are byte-identical across runs and thread counts.
 
-use crate::engine::{Dropped, ReplicaEngine};
+use crate::engine::{CompletionSink, Dropped, ReplicaEngine};
 use crate::faults::{clipped_stats, EngineFaults, FaultSpec, FleetAvailability};
-use crate::report::{write_latency_lines, write_slo_line};
+use crate::report::{ratio, write_latency_lines, write_slo_line};
 use crate::sim::TraceBounds;
-use crate::stats::LatencyAccumulator;
 use crate::{
     LatencyStats, PagingReport, Request, ServeConfig, ServeError, ServeInstance, ServeReport,
     SloReport, TraceSpec,
 };
 use optimus_hw::{ClusterSpec, Precision};
+use optimus_infer::PreparedInferenceEstimator;
 use optimus_model::ModelConfig;
 use optimus_units::{Figure, Time};
 use rand::rngs::StdRng;
@@ -105,13 +105,8 @@ pub struct FleetConfig {
 impl FleetConfig {
     /// A fleet of `replicas` TP-`tp` FP16 replicas behind a round-robin
     /// router, with the default interactive SLO.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replicas` or `tp` is zero.
     #[must_use]
     pub fn new(replicas: usize, tp: usize) -> Self {
-        assert!(replicas > 0, "a fleet needs at least one replica");
         Self {
             replicas,
             router: RouterPolicy::default(),
@@ -151,10 +146,16 @@ impl FleetConfig {
                 "a fleet needs at least one replica".to_owned(),
             ));
         }
-        self.faults
-            .validate()
-            .map_err(|reason| ServeError::InvalidConfig(format!("fault spec: {reason}")))
+        check_faults(&self.faults).map_err(ServeError::InvalidConfig)
     }
+}
+
+/// [`FaultSpec::validate`], with a refusal worded as every serving door
+/// words it.
+pub(crate) fn check_faults(faults: &FaultSpec) -> Result<(), String> {
+    faults
+        .validate()
+        .map_err(|reason| format!("fault spec: {reason}"))
 }
 
 /// The complete outcome of one fleet simulation: fleet-level aggregates
@@ -327,7 +328,25 @@ impl<'a> FleetInstance<'a> {
                     .to_owned(),
             ));
         }
-        let instance = ServeInstance::new(cluster, model, config.replica)?;
+        let estimator = PreparedInferenceEstimator::for_serving(cluster, Arc::clone(&model));
+        Self::with_estimator(cluster, model, config, Arc::new(estimator))
+    }
+
+    /// Every fleet's constructor: the fleet check, then the replica's over
+    /// `estimator`, which must be prepared for serving over `cluster` and
+    /// `model`. It prices over `cluster` as given, link-mode specs too.
+    ///
+    /// # Errors
+    ///
+    /// As [`FleetInstance::new`], bar the link-mode refusal.
+    pub(crate) fn with_estimator(
+        cluster: &'a ClusterSpec,
+        model: Arc<ModelConfig>,
+        config: FleetConfig,
+        estimator: Arc<PreparedInferenceEstimator<'a>>,
+    ) -> Result<Self, ServeError> {
+        config.check()?;
+        let instance = ServeInstance::with_estimator(cluster, model, config.replica, estimator)?;
         Ok(Self { instance, config })
     }
 
@@ -698,11 +717,12 @@ impl Router {
 
 /// The fleet event loop behind every serving entry point: scan the trace
 /// once, route every request online, drain the replicas, merge their
-/// populations. Shared by [`FleetInstance::simulate`], the load-sweep
-/// engine (which routes over instances it already prepared) and
-/// [`ServeInstance::simulate`] (one fault-free replica). Each caller has
-/// validated `faults` (a [`FleetConfig`] check, or `load_sweep`'s). Every
-/// replica prices decode exactly through the instance's shared estimator.
+/// populations. Shared by [`FleetInstance::simulate`], which every fleet
+/// and load-sweep cell runs through, and [`ServeInstance::simulate`] (one
+/// fault-free replica). Each fleet caller has validated `faults` in the
+/// [`FleetConfig`] check. Every replica prices decode exactly through the
+/// instance's shared estimator, and the fleet's figures come from its
+/// replicas' merged completions by the arithmetic of a replica's report.
 /// The router is the one place an inadmissible request is rejected: on
 /// arrival, before it reaches any queue.
 ///
@@ -816,13 +836,10 @@ pub(crate) fn run_fleet(
     // --- aggregate -------------------------------------------------------
     let parts: Vec<(usize, crate::engine::ReportInputs)> =
         engines.into_iter().map(ReplicaEngine::into_parts).collect();
-    let mut ttft = LatencyAccumulator::for_population(trace.len());
-    let mut tpot = LatencyAccumulator::for_population(trace.len());
-    let mut e2e = LatencyAccumulator::for_population(trace.len());
-    let mut completed = 0;
-    let mut generated_tokens = 0;
-    let mut met = 0;
-    let mut met_tokens = 0;
+    let config = instance.config();
+    // The fleet's populations and counters, merged in replica order (the
+    // order an exact-mode mean sums in).
+    let mut sink = CompletionSink::new(config.slo, trace.len(), false);
     let mut decode_iterations = 0;
     let mut decode_batch_sum = 0;
     let mut makespan_s = 0.0_f64;
@@ -834,13 +851,7 @@ pub(crate) fn run_fleet(
                 None => *p,
             });
         }
-        ttft.merge(&inputs.sink.ttft);
-        tpot.merge(&inputs.sink.tpot);
-        e2e.merge(&inputs.sink.e2e);
-        completed += inputs.sink.completed;
-        generated_tokens += inputs.sink.generated_tokens;
-        met += inputs.sink.met;
-        met_tokens += inputs.sink.met_tokens;
+        sink.merge(&inputs.sink);
         decode_iterations += inputs.decode_iterations;
         decode_batch_sum += inputs.decode_batch_sum;
         makespan_s = makespan_s.max(inputs.makespan_s);
@@ -858,19 +869,12 @@ pub(crate) fn run_fleet(
             trace.len()
         )));
     }
-    let per_s = |count: f64| {
-        if makespan_s > 0.0 {
-            count / makespan_s
-        } else {
-            0.0
-        }
-    };
+    let figures = sink.figures(decode_iterations, decode_batch_sum, makespan_s);
     let routed: Vec<usize> = parts.iter().map(|(routed, _)| *routed).collect();
     let per_replica: Vec<ServeReport> = parts
         .into_iter()
         .map(|(routed, inputs)| instance.assemble_report(routed, inputs))
         .collect();
-    let config = instance.config();
     let rejected_ids: Vec<usize> = bounds
         .rejected
         .iter()
@@ -906,11 +910,7 @@ pub(crate) fn run_fleet(
     } else {
         Vec::new()
     };
-    let availability_frac = if makespan_s > 0.0 {
-        1.0 - downtime_total / (replicas as f64 * makespan_s)
-    } else {
-        1.0
-    };
+    let availability_frac = 1.0 - ratio(downtime_total, replicas as f64 * makespan_s);
     let mut distinct_requeued: Vec<usize> = trace
         .iter()
         .zip(&front.requeued)
@@ -918,7 +918,7 @@ pub(crate) fn run_fleet(
         .collect();
     distinct_requeued.sort_unstable();
     distinct_requeued.dedup();
-    let goodput_tokens_per_s = per_s(met_tokens as f64);
+    let goodput_tokens_per_s = figures.slo.goodput_tokens_per_s;
     let up_replicas = replicas as f64 * availability_frac;
     let availability = FleetAvailability {
         crashes: crash_total,
@@ -929,11 +929,7 @@ pub(crate) fn run_fleet(
         requeued_ids: distinct_requeued,
         per_replica_downtime,
         per_domain_downtime,
-        goodput_tokens_per_up_replica_s: if up_replicas > 0.0 {
-            goodput_tokens_per_s / up_replicas
-        } else {
-            0.0
-        },
+        goodput_tokens_per_up_replica_s: ratio(goodput_tokens_per_s, up_replicas),
     };
     Ok(FleetReport {
         model: per_replica[0].model.clone(),
@@ -944,36 +940,22 @@ pub(crate) fn run_fleet(
         gpus: config.tp * replicas,
         router,
         requests: trace.len(),
-        completed,
+        completed: sink.completed,
         rejected: rejected_ids.len(),
         rejected_ids,
         makespan: Time::from_secs(makespan_s),
-        generated_tokens,
-        tokens_per_s: per_s(generated_tokens as f64),
-        requests_per_s: per_s(completed as f64),
-        mean_decode_batch: if decode_iterations > 0 {
-            decode_batch_sum as f64 / decode_iterations as f64
-        } else {
-            0.0
-        },
-        ttft: ttft.finish(),
-        tpot: tpot.finish(),
-        e2e: e2e.finish(),
+        generated_tokens: sink.generated_tokens,
+        tokens_per_s: figures.tokens_per_s,
+        requests_per_s: figures.requests_per_s,
+        mean_decode_batch: figures.mean_decode_batch,
+        ttft: figures.ttft,
+        tpot: figures.tpot,
+        e2e: figures.e2e,
         kv_peak_utilization: per_replica
             .iter()
             .map(|r| r.kv.peak_utilization)
             .fold(0.0, f64::max),
-        slo: SloReport {
-            spec: config.slo,
-            met,
-            attainment: if completed > 0 {
-                met as f64 / completed as f64
-            } else {
-                1.0
-            },
-            goodput_tokens_per_s,
-            goodput_requests_per_s: per_s(met as f64),
-        },
+        slo: figures.slo,
         routed,
         per_replica,
         faults: faulty.then(|| faults.clone()),
@@ -1008,9 +990,10 @@ pub fn simulate_fleet(
     config.check()?;
     spec.validate().map_err(ServeError::InvalidTrace)?;
     let degraded = config.faults.degraded_cluster(cluster);
-    let instance = ServeInstance::new(degraded.as_ref().unwrap_or(cluster), model, config.replica)?;
-    let config = config.clone();
-    FleetInstance { instance, config }.simulate(&spec.generate())
+    let cluster = degraded.as_ref().unwrap_or(cluster);
+    let estimator = PreparedInferenceEstimator::for_serving(cluster, Arc::clone(&model));
+    FleetInstance::with_estimator(cluster, model, config.clone(), Arc::new(estimator))?
+        .simulate(&spec.generate())
 }
 
 #[cfg(test)]
@@ -1102,7 +1085,7 @@ mod tests {
     /// with `requests`, `rejected` and `rejected_ids` taken from the
     /// router) must equal `ServeInstance::simulate`'s output field for
     /// field — the ground truth that lets the load-sweep run all its
-    /// cells through `run_fleet` and `serve` print a lone replica from
+    /// cells as fleets and `serve` print a lone replica from
     /// its one `simulate_fleet` run. It holds with inadmissible requests
     /// mid-backlog and after the last completion, under every KV regime
     /// and scheduler, because the router is the one place that rejects
@@ -1224,6 +1207,41 @@ mod tests {
             assert!(matches!(err, ServeError::InvalidConfig(_)), "{err}");
             assert!(err.to_string().contains("at least one replica"), "{err}");
         }
+    }
+
+    /// Regression: a zero tensor-parallel degree panicked at every serving
+    /// door, in `ServeConfig::new`'s assert or, for a config built past
+    /// it, in the memory model's `tp must be positive`; and
+    /// `FleetConfig::new(0, 1)` panicked in its own assert. Each is now
+    /// refused with a typed error, by the one replica check and the one
+    /// fleet check.
+    #[test]
+    fn zero_tp_and_zero_replicas_are_typed_errors_at_every_door() {
+        let cluster = presets::dgx_a100_hdr_cluster();
+        let model = Arc::new(models::llama2_7b());
+        for replica in [
+            ServeConfig::new(0),
+            ServeConfig {
+                tp: 0,
+                ..ServeConfig::new(1)
+            },
+        ] {
+            let fleet = FleetConfig::new(2, 1).with_replica(replica);
+            for err in [
+                ServeInstance::new(&cluster, Arc::clone(&model), replica).unwrap_err(),
+                FleetInstance::new(&cluster, Arc::clone(&model), fleet.clone()).unwrap_err(),
+                simulate_fleet(&cluster, Arc::clone(&model), &fleet, &spec(1, 4, 1.0)).unwrap_err(),
+            ] {
+                assert!(matches!(err, ServeError::InvalidConfig(_)), "{err}");
+                assert_eq!(
+                    err.to_string(),
+                    "a replica needs a tensor-parallel degree of at least 1"
+                );
+            }
+        }
+        let err = FleetInstance::new(&cluster, model, FleetConfig::new(0, 1)).unwrap_err();
+        assert!(matches!(err, ServeError::InvalidConfig(_)), "{err}");
+        assert_eq!(err.to_string(), "a fleet needs at least one replica");
     }
 
     /// Regression: an unsorted trace or a zero-length prompt or output

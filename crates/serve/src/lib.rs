@@ -44,7 +44,11 @@
 //! prefixes, contexts, request counts and arrival rates,
 //! [`FaultSpec::validate`] for the fault environment, and
 //! [`LoadSweepSpec::validate`] for a grid, which holds every one of its
-//! cell traces and its fault spec to the other two. The first three doors
+//! cell traces and its fault spec to the other two. Every fleet, each
+//! load-sweep strategy's included, is built by one checked constructor
+//! (the fleet check, then the replica check of [`ServeInstance::new`],
+//! whose first rule is a tensor-parallel degree of at least 1) and
+//! reports through one replica's arithmetic. The first three doors
 //! return a [`ServeError`] for input they refuse, and [`load_sweep`]
 //! panics on a spec [`LoadSweepSpec::validate`] refuses, so a caller
 //! holding outside input validates first.

@@ -8,12 +8,12 @@
 //! (arrival-rate × strategy) grid of full serving simulations: the sweep
 //! prepares one memoized pricing estimator, shared by every strategy,
 //! rate and worker (its memo keys carry TP and precision, so each price
-//! is computed once per sweep); one [`ServeInstance`] is prepared per
-//! strategy over it, shared by every rate; the grid cells run
-//! rayon-parallel, and every cell replays the *same seed* so curves are
-//! paired — a throughput difference between two strategies is never
+//! is computed once per sweep); one [`FleetInstance`] of each strategy's
+//! [`FleetConfig`] is built over it, shared by every rate; the grid cells
+//! run rayon-parallel, and every cell replays the *same seed* so curves
+//! are paired — a throughput difference between two strategies is never
 //! sampling noise. A cell runs its trace exactly as a lone
-//! [`ServeInstance`] of its strategy would: memo values are pure
+//! [`FleetInstance`] of its strategy would: memo values are pure
 //! functions of their keys, not of which cell or worker filled them.
 //!
 //! The result is deterministic: cells are collected in grid order
@@ -22,11 +22,11 @@
 //! tie-break discipline as the strategy sweep's
 //! [`optimus_sweep::frontier_indices_by`] core.
 
-use crate::fleet::run_fleet;
+use crate::fleet::check_faults;
 use crate::trace::ensure;
 use crate::{
-    ArrivalProcess, FaultSpec, FleetReport, KvSpec, LengthDist, PrefixSpec, RecordMode,
-    RouterPolicy, Scheduler, ServeConfig, ServeError, ServeInstance, SloSpec, TraceSpec,
+    ArrivalProcess, FaultSpec, FleetConfig, FleetInstance, FleetReport, KvSpec, LengthDist,
+    PrefixSpec, RecordMode, RouterPolicy, Scheduler, ServeConfig, ServeError, SloSpec, TraceSpec,
 };
 use optimus_hw::{ClusterSpec, Precision};
 use optimus_infer::PreparedInferenceEstimator;
@@ -296,21 +296,23 @@ pub struct LoadSweepReport {
 /// Evaluates the (arrival-rate × strategy) grid rayon-parallel.
 ///
 /// The sweep prepares one pricing estimator over its cluster (the
-/// link-degraded one under link-mode degradation) and its model, and
-/// every feasible strategy's validated [`ServeInstance`] prices through it.
+/// link-degraded one under link-mode degradation) and its model. Each
+/// strategy runs as a fleet of its replicas behind the spec's router,
+/// under the spec's fault environment, built as [`FleetInstance::new`]
+/// builds one (bar the link-mode refusal) over that shared estimator.
 /// Its memo keys carry TP and precision besides the shape, so each
 /// decode price, decode row and prefill layer is computed once per sweep,
 /// by whichever strategy, rate cell or worker reaches it first. Memo
 /// values are pure functions of their keys, so each cell reports exactly
-/// what a lone [`ServeInstance`] of its strategy reports for its trace,
+/// what a lone [`FleetInstance`] of its strategy reports for its trace,
 /// and the report is byte-identical across `RAYON_NUM_THREADS` settings.
-/// A strategy that cannot serve goes to the report's `infeasible` list,
-/// and so does one with a cell that fails: a fault spec that never lets
-/// its fleet finish (outages that leave no uptime long enough to complete
-/// an iteration in, or uptimes below the clock's resolution), or
-/// slowdowns whose figures overflow. Its reason is the
-/// [`crate::ServeError`] of its first failing rate, and the frontier is
-/// drawn over the other strategies' curves.
+/// A strategy that cannot serve goes to the report's `infeasible` list
+/// with the constructor's reason, and so does one with a cell that fails:
+/// a fault spec that never lets its fleet finish (outages that leave no
+/// uptime long enough to complete an iteration in, or uptimes below the
+/// clock's resolution), or slowdowns whose figures overflow. Its reason
+/// is the [`crate::ServeError`] of its first failing rate, and the
+/// frontier is drawn over the other strategies' curves.
 ///
 /// # Panics
 ///
@@ -324,14 +326,16 @@ pub fn load_sweep(
     if let Err(reason) = spec.validate() {
         panic!("{reason}");
     }
-    let faults = spec.faults.clone().unwrap_or_else(FaultSpec::none);
     // Under link-mode degradation every cell is priced over the
     // bandwidth-degraded cluster (the report keeps the original cluster
     // name; the spec in `faults` records why the links are thinner).
-    let degraded = faults.degraded_cluster(cluster);
+    let degraded = spec
+        .faults
+        .as_ref()
+        .and_then(|f| f.degraded_cluster(cluster));
     let cluster = degraded.as_ref().unwrap_or(cluster);
     let estimator = PreparedInferenceEstimator::for_serving(cluster, Arc::clone(model));
-    run_grid(cluster, model, spec, &faults, &Arc::new(estimator))
+    run_grid(cluster, model, spec, &Arc::new(estimator))
 }
 
 /// [`load_sweep`] past its spec checks: every strategy prices through
@@ -341,21 +345,25 @@ fn run_grid<'a>(
     cluster: &'a ClusterSpec,
     model: &Arc<ModelConfig>,
     spec: &LoadSweepSpec,
-    faults: &FaultSpec,
     estimator: &Arc<PreparedInferenceEstimator<'a>>,
 ) -> LoadSweepReport {
-    // --- phase 1: one validated instance per strategy -------------------
-    let prepared: Vec<Result<ServeInstance<'_>, String>> = spec
+    // --- phase 1: one validated fleet per strategy ----------------------
+    // A strategy that cannot serve, an unsupported precision included, is
+    // infeasible with the constructor's reason, not a mid-grid failure.
+    let prepared: Vec<Result<FleetInstance<'_>, ServeError>> = spec
         .strategies
         .par_iter()
-        .map(|s| prepare_strategy(cluster, model, spec, *s, estimator))
+        .map(|s| {
+            let config = fleet_config(spec, *s);
+            FleetInstance::with_estimator(cluster, Arc::clone(model), config, Arc::clone(estimator))
+        })
         .collect();
-    let mut instances: Vec<(LoadStrategy, ServeInstance<'_>)> = Vec::new();
+    let mut instances: Vec<(LoadStrategy, FleetInstance<'_>)> = Vec::new();
     let mut infeasible = Vec::new();
     for (s, outcome) in spec.strategies.iter().zip(prepared) {
         match outcome {
             Ok(instance) => instances.push((*s, instance)),
-            Err(reason) => infeasible.push(InfeasibleStrategy::new(*s, reason)),
+            Err(e) => infeasible.push(InfeasibleStrategy::new(*s, e.to_string())),
         }
     }
     // Nothing can run: report the reasons without generating a single
@@ -396,18 +404,12 @@ fn run_grid<'a>(
             // single-instance path (pinned by
             // `one_replica_fleet_equals_single_instance`), so there is
             // one code path to keep correct.
-            let (strategy, instance) = &instances[si];
+            let (strategy, fleet) = &instances[si];
             // Phase 1 validated each strategy, its precision included,
             // and the spec's validation keeps the traces valid, so what
             // can still fail is the fault spec: a fleet that never
             // finishes, or slowdowns whose figures overflow.
-            let report = run_fleet(
-                instance,
-                strategy.replicas,
-                spec.router,
-                faults,
-                &traces[ri],
-            )?;
+            let report = fleet.simulate(&traces[ri])?;
             Ok(LoadPoint::from_fleet(*strategy, spec.rates[ri], &report))
         })
         .collect();
@@ -480,12 +482,7 @@ impl LoadSweepSpec {
         for &rate in &self.rates {
             self.trace(rate).validate()?;
         }
-        match &self.faults {
-            Some(faults) => faults
-                .validate()
-                .map_err(|reason| format!("fault spec: {reason}")),
-            None => Ok(()),
-        }
+        self.faults.as_ref().map_or(Ok(()), check_faults)
     }
 
     /// The trace every cell at `rate` replays.
@@ -502,40 +499,27 @@ impl LoadSweepSpec {
     }
 }
 
-/// Builds one strategy's validated instance over the sweep's shared
-/// `estimator`, so a strategy that cannot serve, an unsupported
-/// precision included, surfaces as an infeasible strategy with the
-/// returned reason instead of failing mid-grid.
-fn prepare_strategy<'a>(
-    cluster: &'a ClusterSpec,
-    model: &Arc<ModelConfig>,
-    spec: &LoadSweepSpec,
-    strategy: LoadStrategy,
-    estimator: &Arc<PreparedInferenceEstimator<'a>>,
-) -> Result<ServeInstance<'a>, String> {
-    if strategy.replicas == 0 {
-        return Err("a fleet needs at least one replica".to_owned());
+/// The fleet that runs `strategy`'s cells: its replicas behind the
+/// sweep's router, under the sweep's fault environment. A cell's point
+/// reads no per-request record, so none is kept.
+fn fleet_config(spec: &LoadSweepSpec, strategy: LoadStrategy) -> FleetConfig {
+    FleetConfig {
+        replicas: strategy.replicas,
+        router: spec.router,
+        replica: ServeConfig::new(strategy.tp)
+            .with_precision(strategy.precision)
+            .with_slo(spec.slo)
+            .with_records(RecordMode::Off)
+            .with_kv(strategy.kv)
+            .with_scheduler(strategy.scheduler),
+        faults: spec.faults.clone().unwrap_or_else(FaultSpec::none),
     }
-    if strategy.tp == 0 {
-        return Err("a replica needs a tensor-parallel degree of at least 1".to_owned());
-    }
-    // Replicas are identical, so one prepared instance prices every
-    // replica of every rate cell. A cell's point reads no per-request
-    // record, so none is kept.
-    let config = ServeConfig::new(strategy.tp)
-        .with_precision(strategy.precision)
-        .with_slo(spec.slo)
-        .with_records(RecordMode::Off)
-        .with_kv(strategy.kv)
-        .with_scheduler(strategy.scheduler);
-    ServeInstance::with_estimator(cluster, Arc::clone(model), config, Arc::clone(estimator))
-        .map_err(|e| e.to_string())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EXACT_MODE_LIMIT;
+    use crate::{ServeInstance, EXACT_MODE_LIMIT};
     use optimus_hw::presets;
     use optimus_model::presets as models;
 
@@ -755,14 +739,16 @@ mod tests {
             &cluster,
             Arc::clone(&model),
         ));
+        let config = fleet_config(&spec, spec.strategies[0]);
         let prepared =
-            prepare_strategy(&cluster, &model, &spec, spec.strategies[0], &estimator).unwrap();
-        let fresh = ServeInstance::new(&cluster, Arc::clone(&model), *prepared.config()).unwrap();
-        let run = |instance: &ServeInstance<'_>| {
-            run_fleet(instance, 1, spec.router, &FaultSpec::none(), &trace).unwrap()
-        };
+            FleetInstance::with_estimator(&cluster, Arc::clone(&model), config.clone(), estimator)
+                .unwrap();
+        let fresh = FleetInstance::new(&cluster, Arc::clone(&model), config).unwrap();
         assert!(trace.len() > EXACT_MODE_LIMIT);
-        assert_eq!(run(&prepared), run(&fresh));
+        assert_eq!(
+            prepared.simulate(&trace).unwrap(),
+            fresh.simulate(&trace).unwrap()
+        );
     }
 
     /// The replicas axis: a TP1×2 strategy occupies 2 GPUs like TP2, and
@@ -1100,7 +1086,7 @@ mod tests {
             &cluster,
             Arc::clone(&model),
         ));
-        let report = run_grid(&cluster, &model, &spec, &FaultSpec::none(), &shared);
+        let report = run_grid(&cluster, &model, &spec, &shared);
         for (a, b) in report.curves[0].points.iter().zip(&report.curves[1].points) {
             assert_eq!(
                 *a,
@@ -1131,9 +1117,11 @@ mod tests {
 
     /// Sharing one estimator never leaks a price between strategies: over
     /// reserved and paged KV with a prefix pool, FIFO and priority
-    /// admission, TP1 and TP2, every cell's point equals the one a fresh
-    /// instance of its strategy gives on that cell's trace, and an FP8
-    /// strategy the device cannot serve is still listed infeasible.
+    /// admission, TP1, TP2 and two TP1 replicas behind the
+    /// least-outstanding router, fault-free and under crashes, every
+    /// cell's point equals the one a fresh [`FleetInstance`] of its
+    /// strategy's fleet gives on that cell's trace, and an FP8 strategy
+    /// the device cannot serve is still listed infeasible.
     #[test]
     fn shared_memo_cells_equal_fresh_instances() {
         let cluster = presets::dgx_a100_hdr_cluster();
@@ -1142,6 +1130,7 @@ mod tests {
         spec.requests = 120;
         spec.rates = vec![4.0, 64.0];
         spec.priority_classes = 3;
+        spec.router = RouterPolicy::LeastOutstanding;
         spec.prefixes = Some(PrefixSpec {
             pool: 3,
             tokens: 64,
@@ -1157,44 +1146,49 @@ mod tests {
                 );
             }
         }
+        let paged = LoadStrategy::single(1, Precision::Fp16).with_kv(KvSpec::paged(16));
+        spec.strategies.push(LoadStrategy { tp: 2, ..paged });
         spec.strategies
-            .push(LoadStrategy::single(2, Precision::Fp16).with_kv(KvSpec::paged(16)));
+            .push(paged.with_scheduler(Scheduler::Priority).with_replicas(2));
         spec.strategies
             .push(LoadStrategy::single(1, Precision::Fp8));
-        let report = load_sweep(&cluster, &model, &spec);
-        assert_eq!(report.infeasible.len(), 1);
-        assert_eq!(report.infeasible[0].precision, Precision::Fp8);
-        assert_eq!(report.curves.len(), spec.strategies.len() - 1);
-
         let traces: Vec<Vec<crate::Request>> = spec
             .rates
             .iter()
             .map(|&r| spec.trace(r).generate())
             .collect();
-        for (curve, strategy) in report.curves.iter().zip(&spec.strategies) {
-            let config = ServeConfig::new(strategy.tp)
-                .with_precision(strategy.precision)
-                .with_slo(spec.slo)
-                .with_kv(strategy.kv)
-                .with_scheduler(strategy.scheduler);
-            let fresh = ServeInstance::new(&cluster, Arc::clone(&model), config).unwrap();
-            for ((point, trace), &rate) in curve.points.iter().zip(&traces).zip(&spec.rates) {
-                let fleet = run_fleet(
-                    &fresh,
-                    strategy.replicas,
-                    spec.router,
-                    &FaultSpec::none(),
-                    trace,
+
+        for faults in [None, Some(FaultSpec::crashes(3, 5.0, 2.0))] {
+            spec.faults = faults;
+            let report = load_sweep(&cluster, &model, &spec);
+            assert_eq!(report.infeasible.len(), 1);
+            assert_eq!(report.infeasible[0].precision, Precision::Fp8);
+            assert_eq!(report.curves.len(), spec.strategies.len() - 1);
+            let points = || report.curves.iter().flat_map(|c| &c.points);
+            assert_eq!(
+                points().any(|p| p.requeues > 0),
+                spec.faults.is_some(),
+                "crashes requeue work in some cell, and only under faults"
+            );
+            for (curve, strategy) in report.curves.iter().zip(&spec.strategies) {
+                let fresh = FleetInstance::new(
+                    &cluster,
+                    Arc::clone(&model),
+                    fleet_config(&spec, *strategy),
                 )
                 .unwrap();
-                assert_eq!(
-                    *point,
-                    LoadPoint::from_fleet(*strategy, rate, &fleet),
-                    "TP{} {} {:?} at {rate} req/s",
-                    strategy.tp,
-                    strategy.kv,
-                    strategy.scheduler
-                );
+                for ((point, trace), &rate) in curve.points.iter().zip(&traces).zip(&spec.rates) {
+                    assert_eq!(
+                        *point,
+                        LoadPoint::from_fleet(*strategy, rate, &fresh.simulate(trace).unwrap()),
+                        "{}× TP{} {} {:?} at {rate} req/s, faults {:?}",
+                        strategy.replicas,
+                        strategy.tp,
+                        strategy.kv,
+                        strategy.scheduler,
+                        spec.faults
+                    );
+                }
             }
         }
     }

@@ -271,6 +271,16 @@ impl core::fmt::Display for ServeReport {
     }
 }
 
+/// `part / whole`, or 0 unless `whole` is positive: a report's rates,
+/// means and fractions over a run, population or budget that may be empty.
+pub(crate) fn ratio(part: f64, whole: f64) -> f64 {
+    if whole > 0.0 {
+        part / whole
+    } else {
+        0.0
+    }
+}
+
 /// Writes the `ttft`, `tpot` and `e2e` percentile lines of a text
 /// report, each ending in a newline.
 pub(crate) fn write_latency_lines(

@@ -36,10 +36,11 @@
 
 use crate::engine::ReportInputs;
 use crate::fleet::run_fleet;
+use crate::report::ratio;
 use crate::trace::check_trace_len;
 use crate::{
     FaultSpec, FleetReport, KvSpec, KvUsage, QueueSample, QueueStats, Request, RouterPolicy,
-    Scheduler, ServeReport, SloReport, SloSpec,
+    Scheduler, ServeReport, SloSpec,
 };
 use optimus_hw::{ClusterSpec, Precision};
 use optimus_infer::PreparedInferenceEstimator;
@@ -98,13 +99,8 @@ pub struct ServeConfig {
 impl ServeConfig {
     /// A TP-`tp` FP16 instance with the default interactive SLO and
     /// automatic fidelity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tp` is zero.
     #[must_use]
     pub fn new(tp: usize) -> Self {
-        assert!(tp > 0, "tp must be positive");
         Self {
             tp,
             precision: Precision::Fp16,
@@ -159,7 +155,8 @@ pub enum ServeError {
         /// Human-readable description with the sizes involved.
         detail: String,
     },
-    /// The tensor-parallel degree cannot map onto the cluster.
+    /// The replica, fleet or fault configuration cannot serve (a
+    /// tensor-parallel degree of 0 or beyond a node among them).
     InvalidConfig(String),
     /// The estimator rejected the configuration (e.g. unsupported
     /// precision).
@@ -212,8 +209,8 @@ impl<'a> ServeInstance<'a> {
     /// # Errors
     ///
     /// Returns [`ServeError`] when the configuration cannot serve at all:
-    /// the priority-preempt scheduler over reserved KV, `tp` beyond a
-    /// node, sharded weights that overflow the device, or
+    /// a zero `tp`, the priority-preempt scheduler over reserved KV, `tp`
+    /// beyond a node, sharded weights that overflow the device, or
     /// ([`ServeError::Estimator`]) a device that lacks the serving
     /// precision.
     pub fn new(
@@ -241,6 +238,11 @@ impl<'a> ServeInstance<'a> {
     ) -> Result<Self, ServeError> {
         let tp = config.tp;
         let precision = config.precision;
+        if tp == 0 {
+            return Err(ServeError::InvalidConfig(
+                "a replica needs a tensor-parallel degree of at least 1".to_owned(),
+            ));
+        }
         if config.scheduler == Scheduler::PriorityPreempt && config.kv.is_reserved() {
             return Err(ServeError::InvalidConfig(
                 "the priority-preempt scheduler needs a paged KvSpec: under full \
@@ -486,13 +488,7 @@ impl<'a> ServeInstance<'a> {
         sink.records.sort_by_key(|m| m.id);
 
         let makespan = inputs.makespan_s;
-        let per_s = |count: f64| {
-            if makespan > 0.0 {
-                count / makespan
-            } else {
-                0.0
-            }
-        };
+        let figures = sink.figures(inputs.decode_iterations, inputs.decode_batch_sum, makespan);
 
         let stride = inputs.raw_samples.len().div_ceil(MAX_QUEUE_SAMPLES).max(1);
         let mut samples: Vec<QueueSample> =
@@ -507,61 +503,38 @@ impl<'a> ServeInstance<'a> {
         }
         let queue = QueueStats {
             peak_waiting: inputs.peak_waiting,
-            mean_waiting: if makespan > 0.0 {
-                inputs.queue_area / makespan
-            } else {
-                0.0
-            },
+            mean_waiting: ratio(inputs.queue_area, makespan),
             peak_decoding: inputs.peak_decoding,
             samples,
         };
 
-        let completed = sink.completed;
         ServeReport {
             model: self.model.name.clone(),
             cluster: self.cluster.name.clone(),
             tp: config.tp,
             precision: config.precision,
             requests,
-            completed,
+            completed: sink.completed,
             rejected: 0,
             rejected_ids: Vec::new(),
             makespan: Time::from_secs(makespan),
             generated_tokens: sink.generated_tokens,
-            tokens_per_s: per_s(sink.generated_tokens as f64),
-            requests_per_s: per_s(completed as f64),
+            tokens_per_s: figures.tokens_per_s,
+            requests_per_s: figures.requests_per_s,
             prefill_iterations: inputs.prefill_iterations,
             decode_iterations: inputs.decode_iterations,
-            mean_decode_batch: if inputs.decode_iterations > 0 {
-                inputs.decode_batch_sum as f64 / inputs.decode_iterations as f64
-            } else {
-                0.0
-            },
-            ttft: sink.ttft.finish(),
-            tpot: sink.tpot.finish(),
-            e2e: sink.e2e.finish(),
+            mean_decode_batch: figures.mean_decode_batch,
+            ttft: figures.ttft,
+            tpot: figures.tpot,
+            e2e: figures.e2e,
             queue,
             kv: KvUsage {
                 weights: self.weights,
                 budget: self.budget,
                 peak: inputs.kv_peak,
-                peak_utilization: if self.budget.bytes() > 0.0 {
-                    inputs.kv_peak.bytes() / self.budget.bytes()
-                } else {
-                    0.0
-                },
+                peak_utilization: ratio(inputs.kv_peak.bytes(), self.budget.bytes()),
             },
-            slo: SloReport {
-                spec: config.slo,
-                met: sink.met,
-                attainment: if completed > 0 {
-                    sink.met as f64 / completed as f64
-                } else {
-                    1.0
-                },
-                goodput_tokens_per_s: per_s(sink.met_tokens as f64),
-                goodput_requests_per_s: per_s(sink.met as f64),
-            },
+            slo: figures.slo,
             per_request: sink.records,
             scheduler: (config.scheduler != Scheduler::Fifo).then_some(config.scheduler),
             paging: inputs.paging,

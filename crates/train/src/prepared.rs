@@ -144,9 +144,10 @@ struct Step<'a> {
     /// Stage time over every microbatch.
     busy: Time,
     bubble: Time,
-    params_per_device: f64,
     grad_volume: Bytes,
     dp_comm: Time,
+    /// DRAM bytes the optimizer update streams.
+    optimizer_traffic: Bytes,
     weight_update: Time,
 }
 
@@ -345,11 +346,9 @@ impl<'a> PreparedTrainingEstimator<'a> {
         let device_flops = FlopCount::new(
             (step.layer.flops.get() * stages + lc.emb_head.flops.get() / p.pp as f64) * ubatches,
         );
-        let optimizer_traffic =
-            Bytes::new(step.params_per_device * (16.0 + 12.0 + precision.bytes()));
         let dram_traffic = Bytes::new(
             (step.layer.dram.bytes() * stages + lc.emb_head.dram.bytes() / p.pp as f64) * ubatches,
-        ) + optimizer_traffic;
+        ) + step.optimizer_traffic;
         let network_traffic = lc.tp_fwd_wire * (2.0 * stages * ubatches)
             + step.plan.pp_wire_bytes(lc.act_volume)
                 * (2.0 * self.schedule.p2p_multiplier() * ubatches)
@@ -471,7 +470,10 @@ impl<'a> PreparedTrainingEstimator<'a> {
             + self.model.embedding_param_count() / p.tp as f64;
         let grad_volume = Bytes::new(params_per_device * precision.bytes());
         let dp_comm = plan.dp_gradient_allreduce(grad_volume);
-        let weight_update = self.weight_update_time(precision, params_per_device);
+        // Optimizer update: reads grad(4) + m(4) + v(4) + master(4);
+        // writes m, v, master and the weights at `precision`.
+        let optimizer_traffic = Bytes::new(params_per_device * (16.0 + 12.0 + precision.bytes()));
+        let weight_update = self.weight_update_time(optimizer_traffic);
 
         Ok(Step {
             microbatches,
@@ -485,9 +487,9 @@ impl<'a> PreparedTrainingEstimator<'a> {
             p2p_per_ubatch,
             busy,
             bubble,
-            params_per_device,
             grad_volume,
             dp_comm,
+            optimizer_traffic,
             weight_update,
         })
     }
@@ -599,11 +601,9 @@ impl<'a> PreparedTrainingEstimator<'a> {
     }
 
     /// Optimizer update: stream gradients, Adam moments, master weights
-    /// (read + write) and store the new low-precision weights.
-    fn weight_update_time(&self, precision: Precision, params: f64) -> Time {
-        // Reads: grad(4) + m(4) + v(4) + master(4); writes: m, v, master,
-        // weight(precision).
-        let traffic = Bytes::new(params * (16.0 + 12.0 + precision.bytes()));
+    /// (read + write) and store the new low-precision weights, `traffic`
+    /// bytes in all, at the device's derated DRAM bandwidth.
+    fn weight_update_time(&self, traffic: Bytes) -> Time {
         let dram = self.cluster.accelerator().dram.bandwidth;
         let util = self
             .cluster
