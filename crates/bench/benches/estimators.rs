@@ -99,7 +99,8 @@ fn bench_decode_pricing(c: &mut Criterion) {
     let cluster = hw::presets::dgx_a100_hdr_cluster();
     let model = Arc::new(model::presets::llama2_13b());
     // A cold fill: 16 batch widths × 16 contexts, the shapes a serving
-    // run meets, on fresh memo tables.
+    // run meets, on a fresh estimator: each width's decode row is costed
+    // once, then the attention core at each of its contexts.
     let shapes: Vec<(usize, usize)> = (1..=16)
         .flat_map(|batch| (0..16).map(move |i| (batch, 300 + 60 * i)))
         .collect();

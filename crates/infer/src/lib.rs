@@ -19,5 +19,5 @@ mod report;
 
 pub use config::InferenceConfig;
 pub use estimator::InferenceEstimator;
-pub use prepared::PreparedInferenceEstimator;
+pub use prepared::{LeasedPrices, PreparedInferenceEstimator};
 pub use report::{GemmAnalysis, InferenceBreakdown, InferenceReport};

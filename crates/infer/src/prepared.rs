@@ -19,14 +19,23 @@
 //! [`PreparedInferenceEstimator::estimate`] folds each step's walk into
 //! the breakdown, FLOPs and DRAM bytes, so a point's decode loop costs the
 //! rest of the layer once and leaves no memo entry per context.
-//! [`PreparedInferenceEstimator::decode_iteration`] folds only the time
-//! and memoizes totals per `(batch, kv_len, tp, precision)`, so a cold
-//! price at a batch already seen costs only the attention core at its
+//! [`PreparedInferenceEstimator::decode_iteration`] folds only the time,
+//! so a price at a batch already seen costs only the attention core at its
 //! context.
 //!
-//! Memo values are pure functions of their keys, so concurrent fill order
-//! cannot change any result: a memoized sweep is byte-identical to naive
-//! per-point evaluation.
+//! The serving simulator reads its iteration prices from dense tables,
+//! one per (TP, precision), that the estimator leases out
+//! ([`PreparedInferenceEstimator::lease_prices`]) and takes back, warm,
+//! when a run ends. A table is the only cache between a replica engine and
+//! the price computation: it prices a missing entry once through
+//! [`PreparedInferenceEstimator::prefill_iteration`] or
+//! [`PreparedInferenceEstimator::decode_iteration`], which memoize no
+//! price of their own, and every later read is an index and a NaN test.
+//!
+//! Memo and table values are pure functions of their keys, so concurrent
+//! fill order cannot change any result: a memoized sweep is byte-identical
+//! to naive per-point evaluation, and a run reports the same from a warm
+//! table as from an empty one.
 
 use crate::{GemmAnalysis, InferenceBreakdown, InferenceConfig, InferenceReport};
 use optimus_hw::{ClusterSpec, HwError, Precision};
@@ -35,7 +44,7 @@ use optimus_model::{graph, GraphParams, Memo, ModelConfig, Op};
 use optimus_parallel::{CommPlan, Parallelism};
 use optimus_roofline::{KernelCost, RooflineModel};
 use optimus_units::{Bytes, FlopCount, Time};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Cost of one operator list: bound-type time breakdown, the
 /// energy-relevant volumes, and the per-GEMM analysis rows (memoized with
@@ -74,10 +83,6 @@ type ExtraKey = (usize, usize, usize, Precision);
 
 /// Memo key of one decode row: `(batch, tp, precision)`.
 type RowKey = (usize, usize, Precision);
-
-/// Memo key of one decode-iteration price: `(batch, kv_len, tp,
-/// precision)`.
-type DecodeKey = (usize, usize, usize, Precision);
 
 /// The part of a decode iteration at one batch width that never reads the
 /// KV context.
@@ -123,7 +128,8 @@ pub struct PreparedInferenceEstimator<'a> {
     layer_cache: Memo<LayerKey, Result<Arc<StepCost>, HwError>>,
     extra_cache: Memo<ExtraKey, Result<Arc<StepCost>, HwError>>,
     decode_rows: Memo<RowKey, Result<Arc<DecodeRow>, HwError>>,
-    decode_totals: Memo<DecodeKey, Result<Time, HwError>>,
+    /// The serving price tables not leased out right now.
+    tables: Mutex<Vec<PriceTable>>,
 }
 
 impl<'a> PreparedInferenceEstimator<'a> {
@@ -155,7 +161,7 @@ impl<'a> PreparedInferenceEstimator<'a> {
             layer_cache: Memo::default(),
             extra_cache: Memo::default(),
             decode_rows: Memo::default(),
-            decode_totals: Memo::default(),
+            tables: Mutex::default(),
         }
     }
 
@@ -183,14 +189,33 @@ impl<'a> PreparedInferenceEstimator<'a> {
     }
 
     /// Number of distinct memo keys materialized so far: per-step layer
-    /// and embedding/LM-head kernels, decode rows and decode-iteration
-    /// prices.
+    /// and embedding/LM-head kernels, and decode rows.
     #[must_use]
     pub fn cached_keys(&self) -> usize {
-        self.layer_cache.len()
-            + self.extra_cache.len()
-            + self.decode_rows.len()
-            + self.decode_totals.len()
+        self.layer_cache.len() + self.extra_cache.len() + self.decode_rows.len()
+    }
+
+    /// Checks out the serving price table of `(tp, precision)`: a warm one
+    /// an earlier run handed back, or an empty one. The lease hands it
+    /// back when dropped. Runs that hold leases at once hold distinct
+    /// tables, so no price read takes a lock, and the pool keeps at most
+    /// as many tables of a key as runs ever held at once.
+    #[must_use]
+    pub fn lease_prices(&self, tp: usize, precision: Precision) -> LeasedPrices<'_, 'a> {
+        // Every pool update leaves the vector whole, so a lock poisoned by
+        // a panic elsewhere still guards a valid pool.
+        let mut pool = self.tables.lock().unwrap_or_else(PoisonError::into_inner);
+        let table = match pool
+            .iter()
+            .rposition(|t| t.tp == tp && t.precision == precision)
+        {
+            Some(i) => pool.swap_remove(i),
+            None => PriceTable::empty(tp, precision),
+        };
+        LeasedPrices {
+            estimator: self,
+            table,
+        }
     }
 
     /// Phase-2 evaluation of one (TP, precision) point, computing the
@@ -323,9 +348,9 @@ impl<'a> PreparedInferenceEstimator<'a> {
     /// Wall-clock time of one continuous-batching **prefill iteration**:
     /// `batch` prompts of `prompt` tokens each run through every layer
     /// (with the per-layer TP all-reduces) plus the embedding/LM-head
-    /// stage. Memoized on `(batch, prompt, tp, precision)` like every
-    /// other step, so a serving simulator re-pricing the same prompt
-    /// length pays a hash lookup.
+    /// stage. Each call costs every layer and head op afresh: the serving
+    /// simulator keeps the prices in a leased table
+    /// ([`Self::lease_prices`]), which calls this once per prompt length.
     ///
     /// The request-shape fields the estimator was prepared with (`batch`,
     /// `prefill`, `generate`) are not consulted — iteration pricing is
@@ -350,8 +375,8 @@ impl<'a> PreparedInferenceEstimator<'a> {
             "degenerate prefill iteration"
         );
         let gp = GraphParams::prefill(batch, prompt, tp, precision);
-        let layer = self.layer_cost(&gp)?;
-        let extra = self.extra_cost(&gp)?;
+        let layer = self.ops_cost(&graph::layer_forward_ops(&self.model, &gp), precision)?;
+        let extra = self.ops_cost(&self.extra_ops(&gp), precision)?;
         let layers = self.model.layers as f64;
         let plan = CommPlan::new(self.cluster, Parallelism::tensor_parallel(tp));
         let volume = Bytes::new((batch * prompt * self.model.hidden) as f64 * precision.bytes());
@@ -362,10 +387,10 @@ impl<'a> PreparedInferenceEstimator<'a> {
     /// `batch` requests each generate one token attending over `kv_len`
     /// cached entries (a mixed batch is priced at its aggregate context —
     /// see `optimus-serve`), through every layer plus the per-layer TP
-    /// all-reduces and the LM-head stage. Memoized on
-    /// `(batch, kv_len, tp, precision)`, so a warm call takes one lock and
-    /// one hash; a cold call costs only the attention core at `kv_len` on
-    /// top of the batch's memoized decode row.
+    /// all-reduces and the LM-head stage: the batch's memoized decode row
+    /// plus the attention core costed at `kv_len`. No price is memoized
+    /// here; the serving simulator keeps them in a leased table
+    /// ([`Self::lease_prices`]), which calls this once per shape.
     ///
     /// For `batch = 1` this is exactly the per-step term of
     /// [`Self::estimate`]'s decode loop, which is what lets a serving
@@ -390,11 +415,8 @@ impl<'a> PreparedInferenceEstimator<'a> {
             batch > 0 && kv_len > 0 && tp > 0,
             "degenerate decode iteration"
         );
-        self.decode_totals
-            .get_or_insert_with((batch, kv_len, tp, precision), || {
-                let row = self.decode_row(batch, tp, precision)?;
-                self.decode_total(&row, &GraphParams::decode(batch, kv_len, tp, precision))
-            })
+        let row = self.decode_row(batch, tp, precision)?;
+        self.decode_total(&row, &GraphParams::decode(batch, kv_len, tp, precision))
     }
 
     /// The decode row at `batch`, memoized on `(batch, tp, precision)`.
@@ -544,6 +566,143 @@ fn accumulate(bd: &mut InferenceBreakdown, cost: &KernelCost) {
     bd.overhead += cost.overhead;
 }
 
+/// One (TP, precision)'s serving prices in seconds, NaN where unpriced:
+/// `prefill[tokens]` for a one-prompt prefill iteration and
+/// `decode[batch][kv_len]` for a decode iteration. Rows grow on demand to
+/// the largest index read.
+#[derive(Debug)]
+struct PriceTable {
+    tp: usize,
+    precision: Precision,
+    prefill: Vec<f64>,
+    decode: Vec<Vec<f64>>,
+}
+
+impl PriceTable {
+    fn empty(tp: usize, precision: Precision) -> Self {
+        Self {
+            tp,
+            precision,
+            prefill: Vec::new(),
+            decode: Vec::new(),
+        }
+    }
+}
+
+/// Stores `secs` at `row[index]`, growing the row with NaNs to reach it.
+fn store(row: &mut Vec<f64>, index: usize, secs: f64) -> f64 {
+    if row.len() <= index {
+        row.resize(index + 1, f64::NAN);
+    }
+    row[index] = secs;
+    secs
+}
+
+/// A serving price table checked out by
+/// [`PreparedInferenceEstimator::lease_prices`], handed back to the
+/// estimator's pool when dropped. A read is an index and a NaN test; an
+/// unpriced entry is priced on first touch through
+/// [`PreparedInferenceEstimator::prefill_iteration`] or
+/// [`PreparedInferenceEstimator::decode_iteration`] and kept. A price is a
+/// pure function of its entry's shape, so a warm table reads exactly what
+/// an empty one computes.
+#[derive(Debug)]
+pub struct LeasedPrices<'e, 'a> {
+    estimator: &'e PreparedInferenceEstimator<'a>,
+    table: PriceTable,
+}
+
+impl LeasedPrices<'_, '_> {
+    /// Seconds of one prefill iteration of a single `tokens`-token prompt.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HwError`] when the device lacks the table's precision.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tokens` or the lease's TP is zero.
+    #[inline]
+    pub fn prefill(&mut self, tokens: usize) -> Result<f64, HwError> {
+        match self.table.prefill.get(tokens) {
+            Some(&secs) if !secs.is_nan() => Ok(secs),
+            _ => self.price_prefill(tokens),
+        }
+    }
+
+    /// Seconds of one decode iteration of `batch` requests at context
+    /// `kv_len`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HwError`] when the device lacks the table's precision.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch`, `kv_len` or the lease's TP is zero.
+    #[inline]
+    pub fn decode(&mut self, batch: usize, kv_len: usize) -> Result<f64, HwError> {
+        match self.table.decode.get(batch).and_then(|row| row.get(kv_len)) {
+            Some(&secs) if !secs.is_nan() => Ok(secs),
+            _ => self.price_decode(batch, kv_len),
+        }
+    }
+
+    #[cold]
+    fn price_prefill(&mut self, tokens: usize) -> Result<f64, HwError> {
+        let t = &mut self.table;
+        let price = self
+            .estimator
+            .prefill_iteration(1, tokens, t.tp, t.precision)?;
+        Ok(store(&mut t.prefill, tokens, price.secs()))
+    }
+
+    #[cold]
+    fn price_decode(&mut self, batch: usize, kv_len: usize) -> Result<f64, HwError> {
+        let t = &mut self.table;
+        let price = self
+            .estimator
+            .decode_iteration(batch, kv_len, t.tp, t.precision)?;
+        if t.decode.len() <= batch {
+            t.decode.resize_with(batch + 1, Vec::new);
+        }
+        Ok(store(&mut t.decode[batch], kv_len, price.secs()))
+    }
+
+    /// The prefill row: entry `tokens` is [`Self::prefill`]'s price, NaN
+    /// where unpriced.
+    #[must_use]
+    pub fn prefill_row(&self) -> &[f64] {
+        &self.table.prefill
+    }
+
+    /// The decode rows: entry `[batch][kv_len]` is [`Self::decode`]'s
+    /// price, NaN where unpriced.
+    #[must_use]
+    pub fn decode_rows(&self) -> &[Vec<f64>] {
+        &self.table.decode
+    }
+
+    /// Number of priced entries.
+    #[must_use]
+    pub fn priced(&self) -> usize {
+        let priced = |row: &[f64]| row.iter().filter(|p| !p.is_nan()).count();
+        priced(&self.table.prefill) + self.table.decode.iter().map(|r| priced(r)).sum::<usize>()
+    }
+}
+
+impl Drop for LeasedPrices<'_, '_> {
+    fn drop(&mut self) {
+        let empty = PriceTable::empty(self.table.tp, self.table.precision);
+        let table = core::mem::replace(&mut self.table, empty);
+        self.estimator
+            .tables
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(table);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -686,9 +845,9 @@ mod tests {
     }
 
     /// An unsupported precision (Ampere has no FP8) is an error cold and
-    /// from the memo: the failed row and price are cached like any value,
-    /// so a repeat neither recosts nor grows the tables, and a second
-    /// context at the same batch fails through the cached row.
+    /// from the memo: the failed row is cached like any value, so a repeat
+    /// neither recosts nor grows the memo, and a second context at the
+    /// same batch fails through the cached row.
     #[test]
     fn unsupported_precision_errors_cold_and_from_the_memo() {
         let cluster = presets::dgx_a100_hdr_cluster();
@@ -709,21 +868,78 @@ mod tests {
             2,
             Precision::Fp8
         )));
-        assert_eq!(serving.cached_keys(), 2, "the failed row and price");
+        assert_eq!(serving.cached_keys(), 1, "the failed row");
         assert!(unsupported(serving.decode_iteration(
             4,
             100,
             2,
             Precision::Fp8
         )));
-        assert_eq!(serving.cached_keys(), 2, "a repeat is a cache hit");
+        assert_eq!(serving.cached_keys(), 1, "a repeat is a cache hit");
         assert!(unsupported(serving.decode_iteration(
             4,
             7,
             2,
             Precision::Fp8
         )));
-        assert_eq!(serving.cached_keys(), 3, "the failed row is shared");
+        assert_eq!(serving.cached_keys(), 1, "the failed row is shared");
+    }
+
+    /// The tables a lease of `(tp, precision)` would pick from.
+    fn pooled(
+        estimator: &PreparedInferenceEstimator<'_>,
+        tp: usize,
+        precision: Precision,
+    ) -> usize {
+        let pool = estimator.tables.lock().unwrap();
+        pool.iter()
+            .filter(|t| t.tp == tp && t.precision == precision)
+            .count()
+    }
+
+    /// A leased table prices a missing entry once, at exactly the
+    /// estimator's price, and goes back to the pool warm: the next lease
+    /// of its TP and precision gets it, a lease of another TP or precision
+    /// never does, and two leases held at once get distinct tables.
+    #[test]
+    fn a_returned_table_goes_warm_to_the_next_lease_of_its_key() {
+        let cluster = presets::dgx_a100_hdr_cluster();
+        let serving =
+            PreparedInferenceEstimator::for_serving(&cluster, Arc::new(models::llama2_13b()));
+        let fp16 = Precision::Fp16;
+        let mut table = serving.lease_prices(2, fp16);
+        assert_eq!(table.priced(), 0, "a first lease is empty");
+        let prefill = table.prefill(300).unwrap();
+        let decode = table.decode(8, 500).unwrap();
+        let exact = serving.decode_iteration(8, 500, 2, fp16).unwrap();
+        assert_eq!(decode.to_bits(), exact.secs().to_bits());
+        let exact = serving.prefill_iteration(1, 300, 2, fp16).unwrap();
+        assert_eq!(prefill.to_bits(), exact.secs().to_bits());
+        assert_eq!(table.decode(8, 500).unwrap().to_bits(), decode.to_bits());
+        assert_eq!(table.priced(), 2, "a repeat read prices nothing");
+        assert_eq!(table.decode_rows()[8].len(), 501);
+        drop(table);
+        assert_eq!(pooled(&serving, 2, fp16), 1);
+
+        for (tp, precision) in [(1, fp16), (4, fp16), (2, Precision::Fp8)] {
+            let other = serving.lease_prices(tp, precision);
+            assert_eq!(other.priced(), 0, "TP{tp} {precision}");
+        }
+        let warm = serving.lease_prices(2, fp16);
+        assert_eq!(warm.priced(), 2, "the returned table, warm");
+        assert_eq!(warm.prefill_row()[300].to_bits(), prefill.to_bits());
+        let mut second = serving.lease_prices(2, fp16);
+        assert_eq!(second.priced(), 0, "a table held elsewhere is not shared");
+        second.decode(1, 7).unwrap();
+        assert_eq!((warm.priced(), second.priced()), (2, 1));
+        drop((warm, second));
+        assert_eq!(
+            pooled(&serving, 2, fp16),
+            2,
+            "one table per concurrent lease"
+        );
+        drop(serving.lease_prices(2, fp16));
+        assert_eq!(pooled(&serving, 2, fp16), 2);
     }
 
     /// A point's memo keys do not grow with `generate`: every decode step

@@ -25,12 +25,13 @@
 
 use crate::faults::EngineFaults;
 use crate::report::ratio;
-use crate::sim::{ServeError, ServeInstance, TraceBounds};
+use crate::sim::{estimator_error, ServeError, ServeInstance, TraceBounds};
 use crate::stats::LatencyAccumulator;
 use crate::{
     LatencyStats, PagingReport, PreemptPolicy, QueueSample, Request, RequestMetrics, Scheduler,
     SloReport, SloSpec, MAX_QUEUE_SAMPLES,
 };
+use optimus_infer::LeasedPrices;
 use optimus_units::{Bytes, Time};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -294,17 +295,6 @@ pub(crate) struct ReplicaEngine<'i, 'a> {
     trace: &'i [Request],
     budget: Bytes,
 
-    // Dense prefill-duration cache by prompt length: each distinct
-    // admittable prompt is priced once per engine, lock-free after.
-    prefill_cache: Vec<f64>,
-    // Dense decode-price cache: `decode_cache[batch][kv_len]`, NaN =
-    // unpriced. A row grows on demand to the largest context read at its
-    // batch. That context is below the trace's `max_kv`, because a
-    // decoding member holds at most prompt + output − 1 tokens, so a row
-    // never holds more than `max_kv` entries. A miss goes to the
-    // estimator's shared memo.
-    decode_cache: Vec<Vec<f64>>,
-
     // Completion ring: requests joining the decode batch with `n` output
     // tokens complete exactly `n` decode epochs later.
     calendar: Vec<Vec<u32>>,
@@ -472,8 +462,6 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             instance,
             trace,
             budget: instance.kv_budget(),
-            prefill_cache: vec![f64::NAN; bounds.max_prompt + 1],
-            decode_cache: Vec::new(),
             calendar: vec![Vec::new(); ring_len],
             decode_epoch: 0,
             order: Vec::new(),
@@ -596,16 +584,22 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         self.waiting() + self.decoding_count
     }
 
-    /// Runs every iteration that starts before `target`. On return either
-    /// the clock has reached (or overshot) `target`, or the engine is idle
-    /// with no queued arrival before `target`.
+    /// Runs every iteration that starts before `target`, reading its
+    /// price from `prices`, the run's table for the instance's TP and
+    /// precision. On return either the clock has reached (or overshot)
+    /// `target`, or the engine is idle with no queued arrival before
+    /// `target`.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::Estimator`] when iteration pricing fails
     /// (unsupported precision), and [`ServeError::InvalidConfig`] when
     /// the outage schedule's uptimes fall below the clock's resolution.
-    pub(crate) fn advance_to(&mut self, target: f64) -> Result<(), ServeError> {
+    pub(crate) fn advance_to(
+        &mut self,
+        target: f64,
+        prices: &mut LeasedPrices<'_, '_>,
+    ) -> Result<(), ServeError> {
         loop {
             if self.faults.is_some() {
                 self.process_outages()?;
@@ -650,9 +644,9 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
             let dur = if let Some(idx) = self.awaiting_swapin.pop_front() {
                 self.swap_in(idx)
             } else if let Some(idx) = self.awaiting_prefill.pop_front() {
-                self.prefill(idx)?
+                self.prefill(idx, prices)?
             } else {
-                self.decode()?
+                self.decode(prices)?
             };
             self.clock += dur;
             self.queue_area += waiting_before as f64 * dur;
@@ -1099,25 +1093,9 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
     /// One prefill iteration of slot `idx`; returns its duration. Prices
     /// `prefill_tokens` — the full prompt, except on a prefix-cache hit,
     /// where the resident blocks' tokens are skipped.
-    fn prefill(&mut self, idx: u32) -> Result<f64, ServeError> {
-        let (tp, precision) = {
-            let c = self.instance.config();
-            (c.tp, c.precision)
-        };
+    fn prefill(&mut self, idx: u32, prices: &mut LeasedPrices<'_, '_>) -> Result<f64, ServeError> {
         let tokens = self.slots[idx as usize].prefill_tokens;
-        let cached = self.prefill_cache[tokens];
-        let base = if cached.is_nan() {
-            let computed = self
-                .instance
-                .estimator()
-                .prefill_iteration(1, tokens, tp, precision)
-                .map_err(|e| ServeError::Estimator(e.to_string()))?
-                .secs();
-            self.prefill_cache[tokens] = computed;
-            computed
-        } else {
-            cached
-        };
+        let base = prices.prefill(tokens).map_err(estimator_error)?;
         // `slow_mult` is 1.0 on the fault-free path (bitwise identity).
         let dur = base * self.slow_mult;
         self.slots[idx as usize].prefill_dur_s = dur;
@@ -1171,14 +1149,22 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
     /// One decode iteration of the whole running batch; returns its
     /// duration (which paged swap-out preemptions lengthen by their
     /// transfer time).
-    fn decode(&mut self) -> Result<f64, ServeError> {
+    fn decode(&mut self, prices: &mut LeasedPrices<'_, '_>) -> Result<f64, ServeError> {
         let swap_out_s = if self.paged { self.grow_batch() } else { 0.0 };
         let batch = self.decoding_count;
         // A mixed batch is priced at its aggregate context: attention cost
         // is linear in total KV entries read, so batch × ⌈mean⌉ preserves
-        // it while the GEMM terms see the true batch width.
+        // it while the GEMM terms see the true batch width. A decoding
+        // member holds at most prompt + output − 1 tokens, so the context
+        // stays below the trace's `max_kv`, and a run grows no row of the
+        // table past `max_kv` entries.
         let kv_len = self.ctx_sum.div_ceil(batch);
-        let dur = self.exact_decode_price(batch, kv_len)? * self.slow_mult + swap_out_s;
+        debug_assert!(
+            kv_len < self.calendar.len(),
+            "a decode context past the trace's max_kv"
+        );
+        let price = prices.decode(batch, kv_len).map_err(estimator_error)?;
+        let dur = price * self.slow_mult + swap_out_s;
         self.decode_iterations += 1;
         self.decode_batch_sum += batch;
         let end = self.clock + dur;
@@ -1210,37 +1196,6 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
                 .retain(|m| slots[m.slot as usize].joined == m.joined);
         }
         Ok(dur)
-    }
-
-    /// The exact price of one decode iteration at (`batch`, `kv_len`), in
-    /// seconds: read from the engine's dense cache, or priced through the
-    /// estimator's memo on a miss and kept.
-    fn exact_decode_price(&mut self, batch: usize, kv_len: usize) -> Result<f64, ServeError> {
-        // The completion ring is `max_kv + 1` long, so this bounds every
-        // row at `max_kv + 1` entries.
-        debug_assert!(
-            kv_len < self.calendar.len(),
-            "a decode context past the trace's max_kv"
-        );
-        if self.decode_cache.len() <= batch {
-            self.decode_cache.resize_with(batch + 1, Vec::new);
-        }
-        let row = &mut self.decode_cache[batch];
-        if row.len() <= kv_len {
-            row.resize(kv_len + 1, f64::NAN);
-        }
-        if !row[kv_len].is_nan() {
-            return Ok(row[kv_len]);
-        }
-        let c = self.instance.config();
-        let price = self
-            .instance
-            .estimator()
-            .decode_iteration(batch, kv_len, c.tp, c.precision)
-            .map_err(|e| ServeError::Estimator(e.to_string()))?
-            .secs();
-        self.decode_cache[batch][kv_len] = price;
-        Ok(price)
     }
 
     /// The paged decode's growth pass: every member whose next token
@@ -1389,14 +1344,14 @@ impl<'i, 'a> ReplicaEngine<'i, 'a> {
         self.unborrow_prefix(request, shared);
     }
 
-    /// Drains every pushed request to completion and closes the
-    /// queue-depth series at the engine's final clock.
+    /// Drains every pushed request to completion, pricing from `prices`,
+    /// and closes the queue-depth series at the engine's final clock.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::Estimator`] when iteration pricing fails.
-    pub(crate) fn finish(&mut self) -> Result<(), ServeError> {
-        self.advance_to(f64::INFINITY)?;
+    pub(crate) fn finish(&mut self, prices: &mut LeasedPrices<'_, '_>) -> Result<(), ServeError> {
+        self.advance_to(f64::INFINITY, prices)?;
         // The series must end at trace end: if the stride skipped the
         // final iteration, append the terminal (idle) observation.
         if self
@@ -1468,11 +1423,12 @@ mod tests {
     use proptest::prelude::*;
     use std::sync::Arc;
 
-    /// The engine's dense decode-price cache holds the estimator's own
-    /// prices bit for bit, and no row outgrows the trace's largest
-    /// context.
+    /// A run hands its price table back to the estimator, and the next
+    /// lease of its TP and precision gets it warm: every priced prefill
+    /// and decode entry equals the estimator's own price to the bit, and
+    /// no decode row outgrows the trace's largest context.
     #[test]
-    fn decode_cache_holds_exact_prices_within_max_kv() {
+    fn a_returned_table_holds_exact_prices_within_max_kv() {
         let cluster = presets::dgx_a100_hdr_cluster();
         let instance = ServeInstance::new(
             &cluster,
@@ -1496,29 +1452,42 @@ mod tests {
         for (req, r) in (0u32..).zip(&trace) {
             engine.push(req, r.arrival_s);
         }
-        engine.finish().unwrap();
-        let c = instance.config();
-        let mut priced = 0;
-        for (batch, row) in engine.decode_cache.iter().enumerate() {
+        let mut prices = instance.lease_prices();
+        engine.finish(&mut prices).unwrap();
+        let priced = prices.priced();
+        drop(prices);
+
+        let table = instance.lease_prices();
+        assert_eq!(table.priced(), priced, "the next lease gets the table warm");
+        let (c, estimator) = (instance.config(), instance.estimator());
+        let bits = |secs: f64| secs.to_bits();
+        let mut prefills = 0;
+        let row = table.prefill_row().iter().enumerate();
+        for (tokens, &secs) in row.filter(|(_, p)| !p.is_nan()) {
+            let exact = estimator.prefill_iteration(1, tokens, c.tp, c.precision);
+            assert_eq!(bits(secs), bits(exact.unwrap().secs()), "prefill {tokens}");
+            prefills += 1;
+        }
+        let mut decodes = 0;
+        for (batch, row) in table.decode_rows().iter().enumerate() {
             assert!(
                 row.len() <= bounds.max_kv + 1,
                 "batch {batch}: {} entries",
                 row.len()
             );
-            for (kv_len, &price) in row.iter().enumerate().filter(|(_, p)| !p.is_nan()) {
-                let memo = instance
-                    .estimator()
-                    .decode_iteration(batch, kv_len, c.tp, c.precision)
-                    .unwrap();
+            for (kv_len, &secs) in row.iter().enumerate().filter(|(_, p)| !p.is_nan()) {
+                let exact = estimator.decode_iteration(batch, kv_len, c.tp, c.precision);
                 assert_eq!(
-                    price.to_bits(),
-                    memo.secs().to_bits(),
+                    bits(secs),
+                    bits(exact.unwrap().secs()),
                     "({batch}, {kv_len})"
                 );
-                priced += 1;
+                decodes += 1;
             }
         }
-        assert!(priced > 1 && priced <= engine.decode_iterations);
+        assert_eq!(prefills + decodes, priced);
+        assert!(prefills > 1 && prefills <= engine.prefill_iterations);
+        assert!(decodes > 1 && decodes <= engine.decode_iterations);
     }
 
     /// Regression: the prefix cache was a dense vector resized to the
@@ -1555,9 +1524,10 @@ mod tests {
         let bounds = TraceBounds::scan(&instance, &trace).unwrap();
         let mut engine = ReplicaEngine::new(&instance, &trace, &bounds, false, None);
         engine.total_blocks = 200;
+        let mut prices = instance.lease_prices();
         let mut most = 0;
         for (req, r) in (0u32..).zip(&trace) {
-            engine.advance_to(r.arrival_s).unwrap();
+            engine.advance_to(r.arrival_s, &mut prices).unwrap();
             engine.push(req, r.arrival_s);
             let resident = engine.prefix_cache.values().filter(|e| e.blocks > 0);
             assert_eq!(resident.count(), engine.prefix_cache.len(), "request {req}");
@@ -1565,7 +1535,7 @@ mod tests {
             assert!(cached <= engine.used_blocks, "request {req}");
             most = most.max(engine.prefix_cache.len());
         }
-        engine.finish().unwrap();
+        engine.finish(&mut prices).unwrap();
         assert_eq!(engine.sink.completed, trace.len());
         assert!(most > 1 && engine.prefix_evictions > 0, "{most} entries");
     }
@@ -1713,6 +1683,7 @@ mod tests {
     /// router would. Returns every drop: its drain instant's bits and its
     /// lost trace indices in trace order.
     fn drive(engine: &mut ReplicaEngine<'_, '_>, trace: &[Request]) -> Vec<(u64, Vec<u32>)> {
+        let mut prices = engine.instance.lease_prices();
         let mut drops = Vec::new();
         let mut requeue = |engine: &mut ReplicaEngine<'_, '_>| {
             let taken = engine.take_requeued();
@@ -1727,13 +1698,13 @@ mod tests {
             any
         };
         for (req, r) in (0u32..).zip(trace) {
-            engine.advance_to(r.arrival_s).unwrap();
+            engine.advance_to(r.arrival_s, &mut prices).unwrap();
             requeue(engine);
             engine.push(req, r.arrival_s);
         }
         let mut rounds = 0;
         loop {
-            engine.finish().unwrap();
+            engine.finish(&mut prices).unwrap();
             if !requeue(engine) {
                 break;
             }

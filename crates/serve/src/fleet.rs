@@ -720,9 +720,10 @@ impl Router {
 /// populations. Shared by [`FleetInstance::simulate`], which every fleet
 /// and load-sweep cell runs through, and [`ServeInstance::simulate`] (one
 /// fault-free replica). Each fleet caller has validated `faults` in the
-/// [`FleetConfig`] check. Every replica prices decode exactly through the
-/// instance's shared estimator, and the fleet's figures come from its
-/// replicas' merged completions by the arithmetic of a replica's report.
+/// [`FleetConfig`] check. Every replica reads its iteration prices from
+/// one table the run leases from the instance's estimator and hands back,
+/// warm, when it returns, and the fleet's figures come from its replicas'
+/// merged completions by the arithmetic of a replica's report.
 /// The router is the one place an inadmissible request is rejected: on
 /// arrival, before it reaches any queue.
 ///
@@ -752,6 +753,7 @@ pub(crate) fn run_fleet(
     // regime for the fleet merge (a mixed pair panics), and `Auto`
     // thresholds would otherwise depend on the router's balance.
     let records_on = instance.records_on(trace.len());
+    let mut prices = instance.lease_prices();
     let mut engines: Vec<ReplicaEngine<'_, '_>> = (0..replicas)
         .map(|i| {
             let wiring = faulty
@@ -780,7 +782,7 @@ pub(crate) fn run_fleet(
             // requeued ahead of it, and state-aware policies observe live
             // queue state exactly as on the fault-free path.
             for engine in &mut engines {
-                engine.advance_to(r.arrival_s)?;
+                engine.advance_to(r.arrival_s, &mut prices)?;
             }
             front.now = front.now.max(r.arrival_s);
             front.reroute_drained(&mut engines)?;
@@ -795,7 +797,7 @@ pub(crate) fn run_fleet(
                 // observes live queue depth / outstanding work, not stale
                 // snapshots.
                 for engine in &mut engines {
-                    engine.advance_to(r.arrival_s)?;
+                    engine.advance_to(r.arrival_s, &mut prices)?;
                 }
             }
             let choice = front
@@ -813,7 +815,7 @@ pub(crate) fn run_fleet(
     let mut drain_rounds = 0usize;
     loop {
         for engine in &mut engines {
-            engine.finish()?;
+            engine.finish(&mut prices)?;
         }
         if !faulty {
             break;
@@ -1140,6 +1142,58 @@ mod tests {
                 assert_eq!(fleet.makespan, single.makespan, "{label}");
                 assert_eq!(fleet.into_lone_replica(), single, "{label}");
             }
+        }
+    }
+
+    /// Runs `run` over each trace on a thread of its own, all started
+    /// together, and returns the results in trace order.
+    fn at_once<R: Send>(traces: &[Vec<Request>], run: impl Fn(&[Request]) -> R + Sync) -> Vec<R> {
+        let start = std::sync::Barrier::new(traces.len());
+        std::thread::scope(|s| {
+            let runs: Vec<_> = traces
+                .iter()
+                .map(|trace| {
+                    s.spawn(|| {
+                        start.wait();
+                        run(trace)
+                    })
+                })
+                .collect();
+            runs.into_iter().map(|r| r.join().unwrap()).collect()
+        })
+    }
+
+    /// Runs that share one instance at the same time each lease a price
+    /// table of their own, so each returns the report a lone run of its
+    /// trace returns: two threads simulate different traces at once on
+    /// one `ServeInstance`, then on one four-replica `FleetInstance`.
+    #[test]
+    fn concurrent_runs_on_one_instance_return_their_lone_reports() {
+        let cluster = presets::dgx_a100_hdr_cluster();
+        let model = Arc::new(models::llama2_7b());
+        let traces = [
+            spec(21, 600, 30.0).generate(),
+            spec(22, 600, 90.0).generate(),
+        ];
+        let replica = ServeConfig::new(1).with_kv(crate::KvSpec::paged(16));
+
+        let shared = ServeInstance::new(&cluster, Arc::clone(&model), replica).unwrap();
+        let reports = at_once(&traces, |trace| shared.simulate(trace).unwrap());
+        for (trace, report) in traces.iter().zip(reports) {
+            let lone = ServeInstance::new(&cluster, Arc::clone(&model), replica).unwrap();
+            assert_eq!(report, lone.simulate(trace).unwrap());
+        }
+
+        let fleet = FleetConfig::new(4, 1)
+            .with_router(RouterPolicy::LeastOutstanding)
+            .with_replica(replica);
+        let shared = FleetInstance::new(&cluster, Arc::clone(&model), fleet.clone()).unwrap();
+        let reports = at_once(&traces, |trace| shared.simulate(trace).unwrap());
+        for (trace, report) in traces.iter().zip(reports) {
+            assert_eq!(
+                report,
+                serve(&cluster, Arc::clone(&model), &fleet, trace).unwrap()
+            );
         }
     }
 
@@ -1980,7 +2034,7 @@ mod tests {
                     }
                     // Part of the preload reaches decode, so outstanding
                     // and waiting differ; a crash on the way is discarded.
-                    engine.advance_to(warmup_s).unwrap();
+                    engine.advance_to(warmup_s, &mut instance.lease_prices()).unwrap();
                     engine.take_requeued();
                 }
                 engines

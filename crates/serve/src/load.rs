@@ -6,15 +6,17 @@
 //! rate where queueing detaches latency from the service time — and the
 //! SLO-feasible operating points. [`load_sweep`] evaluates an
 //! (arrival-rate × strategy) grid of full serving simulations: the sweep
-//! prepares one memoized pricing estimator, shared by every strategy,
-//! rate and worker (its memo keys carry TP and precision, so each price
-//! is computed once per sweep); one [`FleetInstance`] of each strategy's
-//! [`FleetConfig`] is built over it, shared by every rate; the grid cells
-//! run rayon-parallel, and every cell replays the *same seed* so curves
-//! are paired — a throughput difference between two strategies is never
-//! sampling noise. A cell runs its trace exactly as a lone
-//! [`FleetInstance`] of its strategy would: memo values are pure
-//! functions of their keys, not of which cell or worker filled them.
+//! prepares one pricing estimator, shared by every strategy, rate and
+//! worker; one [`FleetInstance`] of each strategy's [`FleetConfig`] is
+//! built over it, shared by every rate; the grid cells run
+//! rayon-parallel, and every cell replays the *same seed* so curves are
+//! paired — a throughput difference between two strategies is never
+//! sampling noise. Each cell leases the estimator's price table of its TP
+//! and precision and hands it back warm, so the next cell of that key
+//! reads the prices the earlier ones computed. A cell runs its trace
+//! exactly as a lone [`FleetInstance`] of its strategy would: prices are
+//! pure functions of their shapes, not of which cell or worker filled
+//! them.
 //!
 //! The result is deterministic: cells are collected in grid order
 //! regardless of thread count, and the SLO-goodput Pareto frontier
@@ -300,12 +302,14 @@ pub struct LoadSweepReport {
 /// strategy runs as a fleet of its replicas behind the spec's router,
 /// under the spec's fault environment, built as [`FleetInstance::new`]
 /// builds one (bar the link-mode refusal) over that shared estimator.
-/// Its memo keys carry TP and precision besides the shape, so each
-/// decode price, decode row and prefill layer is computed once per sweep,
-/// by whichever strategy, rate cell or worker reaches it first. Memo
-/// values are pure functions of their keys, so each cell reports exactly
-/// what a lone [`FleetInstance`] of its strategy reports for its trace,
-/// and the report is byte-identical across `RAYON_NUM_THREADS` settings.
+/// Each cell leases the estimator's price table of its TP and precision
+/// for its run and hands it back warm, so a worker prices each serving
+/// shape of a (TP, precision) once, whichever strategy or rate cell meets
+/// it first, and the decode rows behind those prices are computed once
+/// per sweep. Prices are pure functions of their shapes, so each cell
+/// reports exactly what a lone [`FleetInstance`] of its strategy reports
+/// for its trace, and the report is byte-identical across
+/// `RAYON_NUM_THREADS` settings.
 /// A strategy that cannot serve goes to the report's `infeasible` list
 /// with the constructor's reason, and so does one with a cell that fails:
 /// a fault spec that never lets its fleet finish (outages that leave no
@@ -366,33 +370,21 @@ fn run_grid<'a>(
             Err(e) => infeasible.push(InfeasibleStrategy::new(*s, e.to_string())),
         }
     }
-    // Nothing can run: report the reasons without generating a single
-    // rate trace (they can be enormous — rates × requests requests — and
-    // every byte would be thrown away).
-    if instances.is_empty() {
-        return LoadSweepReport {
-            model: model.name.clone(),
-            cluster: cluster.name.clone(),
-            seed: spec.seed,
-            requests_per_point: spec.requests,
-            slo: spec.slo,
-            curves: Vec::new(),
-            frontier: Vec::new(),
-            infeasible,
-            faults: spec.faults.clone(),
-        };
-    }
 
     // --- phase 2: the grid, cells in parallel ---------------------------
     // Traces depend on the rate alone, not the strategy: generate each
     // once and share it by reference across the row of cells (a sweep
     // therefore holds rates × requests requests in memory, 32 B each:
-    // see the size assertion beside `Request`).
-    let traces: Vec<Vec<crate::Request>> = spec
-        .rates
-        .par_iter()
-        .map(|&rate| spec.trace(rate).generate())
-        .collect();
+    // see the size assertion beside `Request`). When nothing can run none
+    // is generated: every byte would be thrown away.
+    let traces: Vec<Vec<crate::Request>> = if instances.is_empty() {
+        Vec::new()
+    } else {
+        spec.rates
+            .par_iter()
+            .map(|&rate| spec.trace(rate).generate())
+            .collect()
+    };
     let cells: Vec<(usize, usize)> = (0..instances.len())
         .flat_map(|si| (0..spec.rates.len()).map(move |ri| (si, ri)))
         .collect();
@@ -1109,8 +1101,8 @@ mod tests {
         }
         let keys = lone.estimator().cached_keys();
         assert!(
-            keys > 2,
-            "the cells priced past the constructor's decode row and price"
+            keys > 1,
+            "the cells priced past the constructor's decode row"
         );
         assert_eq!(shared.cached_keys(), keys);
     }

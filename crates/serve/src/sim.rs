@@ -21,18 +21,17 @@
 //! decode completions are scheduled on an epoch ring (every request costs
 //! O(1) bookkeeping per iteration it participates in, with no per-member
 //! scans), and per-request records plus exact percentile buffers are kept
-//! only within [`EXACT_MODE_LIMIT`] (or on request). Every decode
-//! iteration is priced exactly, at its own (batch, context), through the
-//! memoized [`PreparedInferenceEstimator`]: each replica engine keeps a
-//! dense (batch, context) price cache in front of the memo, so a warm
-//! read is a vector index with no lock, and only a miss, once per
-//! distinct shape per engine, takes the memo's lock and hash. A decode
-//! price depends on the strategy, batch and context alone, never on how
-//! long the trace is. Prefill pricing hits a dense per-prompt-length
-//! cache. The simulation is single-threaded and all randomness lives in
-//! the seeded trace, so reports are byte-identical across runs and
-//! thread counts (a memo value does not depend on which run or thread
-//! filled it).
+//! only within [`EXACT_MODE_LIMIT`] (or on request). Every iteration is
+//! priced exactly, a decode at its own (batch, context) and a prefill at
+//! its prompt length, from a dense price table that the run leases from
+//! the instance's [`PreparedInferenceEstimator`], shares across its
+//! replicas and hands back warm for the estimator's next run of the same
+//! TP and precision. A read is a vector index and a NaN test with no
+//! lock, and an entry is priced once per table. A price depends on the
+//! strategy and the iteration's shape alone, never on how long the trace
+//! is. Each run is single-threaded and all randomness lives in the seeded
+//! trace, so reports are byte-identical across runs and thread counts (a
+//! price does not depend on which run or thread filled it).
 
 use crate::engine::ReportInputs;
 use crate::fleet::run_fleet;
@@ -42,8 +41,8 @@ use crate::{
     FaultSpec, FleetReport, KvSpec, KvUsage, QueueSample, QueueStats, Request, RouterPolicy,
     Scheduler, ServeReport, SloSpec,
 };
-use optimus_hw::{ClusterSpec, Precision};
-use optimus_infer::PreparedInferenceEstimator;
+use optimus_hw::{ClusterSpec, HwError, Precision};
+use optimus_infer::{LeasedPrices, PreparedInferenceEstimator};
 use optimus_memory::{inference_memory, kv_cache_bytes};
 use optimus_model::ModelConfig;
 use optimus_units::{Bytes, Time};
@@ -181,15 +180,21 @@ impl core::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
+/// The serving error of a price the estimator refused.
+pub(crate) fn estimator_error(e: HwError) -> ServeError {
+    ServeError::Estimator(e.to_string())
+}
+
 /// A validated serving instance: one (cluster, model, strategy) triple
 /// with its prepared estimator. Build once, simulate many traces — the
 /// load-sweep engine runs every arrival rate of a strategy through one
-/// shared instance, and every run reuses the prices the runs before it
-/// left in the estimator's memo. The estimator sits behind
-/// an [`Arc`]: [`ServeInstance::new`] prepares one of its own, and the
-/// load-sweep engine hands every strategy of a sweep the same one. Its
-/// memo keys carry TP and precision, so it prices each shape once per
-/// sweep.
+/// shared instance. Each run leases the estimator's price table of the
+/// instance's TP and precision and hands it back warm, so a run reads
+/// the prices the runs before it computed; runs on several threads at
+/// once each lease a table of their own. The estimator sits behind an
+/// [`Arc`]: [`ServeInstance::new`] prepares one of its own, and the
+/// load-sweep engine hands every strategy of a sweep the same one, whose
+/// tables are kept per TP and precision.
 #[derive(Debug)]
 pub struct ServeInstance<'a> {
     cluster: &'a ClusterSpec,
@@ -223,8 +228,8 @@ impl<'a> ServeInstance<'a> {
     }
 
     /// Like [`ServeInstance::new`], pricing through `estimator`, which
-    /// must be prepared for serving over `cluster` and `model`. Its memo
-    /// values are pure functions of their keys, so a shared estimator
+    /// must be prepared for serving over `cluster` and `model`. Its
+    /// prices are pure functions of their shapes, so a shared estimator
     /// prices every iteration exactly as a fresh one would.
     ///
     /// # Errors
@@ -272,7 +277,7 @@ impl<'a> ServeInstance<'a> {
         // decode step so that refusal comes here, before any trace runs.
         estimator
             .decode_iteration(1, 1, tp, precision)
-            .map_err(|e| ServeError::Estimator(e.to_string()))?;
+            .map_err(estimator_error)?;
         let token_kv = kv_cache_bytes(&model, 1, 1, precision).bytes();
         Ok(Self {
             cluster,
@@ -298,8 +303,17 @@ impl<'a> ServeInstance<'a> {
     }
 
     /// The prepared (memoized) pricing estimator.
+    #[cfg(test)]
     pub(crate) fn estimator(&self) -> &PreparedInferenceEstimator<'a> {
         &self.estimator
+    }
+
+    /// Checks out the estimator's price table of this instance's TP and
+    /// precision, for one run (see
+    /// [`PreparedInferenceEstimator::lease_prices`]).
+    pub(crate) fn lease_prices(&self) -> LeasedPrices<'_, 'a> {
+        self.estimator
+            .lease_prices(self.config.tp, self.config.precision)
     }
 
     /// The full KV reservation of one request on this instance: the
@@ -408,11 +422,9 @@ impl<'a> ServeInstance<'a> {
 }
 
 /// What one scan of a trace finds before the event loop starts: the
-/// admittable portion's bounds, which size the prefill cache and the
-/// completion ring, and the router's rejections.
+/// admittable portion's longest context, which sizes the completion ring,
+/// and the router's rejections.
 pub(crate) struct TraceBounds {
-    /// Largest prompt among admittable requests.
-    pub(crate) max_prompt: usize,
     /// Largest prompt + output among admittable requests.
     pub(crate) max_kv: usize,
     /// Trace indices of the requests no idle instance could run, in
@@ -436,7 +448,6 @@ impl TraceBounds {
     ) -> Result<Self, ServeError> {
         check_trace_len(trace.len()).map_err(ServeError::InvalidTrace)?;
         let mut bounds = Self {
-            max_prompt: 0,
             max_kv: 0,
             rejected: Vec::new(),
         };
@@ -458,15 +469,13 @@ impl TraceBounds {
                     r.id, r.prompt, r.output
                 )));
             }
-            let (prompt, output) = (r.prompt as usize, r.output as usize);
-            let Some(kv) = prompt.checked_add(output) else {
+            let Some(kv) = (r.prompt as usize).checked_add(r.output as usize) else {
                 return Err(ServeError::InvalidTrace(format!(
                     "request {}'s prompt {} + output {} tokens overflow",
                     r.id, r.prompt, r.output
                 )));
             };
             if instance.admissible(r) {
-                bounds.max_prompt = bounds.max_prompt.max(prompt);
                 bounds.max_kv = bounds.max_kv.max(kv);
             } else {
                 bounds.rejected.push(index);
@@ -809,11 +818,12 @@ pub(crate) mod tests {
     }
 
     /// Past [`EXACT_MODE_LIMIT`] requests, a second run of the same trace
-    /// on the same instance reads every decode price from the warm memo:
-    /// it adds no memo key and returns an equal report. The trace and
-    /// fleet are those of `tests/golden/fleet_streaming.json`.
+    /// on the same instance reads every price from the table the first
+    /// run handed back: it prices no new entry, adds no memo key and
+    /// returns an equal report. The trace and fleet are those of
+    /// `tests/golden/fleet_streaming.json`.
     #[test]
-    fn a_repeat_run_on_a_warm_memo_returns_an_equal_report() {
+    fn a_repeat_run_on_a_warm_table_returns_an_equal_report() {
         let cluster = presets::dgx_a100_hdr_cluster();
         let instance = ServeInstance::new(
             &cluster,
@@ -843,13 +853,12 @@ pub(crate) mod tests {
         };
         let first = run();
         assert_eq!(first.completed, trace.len());
-        let keys = instance.estimator().cached_keys();
+        let priced = || instance.lease_prices().priced();
+        let (entries, keys) = (priced(), instance.estimator().cached_keys());
+        assert!(entries > 1, "the first run priced its shapes");
         assert_eq!(run(), first);
-        assert_eq!(
-            instance.estimator().cached_keys(),
-            keys,
-            "a repeat run prices no new shape"
-        );
+        assert_eq!(priced(), entries, "a repeat run prices no new shape");
+        assert_eq!(instance.estimator().cached_keys(), keys);
     }
 
     /// A trace past [`EXACT_MODE_LIMIT`] in which *no* request fits the
